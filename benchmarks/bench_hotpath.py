@@ -2,8 +2,8 @@
 
 ``bench_simulator.py`` tracks the cost of the coarse building blocks;
 this family zooms into the inner loop that PR 3 rebuilt: scheduler
-backends (heap vs calendar), cancellation storms, the link transmit
-chain, queue-disc enqueue/dequeue cycles, and the tracing sinks.  Run
+churn and backlog, cancellation storms, the link transmit chain,
+queue-disc enqueue/dequeue cycles, and the tracing sinks.  Run
 with ``--benchmark-json=BENCH_hotpath.json`` (as the CI perf-smoke job
 does) to track the trajectory per PR.
 """
@@ -12,8 +12,7 @@ import pytest
 
 from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
-from repro.netsim.engine import (CalendarScheduler, HeapScheduler,
-                                 MICROSECOND, Simulator)
+from repro.netsim.engine import MICROSECOND, Simulator
 from repro.netsim.fq_codel import FqCoDelQueue
 from repro.netsim.link import Link
 from repro.netsim.node import Host
@@ -24,9 +23,9 @@ from repro.netsim.tracing import TimeSeries
 from conftest import bench_duration_s, run_once
 
 
-def _churn(scheduler_name, events=10_000):
+def _churn(events=10_000):
     """Self-rescheduling timer chain: the engine's minimal workload."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     count = [0]
 
     def tick():
@@ -41,17 +40,12 @@ def _churn(scheduler_name, events=10_000):
 
 @pytest.mark.benchmark(group="hotpath-scheduler")
 def test_heap_scheduler_churn(benchmark):
-    assert benchmark(_churn, "heap") == 10_000
+    assert benchmark(_churn) == 10_000
 
 
-@pytest.mark.benchmark(group="hotpath-scheduler")
-def test_calendar_scheduler_churn(benchmark):
-    assert benchmark(_churn, "calendar") == 10_000
-
-
-def _dense_backlog(scheduler_name, pending=2_000, rounds=5):
-    """Many concurrently pending timers (the calendar queue's case)."""
-    sim = Simulator(scheduler=scheduler_name)
+def _dense_backlog(pending=2_000, rounds=5):
+    """Many concurrently pending timers."""
+    sim = Simulator()
     fired = [0]
 
     def fire():
@@ -67,12 +61,7 @@ def _dense_backlog(scheduler_name, pending=2_000, rounds=5):
 
 @pytest.mark.benchmark(group="hotpath-scheduler")
 def test_heap_dense_backlog(benchmark):
-    assert benchmark(_dense_backlog, "heap") == 10_000
-
-
-@pytest.mark.benchmark(group="hotpath-scheduler")
-def test_calendar_dense_backlog(benchmark):
-    assert benchmark(_dense_backlog, "calendar") == 10_000
+    assert benchmark(_dense_backlog) == 10_000
 
 
 @pytest.mark.benchmark(group="hotpath-scheduler")
@@ -212,22 +201,3 @@ def test_scenario_backend(benchmark, bench_backend):
         if packet_events:
             benchmark.extra_info["event_reduction_x"] = \
                 round(packet_events / result.events, 2)
-
-
-@pytest.mark.benchmark(group="hotpath-scheduler")
-def test_scheduler_raw_push_pop(benchmark):
-    """Backend push/pop cost without the Simulator wrapper."""
-    from repro.netsim.engine import Event
-
-    def cycle():
-        popped = 0
-        for scheduler in (HeapScheduler(), CalendarScheduler()):
-            entries = [(i * 1000, i, Event(i * 1000, i, lambda: None, ()))
-                       for i in range(2_000)]
-            for entry in entries:
-                scheduler.push(entry)
-            while scheduler.pop() is not None:
-                popped += 1
-        return popped
-
-    assert benchmark(cycle) == 4_000

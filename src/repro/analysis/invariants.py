@@ -18,7 +18,7 @@ flag defaults on under pytest (the whole suite runs with the contract
 armed) and off otherwise; ``REPRO_DEBUG=1`` / ``REPRO_DEBUG=0`` in the
 environment overrides both.  Gating never changes simulation results —
 the checkers either raise or do nothing — which
-``tests/test_scheduler_equivalence.py`` pins down by replaying a
+``tests/test_engine_ordering.py`` pins down by replaying a
 scenario under both settings.
 
 :func:`unwrap` and :func:`require` are *not* gated: their return value

@@ -1,12 +1,12 @@
 """Benchmark trend folding: many ``BENCH_*.json`` files, one table.
 
-This module is the canonical home of the normalised-ratio logic that
-``tools/check_bench_regression.py`` gates CI with (that script now
-imports from here), plus the trend layer above it: fold several
-benchmark artifacts — the hotpath and hybrid pytest-benchmark runs,
-the obs-overhead smoke document — into one per-metric table with
-regression flagging, rendered as JSON (``BENCH_trend.json``) and
-markdown (``BENCH_trend.md``) for the CI artifact upload.
+This module is the home of the normalised-ratio logic the CI
+perf-smoke gate uses (``tools/bench_trend.py --gate``), plus the trend
+layer above it: fold several benchmark artifacts — the hotpath and
+hybrid pytest-benchmark runs, the obs-overhead smoke document — into
+one per-metric table with regression flagging, rendered as JSON
+(``BENCH_trend.json``) and markdown (``BENCH_trend.md``) for the CI
+artifact upload.
 
 Two artifact shapes are understood:
 
@@ -49,7 +49,8 @@ def load_medians(path: str) -> Dict[str, float]:
     """Per-benchmark median seconds from either file format.
 
     Accepts a raw pytest-benchmark JSON document (``benchmarks`` list)
-    or a baseline written by ``--update`` (``medians`` mapping).
+    or a baseline written by :func:`write_baseline` (``medians``
+    mapping).
     """
     document = load_bench_document(path)
     if not document["medians"]:
@@ -97,9 +98,10 @@ def load_bench_document(path: str) -> Dict[str, Dict[str, float]]:
 def write_baseline(path: str, medians: Dict[str, float]) -> None:
     document = {
         "schema_version": BASELINE_SCHEMA_VERSION,
-        "note": "normalised-ratio baseline for "
-                "tools/check_bench_regression.py; regenerate with "
-                "--update after intentional perf changes",
+        "note": "normalised-ratio baseline for tools/bench_trend.py "
+                "--gate; regenerate with "
+                "repro.experiments.bench_trend.write_baseline after "
+                "intentional perf changes",
         "medians": {name: medians[name] for name in sorted(medians)},
     }
     with open(path, "w", encoding="utf-8") as handle:

@@ -433,6 +433,17 @@ def _sigterm_as_interrupt() -> Iterator[None]:
         signal.signal(signal.SIGTERM, previous)
 
 
+def _default_sigterm_in_worker() -> None:
+    """Pool initializer: undo the inherited SIGTERM conversion.
+
+    Fork-started workers inherit :func:`_sigterm_as_interrupt`'s
+    handler, and ``Pool.terminate()`` stops workers with SIGTERM then
+    joins them without a timeout; a worker that turns the signal into
+    an exception instead of dying can leave that join waiting for ever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _backoff_delays(key: str, retries: int, base_s: float) -> List[float]:
     """Exponential backoff delays with deterministic seeded jitter.
 
@@ -553,7 +564,9 @@ def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
                         envelopes[index] = exc
             else:
                 context = multiprocessing.get_context()
-                with context.Pool(processes=workers) as pool:
+                with context.Pool(
+                        processes=workers,
+                        initializer=_default_sigterm_in_worker) as pool:
                     handles = {}
                     for index in pending:
                         task = tasks[index]

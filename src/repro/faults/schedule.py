@@ -20,7 +20,7 @@ Determinism is load-bearing everywhere:
   cannot shift another link's draw sequence;
 * fault events go through the simulation engine with integer-nanosecond
   times, so they interleave with packet events identically on every
-  scheduler backend.
+  run.
 """
 
 from __future__ import annotations

@@ -13,34 +13,12 @@ Typical use::
     sim.schedule(MILLISECOND, callback, arg1, arg2)
     sim.run(until_ns=10 * SECOND)
 
-Two interchangeable scheduler backends order the pending events
-(ns-3-style, selectable per simulator or via ``REPRO_SCHEDULER``):
-
-* :class:`HeapScheduler` (default) — one binary heap of
-  ``(time_ns, seq, event)`` tuples.  Tuple entries keep comparisons in
-  C (int compares) instead of calling a Python ``__lt__`` per sift.
-* :class:`CalendarScheduler` — a classic calendar queue (Brown 1988),
-  the structure Cebinae's own LBF is modelled on: a ring of day-buckets
-  of width ``bucket_width_ns``, giving O(1) amortised insert/extract
-  when event times are roughly uniform, as packet departures are.
-
-Both backends execute the exact same ``(time_ns, seq)`` sequence —
-nondecreasing time, FIFO among ties — which
-``tests/test_scheduler_equivalence.py`` proves by replaying random
-workloads through each and comparing the traces.
-
-**Batched event execution** (on by default, ``REPRO_BATCH=0`` to
-disable): after popping an event, the run loop drains every further
-pending event with the *same timestamp* through the scheduler's
-:meth:`EventScheduler.pop_at` fast path instead of a full ``pop``.
-Saturated links produce long same-timestamp trains (every port that
-finishes serializing within one nanosecond tick), and ``pop_at`` skips
-the calendar's year scan / the heap's bound checks for each of them.
-Batching is a pure scheduling optimisation: events still execute in
-exactly the ``(time_ns, seq)`` order of the unbatched loop (ties are
-drained min-seq first, and a callback scheduling at zero delay always
-receives a larger seq than every already-pending tie), which
-``tests/test_batched_engine.py`` pins with a hypothesis replay.
+Pending events live in one binary heap of ``(time_ns, seq, event)``
+tuples (:class:`HeapScheduler`).  Tuple entries keep comparisons in C
+(int compares) instead of calling a Python ``__lt__`` per sift, and the
+unique ``(time_ns, seq)`` prefix is the total order: nondecreasing
+time, FIFO among ties.  ``tests/test_engine_ordering.py`` checks that
+order against a stable sort.
 
 Per-event argument validation (:func:`repro.analysis.invariants
 .require_int_ns`) is debug-gated: it runs when
@@ -52,11 +30,9 @@ contract — all times are ints either way; debug merely *proves* it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import os
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Tuple, Type, Union)
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from ..analysis import invariants
 from ..analysis.invariants import require_int_ns
@@ -114,12 +90,6 @@ class Event:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        # Ties broken by insertion order so the schedule is deterministic.
-        # (Schedulers compare (time_ns, seq) tuples and never reach this;
-        # kept for code that sorts Events directly.)
-        return (self.time_ns, self.seq) < (other.time_ns, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time_ns}ns, {state}, {self.callback!r})"
@@ -130,252 +100,20 @@ class Event:
 Entry = Tuple[int, int, Event]
 
 
-class EventScheduler:
-    """Interface of a pending-event set with a total (time, seq) order.
-
-    ``pop`` must return entries in nondecreasing ``(time_ns, seq)``
-    order.  ``push`` may be called with any entry whose time is >= the
-    simulator's *executed* time — which can be **earlier than the last
-    popped time**: the :class:`Simulator` pops-then-repushes entries
-    (``peek_time_ns``, the ``until_ns``/``max_events`` push-back in
-    ``run``) and may then legally schedule before the pushed-back
-    entry.  Backends must stay correctly ordered under such pushes.
-    Cancellation is handled by the :class:`Simulator`, which skips
-    entries whose event has ``cancelled`` set.
-    """
+class HeapScheduler(List[Entry]):
+    """The pending-event set: a list kept in heap order by ``heapq``."""
 
     __slots__ = ()
 
-    def push(self, entry: Entry) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> Optional[Entry]:
-        """Remove and return the minimal entry, or None when empty."""
-        raise NotImplementedError
-
-    def pop_at(self, time_ns: int) -> Optional[Entry]:
-        """Pop the minimal entry *only if* its time is ``time_ns``.
-
-        The batched run loop calls this while draining a same-timestamp
-        train, where ``time_ns`` is the clock's current value — so every
-        pending entry is known to be ``>= time_ns`` and a head matching
-        it exactly is the global minimum.  Backends override this with
-        an O(1) check; the generic fallback pops and pushes back, which
-        is correct for any ordered backend but pays the churn batching
-        exists to avoid.
-        """
-        entry = self.pop()
-        if entry is None:
-            return None
-        if entry[0] != time_ns:
-            self.push(entry)
-            return None
-        return entry
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class HeapScheduler(EventScheduler):
-    """A binary heap of tuple entries (the default backend)."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-
-    def push(self, entry: Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> Optional[Entry]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def pop_at(self, time_ns: int) -> Optional[Entry]:
-        heap = self._heap
-        if heap and heap[0][0] == time_ns:
-            return heapq.heappop(heap)
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class CalendarScheduler(EventScheduler):
-    """A calendar queue (Brown 1988), as in ns-3's ``CalendarScheduler``.
-
-    Entries hash into a ring of day-buckets by
-    ``(time // width) % num_buckets``; each bucket is a small heap.  A
-    pop scans one calendar year starting at the current day and takes
-    the first head event that falls inside its bucket's window — which
-    the monotonic-time contract makes the global minimum — falling back
-    to a direct min-of-heads search when the year is empty (sparse
-    horizon).  The ring doubles/halves around the occupancy band
-    [n/2, 2n] and re-derives the bucket width from the observed event
-    spacing, so both dense packet bursts and sparse control timers stay
-    O(1) amortised.
-    """
-
-    __slots__ = ("_buckets", "_width", "_size", "_last_time_ns",
-                 "_min_buckets")
-
-    def __init__(self, bucket_width_ns: int = 64 * MICROSECOND,
-                 num_buckets: int = 64) -> None:
-        if bucket_width_ns <= 0:
-            raise ValueError("bucket width must be positive")
-        if num_buckets <= 0:
-            raise ValueError("bucket count must be positive")
-        self._width = bucket_width_ns
-        self._buckets: List[List[Entry]] = [[] for _ in range(num_buckets)]
-        self._size = 0
-        self._last_time_ns = 0
-        self._min_buckets = num_buckets
-
-    def push(self, entry: Entry) -> None:
-        buckets = self._buckets
-        heapq.heappush(buckets[(entry[0] // self._width) % len(buckets)],
-                       entry)
-        self._size += 1
-        # Clamp the scan origin so it never exceeds the minimal pending
-        # time.  The Simulator pops-then-repushes entries (peeks, the
-        # until_ns/max_events push-back in run()), which advances
-        # _last_time_ns past entries that are still legal to schedule;
-        # without the clamp the next pop would scan from too late a day,
-        # execute out of order, and rewind the clock.
-        if entry[0] < self._last_time_ns:
-            self._last_time_ns = entry[0]
-        if self._size > 2 * len(buckets):
-            self._rebuild(2 * len(buckets))
-
-    def pop(self) -> Optional[Entry]:
-        if not self._size:
-            return None
-        buckets = self._buckets
-        count = len(buckets)
-        width = self._width
-        day = self._last_time_ns // width
-        start = day % count
-        window_end = (day + 1) * width
-        entry: Optional[Entry] = None
-        for offset in range(count):
-            bucket = buckets[(start + offset) % count]
-            # Eligible = the head lands inside this bucket's window of
-            # the current year; earlier buckets' windows end sooner, so
-            # the first hit is the global minimum.
-            if bucket and bucket[0][0] < window_end:
-                entry = heapq.heappop(bucket)
-                break
-            window_end += width
-        if entry is None:
-            # Nothing due this year: jump straight to the minimal head.
-            best = -1
-            for index, bucket in enumerate(buckets):
-                if bucket and (best < 0 or bucket[0] < buckets[best][0]):
-                    best = index
-            entry = heapq.heappop(buckets[best])
-        self._size -= 1
-        self._last_time_ns = entry[0]
-        if (self._size < len(self._buckets) // 2
-                and len(self._buckets) > self._min_buckets):
-            self._rebuild(max(self._min_buckets,
-                              len(self._buckets) // 2))
-        return entry
-
-    def pop_at(self, time_ns: int) -> Optional[Entry]:
-        # One hash, one head compare: the day-bucket of ``time_ns``
-        # either leads with an exact tie (the global minimum, since
-        # pop_at's contract says nothing pending is earlier) or the
-        # train is over.  No year scan, and the shrink check is
-        # deferred to the next full pop — occupancy only shrinks by
-        # the train length, never below what pop() rebalances.
-        bucket = self._buckets[(time_ns // self._width)
-                               % len(self._buckets)]
-        if bucket and bucket[0][0] == time_ns:
-            entry = heapq.heappop(bucket)
-            self._size -= 1
-            self._last_time_ns = time_ns
-            return entry
-        return None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _rebuild(self, num_buckets: int) -> None:
-        entries: List[Entry] = []
-        for bucket in self._buckets:
-            entries.extend(bucket)
-        entries.sort()
-        self._width = self._choose_width(entries)
-        buckets: List[List[Entry]] = [[] for _ in range(num_buckets)]
-        width = self._width
-        for entry in entries:
-            # Appended in sorted order, so each bucket list is already a
-            # valid min-heap.
-            buckets[(entry[0] // width) % num_buckets].append(entry)
-        self._buckets = buckets
-
-    def _choose_width(self, entries: List[Entry]) -> int:
-        """Bucket width ~= a few average inter-event gaps (sorted input)."""
-        sample = entries[:64]
-        if len(sample) < 2:
-            return self._width
-        span = sample[-1][0] - sample[0][0]
-        if span <= 0:
-            return self._width
-        return max(1, (3 * span) // (len(sample) - 1))
-
-
-#: Scheduler registry for string selection (ns-3-style).
-SCHEDULERS: Dict[str, Type[EventScheduler]] = {
-    "heap": HeapScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-def make_scheduler(name: str) -> EventScheduler:
-    """Instantiate a scheduler backend by registry name."""
-    try:
-        return SCHEDULERS[name]()
-    except KeyError:
-        raise SimulationError(
-            f"unknown scheduler {name!r}; choose from "
-            f"{sorted(SCHEDULERS)}") from None
-
 
 class Simulator:
-    """An event-driven simulator with an integer-nanosecond clock.
+    """An event-driven simulator with an integer-nanosecond clock."""
 
-    ``scheduler`` selects the pending-event backend: a registry name
-    (``"heap"``/``"calendar"``), an :class:`EventScheduler` instance,
-    or None to honour the ``REPRO_SCHEDULER`` environment variable
-    (default ``heap``).  All backends execute the identical event
-    sequence; the choice is purely a performance knob.
-
-    ``batch`` selects batched same-timestamp execution (see the module
-    docstring): None honours ``REPRO_BATCH`` (default on).  Batched and
-    unbatched runs execute the identical event sequence; the knob
-    exists so the equivalence is testable.
-    """
-
-    def __init__(self,
-                 scheduler: Union[str, EventScheduler, None] = None,
-                 batch: Optional[bool] = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "heap")
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler)
-        if batch is None:
-            batch = os.environ.get("REPRO_BATCH", "1") != "0"
-        self._scheduler: EventScheduler = scheduler
-        # Hot-path bindings: schedule()/schedule_at() run once per
-        # event, so the scheduler-push attribute chain and the seq
-        # counter's __next__ are resolved here instead of per call.
-        # The scheduler never changes after construction.
-        self._push = scheduler.push
-        self._seq: Iterator[int] = itertools.count()
-        self._next_seq = self._seq.__next__
-        self._batch = bool(batch)
+    def __init__(self) -> None:
+        self._heap = HeapScheduler()
+        # schedule()/schedule_at() run once per event, so the seq
+        # counter's __next__ is resolved here instead of per call.
+        self._next_seq = itertools.count().__next__
         self._now_ns = 0
         self._running = False
         self._processed = 0
@@ -395,15 +133,16 @@ class Simulator:
         """The number of events executed so far (for diagnostics)."""
         return self._processed
 
+    # scheduler/batched: read only by benchmarks/ledger/run.py's env block.
     @property
-    def scheduler(self) -> EventScheduler:
-        """The active scheduler backend."""
-        return self._scheduler
+    def scheduler(self) -> HeapScheduler:
+        """The pending-event heap."""
+        return self._heap
 
     @property
     def batched(self) -> bool:
-        """Whether the run loop drains same-timestamp trains batched."""
-        return self._batch
+        """Always False: the run loop pops one event per iteration."""
+        return False
 
     def schedule(self, delay_ns: TimeNs, callback: Callable[..., None],
                  *args: Any) -> Event:
@@ -415,7 +154,7 @@ class Simulator:
         time_ns = self._now_ns + delay_ns
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
-        self._push((time_ns, seq, event))
+        heappush(self._heap, (time_ns, seq, event))
         return event
 
     def schedule_at(self, time_ns: TimeNs, callback: Callable[..., None],
@@ -428,35 +167,30 @@ class Simulator:
                 f"cannot schedule at {time_ns}ns, now is {self._now_ns}ns")
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
-        self._push((time_ns, seq, event))
+        heappush(self._heap, (time_ns, seq, event))
         return event
 
     def peek_time_ns(self) -> Optional[TimeNs]:
         """The time of the next pending event, or None if none remain."""
-        scheduler = self._scheduler
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                return None
-            if entry[2].cancelled:
-                continue
-            scheduler.push(entry)
-            return entry[0]
+        heap = self._heap
+        while heap:
+            if not heap[0][2].cancelled:
+                return heap[0][0]
+            heappop(heap)
+        return None
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        scheduler = self._scheduler
-        while True:
-            entry = scheduler.pop()
-            if entry is None:
-                return False
-            event = entry[2]
+        heap = self._heap
+        while heap:
+            time_ns, _, event = heappop(heap)
             if event.cancelled:
                 continue
-            self._now_ns = entry[0]
+            self._now_ns = time_ns
             self._processed += 1
             event.callback(*event.args)
             return True
+        return False
 
     def run(self, until_ns: Optional[TimeNs] = None,
             max_events: Optional[int] = None,
@@ -485,69 +219,39 @@ class Simulator:
             # this is once per run, not per event.)
             require_int_ns(until_ns, "run() until_ns")
         self._running = True
-        # The span is named "events", never after the scheduler class:
-        # span streams must stay byte-identical across backends.
         span = obs_spans.open_span("engine", "events")
         profiler = profiling.current()
         record = profiler.record if profiler is not None else None
         wall_start = profiling.monotonic() if profiler is not None else 0.0
         start_ns = self._now_ns
-        # The inner loop below is the simulator's hot path: one pop, one
-        # cancelled check, two int compares and the callback per event —
-        # and, in batched mode, one cheap pop_at per same-timestamp tie
-        # instead of a full pop + bound checks.
-        scheduler = self._scheduler
-        pop = scheduler.pop
-        pop_at = scheduler.pop_at if self._batch else None
-        # Friend access for the default backend: peeking the heap head
-        # inline replicates pop_at's miss test (empty, or head not at
-        # this timestamp) without a method call, and misses are the
-        # overwhelmingly common case on workloads with few ties.
-        heap = scheduler._heap if (pop_at is not None and
-                                   type(scheduler) is HeapScheduler) \
-            else None
+        # The loop below is the simulator's hot path: one heappop, one
+        # cancelled check, two int compares and the callback per event.
+        heap = self._heap
+        pop = heappop
         executed = 0
         try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    break
+            while heap:
+                entry = pop(heap)
                 event = entry[2]
                 if event.cancelled:
                     continue
                 time_ns = entry[0]
                 if until_ns is not None and time_ns > until_ns:
-                    scheduler.push(entry)
+                    heappush(heap, entry)
                     break
-                # Drain the same-timestamp train.  Ties execute in seq
-                # order (pop_at always yields the minimal pending entry)
-                # and zero-delay reschedules join the train's tail with
-                # a fresh, larger seq — the exact unbatched order.
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        scheduler.push(entry)
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}")
-                    executed += 1
-                    self._now_ns = time_ns
-                    self._processed += 1
-                    if (watchdog is not None
-                            and not executed % watchdog_interval):
-                        watchdog()
-                    if record is not None:
-                        record(event.callback)
-                    event.callback(*event.args)
-                    if pop_at is None:
-                        break
-                    if heap is not None and \
-                            (not heap or heap[0][0] != time_ns):
-                        break
-                    entry = pop_at(time_ns)
-                    while entry is not None and entry[2].cancelled:
-                        entry = pop_at(time_ns)
-                    if entry is None:
-                        break
-                    event = entry[2]
+                if max_events is not None and executed >= max_events:
+                    heappush(heap, entry)
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}")
+                executed += 1
+                self._now_ns = time_ns
+                self._processed += 1
+                if (watchdog is not None
+                        and not executed % watchdog_interval):
+                    watchdog()
+                if record is not None:
+                    record(event.callback)
+                event.callback(*event.args)
             if until_ns is not None and until_ns > self._now_ns:
                 self._now_ns = until_ns
         finally:

@@ -14,8 +14,8 @@ scenario, and writes a deterministic artifact directory::
     <out>/metrics.json            registry snapshot (--metrics-json)
 
 Every file is byte-identical across repeated runs with the same
-arguments, on either scheduler backend — that is what the CI
-``obs-smoke`` job replays.  Spans live in their own file because each
+arguments — that is what the CI ``obs-smoke`` job replays.  Spans
+live in their own file because each
 :class:`~repro.obs.events.SpanEvent` carries the schema's one
 wall-clock field (``wall_s``): ``trace.jsonl`` keeps the raw
 byte-identity guarantee, and ``spans.jsonl`` is byte-identical after

@@ -33,7 +33,7 @@ Determinism rules (see DESIGN.md §11): every field is derived from
 simulation state only — integer-nanosecond times, flow ids rendered
 with ``str(FlowId)``, and any set-valued field (⊤ membership) sorted
 before it enters the frozen record.  Two runs with the same seed emit
-byte-identical event streams on every scheduler backend.
+byte-identical event streams.
 
 One documented exception: :class:`SpanEvent.wall_s` measures host
 wall-clock time by design (spans exist to explain where wall-clock

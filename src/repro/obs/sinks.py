@@ -5,7 +5,7 @@ instances from the bus and persists them deterministically: JSON is
 emitted with sorted keys and compact separators, files are written in
 event order, and nothing here consults wall clocks or randomness — the
 determinism contract is that one seed produces byte-identical sink
-output on every run and scheduler backend (DESIGN.md §11).
+output on every run (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ dedicated parking-lot runner for multi-bottleneck topologies — with
 strict schema validation, stable fingerprints that feed the on-disk
 :class:`~repro.experiments.parallel.ResultCache`, and a
 golden-result conformance harness that pins every workload to
-byte-identical replay across scheduler backends and debug modes.
+byte-identical replay across debug modes.
 
 Layers (imports flow downward only):
 
 * :mod:`repro.suite.spec` — the document model, validation, compiler;
 * :mod:`repro.suite.parking` — the parking-lot run function;
 * :mod:`repro.suite.registry` — directory loading;
-* :mod:`repro.suite.golden` — digests, golden files, the matrix;
+* :mod:`repro.suite.golden` — digests, golden files, the replay;
 * :mod:`repro.suite.cli` — ``cebinae-repro suite``.
 """
 

@@ -8,12 +8,12 @@ regenerates the golden-conformance files::
     cebinae-repro suite examples/suites/tier1 --golden tests/golden
     cebinae-repro suite examples/suites/tier1 --update-golden tests/golden
 
-``--golden`` compares the runs produced under the *current* backend
-settings (``REPRO_SCHEDULER``/``REPRO_DEBUG``) against the committed
-digests and exits 1 on any mismatch; the CI ``suite-smoke`` job runs
-one leg per scheduler.  ``--update-golden`` replays each spec across
-the full scheduler x debug matrix in-process (refusing to write if any
-cell disagrees) and rewrites the golden files.
+``--golden`` compares the runs produced under the *current* debug
+setting (``REPRO_DEBUG``) against the committed digests and exits 1 on
+any mismatch; the CI ``suite-smoke`` job runs it with the gate on.
+``--update-golden`` replays each spec with the debug gate off and on
+in-process (refusing to write if the two disagree) and rewrites the
+golden files.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="check results against the golden files "
                              "in DIR; exit 1 on any mismatch")
     parser.add_argument("--update-golden", metavar="DIR",
-                        help="replay each spec across the scheduler x "
-                             "debug matrix and rewrite its golden "
+                        help="replay each spec with the debug gate "
+                             "off and on and rewrite its golden "
                              "file in DIR")
     parser.add_argument("--mismatch-out", metavar="PATH",
                         help="with --golden: also write a JSON "
@@ -168,8 +168,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.golden and args.update_golden:
         parser.error("--golden and --update-golden are exclusive")
     if args.fabric and args.update_golden:
-        parser.error("--update-golden replays the scheduler x debug "
-                     "matrix in-process and cannot run on the fabric")
+        parser.error("--update-golden replays debug off and on "
+                     "in-process and cannot run on the fabric")
     if args.fabric_dir and not args.fabric:
         parser.error("--fabric-dir requires --fabric")
     if args.backend == "hybrid" and (args.golden or args.update_golden):
@@ -200,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.update_golden:
         for spec in specs:
-            print(f"=== {spec.name} (conformance matrix) ===")
+            print(f"=== {spec.name} (debug off|on replay) ===")
             digests = conformance_digests(spec)
             path = write_golden(args.update_golden, spec, digests)
             print(f"  wrote {path} ({len(digests)} run(s))")

@@ -1,8 +1,8 @@
-"""Golden-result conformance: digests, golden files, and the matrix.
+"""Golden-result conformance: digests, golden files, debug off|on replay.
 
 The determinism contract of this repo — fixed seed ⇒ byte-identical
-:class:`ScenarioResult` across scheduler backends, debug modes, and
-tracing on/off — is enforced here for *every* declarative workload:
+:class:`ScenarioResult` across debug modes and tracing on/off — is
+enforced here for *every* declarative workload:
 
 * :func:`result_digest` reduces one result to committed-friendly
   digests (SHA-256 of the canonical result JSON, the scalar JFI, and a
@@ -10,25 +10,21 @@ tracing on/off — is enforced here for *every* declarative workload:
 * a *golden file* (``tests/golden/<spec name>.json``) pins one suite
   spec's digests, stamped with the spec's own fingerprint so stale
   goldens are distinguishable from determinism breaks;
-* :func:`conformance_digests` replays a spec across the full
-  scheduler x debug matrix in-process and refuses to produce digests
-  at all if any cell disagrees — the regeneration path can therefore
-  never commit a backend-dependent golden.
+* :func:`conformance_digests` replays a spec with the debug gate off
+  and on in-process and refuses to produce digests at all if the two
+  disagree — the regeneration path can therefore never commit a
+  debug-dependent golden.
 
 ``tests/test_golden_suite.py`` parametrises the same comparison per
-matrix cell, and the CI ``suite-smoke`` job replays it per scheduler
-through the CLI.
+debug mode, and the CI ``suite-smoke`` job replays it through the CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis import invariants
 from ..experiments.parallel import require, run_tasks
@@ -37,10 +33,6 @@ from .spec import CompiledRun, SuiteSpec
 
 #: Bump when the golden-file shape changes incompatibly.
 GOLDEN_VERSION = 1
-
-#: The conformance matrix: every cell must produce identical bytes.
-SCHEDULER_BACKENDS = ("heap", "calendar")
-DEBUG_MODES = (False, True)
 
 #: Canonical JSON encoding shared by every digest in this module.
 _JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
@@ -93,46 +85,20 @@ def run_compiled(runs: Sequence[CompiledRun],
     return [require(result) for result in results]
 
 
-@contextmanager
-def forced_backend(scheduler: str, debug: bool) -> Iterator[None]:
-    """Pin the scheduler backend and debug gate for one replay.
-
-    ``REPRO_SCHEDULER`` is read at :class:`Simulator` construction and
-    the debug gate dynamically, so setting both around an in-process
-    run is exactly equivalent to exporting them for a fresh process.
-    """
-    previous_env = os.environ.get("REPRO_SCHEDULER")
-    previous_debug = invariants.set_debug(debug)
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    try:
-        yield
-    finally:
-        invariants.set_debug(previous_debug)
-        if previous_env is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = previous_env
-
-
 def suite_digests(spec: SuiteSpec,
-                  scheduler: Optional[str] = None,
-                  debug: Optional[bool] = None) -> Dict[str, Dict[str, Any]]:
-    """Label → digest for one spec, one matrix cell, serial in-process.
+                  debug: bool) -> Dict[str, Dict[str, Any]]:
+    """Label → digest for one spec, one debug mode, serial in-process.
 
-    ``scheduler``/``debug`` default to the ambient settings (whatever
-    ``REPRO_SCHEDULER``/the debug gate already say), which is what the
-    CI smoke job varies per matrix leg.
+    The debug gate is read dynamically, so setting it around an
+    in-process run is exactly equivalent to exporting ``REPRO_DEBUG``
+    for a fresh process.
     """
     runs = spec.compile()
-    if scheduler is None and debug is None:
+    previous = invariants.set_debug(debug)
+    try:
         results = run_compiled(runs, workers=1, cache_dir=None)
-    else:
-        ambient = os.environ.get("REPRO_SCHEDULER", "heap")
-        with forced_backend(scheduler if scheduler is not None
-                            else ambient,
-                            invariants.DEBUG if debug is None
-                            else debug):
-            results = run_compiled(runs, workers=1, cache_dir=None)
+    finally:
+        invariants.set_debug(previous)
     digests = {}
     for run, result in zip(runs, results):
         entry = {"fingerprint": run.fingerprint()}
@@ -141,34 +107,21 @@ def suite_digests(spec: SuiteSpec,
     return digests
 
 
-def conformance_digests(spec: SuiteSpec,
-                        schedulers: Sequence[str] = SCHEDULER_BACKENDS,
-                        debug_modes: Sequence[bool] = DEBUG_MODES
-                        ) -> Dict[str, Dict[str, Any]]:
-    """Digests agreed on by every (scheduler, debug) matrix cell.
+def conformance_digests(spec: SuiteSpec) -> Dict[str, Dict[str, Any]]:
+    """Digests agreed on with the debug gate off and on.
 
-    Raises :class:`GoldenMismatch` if any cell disagrees with the
-    first, naming the cell and the diverging labels — so golden
-    regeneration doubles as a cross-backend determinism check.
+    Raises :class:`GoldenMismatch` naming the diverging labels if the
+    two modes disagree — so golden regeneration doubles as a
+    determinism check.
     """
-    reference: Optional[Dict[str, Dict[str, Any]]] = None
-    reference_cell = ""
-    for scheduler in schedulers:
-        for debug in debug_modes:
-            digests = suite_digests(spec, scheduler=scheduler,
-                                    debug=debug)
-            cell = f"scheduler={scheduler} debug={debug}"
-            if reference is None:
-                reference, reference_cell = digests, cell
-                continue
-            if digests != reference:
-                diverged = sorted(
-                    label for label in reference
-                    if digests.get(label) != reference[label])
-                raise GoldenMismatch(
-                    f"suite spec {spec.name!r}: {cell} diverges from "
-                    f"{reference_cell} on {diverged}")
-    assert reference is not None
+    reference = suite_digests(spec, debug=False)
+    checked = suite_digests(spec, debug=True)
+    if checked != reference:
+        diverged = sorted(label for label in reference
+                          if checked.get(label) != reference[label])
+        raise GoldenMismatch(
+            f"suite spec {spec.name!r}: debug=True diverges from "
+            f"debug=False on {diverged}")
     return reference
 
 

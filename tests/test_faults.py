@@ -6,7 +6,7 @@ Three layers under test:
 * the netsim-level fault machinery (per-link stochastic impairments,
   link down windows, node freezes) and its determinism contract — the
   same seed produces byte-identical ``ScenarioResult`` JSON across
-  runs, scheduler backends, and the ``REPRO_DEBUG`` gate, while a
+  runs and the ``REPRO_DEBUG`` gate, while a
   fault-free run stays byte-identical to one with no fault subsystem
   involved at all;
 * the Cebinae graceful-degradation semantics: a reconfiguration
@@ -339,14 +339,11 @@ class TestScenarioDeterminism:
             faults=dataclasses.replace(DEMO_FAULTS, seed=8))
         assert result_json(first) != result_json(reseeded)
 
-    def test_faulted_run_matches_across_backends_and_debug(
-            self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
+    def test_faulted_run_matches_across_debug(self, monkeypatch):
         monkeypatch.setattr(invariants, "DEBUG", True)
         reference = run_scenario(tiny_scaled(), Discipline.CEBINAE,
                                  faults=DEMO_FAULTS, collect_series=True,
                                  record_history=True)
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
         monkeypatch.setattr(invariants, "DEBUG", False)
         fast_path = run_scenario(tiny_scaled(), Discipline.CEBINAE,
                                  faults=DEMO_FAULTS, collect_series=True,

@@ -1,11 +1,10 @@
 """Golden-result conformance over every committed suite spec.
 
 The determinism contract — fixed seed ⇒ byte-identical ScenarioResult
-— is replayed here for each declarative workload under every cell of
-the (scheduler backend x debug mode) matrix, and the digests must
-match the golden files committed under ``tests/golden/``.  Any new
-workload dropped into the example suites automatically gains this
-test; regenerate goldens with::
+— is replayed here for each declarative workload with the debug gate
+off and on, and the digests must match the golden files committed
+under ``tests/golden/``.  Any new workload dropped into the example
+suites automatically gains this test; regenerate goldens with::
 
     cebinae-repro suite examples/suites/<dir> --update-golden tests/golden
 """
@@ -16,7 +15,6 @@ import pytest
 
 from repro.suite import (SuiteRegistry, check_golden, load_spec_file,
                          suite_digests)
-from repro.suite.golden import DEBUG_MODES, SCHEDULER_BACKENDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUITES_ROOT = REPO_ROOT / "examples" / "suites"
@@ -49,14 +47,13 @@ def test_suite_directories_load_as_registries():
             assert len(registry) > 0
 
 
-@pytest.mark.parametrize("debug", DEBUG_MODES,
+@pytest.mark.parametrize("debug", (False, True),
                          ids=lambda d: f"debug{'On' if d else 'Off'}")
-@pytest.mark.parametrize("scheduler", SCHEDULER_BACKENDS)
 @pytest.mark.parametrize("spec_path", SPEC_PATHS,
                          ids=lambda p: p.stem)
-def test_golden_conformance(spec_path, scheduler, debug):
-    """One spec, one matrix cell: digests must equal the golden file."""
+def test_golden_conformance(spec_path, debug):
+    """One spec, one debug mode: digests must equal the golden file."""
     spec = load_spec_file(spec_path)
-    digests = suite_digests(spec, scheduler=scheduler, debug=debug)
+    digests = suite_digests(spec, debug=debug)
     mismatches = check_golden(GOLDEN_DIR, spec, digests)
     assert not mismatches, "\n".join(mismatches)

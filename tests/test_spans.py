@@ -173,8 +173,6 @@ class TestProducers:
             sim.run()
         engine = [r for r in sink.records if r.kind == "engine"]
         assert len(engine) == 1
-        # Named for the role, not the scheduler class: the span stream
-        # must be byte-identical across backends.
         assert engine[0].name == "events"
         assert engine[0].count >= 1
         assert engine[0].status == "ok"

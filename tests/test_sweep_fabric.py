@@ -301,6 +301,26 @@ def _noop():
     return {"ok": True}
 
 
+def _report_sigterm_disposition(marker):
+    """Pool task: is this worker's SIGTERM back at its default?"""
+    default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    with open(marker, "w", encoding="utf-8") as handle:
+        handle.write("reported")
+    return {"sigterm_default": default}
+
+
+def _term_parent_after(marker):
+    """Pool task: SIGTERM the sweep's parent once ``marker`` exists."""
+    import time
+    while not os.path.exists(marker):
+        time.sleep(0.02)  # simlint: allow[D103] waiting for sibling task
+    # Let the parent collect the sibling's result before the signal.
+    time.sleep(1.0)  # simlint: allow[D103] waiting for sibling collection
+    os.kill(os.getppid(), signal.SIGTERM)
+    time.sleep(60.0)  # simlint: allow[D103] waiting for Pool.terminate()
+    raise AssertionError("the pool never terminated this worker")
+
+
 def _raise_value_error():
     raise ValueError("deterministic boom")
 
@@ -331,6 +351,26 @@ class TestRunTasksSigterm:
         assert cache.load(tasks[1].fingerprint) == {"label": "b"}
         assert cache.load(tasks[2].fingerprint) is None
         # The previous SIGTERM disposition came back.
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+    def test_pool_workers_get_default_sigterm(self, tmp_path):
+        """Workers must die on ``Pool.terminate()``'s SIGTERM, while the
+        parent still converts its own SIGTERM and flushes."""
+        marker = str(tmp_path / "marker")
+        tasks = [
+            Task(fn=fn, kwargs={"marker": marker}, label=label,
+                 fingerprint=parallel.fingerprint("demo",
+                                                  {"label": label}),
+                 kind="demo", encode=lambda v: v, decode=lambda v: v)
+            for label, fn in (("probe", _report_sigterm_disposition),
+                              ("term", _term_parent_after))]
+        with pytest.raises(TerminateSweep):
+            run_tasks(tasks, workers=2, cache_dir=tmp_path / "cache",
+                      progress=None)
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.load(tasks[0].fingerprint) == \
+            {"sigterm_default": True}
+        assert cache.load(tasks[1].fingerprint) is None
         assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
     def test_backoff_records_actual_sleep_on_interrupt(self, tmp_path,

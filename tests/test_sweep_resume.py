@@ -8,11 +8,9 @@ uninterrupted run, because results are keyed by deterministic
 fingerprints and written atomically.
 
 Hypothesis drives the kill point (how many tasks the victim completes
-before the SIGKILL) and the scheduler backend (heap|calendar via
-``REPRO_SCHEDULER``, exercising the cross-backend determinism
-contract).  The victim is a real ``python -m repro.sweep.cli work``
-subprocess so the kill exercises the honest path: orphaned lease file,
-dead pid, no graceful flush.
+before the SIGKILL).  The victim is a real
+``python -m repro.sweep.cli work`` subprocess so the kill exercises the
+honest path: orphaned lease file, dead pid, no graceful flush.
 """
 
 import json
@@ -51,7 +49,7 @@ def merged_document(sweep_dir):
     return json.dumps(payloads, sort_keys=True)
 
 
-def run_victim(sweep_dir, max_tasks, scheduler):
+def run_victim(sweep_dir, max_tasks):
     """A real worker subprocess, SIGKILLed after ``max_tasks`` tasks.
 
     ``--max-tasks`` parks the worker at an exact progress point (it
@@ -63,8 +61,7 @@ def run_victim(sweep_dir, max_tasks, scheduler):
                PYTHONPATH=os.pathsep.join(
                    [os.path.join(os.path.dirname(__file__), "..",
                                  "src")]
-                   + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
-               REPRO_SCHEDULER=scheduler)
+                   + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.sweep.cli", "work",
          str(sweep_dir), "--worker-id", "victim",
@@ -86,10 +83,9 @@ class TestKillResume:
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
     @given(kill_after=st.integers(min_value=0,
-                                  max_value=TASK_COUNT - 1),
-           scheduler=st.sampled_from(["heap", "calendar"]))
+                                  max_value=TASK_COUNT - 1))
     def test_resume_after_sigkill_is_byte_identical(
-            self, tmp_path_factory, kill_after, scheduler):
+            self, tmp_path_factory, kill_after):
         root = tmp_path_factory.mktemp("drill")
         baseline_dir = root / "baseline"
         murdered_dir = root / "murdered"
@@ -104,7 +100,7 @@ class TestKillResume:
         # The victim completes ``kill_after`` tasks, then dies hard
         # (either SIGKILLed mid-idle or already exited at its budget —
         # both leave a sweep that must resume cleanly).
-        run_victim(murdered_dir, kill_after, scheduler)
+        run_victim(murdered_dir, kill_after)
         status = SweepDir(murdered_dir).status()
         assert status["counts"]["done"] >= kill_after
 
@@ -122,18 +118,13 @@ class TestKillResume:
 
 
 class TestScenarioKillResume:
-    """One non-property drill over *real simulations*, both schedulers.
+    """One non-property drill over *real simulations*.
 
     The callable drill above proves the fabric machinery; this proves
-    the byte-identity claim for actual ScenarioResult payloads, whose
-    determinism across heap|calendar is the repo's core contract.
+    the byte-identity claim for actual ScenarioResult payloads.
     """
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_partial_sweep_resumes_to_reference(self, tmp_path,
-                                                scheduler,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    def test_partial_sweep_resumes_to_reference(self, tmp_path):
         suite = tmp_path / "suite"
         suite.mkdir()
         (suite / "drill.json").write_text(json.dumps({

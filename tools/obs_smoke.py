@@ -4,11 +4,11 @@
 Replays the observability contract on a figure-9-class scenario:
 
 1. **Off-path purity** — running with the trace bus installed produces
-   a ``ScenarioResult`` JSON byte-identical to a run without it, on
-   both scheduler backends and with ``REPRO_DEBUG`` invariants on:
-   tracing observes the simulation, never perturbs it.
-2. **Trace determinism** — with tracing on, repeated runs and both
-   scheduler backends emit byte-identical JSONL streams, after
+   a ``ScenarioResult`` JSON byte-identical to a run without it, also
+   with ``REPRO_DEBUG`` invariants on: tracing observes the
+   simulation, never perturbs it.
+2. **Trace determinism** — with tracing on, repeated runs emit
+   byte-identical JSONL streams, after
    :func:`repro.obs.events.canonical_dict` strips the schema's one
    sanctioned wall-clock field (``SpanEvent.wall_s``).
 3. **Schema validity** — every emitted line round-trips through
@@ -56,10 +56,9 @@ def figure9_spec(duration_s: float) -> ScenarioSpec:
                         duration_s=duration_s)
 
 
-def run_once(duration_s: float, traced: bool,
-             scheduler: str) -> Tuple[str, List[str], float]:
+def run_once(duration_s: float,
+             traced: bool) -> Tuple[str, List[str], float]:
     """One scenario run: (result JSON, JSONL lines, wall seconds)."""
-    os.environ["REPRO_SCHEDULER"] = scheduler
     scaled = DEFAULT_POLICY.apply(figure9_spec(duration_s))
     sink = MemorySink()
     start = time.perf_counter()
@@ -110,7 +109,7 @@ def check_span_tree(lines: List[str]) -> int:
     engines = [node for node in tree["nodes"].values()
                if node["kind"] == "engine"]
     assert engines and all(node["name"] == "events" for node in engines), \
-        "engine spans must be named 'events' (backend-neutral)"
+        "engine spans must be named 'events'"
     return len(spans)
 
 
@@ -121,71 +120,49 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     duration = args.duration
 
-    # 1. Off-path purity: bus installed vs not, per scheduler backend.
-    plain: dict = {}
-    walls: dict = {}
-    for scheduler in ("heap", "calendar"):
-        plain[scheduler], lines, walls["plain", scheduler] = run_once(
-            duration, traced=False, scheduler=scheduler)
-        assert not lines
-    assert plain["heap"] == plain["calendar"], \
-        "ScenarioResult JSON differs across scheduler backends"
-
-    traced: dict = {}
-    trace_lines: dict = {}
-    for scheduler in ("heap", "calendar"):
-        traced[scheduler], trace_lines[scheduler], \
-            walls["traced", scheduler] = run_once(
-                duration, traced=True, scheduler=scheduler)
-        assert traced[scheduler] == plain[scheduler], \
-            f"tracing perturbed the {scheduler} run's ScenarioResult"
-        assert trace_lines[scheduler], "tracing on but no records"
+    # 1. Off-path purity: bus installed vs not.
+    plain, lines, wall_plain = run_once(duration, traced=False)
+    assert not lines
+    traced, trace_lines, wall_traced = run_once(duration, traced=True)
+    assert traced == plain, "tracing perturbed the ScenarioResult"
+    assert trace_lines, "tracing on but no records"
 
     # 1b. The same purity with REPRO_DEBUG invariants active: debug
     # checks and tracing may not interact (the instruction streams are
     # independent by construction; this replays it).
     previous_debug = invariants.set_debug(True)
     try:
-        debug_plain, _, _ = run_once(duration, traced=False,
-                                     scheduler="heap")
-        debug_traced, debug_lines, _ = run_once(duration, traced=True,
-                                                scheduler="heap")
+        debug_plain, _, _ = run_once(duration, traced=False)
+        debug_traced, debug_lines, _ = run_once(duration, traced=True)
     finally:
         invariants.set_debug(previous_debug)
     assert debug_traced == debug_plain, \
         "tracing perturbed the REPRO_DEBUG run's ScenarioResult"
-    assert canonical(debug_lines) == canonical(trace_lines["heap"]), \
+    assert canonical(debug_lines) == canonical(trace_lines), \
         "trace JSONL differs between debug and non-debug runs"
 
-    # 2. Trace determinism: rerun + cross-backend identity, after
-    # stripping the sanctioned wall-clock field (SpanEvent.wall_s).
-    rerun, rerun_lines, _ = run_once(duration, traced=True,
-                                     scheduler="heap")
-    assert rerun == traced["heap"]
-    assert canonical(rerun_lines) == canonical(trace_lines["heap"]), \
+    # 2. Trace determinism: rerun identity, after stripping the
+    # sanctioned wall-clock field (SpanEvent.wall_s).
+    rerun, rerun_lines, _ = run_once(duration, traced=True)
+    assert rerun == traced
+    assert canonical(rerun_lines) == canonical(trace_lines), \
         "trace JSONL differs between identical runs"
-    assert canonical(trace_lines["heap"]) \
-        == canonical(trace_lines["calendar"]), \
-        "trace JSONL differs across scheduler backends"
 
     # 3. Schema validity of every emitted line.
-    for line in trace_lines["heap"]:
+    for line in trace_lines:
         validate_record(json.loads(line))
 
     # 3b. Span structure: valid tree, one run root, phases cover ≥95%
-    # of the run's wall time, backend-neutral engine naming.
-    span_records = check_span_tree(trace_lines["heap"])
+    # of the run's wall time.
+    span_records = check_span_tree(trace_lines)
 
     # 4. Metrics-enabled run: registry populated, snapshot round-trips.
     registry = obs_metrics.enable()
     try:
-        start = time.perf_counter()
-        metered, _, _ = run_once(duration, traced=False,
-                                 scheduler="heap")
-        walls["metered", "heap"] = time.perf_counter() - start
+        metered, _, wall_metered = run_once(duration, traced=False)
     finally:
         obs_metrics.disable()
-    assert metered == plain["heap"], "metrics perturbed the run"
+    assert metered == plain, "metrics perturbed the run"
     snapshot = registry.snapshot()
     reloaded = obs_metrics.load_snapshot(snapshot)
     assert reloaded.snapshot() == snapshot, \
@@ -197,22 +174,20 @@ def main(argv=None) -> int:
         "name": f"obs_smoke_figure9_{duration:g}s",
         "extra_info": {
             "duration_s": duration,
-            "records": len(trace_lines["heap"]),
+            "records": len(trace_lines),
             "span_records": span_records,
-            "wall_plain_s": walls["plain", "heap"],
-            "wall_traced_s": walls["traced", "heap"],
-            "wall_metered_s": walls["metered", "heap"],
-            "traced_overhead_ratio":
-                walls["traced", "heap"] / walls["plain", "heap"],
+            "wall_plain_s": wall_plain,
+            "wall_traced_s": wall_traced,
+            "wall_metered_s": wall_metered,
+            "traced_overhead_ratio": wall_traced / wall_plain,
         },
     }]}
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(bench, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"obs smoke OK: {len(trace_lines['heap'])} records "
-          f"({span_records} spans), result JSON byte-identical off/on, "
-          f"across backends, and under REPRO_DEBUG; overhead written "
-          f"to {args.out}")
+    print(f"obs smoke OK: {len(trace_lines)} records "
+          f"({span_records} spans), result JSON byte-identical off/on "
+          f"and under REPRO_DEBUG; overhead written to {args.out}")
     return 0
 
 
