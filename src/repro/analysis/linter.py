@@ -527,11 +527,13 @@ class _ModuleChecker(ast.NodeVisitor):
                 self._flag(node, "D103",
                            f"{resolved}() reads the host clock; "
                            f"simulation time is Simulator.now_ns")
-        # U201: float into schedule()/schedule_at() time positions.
+        # U201: float into schedule*()/post*() time positions.
         callee = _call_name(func)
-        if callee in {"schedule", "schedule_at"} and node.args:
+        if callee in {"schedule", "schedule_at", "post", "post_at"} \
+                and node.args:
             if self._float_tainted(node.args[0]):
-                which = "delay_ns" if callee == "schedule" else "time_ns"
+                which = "time_ns" if callee.endswith("_at") \
+                    else "delay_ns"
                 self._flag(node.args[0], "U201",
                            f"float-valued expression passed as "
                            f"{callee}() {which}")

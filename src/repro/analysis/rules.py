@@ -101,7 +101,7 @@ _RULES = (
         "float-valued expression flows into an integer-nanosecond slot",
         "keep the clock integral: wrap the arithmetic in int(...) / "
         "round(...) / math.ceil(...) before it reaches a *_ns name or a "
-        "schedule()/schedule_at() time argument",
+        "schedule*()/post*() time argument",
     ),
     Rule(
         "U202", "unit-mismatch",

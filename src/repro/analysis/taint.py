@@ -5,9 +5,9 @@ helper looks like a local hygiene problem — until a scheduler two
 modules away consumes its value and the replay contract breaks.  This
 pass builds an import/call graph over *all* linted files and connects
 **sources** (the surviving D1xx findings: ``hash()``, unseeded RNGs,
-host clocks, set-order leaks) to **sinks** (``Simulator.schedule*``,
-``ScenarioResult`` construction, cache fingerprints, trace emission)
-through function calls, reporting at both ends:
+host clocks, set-order leaks) to **sinks** (``Simulator.schedule*`` and
+``post*``, ``ScenarioResult`` construction, cache fingerprints, trace
+emission) through function calls, reporting at both ends:
 
 * **D201** at the sink: "this schedule()/result/fingerprint can be
   fed by nondeterminism N call-levels away", with the chain.
@@ -54,6 +54,8 @@ SOURCE_RULE_IDS = frozenset({"D101", "D102", "D103", "D104"})
 SINK_CALL_NAMES: Dict[str, str] = {
     "schedule": "Simulator.schedule()",
     "schedule_at": "Simulator.schedule_at()",
+    "post": "Simulator.post()",
+    "post_at": "Simulator.post_at()",
     "ScenarioResult": "ScenarioResult construction",
     "fingerprint": "cache fingerprint",
     "emit": "trace emission",

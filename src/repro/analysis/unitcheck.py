@@ -95,6 +95,8 @@ KNOWN_SIGNATURES: Dict[str, FuncSig] = {
         FuncSig("to_seconds", ("ns",), ("value_ns",), "s", True),
         FuncSig("schedule", ("ns",), ("delay_ns",), None),
         FuncSig("schedule_at", ("ns",), ("time_ns",), None),
+        FuncSig("post", ("ns",), ("delay_ns",), None),
+        FuncSig("post_at", ("ns",), ("time_ns",), None),
         # repro.core.units
         FuncSig("ns_from_seconds", ("s",), ("value_s",), "ns", False),
         FuncSig("seconds_from_ns", ("ns",), ("value_ns",), "s", True),

@@ -71,7 +71,7 @@ class AdaptiveTauController:
         interval = (self.config.window_recomputes
                     * agent.params.recompute_interval_ns)
         self._interval_ns = interval
-        self.sim.schedule(interval, self._supervise)
+        self.sim.post(interval, self._supervise)
 
     @property
     def tau(self) -> Ratio:
@@ -93,7 +93,7 @@ class AdaptiveTauController:
         history = unwrap(self.agent.history, "agent history vanished")
         window = history[self._last_seen:]
         self._last_seen = len(history)
-        self.sim.schedule(self._interval_ns, self._supervise)
+        self.sim.post(self._interval_ns, self._supervise)
         if len(window) < 2:
             return
         flaps = sum(1 for prev, cur in zip(window, window[1:])

@@ -120,7 +120,7 @@ class CebinaeControlPlane:
         self._trace_span = obs_bus.emitter_for("span")
         self._last_utilization = 0.0
         # Bootstrap the round schedule: first rotation after one dT.
-        self.sim.schedule(self.params.dt_ns, self._on_rotate)
+        self.sim.post(self.params.dt_ns, self._on_rotate)
 
     # -- the per-round loop ---------------------------------------------------
     def _on_rotate(self) -> None:
@@ -132,10 +132,10 @@ class CebinaeControlPlane:
             dropped, extra_ns = faults.draw(self.sim.now_ns)
             if dropped or extra_ns > 0:
                 self._miss_deadline(retired, deadline, dropped, extra_ns)
-                self.sim.schedule(self.params.dt_ns, self._on_rotate)
+                self.sim.post(self.params.dt_ns, self._on_rotate)
                 return
-        self.sim.schedule(deadline, self._apply_config, retired)
-        self.sim.schedule(self.params.dt_ns, self._on_rotate)
+        self.sim.post(deadline, self._apply_config, retired)
+        self.sim.post(self.params.dt_ns, self._on_rotate)
 
     def _miss_deadline(self, retired_queue: int, deadline_ns: TimeNs,
                        dropped: bool, extra_ns: int) -> None:
@@ -155,10 +155,10 @@ class CebinaeControlPlane:
             self.dropped_reconfigs += 1
         faults = self.faults
         if faults is not None and faults.fail_open:
-            self.sim.schedule(deadline_ns, self._fail_open)
+            self.sim.post(deadline_ns, self._fail_open)
         elif not dropped:
-            self.sim.schedule(deadline_ns + extra_ns,
-                              self._apply_config, retired_queue)
+            self.sim.post(deadline_ns + extra_ns,
+                          self._apply_config, retired_queue)
         else:
             # Dropped outright with fail-open disabled: nothing else
             # will account for this round, so the timeline records the

@@ -96,7 +96,7 @@ class PerFlowCebinaeQueueDisc(CebinaeQueueDisc):
             self._queues[queue_index].append(packet)
             self._queue_bytes[queue_index] += packet.size_bytes
             if was_empty:
-                self.notify_waker()
+                self._waker()
             return True
         return super().enqueue(packet)
 

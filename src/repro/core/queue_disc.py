@@ -123,7 +123,7 @@ class CebinaeQueueDisc(QueueDisc):
             queues[queue_index].append(packet)
             self._queue_bytes[queue_index] += packet.size_bytes
             if was_empty:
-                self.notify_waker()
+                self._waker()
             return True
         now = self.sim.now_ns
         if self.saturated:
@@ -161,7 +161,7 @@ class CebinaeQueueDisc(QueueDisc):
         queues[queue_index].append(packet)
         self._queue_bytes[queue_index] += packet.size_bytes
         if was_empty:
-            self.notify_waker()
+            self._waker()
         return True
 
     def _empty(self) -> bool:

@@ -99,8 +99,8 @@ def write_baseline(path: str, medians: Dict[str, float]) -> None:
     document = {
         "schema_version": BASELINE_SCHEMA_VERSION,
         "note": "normalised-ratio baseline for tools/bench_trend.py "
-                "--gate; regenerate with "
-                "repro.experiments.bench_trend.write_baseline after "
+                "--gate; regenerate with tools/bench_trend.py "
+                "BENCH_hotpath.json --write-baseline THIS_FILE after "
                 "intentional perf changes",
         "medians": {name: medians[name] for name in sorted(medians)},
     }
@@ -277,9 +277,17 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--gate", action="store_true",
                         help="exit 1 on any flagged regression "
                              "(default: informational, exit 0)")
+    parser.add_argument("--write-baseline", metavar="PATH",
+                        help="write the artifacts' medians as the new "
+                             "baseline (after an intentional perf "
+                             "change moved the geomean)")
     args = parser.parse_args(argv)
     document = build_trend(args.artifacts, baseline_path=args.baseline,
                            threshold=args.threshold)
+    if args.write_baseline:
+        write_baseline(args.write_baseline,
+                       {row["name"]: row["median_s"]
+                        for row in document["rows"]})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)

@@ -220,9 +220,9 @@ class FaultSchedule:
             for start, end in windows:
                 if start >= duration_ns:
                     continue
-                self.sim.schedule_at(start, self._freeze_node, node)
-                self.sim.schedule_at(min(end, duration_ns),
-                                     self._restart_node, node)
+                self.sim.post_at(start, self._freeze_node, node)
+                self.sim.post_at(min(end, duration_ns),
+                                 self._restart_node, node)
 
     def _install_link(self, link: Link, duration_ns: int) -> None:
         spec = self.spec
@@ -242,9 +242,9 @@ class FaultSchedule:
         for start, end in state.down_windows:
             if start >= duration_ns:
                 continue
-            self.sim.schedule_at(start, self._cut_link, link)
-            self.sim.schedule_at(min(end, duration_ns),
-                                 self._restore_link, link)
+            self.sim.post_at(start, self._cut_link, link)
+            self.sim.post_at(min(end, duration_ns),
+                             self._restore_link, link)
         self._links.append(link)
 
     # -- the scheduled fault events (profiled under FaultSchedule) ---------

@@ -59,6 +59,11 @@ class CebinaeFlowCache(Generic[K]):
             [None] * slots_per_stage for _ in range(stages)]
         self._counts: List[List[int]] = [
             [0] * slots_per_stage for _ in range(stages)]
+        # Per-flow slot index of every stage, so a flow is hashed once
+        # per polling interval rather than once per stage per packet.
+        # Dropped by poll_and_reset: never holds more flows than sent
+        # in one interval.
+        self._slot_memo: Dict[K, Tuple[int, ...]] = {}
         self.uncounted_packets = 0
         self.uncounted_bytes = 0
         #: Observability hook (installed by the queue disc; None = off).
@@ -67,9 +72,12 @@ class CebinaeFlowCache(Generic[K]):
     def update(self, key: K, nbytes: int) -> bool:
         """Account ``nbytes`` for ``key``.  False if no slot was free."""
         trace = self.trace
-        for stage in range(self.stages):
-            index = stage_hash(key, self._salts[stage]) % \
-                self.slots_per_stage
+        slots = self._slot_memo.get(key)
+        if slots is None:
+            slots = self._slot_memo[key] = tuple(
+                stage_hash(key, salt) % self.slots_per_stage
+                for salt in self._salts)
+        for stage, index in enumerate(slots):
             occupant = self._keys[stage][index]
             if occupant is None:
                 self._keys[stage][index] = key
@@ -114,10 +122,11 @@ class CebinaeFlowCache(Generic[K]):
         chance to claim a slot next interval).
         """
         result = self.snapshot()
-        for stage in range(self.stages):
-            for index in range(self.slots_per_stage):
-                self._keys[stage][index] = None
-                self._counts[stage][index] = 0
+        self._keys = [[None] * self.slots_per_stage
+                      for _ in range(self.stages)]
+        self._counts = [[0] * self.slots_per_stage
+                        for _ in range(self.stages)]
+        self._slot_memo = {}
         self.uncounted_packets = 0
         self.uncounted_bytes = 0
         return result

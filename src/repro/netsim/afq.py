@@ -84,7 +84,7 @@ class AfqQueue(QueueDisc):
         self._bytes += packet.size_bytes
         self._packets += 1
         if was_empty:
-            self.notify_waker()
+            self._waker()
         return True
 
     def dequeue(self) -> Optional[Packet]:

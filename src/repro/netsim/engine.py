@@ -10,15 +10,21 @@ queue-rotation protocol).
 Typical use::
 
     sim = Simulator()
-    sim.schedule(MILLISECOND, callback, arg1, arg2)
+    sim.post(MILLISECOND, callback, arg1, arg2)
+    timer = sim.schedule(SECOND, on_timeout)   # only to cancel() it
     sim.run(until_ns=10 * SECOND)
 
-Pending events live in one binary heap of ``(time_ns, seq, event)``
-tuples (:class:`HeapScheduler`).  Tuple entries keep comparisons in C
-(int compares) instead of calling a Python ``__lt__`` per sift, and the
-unique ``(time_ns, seq)`` prefix is the total order: nondecreasing
-time, FIFO among ties.  ``tests/test_engine_ordering.py`` checks that
-order against a stable sort.
+Pending events live in one binary heap of ``(time_ns, seq, callback,
+args)`` tuples (:class:`HeapScheduler`).  Tuple entries keep
+comparisons in C (int compares) instead of calling a Python ``__lt__``
+per sift, and the unique ``(time_ns, seq)`` prefix is the total order:
+nondecreasing time, FIFO among ties.  ``post``/``post_at`` push the
+callback itself and return nothing; ``schedule``/``schedule_at`` are
+for the few callers that cancel: they return an :class:`Event` handle
+and push ``(time_ns, seq, None, event)``, so only those entries pay
+for an object and a cancelled check.  Both kinds share the one heap
+and the one seq counter.  ``tests/test_engine_ordering.py`` checks
+that order against a stable sort.
 
 Per-event argument validation (:func:`repro.analysis.invariants
 .require_int_ns`) is debug-gated: it runs when
@@ -68,11 +74,12 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A cancellable scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` and may be
     cancelled.  Cancelled events stay in the scheduler but are skipped
-    when they surface, which keeps cancellation O(1).
+    when they surface, which keeps cancellation O(1).  Callers that
+    never cancel use :meth:`Simulator.post` and get no handle.
     """
 
     __slots__ = ("time_ns", "seq", "callback", "args", "cancelled")
@@ -95,9 +102,11 @@ class Event:
         return f"Event(t={self.time_ns}ns, {state}, {self.callback!r})"
 
 
-#: A scheduler entry.  The (time_ns, seq) prefix is the total order;
-#: the Event itself is never compared because the prefix is unique.
-Entry = Tuple[int, int, Event]
+#: A scheduler entry ``(time_ns, seq, callback, args)``; a cancellable
+#: one is ``(time_ns, seq, None, event)``.  The (time_ns, seq) prefix is
+#: the total order; the rest is never compared because the prefix is
+#: unique.
+Entry = Tuple[int, int, Optional[Callable[..., None]], Any]
 
 
 class HeapScheduler(List[Entry]):
@@ -111,8 +120,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._heap = HeapScheduler()
-        # schedule()/schedule_at() run once per event, so the seq
-        # counter's __next__ is resolved here instead of per call.
+        # post()/schedule() run once per event, so the seq counter's
+        # __next__ is resolved here instead of per call.
         self._next_seq = itertools.count().__next__
         self._now_ns = 0
         self._running = False
@@ -144,9 +153,29 @@ class Simulator:
         """Always False: the run loop pops one event per iteration."""
         return False
 
+    def post(self, delay_ns: TimeNs, callback: Callable[..., None],
+             *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay_ns`` from now; not cancellable."""
+        if invariants.DEBUG:
+            require_int_ns(delay_ns, "post() delay_ns")
+        if delay_ns < 0:
+            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
+        heappush(self._heap, (self._now_ns + delay_ns, self._next_seq(),
+                              callback, args))
+
+    def post_at(self, time_ns: TimeNs, callback: Callable[..., None],
+                *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute ``time_ns``; not cancellable."""
+        if invariants.DEBUG:
+            require_int_ns(time_ns, "post_at() time_ns")
+        if time_ns < self._now_ns:
+            raise SimulationError(
+                f"cannot schedule at {time_ns}ns, now is {self._now_ns}ns")
+        heappush(self._heap, (time_ns, self._next_seq(), callback, args))
+
     def schedule(self, delay_ns: TimeNs, callback: Callable[..., None],
                  *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
+        """Like :meth:`post`, returning a handle that can be cancelled."""
         if invariants.DEBUG:
             require_int_ns(delay_ns, "schedule() delay_ns")
         if delay_ns < 0:
@@ -154,12 +183,12 @@ class Simulator:
         time_ns = self._now_ns + delay_ns
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
-        heappush(self._heap, (time_ns, seq, event))
+        heappush(self._heap, (time_ns, seq, None, event))
         return event
 
     def schedule_at(self, time_ns: TimeNs, callback: Callable[..., None],
                     *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
+        """Like :meth:`post_at`, returning a handle that can be cancelled."""
         if invariants.DEBUG:
             require_int_ns(time_ns, "schedule_at() time_ns")
         if time_ns < self._now_ns:
@@ -167,15 +196,16 @@ class Simulator:
                 f"cannot schedule at {time_ns}ns, now is {self._now_ns}ns")
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
-        heappush(self._heap, (time_ns, seq, event))
+        heappush(self._heap, (time_ns, seq, None, event))
         return event
 
     def peek_time_ns(self) -> Optional[TimeNs]:
         """The time of the next pending event, or None if none remain."""
         heap = self._heap
         while heap:
-            if not heap[0][2].cancelled:
-                return heap[0][0]
+            time_ns, _, callback, args = heap[0]
+            if callback is not None or not args.cancelled:
+                return time_ns
             heappop(heap)
         return None
 
@@ -183,12 +213,14 @@ class Simulator:
         """Execute the next pending event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            time_ns, _, event = heappop(heap)
-            if event.cancelled:
-                continue
+            time_ns, _, callback, args = heappop(heap)
+            if callback is None:
+                if args.cancelled:
+                    continue
+                callback, args = args.callback, args.args
             self._now_ns = time_ns
             self._processed += 1
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -225,17 +257,19 @@ class Simulator:
         wall_start = profiling.monotonic() if profiler is not None else 0.0
         start_ns = self._now_ns
         # The loop below is the simulator's hot path: one heappop, one
-        # cancelled check, two int compares and the callback per event.
+        # unpack, two int compares and the callback per event; only a
+        # cancellable entry (callback None) is looked into.
         heap = self._heap
         pop = heappop
         executed = 0
         try:
             while heap:
                 entry = pop(heap)
-                event = entry[2]
-                if event.cancelled:
-                    continue
-                time_ns = entry[0]
+                time_ns, _, callback, args = entry
+                if callback is None:
+                    if args.cancelled:
+                        continue
+                    callback, args = args.callback, args.args
                 if until_ns is not None and time_ns > until_ns:
                     heappush(heap, entry)
                     break
@@ -250,8 +284,8 @@ class Simulator:
                         and not executed % watchdog_interval):
                     watchdog()
                 if record is not None:
-                    record(event.callback)
-                event.callback(*event.args)
+                    record(callback)
+                callback(*args)
             if until_ns is not None and until_ns > self._now_ns:
                 self._now_ns = until_ns
         finally:

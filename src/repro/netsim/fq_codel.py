@@ -142,7 +142,7 @@ class FqCoDelQueue(QueueDisc):
         # The link only sleeps when the disc is drained, so a waker
         # call is only needed on the empty->non-empty edge.
         if was_empty and self._packets > 0:
-            self.notify_waker()
+            self._waker()
         return True
 
     def _drop_from_fattest(self) -> None:

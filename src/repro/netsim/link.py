@@ -144,7 +144,7 @@ class Link:
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to this port.  Returns False if dropped."""
-        return self.queue.enqueue(packet)
+        return self._queue.enqueue(packet)
 
     def _on_queue_ready(self) -> None:
         if not self._busy:
@@ -156,13 +156,16 @@ class Link:
             # re-kicks it through _on_queue_ready.
             self._busy = False
             return
-        packet = self.queue.dequeue()
+        packet = self._queue.dequeue()
         if packet is None:
             self._busy = False
             return
         self._busy = True
-        tx_time = self.serialization_delay_ns(packet.size_bytes)
-        self.sim.schedule(tx_time, self._finish_transmission, packet)
+        size = packet.size_bytes
+        tx_time = self._ser_delay_cache.get(size)
+        if tx_time is None:
+            tx_time = self.serialization_delay_ns(size)
+        self.sim.post(tx_time, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
         self.tx_packets += 1
@@ -181,8 +184,7 @@ class Link:
         if self._impaired:
             self._deliver_impaired(packet)
         else:
-            self.sim.schedule(self.delay_ns, self.dst.receive, packet,
-                              self)
+            self.sim.post(self.delay_ns, self.dst.receive, packet, self)
         self._start_transmission()
 
     def _deliver_impaired(self, packet: Packet) -> None:
@@ -197,8 +199,8 @@ class Link:
         fate = state.draw(self.sim.now_ns)
         if fate < 0:
             return  # Lost (-1) or corrupted (-2); counters in draw().
-        self.sim.schedule(self.delay_ns + fate, self.dst.receive,
-                          packet, self)
+        self.sim.post(self.delay_ns + fate, self.dst.receive, packet,
+                      self)
 
     def __repr__(self) -> str:
         return (f"Link({self.name}, {self.rate_bps / 1e6:.1f} Mbps, "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.invariants import unwrap
 from .engine import Simulator
 from .link import Link
 from .packet import FlowId, Packet
@@ -59,7 +58,9 @@ class Node:
 
     def forward(self, packet: Packet) -> bool:
         """Send ``packet`` toward its destination.  False if dropped."""
-        link = self.route_for(packet.flow.dst)
+        link = self.routes.get(packet.flow.dst)
+        if link is None:
+            link = self.route_for(packet.flow.dst)  # Raises, named.
         return link.send(packet)
 
     def receive(self, packet: Packet, from_link: Link) -> None:
@@ -81,7 +82,11 @@ class Router(Node):
             self.frozen_drops += 1
             return
         self.forwarded_packets += 1
-        self.forward(packet)
+        # forward() inlined: one frame per packet per hop.
+        link = self.routes.get(packet.flow.dst)
+        if link is None:
+            link = self.route_for(packet.flow.dst)  # Raises, named.
+        link.send(packet)
 
 
 class Host(Node):
@@ -91,7 +96,9 @@ class Host(Node):
         super().__init__(sim, node_id, name)
         self._handlers: Dict[FlowId, PacketHandler] = {}
         self._default_handler: Optional[PacketHandler] = None
-        self._tx_jitter_ns = 0
+        # Send-side jitter draws U{0..span-1}; no rng = jitter off.
+        self._jitter_span = 0
+        self._jitter_bits = 0
         self._jitter_rng: Optional[random.Random] = None
         self._last_release_ns = 0
 
@@ -132,7 +139,12 @@ class Host(Node):
         (release times are monotonic), so TCP never sees self-inflicted
         reordering.
         """
-        self._tx_jitter_ns = int(jitter_ns)
+        span = int(jitter_ns) + 1
+        if span <= 1:
+            self._jitter_rng = None
+            return
+        self._jitter_span = span
+        self._jitter_bits = span.bit_length()
         self._jitter_rng = random.Random(
             seed if seed is not None else self.node_id)
 
@@ -141,13 +153,20 @@ class Host(Node):
         if self._frozen:
             self.frozen_drops += 1
             return False
-        if self._tx_jitter_ns <= 0:
+        rng = self._jitter_rng
+        if rng is None:
             return self.forward(packet)
-        rng = unwrap(self._jitter_rng,
-                     "tx jitter enabled without set_tx_jitter()")
-        release_ns = self.sim.now_ns + \
-            rng.randint(0, self._tx_jitter_ns)
-        release_ns = max(release_ns, self._last_release_ns)
+        # rng.randint(0, span - 1), draw for draw: the stdlib's
+        # getrandbits rejection loop without its three Python frames.
+        getrandbits = rng.getrandbits
+        span = self._jitter_span
+        bits = self._jitter_bits
+        draw = getrandbits(bits)
+        while draw >= span:
+            draw = getrandbits(bits)
+        release_ns = self.sim.now_ns + draw
+        if release_ns < self._last_release_ns:
+            release_ns = self._last_release_ns
         self._last_release_ns = release_ns
-        self.sim.schedule_at(release_ns, self.forward, packet)
+        self.sim.post_at(release_ns, self.forward, packet)
         return True

@@ -28,13 +28,17 @@ def _no_clock() -> int:
     return 0
 
 
+def _no_waker() -> None:
+    """Waker of a queue disc no link drains (unit tests)."""
+
+
 class QueueDisc:
     """Base class for queue disciplines.
 
     Subclasses implement :meth:`enqueue` and :meth:`dequeue`.  ``enqueue``
     returns False when the packet is dropped; ``dequeue`` returns None
     when no packet is ready.  Implementations must call
-    :meth:`notify_waker` when a packet becomes available after the queue
+    ``self._waker()`` when a packet becomes available after the queue
     was empty, so that an idle link resumes transmission.
 
     The base class uses ``__slots__`` (as do the built-in disciplines on
@@ -46,7 +50,7 @@ class QueueDisc:
                  "__dict__")
 
     def __init__(self) -> None:
-        self._waker: Optional[Callable[[], None]] = None
+        self._waker: Callable[[], None] = _no_waker
         self.dropped_packets = 0
         self.dropped_bytes = 0
         # Observability: bound once at construction (trace bus must be
@@ -64,10 +68,6 @@ class QueueDisc:
     def set_waker(self, waker: Callable[[], None]) -> None:
         """Register the link restart callback."""
         self._waker = waker
-
-    def notify_waker(self) -> None:
-        if self._waker is not None:
-            self._waker()
 
     def enqueue(self, packet: Packet) -> bool:
         raise NotImplementedError
@@ -133,7 +133,7 @@ class DropTailQueue(QueueDisc):
         queue.append(packet)
         self._bytes += size
         if was_empty:
-            self.notify_waker()
+            self._waker()
         return True
 
     def dequeue(self) -> Optional[Packet]:

@@ -22,7 +22,7 @@ import networkx as nx
 from .engine import MILLISECOND, Simulator
 from .link import Link
 from .node import Host, Node, Router
-from .queues import DropTailQueue, QueueDisc
+from .queues import DropTailQueue, QueueDisc, _no_waker
 
 if TYPE_CHECKING:
     from ..core.units import BitsPerSec, TimeNs
@@ -117,6 +117,23 @@ class Network:
                 next_hop = path[1]
                 node.routes[dst_id] = self.graph.edges[src_id,
                                                        next_hop]["link"]
+
+    def dismantle(self) -> None:
+        """Cut the references that make a finished network a cycle.
+
+        Nodes list their links, links name their end nodes, every queue
+        disc holds its link's restart callback, and the networkx graph
+        (whose cached views point back at it) carries the links on its
+        edges, so a dropped network is freed only by a full collector
+        pass.  After this call reference counting frees it; the network
+        forwards nothing any more.
+        """
+        for node in self.nodes.values():
+            node.links.clear()
+            node.routes.clear()
+        for link in self.links:
+            link.queue.set_waker(_no_waker)
+        self.graph.clear()
 
     def path_links(self, src: Node, dst: Node) -> List[Link]:
         """The sequence of links a flow from src to dst traverses."""

@@ -75,7 +75,7 @@ def connect_flow(sender_host: Host, receiver_host: Host, cca_name: str,
     if start_time_ns <= sim.now_ns:
         sender.start()
     else:
-        sim.schedule_at(start_time_ns, sender.start)
+        sim.post_at(start_time_ns, sender.start)
     return TcpFlow(flow_id=flow_id, sender=sender, receiver=receiver,
                    cca_name=cca_name.lower(), start_time_ns=start_time_ns)
 

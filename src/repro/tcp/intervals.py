@@ -4,7 +4,9 @@ Both endpoints of the TCP connection need to reason about sets of byte
 ranges: the receiver tracks out-of-order data to generate SACK blocks,
 and the sender keeps the SACK scoreboard.  :class:`IntervalSet` stores
 disjoint, sorted, half-open ``[start, end)`` ranges with O(log n)
-insertion via binary search and merge.
+insertion via binary search and merge.  ``total_bytes`` and ``max_end``
+are read several times per ACK, so the mutators keep them current
+instead of readers recomputing them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ class IntervalSet:
     def __init__(self) -> None:
         self._starts: List[int] = []
         self._ends: List[int] = []
+        #: Sum of all range lengths (maintained by add/prune/clear).
+        self.total_bytes = 0
+        #: The highest covered byte + 1, or 0 when empty (likewise).
+        self.max_end = 0
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -33,29 +39,31 @@ class IntervalSet:
         ranges = ", ".join(f"[{s},{e})" for s, e in self)
         return f"IntervalSet({ranges})"
 
-    @property
-    def total_bytes(self) -> int:
-        """Sum of all range lengths."""
-        return sum(end - start
-                   for start, end in zip(self._starts, self._ends))
-
-    @property
-    def max_end(self) -> int:
-        """The highest covered byte + 1, or 0 when empty."""
-        return self._ends[-1] if self._ends else 0
-
     def add(self, start: int, end: int) -> None:
         """Insert ``[start, end)``, merging any overlapping ranges."""
         if end <= start:
             raise ValueError(f"empty or inverted range [{start},{end})")
+        starts, ends = self._starts, self._ends
+        if not ends or start > self.max_end:
+            # Strictly above everything held (in-order arrival above a
+            # hole, the common case): nothing to merge.
+            starts.append(start)
+            ends.append(end)
+            self.total_bytes += end - start
+            self.max_end = end
+            return
         # Find all existing ranges that touch or overlap the new one.
-        left = bisect.bisect_left(self._ends, start)
-        right = bisect.bisect_right(self._starts, end)
+        left = bisect.bisect_left(ends, start)
+        right = bisect.bisect_right(starts, end)
         if left < right:
-            start = min(start, self._starts[left])
-            end = max(end, self._ends[right - 1])
-        self._starts[left:right] = [start]
-        self._ends[left:right] = [end]
+            start = min(start, starts[left])
+            end = max(end, ends[right - 1])
+            self.total_bytes -= sum(ends[left:right]) - \
+                sum(starts[left:right])
+        starts[left:right] = [start]
+        ends[left:right] = [end]
+        self.total_bytes += end - start
+        self.max_end = ends[-1]
 
     def contains(self, start: int, end: int) -> bool:
         """True if ``[start, end)`` is entirely covered."""
@@ -79,15 +87,23 @@ class IntervalSet:
 
     def prune_below(self, point: int) -> None:
         """Discard all coverage below ``point``."""
-        index = bisect.bisect_right(self._ends, point)
-        del self._starts[:index]
-        del self._ends[:index]
-        if self._starts and self._starts[0] < point:
-            self._starts[0] = point
+        starts, ends = self._starts, self._ends
+        index = bisect.bisect_right(ends, point)
+        if index:
+            self.total_bytes -= sum(ends[:index]) - sum(starts[:index])
+            del starts[:index]
+            del ends[:index]
+        if not starts:
+            self.max_end = 0
+        elif starts[0] < point:
+            self.total_bytes -= point - starts[0]
+            starts[0] = point
 
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
+        self.total_bytes = 0
+        self.max_end = 0
 
     def first_blocks(self, limit: int = 3) -> List[Tuple[int, int]]:
         """The first ``limit`` ranges (for SACK option generation)."""

@@ -173,40 +173,37 @@ class TcpSender:
         Without the lost-byte exclusion, drops pin ``pipe`` at ``cwnd``
         and recovery deadlocks until the RTO.
         """
-        fack = max(self.snd_una, self._scoreboard.max_end)
-        horizon = fack
-        if self._rto_recovery:
+        horizon = self._scoreboard.max_end  # The forward-most SACK.
+        if horizon < self.snd_una:
+            horizon = self.snd_una
+        if self._rto_recovery and horizon < self._recover_seq:
             # On RTO everything outstanding was marked lost: only
             # retransmissions and data sent after the timeout count.
-            horizon = max(fack, self._recover_seq)
-        return max(self.snd_nxt - horizon, 0) + self._retx_out_bytes
-
-    @property
-    def effective_cwnd_bytes(self) -> float:
-        return self.cca.cwnd_bytes + self._inflation_bytes
-
-    def _app_bytes_remaining(self) -> Optional[Bytes]:
-        if self.max_bytes is None:
-            return None
-        return max(self.max_bytes - self.snd_nxt, 0)
+            horizon = self._recover_seq
+        if horizon >= self.snd_nxt:
+            return self._retx_out_bytes
+        return self.snd_nxt - horizon + self._retx_out_bytes
 
     # -- transmission -------------------------------------------------------
-    def _next_payload_size(self) -> Bytes:
-        remaining = self._app_bytes_remaining()
-        if remaining is None:
-            return MSS_BYTES
-        return min(MSS_BYTES, remaining)
-
-    def _can_send_new(self) -> bool:
+    def _new_segment_size(self) -> Bytes:
+        """Payload of the next new segment; 0 when none may be sent now
+        (not started, done, application drained, or window full)."""
         if not self.started or self.completed:
-            return False
-        payload = self._next_payload_size()
-        if payload <= 0:
-            return False
-        return self.pipe_bytes + payload <= self.effective_cwnd_bytes
+            return 0
+        payload = MSS_BYTES
+        if self.max_bytes is not None:
+            remaining = self.max_bytes - self.snd_nxt
+            if remaining < payload:
+                if remaining <= 0:
+                    return 0
+                payload = remaining
+        if self.pipe_bytes + payload > \
+                self.cca.cwnd_bytes + self._inflation_bytes:
+            return 0
+        return payload
 
     def _next_hole(self) -> Optional[int]:
-        """The next unSACKed byte to retransmit during SACK recovery.
+        """The next unSACKed byte to retransmit; SACK recovery only.
 
         In fast recovery a byte counts as lost when SACKed data exists
         above it (the RFC 6675 'FACK' heuristic, adequate at simulation
@@ -214,8 +211,6 @@ class TcpSender:
         recovery point is retransmitted — go-back-N that skips ranges
         the receiver already holds.
         """
-        if not (self.sack_enabled and self.in_recovery):
-            return None
         point = max(self._recovery_scan, self.snd_una)
         gap = self._scoreboard.first_gap_at_or_after(point)
         if gap >= self._recover_seq:
@@ -226,23 +221,22 @@ class TcpSender:
 
     def _try_send(self) -> None:
         while True:
-            hole = self._next_hole()
-            if hole is not None and \
-                    self.pipe_bytes + MSS_BYTES <= self.cca.cwnd_bytes:
-                if not self._pacing_gate():
-                    return
-                payload = min(MSS_BYTES, self._recover_seq - hole)
-                self._transmit(hole, max(payload, 1), retransmit=True)
-                self._recovery_scan = hole + max(payload, 1)
-                continue
-            if self._can_send_new():
-                if not self._pacing_gate():
-                    return
-                payload = self._next_payload_size()
-                self._transmit(self.snd_nxt, payload, retransmit=False)
-                self.snd_nxt += payload
-                continue
-            return
+            if self.in_recovery and self.sack_enabled:
+                hole = self._next_hole()
+                if hole is not None and \
+                        self.pipe_bytes + MSS_BYTES <= self.cca.cwnd_bytes:
+                    if not self._pacing_gate():
+                        return
+                    payload = max(min(MSS_BYTES,
+                                      self._recover_seq - hole), 1)
+                    self._transmit(hole, payload, retransmit=True)
+                    self._recovery_scan = hole + payload
+                    continue
+            payload = self._new_segment_size()
+            if not payload or not self._pacing_gate():
+                return
+            self._transmit(self.snd_nxt, payload, retransmit=False)
+            self.snd_nxt += payload
 
     def _pacing_gate(self) -> bool:
         """True if a packet may be sent now; otherwise arm the pacer."""
@@ -264,10 +258,10 @@ class TcpSender:
         self._try_send()
 
     def _transmit(self, seq: int, payload: int, retransmit: bool) -> None:
+        now = self.sim.now_ns
         packet = Packet(flow=self.flow, size_bytes=payload + HEADER_BYTES,
                         ptype=PacketType.DATA, seq=seq,
-                        payload_bytes=payload,
-                        sent_time_ns=self.sim.now_ns)
+                        payload_bytes=payload, sent_time_ns=now)
         if self.ecn_enabled:
             packet.ecn = EcnCodepoint.ECT0
         if self._cwr_pending:
@@ -280,12 +274,11 @@ class TcpSender:
                                         seq + payload)
         else:
             self._segments.append(_SegmentInfo(
-                end_seq=seq + payload, sent_time_ns=self.sim.now_ns,
+                end_seq=seq + payload, sent_time_ns=now,
                 delivered_at_send=self._delivered_bytes))
         self.sent_segments += 1
         self.host.send(packet)
-        self.cca.on_packet_sent(packet.size_bytes, self.sim.now_ns,
-                                self.pipe_bytes)
+        self.cca.on_packet_sent(packet.size_bytes, now, self.pipe_bytes)
         # RFC 6298: arm the timer if idle, but never push back a running
         # one on transmission — only new-data ACKs restart it.  (A
         # retransmission must restart it or the backoff never takes
@@ -354,33 +347,35 @@ class TcpSender:
             return
         if packet.ece:
             self._handle_ecn_echo()
-        new_sack_info = self._update_scoreboard(packet)
+        new_sack_info = bool(packet.sack) and self.sack_enabled and \
+            self._update_scoreboard(packet.sack)
         ack = packet.ack
         if ack > self.snd_una:
             self._handle_new_ack(ack)
-        elif ack == self.snd_una and self.in_flight_bytes > 0 and \
+        elif ack == self.snd_una and self.snd_nxt > ack and \
                 (new_sack_info or not self.sack_enabled):
             self._handle_dupack()
         self._try_send()
         self._maybe_complete()
 
-    def _update_scoreboard(self, packet: Packet) -> bool:
-        """Merge the ACK's SACK blocks; True if anything was new.
+    def _update_scoreboard(
+            self, blocks: Tuple[Tuple[int, int], ...]) -> bool:
+        """Merge an ACK's SACK blocks; True if anything was new.
 
         Newly SACKed bytes count into the delivered counter immediately
         (as in Linux's rate sampler): deferring them to the cumulative
         hole-repair ACK would make delivery-rate samples spike far above
         the true bottleneck bandwidth.
         """
-        if not self.sack_enabled or not packet.sack:
-            return False
-        before = self._scoreboard.total_bytes
-        for start, end in packet.sack:
-            start = max(start, self.snd_una)
-            if end <= start:
-                continue
-            self._scoreboard.add(start, end)
-        newly_sacked = self._scoreboard.total_bytes - before
+        scoreboard = self._scoreboard
+        snd_una = self.snd_una
+        before = scoreboard.total_bytes
+        for start, end in blocks:
+            if start < snd_una:
+                start = snd_una
+            if end > start:
+                scoreboard.add(start, end)
+        newly_sacked = scoreboard.total_bytes - before
         self._delivered_bytes += newly_sacked
         return newly_sacked > 0
 
@@ -421,10 +416,14 @@ class TcpSender:
         ambiguous_ack = self.snd_una < self._ambiguous_below
         # Bytes in the ACKed range that were already counted when they
         # were SACKed (or before an RTO) must not count twice.
-        sacked_before = self._scoreboard.total_bytes
-        self._scoreboard.prune_below(ack)
-        already_counted = sacked_before - self._scoreboard.total_bytes
-        self._delivered_bytes += max(acked - already_counted, 0)
+        scoreboard = self._scoreboard
+        if scoreboard:
+            sacked_before = scoreboard.total_bytes
+            scoreboard.prune_below(ack)
+            already_counted = sacked_before - scoreboard.total_bytes
+            self._delivered_bytes += max(acked - already_counted, 0)
+        else:
+            self._delivered_bytes += acked
         self._retx_out_bytes = max(self._retx_out_bytes - acked, 0)
         self.snd_una = ack
         self.dupack_count = 0
@@ -468,7 +467,7 @@ class TcpSender:
         self.cca.on_ack(ctx)
         if self._trace_tcp is not None:
             self._trace_state("cwnd")
-        if self.in_flight_bytes > 0:
+        if self.snd_nxt > ack:
             self._arm_rto()
         else:
             self._disarm_rto()
@@ -491,8 +490,8 @@ class TcpSender:
             self._retransmit_head()
 
     def _app_limited(self) -> bool:
-        remaining = self._app_bytes_remaining()
-        return remaining is not None and remaining == 0
+        return self.max_bytes is not None and \
+            self.snd_nxt >= self.max_bytes
 
     def _maybe_complete(self) -> None:
         if (not self.completed and self.max_bytes is not None
@@ -528,6 +527,7 @@ class TcpReceiver:
         self.flow = flow
         self.monitor = monitor
         self.sack_enabled = sack_enabled
+        self._ack_flow = flow.reversed()
         self.rcv_nxt = 0
         self.delivered_bytes = 0
         self._ranges = IntervalSet()  # Out-of-order data above rcv_nxt.
@@ -556,6 +556,10 @@ class TcpReceiver:
         end = packet.seq + packet.payload_bytes
         if packet.payload_bytes <= 0 or end <= self.rcv_nxt:
             return  # Pure duplicate; the ACK we send is the signal.
+        if packet.seq <= self.rcv_nxt and not self._ranges:
+            # In order with nothing buffered: no reassembly to do.
+            self._deliver(end - self.rcv_nxt)
+            return
         self._ranges.add(max(packet.seq, self.rcv_nxt), end)
         if self._ranges.covers_point(self.rcv_nxt):
             new_nxt = self._ranges.first_gap_at_or_after(self.rcv_nxt)
@@ -572,7 +576,7 @@ class TcpReceiver:
         sack: Tuple[Tuple[int, int], ...] = ()
         if self.sack_enabled and self._ranges:
             sack = tuple(self._ranges.first_blocks(SACK_BLOCK_LIMIT))
-        ack = Packet(flow=self.flow.reversed(), size_bytes=ACK_BYTES,
+        ack = Packet(flow=self._ack_flow, size_bytes=ACK_BYTES,
                      ptype=PacketType.ACK, ack=self.rcv_nxt,
                      sack=sack, ece=self._ece)
         self.host.send(ack)

@@ -106,5 +106,5 @@ def connect_udp_flow(sender_host: Host, receiver_host: Host,
     if start_time_ns <= sim.now_ns:
         sender.start()
     else:
-        sim.schedule_at(start_time_ns, sender.start)
+        sim.post_at(start_time_ns, sender.start)
     return sender

@@ -160,6 +160,16 @@ class TestReportMain:
                             "--threshold", "2.0", "--gate"]) == 0
         capsys.readouterr()
 
+    def test_write_baseline_makes_the_gate_pass_again(self, tmp_path,
+                                                      capsys):
+        hot, baseline = self.artifacts(tmp_path)
+        fresh = str(tmp_path / "fresh.json")
+        assert report_main([hot, "--baseline", baseline, "--gate",
+                            "--write-baseline", fresh]) == 1
+        assert load_medians(fresh) == {"a": 1.0, "b": 2.0}
+        assert report_main([hot, "--baseline", fresh, "--gate"]) == 0
+        capsys.readouterr()
+
     def test_bench_dispatcher(self, tmp_path, capsys):
         hot, _ = self.artifacts(tmp_path)
         assert main([]) == 2

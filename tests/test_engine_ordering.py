@@ -22,40 +22,99 @@ from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.netsim.engine import SimulationError, Simulator
 
-# Small time range to force plenty of same-timestamp ties.
+KINDS = ("post", "post_at", "schedule", "schedule_at")
+
+# Small time range to force plenty of same-timestamp ties.  Each entry
+# is (entry point, time_ns, cancelled?); only the two ``schedule``
+# kinds return a handle, so only they can honour the cancel flag.
 EVENT_BATCH = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=40),  # time_ns
-              st.booleans()),                          # cancelled?
+    st.tuples(st.sampled_from(KINDS),
+              st.integers(min_value=0, max_value=40),
+              st.booleans()),
     min_size=0, max_size=120)
 
 
+def submit(sim, kind, time_ns, callback, *args):
+    """Queue ``callback`` for absolute ``time_ns`` through ``kind``.
+
+    Returns the Event handle for the ``schedule`` kinds and None for
+    the ``post`` kinds (which is what those methods return).
+    """
+    if kind == "post":
+        return sim.post(time_ns - sim.now_ns, callback, *args)
+    if kind == "post_at":
+        return sim.post_at(time_ns, callback, *args)
+    if kind == "schedule":
+        return sim.schedule(time_ns - sim.now_ns, callback, *args)
+    return sim.schedule_at(time_ns, callback, *args)
+
+
+def submit_batch(sim, batch, callback, base_ns=0, first_tag=0):
+    """Submit a batch; returns the live ``(time_ns, tag)`` pairs."""
+    live = []
+    for tag, (kind, time_ns, cancel) in enumerate(batch, first_tag):
+        handle = submit(sim, kind, base_ns + time_ns, callback, tag)
+        assert (handle is None) == kind.startswith("post")
+        if cancel and handle is not None:
+            handle.cancel()
+        else:
+            live.append((base_ns + time_ns, tag))
+    return live
+
+
 def stable_order(live):
-    """Indices of ``(time_ns, index)`` pairs in time-then-FIFO order."""
-    return [index for _, index in sorted(live, key=lambda pair: pair[0])]
+    """``(time_ns, tag)`` pairs in time-then-FIFO order."""
+    return sorted(live, key=lambda pair: pair[0])
+
+
+def drain_by_step(sim):
+    while sim.step():
+        pass
+
+
+def drain_by_max_events(sim):
+    # Every raise pushes the popped entry back; the next run must take
+    # it up again in the same place.
+    while True:
+        try:
+            sim.run(max_events=3)
+            return
+        except SimulationError:
+            pass
 
 
 @settings(deadline=None, max_examples=200)
 @given(batch=EVENT_BATCH)
 def test_events_fire_in_time_then_fifo_order(batch):
+    """One heap, one order: handle-free and cancellable entries mixed."""
     sim = Simulator()
     fired = []
-    events = []
-    for index, (time_ns, cancel) in enumerate(batch):
-        events.append((sim.schedule_at(time_ns, fired.append, index),
-                       time_ns, cancel))
-    for event, _, cancel in events:
-        if cancel:
-            event.cancel()
+    live = submit_batch(
+        sim, batch, lambda tag: fired.append((sim.now_ns, tag)))
 
     sim.run()
 
     # Nondecreasing time, FIFO among equal timestamps: exactly a
     # stable sort of the surviving batch by timestamp.
-    expected = stable_order(
-        (time_ns, index) for index, (_, time_ns, cancel)
-        in enumerate(events) if not cancel)
-    assert fired == expected
-    assert sim.processed_events == len(expected)
+    assert fired == stable_order(live)
+    assert sim.processed_events == len(live)
+
+
+@pytest.mark.parametrize("drain", [drain_by_step, drain_by_max_events])
+@settings(deadline=None, max_examples=100)
+@given(batch=EVENT_BATCH)
+def test_other_ways_to_drain_keep_the_order(drain, batch):
+    """``step()`` and ``max_events`` push-backs see the same entries."""
+    sim = Simulator()
+    fired = []
+    live = submit_batch(
+        sim, batch, lambda tag: fired.append((sim.now_ns, tag)))
+
+    drain(sim)
+
+    assert fired == stable_order(live)
+    assert sim.processed_events == len(live)
+    assert sim.peek_time_ns() is None
 
 
 @settings(deadline=None, max_examples=100)
@@ -76,19 +135,21 @@ def test_ordering_holds_for_events_scheduled_mid_run(batch, delay):
         if len(tag) < 3:  # Original events spawn two generations.
             child = tag + (0,)
             scheduled.append((sim.now_ns + delay, child))
-            sim.schedule(delay, chain, child)
+            # Children go in through a different door than the parent.
+            submit(sim, KINDS[(tag[0] + len(tag)) % 4],
+                   sim.now_ns + delay, chain, child)
 
-    for index, (time_ns, cancel) in enumerate(batch):
-        event = sim.schedule_at(time_ns, chain, (index,))
-        if cancel:
-            event.cancel()
+    for index, (kind, time_ns, cancel) in enumerate(batch):
+        handle = submit(sim, kind, time_ns, chain, (index,))
+        if cancel and handle is not None:
+            handle.cancel()
         else:
             scheduled.append((time_ns, (index,)))
+    live = len(scheduled)
     sim.run()
 
     # Every schedule call, in call order, stably sorted by its time.
-    assert firings == sorted(scheduled, key=lambda pair: pair[0])
-    live = sum(1 for _, cancel in batch if not cancel)
+    assert firings == stable_order(scheduled)
     assert sim.processed_events == len(firings) == 3 * live
 
 
@@ -106,8 +167,8 @@ def test_cancellation_is_exact(times, rng):
     for i in cancelled:
         events[i].cancel()
     sim.run()
-    assert fired == stable_order((t, i) for i, t in enumerate(times)
-                                 if i not in cancelled)
+    assert fired == [i for _, i in stable_order(
+        (t, i) for i, t in enumerate(times) if i not in cancelled)]
 
 
 @settings(deadline=None, max_examples=100)
@@ -117,7 +178,9 @@ def test_ordering_holds_under_chunked_runs_and_peeks(batch, chunk_ns):
 
     The ``until_ns`` push-back in ``run`` pops the next entry and
     re-pushes it; a later schedule may then legally land *before* the
-    pushed-back entry and must still fire first.
+    pushed-back entry and must still fire first.  ``peek_time_ns``
+    must look past cancelled heads to the first live entry of either
+    kind.
     """
     sim = Simulator()
     trace = []
@@ -128,13 +191,9 @@ def test_ordering_holds_under_chunked_runs_and_peeks(batch, chunk_ns):
 
     for chunk_start in range(0, len(batch), 5):
         base = sim.now_ns
-        for tag, (time_ns, cancel) in enumerate(
-                batch[chunk_start:chunk_start + 5], chunk_start):
-            event = sim.schedule_at(base + time_ns, fire, tag)
-            if cancel:
-                event.cancel()
-            else:
-                scheduled.append((base + time_ns, tag))
+        scheduled += submit_batch(
+            sim, batch[chunk_start:chunk_start + 5], fire,
+            base_ns=base, first_tag=chunk_start)
         fired = set(trace)
         pending = [time_ns for time_ns, tag in scheduled
                    if (time_ns, tag) not in fired]
@@ -142,7 +201,49 @@ def test_ordering_holds_under_chunked_runs_and_peeks(batch, chunk_ns):
         sim.run(until_ns=base + chunk_ns)
         assert sim.now_ns == base + chunk_ns
     sim.run()
-    assert trace == sorted(scheduled, key=lambda pair: pair[0])
+    assert trace == stable_order(scheduled)
+
+
+class TestPosting:
+    """The handle-free entry points: same checks, no Event."""
+
+    def test_post_returns_nothing_and_fires(self):
+        sim = Simulator()
+        fired = []
+        assert sim.post(5, fired.append, "a") is None
+        assert sim.post_at(3, fired.append, "b") is None
+        sim.run()
+        assert fired == ["b", "a"]
+        assert sim.now_ns == 5
+
+    def test_schedule_still_returns_the_event(self):
+        sim = Simulator()
+        event = sim.schedule(7, print, 1, 2)
+        assert (event.time_ns, event.callback, event.args,
+                event.cancelled) == (7, print, (1, 2), False)
+        event.cancel()
+        assert event.cancelled
+        sim.run()
+        assert sim.processed_events == 0
+
+    def test_post_rejects_the_past(self):
+        sim = Simulator()
+        sim.post(10, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.post(-1, lambda: None)
+        with pytest.raises(SimulationError, match="now is 10ns"):
+            sim.post_at(9, lambda: None)
+
+    def test_peek_skips_a_cancelled_head_to_a_posted_entry(self):
+        sim = Simulator()
+        sim.schedule_at(1, lambda: None).cancel()
+        sim.schedule_at(2, lambda: None).cancel()
+        sim.post_at(3, lambda: None)
+        assert sim.peek_time_ns() == 3
+        assert sim.step() is True
+        assert sim.now_ns == 3
+        assert sim.step() is False
 
 
 class TestTies:
@@ -232,6 +333,10 @@ class TestDebugGate:
         sim = Simulator()
         with pytest.raises(invariants.InvariantViolation):
             sim.schedule(1.5, lambda: None)
+        with pytest.raises(invariants.InvariantViolation):
+            sim.post(1.5, lambda: None)
+        with pytest.raises(invariants.InvariantViolation):
+            sim.post_at(1.5, lambda: None)
 
     def test_engine_skips_validation_when_released(self, monkeypatch):
         # Release runs pay zero per-event validation: a float delay is
@@ -241,6 +346,7 @@ class TestDebugGate:
         sim = Simulator()
         sim.schedule(1, lambda: None)  # Normal path still works.
         sim.schedule(1.5, lambda: None)  # Not intercepted when released.
+        sim.post(1.5, lambda: None)
 
     def test_run_until_is_always_validated(self, monkeypatch):
         # Once per run, not per event — stays armed in release mode.

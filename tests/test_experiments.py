@@ -1,8 +1,12 @@
 """Tests for the experiment harness: specs, scaling policy, runner."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.params import CebinaeParams
+from repro.experiments import runner
 from repro.experiments.runner import (Discipline, queue_factory_for,
                                       run_comparison, run_scenario)
 from repro.experiments.scenarios import (MIN_SEGMENTS_PER_RTT,
@@ -150,6 +154,36 @@ class TestRunner:
         results = run_comparison(tiny_scaled)
         assert set(results) == {Discipline.FIFO, Discipline.FQ,
                                 Discipline.CEBINAE}
+
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_finished_run_is_freed_without_the_collector(
+            self, tiny_scaled, discipline, monkeypatch):
+        # The simulation graph is cyclic; run_scenario cuts it on the
+        # way out, so back-to-back runs never hold two of them and peak
+        # memory does not depend on when the collector last ran.
+        built = []
+        build = runner._build_harness
+
+        def remember(*args, **kwargs):
+            harness = build(*args, **kwargs)
+            network = harness.dumbbell.network
+            parts = [harness.sim, harness.monitor, *network.links,
+                     *network.nodes.values()]
+            for flow in harness.flows:
+                parts += [flow.sender, flow.receiver]
+            built.extend(weakref.ref(part) for part in parts)
+            return harness
+
+        monkeypatch.setattr(runner, "_build_harness", remember)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(tiny_scaled, discipline)
+            alive = [ref() for ref in built if ref() is not None]
+        finally:
+            gc.enable()
+        assert result.events > 0 and len(built) > 10
+        assert alive == []
 
     def test_factory_types(self, tiny_scaled):
         from repro.core.queue_disc import CebinaeQueueDisc

@@ -89,6 +89,58 @@ class TestCacheCounting:
             assert counted <= truth[key]
 
 
+class TestSlotChoice:
+    """``update`` memoises each flow's slots between polls; which slot
+    that is stays defined by the public :func:`stage_hash`."""
+
+    STAGES, SLOTS, SEED = 2, 8, 1
+
+    def salts(self):
+        return [self.SEED * 0x9E3779B1 + stage * 0x85EBCA77
+                for stage in range(self.STAGES)]
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.integers(0, 40), st.integers(64, 1500)),
+        st.just("poll")), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_cache_that_hashes_every_packet(self, ops):
+        cache = CebinaeFlowCache(stages=self.STAGES,
+                                 slots_per_stage=self.SLOTS,
+                                 seed=self.SEED)
+        # The paper's passive walk, one stage_hash per stage per
+        # packet: slot -> [key, bytes] per stage.
+        model = [dict() for _ in range(self.STAGES)]
+        interval_keys = set()
+        for op in ops:
+            if op == "poll":
+                expected = {}
+                for stage in model:
+                    for key, count in stage.values():
+                        expected[key] = expected.get(key, 0) + count
+                    stage.clear()
+                assert cache.poll_and_reset() == expected
+                assert cache.occupancy == 0
+                assert not cache._slot_memo
+                interval_keys.clear()
+                continue
+            key, nbytes = op
+            interval_keys.add(key)
+            counted = False
+            for stage, salt in zip(model, self.salts()):
+                entry = stage.setdefault(
+                    stage_hash(key, salt) % self.SLOTS, [key, 0])
+                if entry[0] == key:
+                    entry[1] += nbytes
+                    counted = True
+                    break
+            assert cache.update(key, nbytes) is counted
+            assert len(cache._slot_memo) == len(interval_keys)
+        for key in range(41):
+            held = sum(entry[1] for stage in model
+                       for entry in stage.values() if entry[0] == key)
+            assert cache.lookup(key) == held
+
+
 class TestExactCache:
     def test_counts_everything(self):
         cache = ExactFlowCache()

@@ -164,6 +164,31 @@ class TestProperties:
         model = {p for p in model if p >= cutoff}
         assert ranges.total_bytes == len(model)
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 300),
+                  st.integers(1, 40)),
+        st.tuples(st.just("prune_below"), st.integers(0, 340)),
+        st.tuples(st.just("clear"))), max_size=60))
+    def test_running_totals_after_any_op_sequence(self, ops):
+        """``total_bytes``/``max_end`` are kept by the mutators, not
+        recomputed: after every operation they must equal what the
+        ranges themselves (and the byte-set model) say."""
+        ranges = IntervalSet()
+        model = set()
+        for op in ops:
+            if op[0] == "add":
+                ranges.add(op[1], op[1] + op[2])
+                model.update(range(op[1], op[1] + op[2]))
+            elif op[0] == "prune_below":
+                ranges.prune_below(op[1])
+                model = {p for p in model if p >= op[1]}
+            else:
+                ranges.clear()
+                model = set()
+            assert ranges.total_bytes == \
+                sum(end - start for start, end in ranges) == len(model)
+            assert ranges.max_end == (max(model) + 1 if model else 0)
+
     @given(st.lists(st.tuples(st.integers(0, 500),
                               st.integers(1, 40)),
                     min_size=1, max_size=40),

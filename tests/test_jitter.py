@@ -1,5 +1,7 @@
 """Tests for host transmission jitter (phase-effect mitigation)."""
 
+import random
+
 import pytest
 
 from repro.netsim.engine import MICROSECOND, Simulator, seconds
@@ -69,6 +71,25 @@ class TestJitterSemantics:
         a.send(make_packet(0))
         sim.run()
         assert sent[0] == 1000 + 8 * 1000
+
+    @pytest.mark.parametrize("jitter_ns", [1, 7, 65535, 65536, 10**6])
+    def test_draws_are_randint_draw_for_draw(self, jitter_ns):
+        """``Host.send`` inlines the stdlib's rejection loop; the
+        oracle is the stdlib itself.  The spans straddle a power of
+        two, where the number of rejected draws changes."""
+        sim = Simulator()
+        a, _ = jittered_pair(sim, jitter_ns, seed=11)
+        releases = []
+        a.forward = lambda packet: releases.append(sim.now_ns)
+        packet = make_packet(0)
+        gap = jitter_ns + 1  # Sends far enough apart never to clamp.
+        for index in range(10_000):
+            sim.post_at(index * gap, a.send, packet)
+        sim.run()
+        oracle = random.Random(11)
+        assert [release - index * gap
+                for index, release in enumerate(releases)] == \
+            [oracle.randint(0, jitter_ns) for _ in range(10_000)]
 
     def test_default_jitter_scale(self):
         # One MTU at 25 Mbps is 480 us.

@@ -1,11 +1,13 @@
 """Tests for SACK generation (receiver) and SACK recovery (sender)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.engine import MILLISECOND, Simulator, seconds
 from repro.netsim.packet import MSS_BYTES, FlowId, Packet, PacketType
 from repro.tcp.newreno import NewReno
-from repro.tcp.socket import TcpReceiver, TcpSender
+from repro.tcp.socket import SACK_BLOCK_LIMIT, TcpReceiver, TcpSender
 
 from tests.test_tcp_socket import make_pair
 
@@ -79,6 +81,60 @@ class TestReceiverSackGeneration:
         sim.run()
         assert receiver.delivered_bytes == 2 * MSS_BYTES
         assert receiver.out_of_order_bytes == 0
+
+
+def byte_runs(covered):
+    """Maximal ``(start, end)`` runs of a set of byte indices."""
+    runs = []
+    for point in sorted(covered):
+        if runs and runs[-1][1] == point:
+            runs[-1][1] = point + 1
+        else:
+            runs.append([point, point + 1])
+    return [tuple(run) for run in runs]
+
+
+class TestReceiverAgainstByteSetModel:
+    """Reassembly judged by a set of received byte indices.
+
+    The receiver delivers in-order segments straight through when it
+    buffers nothing and reassembles otherwise; the model does neither
+    — it only remembers which bytes arrived — so both routes must
+    land on its ``rcv_nxt``, delivered count and SACK blocks.
+    """
+
+    @settings(deadline=None, max_examples=200)
+    @given(arrivals=st.lists(
+        st.tuples(st.integers(-3, 4),    # start, relative to rcv_nxt
+                  st.integers(1, 4)),    # length (both in 50-byte units)
+        min_size=1, max_size=60))
+    def test_any_arrival_order_matches_the_model(self, arrivals):
+        # Starts are drawn around the model's rcv_nxt so that in-order
+        # (0), overlapping (< 0) and hole-leaving (> 0) arrivals all
+        # occur both with and without buffered ranges.
+        sim = Simulator()
+        a, b, fwd, rev = make_pair(sim)
+        flow = FlowId(0, 1, 100, 80)
+        receiver = TcpReceiver(b, flow)
+        acks = []
+        b.send = acks.append  # Capture ACKs at the source.
+        covered = set()
+        rcv_nxt = 0
+        for offset, length in arrivals:
+            seq, payload = max(rcv_nxt + offset * 50, 0), length * 50
+            receiver._on_data_packet(data_packet(flow, seq, payload))
+            covered.update(range(seq, seq + payload))
+            while rcv_nxt in covered:
+                rcv_nxt += 1
+            above = byte_runs(p for p in covered if p > rcv_nxt)
+            assert receiver.rcv_nxt == rcv_nxt
+            assert receiver.delivered_bytes == rcv_nxt
+            assert receiver.out_of_order_bytes == \
+                sum(end - start for start, end in above)
+            assert acks[-1].ack == rcv_nxt
+            assert acks[-1].sack == tuple(above[:SACK_BLOCK_LIMIT])
+            assert acks[-1].flow == flow.reversed()
+        assert len(acks) == len(arrivals)
 
 
 class TestSenderSackRecovery:

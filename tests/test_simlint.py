@@ -165,6 +165,18 @@ def test_u201_flags_float_delay():
     """, "U201")
 
 
+def test_u201_flags_float_into_post_and_post_at():
+    found = findings_for("""
+        def arm(sim, rtt_ns, now_ns):
+            sim.post(rtt_ns * 1.5, lambda: None)
+            sim.post_at(now_ns + rtt_ns / 2, lambda: None)
+            sim.post(int(rtt_ns * 1.5), lambda: None)
+    """, "U201")
+    assert [f.line for f in found] == [3, 4]
+    assert "post() delay_ns" in found[0].message
+    assert "post_at() time_ns" in found[1].message
+
+
 def test_u201_flags_true_division_into_ns():
     assert findings_for("""
         def half(interval_ns):

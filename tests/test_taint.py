@@ -75,6 +75,28 @@ def test_single_module_chain_via_lint_source():
     assert "D201" in ids and "D202" in ids
 
 
+def test_handle_free_posting_is_a_sink_too():
+    found = lint_source(textwrap.dedent("""
+        import time
+
+
+        def stamp():
+            return time.monotonic()
+
+
+        def drive(sim):
+            sim.post(int(stamp()), print)
+
+
+        def drive_at(sim):
+            sim.post_at(int(stamp()), print)
+    """), path="post.py")
+    sinks = [f for f in found if f.rule_id == "D201"]
+    assert [f.line for f in sinks] == [10, 14]
+    assert "Simulator.post()" in sinks[0].message
+    assert "Simulator.post_at()" in sinks[1].message
+
+
 def test_self_method_edges_connect():
     found = lint_source(textwrap.dedent("""
         import time

@@ -74,6 +74,24 @@ def u4xx(source):
     return [f for f in found if f.rule_id.startswith("U4")]
 
 
+def test_post_and_post_at_take_nanoseconds():
+    # Built-in signatures, like schedule()/schedule_at(): a seconds
+    # value in the time position is a dimension-flow error.
+    found = u4xx("""
+        def arm(sim, timeout_s, deadline_ns):
+            wait = timeout_s
+            sim.post(wait, print)
+            sim.post_at(wait, print)
+            due = deadline_ns
+            sim.post(due, print)
+            sim.post_at(due, print)
+    """)
+    assert [(f.rule_id, f.line) for f in found] == \
+        [("U402", 4), ("U402", 5)]
+    assert "delay_ns" in found[0].message
+    assert "time_ns" in found[1].message
+
+
 def test_scale_constants_launder_dimensions():
     assert not u4xx("""
         SECOND = 1_000_000_000
