@@ -120,33 +120,6 @@ def normalised(medians: Dict[str, float],
     return {name: medians[name] / geomean for name in names}
 
 
-def compare(current: Dict[str, float], baseline: Dict[str, float],
-            threshold: float) -> List[str]:
-    """Human-readable failures (empty = gate passes)."""
-    common = sorted(set(current) & set(baseline))
-    if not common:
-        return ["no benchmarks in common between current run and "
-                "baseline"]
-    current_norm = normalised(current, common)
-    baseline_norm = normalised(baseline, common)
-    failures: List[str] = []
-    for name in common:
-        ratio = current_norm[name] / baseline_norm[name]
-        marker = "REGRESSION" if ratio > 1.0 + threshold else "ok"
-        print(f"  {name:<50} x{ratio:5.2f}  {marker}")
-        if ratio > 1.0 + threshold:
-            failures.append(
-                f"{name}: normalised cost x{ratio:.2f} exceeds "
-                f"+{threshold:.0%} threshold")
-    only_baseline = sorted(set(baseline) - set(current))
-    if only_baseline:
-        print(f"  (baseline-only, skipped: {', '.join(only_baseline)})")
-    only_current = sorted(set(current) - set(baseline))
-    if only_current:
-        print(f"  (new, unbaselined: {', '.join(only_current)})")
-    return failures
-
-
 # -- the trend table ----------------------------------------------------
 
 def _ratios(medians: Dict[str, float],
@@ -321,6 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 __all__ = [
     "BASELINE_SCHEMA_VERSION", "TREND_SCHEMA_VERSION", "build_trend",
-    "compare", "format_trend", "load_bench_document", "load_medians",
+    "format_trend", "load_bench_document", "load_medians",
     "main", "normalised", "report_main", "write_baseline",
 ]

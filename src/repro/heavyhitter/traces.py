@@ -17,9 +17,9 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..core.units import BitsPerSec, Bytes, Seconds, TimeNs
 
 #: Paper setting: a 10 Gbps backbone link.
@@ -57,6 +57,10 @@ class SyntheticTrace:
                  link_rate_bps: BitsPerSec = BACKBONE_RATE_BPS,
                  mean_packet_bytes: Bytes = 700,
                  seed: int = 1) -> None:
+        # numpy is imported where the generator runs, not at module
+        # import: only Figure 13 needs it, and `import repro` (every
+        # CLI call and sweep worker start) must not pay for it.
+        import numpy as np
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         self.duration_s = duration_s
@@ -78,6 +82,7 @@ class SyntheticTrace:
 
     def _draw_flow_rates(self) -> np.ndarray:
         """Per-flow average rates, Zipf-shaped, summing to ~80% of link."""
+        import numpy as np
         ranks = np.arange(1, self.num_flows + 1, dtype=np.float64)
         weights = ranks ** (-self.zipf_alpha)
         self._rng.shuffle(weights)
@@ -97,6 +102,7 @@ class SyntheticTrace:
         long tail of tiny flows is present (they are what fills the
         cache slots in the Figure 13 experiment).
         """
+        import numpy as np
         rng = np.random.default_rng(self.seed + 1)
         heap: List[Tuple[int, int]] = []  # (next_time_ns, flow)
         packet_interval_ns = np.empty(self.num_flows)

@@ -167,6 +167,16 @@ class Packet:
 # sees the plain ``None`` default rather than the property object.
 Packet.meta = property(Packet._lazy_meta)  # type: ignore[assignment]
 
+# pstats keeps one row per (file, line, name), and every dataclass's
+# generated ``__init__`` is ("<string>", 2, "__init__"): in a profile
+# they collapse into whichever code object sits highest in memory and
+# the others' time and calls vanish from the table.  The per-packet
+# constructor is the one such row that matters (about 2 % of a run), so
+# its code object gets a name of its own; the bytecode is untouched.
+_packet_init = Packet.__dict__["__init__"]
+_packet_init.__code__ = _packet_init.__code__.replace(
+    co_name="Packet.__init__")
+
 
 def make_rotate_packet(port: int,
                        last_rates: Optional[Mapping[Any, float]] = None

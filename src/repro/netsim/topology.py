@@ -1,10 +1,11 @@
 """Topology construction and static routing.
 
 :class:`Network` wraps a :class:`~repro.netsim.engine.Simulator` and a
-set of nodes/links, computes static shortest-path routes with networkx,
-and provides the two topology families used throughout the paper's
-evaluation: the dumbbell (single bottleneck, Table 2 and most figures)
-and the 'Parking Lot' (multiple bottlenecks, Figure 11).
+set of nodes/links, computes static hop-count shortest-path routes
+(breadth-first, ties to the earliest-added link), and provides the two
+topology families used throughout the paper's evaluation: the dumbbell
+(single bottleneck, Table 2 and most figures) and the 'Parking Lot'
+(multiple bottlenecks, Figure 11).
 
 Queue disciplines are injected per port through a *queue factory* so the
 same topology can be instantiated with FIFO, FQ-CoDel, or Cebinae on its
@@ -13,11 +14,10 @@ bottleneck ports.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
-
-import networkx as nx
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List,
+                    Optional, Sequence, Tuple)
 
 from .engine import MILLISECOND, Simulator
 from .link import Link
@@ -61,7 +61,8 @@ class Network:
         self.sim = sim if sim is not None else Simulator()
         self.nodes: Dict[int, Node] = {}
         self.links: List[Link] = []
-        self.graph = nx.DiGraph()
+        #: src node id -> {dst node id: link}, both in insertion order.
+        self._adjacency: Dict[int, Dict[int, Link]] = {}
         self._next_id = 0
 
     def _new_id(self) -> int:
@@ -72,13 +73,11 @@ class Network:
     def add_host(self, name: str = "") -> Host:
         host = Host(self.sim, self._new_id(), name)
         self.nodes[host.node_id] = host
-        self.graph.add_node(host.node_id)
         return host
 
     def add_router(self, name: str = "") -> Router:
         router = Router(self.sim, self._new_id(), name)
         self.nodes[router.node_id] = router
-        self.graph.add_node(router.node_id)
         return router
 
     def add_link(self, src: Node, dst: Node, rate_bps: BitsPerSec,
@@ -92,8 +91,7 @@ class Network:
                     factory(spec), name=spec.name)
         src.attach_link(link)
         self.links.append(link)
-        self.graph.add_edge(src.node_id, dst.node_id, link=link,
-                            capacity_bps=rate_bps)
+        self._adjacency.setdefault(src.node_id, {})[dst.node_id] = link
         return link
 
     def connect(self, a: Node, b: Node, rate_bps: BitsPerSec,
@@ -107,39 +105,43 @@ class Network:
         return fwd, rev
 
     def install_routes(self) -> None:
-        """Compute hop-count shortest paths and fill routing tables."""
-        paths = dict(nx.all_pairs_shortest_path(self.graph))
-        for src_id, dsts in paths.items():
-            node = self.nodes[src_id]
-            for dst_id, path in dsts.items():
-                if dst_id == src_id or len(path) < 2:
-                    continue
-                next_hop = path[1]
-                node.routes[dst_id] = self.graph.edges[src_id,
-                                                       next_hop]["link"]
+        """Compute hop-count shortest paths and fill routing tables.
+
+        One breadth-first search per source, neighbours in
+        link-insertion order; the first discovery of a destination
+        fixes its next hop, so equal-cost ties go to the earliest-added
+        link (networkx's ``all_pairs_shortest_path`` order, which
+        ``tests/test_topology.py`` keeps as the reference).
+        """
+        adjacency = self._adjacency
+        for src_id, node in self.nodes.items():
+            routes = node.routes
+            reached = {src_id}
+            queue: Deque[int] = deque([src_id])
+            while queue:
+                via = queue.popleft()
+                for dst_id, link in adjacency.get(via, {}).items():
+                    if dst_id in reached:
+                        continue
+                    reached.add(dst_id)
+                    routes[dst_id] = (link if via == src_id
+                                      else routes[via])
+                    queue.append(dst_id)
 
     def dismantle(self) -> None:
         """Cut the references that make a finished network a cycle.
 
-        Nodes list their links, links name their end nodes, every queue
-        disc holds its link's restart callback, and the networkx graph
-        (whose cached views point back at it) carries the links on its
-        edges, so a dropped network is freed only by a full collector
-        pass.  After this call reference counting frees it; the network
-        forwards nothing any more.
+        Nodes list their links, links name their end nodes, and every
+        queue disc holds its link's restart callback, so a dropped
+        network is freed only by a full collector pass.  After this
+        call reference counting frees it; the network forwards nothing
+        any more.
         """
         for node in self.nodes.values():
             node.links.clear()
             node.routes.clear()
         for link in self.links:
             link.queue.set_waker(_no_waker)
-        self.graph.clear()
-
-    def path_links(self, src: Node, dst: Node) -> List[Link]:
-        """The sequence of links a flow from src to dst traverses."""
-        path = nx.shortest_path(self.graph, src.node_id, dst.node_id)
-        return [self.graph.edges[u, v]["link"]
-                for u, v in zip(path, path[1:])]
 
 
 @dataclass
@@ -197,12 +199,9 @@ def build_dumbbell(rtts_ns: Sequence[TimeNs],
     if tx_jitter_ns is None:
         tx_jitter_ns = host_jitter_ns(bottleneck_rate_bps)
 
-    bottleneck, _ = network.connect(left, right, bottleneck_rate_bps,
-                                    bottleneck_delay_ns,
-                                    queue_ab=bottleneck_queue)
-
-    reverse_bottleneck = network.graph.edges[right.node_id,
-                                             left.node_id]["link"]
+    bottleneck, reverse_bottleneck = network.connect(
+        left, right, bottleneck_rate_bps, bottleneck_delay_ns,
+        queue_ab=bottleneck_queue)
     senders: List[Host] = []
     receivers: List[Host] = []
     for index, rtt_ns in enumerate(rtts_ns):

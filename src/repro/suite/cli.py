@@ -69,8 +69,9 @@ def _run_fabric(specs: List[SuiteSpec], args: argparse.Namespace,
     Returns a non-zero exit code on quarantined or missing runs.
     """
     from ..experiments.runner import ScenarioResult
+    from ..sweep.cli import run_worker, start_workers
     from ..sweep.manifest import SweepDir, manifest_from_runs
-    from ..sweep.worker import SweepWorker, WorkerConfig
+    from ..sweep.worker import WorkerConfig
 
     runs: List[Any] = []
     labels: List[str] = []
@@ -88,19 +89,14 @@ def _run_fabric(specs: List[SuiteSpec], args: argparse.Namespace,
     print(f"[fabric] {len(runs)} task(s) -> {fabric_dir} "
           f"({args.workers} worker(s)); resumable via "
           f"'cebinae-repro sweep resume {fabric_dir}'")
+    config = WorkerConfig(worker_id="suite-w0")
     if args.workers <= 1:
-        worker = SweepWorker(
-            sweep, WorkerConfig(worker_id="suite-w0"), progress=None)
-        report = worker.run()
-        if report.interrupted:
-            return 3
+        code = run_worker(sweep, config, quiet=True)
     else:
-        from ..sweep.cli import _spawn_workers
-        spawn_args = argparse.Namespace(
-            expiry_s=30.0, retries=1, poll_s=0.5)
-        code = _spawn_workers(fabric_dir, args.workers, spawn_args)
-        if code != 0:
-            return code
+        code = start_workers(fabric_dir, args.workers, config,
+                             quiet=True)
+    if code != 0:
+        return code
     cache = sweep.cache()
     quarantined = sweep.quarantined()
     failures: List[str] = []

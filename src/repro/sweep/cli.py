@@ -18,10 +18,12 @@ directory alone; ``watch`` renders the cross-worker fleet view
 ``--once --json`` — prints the one canonical aggregate document CI and
 tests parse; ``resume`` breaks expired leases, counts the resume
 in the metrics, and finishes the remaining tasks with N fresh workers
-(in-process when N=1, subprocesses otherwise); ``merge`` writes the
-ordered, canonical merged result document — byte-identical regardless
-of which workers ran which tasks in which order, because every payload
-comes from the fingerprint-keyed cache.
+(in-process when N=1; otherwise :func:`start_workers` starts N
+``multiprocessing`` processes from this already-imported one, each
+running the body of ``work``); ``merge`` writes the ordered, canonical
+merged result document — byte-identical regardless of which workers
+ran which tasks in which order, because every payload comes from the
+fingerprint-keyed cache.
 
 Exit codes: 0 success; 1 incomplete (pending tasks remain after
 resume, or merge found holes); 2 usage/spec errors; 3 interrupted
@@ -32,15 +34,17 @@ flushed completed results first).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import multiprocessing
 import os
-import signal
-import subprocess
 import sys
 import time
+from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..experiments.parallel import _sigterm_as_interrupt
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import LeaseStore
 from .manifest import (ManifestError, SweepDir, SweepManifest,
@@ -58,8 +62,6 @@ def _print(message: str) -> None:
 def _compile_suite(directory: str, backend: Optional[str],
                    shard_size: int) -> SweepManifest:
     """Compile every suite spec in ``directory`` into one manifest."""
-    import dataclasses
-
     from ..suite.registry import SuiteRegistry
     registry = SuiteRegistry.from_directory(directory)
     runs: List[Any] = []
@@ -102,12 +104,17 @@ def _worker_config(args: argparse.Namespace) -> WorkerConfig:
                         max_tasks=args.max_tasks)
 
 
-def _cmd_work(args: argparse.Namespace) -> int:
-    sweep = SweepDir(args.directory)
-    config = _worker_config(args)
-    worker = SweepWorker(sweep, config, progress=_print)
+def run_worker(sweep: SweepDir, config: WorkerConfig,
+               quiet: bool = False, spans: bool = False) -> int:
+    """Run one worker to completion in this process; its exit code.
+
+    The body of ``sweep work``, and what every process started by
+    :func:`start_workers` runs.
+    """
+    progress = None if quiet else _print
+    worker = SweepWorker(sweep, config, progress=progress)
     bus = sink = None
-    if args.spans:
+    if spans:
         # Lifecycle spans for this worker: sweep → shard → task (and,
         # below the tasks, run/phase/engine spans from the runner).
         from ..obs import bus as obs_bus
@@ -127,11 +134,17 @@ def _cmd_work(args: argparse.Namespace) -> int:
             from ..obs import bus as obs_bus
             obs_bus.uninstall()
             sink.close()
-    _print(f"[sweep] worker {report.worker_id}: "
-           f"{report.completed} completed, "
-           f"{report.quarantined} quarantined, "
-           f"{report.lease_expiries} expired lease(s) claimed")
+    if progress is not None:
+        progress(f"[sweep] worker {report.worker_id}: "
+                 f"{report.completed} completed, "
+                 f"{report.quarantined} quarantined, "
+                 f"{report.lease_expiries} expired lease(s) claimed")
     return EXIT_INTERRUPTED if report.interrupted else 0
+
+
+def _cmd_work(args: argparse.Namespace) -> int:
+    return run_worker(SweepDir(args.directory), _worker_config(args),
+                      spans=args.spans)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -254,30 +267,68 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             return 0
 
 
-def _spawn_workers(directory: str, count: int,
-                   args: argparse.Namespace) -> int:
-    """Run ``count`` worker subprocesses to completion."""
-    commands = []
-    for index in range(count):
-        command = [sys.executable, "-m", "repro.sweep.cli", "work",
-                   directory, "--worker-id", f"resume-w{index}",
-                   "--expiry-s", str(args.expiry_s),
-                   "--retries", str(args.retries),
-                   "--poll-s", str(args.poll_s)]
-        commands.append(command)
-    procs = [subprocess.Popen(command) for command in commands]
+def _worker_process(directory: str, config: WorkerConfig,
+                    quiet: bool) -> None:
+    """Entry point of one process started by :func:`start_workers`."""
+    try:
+        code = run_worker(SweepDir(directory), config, quiet=quiet)
+    except KeyboardInterrupt:
+        # SIGTERM landed outside SweepWorker.run's own handling, on
+        # the conversion inherited from start_workers.
+        code = EXIT_INTERRUPTED
+    sys.exit(code)
+
+
+def start_workers(directory: str, count: int, template: WorkerConfig,
+                  quiet: bool = False) -> int:
+    """Start ``count`` worker processes and wait for them all.
+
+    Returns 0, or the exit code of a worker that failed.  Workers
+    ``resume-w0`` .. ``resume-w<count-1>`` are copies of ``template``
+    under those ids.  They are started with
+    ``multiprocessing.get_context()`` -- the start policy of
+    ``experiments.parallel.run_tasks`` -- so where that forks they
+    begin from this already-imported process instead of a cold
+    interpreter.  This process starts no thread first (heartbeat
+    threads live only inside workers), which is what makes forking it
+    safe.  A worker that exits ``EXIT_INTERRUPTED`` released its lease
+    on a signal of its own and is tolerated; any other non-zero exit
+    is returned.  SIGTERM (converted to ``TerminateSweep``, as in
+    ``run_tasks``) or ^C here terminates and joins every worker (each
+    releases its lease and flushes on the way out), then re-raises.
+    """
+    context = multiprocessing.get_context()
+    procs = [context.Process(
+        target=_worker_process, name=f"resume-w{index}",
+        args=(directory, dataclasses.replace(
+            template, worker_id=f"resume-w{index}"), quiet))
+        for index in range(count)]
     exit_code = 0
     try:
+        # SIGTERM is converted before the first start, so no signal
+        # can find workers running and this process without a handler;
+        # each worker replaces the conversion with its own in
+        # SweepWorker.run.
+        with _sigterm_as_interrupt():
+            for proc in procs:
+                proc.start()
+            # Reaped in the order they exit, so a crashed worker's pid
+            # is gone (not a zombie) when a sibling tests its orphaned
+            # lease.
+            running = {proc.sentinel: proc for proc in procs}
+            while running:
+                for sentinel in connection.wait(list(running)):
+                    proc = running.pop(sentinel)
+                    proc.join()
+                    if proc.exitcode not in (0, EXIT_INTERRUPTED):
+                        exit_code = proc.exitcode or 1
+    except KeyboardInterrupt:
         for proc in procs:
-            code = proc.wait()
-            if code not in (0, EXIT_INTERRUPTED):
-                exit_code = code
-    except (KeyboardInterrupt, SweepShutdown):
+            if proc.is_alive():
+                proc.terminate()
         for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            proc.wait()
+            if proc.pid is not None:
+                proc.join()
         raise
     return exit_code
 
@@ -301,20 +352,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
     registry.write_json(str(sweep.metrics_dir / "resume.json"))
 
+    config = WorkerConfig(worker_id="resume-w0",
+                          expiry_s=args.expiry_s, retries=args.retries,
+                          poll_s=args.poll_s)
     if args.workers <= 1:
-        worker = SweepWorker(
-            sweep, WorkerConfig(worker_id="resume-w0",
-                                expiry_s=args.expiry_s,
-                                retries=args.retries,
-                                poll_s=args.poll_s),
-            progress=None if args.quiet else _print)
-        report = worker.run()
-        if report.interrupted:
-            return EXIT_INTERRUPTED
+        code = run_worker(sweep, config, quiet=args.quiet)
     else:
-        code = _spawn_workers(args.directory, args.workers, args)
-        if code != 0:
-            return code
+        code = start_workers(args.directory, args.workers, config,
+                             quiet=args.quiet)
+    if code != 0:
+        return code
 
     status = sweep.status()
     counts = status["counts"]
@@ -376,15 +423,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _add_worker_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--expiry-s", type=float, default=30.0,
+    defaults = WorkerConfig(worker_id="")
+    parser.add_argument("--expiry-s", type=float,
+                        default=defaults.expiry_s,
                         help="seconds without a heartbeat before a "
-                             "shard lease is stealable (default 30)")
-    parser.add_argument("--retries", type=int, default=1,
+                             "shard lease is stealable (default "
+                             f"{defaults.expiry_s:g})")
+    parser.add_argument("--retries", type=int, default=defaults.retries,
                         help="per-task retry budget before a "
                              "deterministic failure is quarantined")
-    parser.add_argument("--poll-s", type=float, default=0.5,
-                        help="idle seconds between scans when every "
-                             "runnable shard is leased elsewhere")
+    parser.add_argument("--poll-s", type=float, default=defaults.poll_s,
+                        help="longest idle between scans when every "
+                             "runnable shard is leased elsewhere; "
+                             "idling backs off from a few ms up to "
+                             f"this cap (default {defaults.poll_s:g})")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -471,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = args.handler
     try:
         return int(handler(args))
-    except SweepShutdown:
+    except (SweepShutdown, KeyboardInterrupt):
         return EXIT_INTERRUPTED
 
 

@@ -15,7 +15,10 @@ A worker is one independent process (``cebinae-repro sweep work
    (:func:`~repro.experiments.parallel._no_retry`) — **quarantine**
    the task instead of wedging the shard;
 4. release the lease and move on; exit when a full scan finds no
-   runnable task anywhere.
+   runnable task anywhere.  A scan that claims nothing (every runnable
+   shard is leased elsewhere) idles before the next one, backing off
+   geometrically from :data:`IDLE_FLOOR_S` up to ``poll_s``; any
+   successful claim resets the back-off.
 
 SIGTERM and SIGINT raise :class:`SweepShutdown` at the next bytecode
 boundary: the worker releases its lease (so the shard is instantly
@@ -45,6 +48,12 @@ from .manifest import ManifestTask, SweepDir, _shard_key
 #: How many times per expiry window the heartbeat renews.
 HEARTBEAT_FRACTION = 4.0
 
+#: First idle delay after a scan that claimed nothing; each further
+#: empty scan doubles it, up to ``WorkerConfig.poll_s``.  A few ms, so
+#: the worker that runs out of claimable shards first notices the end
+#: of the sweep within about a task length of its peers finishing.
+IDLE_FLOOR_S = 0.004
+
 
 class SweepShutdown(BaseException):
     """Graceful stop requested by SIGTERM/SIGINT.
@@ -63,8 +72,9 @@ class WorkerConfig:
     expiry_s: float = 30.0
     retries: int = 1
     backoff_base_s: float = 0.05
-    #: Seconds to idle between scans when every runnable shard is
-    #: leased by someone else.
+    #: Longest idle between scans when every runnable shard is leased
+    #: by someone else (the cap of the geometric back-off), so an
+    #: expired lease is stolen within ``expiry_s + poll_s``.
     poll_s: float = 0.5
     #: Stop after completing this many tasks (None = run to the end);
     #: the chaos tests use it to park workers at exact progress points.
@@ -127,11 +137,15 @@ class SweepWorker:
 
     def __init__(self, sweep: SweepDir, config: WorkerConfig,
                  progress: Optional[Callable[[str], None]] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+                 registry: Optional[MetricsRegistry] = None,
+                 idle_sleep: Callable[[float], None] = time.sleep
+                 ) -> None:
         self.sweep = sweep
         self.config = config
         self.progress = progress
         self.registry = registry or MetricsRegistry()
+        #: Injectable so the idle back-off is testable without waiting.
+        self._idle_sleep = idle_sleep
         self._stop_requested = False
 
     # -- plumbing ----------------------------------------------------------
@@ -221,6 +235,7 @@ class SweepWorker:
     def _loop(self, shards: Dict[int, List[ManifestTask]],
               store: LeaseStore, cache: Any,
               report: WorkerReport) -> None:
+        idle_s = IDLE_FLOOR_S
         while True:
             claimed_any = False
             remaining = 0
@@ -246,10 +261,13 @@ class SweepWorker:
                     return
             if remaining == 0:
                 return
-            if not claimed_any:
-                # Everything runnable is leased elsewhere: idle one
-                # poll interval, then rescan (their leases may expire).
-                time.sleep(self.config.poll_s)
+            if claimed_any:
+                idle_s = IDLE_FLOOR_S
+            else:
+                # Everything runnable is leased elsewhere: idle, then
+                # rescan (the sweep may finish, or a lease expire).
+                self._idle_sleep(min(idle_s, self.config.poll_s))
+                idle_s *= 2.0
 
     def _run_shard(self, shard: int, tasks: List[ManifestTask],
                    store: LeaseStore, lease: Lease, cache: Any,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments.bench_trend import (
-    BASELINE_SCHEMA_VERSION, build_trend, compare, format_trend,
+    BASELINE_SCHEMA_VERSION, build_trend, format_trend,
     load_bench_document, load_medians, main, normalised, report_main,
     write_baseline)
 
@@ -55,23 +55,36 @@ class TestLoaders:
             load_medians(str(path))
 
 
+def trend_of(tmp_path, current, baseline):
+    """``build_trend`` over in-memory medians, at the +10% threshold."""
+    hot = write_pytest_bench(tmp_path / "hot.json", {
+        name: {"stats": {"median": median}}
+        for name, median in current.items()})
+    path = str(tmp_path / "baseline.json")
+    write_baseline(path, baseline)
+    return build_trend([hot], baseline_path=path, threshold=0.10)
+
+
 class TestCompare:
-    def test_relative_regression_flagged(self, capsys):
-        baseline = {"a": 1.0, "b": 1.0}
-        current = {"a": 1.0, "b": 2.0}    # b moved against its peer
-        failures = compare(current, baseline, threshold=0.10)
-        assert len(failures) == 1 and failures[0].startswith("b:")
-        assert "REGRESSION" in capsys.readouterr().out
+    def test_relative_regression_flagged(self, tmp_path):
+        document = trend_of(tmp_path, {"a": 1.0, "b": 2.0},
+                            {"a": 1.0, "b": 1.0})  # b moved against a
+        assert document["regressions"] == ["b"]
+        flags = {row["name"]: row["flag"] for row in document["rows"]}
+        assert flags == {"a": "ok", "b": "REGRESSION"}
 
-    def test_uniform_slowdown_cancels(self, capsys):
-        baseline = {"a": 1.0, "b": 2.0}
-        current = {"a": 3.0, "b": 6.0}    # slower machine, same shape
-        assert compare(current, baseline, threshold=0.10) == []
-        capsys.readouterr()
+    def test_uniform_slowdown_cancels(self, tmp_path):
+        document = trend_of(tmp_path, {"a": 3.0, "b": 6.0},
+                            {"a": 1.0, "b": 2.0})  # slower machine
+        assert document["regressions"] == []
+        assert [row["normalised_ratio"]
+                for row in document["rows"]] == [1.0, 1.0]
 
-    def test_no_common_benchmarks(self):
-        failures = compare({"a": 1.0}, {"b": 1.0}, threshold=0.10)
-        assert failures and "common" in failures[0]
+    def test_no_common_benchmarks(self, tmp_path):
+        document = trend_of(tmp_path, {"a": 1.0}, {"b": 1.0})
+        (row,) = document["rows"]
+        assert row["flag"] == "unbaselined"
+        assert document["regressions"] == []
 
     def test_normalised_needs_positive_median(self):
         with pytest.raises(ValueError, match="positive"):

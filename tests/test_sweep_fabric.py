@@ -10,8 +10,13 @@ The end-to-end kill -9 drills live in ``test_sweep_resume.py``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,7 +29,11 @@ from repro.sweep.lease import LeaseStore
 from repro.sweep.manifest import (ManifestError, SweepDir, SweepManifest,
                                   manifest_from_callables,
                                   manifest_from_runs)
-from repro.sweep.worker import SweepWorker, WorkerConfig
+from repro.sweep.cli import EXIT_INTERRUPTED
+from repro.sweep.cli import main as sweep_main
+from repro.sweep.worker import IDLE_FLOOR_S, SweepWorker, WorkerConfig
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -285,6 +294,65 @@ class TestWorker:
         assert signal.getsignal(signal.SIGTERM) is not \
             worker._raise_shutdown
 
+    def test_idle_backs_off_to_poll_s_and_resets_on_claim(self,
+                                                          tmp_path):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=3))
+        peer = LeaseStore(sweep.lease_dir, expiry_s=300.0)
+        held = {key: peer.claim(key, "peer")
+                for key in ("shard-00001", "shard-00002")}
+        delays = []
+
+        def idle_sleep(delay):
+            # The live peer lets go of one shard after six idle scans
+            # and of the other after three more.
+            delays.append(delay)
+            if len(delays) == 6:
+                peer.release(held["shard-00001"])
+            elif len(delays) == 9:
+                peer.release(held["shard-00002"])
+
+        worker = SweepWorker(
+            sweep, WorkerConfig(worker_id="idle-w0", poll_s=0.02,
+                                install_signal_handlers=False,
+                                heartbeat=False),
+            idle_sleep=idle_sleep)
+        report = worker.run()
+        assert report.completed == 3
+        floor = IDLE_FLOOR_S
+        assert delays[:6] == [floor, 2 * floor, 4 * floor,
+                              0.02, 0.02, 0.02]
+        # Claiming shard 1 reset the back-off for the wait on shard 2.
+        assert delays[6:] == [floor, 2 * floor, 4 * floor]
+        assert max(delays) <= 0.02
+
+    def test_idle_worker_still_steals_an_expired_lease(self, tmp_path):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=1))
+        peer = LeaseStore(sweep.lease_dir, expiry_s=300.0)
+        lease = peer.claim("shard-00000", "peer")
+        delays = []
+
+        def idle_sleep(delay):
+            # The peer (this live pid) stops heartbeating: its lease's
+            # last renewal slides out of the expiry window.
+            delays.append(delay)
+            if len(delays) == 4:
+                record = peer.read("shard-00000")
+                record["renewed_unix"] = 0.0
+                with open(lease.path, "w", encoding="utf-8") as handle:
+                    json.dump(record, handle)
+
+        worker = SweepWorker(
+            sweep, WorkerConfig(worker_id="idle-w0",
+                                install_signal_handlers=False,
+                                heartbeat=False),
+            idle_sleep=idle_sleep)
+        report = worker.run()
+        assert len(delays) == 4
+        assert report.lease_expiries == 1
+        assert report.completed == 1
+
 
 def _self_term(marker):
     """Sweep task that SIGTERMs its own worker process."""
@@ -295,6 +363,11 @@ def _self_term(marker):
     import time
     time.sleep(1.0)  # simlint: allow[D103] waiting for own SIGTERM
     raise AssertionError("SIGTERM was not delivered")
+
+
+def _exit_worker(code):
+    """Sweep task that takes its whole worker process down."""
+    os._exit(code)
 
 
 def _noop():
@@ -395,6 +468,126 @@ class TestRunTasksSigterm:
         rebuilt = FailedRun.from_dict(
             json.loads(json.dumps(failed.to_dict())))
         assert rebuilt.interrupted
+
+
+class TestResumeWorkers:
+    """``resume --workers N``: workers started from this process."""
+
+    def test_finishes_quietly_with_every_workers_metrics(
+            self, tmp_path, monkeypatch, capfd):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=6))
+        process = multiprocessing.get_context().Process
+        real_start = process.start
+        threads_at_start = []
+
+        def start(self):
+            threads_at_start.append(threading.active_count())
+            real_start(self)
+
+        monkeypatch.setattr(process, "start", start)
+        assert sweep_main(["resume", str(sweep.root), "--workers", "2",
+                           "--quiet"]) == 0
+        # Forking is safe only while this process has one thread.
+        assert threads_at_start == [1, 1]
+        counts = sweep.status()["counts"]
+        assert counts == {"done": 6, "quarantined": 0, "leased": 0,
+                          "pending": 0}
+        assert list(sweep.lease_dir.glob("*.lease")) == []
+        for worker_id in ("resume-w0", "resume-w1"):
+            assert (sweep.metrics_dir / f"{worker_id}.json").exists()
+        # --quiet reaches the started workers: no per-task narration.
+        assert "[resume-w" not in capfd.readouterr().err
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+    def test_without_quiet_workers_narrate(self, tmp_path, capfd):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=2))
+        assert sweep_main(["resume", str(sweep.root),
+                           "--workers", "2"]) == 0
+        err = capfd.readouterr().err
+        assert "done   task-0" in err and "done   task-1" in err
+
+    def test_propagates_a_workers_exit_code(self, tmp_path):
+        manifest = manifest_from_callables("dies", [
+            {"label": "dies",
+             "fn": "tests.test_sweep_fabric:_exit_worker",
+             "kwargs": {"code": 7}}])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        assert sweep_main(["resume", str(sweep.root), "--workers", "2",
+                           "--quiet"]) == 7
+
+    def test_tolerates_interrupted_workers(self, tmp_path):
+        manifest = manifest_from_callables("term", [
+            {"label": "ok", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "ok", "seed": 0, "rounds": 5}},
+            {"label": "boom", "fn": "tests.test_sweep_fabric:_self_term",
+             "kwargs": {"marker": str(tmp_path / "marker")}}])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        # Each worker that meets "boom" SIGTERMs itself, releases its
+        # lease and exits EXIT_INTERRUPTED; resume reports the hole
+        # (exit 1) instead of passing that code on.
+        assert sweep_main(["resume", str(sweep.root), "--workers", "2",
+                           "--quiet"]) == 1
+        counts = sweep.status()["counts"]
+        assert counts == {"done": 1, "quarantined": 0, "leased": 0,
+                          "pending": 1}
+
+    def test_sigterm_to_the_parent_stops_and_reaps_workers(
+            self, tmp_path):
+        manifest = manifest_from_callables("slow", [
+            {"label": f"slow-{i}",
+             "fn": "repro.sweep.tasks:slow_checksum",
+             "kwargs": {"label": f"slow-{i}", "seed": i, "rounds": 5,
+                        "wall_s": 60.0}} for i in range(2)])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR] + os.environ.get("PYTHONPATH", "")
+            .split(os.pathsep)))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro.sweep.cli", "resume",
+             str(sweep.root), "--workers", "2", "--quiet"],
+            env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            store = LeaseStore(sweep.lease_dir)
+            deadline = time.monotonic() + 60  # simlint: allow[D103] subprocess watchdog
+            while (len(store.active()) < 2
+                   and time.monotonic() < deadline):  # simlint: allow[D103] subprocess watchdog
+                assert parent.poll() is None
+                time.sleep(0.02)
+            pids = [record["pid"] for record in store.active()]
+            assert len(pids) == 2 and parent.pid not in pids
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=30) == EXIT_INTERRUPTED
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=30)
+        # Both workers released their leases and were joined: the
+        # parent left no live (or zombie) child behind.
+        assert list(sweep.lease_dir.glob("*.lease")) == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+class TestColdStart:
+    def test_import_repro_loads_neither_numpy_nor_networkx(self):
+        """What every CLI call and fresh-interpreter worker pays."""
+        probe = ("import sys, repro, repro.sweep.cli, "
+                 "repro.experiments.cli; "
+                 "print(sorted({'numpy', 'networkx'} "
+                 "& set(sys.modules)))")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True,
+            text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "[]"
 
 
 class TestCachePrune:

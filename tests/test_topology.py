@@ -1,6 +1,8 @@
 """Tests for topology builders, routing, and tracing utilities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.engine import MILLISECOND, SECOND, Simulator, seconds
 from repro.netsim.packet import FlowId, Packet
@@ -27,15 +29,33 @@ class TestNetwork:
         assert r.routes[b.node_id].dst is b
         assert b.routes[a.node_id].dst is r
 
-    def test_path_links(self):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=st.integers(min_value=2, max_value=9))
+    def test_routes_equal_networkx_reference(self, data, size):
+        """Next hops match ``nx.all_pairs_shortest_path``'s ``path[1]``.
+
+        Dense little digraphs have many equal-cost ties, sparse ones
+        unreachable pairs, and repeated (u, v) edges replace the link
+        without moving it in the neighbour order.
+        """
+        nx = pytest.importorskip("networkx")
+        pairs = st.tuples(st.integers(0, size - 1),
+                          st.integers(0, size - 1)).filter(
+                              lambda edge: edge[0] != edge[1])
+        edges = data.draw(st.lists(pairs, max_size=3 * size))
         network = Network()
-        a = network.add_host("a")
-        r = network.add_router("r")
-        b = network.add_host("b")
-        network.connect(a, r, 1e6, 1000)
-        network.connect(r, b, 1e6, 1000)
-        links = network.path_links(a, b)
-        assert [link.src.name for link in links] == ["a", "r"]
+        nodes = [network.add_router(f"n{i}") for i in range(size)]
+        reference = nx.DiGraph()
+        reference.add_nodes_from(range(size))
+        newest = {}
+        for u, v in edges:
+            newest[u, v] = network.add_link(nodes[u], nodes[v], 1e6, 0)
+            reference.add_edge(u, v)
+        network.install_routes()
+        for src, paths in nx.all_pairs_shortest_path(reference):
+            expected = {dst: newest[src, path[1]]
+                        for dst, path in paths.items() if dst != src}
+            assert nodes[src].routes == expected
 
     def test_unique_node_ids(self):
         network = Network()
