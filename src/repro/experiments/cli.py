@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from contextlib import nullcontext
+from typing import Any, ContextManager, List, Optional
 
 from ..core.resource_model import estimate_resources
 from ..heavyhitter.evaluation import sweep_round_interval, \
@@ -247,38 +248,38 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="profile the simulator hot path: "
                              "per-component event counts, events/sec "
                              "and the sim/wall ratio (in-process "
-                             "runs only; use --workers 1)")
+                             "runs only; use --workers 1 --no-cache)")
     parser.add_argument("--profile-json", metavar="PATH",
                         help="also write the profile to PATH in the "
                              "BENCH_*.json (pytest-benchmark) shape")
     args = parser.parse_args(argv)
     names = [name for name in EXPERIMENTS if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]
-    profiler = None
+    profile_scope: ContextManager[Any] = nullcontext()
     if args.profile or args.profile_json:
         from ..netsim import profiling
-        profiler = profiling.enable()
-        if args.workers > 1:
+        profile_scope = profiling.profiled()
+        if args.workers > 1 or not args.no_cache:
             print("note: --profile observes in-process simulations "
-                  "only; points run by pool workers are not counted "
-                  "(use --workers 1 for full coverage)")
-    for name in names:
-        # Host-side progress timing, not simulation time.  Monotonic,
-        # because time.time() can step backwards under NTP and print a
-        # negative duration.
-        start = time.monotonic()  # simlint: allow[D103] CLI timer
-        print(f"=== {name} ===")
-        print(run_experiment(name, quick=args.quick, rows=args.rows,
-                             workers=args.workers,
-                             cache_dir=args.cache_dir,
-                             use_cache=not args.no_cache,
-                             faults=args.faults,
-                             wall_limit_s=args.wall_limit))
-        elapsed = time.monotonic() - start  # simlint: allow[D103] CLI timer
-        print(f"[{name}: {elapsed:.1f}s]\n")
+                  "only; points run by pool workers or replayed from "
+                  "the cache are not counted (use --workers 1 "
+                  "--no-cache for full coverage)")
+    with profile_scope as profiler:
+        for name in names:
+            # Host-side progress timing, not simulation time.
+            # Monotonic, because time.time() can step backwards under
+            # NTP and print a negative duration.
+            start = time.monotonic()  # simlint: allow[D103] CLI timer
+            print(f"=== {name} ===")
+            print(run_experiment(name, quick=args.quick, rows=args.rows,
+                                 workers=args.workers,
+                                 cache_dir=args.cache_dir,
+                                 use_cache=not args.no_cache,
+                                 faults=args.faults,
+                                 wall_limit_s=args.wall_limit))
+            elapsed = time.monotonic() - start  # simlint: allow[D103] CLI timer
+            print(f"[{name}: {elapsed:.1f}s]\n")
     if profiler is not None:
-        from ..netsim import profiling
-        profiling.disable()
         profile = profiler.report()
         print(profile.format_text())
         if args.profile_json:

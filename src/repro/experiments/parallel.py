@@ -387,7 +387,8 @@ def _emit(progress: Optional[Callable[[str], None]],
         progress(message)
 
 
-def _print_progress(message: str) -> None:
+def print_progress(message: str) -> None:
+    """The default narration sink: one line on stderr, unbuffered."""
     print(message, file=sys.stderr, flush=True)
 
 
@@ -396,18 +397,19 @@ _sleep = time.sleep
 
 
 class TerminateSweep(KeyboardInterrupt):
-    """SIGTERM, converted to an exception so the flush path runs.
+    """SIGTERM, converted to an exception so cleanup runs.
 
     Subclasses :class:`KeyboardInterrupt` deliberately: every caller
-    that already handles Ctrl-C on a sweep (flush completed results,
-    release resources, re-raise) handles cluster-style kills — CI
-    cancellation, batch timeouts, the OOM reaper's polite first pass —
-    identically, with no new except-clauses.
+    that already handles Ctrl-C on a sweep (release leases, write
+    metrics, re-raise) handles cluster-style kills — CI cancellation,
+    batch timeouts, the OOM reaper's polite first pass — identically,
+    with no new except-clauses.  It is the one stop exception of both
+    schedulers: :func:`run_tasks` and the sweep worker.
     """
 
 
 @contextmanager
-def _sigterm_as_interrupt() -> Iterator[None]:
+def sigterm_as_interrupt() -> Iterator[None]:
     """Convert SIGTERM to :class:`TerminateSweep` for a with-block.
 
     Installed only in the main thread of the main interpreter (the
@@ -436,7 +438,7 @@ def _sigterm_as_interrupt() -> Iterator[None]:
 def _default_sigterm_in_worker() -> None:
     """Pool initializer: undo the inherited SIGTERM conversion.
 
-    Fork-started workers inherit :func:`_sigterm_as_interrupt`'s
+    Fork-started workers inherit :func:`sigterm_as_interrupt`'s
     handler, and ``Pool.terminate()`` stops workers with SIGTERM then
     joins them without a timeout; a worker that turns the signal into
     an exception instead of dying can leave that join waiting for ever.
@@ -469,6 +471,86 @@ def _no_retry(exc: BaseException) -> bool:
     return isinstance(exc, (RunAborted, multiprocessing.TimeoutError))
 
 
+def _attempt(task: Task) -> Union[Dict[str, Any], Exception]:
+    """One in-process attempt: its timed envelope, or what it raised."""
+    try:
+        return _call_task(task.fn, task.kwargs)
+    except Exception as exc:  # noqa: BLE001 - triaged by settle().
+        return exc
+
+
+def settle(task: Task,
+           first_attempt: Union[Dict[str, Any], BaseException,
+                                None] = None,
+           cache: Optional[ResultCache] = None, retries: int = 1,
+           backoff_base_s: float = 0.05,
+           progress: Optional[Callable[[str], None]] = None
+           ) -> Union[Dict[str, Any], FailedRun]:
+    """Carry one task from its first attempt to a stored payload or a verdict.
+
+    The one task lifecycle every scheduler shares — the serial path and
+    the pool of :func:`run_tasks`, and the sweep worker.
+    ``first_attempt`` is the envelope :func:`_call_task` returned, or
+    the exception the attempt raised; None makes the first attempt
+    here, in-process.  A transient failure is retried in-process (so a
+    crashing pool worker cannot take the sweep down with it) after a
+    seeded backoff (:func:`_backoff_delays`); a deterministic casualty
+    (:func:`_no_retry`) or an exhausted retry budget ends in a
+    :class:`FailedRun`.  Success returns ``{"payload", "elapsed_s"}``
+    with the encoded payload **already stored** in ``cache`` (when the
+    task is fingerprinted): nothing that happens to the caller
+    afterwards — an interrupt, a ``kill -9`` — can lose it.
+
+    ``progress`` receives the ``retry`` lines, without a prefix.  An
+    interrupt that lands mid-backoff records the *measured* partial
+    sleep (not the planned schedule) in a :class:`FailedRun` attached
+    to the exception as ``failed_run``, so post-mortems of killed
+    sweeps are truthful about what actually happened.
+    """
+    envelope = _attempt(task) if first_attempt is None else first_attempt
+    attempts = 1
+    delays = _backoff_delays(task.fingerprint or task.label, retries,
+                             backoff_base_s)
+    slept: List[float] = []
+    while (isinstance(envelope, BaseException) and attempts <= retries
+           and not _no_retry(envelope)):
+        delay = delays[attempts - 1]
+        _emit(progress, f"retry  {task.label} after "
+                        f"{type(envelope).__name__}: {envelope} "
+                        f"(backoff {delay * 1e3:.0f}ms)")
+        # Host-side retry pacing, not simulation time.
+        started = time.monotonic()  # simlint: allow[D103] retry pacing
+        try:
+            _sleep(delay)
+        except BaseException as interrupt:
+            slept.append(min(
+                delay,
+                time.monotonic() - started))  # simlint: allow[D103] retry pacing
+            setattr(interrupt, "failed_run", FailedRun(
+                label=task.label,
+                error=f"interrupted during retry backoff after "
+                      f"{type(envelope).__name__}: {envelope}",
+                attempts=attempts, backoff_s=slept, interrupted=True))
+            raise
+        slept.append(delay)
+        attempts += 1
+        envelope = _attempt(task)
+    if isinstance(envelope, BaseException):
+        # The deterministic verdicts are exactly the timeouts: a pool
+        # timeout, or a watchdog abort with its progress snapshot.
+        return FailedRun(
+            label=task.label,
+            error=str(envelope) or type(envelope).__name__,
+            attempts=attempts, timed_out=_no_retry(envelope),
+            backoff_s=slept,
+            partial=envelope.partial
+            if isinstance(envelope, RunAborted) else None)
+    payload = task.encode(envelope["value"])
+    if cache is not None and task.fingerprint:
+        cache.store(task.fingerprint, task.kind, task.label, payload)
+    return {"payload": payload, "elapsed_s": envelope["elapsed_s"]}
+
+
 def _describe(result: Any, elapsed_s: float) -> str:
     extra = ""
     events = getattr(result, "events", None)
@@ -483,7 +565,7 @@ def _describe(result: Any, elapsed_s: float) -> str:
 def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
               cache_dir: Union[str, Path, None] = None,
               use_cache: bool = True, retries: int = 1,
-              progress: Optional[Callable[[str], None]] = _print_progress,
+              progress: Optional[Callable[[str], None]] = print_progress,
               timeout_s: Optional[float] = None,
               backoff_base_s: float = 0.05
               ) -> List[Union[Any, FailedRun]]:
@@ -492,22 +574,17 @@ def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
     Returns one entry per task, in task order: the decoded result, or a
     :class:`FailedRun` sentinel if the task raised on every attempt.
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` runs
-    serially in-process (no pool), which is also the fallback for
-    retries so a crashing worker cannot take the sweep down with it.
+    serially in-process (no pool).  Either way each task's first
+    attempt is handed to :func:`settle` the moment it is collected, so
+    its result is in the cache before the next one is looked at: an
+    interrupt, a SIGTERM (converted to :class:`TerminateSweep` for the
+    duration of the call so cluster-style kills behave like Ctrl-C) or
+    a hard kill of this process loses only the points not yet
+    collected.
 
     ``timeout_s`` bounds each pooled task's wall clock from the parent
     side (a backstop for the in-run watchdog; a timed-out task becomes
     a :class:`FailedRun` with ``timed_out`` set and is never retried).
-    Transient crashes back off exponentially before each retry (see
-    :func:`_backoff_delays`); a ``KeyboardInterrupt`` — or a SIGTERM,
-    which is converted to :class:`TerminateSweep` for the duration of
-    the call so cluster-style kills behave like Ctrl-C — flushes every
-    already-completed result to the cache before re-raising, so an
-    interrupted sweep loses only the in-flight points.  An interrupt
-    that lands mid-backoff records the *measured* partial sleep (not
-    the planned schedule) in a :class:`FailedRun` attached to the
-    exception as ``failed_run``, so post-mortems of killed sweeps are
-    truthful about what actually happened.
     """
     cache = None
     if cache_dir is not None:
@@ -532,130 +609,44 @@ def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(pending)))
 
-    envelopes: Dict[int, Union[Dict[str, Any], BaseException]] = {}
+    def narrate(message: str) -> None:
+        _emit(progress, f"[parallel] {message}")
 
-    def flush_completed() -> None:
-        """Persist every finished envelope (interrupt salvage path)."""
-        if cache is None:
+    def finish(index: int, first_attempt: Any = None) -> None:
+        task = tasks[index]
+        outcome = settle(task, first_attempt, cache, retries,
+                         backoff_base_s, narrate)
+        if isinstance(outcome, FailedRun):
+            narrate(f"FAILED {task.label}: {outcome.error}")
+            results[index] = outcome
             return
-        flushed = 0
-        for done_index, envelope in envelopes.items():
-            if isinstance(envelope, BaseException):
-                continue
-            done = tasks[done_index]
-            if done.fingerprint:
-                cache.store(done.fingerprint, done.kind, done.label,
-                            done.encode(envelope["value"]))
-                flushed += 1
-        _emit(progress,
-              f"[parallel] interrupted; flushed {flushed} completed "
-              f"result(s) to cache")
+        results[index] = task.decode(outcome["payload"])
+        narrate(f"done   {task.label}  "
+                + _describe(results[index], outcome["elapsed_s"]))
 
-    with _sigterm_as_interrupt():
-        try:
-            if workers == 1:
+    with sigterm_as_interrupt():
+        if workers == 1:
+            for index in pending:
+                narrate(f"start  {tasks[index].label}")
+                finish(index)
+        else:
+            context = multiprocessing.get_context()
+            with context.Pool(
+                    processes=workers,
+                    initializer=_default_sigterm_in_worker) as pool:
+                handles = {}
                 for index in pending:
                     task = tasks[index]
-                    _emit(progress, f"[parallel] start  {task.label}")
+                    narrate(f"start  {task.label}")
+                    handles[index] = pool.apply_async(
+                        _call_task, (task.fn, task.kwargs))
+                for index in pending:
                     try:
-                        envelopes[index] = _call_task(task.fn,
-                                                      task.kwargs)
-                    except Exception as exc:  # noqa: BLE001 - recorded below.
-                        envelopes[index] = exc
-            else:
-                context = multiprocessing.get_context()
-                with context.Pool(
-                        processes=workers,
-                        initializer=_default_sigterm_in_worker) as pool:
-                    handles = {}
-                    for index in pending:
-                        task = tasks[index]
-                        _emit(progress,
-                              f"[parallel] start  {task.label}")
-                        handles[index] = pool.apply_async(
-                            _call_task, (task.fn, task.kwargs))
-                    for index in pending:
-                        try:
-                            envelopes[index] = handles[index].get(
-                                timeout=timeout_s)
-                        except Exception as exc:  # noqa: BLE001
-                            envelopes[index] = exc
-        except KeyboardInterrupt:
-            # Pool.__exit__ has already terminated the workers; keep
-            # what finished, then let the interrupt propagate.
-            flush_completed()
-            raise
-
-        try:
-            for index in pending:
-                task = tasks[index]
-                envelope = envelopes[index]
-                attempts = 1
-                delays = _backoff_delays(task.fingerprint or task.label,
-                                         retries, backoff_base_s)
-                slept: List[float] = []
-                while (isinstance(envelope, BaseException)
-                       and attempts <= retries
-                       and not _no_retry(envelope)):
-                    delay = delays[attempts - 1]
-                    _emit(progress,
-                          f"[parallel] retry  {task.label} after "
-                          f"{type(envelope).__name__}: {envelope} "
-                          f"(backoff {delay * 1e3:.0f}ms)")
-                    # Host-side retry pacing, not simulation time.
-                    started = time.monotonic()  # simlint: allow[D103] retry pacing
-                    try:
-                        _sleep(delay)
-                    except BaseException as interrupt:
-                        # Record the sleep actually slept, not the
-                        # planned schedule: a post-mortem of a killed
-                        # sweep must not claim time that never passed.
-                        slept.append(min(
-                            delay,
-                            time.monotonic() - started))  # simlint: allow[D103] retry pacing
-                        failed = FailedRun(
-                            label=task.label,
-                            error=f"interrupted during retry backoff "
-                                  f"after {type(envelope).__name__}: "
-                                  f"{envelope}",
-                            attempts=attempts, backoff_s=slept,
-                            interrupted=True)
-                        results[index] = failed
-                        setattr(interrupt, "failed_run", failed)
-                        raise
-                    slept.append(delay)
-                    attempts += 1
-                    try:
-                        envelope = _call_task(task.fn, task.kwargs)
-                    except Exception as exc:  # noqa: BLE001
-                        envelope = exc
-                if isinstance(envelope, BaseException):
-                    _emit(progress,
-                          f"[parallel] FAILED {task.label}: {envelope}")
-                    timed_out = isinstance(envelope,
-                                           multiprocessing.TimeoutError)
-                    partial = None
-                    if isinstance(envelope, RunAborted):
-                        timed_out = True
-                        partial = envelope.partial
-                    results[index] = FailedRun(
-                        label=task.label,
-                        error=str(envelope) or type(envelope).__name__,
-                        attempts=attempts, timed_out=timed_out,
-                        backoff_s=slept, partial=partial)
-                    continue
-                payload = task.encode(envelope["value"])
-                if cache is not None and task.fingerprint:
-                    cache.store(task.fingerprint, task.kind, task.label,
-                                payload)
-                results[index] = task.decode(payload)
-                _emit(progress, f"[parallel] done   {task.label}  "
-                      + _describe(results[index], envelope["elapsed_s"]))
-        except KeyboardInterrupt:
-            # Interrupted while retrying/recording: salvage everything
-            # the pool phase completed before propagating.
-            flush_completed()
-            raise
+                        first_attempt = handles[index].get(
+                            timeout=timeout_s)
+                    except Exception as exc:  # noqa: BLE001 - settled.
+                        first_attempt = exc
+                    finish(index, first_attempt)
     return results
 
 
@@ -663,7 +654,13 @@ def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
 # The scenario-level API.
 # --------------------------------------------------------------------------
 
-def _scenario_task(spec: RunSpec) -> Task:
+def scenario_task(spec: RunSpec) -> Task:
+    """The pool :class:`Task` for one scenario point.
+
+    Public so other layers (the declarative suite runner) can mix
+    scenario points with their own task kinds in a single
+    :func:`run_tasks` call while sharing the same cache fingerprints.
+    """
     kwargs: Dict[str, Any] = {
         "scaled": spec.scaled,
         "discipline": spec.discipline,
@@ -687,20 +684,10 @@ def _scenario_task(spec: RunSpec) -> Task:
                 decode=ScenarioResult.from_dict)
 
 
-def scenario_task(spec: RunSpec) -> Task:
-    """The pool :class:`Task` for one scenario point.
-
-    Public so other layers (the declarative suite runner) can mix
-    scenario points with their own task kinds in a single
-    :func:`run_tasks` call while sharing the same cache fingerprints.
-    """
-    return _scenario_task(spec)
-
-
 def run_many(specs: Sequence[RunSpec], workers: Optional[int] = None,
              cache_dir: Union[str, Path, None] = None,
              use_cache: bool = True, retries: int = 1,
-             progress: Optional[Callable[[str], None]] = _print_progress,
+             progress: Optional[Callable[[str], None]] = print_progress,
              timeout_s: Optional[float] = None
              ) -> List[Union[ScenarioResult, FailedRun]]:
     """Run independent scenario points over a process pool.
@@ -711,7 +698,7 @@ def run_many(specs: Sequence[RunSpec], workers: Optional[int] = None,
     a :class:`FailedRun` sentinel.  With ``cache_dir`` set, previously
     simulated fingerprints are loaded from disk instead of re-run.
     """
-    tasks = [_scenario_task(spec) for spec in specs]
+    tasks = [scenario_task(spec) for spec in specs]
     return run_tasks(tasks, workers=workers, cache_dir=cache_dir,
                      use_cache=use_cache, retries=retries,
                      progress=progress, timeout_s=timeout_s)

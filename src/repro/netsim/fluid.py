@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..fairness.convergence import taxation_trajectory
 from ..fairness.maxmin import FlowSpec, water_filling
@@ -179,14 +179,6 @@ class FluidPhaseReport:
             "divergence": self.divergence,
             "packet_events": self.packet_events,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FluidPhaseReport":
-        return cls(mode=data["mode"], reason=data["reason"],
-                   handoff_s=data["handoff_s"], fluid_s=data["fluid_s"],
-                   epochs=data["epochs"], extensions=data["extensions"],
-                   divergence=data["divergence"],
-                   packet_events=data["packet_events"])
 
 
 def pool_rates(rates_bps: Sequence[BitsPerSec],

@@ -103,22 +103,6 @@ class ProfileReport:
                 self.component_events.items())),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ProfileReport":
-        """Rebuild a report from :meth:`to_dict` output (round-trip)."""
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"profile schema_version {version!r} is not "
-                f"{SCHEMA_VERSION}")
-        return cls(
-            events=data["events"],
-            wall_s=data["wall_s"],
-            sim_s=data["sim_s"],
-            runs=data["runs"],
-            component_events=dict(data["component_events"]),
-        )
-
     def to_bench_json(self, name: str) -> Dict[str, Any]:
         """The profile in the ``BENCH_*.json`` (pytest-benchmark) shape.
 
@@ -215,27 +199,8 @@ def write_bench_json(path: str, name: str, report: ProfileReport) -> None:
         handle.write("\n")
 
 
-def load_bench_json(path: str) -> Dict[str, ProfileReport]:
-    """Round-trip loader for :func:`write_bench_json` artifacts.
-
-    Returns the profiles keyed by benchmark name, so CI comparisons can
-    diff ``BENCH_*.json`` files from different PRs field by field.
-    Entries from other groups (raw pytest-benchmark results) are
-    skipped — only ``group == "profile"`` rows carry profile payloads.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    reports: Dict[str, ProfileReport] = {}
-    for entry in data.get("benchmarks", []):
-        if entry.get("group") != "profile":
-            continue
-        reports[entry["name"]] = ProfileReport.from_dict(
-            entry["extra_info"])
-    return reports
-
-
 __all__ = [
     "HotPathProfiler", "ProfileReport", "SCHEMA_VERSION", "component_of",
-    "current", "disable", "enable", "load_bench_json", "monotonic",
-    "profiled", "write_bench_json",
+    "current", "disable", "enable", "monotonic", "profiled",
+    "write_bench_json",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -58,57 +59,42 @@ def _describe_spec(spec: SuiteSpec) -> str:
 
 
 def _run_fabric(specs: List[SuiteSpec], args: argparse.Namespace,
-                out: Dict[str, Any]) -> int:
+                out: List[Any]) -> int:
     """Execute every compiled run through the sweep fabric.
 
     Compiles all specs into one manifest under ``--fabric-dir``, runs
-    ``--workers`` lease-claiming worker processes over it (resuming
-    whatever an earlier — possibly killed — invocation already
-    finished), then loads each result back from the sweep's
-    fingerprint-keyed cache into ``out`` (``"<spec>:<label>"`` keys).
+    ``--workers`` lease-claiming workers over it (resuming whatever an
+    earlier — possibly killed — invocation already finished), then
+    appends each result to ``out`` from the sweep's fingerprint-keyed
+    cache, in manifest order: spec by spec, each in compile order.
     Returns a non-zero exit code on quarantined or missing runs.
     """
     from ..experiments.runner import ScenarioResult
-    from ..sweep.cli import run_worker, start_workers
-    from ..sweep.manifest import SweepDir, manifest_from_runs
+    from ..sweep.cli import start_workers
+    from ..sweep.manifest import SweepDir, manifest_from_specs
     from ..sweep.worker import WorkerConfig
 
-    runs: List[Any] = []
-    labels: List[str] = []
-    for spec in specs:
-        for run in spec.compile():
-            runs.append(run)
-            labels.append(f"{spec.name}:{run.label}")
     fabric_dir = args.fabric_dir or str(
         Path(f"{args.cache_dir}.sweep")
         / Path(args.directory).name)
-    manifest = manifest_from_runs(Path(args.directory).name, runs,
-                                  labels=labels)
+    manifest = manifest_from_specs(Path(args.directory).name, specs)
     sweep = SweepDir(fabric_dir)
     sweep.initialise(manifest)
-    print(f"[fabric] {len(runs)} task(s) -> {fabric_dir} "
+    print(f"[fabric] {len(manifest.tasks)} task(s) -> {fabric_dir} "
           f"({args.workers} worker(s)); resumable via "
           f"'cebinae-repro sweep resume {fabric_dir}'")
-    config = WorkerConfig(worker_id="suite-w0")
-    if args.workers <= 1:
-        code = run_worker(sweep, config, quiet=True)
-    else:
-        code = start_workers(fabric_dir, args.workers, config,
-                             quiet=True)
+    code = start_workers(fabric_dir, args.workers,
+                         WorkerConfig(worker_id="suite-w0"), quiet=True)
     if code != 0:
         return code
-    cache = sweep.cache()
-    quarantined = sweep.quarantined()
     failures: List[str] = []
-    for run, label in zip(runs, labels):
-        payload = cache.load(run.fingerprint())
-        if payload is None:
-            record = quarantined.get(run.fingerprint(), {})
-            failed = record.get("failed", {})
-            failures.append(f"{label}: "
-                            f"{failed.get('error', 'missing result')}")
-            continue
-        out[label] = ScenarioResult.from_dict(payload)
+    for entry in sweep.outcomes():
+        if entry["status"] == "done":
+            out.append(ScenarioResult.from_dict(entry["payload"]))
+        else:
+            error = entry.get("failed", {}).get("error",
+                                                "missing result")
+            failures.append(f"{entry['label']}: {error}")
     if failures:
         print(f"{len(failures)} fabric run(s) did not complete:",
               file=sys.stderr)
@@ -168,6 +154,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "in-process and cannot run on the fabric")
     if args.fabric_dir and not args.fabric:
         parser.error("--fabric-dir requires --fabric")
+    if args.fabric and args.no_cache:
+        # The sweep directory is the fabric's cache: honouring
+        # --no-cache would mean discarding what makes it resumable.
+        parser.error("--fabric reuses whatever its sweep directory "
+                     "already holds, so --no-cache cannot apply; pass "
+                     "--fabric-dir <fresh dir> to re-simulate")
     if args.backend == "hybrid" and (args.golden or args.update_golden):
         # Golden digests pin the packet backend's byte-identical
         # contract; the hybrid tier is validated by tolerance, not
@@ -202,11 +194,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  wrote {path} ({len(digests)} run(s))")
         return 0
 
-    fabric_results: Dict[str, Any] = {}
+    fabric_results: List[Any] = []
     if args.fabric:
         code = _run_fabric(specs, args, fabric_results)
         if code != 0:
             return code
+    fabric_remaining = iter(fabric_results)
 
     mismatches: List[str] = []
     report: Dict[str, Any] = {}
@@ -214,8 +207,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"=== {_describe_spec(spec)} ===")
         runs = spec.compile()
         if args.fabric:
-            results = [fabric_results[f"{spec.name}:{run.label}"]
-                       for run in runs]
+            results = list(itertools.islice(fabric_remaining,
+                                            len(runs)))
         else:
             results = run_compiled(
                 runs, workers=args.workers,

@@ -437,6 +437,34 @@ class CompiledRun:
                     encode=ScenarioResult.to_dict,
                     decode=ScenarioResult.from_dict)
 
+    def to_source(self) -> Dict[str, Any]:
+        """The JSON document a sweep manifest rebuilds this run from."""
+        if self.runspec is not None:
+            return {"type": "runspec", "runspec": self.runspec.to_dict()}
+        assert self.parking is not None
+        spec, discipline, seed, params, collect_series = self.parking
+        return {"type": "parking",
+                "parking_name": spec.name,
+                "parking_lot": spec.to_dict(),
+                "discipline": discipline.value,
+                "seed": seed,
+                "cebinae": params.to_dict(),
+                "collect_series": collect_series}
+
+    @classmethod
+    def from_source(cls, label: str,
+                    source: Mapping[str, Any]) -> "CompiledRun":
+        """Rebuild the run :meth:`to_source` described, under ``label``."""
+        if source["type"] == "runspec":
+            return cls(label,
+                       runspec=RunSpec.from_dict(source["runspec"]))
+        return cls(label, parking=(
+            ParkingLotSpec.from_dict(source["parking_name"],
+                                     source["parking_lot"]),
+            Discipline(source["discipline"]), source["seed"],
+            CebinaeParams.from_dict(source["cebinae"]),
+            source["collect_series"]))
+
 
 # --------------------------------------------------------------------------
 # The suite spec itself.

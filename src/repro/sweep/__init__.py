@@ -25,11 +25,12 @@ result set is byte-identical to an uninterrupted run.
 
 from .lease import Lease, LeaseStore
 from .manifest import (MANIFEST_VERSION, ManifestTask, SweepDir,
-                       SweepManifest, manifest_from_runs)
-from .worker import SweepShutdown, SweepWorker, WorkerConfig, WorkerReport
+                       SweepManifest, manifest_from_runs,
+                       manifest_from_specs)
+from .worker import SweepWorker, WorkerConfig, WorkerReport
 
 __all__ = [
     "Lease", "LeaseStore", "MANIFEST_VERSION", "ManifestTask",
-    "SweepDir", "SweepManifest", "SweepShutdown", "SweepWorker",
-    "WorkerConfig", "WorkerReport", "manifest_from_runs",
+    "SweepDir", "SweepManifest", "SweepWorker", "WorkerConfig",
+    "WorkerReport", "manifest_from_runs", "manifest_from_specs",
 ]

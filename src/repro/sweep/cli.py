@@ -18,17 +18,17 @@ directory alone; ``watch`` renders the cross-worker fleet view
 ``--once --json`` — prints the one canonical aggregate document CI and
 tests parse; ``resume`` breaks expired leases, counts the resume
 in the metrics, and finishes the remaining tasks with N fresh workers
-(in-process when N=1; otherwise :func:`start_workers` starts N
-``multiprocessing`` processes from this already-imported one, each
-running the body of ``work``); ``merge`` writes the ordered, canonical
-merged result document — byte-identical regardless of which workers
-ran which tasks in which order, because every payload comes from the
-fingerprint-keyed cache.
+(:func:`start_workers`: in-process when N=1, otherwise N
+``multiprocessing`` processes started from this already-imported one,
+each running the body of ``work``); ``merge`` writes the ordered,
+canonical merged result document — byte-identical regardless of which
+workers ran which tasks in which order, because every payload comes
+from the fingerprint-keyed cache.
 
 Exit codes: 0 success; 1 incomplete (pending tasks remain after
 resume, or merge found holes); 2 usage/spec errors; 3 interrupted
-(SIGTERM/SIGINT reached a worker, which released its lease and
-flushed completed results first).
+(SIGTERM/SIGINT reached a worker, which released its lease first;
+its completed results were stored as each finished).
 """
 
 from __future__ import annotations
@@ -42,39 +42,28 @@ import sys
 import time
 from multiprocessing import connection
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from ..experiments.parallel import _sigterm_as_interrupt
+from ..experiments.parallel import (print_progress as _print,
+                                    sigterm_as_interrupt)
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import LeaseStore
 from .manifest import (ManifestError, SweepDir, SweepManifest,
-                       _shard_key, manifest_from_runs)
-from .worker import SweepShutdown, SweepWorker, WorkerConfig
+                       _shard_key, manifest_from_specs)
+from .worker import SweepWorker, WorkerConfig
 
 #: Exit code when a worker was stopped by SIGTERM/SIGINT.
 EXIT_INTERRUPTED = 3
-
-
-def _print(message: str) -> None:
-    print(message, file=sys.stderr, flush=True)
 
 
 def _compile_suite(directory: str, backend: Optional[str],
                    shard_size: int) -> SweepManifest:
     """Compile every suite spec in ``directory`` into one manifest."""
     from ..suite.registry import SuiteRegistry
-    registry = SuiteRegistry.from_directory(directory)
-    runs: List[Any] = []
-    labels: List[str] = []
-    for spec in registry:
-        if backend is not None and spec.parking is None:
-            spec = dataclasses.replace(spec, backend=backend)
-        for run in spec.compile():
-            runs.append(run)
-            # Prefix with the owning spec so labels are sweep-unique.
-            labels.append(f"{spec.name}:{run.label}")
-    return manifest_from_runs(Path(directory).name, runs,
-                              shard_size=shard_size, labels=labels)
+    specs = [spec if backend is None or spec.parking is not None
+             else dataclasses.replace(spec, backend=backend)
+             for spec in SuiteRegistry.from_directory(directory)]
+    return manifest_from_specs(Path(directory).name, specs, shard_size)
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
@@ -108,8 +97,8 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
                quiet: bool = False, spans: bool = False) -> int:
     """Run one worker to completion in this process; its exit code.
 
-    The body of ``sweep work``, and what every process started by
-    :func:`start_workers` runs.
+    The body of ``sweep work``, and what :func:`start_workers` runs,
+    here or in every process it starts.
     """
     progress = None if quiet else _print
     worker = SweepWorker(sweep, config, progress=progress)
@@ -281,10 +270,11 @@ def _worker_process(directory: str, config: WorkerConfig,
 
 def start_workers(directory: str, count: int, template: WorkerConfig,
                   quiet: bool = False) -> int:
-    """Start ``count`` worker processes and wait for them all.
+    """Run ``count`` workers over the sweep and wait for them all.
 
-    Returns 0, or the exit code of a worker that failed.  Workers
-    ``resume-w0`` .. ``resume-w<count-1>`` are copies of ``template``
+    Returns 0, or the exit code of a worker that failed.  One worker
+    is ``template`` itself, run in this process.  More are processes
+    ``resume-w0`` .. ``resume-w<count-1>``, copies of ``template``
     under those ids.  They are started with
     ``multiprocessing.get_context()`` -- the start policy of
     ``experiments.parallel.run_tasks`` -- so where that forks they
@@ -295,8 +285,10 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
     on a signal of its own and is tolerated; any other non-zero exit
     is returned.  SIGTERM (converted to ``TerminateSweep``, as in
     ``run_tasks``) or ^C here terminates and joins every worker (each
-    releases its lease and flushes on the way out), then re-raises.
+    releases its lease on the way out), then re-raises.
     """
+    if count <= 1:
+        return run_worker(SweepDir(directory), template, quiet=quiet)
     context = multiprocessing.get_context()
     procs = [context.Process(
         target=_worker_process, name=f"resume-w{index}",
@@ -309,7 +301,7 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
         # can find workers running and this process without a handler;
         # each worker replaces the conversion with its own in
         # SweepWorker.run.
-        with _sigterm_as_interrupt():
+        with sigterm_as_interrupt():
             for proc in procs:
                 proc.start()
             # Reaped in the order they exit, so a crashed worker's pid
@@ -355,11 +347,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     config = WorkerConfig(worker_id="resume-w0",
                           expiry_s=args.expiry_s, retries=args.retries,
                           poll_s=args.poll_s)
-    if args.workers <= 1:
-        code = run_worker(sweep, config, quiet=args.quiet)
-    else:
-        code = start_workers(args.directory, args.workers, config,
-                             quiet=args.quiet)
+    code = start_workers(args.directory, args.workers, config,
+                         quiet=args.quiet)
     if code != 0:
         return code
 
@@ -370,11 +359,10 @@ def _cmd_resume(args: argparse.Namespace) -> int:
            f"{counts['quarantined']} quarantined, "
            f"{counts['pending']} pending")
     if counts["quarantined"]:
-        for fingerprint, record in sorted(sweep.quarantined().items()):
-            failed = record.get("failed", {})
-            _print(f"[sweep]   quarantined "
-                   f"{record.get('label', fingerprint)}: "
-                   f"{failed.get('error', '?')}")
+        for entry in sweep.outcomes():
+            if entry["status"] == "quarantined":
+                _print(f"[sweep]   quarantined {entry['label']}: "
+                       f"{entry['failed'].get('error', '?')}")
     return 0 if counts["pending"] == 0 and counts["leased"] == 0 else 1
 
 
@@ -385,24 +373,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     except ManifestError as exc:
         _print(f"error: {exc}")
         return 2
-    cache = sweep.cache()
-    quarantined = sweep.quarantined()
-    entries: List[Dict[str, Any]] = []
-    missing = 0
-    for task in manifest.tasks:
-        entry: Dict[str, Any] = {"label": task.label,
-                                 "fingerprint": task.fingerprint}
-        payload = cache.load(task.fingerprint)
-        if payload is not None:
-            entry["status"] = "done"
-            entry["payload"] = payload
-        elif task.fingerprint in quarantined:
-            entry["status"] = "quarantined"
-            entry["failed"] = quarantined[task.fingerprint]["failed"]
-        else:
-            entry["status"] = "missing"
-            missing += 1
-        entries.append(entry)
+    entries = sweep.outcomes()
+    missing = sum(entry["status"] == "missing" for entry in entries)
     document = {"sweep": manifest.name, "results": entries}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -523,7 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = args.handler
     try:
         return int(handler(args))
-    except (SweepShutdown, KeyboardInterrupt):
+    except KeyboardInterrupt:
         return EXIT_INTERRUPTED
 
 

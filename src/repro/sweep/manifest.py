@@ -15,13 +15,10 @@ sweep tasks and vice versa), its shard assignment, and a ``source``
 document from which a worker process rebuilds the executable
 :class:`~repro.experiments.parallel.Task`:
 
-``{"type": "runspec", ...}``
-    A dumbbell scenario point: a full
-    :meth:`~repro.experiments.parallel.RunSpec.to_dict` payload.
-``{"type": "parking", ...}``
-    A parking-lot point: the
-    :class:`~repro.suite.spec.ParkingLotSpec` payload plus discipline,
-    seed, and resolved Cebinae parameters.
+``{"type": "runspec", ...}`` / ``{"type": "parking", ...}``
+    A suite run, dumbbell or parking lot: the document
+    :meth:`~repro.suite.spec.CompiledRun.to_source` writes and
+    :meth:`~repro.suite.spec.CompiledRun.from_source` reads back.
 ``{"type": "callable", "fn": "pkg.mod:name", "kwargs": {...}}``
     A generic deterministic function of JSON-able kwargs returning a
     JSON-able value — the escape hatch the chaos tests and non-scenario
@@ -40,8 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..experiments.parallel import (CACHE_VERSION, FailedRun, ResultCache,
-                                    RunSpec, Task, scenario_task)
-from ..experiments.runner import ScenarioResult
+                                    Task)
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_VERSION = 1
@@ -122,39 +118,21 @@ class ManifestTask:
                    source=dict(source))
 
     def task(self) -> Task:
-        """Rebuild the executable pool task from the source document."""
-        kind = self.source["type"]
-        if kind == "runspec":
-            task = scenario_task(RunSpec.from_dict(
-                self.source["runspec"]))
-            return dataclasses.replace(task, label=self.label)
-        if kind == "parking":
-            from ..suite.parking import run_parking_lot
-            return Task(
-                fn=run_parking_lot,
-                kwargs={"spec": self._parking_spec(),
-                        "discipline_name": self.source["discipline"],
-                        "seed": self.source["seed"],
-                        "cebinae": self._cebinae_params(),
-                        "collect_series": self.source["collect_series"]},
-                label=self.label, fingerprint=self.fingerprint,
-                kind="ScenarioResult",
-                encode=ScenarioResult.to_dict,
-                decode=ScenarioResult.from_dict)
-        assert kind == "callable"
-        return Task(fn=resolve_callable(self.source["fn"]),
-                    kwargs=dict(self.source.get("kwargs", {})),
-                    label=self.label, fingerprint=self.fingerprint,
-                    kind=self.kind, encode=_identity, decode=_identity)
+        """Rebuild the executable pool task from the source document.
 
-    def _parking_spec(self) -> Any:
-        from ..suite.spec import ParkingLotSpec
-        return ParkingLotSpec.from_dict(self.source["parking_name"],
-                                        self.source["parking_lot"])
-
-    def _cebinae_params(self) -> Any:
-        from ..core.params import CebinaeParams
-        return CebinaeParams.from_dict(self.source["cebinae"])
+        It carries the manifest's fingerprint, the one ``is_done``
+        looks for, whatever the rebuilt source would hash to.
+        """
+        if self.source["type"] == "callable":
+            return Task(fn=resolve_callable(self.source["fn"]),
+                        kwargs=dict(self.source.get("kwargs", {})),
+                        label=self.label, fingerprint=self.fingerprint,
+                        kind=self.kind, encode=_identity,
+                        decode=_identity)
+        from ..suite.spec import CompiledRun
+        run = CompiledRun.from_source(self.label, self.source)
+        return dataclasses.replace(run.task(),
+                                   fingerprint=self.fingerprint)
 
 
 @dataclass
@@ -199,43 +177,34 @@ class SweepManifest:
 
 
 def manifest_from_runs(name: str, runs: Iterable[Any],
-                       shard_size: int = 1,
-                       labels: Optional[List[str]] = None
-                       ) -> SweepManifest:
+                       shard_size: int = 1) -> SweepManifest:
     """Compile suite :class:`~repro.suite.spec.CompiledRun`s to a manifest.
 
     ``shard_size`` groups consecutive tasks under one lease: larger
     shards amortise claim traffic for huge sweeps, smaller shards give
-    finer crash granularity.  ``labels`` overrides the per-run labels
-    (the suite CLI prefixes them with the owning spec's name so runs
-    from different specs cannot collide).
+    finer crash granularity.
     """
     if shard_size < 1:
         raise ManifestError(f"shard_size must be >= 1, got {shard_size}")
-    tasks: List[ManifestTask] = []
-    for index, run in enumerate(runs):
-        label = labels[index] if labels is not None else run.label
-        shard = index // shard_size
-        if getattr(run, "runspec", None) is not None:
-            source: Dict[str, Any] = {
-                "type": "runspec",
-                "runspec": run.runspec.to_dict()}
-            fingerprint = run.runspec.fingerprint()
-        else:
-            parking = run.parking
-            spec, discipline, seed, params, collect_series = parking
-            source = {"type": "parking",
-                      "parking_name": spec.name,
-                      "parking_lot": spec.to_dict(),
-                      "discipline": discipline.value,
-                      "seed": seed,
-                      "cebinae": params.to_dict(),
-                      "collect_series": collect_series}
-            fingerprint = run.fingerprint()
-        tasks.append(ManifestTask(
-            index=index, label=label, fingerprint=fingerprint,
-            shard=shard, kind="ScenarioResult", source=source))
-    return SweepManifest(name=name, tasks=tasks)
+    return SweepManifest(name=name, tasks=[
+        ManifestTask(index=index, label=run.label,
+                     fingerprint=run.fingerprint(),
+                     shard=index // shard_size, kind="ScenarioResult",
+                     source=run.to_source())
+        for index, run in enumerate(runs)])
+
+
+def manifest_from_specs(name: str, specs: Iterable[Any],
+                        shard_size: int = 1) -> SweepManifest:
+    """Compile :class:`~repro.suite.spec.SuiteSpec`s into one manifest.
+
+    Tasks go spec by spec, each spec's runs in compile order, and each
+    label is prefixed with its owning spec's name so runs of different
+    specs cannot collide.
+    """
+    return manifest_from_runs(name, [
+        dataclasses.replace(run, label=f"{spec.name}:{run.label}")
+        for spec in specs for run in spec.compile()], shard_size)
 
 
 def manifest_from_callables(name: str,
@@ -368,6 +337,34 @@ class SweepDir:
             except (OSError, ValueError):
                 continue
         return out
+
+    def outcomes(self) -> List[Dict[str, Any]]:
+        """How each manifest task ended, in manifest order.
+
+        One ``{"label", "fingerprint", "status"}`` entry per task, with
+        the cached ``payload`` when ``status`` is ``"done"``, the
+        quarantine record's ``failed`` when it is ``"quarantined"``,
+        and neither when the task is still ``"missing"``.  The one
+        read-back of a sweep directory: ``sweep merge`` writes these
+        entries out, ``suite --fabric`` decodes them.
+        """
+        cache = self.cache()
+        quarantined = self.quarantined()
+        entries: List[Dict[str, Any]] = []
+        for task in self.load_manifest().tasks:
+            entry: Dict[str, Any] = {"label": task.label,
+                                     "fingerprint": task.fingerprint}
+            payload = cache.load(task.fingerprint)
+            if payload is not None:
+                entry["status"] = "done"
+                entry["payload"] = payload
+            elif task.fingerprint in quarantined:
+                entry["status"] = "quarantined"
+                entry["failed"] = quarantined[task.fingerprint]["failed"]
+            else:
+                entry["status"] = "missing"
+            entries.append(entry)
+        return entries
 
     def status(self, clock: Optional[Callable[[], float]] = None
                ) -> Dict[str, Any]:

@@ -9,37 +9,35 @@ A worker is one independent process (``cebinae-repro sweep work
    the sweep's :class:`~repro.experiments.parallel.ResultCache` the
    moment it finishes (streaming: a crash loses at most the in-flight
    task), heartbeating the lease from a background thread;
-3. retry transient failures with the executor's deterministic seeded
-   backoff, recording the delays *actually slept*; after the retry
-   budget — or immediately for deterministic casualties
-   (:func:`~repro.experiments.parallel._no_retry`) — **quarantine**
-   the task instead of wedging the shard;
+3. each task goes through the executor's one lifecycle,
+   :func:`~repro.experiments.parallel.settle` (attempt, seeded
+   backoff, retry, store); a task it gives up on — retry budget
+   spent, or a deterministic casualty — is **quarantined** instead of
+   wedging the shard;
 4. release the lease and move on; exit when a full scan finds no
    runnable task anywhere.  A scan that claims nothing (every runnable
    shard is leased elsewhere) idles before the next one, backing off
    geometrically from :data:`IDLE_FLOOR_S` up to ``poll_s``; any
    successful claim resets the back-off.
 
-SIGTERM and SIGINT raise :class:`SweepShutdown` at the next bytecode
-boundary: the worker releases its lease (so the shard is instantly
-re-claimable, no expiry wait), writes its metrics snapshot, and exits
-— every already-completed result is on disk already.  SIGKILL skips
-all of that by definition, which is exactly what lease expiry (plus
-the dead-pid fast path) exists for.
+SIGTERM (converted by the executor's
+:func:`~repro.experiments.parallel.sigterm_as_interrupt`) and SIGINT
+raise ``KeyboardInterrupt`` at the next bytecode boundary: the worker
+releases its lease (so the shard is instantly re-claimable, no expiry
+wait), writes its metrics snapshot, and exits — every completed result
+is on disk already.  SIGKILL skips all of that by definition, which is
+exactly what lease expiry (plus the dead-pid fast path) exists for.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..experiments.parallel import (FailedRun, _backoff_delays,
-                                    _call_task, _no_retry)
-from ..faults.watchdog import RunAborted
+from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
 from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import Lease, LeaseStore
@@ -53,15 +51,6 @@ HEARTBEAT_FRACTION = 4.0
 #: the worker that runs out of claimable shards first notices the end
 #: of the sweep within about a task length of its peers finishing.
 IDLE_FLOOR_S = 0.004
-
-
-class SweepShutdown(BaseException):
-    """Graceful stop requested by SIGTERM/SIGINT.
-
-    A ``BaseException`` (like ``KeyboardInterrupt``) so no library
-    except-clause between the signal and the worker loop can swallow
-    the shutdown.
-    """
 
 
 @dataclass
@@ -79,7 +68,6 @@ class WorkerConfig:
     #: Stop after completing this many tasks (None = run to the end);
     #: the chaos tests use it to park workers at exact progress points.
     max_tasks: Optional[int] = None
-    install_signal_handlers: bool = True
     heartbeat: bool = True
 
 
@@ -146,7 +134,6 @@ class SweepWorker:
         self.registry = registry or MetricsRegistry()
         #: Injectable so the idle back-off is testable without waiting.
         self._idle_sleep = idle_sleep
-        self._stop_requested = False
 
     # -- plumbing ----------------------------------------------------------
     def _emit(self, message: str) -> None:
@@ -177,10 +164,6 @@ class SweepWorker:
         except OSError:
             pass    # Metrics are best-effort; never fail the sweep.
 
-    def _raise_shutdown(self, signum: int, frame: Any) -> None:
-        self._stop_requested = True
-        raise SweepShutdown(signal.Signals(signum).name)
-
     # -- the loop ----------------------------------------------------------
     def run(self) -> WorkerReport:
         """Work until nothing runnable remains (or a signal stops us)."""
@@ -189,42 +172,34 @@ class SweepWorker:
         store = LeaseStore(self.sweep.lease_dir,
                            expiry_s=self.config.expiry_s)
         cache = self.sweep.cache()
-        previous: Dict[int, Any] = {}
-        if (self.config.install_signal_handlers
-                and threading.current_thread()
-                is threading.main_thread()):
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                previous[signum] = signal.signal(
-                    signum, self._raise_shutdown)
         # Host-level lifecycle span over the whole worker run (None
         # when no bus carries the span topic — the default).
         sweep_span = obs_spans.open_span("sweep", manifest.name,
                                          sim_clock=False)
-        try:
-            self._loop(manifest.shards(), store, cache, report)
-        except SweepShutdown as exc:
-            report.interrupted = True
-            self._emit(f"shutdown ({exc}): lease released, "
-                       f"{report.completed} completed result(s) "
-                       f"already flushed")
-            self._count("interrupts")
-        finally:
-            if sweep_span is not None:
-                sweep_span.count = report.completed
-                obs_spans.close_span(
-                    sweep_span,
-                    status="error" if report.interrupted else "ok")
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-            report.lease_expiries = store.expired_claims
-            if store.expired_claims:
-                self._count("lease_expiries", store.expired_claims)
-            self.registry.gauge(
-                "sweep_worker_completed",
-                worker=self.config.worker_id).set(report.completed)
-            self._count("inflight_shards", 0)
-            self._count("quarantine_depth", report.quarantined)
-            self._write_metrics()
+        with sigterm_as_interrupt():
+            try:
+                self._loop(manifest.shards(), store, cache, report)
+            except KeyboardInterrupt as exc:
+                report.interrupted = True
+                self._emit(f"shutdown ({type(exc).__name__}): lease "
+                           f"released, {report.completed} completed "
+                           f"result(s) already stored")
+                self._count("interrupts")
+            finally:
+                if sweep_span is not None:
+                    sweep_span.count = report.completed
+                    obs_spans.close_span(
+                        sweep_span,
+                        status="error" if report.interrupted else "ok")
+                report.lease_expiries = store.expired_claims
+                if store.expired_claims:
+                    self._count("lease_expiries", store.expired_claims)
+                self.registry.gauge(
+                    "sweep_worker_completed",
+                    worker=self.config.worker_id).set(report.completed)
+                self._count("inflight_shards", 0)
+                self._count("quarantine_depth", report.quarantined)
+                self._write_metrics()
         return report
 
     def _runnable(self, tasks: List[ManifestTask]) -> List[ManifestTask]:
@@ -323,48 +298,24 @@ class SweepWorker:
                   report: WorkerReport) -> None:
         with obs_spans.span("task", mtask.label,
                             sim_clock=False) as task_span:
-            self._attempt_task(mtask, cache, report, task_span)
-
-    def _attempt_task(self, mtask: ManifestTask, cache: Any,
-                      report: WorkerReport,
-                      task_span: Optional[obs_spans.SpanHandle]
-                      ) -> None:
-        task = mtask.task()
-        delays = _backoff_delays(mtask.fingerprint or task.label,
-                                 self.config.retries,
-                                 self.config.backoff_base_s)
-        attempts = 0
-        slept: List[float] = []
-        self._emit(f"start  {task.label}")
-        while True:
-            attempts += 1
-            try:
-                envelope = _call_task(task.fn, task.kwargs)
-            except SweepShutdown:
-                raise
-            except Exception as exc:  # noqa: BLE001 - triaged below.
-                if _no_retry(exc) or attempts > self.config.retries:
-                    self._quarantine(mtask, exc, attempts, slept,
-                                     report)
-                    return
-                delay = delays[attempts - 1]
-                self._emit(f"retry  {task.label} after "
-                           f"{type(exc).__name__}: {exc} "
-                           f"(backoff {delay * 1e3:.0f}ms)")
-                # Record what was actually slept: an interrupt mid-
-                # backoff must leave a truthful trail, not the plan.
-                started = time.monotonic()  # simlint: allow[D103] retry pacing
-                try:
-                    time.sleep(delay)
-                except BaseException:
-                    slept.append(min(
-                        delay,
-                        time.monotonic() - started))  # simlint: allow[D103] retry pacing
-                    raise
-                slept.append(delay)
-                continue
-            cache.store(mtask.fingerprint, task.kind, task.label,
-                        task.encode(envelope["value"]))
+            task = mtask.task()
+            self._emit(f"start  {task.label}")
+            outcome = settle(task, cache=cache,
+                             retries=self.config.retries,
+                             backoff_base_s=self.config.backoff_base_s,
+                             progress=self._emit)
+            if isinstance(outcome, FailedRun):
+                self.sweep.quarantine(mtask, outcome,
+                                      self.config.worker_id)
+                report.quarantined += 1
+                report.failures.append(outcome.to_dict())
+                self._count("tasks_quarantined")
+                self._count("quarantine_depth", report.quarantined)
+                self._write_metrics()
+                self._emit(f"QUARANTINED {task.label} after "
+                           f"{outcome.attempts} attempt(s): "
+                           f"{outcome.error}")
+                return
             report.completed += 1
             if task_span is not None:
                 task_span.count = 1
@@ -373,30 +324,7 @@ class SweepWorker:
             self.registry.histogram(
                 "sweep_task_wall_seconds",
                 worker=self.config.worker_id).observe(
-                    envelope["elapsed_s"])
+                    outcome["elapsed_s"])
             self._write_metrics()
             self._emit(f"done   {task.label}  "
-                       f"wall {envelope['elapsed_s']:.2f}s")
-            return
-
-    def _quarantine(self, mtask: ManifestTask, exc: Exception,
-                    attempts: int, slept: List[float],
-                    report: WorkerReport) -> None:
-        timed_out = False
-        partial = None
-        if isinstance(exc, RunAborted):
-            timed_out = True
-            partial = exc.partial
-        failed = FailedRun(
-            label=mtask.label,
-            error=str(exc) or type(exc).__name__,
-            attempts=attempts, timed_out=timed_out,
-            backoff_s=slept, partial=partial)
-        self.sweep.quarantine(mtask, failed, self.config.worker_id)
-        report.quarantined += 1
-        report.failures.append(failed.to_dict())
-        self._count("tasks_quarantined")
-        self._count("quarantine_depth", report.quarantined)
-        self._write_metrics()
-        self._emit(f"QUARANTINED {mtask.label} after {attempts} "
-                   f"attempt(s): {exc}")
+                       f"wall {outcome['elapsed_s']:.2f}s")

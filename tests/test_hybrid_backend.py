@@ -25,8 +25,8 @@ from repro.experiments.runner import (BACKENDS, Discipline,
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.faults.spec import FaultSpec
 from repro.netsim.fluid import (REASON_FAULTS, REASON_SHORT_RUN,
-                                REASON_UNSTABLE, FluidPhaseReport,
-                                HybridPolicy, MIN_DEMAND_BPS,
+                                REASON_UNSTABLE, HybridPolicy,
+                                MIN_DEMAND_BPS,
                                 equilibrium_schedule, measured_rates_bps,
                                 pool_rates, rate_divergence,
                                 rate_pool_key, wire_overhead_ratio)
@@ -219,13 +219,6 @@ class TestHybridPolicy:
         policy = HybridPolicy()  # handoff at 8s for short RTTs
         assert policy.fluid_viable(30.0, 0.05)
         assert not policy.fluid_viable(9.0, 0.05)
-
-
-def test_fluid_report_round_trips():
-    report = FluidPhaseReport(mode="fluid", handoff_s=8.0,
-                              fluid_s=22.0, epochs=3, extensions=1,
-                              divergence=0.03, packet_events=1234)
-    assert FluidPhaseReport.from_dict(report.to_dict()) == report
 
 
 class TestPooling:

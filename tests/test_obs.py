@@ -18,8 +18,7 @@ from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.heavyhitter.hashpipe import CebinaeFlowCache, ExactFlowCache
 from repro.netsim.engine import SECOND, Simulator
-from repro.netsim.profiling import (SCHEMA_VERSION, ProfileReport,
-                                    load_bench_json, write_bench_json)
+from repro.netsim.profiling import SCHEMA_VERSION, ProfileReport
 from repro.netsim.tracing import FlowMonitor, LinkMonitor, TimeSeries
 from repro.netsim.packet import FlowId
 from repro.obs import bus as obs_bus
@@ -452,26 +451,3 @@ class TestProfilingSchema:
         report = ProfileReport(events=1, wall_s=0.1, sim_s=1.0, runs=1,
                                component_events={"Link": 1})
         assert report.to_dict()["schema_version"] == SCHEMA_VERSION
-
-    def test_from_dict_round_trip(self):
-        report = ProfileReport(events=5, wall_s=0.25, sim_s=2.0,
-                               runs=2, component_events={"Link": 3,
-                                                         "TcpSender": 2})
-        rebuilt = ProfileReport.from_dict(report.to_dict())
-        assert rebuilt == report
-
-    def test_from_dict_rejects_bad_version(self):
-        report = ProfileReport(events=1, wall_s=0.1, sim_s=1.0, runs=1,
-                               component_events={})
-        data = report.to_dict()
-        data["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema_version"):
-            ProfileReport.from_dict(data)
-
-    def test_load_bench_json_round_trip(self, tmp_path):
-        report = ProfileReport(events=7, wall_s=0.5, sim_s=3.0, runs=1,
-                               component_events={"Link": 7})
-        path = tmp_path / "BENCH_profile.json"
-        write_bench_json(str(path), name="smoke", report=report)
-        loaded = load_bench_json(str(path))
-        assert loaded == {"smoke": report}

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments import cli
 from repro.netsim import profiling
 from repro.netsim.engine import Simulator
@@ -121,3 +123,22 @@ class TestCliProfileFlag:
     def test_profiler_uninstalled_after_cli(self):
         cli.main(["table3", "--profile"])
         assert profiling.current() is None
+
+    def test_profiler_uninstalled_when_an_experiment_raises(
+            self, monkeypatch):
+        def boom(name, **kwargs):
+            assert profiling.current() is not None
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            cli.main(["table3", "--profile"])
+        assert profiling.current() is None
+
+    def test_note_names_what_a_profile_cannot_see(self, capsys):
+        note = "in-process simulations only"
+        cli.main(["table3", "--profile"])        # Cache reads are on.
+        assert note in capsys.readouterr().out
+        cli.main(["table3", "--profile", "--workers", "1",
+                  "--no-cache"])
+        assert note not in capsys.readouterr().out

@@ -25,6 +25,9 @@ from repro.experiments.parallel import (FailedRun, ResultCache, RunSpec,
                                         Task, TerminateSweep, run_tasks)
 from repro.experiments.runner import Discipline
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.faults.watchdog import RunAborted
+from repro.suite.spec import CompiledRun
+from repro.sweep import tasks as sweep_tasks
 from repro.sweep.lease import LeaseStore
 from repro.sweep.manifest import (ManifestError, SweepDir, SweepManifest,
                                   manifest_from_callables,
@@ -91,16 +94,8 @@ class TestManifest:
     def test_runspec_manifest_preserves_fingerprints(self):
         runs = [RunSpec(tiny_scaled(), Discipline.FIFO),
                 RunSpec(tiny_scaled(), Discipline.CEBINAE)]
-
-        class _Run:
-            def __init__(self, runspec):
-                self.runspec = runspec
-                self.label = runspec.label
-
-            def fingerprint(self):
-                return self.runspec.fingerprint()
-
-        manifest = manifest_from_runs("fp", [_Run(r) for r in runs])
+        manifest = manifest_from_runs(
+            "fp", [CompiledRun(label=r.label, runspec=r) for r in runs])
         for entry, spec in zip(manifest.tasks, runs):
             assert entry.fingerprint == spec.fingerprint()
             rebuilt = entry.task()
@@ -195,7 +190,6 @@ class TestLeaseStore:
 class TestWorker:
     def run_worker(self, sweep, **config):
         config.setdefault("worker_id", "test-w0")
-        config.setdefault("install_signal_handlers", False)
         config.setdefault("heartbeat", False)
         worker = SweepWorker(sweep, WorkerConfig(**config))
         return worker.run()
@@ -283,16 +277,70 @@ class TestWorker:
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest)
         worker = SweepWorker(sweep, WorkerConfig(
-            worker_id="term-w0", heartbeat=False,
-            install_signal_handlers=True))
+            worker_id="term-w0", heartbeat=False))
         report = worker.run()
         assert report.interrupted
         assert report.completed == 1
         counts = sweep.status()["counts"]
         assert counts["done"] == 1 and counts["leased"] == 0
         # The handler was restored on the way out.
-        assert signal.getsignal(signal.SIGTERM) is not \
-            worker._raise_shutdown
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+    def test_sigterm_mid_backoff_releases_and_quarantines_nothing(
+            self, tmp_path, monkeypatch):
+        def sigterm_mid_sleep(delay):
+            os.kill(os.getpid(), signal.SIGTERM)
+            # The signal is delivered at a bytecode boundary; force one.
+            time.sleep(1.0)
+            raise AssertionError("SIGTERM was not delivered")
+
+        monkeypatch.setattr(parallel, "_sleep", sigterm_mid_sleep)
+        manifest = manifest_from_callables("term", [
+            {"label": "bad", "fn": "repro.sweep.tasks:always_fails",
+             "kwargs": {"label": "bad"}}])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        report = self.run_worker(sweep, retries=1)
+        assert report.interrupted
+        assert (report.completed, report.quarantined) == (0, 0)
+        assert sweep.quarantined() == {}
+        assert list(sweep.lease_dir.glob("*.lease")) == []
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+    def test_outcomes_and_merge_read_the_sweep_back_in_order(
+            self, tmp_path):
+        manifest = manifest_from_callables("mixed", [
+            {"label": "bad", "fn": "repro.sweep.tasks:always_fails",
+             "kwargs": {"label": "bad"}},
+            {"label": "good", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "good", "seed": 1, "rounds": 5}},
+            {"label": "later", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "later", "seed": 2, "rounds": 5}}])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        # Parks "bad", finishes "good", stops short of "later".
+        report = self.run_worker(sweep, max_tasks=1,
+                                 backoff_base_s=0.001)
+        assert (report.completed, report.quarantined) == (1, 1)
+        bad, good, later = manifest.tasks
+        parked = json.loads(
+            sweep.quarantine_path(bad.fingerprint).read_text())
+        expected = [
+            {"label": "bad", "fingerprint": bad.fingerprint,
+             "status": "quarantined", "failed": parked["failed"]},
+            {"label": "good", "fingerprint": good.fingerprint,
+             "status": "done",
+             "payload": sweep_tasks.checksum("good", 1, 5)},
+            {"label": "later", "fingerprint": later.fingerprint,
+             "status": "missing"}]
+        assert sweep.outcomes() == expected
+        # The merged document is those entries, byte for byte.
+        out = tmp_path / "merged.json"
+        assert sweep_main(["merge", str(sweep.root),
+                           "--out", str(out)]) == 1
+        assert out.read_text() == json.dumps(
+            {"sweep": "mixed", "results": expected},
+            indent=2, sort_keys=True) + "\n"
 
     def test_idle_backs_off_to_poll_s_and_resets_on_claim(self,
                                                           tmp_path):
@@ -314,7 +362,6 @@ class TestWorker:
 
         worker = SweepWorker(
             sweep, WorkerConfig(worker_id="idle-w0", poll_s=0.02,
-                                install_signal_handlers=False,
                                 heartbeat=False),
             idle_sleep=idle_sleep)
         report = worker.run()
@@ -344,9 +391,7 @@ class TestWorker:
                     json.dump(record, handle)
 
         worker = SweepWorker(
-            sweep, WorkerConfig(worker_id="idle-w0",
-                                install_signal_handlers=False,
-                                heartbeat=False),
+            sweep, WorkerConfig(worker_id="idle-w0", heartbeat=False),
             idle_sleep=idle_sleep)
         report = worker.run()
         assert len(delays) == 4
@@ -398,8 +443,83 @@ def _raise_value_error():
     raise ValueError("deterministic boom")
 
 
+def _raise_run_aborted():
+    raise RunAborted("watchdog fired", partial={"events": 9})
+
+
+class TestOneLifecycle:
+    """The serial path, the pool and the sweep worker settle a task
+    through the same attempt -> retry -> store loop."""
+
+    @pytest.mark.parametrize("case", ["checksum", "flaky",
+                                      "always_fails", "aborted"])
+    def test_every_executor_ends_a_task_the_same_way(self, tmp_path,
+                                                     case):
+        counter = tmp_path / "attempts"
+        fn, kwargs = {
+            "checksum": ("repro.sweep.tasks:checksum",
+                         {"label": "c", "seed": 3, "rounds": 5}),
+            "flaky": ("repro.sweep.tasks:flaky",
+                      {"label": "f", "counter": str(counter),
+                       "fail_first": 1}),
+            "always_fails": ("repro.sweep.tasks:always_fails",
+                             {"label": "bad"}),
+            "aborted": ("tests.test_sweep_fabric:_raise_run_aborted",
+                        {})}[case]
+        # A second task, so that ``workers=2`` really starts a pool.
+        manifest = manifest_from_callables(case, [
+            {"label": case, "fn": fn, "kwargs": kwargs},
+            {"label": "peer", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "peer", "seed": 0, "rounds": 5}}])
+        ends = {}
+        for executor in ("serial", "pool", "worker"):
+            if counter.exists():
+                counter.unlink()
+            sweep = SweepDir(tmp_path / executor)
+            sweep.initialise(manifest)
+            if executor == "worker":
+                SweepWorker(sweep, WorkerConfig(
+                    worker_id="parity-w0", retries=1,
+                    backoff_base_s=0.001, heartbeat=False)).run()
+                failed = [record["failed"] for record
+                          in sweep.quarantined().values()]
+            else:
+                results = run_tasks(
+                    [task.task() for task in manifest.tasks],
+                    workers=1 if executor == "serial" else 2,
+                    cache_dir=sweep.cache_dir, retries=1,
+                    backoff_base_s=0.001, progress=None)
+                failed = [result.to_dict() for result in results
+                          if isinstance(result, FailedRun)]
+            stored = {path.name: path.read_bytes()
+                      for path in sweep.cache_dir.glob("*.json")}
+            ends[executor] = (stored, failed)
+        assert ends["serial"] == ends["pool"] == ends["worker"]
+
+        stored, failed = ends["serial"]
+        entry = f"{manifest.tasks[0].fingerprint}.json"
+        if case in ("checksum", "flaky"):
+            assert entry in stored and failed == []
+        else:
+            assert entry not in stored
+            (verdict,) = failed
+            assert FailedRun.from_dict(verdict).label == case
+        if case == "flaky":
+            assert counter.read_text() == "2"
+        if case == "always_fails":
+            assert verdict["attempts"] == 2
+            assert len(verdict["backoff_s"]) == 1
+            assert not verdict["timed_out"]
+            assert verdict["partial"] is None
+        if case == "aborted":
+            assert verdict["attempts"] == 1
+            assert verdict["backoff_s"] == []
+            assert verdict["timed_out"]
+            assert verdict["partial"] == {"events": 9}
+
+
 class TestRunTasksSigterm:
-    """Satellite: ``run_tasks`` flushes on SIGTERM like it does on ^C."""
+    """``run_tasks`` keeps what it collected on SIGTERM, as on ^C."""
 
     def make_tasks(self, tmp_path, labels):
         def ok(label):
@@ -767,3 +887,10 @@ class TestSweepCli:
         from repro.suite.cli import main
         with pytest.raises(SystemExit):
             main([str(suite_dir), "--fabric-dir", "x"])
+
+    def test_fabric_rejects_no_cache(self, suite_dir, capsys):
+        from repro.suite.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(suite_dir), "--fabric", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "--fabric-dir <fresh dir>" in capsys.readouterr().err

@@ -5,15 +5,21 @@ wall-clock watchdog and event budget convert a wedged run into a
 :class:`RunAborted` carrying a partial-result snapshot; the parallel
 executor turns that (or a pool timeout) into a :class:`FailedRun`
 without retrying a deterministic casualty; transient crashes back off
-with deterministic seeded jitter; Ctrl-C flushes completed results to
-the cache before propagating; and a corrupted cache entry is a miss,
-never a crash.
+with deterministic seeded jitter; every result is in the cache the
+moment it is collected, so neither Ctrl-C nor a hard kill of the sweep
+loses a finished point; and a corrupted cache entry is a miss, never a
+crash.
 """
 
 import json
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -290,17 +296,14 @@ def _interrupt():
 class TestKeyboardInterrupt:
     def test_completed_results_are_flushed_before_reraising(
             self, tmp_path):
-        messages = []
         tasks = [_passthrough_task(_ok, "first", fingerprint="fp-first",
                                    value=1),
                  _passthrough_task(_interrupt, "ctrl-c",
                                    fingerprint="fp-ctrl-c")]
         with pytest.raises(KeyboardInterrupt):
             run_tasks(tasks, workers=1, cache_dir=tmp_path,
-                      progress=messages.append)
-        assert any("flushed 1 completed" in message
-                   for message in messages)
-        # A rerun replays the flushed task from cache without calling it.
+                      progress=None)
+        # A rerun replays the stored task from cache without calling it.
         def must_not_run(value):
             raise AssertionError("should have been cached")
 
@@ -309,6 +312,78 @@ class TestKeyboardInterrupt:
                                fingerprint="fp-first", value=1)],
             workers=1, cache_dir=tmp_path, progress=None)
         assert rerun == [{"value": 1}]
+
+
+def _hard_kill(cache_dir, sweep_pid):
+    """Task: take the process running ``run_tasks`` down, no cleanup.
+
+    Serially that is this process.  In a pool worker it is the parent,
+    killed once it has collected both siblings (or, where it never
+    stores them while the sweep is live, after a deadline).
+    """
+    if os.getpid() != sweep_pid:
+        deadline = time.monotonic() + 10.0
+        while (len(list(Path(cache_dir).glob("*.json"))) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os.kill(sweep_pid, signal.SIGKILL)
+    os._exit(9)
+
+
+def _crash_probe(cache_dir, workers):
+    """Subprocess body: a sweep whose third task kills it outright."""
+    tasks = [_passthrough_task(_ok, "first", fingerprint="fp-first",
+                               value=1),
+             _passthrough_task(_ok, "second", fingerprint="fp-second",
+                               value=2),
+             _passthrough_task(_hard_kill, "third",
+                               fingerprint="fp-third",
+                               cache_dir=cache_dir,
+                               sweep_pid=os.getpid())]
+    run_tasks(tasks, workers=workers, cache_dir=cache_dir,
+              progress=None)
+
+
+class TestHardKill:
+    """No signal handler runs on ``kill -9``, ``os._exit`` or the OOM
+    reaper: only what is already on disk survives."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_results_survive_a_hard_kill(self, tmp_path,
+                                                  workers):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root)]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tests.test_watchdog import _crash_probe; "
+             "_crash_probe(sys.argv[1], int(sys.argv[2]))",
+             str(tmp_path), str(workers)],
+            env=env, timeout=120, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        assert done.returncode == (9 if workers == 1
+                                   else -signal.SIGKILL)
+        cache = ResultCache(tmp_path)
+        assert cache.load("fp-first") == {"value": 1}
+        assert cache.load("fp-second") == {"value": 2}
+        assert cache.load("fp-third") is None
+
+        # A rerun calls only the task that never finished.
+        calls = []
+
+        def record(value):
+            calls.append(value)
+            return {"value": value}
+
+        rerun = run_tasks(
+            [_passthrough_task(record, label, fingerprint=f"fp-{label}",
+                               value=value)
+             for value, label in enumerate(("first", "second", "third"),
+                                           start=1)],
+            workers=1, cache_dir=tmp_path, progress=None)
+        assert rerun == [{"value": 1}, {"value": 2}, {"value": 3}]
+        assert calls == [3]
 
 
 class TestCorruptedCache:
@@ -355,10 +430,10 @@ class TestRunSpecGuards:
     def test_guards_flow_into_the_scenario_task(self):
         spec = RunSpec(tiny_scaled(), Discipline.CEBINAE,
                        wall_limit_s=2.5, max_events=1000)
-        task = parallel._scenario_task(spec)
+        task = parallel.scenario_task(spec)
         assert task.kwargs["wall_limit_s"] == 2.5
         assert task.kwargs["max_events"] == 1000
-        plain = parallel._scenario_task(
+        plain = parallel.scenario_task(
             RunSpec(tiny_scaled(), Discipline.CEBINAE))
         assert "wall_limit_s" not in plain.kwargs
         assert "max_events" not in plain.kwargs
