@@ -14,15 +14,10 @@ from repro.experiments.runner import Discipline
 from conftest import bench_duration_s, run_once
 
 
-def _run_both(duration_s):
-    return [figure11(discipline=discipline, duration_s=duration_s)
-            for discipline in (Discipline.FIFO, Discipline.CEBINAE)]
-
-
 @pytest.mark.benchmark(group="figure11")
 def test_figure11_parking_lot(benchmark):
-    results = run_once(benchmark, _run_both,
-                       bench_duration_s(30.0))
+    results = run_once(benchmark, figure11,
+                       duration_s=bench_duration_s(30.0))
     print()
     print(figure11_report(results))
     fifo, cebinae = results
@@ -49,9 +44,9 @@ def test_figure11_long_flows_not_crushed(benchmark):
     """Long flows face three taxation points; Cebinae must still leave
     them a usable share (Definition 2 says only their *bottleneck* link
     should constrain them)."""
-    result = run_once(benchmark, figure11,
-                      discipline=Discipline.CEBINAE,
-                      duration_s=bench_duration_s(30.0))
+    result, = run_once(benchmark, figure11,
+                       disciplines=(Discipline.CEBINAE,),
+                       duration_s=bench_duration_s(30.0))
     long_rates = [rate for label, rate in
                   zip(result.flow_labels, result.goodputs_bps)
                   if label.startswith("long")]

@@ -13,7 +13,6 @@ Run:
 """
 
 from repro.experiments.figures import figure11
-from repro.experiments.runner import Discipline
 
 
 def show(result):
@@ -36,8 +35,8 @@ def show(result):
 def main():
     print("Parking lot: 8 NewReno long flows vs 2 Bic / 8 Vegas / "
           "4 Cubic cross flows on three 25 Mbps bottlenecks\n")
-    for discipline in (Discipline.FIFO, Discipline.CEBINAE):
-        show(figure11(discipline=discipline, duration_s=40.0))
+    for result in figure11(duration_s=40.0):
+        show(result)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from ..core.resource_model import estimate_resources
 from ..heavyhitter.evaluation import sweep_round_interval, \
     sweep_slot_count
 from . import figures, report
-from .runner import Discipline
-from .table2 import TABLE2_ROWS, run_table2
+from .table2 import TABLE2_ROWS, Table2Row, run_table2
 
 EXPERIMENTS = ("table2", "figure1", "figure7", "figure8", "figure9",
                "figure10", "figure11", "figure12", "figure13",
@@ -29,6 +28,17 @@ NOT_IN_ALL = ("all", "faults")
 
 def _duration(default: float, quick: bool) -> float:
     return min(default, 15.0) if quick else default
+
+
+def _table2_rows(rows: Optional[List[int]]) -> List[Table2Row]:
+    """The selected Table 2 rows (1-based numbers); all when none given."""
+    if not rows:
+        return TABLE2_ROWS
+    bad = [row for row in rows if not 1 <= row <= len(TABLE2_ROWS)]
+    if bad:
+        raise ValueError(f"table2 rows are 1..{len(TABLE2_ROWS)}, "
+                         f"got {bad}")
+    return [TABLE2_ROWS[row - 1] for row in rows]
 
 
 def run_experiment(name: str, quick: bool = False,
@@ -62,10 +72,7 @@ def run_experiment(name: str, quick: bool = False,
         raise ValueError(
             f"--faults applies to the 'faults' experiment, not {name!r}")
     if name == "table2":
-        selected = TABLE2_ROWS
-        if rows:
-            selected = [TABLE2_ROWS[i - 1] for i in rows]
-        comparisons = run_table2(selected,
+        comparisons = run_table2(_table2_rows(rows),
                                  duration_s=_duration(60.0, quick),
                                  verbose=True, **pool)
         return report.table2_report(comparisons)
@@ -93,10 +100,8 @@ def run_experiment(name: str, quick: bool = False,
         return report.figure10_report(
             figures.figure10(duration_s=_duration(50.0, quick), **pool))
     if name == "figure11":
-        results = [figures.figure11(discipline=d,
-                                    duration_s=_duration(60.0, quick))
-                   for d in (Discipline.FIFO, Discipline.CEBINAE)]
-        return report.figure11_report(results)
+        return report.figure11_report(
+            figures.figure11(duration_s=_duration(60.0, quick), **pool))
     if name == "figure12":
         thresholds = (0.01, 0.1, 1.0) if quick else \
             (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -253,6 +258,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also write the profile to PATH in the "
                              "BENCH_*.json (pytest-benchmark) shape")
     args = parser.parse_args(argv)
+    try:
+        _table2_rows(args.rows)
+    except ValueError as exc:
+        parser.error(str(exc))
     names = [name for name in EXPERIMENTS if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]
     profile_scope: ContextManager[Any] = nullcontext()

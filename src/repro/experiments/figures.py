@@ -3,7 +3,9 @@
 Each ``figureN`` function builds the paper's scenario, runs it under
 the relevant disciplines, and returns a small result object holding the
 series/values the figure plots, plus the paper's headline numbers where
-the text states them.
+the text states them.  The ``figureN_spec`` builders are the one place
+those scenarios are typed; the trace CLI and the smoke tools import
+them.
 """
 
 from __future__ import annotations
@@ -11,19 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.control_plane import cebinae_factory
 from ..fairness.maxmin import FlowSpec, water_filling
-from ..fairness.metrics import jain_fairness_index, normalized_jfi
-from ..netsim.engine import SECOND, Simulator, seconds
-from ..netsim.packet import MTU_BYTES
-from ..netsim.queues import DropTailQueue
-from ..netsim.topology import build_parking_lot
-from ..netsim.tracing import FlowMonitor
-from ..tcp.flows import connect_flow
+from ..fairness.metrics import normalized_jfi
 from .parallel import RunSpec, require, run_many
-from .runner import Discipline, ScenarioResult, run_comparison, \
-    run_scenario
-from .scenarios import DEFAULT_POLICY, ScalePolicy, ScenarioSpec
+from .runner import Discipline, ScenarioResult, run_comparison
+from .scenarios import (DEFAULT_POLICY, ParkingLotSpec, ScalePolicy,
+                        ScenarioSpec)
 
 
 # --------------------------------------------------------------------------
@@ -43,14 +38,17 @@ class Figure1Result:
         return result.goodput_series_bps
 
 
-def figure1(policy: ScalePolicy = DEFAULT_POLICY,
-            duration_s: float = 50.0, workers: int = 1,
-            cache_dir=None, use_cache: bool = True) -> Figure1Result:
-    spec = ScenarioSpec(name="figure1", rate_bps=100e6,
+def figure1_spec(duration_s: float) -> ScenarioSpec:
+    return ScenarioSpec(name="figure1", rate_bps=100e6,
                         rtts_ms=(20.4, 40.0), buffer_mtus=350,
                         cca_mix=(("newreno", 1), ("newreno", 1)),
                         duration_s=duration_s)
-    scaled = policy.apply(spec)
+
+
+def figure1(policy: ScalePolicy = DEFAULT_POLICY,
+            duration_s: float = 50.0, workers: int = 1,
+            cache_dir=None, use_cache: bool = True) -> Figure1Result:
+    scaled = policy.apply(figure1_spec(duration_s))
     results = run_comparison(scaled,
                              disciplines=(Discipline.FIFO,
                                           Discipline.CEBINAE),
@@ -100,14 +98,18 @@ def _two_way(spec: ScenarioSpec, policy: ScalePolicy,
                            paper_jfi_cebinae=paper_ceb)
 
 
-def figure7(policy: ScalePolicy = DEFAULT_POLICY,
-            duration_s: float = 60.0, workers: int = 1,
-            cache_dir=None, use_cache: bool = True) -> BarFigureResult:
-    spec = ScenarioSpec(name="figure7", rate_bps=100e6, rtts_ms=(100,),
+def figure7_spec(duration_s: float) -> ScenarioSpec:
+    return ScenarioSpec(name="figure7", rate_bps=100e6, rtts_ms=(100,),
                         buffer_mtus=850,
                         cca_mix=(("vegas", 16), ("newreno", 1)),
                         duration_s=duration_s)
-    return _two_way(spec, policy, paper_fifo=0.093, paper_ceb=0.985,
+
+
+def figure7(policy: ScalePolicy = DEFAULT_POLICY,
+            duration_s: float = 60.0, workers: int = 1,
+            cache_dir=None, use_cache: bool = True) -> BarFigureResult:
+    return _two_way(figure7_spec(duration_s), policy,
+                    paper_fifo=0.093, paper_ceb=0.985,
                     workers=workers, cache_dir=cache_dir,
                     use_cache=use_cache)
 
@@ -154,12 +156,21 @@ class Figure9Point:
         return self.results[discipline].total_goodput_bps
 
 
+def figure9_spec(rtt_ms: float, duration_s: float) -> ScenarioSpec:
+    """4 Cubic at 256 ms vs 4 Cubic at ``rtt_ms``, 3 MB buffer."""
+    return ScenarioSpec(name=f"figure9_rtt{int(rtt_ms)}",
+                        rate_bps=400e6, rtts_ms=(256.0, float(rtt_ms)),
+                        buffer_mtus=2000,
+                        cca_mix=(("cubic", 4), ("cubic", 4)),
+                        duration_s=duration_s)
+
+
 def figure9(rtts_ms: Sequence[float] = (16, 32, 64, 128, 256),
             policy: ScalePolicy = DEFAULT_POLICY,
             duration_s: float = 60.0, workers: int = 1,
             cache_dir=None, use_cache: bool = True
             ) -> List[Figure9Point]:
-    """4 Cubic at 256 ms vs 4 Cubic at each swept RTT, 3 MB buffer.
+    """:func:`figure9_spec` at each swept RTT.
 
     The full (RTT x discipline) grid fans out over one pool so the
     sweep's wall clock is bounded by the slowest single point.
@@ -167,12 +178,7 @@ def figure9(rtts_ms: Sequence[float] = (16, 32, 64, 128, 256),
     disciplines = (Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE)
     specs = []
     for rtt in rtts_ms:
-        spec = ScenarioSpec(name=f"figure9_rtt{int(rtt)}",
-                            rate_bps=400e6, rtts_ms=(256.0, float(rtt)),
-                            buffer_mtus=2000,
-                            cca_mix=(("cubic", 4), ("cubic", 4)),
-                            duration_s=duration_s)
-        scaled = policy.apply(spec)
+        scaled = policy.apply(figure9_spec(rtt, duration_s))
         specs.extend(RunSpec(scaled=scaled, discipline=discipline)
                      for discipline in disciplines)
     results = run_many(specs, workers=workers, cache_dir=cache_dir,
@@ -246,7 +252,8 @@ FIGURE11_PAPER_JFI = {Discipline.FIFO: 0.852,
                       Discipline.CEBINAE: 0.978}
 
 
-def figure11(discipline: Discipline = Discipline.CEBINAE,
+def figure11(disciplines: Sequence[Discipline] = (Discipline.FIFO,
+                                                 Discipline.CEBINAE),
              rate_bps: float = 25e6, buffer_mtus: int = 40,
              duration_s: float = 60.0,
              num_long: int = 8,
@@ -254,68 +261,43 @@ def figure11(discipline: Discipline = Discipline.CEBINAE,
              cross_ccas: Tuple[str, ...] = ("bic", "vegas", "cubic"),
              tau: float = 0.06,
              access_delay_ms: float = 8.0,
-             bottleneck_delay_ms: float = 4.0) -> Figure11Result:
+             bottleneck_delay_ms: float = 4.0, workers: int = 1,
+             cache_dir=None, use_cache: bool = True
+             ) -> List[Figure11Result]:
     """8 NewReno long flows vs Bic/Vegas/Cubic cross traffic on three
-    100 Mbps bottlenecks (scaled 4x).
+    100 Mbps bottlenecks (scaled 4x), one result per discipline.
 
     Delays and buffer keep dT comparable to the long flows' RTT: at a
     naive scale dT dwarfs the base RTT, the three LBF hops inflate the
     long flows' RTT ~10x, and their AIMD growth — hence the whole
     convergence toward max-min — stalls (DESIGN.md, scaling law 4)."""
-    sim = Simulator()
-    if discipline is Discipline.CEBINAE:
-        from dataclasses import replace as dc_replace
-        params = DEFAULT_POLICY.cebinae_params(
-            rate_bps, buffer_mtus * MTU_BYTES, max_rtt_s=0.08,
-            rate_scale=100e6 / rate_bps)
-        params = dc_replace(params, tau=tau,
-                            delta_port=min(2 * tau, 0.16))
-        factory = cebinae_factory(params=params, buffer_mtus=buffer_mtus)
-    elif discipline is Discipline.FIFO:
-        factory = lambda spec: DropTailQueue.from_mtu_count(buffer_mtus)
-    else:
-        from ..netsim.fq_codel import fq_codel_factory
-        factory = fq_codel_factory(limit_packets=max(buffer_mtus, 64))
-
-    lot = build_parking_lot(
-        num_long_flows=num_long,
-        cross_flow_counts=list(cross_counts),
-        bottleneck_rate_bps=rate_bps,
-        bottleneck_queue=factory,
-        access_delay_ns=int(access_delay_ms * 1e6),
-        bottleneck_delay_ns=int(bottleneck_delay_ms * 1e6),
-        sim=sim)
-    monitor = FlowMonitor(sim)
-    flows, labels, specs = [], [], []
-    for j in range(num_long):
-        flow = connect_flow(lot.long_senders[j], lot.long_receivers[j],
-                            "newreno", monitor=monitor,
-                            src_port=10_000 + j)
-        flows.append(flow)
-        labels.append(f"long{j}")
-        specs.append(FlowSpec(flow_id=f"long{j}",
-                              path=tuple(range(len(cross_counts)))))
-    port = 20_000
-    for i, (count, cca) in enumerate(zip(cross_counts, cross_ccas)):
-        for j in range(count):
-            flow = connect_flow(lot.cross_senders[i][j],
-                                lot.cross_receivers[i][j], cca,
-                                monitor=monitor, src_port=port)
-            port += 1
-            flows.append(flow)
-            labels.append(f"{cca}{j}")
-            specs.append(FlowSpec(flow_id=f"{cca}{j}", path=(i,)))
-    sim.run(until_ns=seconds(duration_s))
-    duration_ns = seconds(duration_s)
-    goodputs = [monitor.goodputs_bps(duration_ns)[flow.flow_id]
-                for flow in flows]
-    capacities = {i: rate_bps for i in range(len(cross_counts))}
-    ideal = water_filling(capacities, specs)
-    return Figure11Result(
-        discipline=discipline, flow_labels=labels,
-        goodputs_bps=goodputs,
-        ideal_bps=[ideal[spec.flow_id] for spec in specs],
+    spec = ParkingLotSpec(
+        name="figure11", rate_bps=rate_bps, buffer_mtus=buffer_mtus,
+        num_long=num_long, long_cca="newreno",
+        cross_mix=tuple(zip(cross_ccas, cross_counts)),
+        duration_s=duration_s, access_delay_ms=access_delay_ms,
+        bottleneck_delay_ms=bottleneck_delay_ms, tau=tau)
+    scaled = spec.scaled(DEFAULT_POLICY)
+    results = run_many([RunSpec(scaled=scaled, discipline=discipline)
+                        for discipline in disciplines],
+                       workers=workers, cache_dir=cache_dir,
+                       use_cache=use_cache)
+    # The ideal allocation: long flows cross every segment, cross group
+    # i only its own; flows are listed in the runner's order.
+    segments = range(len(spec.cross_mix))
+    flows = [FlowSpec(flow_id=f"long{j}", path=tuple(segments))
+             for j in range(num_long)]
+    for i, (cca, count) in enumerate(spec.cross_mix):
+        flows.extend(FlowSpec(flow_id=f"{cca}{j}", path=(i,))
+                     for j in range(count))
+    ideal = water_filling({i: rate_bps for i in segments}, flows)
+    return [Figure11Result(
+        discipline=discipline,
+        flow_labels=[flow.flow_id for flow in flows],
+        goodputs_bps=require(result).goodputs_bps,
+        ideal_bps=[ideal[flow.flow_id] for flow in flows],
         duration_s=duration_s)
+        for discipline, result in zip(disciplines, results)]
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Scenario execution: build the topology, run, collect metrics.
 
 The runner executes a :class:`~repro.experiments.scenarios.ScaledScenario`
-under one of the three disciplines the paper compares — FIFO drop-tail,
-FQ (FQ-CoDel with per-flow queues), and Cebinae — and returns the
-metrics the paper reports: per-flow goodput, bottleneck throughput, and
-Jain's fairness index, with optional per-second series.
+(a dumbbell or a parking lot) under one of the three disciplines the
+paper compares — FIFO drop-tail, FQ (FQ-CoDel with per-flow queues),
+and Cebinae — and returns the metrics the paper reports: per-flow
+goodput, bottleneck throughput, and Jain's fairness index, with
+optional per-second series.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.control_plane import CebinaeControlPlane, cebinae_factory
 from ..fairness.metrics import jain_fairness_index, jfi_time_series
@@ -27,15 +28,19 @@ from ..netsim.fluid import (REASON_FAULTS, REASON_SHORT_RUN,
                             pool_rates, rate_divergence, rate_pool_key,
                             wire_overhead_ratio)
 from ..netsim.fq_codel import fq_codel_factory
+from ..netsim.link import Link
+from ..netsim.node import Host
 from ..netsim.packet import FlowId, MTU_BYTES
 from ..netsim.queues import DropTailQueue
-from ..netsim.topology import Dumbbell, build_dumbbell
+from ..netsim.topology import (Network, QueueFactory, build_dumbbell,
+                               build_parking_lot)
 from ..netsim.tracing import FlowMonitor
 from ..obs import bus as obs_bus
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..tcp.flows import TcpFlow, connect_flow
-from .scenarios import ScaledScenario
+from .scenarios import (FlowPlan, ParkingLotSpec, ScaledScenario,
+                        TopologySpec)
 
 
 class Discipline(enum.Enum):
@@ -197,7 +202,8 @@ class _Harness:
     """
 
     sim: Simulator
-    dumbbell: Dumbbell
+    network: Network
+    bottlenecks: List[Link]
     monitor: FlowMonitor
     flows: List[TcpFlow]
     agents: List[CebinaeControlPlane]
@@ -236,7 +242,7 @@ class _Harness:
             flow.sender.close()
             flow.receiver.close()
         self.sim.scheduler.clear()
-        self.dumbbell.network.dismantle()
+        self.network.dismantle()
 
     def run_until(self, until_ns: int) -> None:
         """Advance the packet engine, honouring the run's guards.
@@ -259,6 +265,45 @@ class _Harness:
             # so the executor records progress alongside the failure.
             raise RunAborted(str(exc),
                              partial=self.partial_snapshot()) from exc
+
+
+def _wire(spec: TopologySpec, plans: List[FlowPlan],
+          factory: QueueFactory, sim: Simulator, seed: int
+          ) -> Tuple[Network, List[Link], List[Tuple[Host, Host, int]]]:
+    """Build the topology of either kind of spec.
+
+    The one place that asks which kind it has.  Returns the network,
+    its bottleneck links, and a (sender, receiver, source port) per
+    flow plan, in plan order.
+    """
+    if isinstance(spec, ParkingLotSpec):
+        lot = build_parking_lot(
+            num_long_flows=spec.num_long,
+            cross_flow_counts=[count for _, count in spec.cross_mix],
+            bottleneck_rate_bps=spec.rate_bps,
+            bottleneck_queue=factory,
+            access_delay_ns=int(spec.access_delay_ms * 1e6),
+            bottleneck_delay_ns=int(spec.bottleneck_delay_ms * 1e6),
+            sim=sim,
+            jitter_seed=seed)
+        senders = lot.long_senders + [
+            host for group in lot.cross_senders for host in group]
+        receivers = lot.long_receivers + [
+            host for group in lot.cross_receivers for host in group]
+        ports = ([10_000 + index for index in range(spec.num_long)]
+                 + [20_000 + index
+                    for index in range(len(plans) - spec.num_long)])
+        return lot.network, lot.bottlenecks, list(
+            zip(senders, receivers, ports))
+    dumbbell = build_dumbbell(
+        rtts_ns=[seconds(plan.rtt_s) for plan in plans],
+        bottleneck_rate_bps=spec.rate_bps,
+        bottleneck_queue=factory,
+        sim=sim,
+        jitter_seed=seed)
+    return dumbbell.network, [dumbbell.bottleneck], [
+        (dumbbell.senders[plan.index], dumbbell.receivers[plan.index],
+         10_000 + plan.index) for plan in plans]
 
 
 def _build_harness(scaled: ScaledScenario, discipline: Discipline,
@@ -284,28 +329,21 @@ def _build_harness(scaled: ScaledScenario, discipline: Discipline,
     factory = queue_factory_for(discipline, scaled, agents=agents,
                                 record_history=record_history,
                                 cp_faults=cp_faults)
-    dumbbell = build_dumbbell(
-        rtts_ns=[seconds(plan.rtt_s) for plan in plans],
-        bottleneck_rate_bps=spec.rate_bps,
-        bottleneck_queue=factory,
-        sim=sim,
-        jitter_seed=seed)
+    network, bottlenecks, endpoints = _wire(spec, plans, factory, sim,
+                                            seed)
     monitor = FlowMonitor(sim)
-    flows: List[TcpFlow] = []
-    for plan in plans:
-        flows.append(connect_flow(
-            dumbbell.senders[plan.index], dumbbell.receivers[plan.index],
-            plan.cca, monitor=monitor, src_port=10_000 + plan.index,
-            start_time_ns=seconds(plan.start_time_s)))
+    flows = [connect_flow(sender, receiver, plan.cca, monitor=monitor,
+                          src_port=port,
+                          start_time_ns=seconds(plan.start_time_s))
+             for plan, (sender, receiver, port) in zip(plans, endpoints)]
     duration_ns = seconds(spec.duration_s)
     if schedule is not None:
-        schedule.install(dumbbell.network.links,
-                         list(dumbbell.network.nodes.values()),
+        schedule.install(network.links, list(network.nodes.values()),
                          duration_ns)
-    harness = _Harness(sim=sim, dumbbell=dumbbell, monitor=monitor,
-                       flows=flows, agents=agents, schedule=schedule,
-                       duration_ns=duration_ns, watchdog=None,
-                       max_events=max_events)
+    harness = _Harness(sim=sim, network=network, bottlenecks=bottlenecks,
+                       monitor=monitor, flows=flows, agents=agents,
+                       schedule=schedule, duration_ns=duration_ns,
+                       watchdog=None, max_events=max_events)
     if wall_limit_s is not None:
         harness.watchdog = WallClockWatchdog(
             wall_limit_s, partial=harness.partial_snapshot)
@@ -318,6 +356,15 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
                     extra_wire_bytes: int = 0) -> ScenarioResult:
     """Read the metrics the paper reports out of a finished harness.
 
+    ``ScenarioResult``'s fields were named for dumbbells.  With several
+    bottlenecks, ``throughput_bps`` is the sum of the per-segment
+    transmit rates (an aggregate across segments, not one link's
+    rate), ``lbf_drops``/``lbf_delays``/``buffer_drops`` and the fault
+    account's ``failopen_enqueues`` sum over the per-segment queues,
+    ``cca_names`` follows ``goodputs_bps`` (the long flows, then each
+    cross group in segment order), and ``cp_history`` is the first
+    segment's agent's alone.
+
     ``extra_wire_bytes`` accounts for bottleneck wire volume the fluid
     phase synthesised without moving packets; the packet path passes 0
     and the arithmetic stays bit-for-bit what it always was.
@@ -325,15 +372,15 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
     spec = scaled.spec
     plans = spec.flow_plans()
     sim, monitor, flows = harness.sim, harness.monitor, harness.flows
-    dumbbell, duration_ns = harness.dumbbell, harness.duration_ns
+    duration_ns = harness.duration_ns
     agents, schedule = harness.agents, harness.schedule
+    queues = [link.queue for link in harness.bottlenecks]
     goodputs = [monitor.goodputs_bps(duration_ns)[flow.flow_id]
                 for flow in flows]
     series = None
     if collect_series:
         series = [monitor.goodput_series_bps(flow.flow_id, duration_ns)
                   for flow in flows]
-    queue = dumbbell.bottleneck.queue
     result = ScenarioResult(
         name=spec.name,
         discipline=discipline,
@@ -343,13 +390,16 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
         flow_scale=scaled.flow_scale,
         cca_names=[plan.cca for plan in plans],
         goodputs_bps=goodputs,
-        throughput_bps=(dumbbell.bottleneck.tx_bytes + extra_wire_bytes)
-        * 8 * SECOND / duration_ns,
+        throughput_bps=(sum(link.tx_bytes for link in harness.bottlenecks)
+                        + extra_wire_bytes) * 8 * SECOND / duration_ns,
         events=sim.processed_events,
-        lbf_drops=getattr(queue, "lbf_drops", 0),
-        lbf_delays=getattr(queue, "lbf_delays", 0),
-        buffer_drops=getattr(queue, "buffer_drops",
-                             queue.dropped_packets),
+        lbf_drops=sum(getattr(queue, "lbf_drops", 0)
+                      for queue in queues),
+        lbf_delays=sum(getattr(queue, "lbf_delays", 0)
+                       for queue in queues),
+        buffer_drops=sum(getattr(queue, "buffer_drops",
+                                 queue.dropped_packets)
+                         for queue in queues),
         goodput_series_bps=series,
         start_times_s=[plan.start_time_s for plan in plans]
         if spec.start_times_s is not None else None,
@@ -369,8 +419,9 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
                                           for agent in agents)
             cp["failopen_rounds"] = sum(agent.failopen_rounds
                                         for agent in agents)
-            cp["failopen_enqueues"] = getattr(
-                dumbbell.bottleneck.queue, "failopen_enqueues", 0)
+            cp["failopen_enqueues"] = sum(
+                getattr(queue, "failopen_enqueues", 0)
+                for queue in queues)
             summary["control_plane"] = cp
         result.fault_summary = summary
     registry = obs_metrics.current()
@@ -455,7 +506,13 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
     while demonstrably quiescent — that is what the stability probe
     checks).
     """
+    if len(harness.bottlenecks) != 1:
+        raise ValueError(
+            f"scenario {scaled.spec.name!r}: the hybrid backend models a "
+            f"single bottleneck; multi-bottleneck topologies run "
+            f"packet-level only")
     spec = scaled.spec
+    bottleneck = harness.bottlenecks[0]
     duration_ns = harness.duration_ns
     last_start_s = (max(spec.start_times_s)
                     if spec.start_times_s is not None else 0.0)
@@ -504,7 +561,7 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
         if warm is not None:
             warm.count = harness.sim.processed_events
     first_bytes = harness.delivered_bytes()
-    wire_start = harness.dumbbell.bottleneck.tx_bytes
+    wire_start = bottleneck.tx_bytes
     while True:
         # Each probe iteration is its own phase span; the break/return
         # decisions stay outside it so a drain phase never nests under
@@ -531,7 +588,7 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
                                  divergence=divergence)
         extensions += 1
         first_bytes = tail_bytes
-        wire_start = harness.dumbbell.bottleneck.tx_bytes
+        wire_start = bottleneck.tx_bytes
 
     # Handoff.  Anchor the fluid rates at the last half-window's
     # measured goodputs and synthesise the rest of the run.
@@ -565,7 +622,7 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
             harness.monitor, [flow.flow_id for flow in harness.flows],
             epochs, handoff_at_ns)
         overhead = wire_overhead_ratio(
-            harness.dumbbell.bottleneck.tx_bytes - wire_start,
+            bottleneck.tx_bytes - wire_start,
             sum(tail_bytes) - sum(first_bytes))
         if fluid is not None:
             fluid.count = len(epochs)

@@ -2,10 +2,12 @@
 
 Every evaluation artifact in the paper is a *scenario*: a topology, a
 mix of CCAs with per-group RTTs, a bottleneck rate and buffer, and a
-duration.  Scenarios are described with the paper's original numbers;
-the :class:`ScalePolicy` maps them onto configurations a pure-Python
-packet simulator can execute, following the scaling laws derived in
-DESIGN.md:
+duration.  There are two kinds, :class:`ScenarioSpec` (a dumbbell) and
+:class:`ParkingLotSpec` (Figure 11's chain of bottlenecks); the runner
+executes either.  Dumbbells are described with the paper's original
+numbers; the :class:`ScalePolicy` maps them onto configurations a
+pure-Python packet simulator can execute, following the scaling laws
+derived in DESIGN.md:
 
 * **Rate scaling** — 100 Mbps-class scenarios run at 25 Mbps by
   default, 1 Gbps at 25 Mbps, 10 Gbps at 50 Mbps.  Buffers scale with
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..netsim.engine import MILLISECOND, seconds
 from ..netsim.packet import MSS_BYTES, MTU_BYTES
@@ -222,11 +225,141 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class ScaledScenario:
-    """A scenario after the scaling policy has been applied."""
+class ParkingLotSpec:
+    """A multi-bottleneck parking-lot workload (Figure 11's shape).
 
-    spec: ScenarioSpec            # With *scaled* rate/buffer/mix.
-    paper_spec: ScenarioSpec      # The original.
+    ``num_long`` long flows cross every segment; ``cross_mix[i]``
+    states the (cca, count) group entering at segment ``i``.  The
+    ``tau`` override, when set, replaces the policy-derived Cebinae
+    tax (Figure 11 itself needs a raised tax; see DESIGN.md §5.1).
+    The spec states its simulated rate next to the paper's, so
+    :meth:`scaled` derives the scale factors and rescales nothing.
+    """
+
+    name: str
+    rate_bps: float
+    buffer_mtus: int
+    num_long: int
+    long_cca: str
+    cross_mix: Tuple[Tuple[str, int], ...]
+    duration_s: float
+    access_delay_ms: float = 8.0
+    bottleneck_delay_ms: float = 4.0
+    paper_rate_bps: float = 100e6
+    tau: Optional[float] = None
+
+    #: Every flow starts at time zero (the runner reads this off
+    #: either kind of spec).
+    start_times_s: ClassVar[None] = None
+
+    def __post_init__(self) -> None:
+        owner = f"parking lot {self.name!r}"
+        if not self.name:
+            raise ValueError("parking-lot name must not be empty")
+        for field_name in ("rate_bps", "duration_s", "access_delay_ms",
+                          "bottleneck_delay_ms", "paper_rate_bps"):
+            value = getattr(self, field_name)
+            if not value > 0:
+                raise ValueError(
+                    f"{owner}: {field_name} must be > 0, got {value!r}")
+        if self.buffer_mtus <= 0:
+            raise ValueError(
+                f"{owner}: buffer_mtus must be >= 1, got "
+                f"{self.buffer_mtus!r}")
+        if self.num_long < 1:
+            raise ValueError(
+                f"{owner}: num_long must be >= 1, got {self.num_long!r}")
+        _require_cca(owner, self.long_cca)
+        if not self.cross_mix:
+            raise ValueError(
+                f"{owner}: cross_mix must not be empty (the topology "
+                f"needs at least one bottleneck segment)")
+        for cca, count in self.cross_mix:
+            _require_cca(owner, cca)
+            if count < 1:
+                raise ValueError(
+                    f"{owner}: cross group {cca!r} needs count >= 1, "
+                    f"got {count!r}")
+        if self.tau is not None and not 0 < self.tau <= 1:
+            raise ValueError(
+                f"{owner}: tau must be in (0, 1], got {self.tau!r}")
+
+    def _rtt_s(self, segments: int) -> float:
+        return (4 * self.access_delay_ms
+                + 2 * segments * self.bottleneck_delay_ms) / 1e3
+
+    @property
+    def max_rtt_s(self) -> float:
+        """The long flows' base RTT: they cross every segment."""
+        return self._rtt_s(len(self.cross_mix))
+
+    def flow_plans(self) -> List[FlowPlan]:
+        """Long flows first, then each cross group in segment order."""
+        flows = [(self.long_cca, self.max_rtt_s)] * self.num_long
+        for cca, count in self.cross_mix:
+            flows.extend([(cca, self._rtt_s(1))] * count)
+        return [FlowPlan(index=index, cca=cca.lower(), rtt_s=rtt_s)
+                for index, (cca, rtt_s) in enumerate(flows)]
+
+    def scaled(self, policy: "ScalePolicy") -> "ScaledScenario":
+        """This topology with its Cebinae parameters under ``policy``."""
+        rate_scale = self.paper_rate_bps / self.rate_bps
+        params = policy.cebinae_params(
+            self.rate_bps, self.buffer_mtus * MTU_BYTES,
+            max_rtt_s=self.max_rtt_s, rate_scale=rate_scale)
+        if self.tau is not None:
+            params = replace(params, tau=self.tau,
+                             delta_port=min(2 * self.tau, 0.16))
+        return ScaledScenario(spec=self, paper_spec=self,
+                              rate_scale=rate_scale, flow_scale=1.0,
+                              cebinae=params)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-ready payload (tuples become lists)."""
+        return {
+            "name": self.name,
+            "rate_bps": self.rate_bps,
+            "buffer_mtus": self.buffer_mtus,
+            "num_long": self.num_long,
+            "long_cca": self.long_cca,
+            "cross_mix": [list(pair) for pair in self.cross_mix],
+            "duration_s": self.duration_s,
+            "access_delay_ms": self.access_delay_ms,
+            "bottleneck_delay_ms": self.bottleneck_delay_ms,
+            "paper_rate_bps": self.paper_rate_bps,
+            "tau": self.tau,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ParkingLotSpec":
+        """Rebuild a spec from :meth:`to_dict` output (validated)."""
+        kwargs = dict(data)
+        kwargs["cross_mix"] = tuple(
+            (str(cca), int(count)) for cca, count in kwargs["cross_mix"])
+        return cls(**kwargs)
+
+
+#: What the runner builds: either topology's description.
+TopologySpec = Union[ScenarioSpec, ParkingLotSpec]
+
+
+def _spec_from_dict(data: Dict[str, Any]) -> TopologySpec:
+    """Either kind of spec; only a parking lot has a ``cross_mix``."""
+    if "cross_mix" in data:
+        return ParkingLotSpec.from_dict(data)
+    return ScenarioSpec.from_dict(data)
+
+
+@dataclass(frozen=True)
+class ScaledScenario:
+    """A scenario after the scaling policy has been applied.
+
+    A parking lot is its own ``paper_spec``: it is written at simulator
+    scale and names the paper's rate in a field.
+    """
+
+    spec: TopologySpec            # With *scaled* rate/buffer/mix.
+    paper_spec: TopologySpec      # The original.
     rate_scale: float             # paper rate / sim rate.
     flow_scale: float             # paper flows / sim flows.
     cebinae: CebinaeParams
@@ -251,8 +384,8 @@ class ScaledScenario:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScaledScenario":
         return cls(
-            spec=ScenarioSpec.from_dict(data["spec"]),        # type: ignore[arg-type]
-            paper_spec=ScenarioSpec.from_dict(data["paper_spec"]),  # type: ignore[arg-type]
+            spec=_spec_from_dict(data["spec"]),               # type: ignore[arg-type]
+            paper_spec=_spec_from_dict(data["paper_spec"]),   # type: ignore[arg-type]
             rate_scale=float(data["rate_scale"]),             # type: ignore[arg-type]
             flow_scale=float(data["flow_scale"]),             # type: ignore[arg-type]
             cebinae=CebinaeParams.from_dict(data["cebinae"]))  # type: ignore[arg-type]

@@ -26,8 +26,8 @@ observe it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Protocol, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Protocol, Union)
 
 from .events import TOPICS, TraceRecord
 
@@ -155,8 +155,3 @@ def tracing(bus: TraceBus) -> Iterator[TraceBus]:
         yield bus
     finally:
         uninstall()
-
-
-def flow_str(flow: Any) -> str:
-    """Canonical flow rendering shared by every producer."""
-    return str(flow)

@@ -30,8 +30,10 @@ import os
 import sys
 from typing import List, Optional
 
+from ..experiments.figures import (figure1_spec, figure7_spec,
+                                   figure9_spec)
 from ..experiments.runner import Discipline, run_scenario
-from ..experiments.scenarios import DEFAULT_POLICY, ScenarioSpec
+from ..experiments.scenarios import DEFAULT_POLICY
 from . import bus as obs_bus
 from . import metrics as obs_metrics
 from .events import TOPICS
@@ -40,29 +42,6 @@ from .sinks import (ControlTimelineSink, JsonlSpanSink, JsonlTraceSink,
 
 #: Paper scenarios the trace CLI can rebuild (figure-9-class default).
 SCENARIOS = ("figure1", "figure7", "figure9")
-
-
-def build_spec(scenario: str, duration_s: float,
-               rtt_ms: float) -> ScenarioSpec:
-    """The paper-scale spec for one traceable scenario."""
-    if scenario == "figure1":
-        return ScenarioSpec(name="figure1", rate_bps=100e6,
-                            rtts_ms=(20.4, 40.0), buffer_mtus=350,
-                            cca_mix=(("newreno", 1), ("newreno", 1)),
-                            duration_s=duration_s)
-    if scenario == "figure7":
-        return ScenarioSpec(name="figure7", rate_bps=100e6,
-                            rtts_ms=(100,), buffer_mtus=850,
-                            cca_mix=(("vegas", 16), ("newreno", 1)),
-                            duration_s=duration_s)
-    if scenario == "figure9":
-        return ScenarioSpec(name=f"figure9_rtt{int(rtt_ms)}",
-                            rate_bps=400e6,
-                            rtts_ms=(256.0, float(rtt_ms)),
-                            buffer_mtus=2000,
-                            cca_mix=(("cubic", 4), ("cubic", 4)),
-                            duration_s=duration_s)
-    raise ValueError(f"unknown scenario {scenario!r}")
 
 
 def parse_topics(spec: str) -> List[str]:
@@ -105,7 +84,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     topics = args.events if isinstance(args.events, list) \
         else parse_topics(args.events)
-    spec = build_spec(args.scenario, args.duration, args.rtt_ms)
+    if args.scenario == "figure1":
+        spec = figure1_spec(args.duration)
+    elif args.scenario == "figure7":
+        spec = figure7_spec(args.duration)
+    else:
+        spec = figure9_spec(args.rtt_ms, args.duration)
     scaled = DEFAULT_POLICY.apply(spec)
     os.makedirs(args.out, exist_ok=True)
 

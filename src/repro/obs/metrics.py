@@ -7,11 +7,9 @@ label set (``registry.counter("queue_drops", port="cebinae0",
 reason="lbf")``), and snapshots to a versioned, deterministic JSON
 document that round-trips through :func:`load_snapshot`.
 
-The registry absorbs the PR 3 hot-path profiler
-(:meth:`MetricsRegistry.absorb_profile`) so one artifact carries both
-engine throughput and domain counters, and the experiment runner folds
-every finished :class:`~repro.experiments.runner.ScenarioResult` into
-the active registry (:func:`record_scenario`).
+The experiment runner folds every finished
+:class:`~repro.experiments.runner.ScenarioResult` into the active
+registry (:func:`record_scenario`).
 
 Like the bus and the profiler, activation is module-level and the
 disabled path is free: the engine looks the registry up once per
@@ -137,16 +135,6 @@ class MetricsRegistry:
         self.counter("sim_events_total").inc(executed_events)
         self.counter("sim_time_seconds_total").inc(
             sim_advance_ns / _NS_PER_SEC)
-
-    def absorb_profile(self, report: Any) -> None:
-        """Fold a PR 3 ``ProfileReport`` into the registry (duck-typed)."""
-        self.counter("profile_events_total").inc(report.events)
-        self.counter("profile_runs_total").inc(report.runs)
-        self.counter("profile_wall_seconds_total").inc(report.wall_s)
-        self.counter("profile_sim_seconds_total").inc(report.sim_s)
-        for component, events in sorted(report.component_events.items()):
-            self.counter("profile_component_events_total",
-                         component=component).inc(events)
 
     # -- snapshot / round-trip ---------------------------------------------
     def snapshot(self,

@@ -9,11 +9,12 @@ the offending JSON path named — and the parsed document compiles into
 the existing execution machinery:
 
 * dumbbell specs become :class:`~repro.experiments.scenarios.ScenarioSpec`
-  objects scaled by a :class:`~repro.experiments.scenarios.ScalePolicy`
-  and wrapped into :class:`~repro.experiments.parallel.RunSpec` points,
-  so suite runs share cache fingerprints with the figure sweeps;
-* parking-lot specs become :func:`repro.suite.parking.run_parking_lot`
-  tasks with their own fingerprints.
+  objects scaled by a :class:`~repro.experiments.scenarios.ScalePolicy`;
+* parking-lot specs become
+  :class:`~repro.experiments.scenarios.ParkingLotSpec` objects, which
+  scale themselves under the same policy;
+* either way each run is a :class:`~repro.experiments.parallel.RunSpec`
+  point, so suite runs share cache fingerprints with the figure sweeps.
 
 Determinism contract: a spec is a pure value.  Equal specs have equal
 :meth:`SuiteSpec.fingerprint` digests, ``from_dict(to_dict(s)) == s``
@@ -29,15 +30,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.invariants import InvariantViolation
-from ..core.params import CebinaeParams
 from ..experiments.parallel import (RunSpec, Task, fingerprint,
                                     scenario_task)
-from ..experiments.runner import BACKENDS, Discipline, ScenarioResult
-from ..experiments.scenarios import (ScalePolicy, ScenarioSpec,
-                                     _require_cca)
+from ..experiments.runner import BACKENDS, Discipline
+from ..experiments.scenarios import (ParkingLotSpec, ScalePolicy,
+                                     ScenarioSpec)
 from ..faults.schedule import derive_seed
 from ..faults.spec import FaultSpec
-from ..netsim.packet import MTU_BYTES
 
 #: Bump when the document format changes incompatibly.
 SPEC_SCHEMA_VERSION = 1
@@ -130,89 +129,6 @@ def _parse_floats(source: str, path: str, value: Any
 # The parking-lot scenario document.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParkingLotSpec:
-    """A multi-bottleneck parking-lot workload (Figure 11's shape).
-
-    ``num_long`` long flows cross every segment; ``cross_mix[i]``
-    states the (cca, count) group entering at segment ``i``.  The
-    ``tau`` override, when set, replaces the policy-derived Cebinae
-    tax (Figure 11 itself needs a raised tax; see DESIGN.md §5.1).
-    """
-
-    name: str
-    rate_bps: float
-    buffer_mtus: int
-    num_long: int
-    long_cca: str
-    cross_mix: Tuple[Tuple[str, int], ...]
-    duration_s: float
-    access_delay_ms: float = 8.0
-    bottleneck_delay_ms: float = 4.0
-    paper_rate_bps: float = 100e6
-    tau: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        owner = f"parking lot {self.name!r}"
-        if not self.name:
-            raise ValueError("parking-lot name must not be empty")
-        for field_name in ("rate_bps", "duration_s", "access_delay_ms",
-                          "bottleneck_delay_ms", "paper_rate_bps"):
-            value = getattr(self, field_name)
-            if not value > 0:
-                raise ValueError(
-                    f"{owner}: {field_name} must be > 0, got {value!r}")
-        if self.buffer_mtus <= 0:
-            raise ValueError(
-                f"{owner}: buffer_mtus must be >= 1, got "
-                f"{self.buffer_mtus!r}")
-        if self.num_long < 1:
-            raise ValueError(
-                f"{owner}: num_long must be >= 1, got {self.num_long!r}")
-        _require_cca(owner, self.long_cca)
-        if not self.cross_mix:
-            raise ValueError(
-                f"{owner}: cross_mix must not be empty (the topology "
-                f"needs at least one bottleneck segment)")
-        for cca, count in self.cross_mix:
-            _require_cca(owner, cca)
-            if count < 1:
-                raise ValueError(
-                    f"{owner}: cross group {cca!r} needs count >= 1, "
-                    f"got {count!r}")
-        if self.tau is not None and not 0 < self.tau <= 1:
-            raise ValueError(
-                f"{owner}: tau must be in (0, 1], got {self.tau!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready payload (``name`` carried separately)."""
-        return _parking_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, Any]
-                  ) -> "ParkingLotSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        kwargs = dict(data)
-        kwargs["cross_mix"] = tuple(
-            (str(cca), int(count)) for cca, count in kwargs["cross_mix"])
-        return cls(name=name, **kwargs)
-
-    def cebinae_params(self, policy: ScalePolicy) -> CebinaeParams:
-        """Cebinae parameters for this topology under ``policy``."""
-        max_rtt_s = (4 * self.access_delay_ms
-                     + 2 * len(self.cross_mix)
-                     * self.bottleneck_delay_ms) / 1e3
-        params = policy.cebinae_params(
-            self.rate_bps, self.buffer_mtus * MTU_BYTES,
-            max_rtt_s=max_rtt_s,
-            rate_scale=self.paper_rate_bps / self.rate_bps)
-        if self.tau is not None:
-            params = dataclasses.replace(
-                params, tau=self.tau,
-                delta_port=min(2 * self.tau, 0.16))
-        return params
-
-
 _PARKING_KEYS = ("rate_bps", "buffer_mtus", "num_long", "long_cca",
                  "cross_mix", "duration_s", "access_delay_ms",
                  "bottleneck_delay_ms", "paper_rate_bps", "tau")
@@ -256,18 +172,10 @@ def _parse_parking(source: str, name: str, data: Mapping[str, Any]
 
 
 def _parking_to_dict(spec: ParkingLotSpec) -> Dict[str, Any]:
-    return {
-        "rate_bps": spec.rate_bps,
-        "buffer_mtus": spec.buffer_mtus,
-        "num_long": spec.num_long,
-        "long_cca": spec.long_cca,
-        "cross_mix": [list(pair) for pair in spec.cross_mix],
-        "duration_s": spec.duration_s,
-        "access_delay_ms": spec.access_delay_ms,
-        "bottleneck_delay_ms": spec.bottleneck_delay_ms,
-        "paper_rate_bps": spec.paper_rate_bps,
-        "tau": spec.tau,
-    }
+    """The ``parking_lot`` section (the name sits at the top level)."""
+    data = spec.to_dict()
+    del data["name"]
+    return data
 
 
 # --------------------------------------------------------------------------
@@ -398,72 +306,30 @@ def _policy_to_dict(policy: ScalePolicy) -> Dict[str, Any]:
 class CompiledRun:
     """One executable point of a suite spec.
 
-    Exactly one of ``runspec`` (dumbbell; shares fingerprints — and
-    hence cache entries — with the figure sweeps) and ``parking``
-    (a :func:`~repro.suite.parking.run_parking_lot` call) is set.
-    ``label`` is unique within the suite and keys the golden files.
+    ``runspec`` shares fingerprints — and hence cache entries — with
+    the figure sweeps.  ``label`` is unique within the suite and keys
+    the golden files.
     """
 
     label: str
-    runspec: Optional[RunSpec] = None
-    parking: Optional[Tuple[ParkingLotSpec, Discipline, int,
-                            CebinaeParams, bool]] = None
+    runspec: RunSpec
 
     def fingerprint(self) -> str:
-        if self.runspec is not None:
-            return self.runspec.fingerprint()
-        assert self.parking is not None
-        spec, discipline, seed, params, collect_series = self.parking
-        return fingerprint("ScenarioResult", {
-            "parking_lot": spec, "discipline": discipline,
-            "seed": seed, "cebinae": params,
-            "collect_series": collect_series})
+        return self.runspec.fingerprint()
 
     def task(self) -> Task:
-        if self.runspec is not None:
-            task = scenario_task(self.runspec)
-            return dataclasses.replace(task, label=self.label)
-        assert self.parking is not None
-        from .parking import run_parking_lot
-        spec, discipline, seed, params, collect_series = self.parking
-        return Task(fn=run_parking_lot,
-                    kwargs={"spec": spec,
-                            "discipline_name": discipline.value,
-                            "seed": seed, "cebinae": params,
-                            "collect_series": collect_series},
-                    label=self.label,
-                    fingerprint=self.fingerprint(),
-                    kind="ScenarioResult",
-                    encode=ScenarioResult.to_dict,
-                    decode=ScenarioResult.from_dict)
+        return dataclasses.replace(scenario_task(self.runspec),
+                                   label=self.label)
 
     def to_source(self) -> Dict[str, Any]:
         """The JSON document a sweep manifest rebuilds this run from."""
-        if self.runspec is not None:
-            return {"type": "runspec", "runspec": self.runspec.to_dict()}
-        assert self.parking is not None
-        spec, discipline, seed, params, collect_series = self.parking
-        return {"type": "parking",
-                "parking_name": spec.name,
-                "parking_lot": spec.to_dict(),
-                "discipline": discipline.value,
-                "seed": seed,
-                "cebinae": params.to_dict(),
-                "collect_series": collect_series}
+        return {"type": "runspec", "runspec": self.runspec.to_dict()}
 
     @classmethod
     def from_source(cls, label: str,
                     source: Mapping[str, Any]) -> "CompiledRun":
         """Rebuild the run :meth:`to_source` described, under ``label``."""
-        if source["type"] == "runspec":
-            return cls(label,
-                       runspec=RunSpec.from_dict(source["runspec"]))
-        return cls(label, parking=(
-            ParkingLotSpec.from_dict(source["parking_name"],
-                                     source["parking_lot"]),
-            Discipline(source["discipline"]), source["seed"],
-            CebinaeParams.from_dict(source["cebinae"]),
-            source["collect_series"]))
+        return cls(label, runspec=RunSpec.from_dict(source["runspec"]))
 
 
 # --------------------------------------------------------------------------
@@ -522,6 +388,11 @@ class SuiteSpec:
             raise ValueError(
                 f"suite spec {self.name!r}: grid axes apply to "
                 f"dumbbell scenarios only")
+        if self.parking is not None and self.record_history:
+            raise ValueError(
+                f"suite spec {self.name!r}: record_history keeps one "
+                f"bottleneck's control-plane history; a parking lot "
+                f"has one agent per segment")
         if not self.disciplines:
             raise ValueError(
                 f"suite spec {self.name!r}: disciplines must not be "
@@ -707,39 +578,31 @@ class SuiteSpec:
 
     def compile(self) -> List[CompiledRun]:
         """Expand grid x repeats x disciplines into executable runs."""
-        runs: List[CompiledRun] = []
         if self.scenario is not None:
-            for point in self._points():
-                scaled = self.policy.apply(point)
-                for index, seed in enumerate(self.seeds(point.name)):
-                    for discipline in self.disciplines:
-                        label = f"{point.name}/{discipline.value}"
-                        if self.repeats > 1:
-                            label = f"{label}@rep{index}"
-                        runs.append(CompiledRun(
-                            label=label,
-                            runspec=RunSpec(
-                                scaled=scaled, discipline=discipline,
-                                collect_series=self.collect_series,
-                                record_history=self.record_history,
-                                seed=seed, faults=self.faults,
-                                backend=self.backend)))
+            points = [(point.name, self.policy.apply(point))
+                      for point in self._points()]
         else:
             assert self.parking is not None
             if self.faults is not None:
                 raise SpecError(
                     f"suite spec {self.name!r}: fault injection is "
                     f"not supported on parking-lot topologies yet")
-            params = self.parking.cebinae_params(self.policy)
-            for index, seed in enumerate(self.seeds(self.name)):
+            points = [(self.name, self.parking.scaled(self.policy))]
+        runs: List[CompiledRun] = []
+        for name, scaled in points:
+            for index, seed in enumerate(self.seeds(name)):
                 for discipline in self.disciplines:
-                    label = f"{self.name}/{discipline.value}"
+                    label = f"{name}/{discipline.value}"
                     if self.repeats > 1:
                         label = f"{label}@rep{index}"
                     runs.append(CompiledRun(
                         label=label,
-                        parking=(self.parking, discipline, seed,
-                                 params, self.collect_series)))
+                        runspec=RunSpec(
+                            scaled=scaled, discipline=discipline,
+                            collect_series=self.collect_series,
+                            record_history=self.record_history,
+                            seed=seed, faults=self.faults,
+                            backend=self.backend)))
         labels = [run.label for run in runs]
         if len(set(labels)) != len(labels):
             raise SpecError(

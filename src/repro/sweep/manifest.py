@@ -15,7 +15,7 @@ sweep tasks and vice versa), its shard assignment, and a ``source``
 document from which a worker process rebuilds the executable
 :class:`~repro.experiments.parallel.Task`:
 
-``{"type": "runspec", ...}`` / ``{"type": "parking", ...}``
+``{"type": "runspec", ...}``
     A suite run, dumbbell or parking lot: the document
     :meth:`~repro.suite.spec.CompiledRun.to_source` writes and
     :meth:`~repro.suite.spec.CompiledRun.from_source` reads back.
@@ -43,7 +43,7 @@ from ..experiments.parallel import (CACHE_VERSION, FailedRun, ResultCache,
 MANIFEST_VERSION = 1
 
 #: Source documents a manifest task may carry.
-SOURCE_TYPES = ("runspec", "parking", "callable")
+SOURCE_TYPES = ("runspec", "callable")
 
 
 class ManifestError(ValueError):

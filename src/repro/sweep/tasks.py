@@ -56,19 +56,6 @@ def always_fails(label: str, message: str = "synthetic failure"
     raise ValueError(f"{label}: {message}")
 
 
-def fails_until_marker(label: str, marker: str) -> Dict[str, Any]:
-    """Transient casualty: fails while ``marker`` (a path) is absent.
-
-    Tests create the marker between attempts to model a fault that
-    heals — e.g. an NFS blip — and assert the retry/backoff path
-    eventually lands the result.
-    """
-    import os
-    if not os.path.exists(marker):
-        raise RuntimeError(f"{label}: marker {marker} absent")
-    return {"label": label, "healed": True}
-
-
 def flaky(label: str, counter: str, fail_first: int = 1
           ) -> Dict[str, Any]:
     """Transient casualty: fails its first ``fail_first`` attempts.

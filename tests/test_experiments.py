@@ -166,7 +166,7 @@ class TestRunner:
 
         def remember(*args, **kwargs):
             harness = build(*args, **kwargs)
-            network = harness.dumbbell.network
+            network = harness.network
             parts = [harness.sim, harness.monitor, *network.links,
                      *network.nodes.values()]
             for flow in harness.flows:

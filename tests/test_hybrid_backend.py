@@ -22,7 +22,8 @@ import pytest
 
 from repro.experiments.runner import (BACKENDS, Discipline,
                                       ScenarioResult, run_scenario)
-from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.experiments.scenarios import (DEFAULT_POLICY, ParkingLotSpec,
+                                         ScalePolicy, ScenarioSpec)
 from repro.faults.spec import FaultSpec
 from repro.netsim.fluid import (REASON_FAULTS, REASON_SHORT_RUN,
                                 REASON_UNSTABLE, HybridPolicy,
@@ -317,6 +318,17 @@ def test_unknown_backend_rejected():
     scaled = _moderate_scenario(duration_s=1.0)
     with pytest.raises(ValueError, match="unknown backend"):
         run_scenario(scaled, Discipline.FIFO, backend="quantum")
+
+
+def test_parking_lot_refused_by_the_hybrid_backend():
+    # The runner-level twin of SuiteSpec's parse-time refusal.
+    lot = ParkingLotSpec(
+        name="lot", rate_bps=5e6, buffer_mtus=40, num_long=1,
+        long_cca="newreno", cross_mix=(("vegas", 1), ("cubic", 1)),
+        duration_s=1.0)
+    with pytest.raises(ValueError, match="single bottleneck"):
+        run_scenario(lot.scaled(DEFAULT_POLICY), Discipline.FIFO,
+                     backend="hybrid")
 
 
 def test_suite_spec_backend_round_trip():

@@ -207,15 +207,6 @@ class TestMetricsRegistry:
         assert registry.counter("sim_runs_total").value == 1
         assert registry.counter("sim_events_total").value >= 1
 
-    def test_absorb_profile(self):
-        report = ProfileReport(events=10, wall_s=0.5, sim_s=2.0,
-                               runs=1, component_events={"Link": 10})
-        registry = obs_metrics.MetricsRegistry()
-        registry.absorb_profile(report)
-        assert registry.counter("profile_events_total").value == 10
-        assert registry.counter("profile_component_events_total",
-                                component="Link").value == 10
-
 
 class TestScenarioByteIdentity:
     def test_tracing_off_vs_on_result_identical(self):

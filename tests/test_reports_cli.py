@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.experiments import cli
+from repro.experiments import cli, parallel
+from repro.experiments.figures import figure11
 from repro.experiments.report import format_table, mbps
+from repro.experiments.runner import Discipline
 from repro.experiments.scalability import (ScalabilityPoint,
                                            format_points, run_point)
 from repro.heavyhitter.evaluation import DetectionResult
@@ -54,6 +56,28 @@ class TestScalabilityHelper:
         assert "afq" in text and "0.900" in text
 
 
+class TestFigure11:
+    def test_two_disciplines_through_the_cache(self, tmp_path,
+                                               monkeypatch):
+        results = figure11(duration_s=2.0, cache_dir=tmp_path)
+        assert [r.discipline for r in results] == \
+            [Discipline.FIFO, Discipline.CEBINAE]
+        for result in results:
+            assert len(result.flow_labels) == 22
+            assert len(result.goodputs_bps) == 22
+            assert 0.0 < result.normalized_jfi <= 1.0
+            # Long flows are bottlenecked at the middle, most contended
+            # segment, where they share with the Vegas group.
+            ideal = dict(zip(result.flow_labels, result.ideal_bps))
+            assert ideal["long0"] == ideal["vegas0"] < ideal["bic0"]
+
+        def simulated(**kwargs):
+            raise AssertionError("a warm cache must not simulate")
+
+        monkeypatch.setattr(parallel, "run_scenario", simulated)
+        assert figure11(duration_s=2.0, cache_dir=tmp_path) == results
+
+
 class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -79,6 +103,12 @@ class TestCli:
     def test_table2_row_selection(self, capsys):
         from repro.experiments.cli import EXPERIMENTS
         assert "table2" in EXPERIMENTS
-        # Row selection resolves 1-based indexes; invalid rows raise.
-        with pytest.raises(IndexError):
-            cli.run_experiment("table2", quick=True, rows=[99])
+        # Row selection resolves 1-based indexes; rows outside the
+        # table raise instead of wrapping around (0 is not row 25).
+        for rows in ([99], [0]):
+            with pytest.raises(ValueError, match=r"1\.\.25"):
+                cli.run_experiment("table2", quick=True, rows=rows)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table2", "--rows", "26"])
+        assert excinfo.value.code == 2
+        assert "1..25" in capsys.readouterr().err

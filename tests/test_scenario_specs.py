@@ -58,20 +58,47 @@ def scenario_sections(draw):
 
 
 @st.composite
+def parking_sections(draw):
+    """A valid ``parking_lot`` document section."""
+    mix = draw(st.lists(st.tuples(CCAS, COUNTS), min_size=1,
+                        max_size=3))
+    section = {
+        "rate_bps": draw(st.floats(min_value=1e6, max_value=1e9,
+                                   allow_nan=False)),
+        "buffer_mtus": draw(st.integers(min_value=10, max_value=5000)),
+        "num_long": draw(COUNTS),
+        "long_cca": draw(CCAS),
+        "cross_mix": [[cca, count] for cca, count in mix],
+        "duration_s": draw(DURATIONS),
+    }
+    for key in ("access_delay_ms", "bottleneck_delay_ms"):
+        if draw(st.booleans()):
+            section[key] = draw(RTTS)
+    if draw(st.booleans()):
+        section["tau"] = draw(st.floats(min_value=0.01, max_value=1.0))
+    return section
+
+
+@st.composite
 def suite_documents(draw):
-    """A valid top-level suite document (dumbbell topology)."""
+    """A valid top-level suite document, dumbbell or parking lot."""
+    parking = draw(st.booleans())
     doc = {
         "schema_version": 1,
         "name": draw(NAMES),
-        "scenario": draw(scenario_sections()),
         "disciplines": draw(st.lists(
             st.sampled_from([d.value for d in Discipline]),
             min_size=1, max_size=3, unique=True)),
         "collect_series": draw(st.booleans()),
-        "record_history": draw(st.booleans()),
         "repeats": draw(st.integers(min_value=1, max_value=3)),
         "base_seed": draw(st.integers(min_value=0, max_value=2**31)),
     }
+    if parking:
+        doc["topology"] = "parking_lot"
+        doc["parking_lot"] = draw(parking_sections())
+    else:
+        doc["scenario"] = draw(scenario_sections())
+        doc["record_history"] = draw(st.booleans())
     if draw(st.booleans()):
         doc["description"] = draw(st.text(max_size=30))
     if draw(st.booleans()):
@@ -85,7 +112,7 @@ def suite_documents(draw):
             # tests/test_scale_policy.py.
             "max_flows": draw(st.integers(min_value=12, max_value=64)),
         }
-    if draw(st.booleans()):
+    if not parking and draw(st.booleans()):
         doc["grid"] = {"duration_s": draw(st.lists(
             DURATIONS, min_size=1, max_size=3))}
     return doc
@@ -197,17 +224,30 @@ class TestStrictParsing:
         with pytest.raises(SpecError, match="unsupported version"):
             SuiteSpec.from_dict(doc)
 
-    def test_grid_on_parking_lot_rejected(self):
-        doc = {
+    def parking_base(self):
+        return {
             "name": "pl", "topology": "parking_lot",
-            "grid": {"duration_s": [1.0]},
             "parking_lot": {"rate_bps": 5e6, "buffer_mtus": 40,
                             "num_long": 1, "long_cca": "newreno",
                             "cross_mix": [["vegas", 1]],
                             "duration_s": 1.0},
         }
+
+    def test_grid_on_parking_lot_rejected(self):
+        doc = self.parking_base()
+        doc["grid"] = {"duration_s": [1.0]}
         with pytest.raises(SpecError, match="not allowed"):
             SuiteSpec.from_dict(doc)
+
+    def test_record_history_on_parking_lot_rejected(self):
+        # A result holds one control-plane history and a lot has one
+        # agent per segment: refused, not silently dropped.
+        doc = self.parking_base()
+        doc["record_history"] = True
+        with pytest.raises(SpecError, match="record_history"):
+            SuiteSpec.from_dict(doc)
+        doc["record_history"] = False
+        assert SuiteSpec.from_dict(doc).compile()
 
     def test_bad_faults_section_is_located(self):
         doc = self.base()

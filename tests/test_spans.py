@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.experiments.scenarios import (DEFAULT_POLICY, ParkingLotSpec,
+                                         ScalePolicy, ScenarioSpec)
 from repro.netsim.engine import SECOND, Simulator
 from repro.obs import bus as obs_bus
 from repro.obs import spans
@@ -191,6 +192,26 @@ class TestProducers:
         assert phases
         assert {n["name"] for n in phases} <= set(spans.RUN_PHASES)
         assert runs[0]["count"] > 0
+
+    def test_parking_lot_run_nests_the_engine_under_run_and_drain(self):
+        lot = ParkingLotSpec(
+            name="lot", rate_bps=5e6, buffer_mtus=40, num_long=1,
+            long_cca="newreno", cross_mix=(("vegas", 1), ("cubic", 1)),
+            duration_s=1.0)
+        bus, sink = span_bus()
+        with obs_bus.tracing(bus):
+            run_scenario(lot.scaled(DEFAULT_POLICY), Discipline.CEBINAE)
+        tree = spans.span_tree(
+            [json.loads(encode_record(r)) for r in sink.records])
+        nodes = tree["nodes"]
+        run, = [nodes[i] for i in tree["roots"]]
+        assert (run["kind"], run["name"]) == ("run", "lot")
+        drain, = [nodes[c] for c in run["children"]
+                  if nodes[c]["kind"] == "phase"]
+        assert drain["name"] == "drain"
+        engine, = [nodes[c] for c in drain["children"]
+                   if nodes[c]["kind"] == "engine"]
+        assert engine["count"] == run["count"] > 0
 
     def test_scenario_span_stream_deterministic(self):
         streams = []

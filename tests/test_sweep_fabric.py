@@ -24,7 +24,8 @@ import repro.experiments.parallel as parallel
 from repro.experiments.parallel import (FailedRun, ResultCache, RunSpec,
                                         Task, TerminateSweep, run_tasks)
 from repro.experiments.runner import Discipline
-from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.experiments.scenarios import (ParkingLotSpec, ScalePolicy,
+                                         ScenarioSpec)
 from repro.faults.watchdog import RunAborted
 from repro.suite.spec import CompiledRun
 from repro.sweep import tasks as sweep_tasks
@@ -57,20 +58,33 @@ def callable_manifest(name="demo", count=4, shard_size=1, rounds=5):
         for i in range(count)], shard_size=shard_size)
 
 
+def tiny_parking(duration_s=1.0):
+    lot = ParkingLotSpec(name="lot", rate_bps=5e6, buffer_mtus=40,
+                         num_long=2, long_cca="newreno",
+                         cross_mix=(("vegas", 2), ("cubic", 1)),
+                         duration_s=duration_s, tau=0.06)
+    return lot.scaled(TINY_POLICY)
+
+
 class TestRunSpecRoundTrip:
+    """Both topologies, in one test each so the test ids stay put."""
+
     def test_runspec_rebuilds_identical_fingerprint(self):
-        spec = RunSpec(tiny_scaled(), Discipline.CEBINAE,
-                       record_history=True, collect_series=True)
-        rebuilt = RunSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict())))
-        assert rebuilt.fingerprint() == spec.fingerprint()
-        assert rebuilt.to_dict() == spec.to_dict()
+        for scaled in (tiny_scaled(), tiny_parking()):
+            spec = RunSpec(scaled, Discipline.CEBINAE,
+                           record_history=True, collect_series=True)
+            rebuilt = RunSpec.from_dict(
+                json.loads(json.dumps(spec.to_dict())))
+            assert rebuilt == spec
+            assert rebuilt.fingerprint() == spec.fingerprint()
+            assert rebuilt.to_dict() == spec.to_dict()
 
     def test_scaled_scenario_round_trip(self):
-        scaled = tiny_scaled()
-        rebuilt = type(scaled).from_dict(
-            json.loads(json.dumps(scaled.to_dict())))
-        assert rebuilt == scaled
+        for scaled in (tiny_scaled(), tiny_parking()):
+            rebuilt = type(scaled).from_dict(
+                json.loads(json.dumps(scaled.to_dict())))
+            assert rebuilt == scaled
+            assert type(rebuilt.spec) is type(scaled.spec)
 
 
 class TestManifest:
@@ -110,6 +124,20 @@ class TestManifest:
         data["cache_version"] = 99
         with pytest.raises(ManifestError, match="cache_version"):
             SweepManifest.from_dict(data)
+
+    def test_retired_parking_source_refused(self, tmp_path, capsys):
+        # Sweep directories written before parking lots became
+        # RunSpecs carry this source type: refused, never misread.
+        data = callable_manifest(count=1).to_dict()
+        data["tasks"][0]["source"] = {"type": "parking",
+                                      "parking_name": "lot"}
+        with pytest.raises(ManifestError, match="'parking'"):
+            SweepManifest.from_dict(data)
+        sweep = SweepDir(tmp_path / "old")
+        sweep.root.mkdir()
+        sweep.manifest_path.write_text(json.dumps(data))
+        assert sweep_main(["status", str(sweep.root)]) == 2
+        assert "'parking'" in capsys.readouterr().err
 
     def test_label_collision_refused(self):
         data = callable_manifest(count=2).to_dict()

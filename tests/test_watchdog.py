@@ -29,7 +29,8 @@ from repro.experiments.parallel import (CACHE_VERSION, FailedRun,
                                         _backoff_delays, require,
                                         run_tasks)
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.experiments.scenarios import (DEFAULT_POLICY, ParkingLotSpec,
+                                         ScalePolicy, ScenarioSpec)
 from repro.faults.watchdog import RunAborted, WallClockWatchdog
 from repro.netsim.engine import Simulator
 
@@ -159,6 +160,19 @@ class TestScenarioGuards:
         assert 0 <= partial["sim_time_ns"] < partial["duration_ns"]
         assert partial["delivered_bytes"]
         assert json.loads(json.dumps(partial)) == partial
+
+    def test_event_budget_guards_a_parking_lot_too(self):
+        lot = ParkingLotSpec(
+            name="guarded-lot", rate_bps=5e6, buffer_mtus=40,
+            num_long=2, long_cca="newreno",
+            cross_mix=(("vegas", 2), ("cubic", 1)), duration_s=2.0)
+        with pytest.raises(RunAborted) as excinfo:
+            run_scenario(lot.scaled(DEFAULT_POLICY), Discipline.CEBINAE,
+                         max_events=500)
+        partial = excinfo.value.partial
+        assert partial["events"] <= 500
+        assert 0 <= partial["sim_time_ns"] < partial["duration_ns"]
+        assert len(partial["delivered_bytes"]) == 2 + 2 + 1
 
     def test_wall_limit_aborts_a_long_run(self):
         # The first watchdog check (8192 events in) is already past a

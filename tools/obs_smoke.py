@@ -40,8 +40,9 @@ from typing import List, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis import invariants
+from repro.experiments.figures import figure9_spec
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scenarios import DEFAULT_POLICY, ScenarioSpec
+from repro.experiments.scenarios import DEFAULT_POLICY
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -49,17 +50,10 @@ from repro.obs.events import TOPICS, canonical_dict, validate_record
 from repro.obs.sinks import MemorySink, encode_record
 
 
-def figure9_spec(duration_s: float) -> ScenarioSpec:
-    return ScenarioSpec(name="figure9_rtt64", rate_bps=400e6,
-                        rtts_ms=(256.0, 64.0), buffer_mtus=2000,
-                        cca_mix=(("cubic", 4), ("cubic", 4)),
-                        duration_s=duration_s)
-
-
 def run_once(duration_s: float,
              traced: bool) -> Tuple[str, List[str], float]:
     """One scenario run: (result JSON, JSONL lines, wall seconds)."""
-    scaled = DEFAULT_POLICY.apply(figure9_spec(duration_s))
+    scaled = DEFAULT_POLICY.apply(figure9_spec(64, duration_s))
     sink = MemorySink()
     start = time.perf_counter()
     if traced:
