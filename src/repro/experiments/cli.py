@@ -254,9 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "per-component event counts, events/sec "
                              "and the sim/wall ratio (in-process "
                              "runs only; use --workers 1 --no-cache)")
-    parser.add_argument("--profile-json", metavar="PATH",
-                        help="also write the profile to PATH in the "
-                             "BENCH_*.json (pytest-benchmark) shape")
     args = parser.parse_args(argv)
     try:
         _table2_rows(args.rows)
@@ -265,7 +262,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = [name for name in EXPERIMENTS if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]
     profile_scope: ContextManager[Any] = nullcontext()
-    if args.profile or args.profile_json:
+    if args.profile:
         from ..netsim import profiling
         profile_scope = profiling.profiled()
         if args.workers > 1 or not args.no_cache:
@@ -273,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "only; points run by pool workers or replayed from "
                   "the cache are not counted (use --workers 1 "
                   "--no-cache for full coverage)")
-    with profile_scope as profiler:
+    with profile_scope as registry:
         for name in names:
             # Host-side progress timing, not simulation time.
             # Monotonic, because time.time() can step backwards under
@@ -288,15 +285,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  wall_limit_s=args.wall_limit))
             elapsed = time.monotonic() - start  # simlint: allow[D103] CLI timer
             print(f"[{name}: {elapsed:.1f}s]\n")
-    if profiler is not None:
-        profile = profiler.report()
-        print(profile.format_text())
-        if args.profile_json:
-            profiling.write_bench_json(
-                args.profile_json,
-                name=f"cebinae-repro {args.experiment}",
-                report=profile)
-            print(f"[profile written to {args.profile_json}]")
+    if registry is not None:
+        print(report.profile_report(registry))
     return 0
 
 

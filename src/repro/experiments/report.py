@@ -11,6 +11,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..heavyhitter.evaluation import DetectionResult
 from ..obs.events import ControlRound
+from ..obs.metrics import MetricsRegistry
 from .figures import (Figure1Result, Figure9Point, Figure10Result,
                       Figure11Result, Figure12Result, BarFigureResult)
 from .runner import Discipline
@@ -212,6 +213,38 @@ def control_timeline_report(rounds: Sequence[ControlRound],
     intro = (f"Control-plane timeline: {len(rounds)} rounds, "
              f"{fail_open} fail-open, {missed} missed")
     return intro + "\n" + format_table(headers, rows)
+
+
+def profile_report(registry: MetricsRegistry) -> str:
+    """The ``--profile`` report: what the engine folded into ``registry``.
+
+    Totals over every in-process ``Simulator.run`` observed, then
+    executed events per callback owner, largest first.
+    """
+    events = int(registry.counter("sim_events_total").value)
+    runs = int(registry.counter("sim_runs_total").value)
+    sim_s = registry.counter("sim_time_seconds_total").value
+    wall_s = registry.wall_s
+    events_per_sec = events / wall_s if wall_s > 0 else 0.0
+    sim_wall_ratio = sim_s / wall_s if wall_s > 0 else 0.0
+    lines = [
+        "hot-path profile",
+        f"  events          {events}",
+        f"  simulator runs  {runs}",
+        f"  wall time       {wall_s:.3f} s",
+        f"  sim time        {sim_s:.3f} s",
+        f"  events/sec      {events_per_sec:,.0f}",
+        f"  sim/wall ratio  {sim_wall_ratio:.2f}x",
+    ]
+    components = registry.component_events
+    if components:
+        lines.append("  events by component:")
+        width = max(len(name) for name in components)
+        for name, count in sorted(components.items(),
+                                  key=lambda item: (-item[1], item[0])):
+            lines.append(f"    {name:<{width}}  {count:>10}"
+                         f"  {count / events:6.1%}")
+    return "\n".join(lines)
 
 
 def figure13_report(results: Sequence[DetectionResult],

@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
 from ..analysis import invariants
 from ..analysis.invariants import require_int_ns
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
-from . import profiling
+from .profiling import component_of
 
 if TYPE_CHECKING:
     from ..core.units import Seconds, TimeNs
@@ -252,9 +253,12 @@ class Simulator:
             require_int_ns(until_ns, "run() until_ns")
         self._running = True
         span = obs_spans.open_span("engine", "events")
-        profiler = profiling.current()
-        record = profiler.record if profiler is not None else None
-        wall_start = profiling.monotonic() if profiler is not None else 0.0
+        # The one aggregate observer: with a registry installed the
+        # loop counts each event under its callback's owner, without
+        # one it pays a single ``is not None`` test per event.
+        registry = obs_metrics.current()
+        counts: Dict[str, int] = {}
+        wall_start = obs_spans.wall_now() if registry is not None else 0.0
         start_ns = self._now_ns
         # The loop below is the simulator's hot path: one heappop, one
         # unpack, two int compares and the callback per event; only a
@@ -283,8 +287,9 @@ class Simulator:
                 if (watchdog is not None
                         and not executed % watchdog_interval):
                     watchdog()
-                if record is not None:
-                    record(callback)
+                if registry is not None:
+                    owner = component_of(callback)
+                    counts[owner] = counts.get(owner, 0) + 1
                 callback(*args)
             if until_ns is not None and until_ns > self._now_ns:
                 self._now_ns = until_ns
@@ -293,13 +298,7 @@ class Simulator:
             if span is not None:
                 span.count = executed
                 obs_spans.close_span(span)
-            if profiler is not None:
-                profiler.record_run(
-                    self._now_ns - start_ns,
-                    profiling.monotonic() - wall_start)
-            # Metrics are folded once per run (never per event), so the
-            # hot loop above is untouched whether a registry is active
-            # or not.
-            registry = obs_metrics.current()
             if registry is not None:
-                registry.record_run(executed, self._now_ns - start_ns)
+                registry.record_run(self._now_ns - start_ns,
+                                    obs_spans.wall_now() - wall_start,
+                                    counts)

@@ -84,10 +84,6 @@ class TraceBus:
         clock = self._clock
         return clock.now_ns if clock is not None else 0
 
-    def topics(self) -> List[str]:
-        """The topics with at least one subscriber, in schema order."""
-        return [topic for topic in TOPICS if self._sinks.get(topic)]
-
     # -- production --------------------------------------------------------
     def emitter(self, topic: str) -> Optional[Emitter]:
         """A per-topic emit closure, or None when the topic is off.

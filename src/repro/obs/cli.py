@@ -28,7 +28,8 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from contextlib import nullcontext
+from typing import ContextManager, List, Optional
 
 from ..experiments.figures import (figure1_spec, figure7_spec,
                                    figure9_spec)
@@ -110,14 +111,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         timeline = ControlTimelineSink()
         bus.subscribe("control", timeline)
 
-    registry = obs_metrics.enable()
+    # A registry counts every executed event, so it is installed only
+    # when its snapshot was asked for.
+    metrics_scope: ContextManager[Optional[obs_metrics.MetricsRegistry]] \
+        = obs_metrics.collected() if args.metrics_json else nullcontext()
     try:
-        with obs_bus.tracing(bus):
+        with metrics_scope as registry, obs_bus.tracing(bus):
             result = run_scenario(scaled, Discipline(args.discipline),
                                   collect_series=True,
                                   record_history=True, seed=args.seed)
     finally:
-        obs_metrics.disable()
         bus.close()
 
     with open(os.path.join(args.out, "result.json"), "w",
@@ -127,7 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if timeline is not None:
         timeline.write_jsonl(
             os.path.join(args.out, "control_timeline.jsonl"))
-    if args.metrics_json:
+    if registry is not None:
         registry.write_json(os.path.join(args.out, "metrics.json"))
 
     print(f"{result.name} [{result.discipline.value}] "

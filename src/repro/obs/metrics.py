@@ -11,9 +11,11 @@ The experiment runner folds every finished
 :class:`~repro.experiments.runner.ScenarioResult` into the active
 registry (:func:`record_scenario`).
 
-Like the bus and the profiler, activation is module-level and the
-disabled path is free: the engine looks the registry up once per
-``Simulator.run`` and does nothing per event.
+Like the bus, activation is module-level and the disabled path is
+free: the engine looks the registry up once per ``Simulator.run``,
+counts each executed event under its callback's owner while one is
+installed, and folds the run in with one :meth:`MetricsRegistry
+.record_run` call.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ class MetricsRegistry:
         #: When the snapshot this registry was loaded from was taken
         #: (host-monotonic seconds), or None for a live registry.
         self.captured_at: Optional[float] = None
+        #: Wall seconds spent inside ``Simulator.run``.  Kept out of
+        #: :meth:`snapshot`, which stays byte-identical across reruns.
+        self.wall_s = 0.0
 
     # -- instrument accessors (create on first use) ------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -129,12 +134,30 @@ class MetricsRegistry:
         return instrument
 
     # -- ingestion ---------------------------------------------------------
-    def record_run(self, executed_events: int, sim_advance_ns: int) -> None:
-        """Fold one completed ``Simulator.run`` into the registry."""
+    def record_run(self, sim_advance_ns: int, wall_s: float,
+                   component_events: Mapping[str, int]) -> None:
+        """Fold one completed ``Simulator.run`` into the registry.
+
+        ``component_events`` is the run's executed-event count per
+        callback owner (``Link``, ``Host``, ``CebinaeControlPlane``,
+        ...); its sum is the run's event count.
+        """
         self.counter("sim_runs_total").inc()
-        self.counter("sim_events_total").inc(executed_events)
+        self.counter("sim_events_total").inc(
+            sum(component_events.values()))
         self.counter("sim_time_seconds_total").inc(
             sim_advance_ns / _NS_PER_SEC)
+        for component, count in component_events.items():
+            self.counter("sim_component_events_total",
+                         component=component).inc(count)
+        self.wall_s += wall_s
+
+    @property
+    def component_events(self) -> Dict[str, int]:
+        """Executed events per callback owner, over every run so far."""
+        return {dict(labels)["component"]: int(counter.value)
+                for (name, labels), counter in self._counters.items()
+                if name == "sim_component_events_total"}
 
     # -- snapshot / round-trip ---------------------------------------------
     def snapshot(self,
@@ -205,12 +228,6 @@ def load_snapshot(data: Mapping[str, Any]) -> MetricsRegistry:
         histogram.total = row["sum"]
         histogram.count = row["count"]
     return registry
-
-
-def load_json(path: str) -> MetricsRegistry:
-    """Round-trip loader for :meth:`MetricsRegistry.write_json` files."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_snapshot(json.load(handle))
 
 
 def record_scenario(registry: MetricsRegistry, result: Any) -> None:
@@ -348,6 +365,6 @@ def collected() -> Iterator[MetricsRegistry]:
 __all__ = [
     "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
     "METRICS_SCHEMA_VERSION", "MetricsRegistry", "collected", "current",
-    "SWEEP_EVENTS", "SWEEP_GAUGES", "disable", "enable", "load_json",
+    "SWEEP_EVENTS", "SWEEP_GAUGES", "disable", "enable",
     "load_snapshot", "record_hybrid", "record_scenario", "record_sweep",
 ]

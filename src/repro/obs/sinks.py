@@ -161,11 +161,6 @@ class ControlTimelineSink:
                 handle.write(encode_record(record))
                 handle.write("\n")
 
-    def format_text(self) -> str:
-        """A human-readable per-round table of control decisions."""
-        from ..experiments.report import control_timeline_report
-        return control_timeline_report(self.rounds)
-
 
 __all__ = [
     "ControlTimelineSink", "JsonlSpanSink", "JsonlTraceSink",

@@ -117,16 +117,6 @@ class SpanHandle:
 _STACK: List[SpanHandle] = []
 
 
-def enabled() -> bool:
-    """True when an installed bus has a ``span`` subscriber."""
-    return obs_bus.emitter_for("span") is not None
-
-
-def current_id() -> str:
-    """The innermost open span's id (``""`` at the root)."""
-    return _STACK[-1].span_id if _STACK else ""
-
-
 def open_span(kind: str, name: str,
               sim_clock: bool = True) -> Optional[SpanHandle]:
     """Open a span; None when the span topic is off (zero-cost path).
@@ -253,6 +243,6 @@ def span_tree(
 
 __all__ = [
     "RUN_PHASES", "SPAN_ID_HEX", "SPAN_KINDS", "SpanHandle",
-    "close_span", "current_id", "derive_span_id", "emit_leaf",
-    "enabled", "open_span", "span", "span_tree", "wall_now",
+    "close_span", "derive_span_id", "emit_leaf", "open_span", "span",
+    "span_tree", "wall_now",
 ]

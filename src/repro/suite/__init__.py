@@ -1,6 +1,6 @@
 """repro.suite: the declarative scenario registry and golden harness.
 
-Turns JSON/YAML workload documents into the repo's existing execution
+Turns JSON workload documents into the repo's existing execution
 machinery — :class:`~repro.experiments.scenarios.ScenarioSpec` +
 :class:`~repro.experiments.scenarios.ScalePolicy` +
 :class:`~repro.experiments.parallel.RunSpec`, for dumbbells and

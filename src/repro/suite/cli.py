@@ -111,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "through the parallel executor, with optional "
                     "golden-result conformance checking.")
     parser.add_argument("directory", help="suite directory of "
-                        "*.json/*.yaml spec documents")
+                        "*.json spec documents")
     parser.add_argument("--list", action="store_true",
                         help="list the specs and their compiled runs "
                              "without simulating")

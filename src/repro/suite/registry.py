@@ -1,13 +1,13 @@
 """Loading directories of suite-spec documents.
 
-A suite directory holds one document per file — ``<name>.json`` always,
-``<name>.yaml``/``.yml`` when PyYAML is importable (the core toolchain
-never requires it).  The registry enforces the hygiene that keeps
-golden files trustworthy:
+A suite directory holds one JSON document per file, ``<name>.json``.
+The registry enforces the hygiene that keeps golden files trustworthy:
 
 * the file stem must equal the spec's ``name`` (so the golden file, the
   spec file, and the report all agree on identity);
-* duplicate names across extensions are rejected;
+* duplicate names are rejected;
+* a ``.yaml``/``.yml`` file is refused by name, never skipped: a spec
+  that silently did not run would pass its golden check;
 * iteration order is sorted by name, independent of filesystem order.
 """
 
@@ -15,37 +15,31 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Union
+from typing import Dict, Iterator, List, Union
 
 from .spec import SpecError, SuiteSpec
 
-#: Extensions the registry recognises, in resolution order.
-SPEC_EXTENSIONS = (".json", ".yaml", ".yml")
+#: The extension of a suite document.
+SPEC_EXTENSION = ".json"
 
-
-def _load_document(path: Path) -> Any:
-    if path.suffix == ".json":
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    try:
-        import yaml
-    except ImportError:
-        raise SpecError(
-            f"{path}: YAML specs need the optional PyYAML dependency; "
-            f"rewrite the spec as JSON or install pyyaml") from None
-    with open(path, "r", encoding="utf-8") as handle:
-        return yaml.safe_load(handle)
+#: Extensions that look like suite documents and are refused.
+_YAML_EXTENSIONS = (".yaml", ".yml")
 
 
 def load_spec_file(path: Union[str, Path]) -> SuiteSpec:
     """Parse one spec document, enforcing stem == spec name."""
     path = Path(path)
-    if path.suffix not in SPEC_EXTENSIONS:
+    if path.suffix in _YAML_EXTENSIONS:
+        raise SpecError(
+            f"{path}: suite documents are JSON; rewrite this YAML "
+            f"file as {path.stem}{SPEC_EXTENSION}")
+    if path.suffix != SPEC_EXTENSION:
         raise SpecError(
             f"{path}: unrecognised spec extension {path.suffix!r}; "
-            f"expected one of {list(SPEC_EXTENSIONS)}")
+            f"expected {SPEC_EXTENSION}")
     try:
-        document = _load_document(path)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
     except ValueError as exc:
         raise SpecError(f"{path}: not parseable: {exc}") from exc
     spec = SuiteSpec.from_dict(document, source=str(path))
@@ -75,12 +69,12 @@ class SuiteRegistry:
         if not directory.is_dir():
             raise SpecError(f"{directory}: not a suite directory")
         paths = sorted(path for path in directory.iterdir()
-                       if path.suffix in SPEC_EXTENSIONS
+                       if (path.suffix == SPEC_EXTENSION
+                           or path.suffix in _YAML_EXTENSIONS)
                        and path.is_file())
         if not paths:
             raise SpecError(
-                f"{directory}: no spec files "
-                f"({'/'.join(SPEC_EXTENSIONS)}) found")
+                f"{directory}: no spec files (*{SPEC_EXTENSION}) found")
         return cls([load_spec_file(path) for path in paths])
 
     def __iter__(self) -> Iterator[SuiteSpec]:

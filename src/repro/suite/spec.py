@@ -1,6 +1,6 @@
 """The declarative scenario-spec format and its compiler.
 
-A *suite spec* is one JSON (or YAML) document describing a workload:
+A *suite spec* is one JSON document describing a workload:
 a topology (dumbbell or parking lot), a flow mix, the disciplines to
 compare, an optional scale-policy override, optional fault injection,
 optional grid axes, and repeats with derived seeds.  Parsing is strict

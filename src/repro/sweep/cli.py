@@ -46,6 +46,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..experiments.parallel import (print_progress as _print,
                                     sigterm_as_interrupt)
+from ..experiments.runner import BACKENDS
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import LeaseStore
 from .manifest import (ManifestError, SweepDir, SweepManifest,
@@ -71,13 +72,8 @@ def _cmd_init(args: argparse.Namespace) -> int:
     try:
         manifest = _compile_suite(args.suite, args.backend,
                                   args.shard_size)
-    except SpecError as exc:
-        _print(f"error: {exc}")
-        return 2
-    sweep = SweepDir(args.directory)
-    try:
-        sweep.initialise(manifest, force=args.force)
-    except ManifestError as exc:
+        SweepDir(args.directory).initialise(manifest, force=args.force)
+    except (SpecError, ManifestError) as exc:
         _print(f"error: {exc}")
         return 2
     shards = len(manifest.shards())
@@ -424,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_init.add_argument("directory")
     p_init.add_argument("--suite", required=True,
                         help="directory of declarative suite specs")
-    p_init.add_argument("--backend",
+    p_init.add_argument("--backend", choices=list(BACKENDS),
                         help="override the simulation backend for "
                              "dumbbell specs")
     p_init.add_argument("--shard-size", type=int, default=1,
@@ -483,7 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run", help="init + resume in one command")
     p_run.add_argument("directory")
     p_run.add_argument("--suite", required=True)
-    p_run.add_argument("--backend")
+    p_run.add_argument("--backend", choices=list(BACKENDS))
     p_run.add_argument("--shard-size", type=int, default=1)
     p_run.add_argument("--force", action="store_true")
     p_run.add_argument("--workers", type=int, default=1)

@@ -121,18 +121,28 @@ class ManifestTask:
         """Rebuild the executable pool task from the source document.
 
         It carries the manifest's fingerprint, the one ``is_done``
-        looks for, whatever the rebuilt source would hash to.
+        looks for, whatever the rebuilt source would hash to.  A
+        source that cannot be rebuilt (a damaged entry, a callable
+        that no longer imports) raises :class:`ManifestError` naming
+        the task, so a worker can park this task and run the rest.
         """
-        if self.source["type"] == "callable":
-            return Task(fn=resolve_callable(self.source["fn"]),
-                        kwargs=dict(self.source.get("kwargs", {})),
-                        label=self.label, fingerprint=self.fingerprint,
-                        kind=self.kind, encode=_identity,
-                        decode=_identity)
-        from ..suite.spec import CompiledRun
-        run = CompiledRun.from_source(self.label, self.source)
-        return dataclasses.replace(run.task(),
-                                   fingerprint=self.fingerprint)
+        try:
+            if self.source["type"] == "callable":
+                return Task(fn=resolve_callable(self.source["fn"]),
+                            kwargs=dict(self.source.get("kwargs", {})),
+                            label=self.label,
+                            fingerprint=self.fingerprint,
+                            kind=self.kind, encode=_identity,
+                            decode=_identity)
+            from ..suite.spec import CompiledRun
+            run = CompiledRun.from_source(self.label, self.source)
+            return dataclasses.replace(run.task(),
+                                       fingerprint=self.fingerprint)
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ImportError) as exc:
+            raise ManifestError(
+                f"task {self.label!r}: its manifest source cannot be "
+                f"rebuilt: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass

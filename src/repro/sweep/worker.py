@@ -35,13 +35,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
 from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import Lease, LeaseStore
-from .manifest import ManifestTask, SweepDir, _shard_key
+from .manifest import (ManifestError, ManifestTask, SweepDir,
+                       _shard_key)
 
 #: How many times per expiry window the heartbeat renews.
 HEARTBEAT_FRACTION = 4.0
@@ -298,12 +299,20 @@ class SweepWorker:
                   report: WorkerReport) -> None:
         with obs_spans.span("task", mtask.label,
                             sim_clock=False) as task_span:
-            task = mtask.task()
-            self._emit(f"start  {task.label}")
-            outcome = settle(task, cache=cache,
-                             retries=self.config.retries,
-                             backoff_base_s=self.config.backoff_base_s,
-                             progress=self._emit)
+            outcome: Union[Dict[str, Any], FailedRun]
+            try:
+                task = mtask.task()
+            except ManifestError as exc:
+                # Never attempted: parked like a poison task, so one
+                # damaged entry costs one task and not the sweep.
+                outcome = FailedRun(label=mtask.label, error=str(exc),
+                                    attempts=0)
+            else:
+                self._emit(f"start  {mtask.label}")
+                outcome = settle(
+                    task, cache=cache, retries=self.config.retries,
+                    backoff_base_s=self.config.backoff_base_s,
+                    progress=self._emit)
             if isinstance(outcome, FailedRun):
                 self.sweep.quarantine(mtask, outcome,
                                       self.config.worker_id)
@@ -312,7 +321,7 @@ class SweepWorker:
                 self._count("tasks_quarantined")
                 self._count("quarantine_depth", report.quarantined)
                 self._write_metrics()
-                self._emit(f"QUARANTINED {task.label} after "
+                self._emit(f"QUARANTINED {mtask.label} after "
                            f"{outcome.attempts} attempt(s): "
                            f"{outcome.error}")
                 return
@@ -326,5 +335,5 @@ class SweepWorker:
                 worker=self.config.worker_id).observe(
                     outcome["elapsed_s"])
             self._write_metrics()
-            self._emit(f"done   {task.label}  "
+            self._emit(f"done   {mtask.label}  "
                        f"wall {outcome['elapsed_s']:.2f}s")

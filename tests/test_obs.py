@@ -4,8 +4,8 @@ Covers the trace bus lifecycle, record schema validation, the metrics
 registry round-trip, sink output, the off-path byte-identity guarantee
 for ``ScenarioResult`` JSON, trace determinism across runs, the
 control-plane timeline's every-round coverage, and the PR 5 satellite
-fixes (LinkMonitor horizon, TimeSeries edge bins, profiling schema
-round-trip, HashPipe trace hooks).
+fixes (LinkMonitor horizon, TimeSeries edge bins, HashPipe trace
+hooks).
 """
 
 import json
@@ -13,15 +13,16 @@ import json
 import pytest
 
 from repro.core.control_plane import CebinaeParams
+from repro.experiments import cli
 from repro.experiments.report import control_timeline_report
 from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.heavyhitter.hashpipe import CebinaeFlowCache, ExactFlowCache
 from repro.netsim.engine import SECOND, Simulator
-from repro.netsim.profiling import SCHEMA_VERSION, ProfileReport
 from repro.netsim.tracing import FlowMonitor, LinkMonitor, TimeSeries
 from repro.netsim.packet import FlowId
 from repro.obs import bus as obs_bus
+from repro.obs import cli as obs_cli
 from repro.obs import metrics as obs_metrics
 from repro.obs.events import (TOPICS, ControlRound, PacketTx, QueueDrop,
                               SchemaError, TcpStateEvent, canonical_dict,
@@ -80,7 +81,6 @@ class TestBusLifecycle:
         assert first.records == [record]
         assert second.records == [record]
         assert bus.counts == {"queue": 1}
-        assert bus.topics() == ["queue", "lbf"]
 
     def test_unknown_topic_rejected(self):
         bus = obs_bus.TraceBus()
@@ -190,7 +190,7 @@ class TestMetricsRegistry:
         assert obs_metrics.load_snapshot(snapshot).snapshot() == snapshot
         path = tmp_path / "metrics.json"
         registry.write_json(str(path))
-        assert obs_metrics.load_json(str(path)).snapshot() == snapshot
+        assert json.loads(path.read_text()) == snapshot
 
     def test_load_snapshot_rejects_bad_version(self):
         with pytest.raises(ValueError, match="schema_version"):
@@ -245,15 +245,59 @@ class TestScenarioByteIdentity:
     def test_metrics_do_not_perturb_result(self):
         scaled = tiny_scaled()
         plain = result_json(run_scenario(scaled, Discipline.CEBINAE))
-        registry = obs_metrics.enable()
-        try:
-            metered = result_json(run_scenario(scaled,
-                                               Discipline.CEBINAE))
-        finally:
-            obs_metrics.disable()
-        assert metered == plain
+        with obs_metrics.collected() as registry:
+            result = run_scenario(scaled, Discipline.CEBINAE)
+        assert result_json(result) == plain
+        assert registry.counter("sim_events_total").value == \
+            result.events
+        assert sum(registry.component_events.values()) == result.events
         rows = registry.snapshot()["gauges"]
         assert any(row["name"] == "scenario_jain_index" for row in rows)
+
+
+class TestTraceCli:
+    """``cebinae-repro trace``: deterministic artifacts, metrics on request."""
+
+    def trace(self, out, *extra):
+        assert cli.main(["trace", "figure1", "--duration", "1",
+                         "--out", str(out), *extra]) == 0
+        return out
+
+    def test_artifacts_byte_identical_across_reruns(self, tmp_path):
+        first = self.trace(tmp_path / "a", "--metrics-json")
+        second = self.trace(tmp_path / "b", "--metrics-json")
+        for name in ("result.json", "trace.jsonl",
+                     "control_timeline.jsonl", "metrics.json"):
+            assert (first / name).read_bytes() == \
+                (second / name).read_bytes(), name
+
+        def spans(directory):
+            lines = (directory / "spans.jsonl").read_text().splitlines()
+            return [canonical_dict(json.loads(line)) for line in lines]
+        assert spans(first) == spans(second) != []
+        counters = json.loads(
+            (first / "metrics.json").read_text())["counters"]
+        per_component = [row["value"] for row in counters if
+                         row["name"] == "sim_component_events_total"]
+        events = json.loads((first / "result.json").read_text())["events"]
+        assert per_component and sum(per_component) == events
+
+    def test_no_registry_unless_metrics_json(self, tmp_path,
+                                             monkeypatch):
+        installed = []
+        run = obs_cli.run_scenario
+
+        def spy(*args, **kwargs):
+            installed.append(obs_metrics.current())
+            return run(*args, **kwargs)
+        monkeypatch.setattr(obs_cli, "run_scenario", spy)
+        out = self.trace(tmp_path / "plain")
+        assert installed == [None]
+        assert not (out / "metrics.json").exists()
+        assert (out / "trace.jsonl").exists()
+        self.trace(tmp_path / "metered", "--metrics-json")
+        assert installed[1] is not None
+        assert obs_metrics.current() is None
 
 
 class TestControlTimeline:
@@ -289,8 +333,6 @@ class TestControlTimeline:
         assert "Control-plane timeline" in text
         assert "JFI" in text
         assert len(text.splitlines()) == len(timeline.rounds) + 3
-        assert timeline.format_text().startswith(
-            "Control-plane timeline")
         path = tmp_path / "timeline.jsonl"
         timeline.write_jsonl(str(path))
         lines = path.read_text().splitlines()
@@ -436,9 +478,3 @@ class TestFlowMonitorUnregistered:
         assert monitor.goodput_series_bps(ghost, 5 * SECOND) == []
         assert monitor.goodputs_bps(SECOND) == {}
 
-
-class TestProfilingSchema:
-    def test_to_dict_carries_schema_version(self):
-        report = ProfileReport(events=1, wall_s=0.1, sim_s=1.0, runs=1,
-                               component_events={"Link": 1})
-        assert report.to_dict()["schema_version"] == SCHEMA_VERSION

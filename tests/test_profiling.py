@@ -1,16 +1,17 @@
-"""The hot-path profiling layer: counters, reports, CLI wiring."""
-
-import json
+"""The hot-path profile: engine counters in the metrics registry."""
 
 import pytest
 
 from repro.experiments import cli
+from repro.experiments.report import profile_report
 from repro.netsim import profiling
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.packet import FlowId, Packet
 from repro.netsim.queues import DropTailQueue
+from repro.obs import metrics as obs_metrics
+from repro.obs.aggregate import merge_snapshots
 
 
 def drive_small_network(packets=5):
@@ -27,41 +28,60 @@ def drive_small_network(packets=5):
 
 class TestProfilerLifecycle:
     def test_off_by_default(self):
-        assert profiling.current() is None
+        assert obs_metrics.current() is None
         sim = drive_small_network()
         assert sim.processed_events > 0  # Runs fine unobserved.
 
     def test_profiled_scope_installs_and_removes(self):
-        with profiling.profiled() as profiler:
-            assert profiling.current() is profiler
+        with profiling.profiled() as registry:
+            assert obs_metrics.current() is registry
             drive_small_network()
-        assert profiling.current() is None
-        assert profiler.events > 0
+        assert obs_metrics.current() is None
+        assert registry.counter("sim_events_total").value > 0
 
     def test_counts_every_engine_event(self):
-        with profiling.profiled() as profiler:
+        with profiling.profiled() as registry:
             sim = drive_small_network()
-        assert profiler.events == sim.processed_events
+        assert registry.counter("sim_events_total").value == \
+            sim.processed_events
 
     def test_component_breakdown_names_classes(self):
-        with profiling.profiled() as profiler:
-            drive_small_network()
-        report = profiler.report()
+        with profiling.profiled() as registry:
+            sim = drive_small_network()
+        components = registry.component_events
         # Transmission completions are Link-bound; deliveries Host-bound.
-        assert report.component_events.get("Link", 0) > 0
-        assert report.component_events.get("Host", 0) > 0
-        assert sum(report.component_events.values()) == report.events
+        assert components.get("Link", 0) > 0
+        assert components.get("Host", 0) > 0
+        assert sum(components.values()) == sim.processed_events
 
     def test_aggregates_across_simulators(self):
-        with profiling.profiled() as profiler:
+        with profiling.profiled() as registry:
             first = drive_small_network()
             second = drive_small_network()
-        report = profiler.report()
-        assert report.runs == 2
-        assert report.events == (first.processed_events
-                                 + second.processed_events)
-        assert report.sim_s > 0
-        assert report.wall_s > 0
+        assert registry.counter("sim_runs_total").value == 2
+        assert registry.counter("sim_events_total").value == (
+            first.processed_events + second.processed_events)
+        assert registry.counter("sim_time_seconds_total").value > 0
+        assert registry.wall_s > 0
+
+    def test_wall_time_stays_out_of_the_snapshot(self):
+        with profiling.profiled() as registry:
+            drive_small_network()
+        with profiling.profiled() as again:
+            drive_small_network()
+        assert registry.snapshot() == again.snapshot()
+        assert obs_metrics.load_snapshot(registry.snapshot()).wall_s == 0
+
+    def test_components_survive_snapshot_and_merge(self):
+        with profiling.profiled() as registry:
+            drive_small_network()
+        snapshot = registry.snapshot()
+        components = registry.component_events
+        assert obs_metrics.load_snapshot(snapshot).component_events == \
+            components
+        merged = merge_snapshots([snapshot, snapshot])
+        assert merged.component_events == {
+            name: 2 * count for name, count in components.items()}
 
 
 class TestComponentOf:
@@ -81,59 +101,49 @@ class TestComponentOf:
 
 
 class TestReportFormats:
-    def _report(self):
-        with profiling.profiled() as profiler:
-            drive_small_network()
-        return profiler.report()
-
     def test_text_report_mentions_throughput(self):
-        text = self._report().format_text()
+        with profiling.profiled() as registry:
+            sim = drive_small_network()
+        text = profile_report(registry)
+        assert f"events          {sim.processed_events}\n" in text
+        assert "simulator runs  1\n" in text
         assert "events/sec" in text
         assert "sim/wall ratio" in text
         assert "Link" in text
 
-    def test_bench_json_shape(self, tmp_path):
-        report = self._report()
-        path = tmp_path / "BENCH_profile.json"
-        profiling.write_bench_json(str(path), "unit-test", report)
-        payload = json.loads(path.read_text())
-        (entry,) = payload["benchmarks"]
-        assert entry["name"] == "unit-test"
-        assert entry["group"] == "profile"
-        assert entry["extra_info"]["events"] == report.events
-        assert "component_events" in entry["extra_info"]
-
     def test_empty_report_is_safe(self):
-        report = profiling.HotPathProfiler().report()
-        assert report.events_per_sec == 0.0
-        assert report.sim_wall_ratio == 0.0
-        assert "hot-path profile" in report.format_text()
+        text = profile_report(obs_metrics.MetricsRegistry())
+        assert "hot-path profile" in text
+        assert "events/sec      0\n" in text
+        assert "sim/wall ratio  0.00x" in text
+        assert "by component" not in text
 
 
 class TestCliProfileFlag:
-    def test_profile_flag_prints_report(self, capsys, tmp_path):
-        json_path = tmp_path / "BENCH_profile.json"
-        assert cli.main(["table3", "--profile",
-                         "--profile-json", str(json_path)]) == 0
-        out = capsys.readouterr().out
-        assert "hot-path profile" in out
-        payload = json.loads(json_path.read_text())
-        assert payload["benchmarks"][0]["name"] == "cebinae-repro table3"
+    def test_profile_flag_prints_report(self, capsys):
+        assert cli.main(["table3", "--profile"]) == 0
+        assert "hot-path profile" in capsys.readouterr().out
+
+    def test_profile_json_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["table3", "--profile-json", "x"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_profiler_uninstalled_after_cli(self):
         cli.main(["table3", "--profile"])
-        assert profiling.current() is None
+        assert obs_metrics.current() is None
 
     def test_profiler_uninstalled_when_an_experiment_raises(
             self, monkeypatch):
         def boom(name, **kwargs):
-            assert profiling.current() is not None
+            assert obs_metrics.current() is not None
             raise RuntimeError("experiment failed")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         with pytest.raises(RuntimeError, match="experiment failed"):
             cli.main(["table3", "--profile"])
-        assert profiling.current() is None
+        assert obs_metrics.current() is None
 
     def test_note_names_what_a_profile_cannot_see(self, capsys):
         note = "in-process simulations only"

@@ -53,9 +53,7 @@ class TestSpanIds:
 
 class TestZeroCostOff:
     def test_open_span_returns_none_without_bus(self):
-        assert not spans.enabled()
         assert spans.open_span("run", "x") is None
-        assert spans.current_id() == ""
 
     def test_context_manager_yields_none_without_bus(self):
         with spans.span("run", "x") as handle:
@@ -66,7 +64,6 @@ class TestZeroCostOff:
         bus = obs_bus.TraceBus()
         bus.subscribe("control", MemorySink())
         with obs_bus.tracing(bus):
-            assert not spans.enabled()
             assert spans.open_span("run", "x") is None
 
 
@@ -76,7 +73,6 @@ class TestOpenClose:
         with obs_bus.tracing(bus):
             outer = spans.open_span("sweep", "demo", sim_clock=False)
             inner = spans.open_span("task", "t0", sim_clock=False)
-            assert spans.current_id() == inner.span_id
             inner.count = 1
             spans.close_span(inner)
             spans.close_span(outer)

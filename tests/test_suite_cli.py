@@ -1,13 +1,12 @@
 """Registry hygiene and the ``cebinae-repro suite`` command.
 
 Exercises the directory loader's identity rules (file stem == spec
-name, no duplicates, YAML gating) and the CLI end to end in a tmp
+name, no duplicates, YAML refused) and the CLI end to end in a tmp
 directory: --list, plain runs, --update-golden, --golden agreement,
 mismatch exit codes, and the JSON mismatch artifact.
 """
 
 import json
-import sys
 
 import pytest
 
@@ -58,29 +57,20 @@ class TestRegistry:
         with pytest.raises(SpecError, match="not parseable"):
             load_spec_file(path)
 
-    def test_duplicate_names_across_extensions_rejected(self, tmp_path):
+    def test_yaml_gated_with_clear_error(self, tmp_path):
+        # Refused by name, directly and from a directory: a YAML spec
+        # that was skipped would pass its golden check unrun.
         write_spec(tmp_path, "tiny")
-        yaml = pytest.importorskip("yaml")
-        (tmp_path / "tiny.yaml").write_text(
-            yaml.safe_dump(TINY_DOC), encoding="utf-8")
-        with pytest.raises(SpecError, match="duplicate suite spec"):
-            SuiteRegistry.from_directory(tmp_path)
-
-    def test_yaml_spec_loads_when_pyyaml_present(self, tmp_path):
-        yaml = pytest.importorskip("yaml")
-        path = tmp_path / "tiny.yaml"
-        path.write_text(yaml.safe_dump(TINY_DOC), encoding="utf-8")
-        spec = load_spec_file(path)
-        assert spec.name == "tiny"
-
-    def test_yaml_gated_with_clear_error(self, tmp_path, monkeypatch):
-        # Simulate an environment without PyYAML (CI installs only
-        # pytest + hypothesis): the error must say what to do.
-        path = tmp_path / "tiny.yaml"
-        path.write_text("name: tiny\n", encoding="utf-8")
-        monkeypatch.setitem(sys.modules, "yaml", None)
-        with pytest.raises(SpecError, match="PyYAML"):
-            load_spec_file(path)
+        for name in ("other.yaml", "other.yml"):
+            path = tmp_path / name
+            path.write_text("name: other\n", encoding="utf-8")
+            for load in (lambda: load_spec_file(path),
+                         lambda: SuiteRegistry.from_directory(tmp_path)):
+                with pytest.raises(SpecError,
+                                   match="suite documents are JSON") as err:
+                    load()
+                assert name in str(err.value)
+            path.unlink()
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="no spec files"):
@@ -99,6 +89,8 @@ class TestRegistry:
         assert registry.get("alpha").name == "alpha"
         with pytest.raises(SpecError, match="unknown suite spec"):
             registry.get("missing")
+        with pytest.raises(SpecError, match="duplicate suite spec"):
+            SuiteRegistry(list(registry) * 2)
 
 
 class TestSuiteCli:

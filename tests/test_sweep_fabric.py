@@ -281,6 +281,49 @@ class TestWorker:
         assert counts == {"done": 1, "quarantined": 1, "leased": 0,
                           "pending": 0}
 
+    @pytest.mark.parametrize("kind, reason", [
+        ("runspec", "rate_bps"), ("callable", "no_such_module")])
+    def test_damaged_manifest_entry_is_quarantined_not_fatal(
+            self, tmp_path, capsys, kind, reason):
+        # One entry whose source cannot be rebuilt (a hand-edited or
+        # bit-rotted manifest) costs that task, never the sweep.
+        if kind == "runspec":
+            manifest = manifest_from_runs("damaged", [
+                CompiledRun(label=discipline.value, runspec=RunSpec(
+                    tiny_scaled(duration_s=0.5), discipline))
+                for discipline in (Discipline.FIFO, Discipline.FQ)])
+        else:
+            manifest = callable_manifest(count=3)
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        document = json.loads(sweep.manifest_path.read_text())
+        source = document["tasks"][0]["source"]
+        if kind == "runspec":
+            del source["runspec"]["scaled"]["spec"]["rate_bps"]
+        else:
+            source["fn"] = "repro.no_such_module:checksum"
+        sweep.manifest_path.write_text(json.dumps(document))
+        with pytest.raises(ManifestError, match=reason):
+            sweep.load_manifest().tasks[0].task()
+
+        report = self.run_worker(sweep)
+        assert report.completed == len(manifest.tasks) - 1
+        assert report.quarantined == 1
+        damaged, *rest = sweep.outcomes()
+        assert [entry["status"] for entry in rest] == \
+            ["done"] * len(rest)
+        assert damaged["status"] == "quarantined"
+        assert damaged["failed"]["attempts"] == 0
+        assert reason in damaged["failed"]["error"]
+        assert damaged["label"] in damaged["failed"]["error"]
+        # A later worker skips it; status lists it with its reason.
+        assert self.run_worker(sweep, worker_id="w2").quarantined == 0
+        capsys.readouterr()
+        assert sweep_main(["status", str(sweep.root)]) == 0
+        out = capsys.readouterr().out
+        assert f"quarantined {damaged['label']}" in out
+        assert reason in out
+
     def test_transient_failure_heals_via_retry(self, tmp_path):
         counter = tmp_path / "attempts"
         manifest = manifest_from_callables("flaky", [
@@ -824,6 +867,26 @@ class TestSweepCli:
             .read_text())
         names = {m["name"] for m in metrics["counters"]}
         assert "sweep_resumes_total" in names
+
+    @pytest.mark.parametrize("command", ["init", "run"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--shard-size", "0", "shard_size must be >= 1"),
+        ("--backend", "bogus", "invalid choice: 'bogus'")])
+    def test_usage_errors_exit_2_without_a_traceback(
+            self, tmp_path, suite_dir, capsys, command, flag, value,
+            message):
+        from repro.sweep.cli import main
+        try:
+            code = main([command, str(tmp_path / "sweep"), "--suite",
+                         str(suite_dir), flag, value])
+        except SystemExit as exc:    # argparse's own usage errors
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "sweep").exists()
 
     def test_watch_once_json_byte_stable(self, tmp_path, suite_dir,
                                          capsys):
