@@ -12,32 +12,33 @@ from repro.experiments.report import figure1_report
 from repro.experiments.runner import Discipline
 from repro.fairness.metrics import jain_fairness_index
 
-from conftest import bench_duration_s, run_once
+from conftest import bench_duration_s, run_declared
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1_time_series(benchmark):
-    result = run_once(benchmark, figure1,
-                      duration_s=bench_duration_s(30.0))
+    comparisons = run_declared(
+        benchmark, figure1(duration_s=bench_duration_s(30.0)))
     print()
-    print(figure1_report(result))
-    benchmark.extra_info["fifo_jfi"] = round(result.fifo.jfi, 3)
-    benchmark.extra_info["cebinae_jfi"] = round(result.cebinae.jfi, 3)
+    print(figure1_report(comparisons))
+    fifo = comparisons[0].results[Discipline.FIFO]
+    cebinae = comparisons[0].results[Discipline.CEBINAE]
+    benchmark.extra_info["fifo_jfi"] = round(fifo.jfi, 3)
+    benchmark.extra_info["cebinae_jfi"] = round(cebinae.jfi, 3)
     # Both runs keep the link efficient...
-    for run in (result.fifo, result.cebinae):
+    for run in (fifo, cebinae):
         assert run.total_goodput_bps > 0.6 * run.sim_rate_bps
     # ...and the series cover the whole run for both flows.
-    assert len(result.fifo.goodput_series_bps) == 2
-    assert len(result.fifo.goodput_series_bps[0]) == \
-        int(result.fifo.duration_s)
+    assert len(fifo.goodput_series_bps) == 2
+    assert len(fifo.goodput_series_bps[0]) == int(fifo.duration_s)
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1_late_window_fairness(benchmark):
     """Convergence shape: over the last third of the run, Cebinae's
     per-second JFI should not be below FIFO's."""
-    result = run_once(benchmark, figure1,
-                      duration_s=bench_duration_s(30.0))
+    comparison, = run_declared(
+        benchmark, figure1(duration_s=bench_duration_s(30.0)))
 
     def late_jfi(run):
         series = run.goodput_series_bps
@@ -47,8 +48,8 @@ def test_figure1_late_window_fairness(benchmark):
                                  len(series[0]))]
         return sum(values) / len(values)
 
-    fifo = late_jfi(result.fifo)
-    cebinae = late_jfi(result.cebinae)
+    fifo = late_jfi(comparison.results[Discipline.FIFO])
+    cebinae = late_jfi(comparison.results[Discipline.CEBINAE])
     benchmark.extra_info["late_fifo_jfi"] = round(fifo, 3)
     benchmark.extra_info["late_cebinae_jfi"] = round(cebinae, 3)
     assert cebinae > fifo - 0.1

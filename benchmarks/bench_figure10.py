@@ -11,20 +11,19 @@ from repro.experiments.figures import figure10
 from repro.experiments.report import figure10_report
 from repro.experiments.runner import Discipline
 
-from conftest import bench_cache_dir, bench_duration_s, bench_workers, \
-    run_once
+from conftest import bench_duration_s, run_declared
 
 
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_churn_series(benchmark):
     duration = max(bench_duration_s(50.0), 35.0)  # Cubic joins at 25 s.
-    result = run_once(benchmark, figure10, duration_s=duration,
-                      num_vegas=16, workers=bench_workers(),
-                      cache_dir=bench_cache_dir())
+    comparisons = run_declared(
+        benchmark, figure10(duration_s=duration, num_vegas=16))
     print()
-    print(figure10_report(result))
-    fifo_series = result.jfi_series(Discipline.FIFO)
-    ceb_series = result.jfi_series(Discipline.CEBINAE)
+    print(figure10_report(comparisons))
+    results = comparisons[0].results
+    fifo_series = results[Discipline.FIFO].jfi_series()
+    ceb_series = results[Discipline.CEBINAE].jfi_series()
     assert len(fifo_series) == int(duration)
 
     # Before any aggressor joins, everyone is fair everywhere.

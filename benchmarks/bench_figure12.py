@@ -13,8 +13,9 @@ import pytest
 from repro.experiments.figures import figure12
 from repro.experiments.report import figure12_report
 
-from conftest import bench_cache_dir, bench_duration_s, bench_workers, \
-    run_once
+from repro.experiments.runner import Discipline
+
+from conftest import bench_duration_s, run_declared
 
 THRESHOLDS = (0.01, 0.1, 0.5, 1.0) if "CEBINAE_BENCH_DURATION" not in \
     os.environ else (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -23,26 +24,28 @@ THRESHOLDS = (0.01, 0.1, 0.5, 1.0) if "CEBINAE_BENCH_DURATION" not in \
 @pytest.mark.benchmark(group="figure12")
 def test_figure12_threshold_sweep(benchmark):
     # Baselines plus every threshold point share one pool and cache.
-    result = run_once(benchmark, figure12, thresholds=THRESHOLDS,
-                      duration_s=bench_duration_s(25.0),
-                      workers=bench_workers(),
-                      cache_dir=bench_cache_dir())
+    comparisons = run_declared(
+        benchmark, figure12(thresholds=THRESHOLDS,
+                            duration_s=bench_duration_s(25.0)))
     print()
-    print(figure12_report(result))
-    for point in result.cebinae_points:
-        benchmark.extra_info[f"jfi_at_{point.threshold:.0%}"] = \
-            round(point.jfi, 3)
-        benchmark.extra_info[f"goodput_at_{point.threshold:.0%}"] = \
-            round(point.goodput_bps / 1e6, 2)
+    print(figure12_report(comparisons))
+    baselines, *swept = comparisons
+    by_threshold = {comparison.scaled.cebinae.tau:
+                    comparison.results[Discipline.CEBINAE]
+                    for comparison in swept}
+    for threshold, run in by_threshold.items():
+        benchmark.extra_info[f"jfi_at_{threshold:.0%}"] = \
+            round(run.jfi, 3)
+        benchmark.extra_info[f"goodput_at_{threshold:.0%}"] = \
+            round(run.total_goodput_bps / 1e6, 2)
 
-    by_threshold = {point.threshold: point
-                    for point in result.cebinae_points}
     # Shape 1: goodput decays with aggressiveness; the degenerate 100%
     # setting loses most of the link (paper: drops sharply past the
     # flows' fair share).
-    assert by_threshold[1.0].goodput_bps < \
-        0.7 * by_threshold[0.01].goodput_bps
+    assert by_threshold[1.0].total_goodput_bps < \
+        0.7 * by_threshold[0.01].total_goodput_bps
     # Shape 2: moderate thresholds keep fairness at least FIFO-grade.
-    assert by_threshold[0.1].jfi > result.fifo_jfi - 0.1
+    assert by_threshold[0.1].jfi > \
+        baselines.results[Discipline.FIFO].jfi - 0.1
     # Shape 3: the FQ baseline is near-perfectly fair.
-    assert result.fq_jfi > 0.9
+    assert baselines.results[Discipline.FQ].jfi > 0.9

@@ -8,51 +8,59 @@ the left tail of the CDF (paper 0.956 -> 0.964)."""
 
 import pytest
 
-from repro.experiments.figures import figure8a, figure8b
+from repro.experiments.figures import figure8
 from repro.experiments.report import bar_figure_report
+from repro.experiments.runner import Discipline
 
-from conftest import bench_duration_s, run_once
+from conftest import bench_duration_s, run_declared
+
+
+def _run_part(benchmark, part):
+    """One part's points out of the figure's declaration."""
+    specs = [spec for spec in figure8(duration_s=bench_duration_s(30.0))
+             if spec.scaled.spec.name == part]
+    comparison, = run_declared(benchmark, specs)
+    return (comparison, comparison.results[Discipline.FIFO],
+            comparison.results[Discipline.CEBINAE])
 
 
 @pytest.mark.benchmark(group="figure8")
 def test_figure8a_bbr_aggression(benchmark):
-    result = run_once(benchmark, figure8a,
-                      duration_s=bench_duration_s(30.0))
+    comparison, fifo, cebinae = _run_part(benchmark, "figure8a")
     print()
-    print(bar_figure_report("Figure 8a (NewReno crowd vs BBR)", result))
-    benchmark.extra_info["fifo_jfi"] = round(result.fifo.jfi, 3)
-    benchmark.extra_info["cebinae_jfi"] = round(result.cebinae.jfi, 3)
+    print(bar_figure_report([comparison]))
+    benchmark.extra_info["fifo_jfi"] = round(fifo.jfi, 3)
+    benchmark.extra_info["cebinae_jfi"] = round(cebinae.jfi, 3)
     # The BBR flows are the mix's tail entries.
-    bbr_share_fifo = sum(result.fifo.goodputs_bps[-1:]) / \
-        result.fifo.total_goodput_bps
-    bbr_share_ceb = sum(result.cebinae.goodputs_bps[-1:]) / \
-        result.cebinae.total_goodput_bps
+    bbr_share_fifo = sum(fifo.goodputs_bps[-1:]) / \
+        fifo.total_goodput_bps
+    bbr_share_ceb = sum(cebinae.goodputs_bps[-1:]) / \
+        cebinae.total_goodput_bps
     benchmark.extra_info["bbr_share_fifo"] = round(bbr_share_fifo, 3)
     benchmark.extra_info["bbr_share_cebinae"] = round(bbr_share_ceb, 3)
     # Shape: the paper's claim is the JFI lift (0.774 -> 0.936); at
     # bench scale the flow-scaled crowd already keeps FIFO fairly fair,
     # so the check is that Cebinae holds that fairness and bounds BBR
     # near its fair share.
-    fair_share = 1.0 / len(result.cebinae.goodputs_bps)
+    fair_share = 1.0 / len(cebinae.goodputs_bps)
     # At short bench durations Cebinae's taxation transients can sit a
     # little below the (already fair, flow-scaled) FIFO baseline; the
     # 60 s headline runs in EXPERIMENTS.md land within 0.015 of it.
-    assert result.cebinae.jfi > result.fifo.jfi - 0.15
+    assert cebinae.jfi > fifo.jfi - 0.15
     assert bbr_share_ceb < 4 * fair_share
 
 
 @pytest.mark.benchmark(group="figure8")
 def test_figure8b_vegas_starvation_tail(benchmark):
-    result = run_once(benchmark, figure8b,
-                      duration_s=bench_duration_s(30.0))
+    comparison, fifo, cebinae = _run_part(benchmark, "figure8b")
     print()
-    print(bar_figure_report("Figure 8b (NewReno crowd vs Vegas)",
-                            result))
-    # The CDF's left tail: the minimum-goodput flow under Cebinae
-    # should not be more starved than under FIFO.
-    fifo_min = min(result.fifo.goodputs_bps)
-    ceb_min = min(result.cebinae.goodputs_bps)
+    print(bar_figure_report([comparison]))
+    # The CDF's left tail: the paper's claim is that the
+    # minimum-goodput flow under Cebinae is no more starved than under
+    # FIFO.  The two minima are recorded, not compared (this benchmark
+    # never has); the check is that neither tail is starved outright.
+    fifo_min = min(fifo.goodputs_bps)
+    ceb_min = min(cebinae.goodputs_bps)
     benchmark.extra_info["fifo_min_mbps"] = round(fifo_min / 1e6, 3)
     benchmark.extra_info["cebinae_min_mbps"] = round(ceb_min / 1e6, 3)
-    cdf = result.cdf_points(result.cebinae.discipline)
-    assert cdf[0][1] > 0 and cdf[-1][1] == pytest.approx(1.0)
+    assert fifo_min > 0 and ceb_min > 0

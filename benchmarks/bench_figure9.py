@@ -11,10 +11,10 @@ import pytest
 
 from repro.experiments.figures import figure9
 from repro.experiments.report import figure9_report
+from repro.experiments.parallel import THREE_WAY
 from repro.experiments.runner import Discipline
 
-from conftest import bench_cache_dir, bench_duration_s, bench_workers, \
-    run_once
+from conftest import bench_duration_s, run_declared
 
 SWEEP_RTTS_MS = (16, 64, 256) if "CEBINAE_BENCH_DURATION" not in \
     os.environ else (16, 32, 64, 128, 256)
@@ -24,32 +24,32 @@ SWEEP_RTTS_MS = (16, 64, 256) if "CEBINAE_BENCH_DURATION" not in \
 def test_figure9_rtt_sweep(benchmark):
     # The sweep's (RTT x discipline) grid fans out over the process
     # pool; a repeated invocation replays every point from the cache.
-    points = run_once(benchmark, figure9, rtts_ms=SWEEP_RTTS_MS,
-                      duration_s=bench_duration_s(30.0),
-                      workers=bench_workers(),
-                      cache_dir=bench_cache_dir())
+    comparisons = run_declared(
+        benchmark, figure9(rtts_ms=SWEEP_RTTS_MS,
+                           duration_s=bench_duration_s(30.0)))
     print()
-    print(figure9_report(points))
-    for point in points:
-        benchmark.extra_info[f"jfi_fifo_rtt{int(point.rtt_ms)}"] = \
-            round(point.jfi(Discipline.FIFO), 3)
-        benchmark.extra_info[f"jfi_ceb_rtt{int(point.rtt_ms)}"] = \
-            round(point.jfi(Discipline.CEBINAE), 3)
+    print(figure9_report(comparisons))
+    for rtt, comparison in zip(SWEEP_RTTS_MS, comparisons):
+        benchmark.extra_info[f"jfi_fifo_rtt{rtt}"] = \
+            round(comparison.results[Discipline.FIFO].jfi, 3)
+        benchmark.extra_info[f"jfi_ceb_rtt{rtt}"] = \
+            round(comparison.results[Discipline.CEBINAE].jfi, 3)
 
     # Shape 1: at the largest asymmetry (16 ms vs 256 ms), Cebinae is
     # at least as fair as FIFO.
-    worst = points[0]
-    assert worst.rtt_ms == min(p.rtt_ms for p in points)
-    assert worst.jfi(Discipline.CEBINAE) >= \
-        worst.jfi(Discipline.FIFO) - 0.05
+    assert SWEEP_RTTS_MS[0] == min(SWEEP_RTTS_MS)
+    worst = comparisons[0].results
+    assert worst[Discipline.CEBINAE].jfi >= \
+        worst[Discipline.FIFO].jfi - 0.05
 
     # Shape 2: with symmetric RTTs everyone is fair.
-    symmetric = points[-1]
-    for discipline in Discipline:
-        assert symmetric.jfi(discipline) > 0.8
+    symmetric = comparisons[-1].results
+    for discipline in THREE_WAY:
+        assert symmetric[discipline].jfi > 0.8
 
     # Shape 3: efficiency stays comparable across disciplines.
-    for point in points:
-        fifo_goodput = point.goodput_bps(Discipline.FIFO)
-        assert point.goodput_bps(Discipline.CEBINAE) > \
-            0.75 * fifo_goodput
+    for comparison in comparisons:
+        fifo_goodput = \
+            comparison.results[Discipline.FIFO].total_goodput_bps
+        assert comparison.results[Discipline.CEBINAE] \
+            .total_goodput_bps > 0.75 * fifo_goodput

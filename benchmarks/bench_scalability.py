@@ -12,42 +12,53 @@ import time
 import pytest
 
 from repro.core.resource_model import queues_required
+from repro.experiments.report import scalability_report
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scalability import (format_points, rtt_sweep,
-                                           run_point)
+from repro.experiments.scalability import rtt_sweep
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.netsim.fluid import HybridPolicy
 
-from conftest import bench_duration_s, bench_flows, run_once
+from conftest import (bench_duration_s, bench_flows, run_declared,
+                      run_once)
 
 
 @pytest.mark.benchmark(group="scalability")
 def test_rtt_sweep_afq_vs_cebinae(benchmark):
-    points = run_once(benchmark, rtt_sweep,
-                      rtts_ms=(20, 80, 320), num_flows=4,
-                      duration_s=bench_duration_s(15.0))
+    rtts_ms = (20, 80, 320)
+    comparisons = run_declared(
+        benchmark, rtt_sweep(rtts_ms=rtts_ms, num_flows=4,
+                             duration_s=bench_duration_s(15.0)))
     print()
-    print(format_points(points))
-    by_key = {(p.mechanism, p.rtt_ms): p for p in points}
-    for (mechanism, rtt), point in by_key.items():
-        benchmark.extra_info[f"{mechanism}_jfi_rtt{rtt:.0f}"] = \
-            round(point.jfi, 3)
+    print(scalability_report(comparisons))
+    by_key = {(discipline, rtt): run
+              for rtt, comparison in zip(rtts_ms, comparisons)
+              for discipline, run in comparison.results.items()}
+    for (discipline, rtt), run in by_key.items():
+        benchmark.extra_info[f"{discipline.value}_jfi_rtt{rtt}"] = \
+            round(run.jfi, 3)
 
     # Shape 1: AFQ horizon drops grow with RTT; Cebinae has none.
-    assert by_key[("afq", 320.0)].horizon_drops >= \
-        by_key[("afq", 20.0)].horizon_drops
-    assert all(point.horizon_drops == 0 for point in points
-               if point.mechanism == "cebinae")
+    # A tracked miss for the fidelity ledger: measured at the
+    # experiment's 20 s default the AFQ drops are 0, 24, 0 at 20, 80,
+    # 320 ms, so this holds as 0 >= 0.  The shared 120 KB buffer is
+    # smaller than the 4 x 96 KB the four flows' calendars span, so the
+    # buffer limit usually drops first and the horizon rarely binds
+    # (EXPERIMENTS.md, section 5.5).
+    assert by_key[(Discipline.AFQ, 320)].horizon_drops >= \
+        by_key[(Discipline.AFQ, 20)].horizon_drops
+    assert all(run.horizon_drops == 0
+               for (discipline, _), run in by_key.items()
+               if discipline is Discipline.CEBINAE)
 
     # Shape 2: at the longest RTT, Cebinae's efficiency holds up at
     # least as well as AFQ's.
-    afq_long = by_key[("afq", 320.0)]
-    ceb_long = by_key[("cebinae", 320.0)]
-    assert ceb_long.goodput_bps > 0.5 * afq_long.goodput_bps
+    afq_long = by_key[(Discipline.AFQ, 320)]
+    ceb_long = by_key[(Discipline.CEBINAE, 320)]
+    assert ceb_long.total_goodput_bps > 0.5 * afq_long.total_goodput_bps
 
     # Both remain fair for homogeneous flows everywhere.
-    for point in points:
-        assert point.jfi > 0.6
+    for run in by_key.values():
+        assert run.jfi > 0.6
 
 
 @pytest.mark.benchmark(group="scalability")
@@ -55,10 +66,14 @@ def test_afq_fairness_at_short_rtt(benchmark):
     """Where Equation (1) is satisfied, AFQ is (near-)perfectly fair —
     the baseline works, which is what makes the long-RTT contrast
     meaningful."""
-    point = run_once(benchmark, run_point, "afq", 4, 20.0,
-                     duration_s=bench_duration_s(15.0))
-    benchmark.extra_info["afq_jfi"] = round(point.jfi, 3)
-    assert point.jfi > 0.85
+    afq_only = [spec for spec
+                in rtt_sweep(rtts_ms=(20,), num_flows=4,
+                             duration_s=bench_duration_s(15.0))
+                if spec.discipline is Discipline.AFQ]
+    comparison, = run_declared(benchmark, afq_only)
+    jfi = comparison.results[Discipline.AFQ].jfi
+    benchmark.extra_info["afq_jfi"] = round(jfi, 3)
+    assert jfi > 0.85
 
 
 @pytest.mark.benchmark(group="scalability")

@@ -11,9 +11,10 @@ import pytest
 
 from repro.experiments.report import table2_report
 from repro.experiments.runner import Discipline
-from repro.experiments.table2 import TABLE2_ROWS, run_table2
+from repro.experiments.table2 import (TABLE2_BY_NAME, TABLE2_ROWS,
+                                      table2)
 
-from conftest import bench_duration_s, run_once
+from conftest import bench_duration_s, run_declared
 
 #: Representative rows per link class (1-based row numbers): RTT
 #: unfairness, intra-CCA, Vegas starvation, BBR aggression, 10G mix.
@@ -22,9 +23,10 @@ ROWS_1G = (12, 15, 18, 23)
 ROWS_10G = (24, 25)
 
 
-def _run_rows(row_numbers):
+def _run_rows(benchmark, row_numbers):
     rows = [TABLE2_ROWS[number - 1] for number in row_numbers]
-    comparisons = run_table2(rows, duration_s=bench_duration_s())
+    comparisons = run_declared(
+        benchmark, table2(rows, duration_s=bench_duration_s()))
     print()
     print(table2_report(comparisons))
     return comparisons
@@ -32,9 +34,10 @@ def _run_rows(row_numbers):
 
 def _check(benchmark, comparisons):
     for comparison in comparisons:
+        name = comparison.scaled.spec.name
         for discipline, result in comparison.results.items():
-            paper = comparison.row.paper(discipline)
-            key = f"{comparison.row.spec.name}_{discipline.value}"
+            paper = TABLE2_BY_NAME[name].paper(discipline)
+            key = f"{name}_{discipline.value}"
             benchmark.extra_info[key + "_jfi"] = round(result.jfi, 3)
             benchmark.extra_info[key + "_paper_jfi"] = paper.jfi
             assert 0.0 < result.jfi <= 1.0
@@ -44,26 +47,26 @@ def _check(benchmark, comparisons):
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_100mbps_rows(benchmark):
-    comparisons = run_once(benchmark, _run_rows, ROWS_100M)
+    comparisons = _run_rows(benchmark, ROWS_100M)
     _check(benchmark, comparisons)
 
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_1gbps_rows(benchmark):
-    comparisons = run_once(benchmark, _run_rows, ROWS_1G)
+    comparisons = _run_rows(benchmark, ROWS_1G)
     _check(benchmark, comparisons)
 
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_10gbps_rows(benchmark):
-    comparisons = run_once(benchmark, _run_rows, ROWS_10G)
+    comparisons = _run_rows(benchmark, ROWS_10G)
     _check(benchmark, comparisons)
 
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_vegas_starvation_shape(benchmark):
     """Row 8's headline: Cebinae lifts JFI far above FIFO's."""
-    comparisons = run_once(benchmark, _run_rows, (8,))
+    comparisons = _run_rows(benchmark, (8,))
     results = comparisons[0].results
     fifo = results[Discipline.FIFO].jfi
     cebinae = results[Discipline.CEBINAE].jfi

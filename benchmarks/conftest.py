@@ -81,6 +81,16 @@ def run_once(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1, warmup_rounds=0)
 
 
+def run_declared(benchmark, specs):
+    """Run an experiment's declared points once, over the benchmark
+    pool and cache (``CEBINAE_BENCH_WORKERS``, ``CEBINAE_CACHE_DIR``)."""
+    # Imported here: this conftest also loads for benchmarks/ledger,
+    # which CI runs without the package on the path.
+    from repro.experiments.parallel import run_grid
+    return run_once(benchmark, run_grid, specs, workers=bench_workers(),
+                    cache_dir=bench_cache_dir())
+
+
 @pytest.fixture
 def duration_s():
     return bench_duration_s()

@@ -12,31 +12,35 @@ Run:
     python examples/multi_bottleneck.py
 """
 
-from repro.experiments.figures import figure11
+from repro.experiments.figures import figure11, parking_lot_ideal
+from repro.experiments.parallel import run_grid
+from repro.experiments.report import parking_lot_jfi
 
 
-def show(result):
-    print(f"{result.discipline.value.upper()}: normalised JFI "
-          f"{result.normalized_jfi:.3f} (1.0 = ideal max-min)")
+def show(comparison, discipline):
+    print(f"{discipline.value.upper()}: normalised JFI "
+          f"{parking_lot_jfi(comparison, discipline):.3f} "
+          f"(1.0 = ideal max-min)")
+    ideal = parking_lot_ideal(comparison.scaled.spec)
     groups = {}
-    for label, rate, ideal in zip(result.flow_labels,
-                                  result.goodputs_bps,
-                                  result.ideal_bps):
+    for label, rate in zip(ideal,
+                           comparison.results[discipline].goodputs_bps):
         key = label.rstrip("0123456789")
-        groups.setdefault(key, []).append((rate, ideal))
+        groups.setdefault(key, []).append((rate, ideal[label]))
     for key, values in groups.items():
         avg_rate = sum(rate for rate, _ in values) / len(values)
-        ideal = values[0][1]
+        ideal_rate = values[0][1]
         print(f"  {key:>6} x{len(values)}: avg {avg_rate / 1e6:5.2f} "
-              f"Mbps (ideal {ideal / 1e6:5.2f})")
+              f"Mbps (ideal {ideal_rate / 1e6:5.2f})")
     print()
 
 
 def main():
     print("Parking lot: 8 NewReno long flows vs 2 Bic / 8 Vegas / "
           "4 Cubic cross flows on three 25 Mbps bottlenecks\n")
-    for result in figure11(duration_s=40.0):
-        show(result)
+    comparison, = run_grid(figure11(duration_s=40.0), workers=1)
+    for discipline in comparison.results:
+        show(comparison, discipline)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ Subpackages:
 from .core import (CebinaeControlPlane, CebinaeParams, CebinaeQueueDisc,
                    FlowGroup, LbfDecision, LeakyBucketFilter,
                    cebinae_factory, estimate_resources)
-from .experiments import (Discipline, ScalePolicy, ScenarioSpec,
-                          run_comparison, run_scenario)
+from .experiments import (Discipline, ScalePolicy, ScenarioSpec, grid,
+                          run_grid, run_scenario)
 from .fairness import (FlowSpec, jain_fairness_index, normalized_jfi,
                        water_filling)
 from .heavyhitter import CebinaeFlowCache, SyntheticTrace
@@ -37,5 +37,5 @@ __all__ = [
     "FlowSpec", "water_filling", "jain_fairness_index",
     "normalized_jfi",
     "ScenarioSpec", "ScalePolicy", "Discipline", "run_scenario",
-    "run_comparison",
+    "grid", "run_grid",
 ]

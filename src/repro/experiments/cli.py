@@ -10,13 +10,18 @@ import argparse
 import sys
 import time
 from contextlib import nullcontext
-from typing import Any, ContextManager, List, Optional
+from typing import Any, ContextManager, List, Optional, Tuple
 
+from ..analysis.invariants import InvariantViolation
 from ..core.resource_model import estimate_resources
+from ..faults.spec import FaultSpec, parse_fault_tokens
 from ..heavyhitter.evaluation import sweep_round_interval, \
     sweep_slot_count
 from . import figures, report
-from .table2 import TABLE2_ROWS, Table2Row, run_table2
+from .faults import demo_fault_spec, fault_recovery_sweep
+from .parallel import RunSpec, run_grid
+from .scalability import rtt_sweep
+from .table2 import TABLE2_ROWS, Table2Row, table2
 
 EXPERIMENTS = ("table2", "figure1", "figure7", "figure8", "figure9",
                "figure10", "figure11", "figure12", "figure13",
@@ -41,6 +46,47 @@ def _table2_rows(rows: Optional[List[int]]) -> List[Table2Row]:
     return [TABLE2_ROWS[row - 1] for row in rows]
 
 
+#: The scenario experiments, each one path: :func:`declare` its points,
+#: ``run_grid`` them, print them.  Per name: the declaration, its full
+#: duration, the sweep axis ``--quick`` thins (the declaration's default
+#: is the full one), and the report.
+SCENARIO_EXPERIMENTS = {
+    "table2": (table2, 60.0, {}, report.table2_report),
+    "figure1": (figures.figure1, 50.0, {}, report.figure1_report),
+    "figure7": (figures.figure7, 60.0, {}, report.bar_figure_report),
+    "figure8": (figures.figure8, 60.0, {}, report.bar_figure_report),
+    "figure9": (figures.figure9, 60.0, {"rtts_ms": (16, 64, 256)},
+                report.figure9_report),
+    "figure10": (figures.figure10, 50.0, {}, report.figure10_report),
+    "figure11": (figures.figure11, 60.0, {}, report.figure11_report),
+    "figure12": (figures.figure12, 40.0,
+                 {"thresholds": (0.01, 0.1, 1.0)},
+                 report.figure12_report),
+    "scalability": (rtt_sweep, 20.0, {"rtts_ms": (20, 320)},
+                    report.scalability_report),
+}
+
+
+def declare(name: str, quick: bool = False,
+            rows: Optional[List[int]] = None) -> List[RunSpec]:
+    """The points of one scenario experiment, as the CLI runs it."""
+    points, duration_s, thinned, _ = SCENARIO_EXPERIMENTS[name]
+    axes = dict(thinned) if quick else {}
+    if name == "table2":
+        axes["rows"] = _table2_rows(rows)
+    return points(duration_s=_duration(duration_s, quick), **axes)
+
+
+def _faults_inputs(quick: bool, tokens: Optional[List[str]]
+                   ) -> Tuple[float, FaultSpec]:
+    """The faults experiment's duration and its schedule: the demo spec
+    at that duration with any ``--faults`` tokens applied on top."""
+    duration = _duration(40.0, quick)
+    base = demo_fault_spec(duration)
+    return duration, (parse_fault_tokens(tokens, base=base) if tokens
+                      else base)
+
+
 def run_experiment(name: str, quick: bool = False,
                    rows: Optional[List[int]] = None,
                    workers: int = 1,
@@ -59,55 +105,16 @@ def run_experiment(name: str, quick: bool = False,
     pool = {"workers": workers, "cache_dir": cache_dir,
             "use_cache": use_cache}
     if name == "faults":
-        from ..faults.spec import parse_fault_tokens
-        from .faults import demo_fault_spec, fault_recovery_sweep
-        duration = _duration(40.0, quick)
-        base = demo_fault_spec(duration)
-        if faults:
-            base = parse_fault_tokens(faults, base=base)
+        duration, base = _faults_inputs(quick, faults)
         points = fault_recovery_sweep(duration_s=duration, base=base,
                                       wall_limit_s=wall_limit_s, **pool)
         return report.faults_report(points)
     if faults:
         raise ValueError(
             f"--faults applies to the 'faults' experiment, not {name!r}")
-    if name == "table2":
-        comparisons = run_table2(_table2_rows(rows),
-                                 duration_s=_duration(60.0, quick),
-                                 verbose=True, **pool)
-        return report.table2_report(comparisons)
-    if name == "figure1":
-        return report.figure1_report(
-            figures.figure1(duration_s=_duration(50.0, quick), **pool))
-    if name == "figure7":
-        return report.bar_figure_report(
-            "Figure 7 (16 Vegas vs 1 NewReno)",
-            figures.figure7(duration_s=_duration(60.0, quick), **pool))
-    if name == "figure8":
-        part_a = report.bar_figure_report(
-            "Figure 8a (128 NewReno vs 2 BBR)",
-            figures.figure8a(duration_s=_duration(60.0, quick), **pool))
-        part_b = report.bar_figure_report(
-            "Figure 8b (128 NewReno vs 4 Vegas)",
-            figures.figure8b(duration_s=_duration(60.0, quick), **pool))
-        return part_a + "\n" + part_b
-    if name == "figure9":
-        rtts = (16, 64, 256) if quick else (16, 32, 64, 128, 256)
-        return report.figure9_report(
-            figures.figure9(rtts_ms=rtts,
-                            duration_s=_duration(60.0, quick), **pool))
-    if name == "figure10":
-        return report.figure10_report(
-            figures.figure10(duration_s=_duration(50.0, quick), **pool))
-    if name == "figure11":
-        return report.figure11_report(
-            figures.figure11(duration_s=_duration(60.0, quick), **pool))
-    if name == "figure12":
-        thresholds = (0.01, 0.1, 1.0) if quick else \
-            (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-        return report.figure12_report(
-            figures.figure12(thresholds=thresholds,
-                             duration_s=_duration(40.0, quick), **pool))
+    if name in SCENARIO_EXPERIMENTS:
+        *_, print_report = SCENARIO_EXPERIMENTS[name]
+        return print_report(run_grid(declare(name, quick, rows), **pool))
     if name == "figure13":
         trials = 1 if quick else 10
         duration = 0.15 if quick else 0.5
@@ -119,13 +126,6 @@ def run_experiment(name: str, quick: bool = False,
                                                     4096),
             trials=trials, trace_duration_s=duration, **pool)
         return report.figure13_report(results)
-    if name == "scalability":
-        from .scalability import format_points, rtt_sweep
-        rtts = (20, 320) if quick else (20, 80, 320)
-        points = rtt_sweep(rtts_ms=rtts,
-                           duration_s=_duration(20.0, quick), **pool)
-        return ("Cebinae vs AFQ under growing per-flow buffer "
-                "requirements\n" + format_points(points))
     if name == "table3":
         lines = ["Table 3: Cebinae data plane resource usage"]
         for stages in (1, 2):
@@ -255,9 +255,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and the sim/wall ratio (in-process "
                              "runs only; use --workers 1 --no-cache)")
     args = parser.parse_args(argv)
+    # Usage errors end here, in one line and exit 2, before anything
+    # runs; run_experiment raises the same for library callers.
+    if args.experiment != "faults" and (args.faults
+                                        or args.wall_limit is not None):
+        parser.error("--faults and --wall-limit apply to the 'faults' "
+                     f"experiment, not {args.experiment!r}")
+    if args.rows is not None and args.experiment not in ("table2", "all"):
+        parser.error("--rows applies to 'table2' (or 'all'), not "
+                     f"{args.experiment!r}")
     try:
         _table2_rows(args.rows)
-    except ValueError as exc:
+        _faults_inputs(args.quick, args.faults)
+    except (ValueError, OSError, InvariantViolation) as exc:
         parser.error(str(exc))
     names = [name for name in EXPERIMENTS if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]

@@ -25,8 +25,8 @@ Three properties make this safe:
 
 Typical use::
 
-    specs = [RunSpec(scaled, d) for d in Discipline]
-    results = run_many(specs, workers=4, cache_dir=".cebinae-cache")
+    specs = grid([scaled], (Discipline.FIFO, Discipline.CEBINAE))
+    comparison, = run_grid(specs, workers=4, cache_dir=".cebinae-cache")
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        from .scenarios import ScaledScenario
         faults = data.get("faults")
         wall_limit = data.get("wall_limit_s")
         max_events = data.get("max_events")
@@ -702,3 +701,44 @@ def run_many(specs: Sequence[RunSpec], workers: Optional[int] = None,
     return run_tasks(tasks, workers=workers, cache_dir=cache_dir,
                      use_cache=use_cache, retries=retries,
                      progress=progress, timeout_s=timeout_s)
+
+
+# --------------------------------------------------------------------------
+# Experiments as declarations: a table or figure is a list of RunSpecs.
+# --------------------------------------------------------------------------
+
+#: The paper's three-way comparison, in its tables' column order.
+THREE_WAY = (Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE)
+
+
+def grid(scenarios: Sequence[ScaledScenario],
+         disciplines: Sequence[Discipline] = THREE_WAY,
+         **flags: Any) -> List[RunSpec]:
+    """Every scenario under every discipline, scenario-major; ``flags``
+    are :class:`RunSpec` fields all the points share."""
+    return [RunSpec(scaled=scaled, discipline=discipline, **flags)
+            for scaled in scenarios for discipline in disciplines]
+
+
+@dataclass
+class Comparison:
+    """One scaled scenario and its result under each discipline run."""
+
+    scaled: ScaledScenario
+    results: Dict[Discipline, ScenarioResult]
+
+
+def run_grid(specs: Sequence[RunSpec], **pool: Any) -> List[Comparison]:
+    """Run declared points and group their results by scenario.
+
+    ``pool`` is :func:`run_many`'s; a failed point raises
+    (:func:`require`).  One :class:`Comparison` per distinct
+    :class:`ScaledScenario`, in declaration order; scenarios that
+    differ only in Cebinae parameters (Figure 12's axis) are distinct.
+    """
+    comparisons: Dict[ScaledScenario, Comparison] = {}
+    for spec, result in zip(specs, run_many(specs, **pool)):
+        comparison = comparisons.setdefault(
+            spec.scaled, Comparison(spec.scaled, {}))
+        comparison.results[spec.discipline] = require(result)
+    return list(comparisons.values())

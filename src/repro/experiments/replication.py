@@ -12,29 +12,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from .runner import Discipline, ScenarioResult, run_scenario
+from .parallel import RunSpec, require, run_many
+from .runner import Discipline, ScenarioResult
 from .scenarios import ScaledScenario
 
-try:  # scipy is a dev-dependency; fall back to a normal quantile.
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy ships in dev installs.
-    _scipy_stats = None
-
-
-def _t_quantile(confidence: float, dof: int) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2, dof))
-    return 1.96  # Normal approximation.
+#: Two-sided 95 % critical values of Student's t for 1-30 degrees of
+#: freedom (any statistics text's table); 1.960 beyond.
+T_95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+        2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
+        2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
+        2.048, 2.045, 2.042)
 
 
 @dataclass
 class ReplicatedMetric:
-    """Mean, standard deviation and CI of one metric across seeds."""
+    """Mean, standard deviation and 95 % CI of one metric across seeds."""
 
     samples: List[float]
-    confidence: float = 0.95
 
     @property
     def mean(self) -> float:
@@ -52,7 +48,8 @@ class ReplicatedMetric:
     def half_width(self) -> float:
         if len(self.samples) < 2:
             return 0.0
-        quantile = _t_quantile(self.confidence, len(self.samples) - 1)
+        dof = len(self.samples) - 1
+        quantile = T_95[dof - 1] if dof <= len(T_95) else 1.960
         return quantile * self.std / math.sqrt(len(self.samples))
 
     @property
@@ -83,19 +80,24 @@ class ReplicatedResult:
 
 def replicate(scaled: ScaledScenario, discipline: Discipline,
               seeds: Sequence[int] = (0, 1, 2),
-              **run_kwargs) -> ReplicatedResult:
-    """Run a scenario once per seed and aggregate."""
-    runs = [run_scenario(scaled, discipline, seed=seed, **run_kwargs)
-            for seed in seeds]
-    return ReplicatedResult(discipline=discipline, runs=runs)
+              **pool: Any) -> ReplicatedResult:
+    """One point per seed through the executor (``pool`` is
+    :func:`~repro.experiments.parallel.run_many`'s), aggregated."""
+    specs = [RunSpec(scaled=scaled, discipline=discipline, seed=seed)
+             for seed in seeds]
+    return ReplicatedResult(
+        discipline=discipline,
+        runs=[require(result) for result in run_many(specs, **pool)])
 
 
 def replicate_comparison(scaled: ScaledScenario,
                          disciplines: Sequence[Discipline] = (
                              Discipline.FIFO, Discipline.CEBINAE),
-                         seeds: Sequence[int] = (0, 1, 2)
+                         seeds: Sequence[int] = (0, 1, 2),
+                         **pool: Any
                          ) -> Dict[Discipline, ReplicatedResult]:
-    return {discipline: replicate(scaled, discipline, seeds=seeds)
+    return {discipline: replicate(scaled, discipline, seeds=seeds,
+                                  **pool)
             for discipline in disciplines}
 
 

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
+from ..fairness.metrics import normalized_jfi
 from ..heavyhitter.evaluation import DetectionResult
 from ..obs.events import ControlRound
 from ..obs.metrics import MetricsRegistry
-from .figures import (Figure1Result, Figure9Point, Figure10Result,
-                      Figure11Result, Figure12Result, BarFigureResult)
+from .figures import PAPER_JFI, parking_lot_ideal
+from .parallel import THREE_WAY, Comparison
 from .runner import Discipline
-from .table2 import Table2Comparison
+from .table2 import TABLE2_BY_NAME
+
+#: The two-way figures' labels.
+LABELS = {Discipline.FIFO: "FIFO", Discipline.CEBINAE: "Cebinae"}
 
 
 def format_table(headers: Sequence[str],
@@ -38,112 +42,163 @@ def mbps(value_bps: float) -> str:
     return f"{value_bps / 1e6:.2f}"
 
 
-def table2_report(comparisons: Sequence[Table2Comparison]) -> str:
+def table2_summary_line(comparison: Comparison,
+                        discipline: Discipline) -> str:
+    """One measured-vs-paper line; ``tools/make_table2_md.py`` parses
+    these out of ``results_table2.log``."""
+    spec = comparison.scaled.paper_spec
+    measured = comparison.results[discipline]
+    paper = TABLE2_BY_NAME[spec.name].paper(discipline)
+    return (f"{spec.name} {discipline.value:>7}: "
+            f"JFI {measured.jfi:.3f} (paper {paper.jfi:.3f})  "
+            f"goodput {measured.total_goodput_bps / 1e6:.1f} Mbps "
+            f"of {measured.sim_rate_bps / 1e6:.0f} "
+            f"(paper {paper.goodput_mbps:.0f} of "
+            f"{spec.rate_bps / 1e6:.0f})")
+
+
+def table2_report(comparisons: Sequence[Comparison]) -> str:
+    """The per-point summary lines, then the table."""
+    lines = [table2_summary_line(comparison, discipline)
+             for comparison in comparisons
+             for discipline in comparison.results]
     headers = ["row", "config", "scale",
                "JFI fifo (paper)", "JFI fq (paper)", "JFI ceb (paper)",
                "goodput ceb/fifo"]
     rows: List[List[str]] = []
     for comparison in comparisons:
-        spec = comparison.row.spec
+        spec = comparison.scaled.paper_spec
+        paper = TABLE2_BY_NAME[spec.name].paper
         mix = ",".join(f"{cca}:{count}" for cca, count in spec.cca_mix)
         fifo = comparison.results[Discipline.FIFO]
-        row = [spec.name.replace("table2_", ""),
-               f"{spec.rate_bps / 1e6:.0f}M {mix}",
-               f"{fifo.rate_scale:.0f}x/{fifo.flow_scale:.0f}x"]
-        for discipline in (Discipline.FIFO, Discipline.FQ,
-                           Discipline.CEBINAE):
-            measured = comparison.results.get(discipline)
-            paper = comparison.row.paper(discipline)
-            row.append(f"{measured.jfi:.3f} ({paper.jfi:.3f})"
-                       if measured else "-")
-        ceb = comparison.results.get(Discipline.CEBINAE)
-        if ceb is not None and fifo.total_goodput_bps > 0:
-            row.append(f"{ceb.total_goodput_bps / fifo.total_goodput_bps:.3f}")
-        else:
-            row.append("-")
-        rows.append(row)
-    return format_table(headers, rows)
+        ceb = comparison.results[Discipline.CEBINAE]
+        rows.append(
+            [spec.name.replace("table2_", ""),
+             f"{spec.rate_bps / 1e6:.0f}M {mix}",
+             f"{fifo.rate_scale:.0f}x/{fifo.flow_scale:.0f}x"]
+            + [f"{comparison.results[discipline].jfi:.3f} "
+               f"({paper(discipline).jfi:.3f})"
+               for discipline in THREE_WAY]
+            + [f"{ceb.total_goodput_bps / fifo.total_goodput_bps:.3f}"
+               if fifo.total_goodput_bps > 0 else "-"])
+    return "\n".join(lines + [format_table(headers, rows)])
 
 
-def figure1_report(result: Figure1Result) -> str:
+def figure1_report(comparisons: Sequence[Comparison]) -> str:
+    comparison, = comparisons
     lines = ["Figure 1: goodput [Mbps] per second "
              "(flow0 RTT 20.4 ms, flow1 RTT 40 ms)"]
-    for label, run in (("FIFO", result.fifo),
-                       ("Cebinae", result.cebinae)):
-        series = run.goodput_series_bps
-        lines.append(f"  {label}: JFI={run.jfi:.3f}")
-        for flow_index, flow_series in enumerate(series):
+    for discipline, run in comparison.results.items():
+        lines.append(f"  {LABELS[discipline]}: JFI={run.jfi:.3f}")
+        for flow_index, flow_series in enumerate(run.goodput_series_bps):
             samples = " ".join(f"{value / 1e6:5.1f}"
                                for value in flow_series[::5])
             lines.append(f"    flow{flow_index} (every 5 s): {samples}")
     return "\n".join(lines)
 
 
-def bar_figure_report(name: str, result: BarFigureResult) -> str:
-    lines = [f"{name}: per-flow goodput [Mbps]"]
-    for label, run, paper in (
-            ("FIFO", result.fifo, result.paper_jfi_fifo),
-            ("Cebinae", result.cebinae, result.paper_jfi_cebinae)):
-        ordered = sorted(run.goodputs_bps)
-        lines.append(
-            f"  {label}: JFI={run.jfi:.3f} (paper {paper:.3f}) "
-            f"min={ordered[0] / 1e6:.2f} median="
-            f"{ordered[len(ordered) // 2] / 1e6:.2f} "
-            f"max={ordered[-1] / 1e6:.2f}")
+#: The bar/CDF figures' headings, by scenario name.
+BAR_FIGURES = {"figure7": "Figure 7 (16 Vegas vs 1 NewReno)",
+               "figure8a": "Figure 8a (128 NewReno vs 2 BBR)",
+               "figure8b": "Figure 8b (128 NewReno vs 4 Vegas)"}
+
+
+def bar_figure_report(comparisons: Sequence[Comparison]) -> str:
+    """Per-flow goodputs under two disciplines (Figures 7, 8a, 8b)."""
+    lines = []
+    for comparison in comparisons:
+        name = comparison.scaled.spec.name
+        lines.append(f"{BAR_FIGURES[name]}: per-flow goodput [Mbps]")
+        for discipline, run in comparison.results.items():
+            ordered = sorted(run.goodputs_bps)
+            lines.append(
+                f"  {LABELS[discipline]}: JFI={run.jfi:.3f} "
+                f"(paper {PAPER_JFI[name][discipline]:.3f}) "
+                f"min={ordered[0] / 1e6:.2f} median="
+                f"{ordered[len(ordered) // 2] / 1e6:.2f} "
+                f"max={ordered[-1] / 1e6:.2f}")
     return "\n".join(lines)
 
 
-def figure9_report(points: Sequence[Figure9Point]) -> str:
+def figure9_report(comparisons: Sequence[Comparison]) -> str:
     headers = ["RTT ms", "JFI fifo", "JFI fq", "JFI ceb",
                "goodput fifo", "goodput fq", "goodput ceb"]
     rows = []
-    for point in points:
-        rows.append([f"{point.rtt_ms:.0f}"]
-                    + [f"{point.jfi(d):.3f}" for d in
-                       (Discipline.FIFO, Discipline.FQ,
-                        Discipline.CEBINAE)]
-                    + [mbps(point.goodput_bps(d)) for d in
-                       (Discipline.FIFO, Discipline.FQ,
-                        Discipline.CEBINAE)])
+    for comparison in comparisons:
+        runs = [comparison.results[discipline]
+                for discipline in THREE_WAY]
+        # The swept RTT is the second group's (the first stays 256 ms).
+        rows.append([f"{comparison.scaled.paper_spec.rtts_ms[1]:.0f}"]
+                    + [f"{run.jfi:.3f}" for run in runs]
+                    + [mbps(run.total_goodput_bps) for run in runs])
     return "Figure 9: RTT asymmetry sweep\n" + format_table(headers,
                                                             rows)
 
 
-def figure10_report(result: Figure10Result) -> str:
+def figure10_report(comparisons: Sequence[Comparison]) -> str:
+    comparison, = comparisons
     lines = ["Figure 10: per-second JFI (NewReno joins @5 s, "
              "Cubic @25 s)"]
-    for discipline in (Discipline.FIFO, Discipline.FQ,
-                       Discipline.CEBINAE):
-        series = result.jfi_series(discipline)
+    for discipline in THREE_WAY:
+        series = comparison.results[discipline].jfi_series()
         samples = " ".join(f"{value:.2f}" for value in series[::5])
         lines.append(f"  {discipline.value:>7} (every 5 s): {samples}")
     return "\n".join(lines)
 
 
-def figure11_report(results: Sequence[Figure11Result]) -> str:
+def parking_lot_jfi(comparison: Comparison,
+                    discipline: Discipline) -> float:
+    """A parking-lot run's JFI normalised to the max-min ideal."""
+    ideal = parking_lot_ideal(comparison.scaled.spec)
+    rates = dict(zip(ideal, comparison.results[discipline].goodputs_bps))
+    return normalized_jfi(rates, ideal)
+
+
+def figure11_report(comparisons: Sequence[Comparison]) -> str:
+    comparison, = comparisons
+    ideal = parking_lot_ideal(comparison.scaled.spec)
     lines = ["Figure 11: parking lot, goodput vs ideal max-min"]
-    for result in results:
-        lines.append(f"  {result.discipline.value}: normalized "
-                     f"JFI={result.normalized_jfi:.3f}")
-        for label, rate, ideal in zip(result.flow_labels,
-                                      result.goodputs_bps,
-                                      result.ideal_bps):
+    for discipline, run in comparison.results.items():
+        lines.append(f"  {discipline.value}: normalized "
+                     f"JFI={parking_lot_jfi(comparison, discipline):.3f}")
+        for label, rate in zip(ideal, run.goodputs_bps):
             lines.append(f"    {label:>8}: {rate / 1e6:6.2f} Mbps "
-                         f"(ideal {ideal / 1e6:6.2f})")
+                         f"(ideal {ideal[label] / 1e6:6.2f})")
     return "\n".join(lines)
 
 
-def figure12_report(result: Figure12Result) -> str:
+def figure12_report(comparisons: Sequence[Comparison]) -> str:
+    """The baselines' comparison first, then one per threshold."""
+    baselines, *swept = comparisons
+    fifo = baselines.results[Discipline.FIFO]
+    fq = baselines.results[Discipline.FQ]
     headers = ["threshold", "JFI", "goodput Mbps"]
-    rows = [[f"{point.threshold:.0%}", f"{point.jfi:.3f}",
-             mbps(point.goodput_bps)]
-            for point in result.cebinae_points]
+    rows = []
+    for comparison in swept:
+        run = comparison.results[Discipline.CEBINAE]
+        rows.append([f"{comparison.scaled.cebinae.tau:.0%}",
+                     f"{run.jfi:.3f}", mbps(run.total_goodput_bps)])
     table = format_table(headers, rows)
     return ("Figure 12: threshold sensitivity (δp=δf=τ)\n"
-            f"  FIFO baseline: JFI={result.fifo_jfi:.3f} "
-            f"goodput={mbps(result.fifo_goodput_bps)} Mbps\n"
-            f"  FQ baseline:   JFI={result.fq_jfi:.3f} "
-            f"goodput={mbps(result.fq_goodput_bps)} Mbps\n" + table)
+            f"  FIFO baseline: JFI={fifo.jfi:.3f} "
+            f"goodput={mbps(fifo.total_goodput_bps)} Mbps\n"
+            f"  FQ baseline:   JFI={fq.jfi:.3f} "
+            f"goodput={mbps(fq.total_goodput_bps)} Mbps\n" + table)
+
+
+def scalability_report(comparisons: Sequence[Comparison]) -> str:
+    lines = ["Cebinae vs AFQ under growing per-flow buffer requirements",
+             f"{'mech':>8} {'flows':>5} {'rtt':>6} {'JFI':>6} "
+             f"{'goodput':>9} {'horizon drops':>13}"]
+    for comparison in comparisons:
+        spec = comparison.scaled.spec
+        for discipline, run in comparison.results.items():
+            lines.append(
+                f"{discipline.value:>8} {spec.total_flows:>5} "
+                f"{spec.rtts_ms[0]:>4.0f}ms {run.jfi:>6.3f} "
+                f"{run.total_goodput_bps / 1e6:>7.2f} M "
+                f"{run.horizon_drops:>13}")
+    return "\n".join(lines)
 
 
 def faults_report(points: Sequence["FaultSweepPoint"]) -> str:

@@ -1,24 +1,25 @@
 """Scenario execution: build the topology, run, collect metrics.
 
 The runner executes a :class:`~repro.experiments.scenarios.ScaledScenario`
-(a dumbbell or a parking lot) under one of the three disciplines the
-paper compares — FIFO drop-tail, FQ (FQ-CoDel with per-flow queues),
-and Cebinae — and returns the metrics the paper reports: per-flow
-goodput, bottleneck throughput, and Jain's fairness index, with
-optional per-second series.
+(a dumbbell or a parking lot) under one of the disciplines the paper
+compares — FIFO drop-tail, FQ (FQ-CoDel with per-flow queues), Cebinae,
+and section 5.5's AFQ — and returns the metrics the paper reports:
+per-flow goodput, bottleneck throughput, and Jain's fairness index,
+with optional per-second series.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.control_plane import CebinaeControlPlane, cebinae_factory
 from ..fairness.metrics import jain_fairness_index, jfi_time_series
 from ..faults.schedule import ControlPlaneFaults, FaultSchedule
 from ..faults.spec import FaultSpec
 from ..faults.watchdog import RunAborted, WallClockWatchdog
+from ..netsim.afq import afq_factory
 from ..netsim.engine import (SECOND, SimulationError, Simulator,
                              seconds)
 from ..netsim.fluid import (REASON_FAULTS, REASON_SHORT_RUN,
@@ -44,11 +45,18 @@ from .scenarios import (FlowPlan, ParkingLotSpec, ScaledScenario,
 
 
 class Discipline(enum.Enum):
-    """The three queueing disciplines of the paper's comparison."""
+    """The queueing disciplines of the paper's comparisons."""
 
     FIFO = "fifo"
     FQ = "fq"
     CEBINAE = "cebinae"
+    AFQ = "afq"
+
+
+#: ``fluid.equilibrium_schedule`` would fall through to its FIFO model
+#: and hand back a wrong number; the suite-spec parser says the same.
+AFQ_HYBRID_REFUSAL = ("the hybrid backend has no fluid model of AFQ's "
+                      "calendar queues; AFQ runs packet-level only")
 
 
 @dataclass
@@ -68,6 +76,9 @@ class ScenarioResult:
     lbf_drops: int = 0
     lbf_delays: int = 0
     buffer_drops: int = 0
+    #: AFQ's drops beyond the calendar horizon (Equation 1); absent
+    #: from the JSON payload when zero, as the summaries below are.
+    horizon_drops: int = 0
     goodput_series_bps: Optional[List[List[float]]] = None
     start_times_s: Optional[List[float]] = None
     cp_history: Optional[list] = None
@@ -129,6 +140,8 @@ class ScenarioResult:
                 [sample.to_dict() for sample in self.cp_history]
                 if self.cp_history is not None else None,
         }
+        if self.horizon_drops:
+            data["horizon_drops"] = self.horizon_drops
         if self.fault_summary is not None:
             data["fault_summary"] = self.fault_summary
         if self.hybrid_summary is not None:
@@ -153,6 +166,7 @@ class ScenarioResult:
             lbf_drops=data["lbf_drops"],
             lbf_delays=data["lbf_delays"],
             buffer_drops=data["buffer_drops"],
+            horizon_drops=data.get("horizon_drops", 0),
             goodput_series_bps=[list(series) for series
                                 in data["goodput_series_bps"]]
             if data["goodput_series_bps"] is not None else None,
@@ -185,6 +199,11 @@ def queue_factory_for(discipline: Discipline, scaled: ScaledScenario,
                                agents=agents,
                                record_history=record_history,
                                cp_faults=cp_faults)
+    if discipline is Discipline.AFQ:
+        # Section 5.5's fixed calendar: the factory's 32 queues at two
+        # MTUs per round, sharing the scenario's buffer.
+        return afq_factory(bytes_per_round=2 * MTU_BYTES,
+                           limit_bytes=buffer_mtus * MTU_BYTES)
     raise ValueError(f"unknown discipline {discipline}")
 
 
@@ -400,6 +419,8 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
         buffer_drops=sum(getattr(queue, "buffer_drops",
                                  queue.dropped_packets)
                          for queue in queues),
+        horizon_drops=sum(getattr(queue, "horizon_drops", 0)
+                          for queue in queues),
         goodput_series_bps=series,
         start_times_s=[plan.start_time_s for plan in plans]
         if spec.start_times_s is not None else None,
@@ -511,6 +532,9 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
             f"scenario {scaled.spec.name!r}: the hybrid backend models a "
             f"single bottleneck; multi-bottleneck topologies run "
             f"packet-level only")
+    if discipline is Discipline.AFQ:
+        raise ValueError(
+            f"scenario {scaled.spec.name!r}: {AFQ_HYBRID_REFUSAL}")
     spec = scaled.spec
     bottleneck = harness.bottlenecks[0]
     duration_ns = harness.duration_ns
@@ -637,35 +661,3 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
     return _finalise(report,
                      extra_wire_bytes=int(round(payload_bytes
                                                 * overhead)))
-
-
-def run_comparison(scaled: ScaledScenario,
-                   disciplines: Sequence[Discipline] = (
-                       Discipline.FIFO, Discipline.FQ,
-                       Discipline.CEBINAE),
-                   collect_series: bool = False,
-                   record_history: bool = False,
-                   workers: int = 1,
-                   cache_dir=None,
-                   use_cache: bool = True
-                   ) -> Dict[Discipline, ScenarioResult]:
-    """Run a scenario under each requested discipline.
-
-    With ``workers > 1`` or a ``cache_dir``, the disciplines run
-    through :mod:`repro.experiments.parallel` (one pool slot each);
-    results are identical to the serial path either way.
-    """
-    if workers <= 1 and cache_dir is None:
-        return {discipline: run_scenario(scaled, discipline,
-                                         collect_series=collect_series,
-                                         record_history=record_history)
-                for discipline in disciplines}
-    from .parallel import RunSpec, require, run_many
-    specs = [RunSpec(scaled=scaled, discipline=discipline,
-                     collect_series=collect_series,
-                     record_history=record_history)
-             for discipline in disciplines]
-    results = run_many(specs, workers=workers, cache_dir=cache_dir,
-                       use_cache=use_cache)
-    return {discipline: require(result)
-            for discipline, result in zip(disciplines, results)}

@@ -5,139 +5,48 @@ bytes per round; Equation (1) requires ``buffer_req <= BpR x nQ`` *per
 flow*.  As RTTs (hence per-flow buffer requirements) grow or queues
 shrink, AFQ must either drop at the calendar horizon or run with BpR so
 coarse that fairness degrades.  Cebinae's two queues are insensitive to
-both.  This module runs the head-to-head on a dumbbell and reports
-fairness, goodput and horizon drops.
+both.  This module declares the head-to-head on a dumbbell; the report
+prints fairness, goodput and horizon drops.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from ..core.control_plane import cebinae_factory
 from ..core.params import CebinaeParams
-from ..fairness.metrics import jain_fairness_index
-from ..netsim.afq import afq_factory
-from ..netsim.engine import SECOND, Simulator, seconds
+from ..netsim.engine import seconds
 from ..netsim.packet import MTU_BYTES
-from ..netsim.tracing import FlowMonitor
-from ..netsim.topology import build_dumbbell
-from ..tcp.flows import connect_flow
+from .parallel import RunSpec, grid
+from .runner import Discipline
+from .scenarios import ScaledScenario, ScenarioSpec
 
 
-@dataclass
-class ScalabilityPoint:
-    """One (mechanism, configuration) measurement."""
-
-    mechanism: str
-    num_flows: int
-    rtt_ms: float
-    jfi: float
-    goodput_bps: float
-    horizon_drops: int
-
-
-def _afq(rate_bps: float, buffer_mtus: int, num_queues: int,
-         bytes_per_round: int):
-    return afq_factory(num_queues=num_queues,
-                       bytes_per_round=bytes_per_round,
-                       limit_bytes=buffer_mtus * MTU_BYTES)
-
-
-def _cebinae(rate_bps: float, buffer_mtus: int, max_rtt_s: float):
+def scalability_scenario(num_flows: int, rtt_ms: float,
+                         duration_s: float = 20.0,
+                         cca: str = "newreno") -> ScaledScenario:
+    """``num_flows`` homogeneous flows at one RTT on a 20 Mbps, 80 MTU
+    link, written at simulator scale: Cebinae's dT follows the link and
+    its thresholds are set directly, not through a :class:`ScalePolicy`."""
+    spec = ScenarioSpec(name=f"scalability_{num_flows}x{rtt_ms:.0f}ms",
+                        rate_bps=20e6, rtts_ms=(rtt_ms,),
+                        buffer_mtus=80, cca_mix=((cca, num_flows),),
+                        duration_s=duration_s)
     params = CebinaeParams.for_link(
-        rate_bps, buffer_mtus * MTU_BYTES,
-        max_rtt_ns=seconds(max_rtt_s), tau=0.04, delta_port=0.08,
+        spec.rate_bps, spec.buffer_mtus * MTU_BYTES,
+        max_rtt_ns=seconds(spec.max_rtt_s), tau=0.04, delta_port=0.08,
         delta_flow=0.04, min_bottom_rate_fraction=0.02)
-    return cebinae_factory(params=params, buffer_mtus=buffer_mtus)
-
-
-def run_point(mechanism: str, num_flows: int, rtt_ms: float,
-              rate_bps: float = 20e6, buffer_mtus: int = 80,
-              num_queues: int = 32, bytes_per_round: int = 2 * MTU_BYTES,
-              duration_s: float = 20.0,
-              cca: str = "newreno") -> ScalabilityPoint:
-    """Run one mechanism at one (flows, RTT) configuration."""
-    if mechanism == "afq":
-        factory = _afq(rate_bps, buffer_mtus, num_queues,
-                       bytes_per_round)
-    elif mechanism == "cebinae":
-        factory = _cebinae(rate_bps, buffer_mtus, rtt_ms / 1e3)
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    sim = Simulator()
-    dumbbell = build_dumbbell([seconds(rtt_ms / 1e3)] * num_flows,
-                              rate_bps, factory, sim=sim)
-    monitor = FlowMonitor(sim)
-    flows = [connect_flow(dumbbell.senders[i], dumbbell.receivers[i],
-                          cca, monitor=monitor, src_port=10_000 + i)
-             for i in range(num_flows)]
-    sim.run(until_ns=seconds(duration_s))
-    goodputs = [monitor.goodputs_bps(seconds(duration_s))[f.flow_id]
-                for f in flows]
-    queue = dumbbell.bottleneck.queue
-    return ScalabilityPoint(
-        mechanism=mechanism, num_flows=num_flows, rtt_ms=rtt_ms,
-        jfi=jain_fairness_index(goodputs),
-        goodput_bps=sum(goodputs),
-        horizon_drops=getattr(queue, "horizon_drops", 0))
-
-
-def _point_task(mechanism: str, num_flows: int, rtt_ms: float,
-                **kwargs):
-    """Build one pool task for :func:`run_point`.
-
-    The cache fingerprint covers *all* of ``run_point``'s arguments
-    with defaults resolved, so changing any default invalidates old
-    entries for callers that relied on it.
-    """
-    import inspect
-
-    from .parallel import Task, fingerprint
-    bound = inspect.signature(run_point).bind(mechanism, num_flows,
-                                              rtt_ms, **kwargs)
-    bound.apply_defaults()
-    params = dict(bound.arguments)
-    return Task(fn=run_point,
-                kwargs={"mechanism": mechanism, "num_flows": num_flows,
-                        "rtt_ms": rtt_ms, **kwargs},
-                label=f"scalability/{mechanism}"
-                      f"@{num_flows}x{rtt_ms:.0f}ms",
-                fingerprint=fingerprint("ScalabilityPoint", params),
-                kind="ScalabilityPoint",
-                encode=dataclasses.asdict,
-                decode=lambda payload: ScalabilityPoint(**payload))
+    return ScaledScenario(spec=spec, paper_spec=spec, rate_scale=1.0,
+                          flow_scale=1.0, cebinae=params)
 
 
 def rtt_sweep(rtts_ms: Sequence[float] = (20, 80, 320),
               num_flows: int = 4,
-              workers: int = 1,
-              cache_dir=None,
-              use_cache: bool = True,
-              **kwargs) -> List[ScalabilityPoint]:
+              duration_s: float = 20.0) -> List[RunSpec]:
     """Grow the RTT (per-flow buffer requirement) at fixed queues.
 
     AFQ's Equation (1) head-room shrinks relative to the BDP; Cebinae
-    is RTT-insensitive by design.  Every (RTT, mechanism) cell is an
-    independent simulation, executed through the shared pool/cache.
+    is RTT-insensitive by design.
     """
-    from .parallel import require, run_tasks
-    tasks = [_point_task(mechanism, num_flows, rtt, **kwargs)
-             for rtt in rtts_ms
-             for mechanism in ("afq", "cebinae")]
-    return [require(point) for point
-            in run_tasks(tasks, workers=workers, cache_dir=cache_dir,
-                         use_cache=use_cache)]
-
-
-def format_points(points: Sequence[ScalabilityPoint]) -> str:
-    lines = [f"{'mech':>8} {'flows':>5} {'rtt':>6} {'JFI':>6} "
-             f"{'goodput':>9} {'horizon drops':>13}"]
-    for point in points:
-        lines.append(
-            f"{point.mechanism:>8} {point.num_flows:>5} "
-            f"{point.rtt_ms:>4.0f}ms {point.jfi:>6.3f} "
-            f"{point.goodput_bps / 1e6:>7.2f} M "
-            f"{point.horizon_drops:>13}")
-    return "\n".join(lines)
+    return grid([scalability_scenario(num_flows, rtt, duration_s)
+                 for rtt in rtts_ms],
+                (Discipline.AFQ, Discipline.CEBINAE))

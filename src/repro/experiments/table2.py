@@ -4,15 +4,17 @@ Each row carries the paper's configuration *and* its reported numbers
 (throughput, goodput, JFI for FIFO / FQ / Cebinae) so reports can print
 paper-vs-measured side by side.  The reproduction target is the shape:
 Cebinae's JFI should land far above FIFO's and near FQ's, with a
-goodput cost bounded by the (scaled) tax.
+goodput cost bounded by the (scaled) tax.  :func:`table2` declares the
+points; it runs nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .runner import Discipline, ScenarioResult, run_comparison
+from .parallel import RunSpec, grid
+from .runner import Discipline
 from .scenarios import DEFAULT_POLICY, ScalePolicy, ScenarioSpec
 
 
@@ -158,68 +160,16 @@ TABLE2_ROWS: List[Table2Row] = [
 ]
 
 
-@dataclass
-class Table2Comparison:
-    """Measured-vs-paper numbers for one row."""
-
-    row: Table2Row
-    results: Dict[Discipline, ScenarioResult]
-
-    def summary_line(self, discipline: Discipline) -> str:
-        measured = self.results[discipline]
-        paper = self.row.paper(discipline)
-        return (f"{self.row.spec.name} {discipline.value:>7}: "
-                f"JFI {measured.jfi:.3f} (paper {paper.jfi:.3f})  "
-                f"goodput {measured.total_goodput_bps / 1e6:.1f} Mbps "
-                f"of {measured.sim_rate_bps / 1e6:.0f} "
-                f"(paper {paper.goodput_mbps:.0f} of "
-                f"{self.row.spec.rate_bps / 1e6:.0f})")
+#: Rows by scenario name: how a report finds the published numbers for
+#: a scenario it was handed.
+TABLE2_BY_NAME = {row.spec.name: row for row in TABLE2_ROWS}
 
 
-def run_table2_row(row: Table2Row,
-                   policy: ScalePolicy = DEFAULT_POLICY,
-                   duration_s: Optional[float] = None,
-                   disciplines: Sequence[Discipline] = (
-                       Discipline.FIFO, Discipline.FQ,
-                       Discipline.CEBINAE)) -> Table2Comparison:
-    scaled = policy.apply(row.spec, duration_s=duration_s)
-    results = run_comparison(scaled, disciplines=disciplines)
-    return Table2Comparison(row=row, results=results)
-
-
-def run_table2(rows: Optional[Sequence[Table2Row]] = None,
-               policy: ScalePolicy = DEFAULT_POLICY,
-               duration_s: Optional[float] = None,
-               verbose: bool = False,
-               workers: int = 1,
-               cache_dir=None,
-               use_cache: bool = True) -> List[Table2Comparison]:
-    """Run (a subset of) Table 2 and return comparisons per row.
-
-    The whole (row x discipline) grid — up to 75 independent
-    simulations — is fanned out over one process pool, so the sweep's
-    wall clock approaches the slowest single cell.
-    """
-    from .parallel import RunSpec, require, run_many
-    selected = list(rows) if rows is not None else list(TABLE2_ROWS)
-    disciplines = (Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE)
-    specs = []
-    for row in selected:
-        scaled = policy.apply(row.spec, duration_s=duration_s)
-        specs.extend(RunSpec(scaled=scaled, discipline=discipline)
-                     for discipline in disciplines)
-    results = run_many(specs, workers=workers, cache_dir=cache_dir,
-                       use_cache=use_cache)
-    comparisons = []
-    for index, row in enumerate(selected):
-        chunk = results[index * len(disciplines):
-                        (index + 1) * len(disciplines)]
-        comparison = Table2Comparison(
-            row=row,
-            results={discipline: require(result) for discipline, result
-                     in zip(disciplines, chunk)})
-        comparisons.append(comparison)
-        if verbose:
-            for discipline in comparison.results:
-                print(comparison.summary_line(discipline))
-    return comparisons
+def table2(rows: Optional[Sequence[Table2Row]] = None,
+           policy: ScalePolicy = DEFAULT_POLICY,
+           duration_s: Optional[float] = None) -> List[RunSpec]:
+    """The (row x discipline) grid of (a subset of) Table 2: up to 75
+    independent points, three disciplines per row."""
+    selected = TABLE2_ROWS if rows is None else rows
+    return grid([policy.apply(row.spec, duration_s=duration_s)
+                 for row in selected])

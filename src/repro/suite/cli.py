@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..experiments.runner import BACKENDS
+from ..experiments.runner import BACKENDS, Discipline
 from .golden import (check_golden, conformance_digests, result_digest,
                      run_compiled, write_golden)
 from .registry import SuiteRegistry
@@ -124,8 +124,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backend", choices=list(BACKENDS),
                         help="override the simulation backend for "
                              "every dumbbell spec in the directory "
-                             "(parking-lot specs always run "
-                             "packet-level)")
+                             "(parking-lot specs and specs that run "
+                             "AFQ always run packet-level)")
     parser.add_argument("--golden", metavar="DIR",
                         help="check results against the golden files "
                              "in DIR; exit 1 on any mismatch")
@@ -175,7 +175,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     specs: List[SuiteSpec] = list(registry)
     if args.backend is not None:
-        specs = [spec if spec.parking is not None
+        specs = [spec if (spec.parking is not None
+                          or Discipline.AFQ in spec.disciplines)
                  else dataclasses.replace(spec, backend=args.backend)
                  for spec in specs]
 

@@ -32,7 +32,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.invariants import InvariantViolation
 from ..experiments.parallel import (RunSpec, Task, fingerprint,
                                     scenario_task)
-from ..experiments.runner import BACKENDS, Discipline
+from ..experiments.runner import (AFQ_HYBRID_REFUSAL, BACKENDS,
+                                  Discipline)
 from ..experiments.scenarios import (ParkingLotSpec, ScalePolicy,
                                      ScenarioSpec)
 from ..faults.schedule import derive_seed
@@ -380,6 +381,10 @@ class SuiteSpec:
                 f"suite spec {self.name!r}: the hybrid backend models "
                 f"a single bottleneck; parking-lot topologies run "
                 f"packet-level only")
+        if (Discipline.AFQ in self.disciplines
+                and self.backend != "packet"):
+            raise ValueError(
+                f"suite spec {self.name!r}: {AFQ_HYBRID_REFUSAL}")
         if (self.scenario is None) == (self.parking is None):
             raise ValueError(
                 f"suite spec {self.name!r}: exactly one of 'scenario' "

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.params import CebinaeParams
 from repro.experiments import runner
-from repro.experiments.runner import (Discipline, queue_factory_for,
-                                      run_comparison, run_scenario)
+from repro.experiments.parallel import grid, run_grid
+from repro.experiments.runner import (Discipline, ScenarioResult,
+                                      queue_factory_for, run_scenario)
 from repro.experiments.scenarios import (MIN_SEGMENTS_PER_RTT,
                                          ScalePolicy, ScenarioSpec)
 from repro.experiments.table2 import TABLE2_ROWS
@@ -151,9 +152,10 @@ class TestRunner:
         assert len(result.cp_history) > 0
 
     def test_comparison_runs_all_disciplines(self, tiny_scaled):
-        results = run_comparison(tiny_scaled)
-        assert set(results) == {Discipline.FIFO, Discipline.FQ,
-                                Discipline.CEBINAE}
+        comparison, = run_grid(grid([tiny_scaled]), workers=1,
+                               progress=None)
+        assert list(comparison.results) == [
+            Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE]
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_finished_run_is_freed_without_the_collector(
@@ -203,3 +205,75 @@ class TestRunner:
         assert isinstance(queue_factory_for(Discipline.CEBINAE,
                                             tiny_scaled)(spec),
                           CebinaeQueueDisc)
+
+    def test_afq_factory_is_the_scalability_contrast(self, tiny_scaled):
+        from repro.netsim.afq import AfqQueue
+        from repro.netsim.engine import Simulator
+        from repro.netsim.topology import PortSpec
+        spec = PortSpec(sim=Simulator(),
+                        rate_bps=tiny_scaled.spec.rate_bps,
+                        delay_ns=0, name="p")
+        queue = queue_factory_for(Discipline.AFQ, tiny_scaled)(spec)
+        assert isinstance(queue, AfqQueue)
+        assert queue.num_queues == 32
+        assert queue.bytes_per_round == 3000
+        assert queue.limit_bytes == \
+            tiny_scaled.spec.buffer_mtus * 1500
+
+
+class TestAfqDiscipline:
+    """AFQ runs through the one scenario path like the other three."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self):
+        # Four flows on a buffer smaller than their calendars span.
+        from repro.experiments.scalability import scalability_scenario
+        return scalability_scenario(4, 80, duration_s=2.0)
+
+    def test_replay_is_byte_identical_across_the_debug_gate(
+            self, scaled):
+        from repro.analysis import invariants
+        from repro.suite.golden import canonical_result_json
+        blobs = []
+        for debug in (False, False, True):
+            previous = invariants.set_debug(debug)
+            try:
+                blobs.append(canonical_result_json(
+                    run_scenario(scaled, Discipline.AFQ)))
+            finally:
+                invariants.set_debug(previous)
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_horizon_drops_follow_the_absent_when_empty_rule(self, scaled):
+        afq = run_scenario(scaled, Discipline.AFQ)
+        kept = ScenarioResult.from_dict(
+            dict(afq.to_dict(), horizon_drops=3))
+        assert kept.horizon_drops == 3
+        assert kept.to_dict()["horizon_drops"] == 3
+        assert ScenarioResult.from_dict(kept.to_dict()) == kept
+        for discipline in (Discipline.FIFO, Discipline.FQ,
+                           Discipline.CEBINAE):
+            result = run_scenario(scaled, discipline)
+            assert result.horizon_drops == 0
+            assert "horizon_drops" not in result.to_dict()
+
+    def test_hybrid_backend_is_refused_with_the_reason(self, scaled):
+        with pytest.raises(ValueError, match="no fluid model of AFQ"):
+            run_scenario(scaled, Discipline.AFQ, backend="hybrid")
+
+    def test_suite_document_compiles_and_runs(self):
+        from repro.suite.golden import run_compiled
+        from repro.suite.spec import SpecError, SuiteSpec
+        doc = {"name": "afq_contrast",
+               "scenario": {"rate_bps": 20e6, "rtts_ms": [80],
+                            "buffer_mtus": 80,
+                            "cca_mix": [["newreno", 4]],
+                            "duration_s": 2.0},
+               "disciplines": ["afq", "cebinae"]}
+        runs = SuiteSpec.from_dict(doc).compile()
+        results = run_compiled(runs, workers=1)
+        assert [result.discipline for result in results] == \
+            [Discipline.AFQ, Discipline.CEBINAE]
+        assert all(result.events > 0 for result in results)
+        with pytest.raises(SpecError, match="no fluid model of AFQ"):
+            SuiteSpec.from_dict(dict(doc, backend="hybrid"))

@@ -1,8 +1,11 @@
 """Tests for multi-seed replication support."""
 
+import math
+
 import pytest
 
-from repro.experiments.replication import (ReplicatedMetric,
+from repro.experiments import parallel
+from repro.experiments.replication import (T_95, ReplicatedMetric,
                                            ReplicatedResult, replicate,
                                            replicate_comparison,
                                            significantly_fairer)
@@ -39,6 +42,22 @@ class TestReplicatedMetric:
     def test_str_format(self):
         assert "±" in str(ReplicatedMetric([1.0, 2.0]))
 
+    def test_three_samples_use_students_t_not_the_normal(self):
+        # Two degrees of freedom: 4.303, not 1.96.  Needs no scipy.
+        metric = ReplicatedMetric([0.8, 0.9, 1.0])
+        assert metric.half_width == pytest.approx(
+            4.303 * 0.1 / math.sqrt(3), rel=1e-3)
+
+    def test_t_table_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert len(T_95) == 30
+        for dof, value in enumerate(T_95, start=1):
+            assert value == pytest.approx(stats.t.ppf(0.975, dof),
+                                          abs=5e-4)
+        wide = ReplicatedMetric([float(i % 7) for i in range(40)])
+        assert wide.half_width == pytest.approx(
+            1.960 * wide.std / math.sqrt(40))
+
 
 class TestSeededRuns:
     def test_same_seed_is_deterministic(self):
@@ -64,6 +83,20 @@ class TestSeededRuns:
         scaled = tiny_scenario()
         results = replicate_comparison(scaled, seeds=(0, 1))
         assert set(results) == {Discipline.FIFO, Discipline.CEBINAE}
+
+    def test_replications_are_cached(self, tmp_path, monkeypatch):
+        scaled = tiny_scenario()
+        first = replicate(scaled, Discipline.FIFO, seeds=(0, 1),
+                          workers=1, cache_dir=tmp_path)
+        assert first.runs[0].goodputs_bps != first.runs[1].goodputs_bps
+
+        def simulated(**kwargs):
+            raise AssertionError("a warm cache must not simulate")
+
+        monkeypatch.setattr(parallel, "run_scenario", simulated)
+        again = replicate(scaled, Discipline.FIFO, seeds=(0, 1),
+                          workers=1, cache_dir=tmp_path)
+        assert again.runs == first.runs
 
 
 class TestSignificance:

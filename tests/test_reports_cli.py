@@ -3,11 +3,13 @@
 import pytest
 
 from repro.experiments import cli, parallel
-from repro.experiments.figures import figure11
-from repro.experiments.report import format_table, mbps
-from repro.experiments.runner import Discipline
-from repro.experiments.scalability import (ScalabilityPoint,
-                                           format_points, run_point)
+from repro.experiments.figures import figure11, parking_lot_ideal
+from repro.experiments.parallel import Comparison, run_grid
+from repro.experiments.report import (format_table, mbps,
+                                      parking_lot_jfi,
+                                      scalability_report)
+from repro.experiments.runner import Discipline, ScenarioResult
+from repro.experiments.scalability import scalability_scenario
 from repro.heavyhitter.evaluation import DetectionResult
 from repro.experiments.report import figure13_report
 
@@ -44,38 +46,42 @@ class TestFigure13Report:
 
 
 class TestScalabilityHelper:
-    def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ValueError):
-            run_point("magic", 2, 20.0, duration_s=0.5)
-
-    def test_format_points(self):
-        points = [ScalabilityPoint(mechanism="afq", num_flows=4,
-                                   rtt_ms=20.0, jfi=0.9,
-                                   goodput_bps=1e7, horizon_drops=3)]
-        text = format_points(points)
-        assert "afq" in text and "0.900" in text
+    def test_scalability_report_row(self):
+        scaled = scalability_scenario(4, 20.0)
+        run = ScenarioResult(
+            name=scaled.spec.name, discipline=Discipline.AFQ,
+            duration_s=20.0, sim_rate_bps=20e6, rate_scale=1.0,
+            flow_scale=1.0, cca_names=["newreno"] * 4,
+            goodputs_bps=[2e6, 2e6, 2e6, 4e6], throughput_bps=1.1e7,
+            events=1, horizon_drops=3)
+        text = scalability_report(
+            [Comparison(scaled, {Discipline.AFQ: run})])
+        assert text.splitlines()[-1] == (
+            "     afq     4   20ms  0.893   10.00 M             3")
 
 
 class TestFigure11:
     def test_two_disciplines_through_the_cache(self, tmp_path,
                                                monkeypatch):
-        results = figure11(duration_s=2.0, cache_dir=tmp_path)
-        assert [r.discipline for r in results] == \
+        comparison, = run_grid(figure11(duration_s=2.0), workers=1,
+                               cache_dir=tmp_path)
+        assert list(comparison.results) == \
             [Discipline.FIFO, Discipline.CEBINAE]
-        for result in results:
-            assert len(result.flow_labels) == 22
+        # Long flows are bottlenecked at the middle, most contended
+        # segment, where they share with the Vegas group.
+        ideal = parking_lot_ideal(comparison.scaled.spec)
+        assert len(ideal) == 22
+        assert ideal["long0"] == ideal["vegas0"] < ideal["bic0"]
+        for discipline, result in comparison.results.items():
             assert len(result.goodputs_bps) == 22
-            assert 0.0 < result.normalized_jfi <= 1.0
-            # Long flows are bottlenecked at the middle, most contended
-            # segment, where they share with the Vegas group.
-            ideal = dict(zip(result.flow_labels, result.ideal_bps))
-            assert ideal["long0"] == ideal["vegas0"] < ideal["bic0"]
+            assert 0.0 < parking_lot_jfi(comparison, discipline) <= 1.0
 
         def simulated(**kwargs):
             raise AssertionError("a warm cache must not simulate")
 
         monkeypatch.setattr(parallel, "run_scenario", simulated)
-        assert figure11(duration_s=2.0, cache_dir=tmp_path) == results
+        assert run_grid(figure11(duration_s=2.0), workers=1,
+                        cache_dir=tmp_path) == [comparison]
 
 
 class TestCli:
@@ -112,3 +118,27 @@ class TestCli:
             cli.main(["table2", "--rows", "26"])
         assert excinfo.value.code == 2
         assert "1..25" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, names", [
+        (["table3", "--faults", "loss_rate=0.1"], "--faults"),
+        (["faults", "--quick", "--faults", "bogus_key=1"], "bogus_key"),
+        (["faults", "--faults", "/nonexistent.json"],
+         "/nonexistent.json"),
+        (["figure1", "--rows", "3"], "--rows"),
+        (["figure1", "--wall-limit", "5"], "--wall-limit"),
+    ])
+    def test_usage_errors_exit_2_in_one_line(self, argv, names,
+                                             monkeypatch, capsys):
+        def ran(*args, **kwargs):
+            raise AssertionError("a usage error must run nothing")
+
+        monkeypatch.setattr(cli, "run_experiment", ran)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error_line = captured.err.strip().splitlines()[-1]
+        assert error_line.startswith("cebinae-repro: error:")
+        assert names in error_line
