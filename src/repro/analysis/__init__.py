@@ -1,30 +1,16 @@
 """Static analysis & runtime invariants for the reproduction.
 
-* :mod:`repro.analysis.linter` — *simlint*, the multi-pass AST-based
-  determinism and unit-safety analyzer (run as ``tools/simlint.py``
-  or ``cebinae-repro lint``).
-* :mod:`repro.analysis.rules` — the rule catalog (IDs, hints).
-* :mod:`repro.analysis.findings` — findings & suppression machinery
-  shared by every pass.
-* :mod:`repro.analysis.unitcheck` — the flow-sensitive dimensional
-  unit pass (U4xx).
-* :mod:`repro.analysis.taint` — the project-wide determinism-taint
-  pass (D2xx).
-* :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` —
-  fingerprinted baselines and SARIF 2.1.0 export.
-* :mod:`repro.analysis.invariants` — runtime checkers for the same
-  contracts (integer-ns clock, guarded Optional state).
+This package exports the runtime half only
+(:mod:`repro.analysis.invariants`: the integer-ns clock and guarded
+Optional state checks the engine calls), so running a simulation never
+imports an AST analyzer.  *simlint*, the static half, is
+:mod:`repro.analysis.linter` with its catalog
+:mod:`repro.analysis.rules`, run as ``tools/simlint.py`` or
+``cebinae-repro lint``.
 """
 
-from .findings import Finding
 from .invariants import (InvariantViolation, require, require_int_ns,
                          set_debug, unwrap)
-from .linter import LintRun, lint_paths, lint_source, run_lint
-from .rules import RULES, Rule
 
-__all__ = [
-    "Finding", "lint_source", "lint_paths", "run_lint", "LintRun",
-    "Rule", "RULES",
-    "InvariantViolation", "require", "require_int_ns", "set_debug",
-    "unwrap",
-]
+__all__ = ["InvariantViolation", "require", "require_int_ns",
+           "set_debug", "unwrap"]

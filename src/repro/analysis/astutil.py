@@ -1,16 +1,10 @@
-"""AST helpers shared by the simlint passes.
-
-Name/alias resolution, unit-suffix and dimension classification, and
-module-name derivation — the pieces the module checker, the U4xx unit
-pass and the D2xx taint pass all need, kept in one place so the passes
-agree on what a name *means*.
-"""
+"""AST helpers of the simlint module checker: the trailing name of a
+call target and the unit a name's suffix implies."""
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Unit suffixes, longest first so ``_ns`` does not match inside
 #: ``_seconds`` etc.  Maps suffix -> canonical unit.
@@ -19,19 +13,6 @@ UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_bytes", "bytes"), ("_bits", "bits"), ("_bps", "bps"),
     ("_ns", "ns"), ("_us", "us"), ("_ms", "ms"), ("_s", "s"),
 )
-
-#: Dimensional annotation names (repro.core.units) -> dimension.
-ANNOTATION_DIMS: Dict[str, str] = {
-    "TimeNs": "ns",
-    "Seconds": "s",
-    "Bytes": "bytes",
-    "Bits": "bits",
-    "BitsPerSec": "bps",
-    "Ratio": "ratio",
-}
-
-#: The integer time dimensions of the simulator clock contract.
-TIME_DIMS = frozenset({"ns", "us", "ms", "s"})
 
 
 def call_name(func: ast.expr) -> Optional[str]:
@@ -58,104 +39,3 @@ def name_dim(name: Optional[str]) -> Optional[str]:
         if name.endswith(suffix) and len(name) > len(suffix):
             return unit
     return None
-
-
-def annotation_dim(annotation: Optional[ast.expr]) -> Optional[str]:
-    """The dimension a ``TimeNs``/``Seconds``/... annotation declares."""
-    if annotation is None:
-        return None
-    head: ast.expr = annotation
-    if isinstance(head, ast.Subscript):
-        # Optional[TimeNs] / "Optional[TimeNs]" style.
-        sub = head.slice
-        if isinstance(sub, (ast.Name, ast.Attribute)):
-            head = sub
-    if isinstance(head, ast.Attribute):
-        return ANNOTATION_DIMS.get(head.attr)
-    if isinstance(head, ast.Name):
-        return ANNOTATION_DIMS.get(head.id)
-    if isinstance(head, ast.Constant) and isinstance(head.value, str):
-        text = head.value.split("[", 1)[-1].rstrip("]").strip() \
-            if "[" in head.value else head.value.strip()
-        return ANNOTATION_DIMS.get(text.rsplit(".", 1)[-1])
-    return None
-
-
-class ImportMap:
-    """Local-name -> canonical dotted path maps for one module.
-
-    Relative imports (``from .helpers import f``, ``from ..core import
-    units``) resolve against ``module`` — the importing module's own
-    dotted name — so cross-module call edges survive the repo's
-    package-relative import style.  Without a ``module``, relative
-    imports are skipped (conservative: unresolved, never wrong).
-    """
-
-    def __init__(self, tree: ast.Module,
-                 module: Optional[str] = None) -> None:
-        #: local alias -> imported module dotted path.
-        self.modules: Dict[str, str] = {}
-        #: local alias -> ``module.member`` dotted path.
-        self.members: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else \
-                        alias.name.split(".")[0]
-                    self.modules[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(node, module)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.members[local] = f"{base}.{alias.name}"
-
-    @staticmethod
-    def _import_base(node: ast.ImportFrom,
-                     module: Optional[str]) -> Optional[str]:
-        """Dotted prefix that ``from <here> import name`` draws from."""
-        if node.level == 0:
-            return node.module
-        if not module:
-            return None
-        parts = module.split(".")
-        if len(parts) < node.level:
-            return None
-        base_parts = parts[:len(parts) - node.level]
-        if node.module:
-            base_parts.append(node.module)
-        return ".".join(base_parts) if base_parts else None
-
-    def resolve(self, node: ast.expr) -> Optional[str]:
-        """Canonical dotted path of a Name/Attribute chain, if known."""
-        if isinstance(node, ast.Name):
-            if node.id in self.members:
-                return self.members[node.id]
-            if node.id in self.modules:
-                return self.modules[node.id]
-            return None
-        if isinstance(node, ast.Attribute):
-            base = self.resolve(node.value)
-            if base is None:
-                return None
-            return f"{base}.{node.attr}"
-        return None
-
-
-def module_name_for(path: Path) -> str:
-    """Dotted module name of a file, walking up through __init__.py.
-
-    ``src/repro/netsim/link.py`` -> ``repro.netsim.link``; a standalone
-    script (``tools/simlint.py``) is just its stem.  Deterministic and
-    filesystem-derived, so the taint pass's graph is stable across
-    hosts.
-    """
-    path = path.resolve()
-    parts = [path.stem] if path.stem != "__init__" else []
-    parent = path.parent
-    while (parent / "__init__.py").exists():
-        parts.insert(0, parent.name)
-        parent = parent.parent
-    return ".".join(parts) if parts else path.stem

@@ -2,19 +2,9 @@
 
 Exposed two ways: ``python tools/simlint.py <paths>`` and
 ``cebinae-repro lint <paths>``.  Exit codes: 0 clean, 1 findings,
-2 usage error — so CI can gate on it directly.
-
-Reporting layers on top of the analyzer pipeline
-(:func:`repro.analysis.linter.run_lint`):
-
-* ``--json`` — machine-readable finding list.
-* ``--sarif FILE`` — SARIF 2.1.0 (``-`` for stdout), for code-scanning
-  upload; byte-deterministic for identical findings.
-* ``--baseline FILE`` — drop findings whose fingerprint is recorded in
-  the baseline; stale entries surface as S904 so the baseline cannot
-  rot.
-* ``--update-baseline`` — rewrite the baseline from the current
-  findings (preserving reasons for surviving fingerprints) and exit 0.
+2 usage error (an unknown rule ID, a path that does not exist, or
+paths that hold no Python file) — so CI can gate on it directly.
+Output is text, or the finding list as JSON with ``--json``.
 """
 
 from __future__ import annotations
@@ -22,28 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
-from .baseline import (BaselineEntry, BaselineError, apply_baseline,
-                       fingerprint_findings, load_baseline,
-                       render_baseline, updated_entries)
 from .findings import Finding
-from .linter import run_lint
+from .linter import iter_python_files, lint_paths
 from .rules import RULES
-from .sarif import render_sarif
 
 
-def _render_text(findings: List[Finding], checked_paths: List[str],
-                 show_hints: bool) -> str:
+def _render_text(findings: List[Finding], file_count: int,
+                 checked_paths: List[str], show_hints: bool) -> str:
     lines = []
     for finding in findings:
         lines.append(finding.render())
         if show_hints:
             lines.append(f"    hint: {finding.hint}")
     noun = "finding" if len(findings) == 1 else "findings"
-    lines.append(f"simlint: {len(findings)} {noun} in "
-                 f"{', '.join(checked_paths)}")
+    files = "file" if file_count == 1 else "files"
+    lines.append(f"simlint: {len(findings)} {noun} in {file_count} "
+                 f"{files} under {', '.join(checked_paths)}")
     return "\n".join(lines)
 
 
@@ -54,32 +40,25 @@ def _render_rules() -> str:
         lines.append(f"  {rule_id} {rule.name:<20} {rule.summary}")
         lines.append(f"       fix: {rule.hint}")
     lines.append("suppress inline with: # simlint: allow[ID] <reason>")
-    lines.append("baseline known findings with: --baseline FILE "
-                 "(create/refresh via --update-baseline)")
     return "\n".join(lines)
+
+
+def _usage_error(message: str) -> int:
+    print(f"simlint: error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint",
         description="Determinism & unit-safety static analysis for the "
-                    "Cebinae reproduction (rules: D1xx/D2xx "
-                    "determinism & taint, U2xx/U4xx unit safety, "
-                    "H3xx hygiene, S9xx suppression hygiene).")
+                    "Cebinae reproduction (rules: D1xx determinism, "
+                    "U2xx unit safety, H3xx hygiene, S9xx suppression "
+                    "hygiene).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as a JSON array (for CI)")
-    parser.add_argument("--sarif", metavar="FILE",
-                        help="write SARIF 2.1.0 to FILE ('-' for "
-                             "stdout)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppress findings fingerprinted in this "
-                             "baseline file; stale entries are "
-                             "reported as S904")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline FILE from the current "
-                             "findings and exit 0")
     parser.add_argument("--select", metavar="IDS",
                         help="comma-separated rule IDs to run "
                              "(e.g. D101,U201); disables S9xx checks")
@@ -94,12 +73,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if not args.paths:
         parser.print_usage(sys.stderr)
-        print("simlint: error: no paths given", file=sys.stderr)
-        return 2
-    if args.update_baseline and not args.baseline:
-        print("simlint: error: --update-baseline requires --baseline "
-              "FILE", file=sys.stderr)
-        return 2
+        return _usage_error("no paths given")
 
     select: Optional[Set[str]] = None
     if args.select:
@@ -107,54 +81,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                   if part.strip()}
         unknown = select - set(RULES)
         if unknown:
-            print(f"simlint: error: unknown rule IDs "
-                  f"{sorted(unknown)}", file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown rule IDs {sorted(unknown)}")
 
-    run = run_lint(args.paths, select=select)
-    fingerprinted: List[Tuple[Finding, str]] = \
-        fingerprint_findings(run.findings, run.sources)
+    try:
+        files = list(iter_python_files(args.paths))
+    except FileNotFoundError as exc:
+        return _usage_error(str(exc))
+    if not files:
+        return _usage_error("no Python files under "
+                            + ", ".join(args.paths))
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    entries: List[BaselineEntry] = []
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            entries = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"simlint: error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.update_baseline:
-        assert baseline_path is not None
-        baseline_path.write_text(
-            render_baseline(updated_entries(fingerprinted, entries)),
-            encoding="utf-8")
-        noun = "finding" if len(fingerprinted) == 1 else "findings"
-        print(f"simlint: baseline {baseline_path} updated "
-              f"({len(fingerprinted)} {noun})")
-        return 0
-
-    if baseline_path is not None:
-        kept, stale = apply_baseline(fingerprinted, entries,
-                                     baseline_path)
-        kept_set = {id(f) for f in kept}
-        fingerprinted = [(f, fp) for f, fp in fingerprinted
-                         if id(f) in kept_set]
-        # Stale entries are findings too (S904), but have no source
-        # line to fingerprint: they join the stream unfingerprinted.
-        fingerprinted.extend((f, None) for f in stale)  # type: ignore[misc]
-
-    findings = [finding for finding, _ in fingerprinted]
-    if args.sarif:
-        sarif_text = render_sarif(fingerprinted)
-        if args.sarif == "-":
-            sys.stdout.write(sarif_text)
-        else:
-            Path(args.sarif).write_text(sarif_text, encoding="utf-8")
+    findings = lint_paths(files, select=select)
     if args.json:
         print(json.dumps([f.to_dict() for f in findings], indent=2))
-    elif args.sarif != "-":
-        print(_render_text(findings, list(args.paths),
+    else:
+        print(_render_text(findings, len(files), args.paths,
                            show_hints=not args.no_hints))
     return 1 if findings else 0
 

@@ -1,12 +1,7 @@
-"""Findings and suppression machinery shared by every simlint pass.
-
-Split out of :mod:`repro.analysis.linter` when simlint grew from a
-single-file checker into a multi-pass framework: the module checker
-(D1xx/U2xx/H3xx), the flow-sensitive unit pass (U4xx) and the
-project-wide taint pass (D2xx) all emit :class:`Finding` objects, and
-the driver applies ``# simlint: allow[ID] reason`` suppressions *once*
-across the merged stream so an allow-comment for any family counts as
-used (S902) no matter which pass produced the finding.
+"""Findings and the ``# simlint: allow[ID] reason`` suppression
+machinery of :mod:`repro.analysis.linter`: parse the comments, drop the
+findings they cover (marking each comment used), and audit the comments
+themselves (S9xx).
 """
 
 from __future__ import annotations
@@ -32,10 +27,9 @@ class Finding:
     col: int
     rule_id: str
     message: str
+    #: Last line of the flagged node; an allow-comment on any line of
+    #: a multi-line statement suppresses it.
     end_line: Optional[int] = None
-    #: Lines of related code (e.g. the other end of a taint chain),
-    #: rendered as SARIF relatedLocations: (path, line, note) triples.
-    related: Optional[tuple] = None
 
     @property
     def hint(self) -> str:
@@ -92,12 +86,8 @@ def collect_suppressions(source: str) -> List[Suppression]:
 
 def apply_suppressions(findings: List[Finding],
                        suppressions: List[Suppression]) -> List[Finding]:
-    """Drop suppressed findings, marking the suppressions used.
-
-    Safe to call repeatedly with findings from successive passes; the
-    ``used`` flags accumulate so the S9xx audit (:func:`audit`) runs
-    once at the end over the complete picture.
-    """
+    """Drop suppressed findings, marking the suppressions used (the
+    ``used`` flags are what :func:`audit` reads for S902)."""
     by_line: Dict[int, List[Suppression]] = {}
     for suppression in suppressions:
         by_line.setdefault(suppression.line, []).append(suppression)
@@ -119,9 +109,9 @@ def audit(suppressions: List[Suppression], path: str) -> List[Finding]:
     """The S9xx suppression-hygiene pass over one file's comments.
 
     * S901 — an allow-comment with no reason.  Reasons are mandatory
-      for every family (D1xx/D2xx/U2xx/U4xx/H3xx): they are the
-      determinism audit trail.
-    * S902 — an allow-comment that matched no finding from any pass.
+      for every family (D1xx/U2xx/H3xx): they are the determinism
+      audit trail.
+    * S902 — an allow-comment that matched no finding.
     * S903 — an allow-comment naming a rule ID that is not in the
       catalog (usually a typo, which would otherwise silently turn
       the comment into a stale S902).

@@ -7,59 +7,33 @@ dependent ``hash()`` in FQ-CoDel only because a determinism *test*
 happened to execute it; this module turns that whole bug class into an
 analysis-time gate.
 
-Architecture
-------------
+One pass, one pipeline.  :func:`lint_source` is the pipeline for one
+module's text: parse (E901) → :class:`_ModuleChecker` (D1xx
+determinism, U2xx token-level units, H3xx hygiene) →
+``# simlint: allow[ID] reason`` suppressions → the S9xx audit of those
+comments → sort.  :func:`lint_paths` is a loop over
+:func:`iter_python_files` calling it.  The catalog (IDs, summaries,
+hints) is :mod:`repro.analysis.rules`; :class:`Finding` and the
+suppression machinery are :mod:`repro.analysis.findings`.
 
-simlint is a multi-pass framework.  This module is the driver; the
-passes and their shared machinery live in sibling modules:
-
-* :mod:`repro.analysis.rules` — the catalog (IDs, summaries, hints).
-* :mod:`repro.analysis.findings` — :class:`Finding`, suppression
-  parsing (``# simlint: allow[ID] reason``) and the S9xx audit.
-* :mod:`repro.analysis.astutil` — name/alias resolution and unit
-  classification shared by all passes.
-* :class:`_ModuleChecker` (here) — the single-module pass for the
-  local rules (D1xx determinism, U2xx token-level units, H3xx
-  hygiene).
-* :mod:`repro.analysis.unitcheck` — the flow-sensitive dimensional
-  unit pass (U4xx), fed by a project-wide signature index.
-* :mod:`repro.analysis.taint` — the project-wide determinism-taint
-  pass (D2xx) over the import/call graph, seeded by the *surviving*
-  D1xx findings.
-* :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` —
-  fingerprinted baselines and SARIF 2.1.0 export, layered on top by
-  :mod:`repro.analysis.cli`.
-
-The pipeline per run: parse everything → collect signatures project-
-wide → per-file module checker + unit pass → apply suppressions →
-taint pass over the whole graph → apply suppressions again → S9xx
-audit → sort.  Suppressions are applied *between* passes so an
-allow-comment both silences a local finding and stops it from seeding
-taint, and the audit sees ``used`` flags from every pass.
-
-Findings are deliberately *syntactic and conservative*: each pass
-only flags what it can prove from the AST (a set literal iterated in
-a dict comprehension, nanoseconds added to seconds, a call chain from
-``schedule()`` to ``time.time()``), so a clean run is a meaningful
-invariant rather than a type-inference lottery.
+Findings are deliberately *syntactic and conservative*: the checker
+only flags what it can prove from one module's AST (a set literal
+iterated in a dict comprehension, a ``*_s`` name copied into a ``*_ns``
+one), so a clean run is a meaningful invariant rather than a
+type-inference lottery.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .astutil import call_name as _call_name
-from .astutil import module_name_for
 from .astutil import name_dim as _name_unit
-from .findings import (Finding, Suppression, apply_suppressions, audit,
+from .findings import (Finding, apply_suppressions, audit,
                        collect_suppressions)
-from .taint import extract_module, run_taint
-from .unitcheck import (UnitPass, collect_signatures,
-                        merge_signature_indexes)
 
 #: Wall-clock / host-clock callables (D103).  Monotonic and CPU clocks
 #: are included: *any* host clock read inside simulation logic breaks
@@ -622,121 +596,16 @@ class _ModuleChecker(ast.NodeVisitor):
 # the driver
 
 
-@dataclass
-class LintRun:
-    """The result of one analyzer run.
-
-    ``findings`` is the merged, suppression-filtered, sorted stream
-    from every pass; ``sources`` maps each linted path to its text so
-    the baseline/SARIF layer can fingerprint findings without
-    re-reading files (and so the fingerprints are computed from
-    exactly the bytes that were analyzed).
-    """
-
-    findings: List[Finding] = field(default_factory=list)
-    sources: Dict[str, str] = field(default_factory=dict)
-
-
 def _sort_key(finding: Finding) -> Tuple[int, int, str]:
     return (finding.line, finding.col, finding.rule_id)
-
-
-def _module_name(path: str) -> str:
-    """Module name for the call graph; filesystem-free for <string>."""
-    if path == "<string>":
-        return "_module"
-    return module_name_for(Path(path))
-
-
-def run_lint(paths: Sequence[Union[str, Path]],
-             select: Optional[Set[str]] = None) -> LintRun:
-    """Run every pass over the Python files under ``paths``.
-
-    The full pipeline, in order:
-
-    1. Parse all files (syntax errors become E901 and exclude the
-       file from later passes).
-    2. Collect function signatures project-wide so the U4xx pass can
-       check call sites across module boundaries.
-    3. Per file: module checker (D1xx/U2xx/H3xx) + unit pass (U4xx),
-       then apply ``allow[...]`` suppressions.
-    4. Taint pass (D2xx) over the whole call graph, seeded by the
-       *surviving* D1xx findings; suppressions applied again so an
-       allow at either end of a chain silences it.
-    5. S9xx suppression audit per file (skipped when ``select``
-       restricts rules, so a filtered run never flags allow-comments
-       for deselected rules as stale).
-    6. Stable sort: files in traversal order, findings by
-       (line, col, rule).
-    """
-    run = LintRun()
-    parsed: List[Tuple[str, Optional[ast.Module],
-                       Optional[Finding]]] = []
-    for file_path in iter_python_files(paths):
-        path = str(file_path)
-        source = file_path.read_text(encoding="utf-8")
-        run.sources[path] = source
-        try:
-            tree = ast.parse(source, filename=path)
-            parsed.append((path, tree, None))
-        except SyntaxError as exc:
-            parsed.append((path, None, Finding(
-                path=path, line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1, rule_id="E901",
-                message=f"syntax error: {exc.msg}")))
-
-    modules = {path: _module_name(path)
-               for path, tree, _ in parsed if tree is not None}
-    signatures = merge_signature_indexes([
-        collect_signatures(tree, modules[path])
-        for path, tree, _ in parsed if tree is not None])
-
-    per_file: Dict[str, List[Finding]] = {}
-    suppressions: Dict[str, List[Suppression]] = {}
-    taint_modules = []
-    seeds: Dict[str, List[Finding]] = {}
-    for path, tree, error in parsed:
-        if tree is None:
-            per_file[path] = [error] if error is not None else []
-            continue
-        checker = _ModuleChecker(path, tree)
-        checker.visit(tree)
-        local = checker.findings + \
-            UnitPass(path, tree, modules[path], signatures).run()
-        supps = collect_suppressions(run.sources[path])
-        suppressions[path] = supps
-        kept = apply_suppressions(local, supps)
-        per_file[path] = kept
-        seeds[path] = kept
-        taint_modules.append(extract_module(path, tree, modules[path]))
-
-    taint_by_path: Dict[str, List[Finding]] = {}
-    for finding in run_taint(taint_modules, seeds):
-        taint_by_path.setdefault(finding.path, []).append(finding)
-    for path, findings in taint_by_path.items():
-        per_file.setdefault(path, []).extend(
-            apply_suppressions(findings, suppressions.get(path, [])))
-
-    for path, tree, _ in parsed:
-        findings = per_file.get(path, [])
-        if select is not None:
-            findings = [f for f in findings
-                        if f.rule_id in select or f.rule_id == "E901"]
-        elif tree is not None:
-            findings = findings + audit(suppressions[path], path)
-        findings.sort(key=_sort_key)
-        run.findings.extend(findings)
-    return run
 
 
 def lint_source(source: str, path: str = "<string>",
                 select: Optional[Set[str]] = None) -> List[Finding]:
     """Analyze one module's source text and return its findings.
 
-    The single-module entry point: all per-file passes run, and the
-    taint pass runs over the one-module call graph (so intra-module
-    source→sink chains are still reported).  ``select`` restricts
-    output to the given rule IDs; suppression hygiene (S9xx) is only
+    ``select`` restricts output to the given rule IDs (a syntax error,
+    E901, is reported regardless); suppression hygiene (S9xx) is only
     checked on unrestricted runs, so a filtered run never reports
     allow-comments for deselected rules as stale.
     """
@@ -746,40 +615,47 @@ def lint_source(source: str, path: str = "<string>",
         return [Finding(path=path, line=exc.lineno or 1,
                         col=(exc.offset or 0) + 1, rule_id="E901",
                         message=f"syntax error: {exc.msg}")]
-    module = _module_name(path)
     checker = _ModuleChecker(path, tree)
     checker.visit(tree)
-    local = checker.findings + \
-        UnitPass(path, tree, module,
-                 collect_signatures(tree, module)).run()
-    supps = collect_suppressions(source)
-    kept = apply_suppressions(local, supps)
-    taint = run_taint([extract_module(path, tree, module)],
-                      {path: kept})
-    kept = kept + apply_suppressions(taint, supps)
+    suppressions = collect_suppressions(source)
+    kept = apply_suppressions(checker.findings, suppressions)
     if select is not None:
         kept = [f for f in kept if f.rule_id in select]
     else:
-        kept = kept + audit(supps, path)
+        kept = kept + audit(suppressions, path)
     kept.sort(key=_sort_key)
     return kept
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
-    """Yield the .py files under ``paths`` in sorted, stable order."""
+    """Yield the .py files under ``paths`` in sorted, stable order.
+
+    ``__pycache__`` and dot-directories are skipped *below* each given
+    directory, which itself may be spelt ``../src`` or absolutely.  A
+    path that does not exist raises :class:`FileNotFoundError`.
+    """
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             yield from sorted(
                 candidate for candidate in path.rglob("*.py")
-                if "__pycache__" not in candidate.parts
-                and not any(part.startswith(".")
-                            for part in candidate.parts))
+                if not any(part == "__pycache__" or part.startswith(".")
+                           for part in
+                           candidate.relative_to(path).parts))
+        elif not path.exists():
+            raise FileNotFoundError(
+                f"no such file or directory: {raw}")
         elif path.suffix == ".py":
             yield path
 
 
 def lint_paths(paths: Sequence[Union[str, Path]],
                select: Optional[Set[str]] = None) -> List[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by file."""
-    return run_lint(paths, select=select).findings
+    """Lint every Python file under ``paths``: files in traversal
+    order, each file's findings sorted by (line, col, rule)."""
+    findings: List[Finding] = []
+    for file_path in iter_python_files(paths):
+        findings.extend(lint_source(
+            file_path.read_text(encoding="utf-8"), str(file_path),
+            select=select))
+    return findings

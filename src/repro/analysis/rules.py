@@ -3,29 +3,19 @@
 Every rule the analyzer can emit is declared here with a stable ID, a
 one-line summary, and a fix-it hint.  IDs are grouped by series:
 
-* **D1xx — determinism (local).**  Anything that can make a simulation
+* **D1xx — determinism.**  Anything that can make a simulation
   differ between a run and its deterministic replay in another process
   (PYTHONHASHSEED-dependent hashing, unseeded randomness, wall-clock
   reads, set-iteration order leaking into ordered state), visible
   within one module.
-* **D2xx — determinism taint (cross-module).**  The project-wide taint
-  pass (:mod:`repro.analysis.taint`): a nondeterminism source whose
-  value can reach a determinism sink (``Simulator.schedule*``,
-  ``ScenarioResult``, cache fingerprints, trace emission) through the
-  call graph, reported at both ends of the chain.
 * **U2xx — unit safety (token-level).**  Violations of the
   integer-nanosecond clock contract visible in a single expression
   (floats flowing into ``schedule``/``*_ns`` positions, unit suffix
   mismatches between names).
-* **U4xx — unit inference (flow-sensitive).**  The dimensional-unit
-  pass (:mod:`repro.analysis.unitcheck`): ns↔s, bytes↔bits and
-  float-contamination hazards that only appear once dimensions are
-  propagated through assignments, arithmetic and call sites.
 * **H3xx — hygiene.**  Python pitfalls that corrupt engine state
   (mutable default arguments, locals shadowing module-level names).
-* **S9xx — suppression & baseline hygiene.**  Problems with the
-  ``# simlint: allow[...]`` comments and the ``.simlint-baseline.json``
-  entries themselves.
+* **S9xx — suppression hygiene.**  Problems with the
+  ``# simlint: allow[...]`` comments themselves.
 * **E9xx — analyzer errors** (unparseable files).
 
 The catalog is data, not behaviour: the matching logic lives in
@@ -80,23 +70,6 @@ _RULES = (
         "the order can reach scheduling, membership updates, or reports",
     ),
     Rule(
-        "D201", "taint-sink",
-        "call chain from a determinism sink reaches a nondeterminism "
-        "source in another function",
-        "break the chain: seed/remove the source, or sort/stabilise "
-        "before the value can reach scheduling, results, fingerprints "
-        "or traces; suppress the source's D1xx finding if the path is "
-        "provably host-side only",
-    ),
-    Rule(
-        "D202", "taint-source",
-        "nondeterminism source feeds a determinism sink in another "
-        "function",
-        "this is the source end of a D201 chain: the flagged call "
-        "does not just offend locally — its value can reach a "
-        "schedule/result/fingerprint/trace sink; fix it first",
-    ),
-    Rule(
         "U201", "float-into-ns",
         "float-valued expression flows into an integer-nanosecond slot",
         "keep the clock integral: wrap the arithmetic in int(...) / "
@@ -109,37 +82,6 @@ _RULES = (
         "another",
         "convert explicitly (e.g. seconds(x_s) -> ns, x_ns / SECOND -> "
         "s) instead of copying across unit suffixes",
-    ),
-    Rule(
-        "U401", "dim-arith",
-        "arithmetic or comparison between incompatible dimensions "
-        "(e.g. nanoseconds + seconds)",
-        "convert one side explicitly (units.ns_from_seconds, "
-        "x_ns / SECOND, ...) before combining; the inferred dimensions "
-        "are in the message",
-    ),
-    Rule(
-        "U402", "dim-flow",
-        "value of one inferred dimension flows into a target declared "
-        "with another (assignment, argument, or return)",
-        "insert the conversion at the boundary (repro.core.units "
-        "helpers) or fix the declaration; flow-sensitive: the value "
-        "may have picked up its dimension several statements earlier",
-    ),
-    Rule(
-        "U403", "bytes-bits",
-        "bytes and bits mixed without the ×8 conversion",
-        "convert with units.bits_from_bytes / bytes_from_bits (or an "
-        "explicit * 8 // 8) — rate boundaries (bytes vs rate_bps) are "
-        "the classic site",
-    ),
-    Rule(
-        "U404", "float-time-flow",
-        "float-contaminated value reaches an integer-nanosecond slot "
-        "through one or more assignments",
-        "launder with int()/round() at the point of contamination "
-        "(named in the message), not at the final use; U201 catches "
-        "the single-expression case, this is its dataflow closure",
     ),
     Rule(
         "H301", "mutable-default",
@@ -171,13 +113,6 @@ _RULES = (
         "suppression comment names a rule ID not in the catalog",
         "fix the typo in allow[...]; an unknown ID suppresses nothing "
         "and silently rots",
-    ),
-    Rule(
-        "S904", "stale-baseline",
-        "baseline entry matches no current finding",
-        "run with --update-baseline to prune entries whose findings "
-        "have been fixed — the baseline must only ever shrink "
-        "silently, never grow",
     ),
     Rule(
         "E901", "syntax-error",

@@ -7,11 +7,7 @@ and 6), and the Tofino resource model (Table 3).
 
 from .adaptive import (AdaptiveTauConfig, AdaptiveTauController,
                        adaptive_cebinae_factory)
-from .units import (BITS_PER_BYTE, NS_PER_S, Bits, BitsPerSec, Bytes,
-                    Ratio, Seconds, TimeNs, UnitError, bits_from_bytes,
-                    bytes_from_bits, ns_from_seconds, ratio_of,
-                    rate_from_volume, seconds_from_ns,
-                    transmit_time_ns)
+from .units import Bits, BitsPerSec, Bytes, Ratio, Seconds, TimeNs
 from .control_plane import (CebinaeControlPlane, ControlPlaneSample,
                             cebinae_factory)
 from .perflow import (PerFlowCebinaeControlPlane,
@@ -26,10 +22,6 @@ from .resource_model import (CACHE_ENTRY_BYTES, TOFINO_PORTS,
 
 __all__ = [
     "TimeNs", "Seconds", "Bytes", "Bits", "BitsPerSec", "Ratio",
-    "UnitError", "NS_PER_S", "BITS_PER_BYTE",
-    "ns_from_seconds", "seconds_from_ns", "bits_from_bytes",
-    "bytes_from_bits", "rate_from_volume", "transmit_time_ns",
-    "ratio_of",
     "CebinaeParams",
     "FlowGroup", "LbfDecision", "LeakyBucketFilter",
     "CebinaeQueueDisc",

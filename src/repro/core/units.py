@@ -1,150 +1,16 @@
-"""Dimensional unit types and checked conversions.
+"""Names for the dimensions the simulator computes with.
 
-The simulator computes with nanosecond deadlines, byte counts and
-bits-per-second rates side by side; a wrong ns↔s or bytes↔bits mix does
-not crash — it silently corrupts JFI results (see DESIGN.md section
-13).  This module gives every such quantity a *name*:
-
-=================  ==========  =====================================
-Alias              Backing     Meaning
-=================  ==========  =====================================
-:data:`TimeNs`     ``int``     simulation time / durations, integer ns
-:data:`Seconds`    ``float``   wall-style durations for reporting
-:data:`Bytes`      ``int``     payload / buffer sizes
-:data:`Bits`       ``int``     on-the-wire sizes (8 × bytes)
-:data:`BitsPerSec` ``float``   link and flow rates
-:data:`Ratio`      ``float``   dimensionless fractions in [0, 1]-ish
-=================  ==========  =====================================
-
-Two layers enforce the dimensions:
-
-* **simlint's U4xx flow-sensitive pass** reads these aliases in
-  signatures (plus ``*_ns``/``*_bytes``/... name suffixes) and
-  propagates dimensions through assignments, arithmetic and call
-  sites.  That is where enforcement lives — it understands the
-  repo's idioms (``* SECOND`` scale factors, ``* 8`` byte↔bit
-  conversions) that a nominal type system cannot.
-* **mypy** sees the aliases as plain ``int``/``float`` (the
-  ``TYPE_CHECKING`` branch below), so annotating a hot-path signature
-  never forces call-site wrapping or widens ``--strict`` churn.  At
-  runtime the aliases are real :func:`typing.NewType` objects, so
-  tests and fixtures can construct and introspect them.
-
-The conversion helpers are *checked*: they validate argument types
-(rejecting ``bool``, which is an ``int`` subtype, and non-finite
-floats) and raise :class:`UnitError` instead of silently producing a
-corrupted quantity.
+Plain ``int``/``float`` aliases, imported under ``TYPE_CHECKING`` by the
+modules that annotate with them: they tell a reader (and mypy, as the
+backing type) whether a parameter is integer nanoseconds, a byte count
+or a bits-per-second rate.  Nothing enforces the dimension; the unit
+contract is held by simlint's U2xx name-suffix rules, the
+``REPRO_DEBUG`` invariants and the goldens (DESIGN.md section 8).
 """
 
-from __future__ import annotations
-
-import math
-from typing import TYPE_CHECKING, NewType, Union
-
-if TYPE_CHECKING:
-    # mypy view: transparent aliases.  Dimension enforcement is
-    # simlint's job (U4xx); a nominal NewType here would demand a
-    # wrap at every call site for zero extra safety.
-    TimeNs = int
-    Seconds = float
-    Bytes = int
-    Bits = int
-    BitsPerSec = float
-    Ratio = float
-else:
-    TimeNs = NewType("TimeNs", int)
-    Seconds = NewType("Seconds", float)
-    Bytes = NewType("Bytes", int)
-    Bits = NewType("Bits", int)
-    BitsPerSec = NewType("BitsPerSec", float)
-    Ratio = NewType("Ratio", float)
-
-#: All dimensional aliases, keyed by name (the simlint U4xx pass and
-#: the DESIGN.md catalog table are generated from this).
-UNIT_TYPES = ("TimeNs", "Seconds", "Bytes", "Bits", "BitsPerSec",
-              "Ratio")
-
-#: Nanoseconds per second (mirrors ``repro.netsim.engine.SECOND``,
-#: duplicated here so the units module stays dependency-free).
-NS_PER_S = 1_000_000_000
-#: Bits per byte.
-BITS_PER_BYTE = 8
-
-
-class UnitError(TypeError):
-    """A checked conversion was fed a value outside its dimension."""
-
-
-def _require_real(value: Union[int, float], what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UnitError(f"{what} must be int or float, "
-                        f"got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise UnitError(f"{what} must be finite, got {value!r}")
-
-
-def _require_int(value: int, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UnitError(f"{what} must be an int, "
-                        f"got {type(value).__name__}")
-
-
-def ns_from_seconds(value_s: Seconds) -> TimeNs:
-    """Seconds → integer nanoseconds (rounded to the nearest ns)."""
-    _require_real(value_s, "seconds value")
-    return TimeNs(int(round(value_s * NS_PER_S)))
-
-
-def seconds_from_ns(value_ns: TimeNs) -> Seconds:
-    """Integer nanoseconds → float seconds (reporting only)."""
-    _require_int(value_ns, "nanosecond value")
-    return Seconds(value_ns / NS_PER_S)
-
-
-def bits_from_bytes(size_bytes: Bytes) -> Bits:
-    """Bytes → bits (×8, exact)."""
-    _require_int(size_bytes, "byte count")
-    return Bits(size_bytes * BITS_PER_BYTE)
-
-
-def bytes_from_bits(size_bits: Bits) -> Bytes:
-    """Bits → whole bytes; raises unless divisible by 8."""
-    _require_int(size_bits, "bit count")
-    if size_bits % BITS_PER_BYTE:
-        raise UnitError(f"{size_bits} bits is not a whole number of "
-                        f"bytes")
-    return Bytes(size_bits // BITS_PER_BYTE)
-
-
-def rate_from_volume(size_bits: Bits, duration_s: Seconds) -> BitsPerSec:
-    """Bits transferred over a duration → average rate in bps."""
-    _require_int(size_bits, "bit count")
-    _require_real(duration_s, "duration")
-    if duration_s <= 0:
-        raise UnitError(f"rate needs a positive duration, "
-                        f"got {duration_s!r}")
-    return BitsPerSec(size_bits / duration_s)
-
-
-def transmit_time_ns(size_bytes: Bytes, rate_bps: BitsPerSec) -> TimeNs:
-    """Serialization time of ``size_bytes`` at ``rate_bps``, in ns.
-
-    The canonical checked form of the ``bytes * 8 * SECOND / rate``
-    idiom that appears at every Link/rate boundary.
-    """
-    _require_int(size_bytes, "byte count")
-    _require_real(rate_bps, "rate")
-    if rate_bps <= 0:
-        raise UnitError(f"rate must be positive, got {rate_bps!r}")
-    return TimeNs(int(round(
-        size_bytes * BITS_PER_BYTE * NS_PER_S / rate_bps)))
-
-
-def ratio_of(numerator: Union[int, float],
-             denominator: Union[int, float]) -> Ratio:
-    """Dimensionless quotient of two same-dimension quantities."""
-    _require_real(numerator, "numerator")
-    _require_real(denominator, "denominator")
-    if denominator == 0:
-        raise UnitError("ratio denominator is zero")
-    return Ratio(numerator / denominator)
+TimeNs = int        # simulation time / durations, integer ns
+Seconds = float     # wall-style durations for reporting
+Bytes = int         # payload / buffer sizes
+Bits = int          # on-the-wire sizes (8 x bytes)
+BitsPerSec = float  # link and flow rates
+Ratio = float       # dimensionless fractions

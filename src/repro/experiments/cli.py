@@ -175,10 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
-        # ``cebinae-repro lint <paths>``: the simlint multi-pass
-        # analyzer (determinism / taint / unit-inference / hygiene
-        # rules, plus --sarif and --baseline reporting; see
-        # repro.analysis).  Shares exit-code semantics with
+        # ``cebinae-repro lint <paths>``: the simlint analyzer
+        # (determinism / unit-safety / hygiene rules; see
+        # repro.analysis.linter).  Shares exit-code semantics with
         # ``python tools/simlint.py``.
         from ..analysis.cli import main as lint_main
         return lint_main(argv[1:])

@@ -2,7 +2,10 @@
 semantics, CLI behaviour, and the self-check that the repository's own
 sources are clean."""
 
+import importlib.util
 import json
+import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, lint_paths, lint_source
-from repro.analysis.rules import CHECKER_RULE_IDS
+from repro.analysis.cli import main as lint_main
+from repro.analysis.linter import (iter_python_files, lint_paths,
+                                   lint_source)
+from repro.analysis.rules import CHECKER_RULE_IDS, RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SIMLINT = REPO_ROOT / "tools" / "simlint.py"
@@ -287,14 +292,12 @@ def test_e901_on_syntax_error():
 # -- catalog sanity ------------------------------------------------------------
 
 def test_every_checker_rule_has_a_must_flag_fixture():
-    # Each D/U/H rule has at least one must-flag case — the local
-    # rules above, the cross-module ones in test_taint.py and
-    # test_unitcheck.py (over tests/lint_fixtures/).  This pins the
-    # catalog so adding a rule without a fixture fails loudly.
+    # Each D/U/H rule has at least one must-flag case above.  This
+    # pins the catalog so adding a rule without a fixture fails loudly.
     assert set(CHECKER_RULE_IDS) == {
-        "D101", "D102", "D103", "D104", "D201", "D202",
-        "U201", "U202", "U401", "U402", "U403", "U404",
-        "H301", "H302"}
+        "D101", "D102", "D103", "D104", "U201", "U202", "H301", "H302"}
+    assert set(RULES) - set(CHECKER_RULE_IDS) == {
+        "S901", "S902", "S903", "E901"}
 
 
 def test_rules_have_ids_hints_and_series():
@@ -313,9 +316,12 @@ def test_self_check_src_is_clean():
 
 # -- CLI behaviour -------------------------------------------------------------
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, hashseed=None):
+    env = dict(os.environ)
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
     return subprocess.run(
-        [sys.executable, str(SIMLINT), *args],
+        [sys.executable, str(SIMLINT), *args], env=env,
         capture_output=True, text=True, cwd=cwd or str(REPO_ROOT))
 
 
@@ -361,6 +367,101 @@ def test_cli_list_rules():
     assert result.returncode == 0
     for rule_id in CHECKER_RULE_IDS:
         assert rule_id in result.stdout
+    assert len(re.findall(r"^  [A-Z]\d{3} ", result.stdout, re.M)) == 12
+
+
+def test_cli_flags_are_exactly_the_four(capsys):
+    with pytest.raises(SystemExit):
+        lint_main(["--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--json", "--select", "--no-hints",
+                     "--list-rules"}
+    # Known findings are silenced inline; argparse rejects the rest.
+    with pytest.raises(SystemExit) as rejected:
+        lint_main(["--baseline", "known.json", "src"])
+    assert rejected.value.code == 2
+
+
+def test_json_is_byte_identical_across_hash_seeds(tmp_path):
+    (tmp_path / "dirty.py").write_text(textwrap.dedent("""\
+        import time
+
+
+        def stamp():
+            return time.time()
+
+
+        def bucket(flow, n, tracked={1, 2}):
+            return [hash(flow) % n for flow in set(tracked)]
+    """))
+    first, second = (run_cli(["--json", "dirty.py"], cwd=str(tmp_path),
+                             hashseed=seed) for seed in ("3", "4"))
+    assert first.returncode == second.returncode == 1
+    assert first.stdout == second.stdout
+    assert {f["rule"] for f in json.loads(first.stdout)} == {
+        "D101", "D103", "D104", "H301"}
+
+
+# -- the gate cannot pass having linted nothing -------------------------------
+
+def test_path_spelling_does_not_change_what_is_linted(monkeypatch):
+    rooted = [p.relative_to(REPO_ROOT) for p in
+              iter_python_files([REPO_ROOT / "src"])]
+    assert len(rooted) > 50
+    monkeypatch.chdir(REPO_ROOT / "tools")
+    dotted = list(iter_python_files(["../src"]))
+    assert [p.relative_to("..") for p in dotted] == rooted
+    result = run_cli(["../src"], cwd=str(REPO_ROOT / "tools"))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip() == \
+        f"simlint: 0 findings in {len(rooted)} files under ../src"
+
+
+def test_hidden_and_cache_directories_below_the_path_are_skipped(tmp_path):
+    for name in ("pkg", ".venv", "__pycache__"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "mod.py").write_text("x = 1\n")
+    assert list(iter_python_files([tmp_path])) == \
+        [tmp_path / "pkg" / "mod.py"]
+
+
+def test_missing_path_and_empty_directory_are_usage_errors(
+        tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    for bad in (tmp_path / "nonexistent_dir", tmp_path / "misspelt.py",
+                tmp_path / "empty"):
+        assert lint_main([str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("simlint: error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_running_a_simulation_does_not_import_the_linter():
+    probe = ("import sys, repro.experiments.runner, repro.sweep.worker; "
+             "sys.exit('repro.analysis.linter' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", probe],
+                          env=env).returncode == 0
+
+
+# -- the seeded-fault audit table (tools/seeded_faults.py) --------------------
+
+def test_seeded_fault_table_applies_and_grades_the_lint_layer():
+    spec = importlib.util.spec_from_file_location(
+        "seeded_faults", REPO_ROOT / "tools" / "seeded_faults.py")
+    seeded_faults = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(seeded_faults)
+    flagged = {}
+    for fault in seeded_faults.FAULTS:
+        path, text = seeded_faults.mutated(fault)  # Raises if rotten.
+        flagged[fault[0]] = {
+            f.rule_id for f in lint_source(text, str(path))}
+    assert len(flagged) == 24
+    assert flagged["D-a"] == {"D104"}
+    # D104 cannot see that select_bottlenecked returns a set; the
+    # perflow test of the rate table's key order holds this one.
+    assert flagged["D-b"] == set()
 
 
 def test_cebinae_repro_lint_subcommand(tmp_path):

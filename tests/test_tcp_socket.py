@@ -63,6 +63,15 @@ class TestRttEstimator:
         est.observe(1 * MILLISECOND)
         assert est.rto_ns >= MIN_RTO_NS
 
+    def test_variance_floor_is_one_millisecond(self):
+        # Constant samples decay rttvar to 0; RTO then rests on the
+        # clock-granularity floor, a MILLISECOND and not 1 ns.
+        est = RttEstimator()
+        est.observe(300 * MILLISECOND)
+        while est.rttvar_ns:
+            est.observe(300 * MILLISECOND)
+        assert est.rto_ns == 301 * MILLISECOND
+
     def test_backoff_doubles(self):
         est = RttEstimator()
         est.observe(100 * MILLISECOND)

@@ -175,6 +175,27 @@ class TestPerFlowQueueDisc:
             qdisc.set_flow_rates(qdisc.lbf.headq, {})
 
 
+class TestPerFlowControlPlane:
+    def test_rate_table_is_keyed_in_sorted_flow_order(self):
+        # select_bottlenecked returns a set; the rate table built from
+        # it is copied into the qdisc and iterated, so its key order
+        # must not be the set's hash order (PYTHONHASHSEED-dependent:
+        # a FlowId holds a string).  Eight equal flows are all in ⊤.
+        sim = Simulator()
+        params = CebinaeParams(dt_ns=100 * MILLISECOND,
+                               vdt_ns=MILLISECOND, l_ns=MILLISECOND,
+                               use_exact_cache=True)
+        qdisc = PerFlowCebinaeQueueDisc(sim, params, 8e6, 90_000)
+        agent = PerFlowCebinaeControlPlane(sim, qdisc)
+        for port in range(8):
+            qdisc.cache.update(FlowId(1, 2, 5000 + port, 80), 12_500)
+        qdisc.port_tx_bytes = 8 * 12_500  # One full window at 8 Mbps.
+        agent._recompute()
+        table = agent._pending_flow_rates
+        assert len(table) == 8
+        assert list(table) == sorted(table)
+
+
 class TestPerFlowEndToEnd:
     def test_two_unequal_aggressors_equalised(self):
         """Per-flow tracking's advantage: two ⊤ flows with unequal

@@ -55,7 +55,7 @@ def run_once(duration_s: float,
     """One scenario run: (result JSON, JSONL lines, wall seconds)."""
     scaled = DEFAULT_POLICY.apply(figure9_spec(64, duration_s))
     sink = MemorySink()
-    start = time.perf_counter()
+    start = time.perf_counter()  # simlint: allow[D103] host-side wall timing of the smoke harness; feeds stdout only, never simulation state
     if traced:
         bus = obs_bus.TraceBus()
         bus.subscribe(TOPICS, sink)
@@ -64,7 +64,7 @@ def run_once(duration_s: float,
         bus.close()
     else:
         result = run_scenario(scaled, Discipline.CEBINAE)
-    wall_s = time.perf_counter() - start
+    wall_s = time.perf_counter() - start  # simlint: allow[D103] host-side wall timing of the smoke harness; feeds stdout only, never simulation state
     payload = json.dumps(result.to_dict(), sort_keys=True,
                          separators=(",", ":"))
     return payload, [encode_record(r) for r in sink.records], wall_s
