@@ -1,26 +1,25 @@
 """Microbenchmarks of the per-event/per-packet hot path.
 
-``bench_simulator.py`` tracks the cost of the coarse building blocks;
-this family zooms into the inner loop that PR 3 rebuilt: scheduler
-churn and backlog, cancellation storms, the link transmit chain,
-queue-disc enqueue/dequeue cycles, and the tracing sinks.  Run
-with ``--benchmark-json=BENCH_hotpath.json`` (as the CI perf-smoke job
-does) to track the trajectory per PR.
+Not a paper artifact and not a gate: the place to zoom into one layer
+that the performance ledger's traced rows (``benchmarks/ledger``) point
+at.  Scheduler churn and backlog, cancellation storms, the link
+transmit chain, packet construction, the tracing series, LBF admission
+and flow-cache updates, under pytest-benchmark's normal repeated
+timing.  No baseline, no verdict, no committed artifact.
 """
 
 import pytest
 
-from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
-from repro.netsim.engine import MICROSECOND, Simulator
+from repro.core.lbf import FlowGroup, LeakyBucketFilter
+from repro.core.params import CebinaeParams
+from repro.heavyhitter.hashpipe import CebinaeFlowCache
+from repro.netsim.engine import MICROSECOND, MILLISECOND, Simulator
 from repro.netsim.fq_codel import FqCoDelQueue
 from repro.netsim.link import Link
 from repro.netsim.node import Host
 from repro.netsim.packet import FlowId, MTU_BYTES, Packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.tracing import TimeSeries
-
-from conftest import bench_duration_s, run_once
 
 
 def _churn(events=10_000):
@@ -148,56 +147,26 @@ def test_timeseries_add(benchmark):
     assert series.total > 0
 
 
-#: Packet-leg event counts, read by the hybrid leg of the same session
-#: to report the event-count reduction (keyed by scenario name).
-_BACKEND_EVENTS = {}
+@pytest.mark.benchmark(group="hotpath-cebinae")
+def test_lbf_admission_throughput(benchmark):
+    params = CebinaeParams(dt_ns=100 * MILLISECOND,
+                           vdt_ns=MILLISECOND, l_ns=MILLISECOND)
+    lbf = LeakyBucketFilter(params, 1e9)
+
+    def admit_1k():
+        for i in range(1000):
+            lbf.admit(FlowGroup.TOP, 1500, i * 10_000)
+        lbf.rotate(lbf.base_round_time_ns + params.dt_ns)
+
+    benchmark(admit_1k)
 
 
-def _backend_scenario():
-    """A warmup-plus-steady-state scenario where the hybrid backend
-    has room to hand off: 30 simulated seconds against a ~9 s warmup
-    (``CEBINAE_BENCH_DURATION=60`` doubles the fluid fraction and
-    roughly doubles the reported reduction)."""
-    spec = ScenarioSpec(name="bench-backend", rate_bps=5e6,
-                        rtts_ms=(128.0, 256.0), buffer_mtus=40,
-                        cca_mix=(("cubic", 4), ("cubic", 4)),
-                        duration_s=bench_duration_s(30.0))
-    return ScalePolicy().apply(spec)
+@pytest.mark.benchmark(group="hotpath-cebinae")
+def test_flow_cache_update_throughput(benchmark):
+    cache = CebinaeFlowCache(stages=2, slots_per_stage=2048)
 
+    def update_1k():
+        for i in range(1000):
+            cache.update(i % 3000, 1500)
 
-@pytest.mark.benchmark(group="hotpath-backend")
-def test_scenario_backend(benchmark, bench_backend):
-    """One dumbbell scenario under the selected backend(s).
-
-    ``extra_info`` carries the numbers BENCH_hybrid.json exists for:
-    events, events/sec, sim/wall ratio, and (on the hybrid leg, when
-    the packet leg ran in the same session) the event-count reduction.
-    """
-    scaled = _backend_scenario()
-    result = run_once(benchmark, run_scenario, scaled, Discipline.FIFO,
-                      backend=bench_backend)
-    assert result.events > 0
-    stats = getattr(benchmark, "stats", None)
-    wall_s = stats.stats.median if stats is not None else 0.0
-    benchmark.extra_info["backend"] = bench_backend
-    benchmark.extra_info["events"] = result.events
-    if wall_s > 0:
-        benchmark.extra_info["events_per_sec"] = \
-            round(result.events / wall_s)
-        benchmark.extra_info["sim_wall_ratio"] = \
-            round(result.duration_s / wall_s, 2)
-    _BACKEND_EVENTS[scaled.spec.name] = \
-        dict(_BACKEND_EVENTS.get(scaled.spec.name, {}),
-             **{bench_backend: result.events})
-    if bench_backend == "hybrid":
-        summary = result.hybrid_summary or {}
-        benchmark.extra_info["hybrid_mode"] = summary.get("mode", "")
-        benchmark.extra_info["hybrid_reason"] = \
-            summary.get("reason", "")
-        assert summary.get("mode") == "fluid", \
-            "scenario too short for a fluid handoff"
-        packet_events = \
-            _BACKEND_EVENTS[scaled.spec.name].get("packet")
-        if packet_events:
-            benchmark.extra_info["event_reduction_x"] = \
-                round(packet_events / result.events, 2)
+    benchmark(update_1k)

@@ -17,26 +17,6 @@ import os
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend", action="store", default="packet",
-        choices=["packet", "hybrid", "all"],
-        help="simulation backend(s) for backend-parametrised "
-             "benchmarks (default: packet, so BENCH_hotpath.json "
-             "stays comparable to the committed baseline; the CI "
-             "perf-smoke job runs a second '--backend all' pass into "
-             "BENCH_hybrid.json)")
-
-
-def pytest_generate_tests(metafunc):
-    if "bench_backend" in metafunc.fixturenames:
-        option = metafunc.config.getoption("--backend")
-        backends = ("packet", "hybrid") if option == "all" else (option,)
-        # Packet first: the hybrid leg reads the packet leg's event
-        # count to report the event-count reduction.
-        metafunc.parametrize("bench_backend", backends)
-
-
 def bench_duration_s(default: float = 12.0) -> float:
     """Simulated seconds per scenario (env-overridable)."""
     return float(os.environ.get("CEBINAE_BENCH_DURATION", default))

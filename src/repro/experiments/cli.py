@@ -200,13 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # workers, quarantine, kill -9-safe resume, live fleet watch.
         from ..sweep.cli import main as sweep_main
         return sweep_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # ``cebinae-repro bench report BENCH_*.json ...``: fold
-        # benchmark artifacts into one trend table with
-        # normalised-ratio regression flagging (see
-        # repro.experiments.bench_trend).
-        from .bench_trend import main as bench_main
-        return bench_main(argv[1:])
     if argv and argv[0] == "cache":
         # ``cebinae-repro cache gc``: prune corrupted/truncated result
         # cache entries (silent misses that linger on disk forever).

@@ -255,17 +255,20 @@ class ResultCache:
         an error: the run is simply re-simulated and the entry
         overwritten.  ``ValueError`` covers ``json.JSONDecodeError``;
         the rest covers entries that parse but have the wrong shape.
+        The payload must be an object, the rule :meth:`prune` deletes
+        by, so no entry is both unloadable and kept.
         """
         path = self._path(fp)
+        payload = None
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-            if entry.get("cache_version") != CACHE_VERSION:
-                self.misses += 1
-                return None
-            payload = entry["payload"]
+            if entry.get("cache_version") == CACHE_VERSION:
+                payload = entry["payload"]
         except (OSError, ValueError, KeyError, TypeError,
                 AttributeError):
+            pass
+        if not isinstance(payload, dict):
             self.misses += 1
             return None
         self.hits += 1
@@ -596,10 +599,19 @@ def run_tasks(tasks: Sequence[Task], workers: Optional[int] = None,
         if cache is not None and use_cache and task.fingerprint:
             payload = cache.load(task.fingerprint)
         if payload is not None:
-            results[index] = task.decode(payload)
-            _emit(progress, f"[parallel] cached {task.label}")
-        else:
-            pending.append(index)
+            try:
+                results[index] = task.decode(payload)
+            except (KeyError, TypeError, ValueError, AttributeError):
+                # An object, but not this task's schema: a miss like
+                # any other unreadable entry.  Re-simulating overwrites
+                # it.
+                cache.hits -= 1
+                cache.misses += 1
+                _emit(progress, f"[parallel] stale  {task.label}")
+            else:
+                _emit(progress, f"[parallel] cached {task.label}")
+                continue
+        pending.append(index)
 
     if not pending:
         return results

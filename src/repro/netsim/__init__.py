@@ -23,7 +23,7 @@ from .queues import DropTailQueue, QueueDisc
 from .topology import (Dumbbell, Network, ParkingLot, PortSpec,
                        QueueFactory, build_dumbbell, build_parking_lot,
                        drop_tail_factory)
-from .tracing import FlowMonitor, FlowRecord, LinkMonitor, TimeSeries
+from .tracing import FlowMonitor, FlowRecord, TimeSeries
 
 __all__ = [
     "NANOSECOND", "MICROSECOND", "MILLISECOND", "SECOND",
@@ -37,7 +37,7 @@ __all__ = [
     "Link", "Node", "Host", "Router",
     "Network", "PortSpec", "QueueFactory", "drop_tail_factory",
     "Dumbbell", "build_dumbbell", "ParkingLot", "build_parking_lot",
-    "FlowMonitor", "FlowRecord", "LinkMonitor", "TimeSeries",
+    "FlowMonitor", "FlowRecord", "TimeSeries",
     "FluidPhaseReport", "HybridPolicy", "advance_fluid",
     "equilibrium_schedule", "rate_divergence",
 ]

@@ -1,10 +1,11 @@
-"""Measurement helpers: time series, per-flow goodput, link throughput.
+"""Measurement helpers: time series and per-flow goodput.
 
 The evaluation in the paper reports three families of metrics: average
-bottleneck throughput (wire bytes on the bottleneck link), per-flow
-application goodput (new payload bytes delivered to the receiver), and
-Jain's fairness index over per-flow goodputs, optionally as a per-second
-time series (Figure 10).  These classes collect exactly that data.
+bottleneck throughput (wire bytes on the bottleneck link, which the
+runner reads from ``Link.tx_bytes``), per-flow application goodput (new
+payload bytes delivered to the receiver), and Jain's fairness index
+over per-flow goodputs, optionally as a per-second time series
+(Figure 10).  These classes collect the last two.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .engine import SECOND, Event, Simulator
-from .link import Link
+from .engine import SECOND, Simulator
 from .packet import FlowId
 
 
@@ -120,64 +120,3 @@ class FlowMonitor:
             return []
         scale = 8 * SECOND / self.bin_width_ns
         return [v * scale for v in series.dense(until_ns)]
-
-
-class LinkMonitor:
-    """Tracks wire throughput on a set of links via periodic sampling.
-
-    ``horizon_ns`` bounds the sampling: once the *next* sample would
-    land past the horizon, the monitor stops rescheduling itself.
-    Without a horizon a monitor keeps the event loop non-empty forever
-    — a bounded ``run(until_ns=...)`` still terminates, but any
-    ``max_events`` watchdog budget is slowly burned by empty samples
-    and a run that would otherwise drain never does.  :meth:`stop`
-    cancels the pending sample for callers that learn the window's end
-    late (e.g. a watchdog abort).
-    """
-
-    def __init__(self, sim: Simulator, links: List[Link],
-                 bin_width_ns: int = SECOND,
-                 horizon_ns: Optional[int] = None) -> None:
-        if horizon_ns is not None and horizon_ns < 0:
-            raise ValueError("horizon cannot be negative")
-        self.sim = sim
-        self.links = list(links)
-        self.bin_width_ns = bin_width_ns
-        self.horizon_ns = horizon_ns
-        self._last_bytes = {link: 0 for link in self.links}
-        self._pending: Optional[Event] = None
-        self.series: Dict[Link, TimeSeries] = {
-            link: TimeSeries(bin_width_ns) for link in self.links}
-        self._schedule_sample()
-
-    def _schedule_sample(self) -> None:
-        next_ns = self.sim.now_ns + self.bin_width_ns
-        if self.horizon_ns is not None and next_ns > self.horizon_ns:
-            self._pending = None
-            return
-        self._pending = self.sim.schedule(self.bin_width_ns, self._sample)
-
-    def _sample(self) -> None:
-        for link in self.links:
-            delta = link.tx_bytes - self._last_bytes[link]
-            self._last_bytes[link] = link.tx_bytes
-            # Attribute the delta to the bin that just ended.
-            self.series[link].add(self.sim.now_ns - 1, delta)
-        self._schedule_sample()
-
-    def stop(self) -> None:
-        """Cancel the pending sample; the monitor stays readable."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.cancel()
-
-    def throughput_bps(self, link: Link, duration_ns: int) -> float:
-        """Average wire throughput over the run (uses the raw counter)."""
-        if duration_ns <= 0:
-            return 0.0
-        return link.tx_bytes * 8 * SECOND / duration_ns
-
-    def throughput_series_bps(self, link: Link,
-                              until_ns: int) -> List[float]:
-        scale = 8 * SECOND / self.bin_width_ns
-        return [v * scale for v in self.series[link].dense(until_ns)]

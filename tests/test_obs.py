@@ -4,8 +4,7 @@ Covers the trace bus lifecycle, record schema validation, the metrics
 registry round-trip, sink output, the off-path byte-identity guarantee
 for ``ScenarioResult`` JSON, trace determinism across runs, the
 control-plane timeline's every-round coverage, and the PR 5 satellite
-fixes (LinkMonitor horizon, TimeSeries edge bins, HashPipe trace
-hooks).
+fixes (TimeSeries edge bins, HashPipe trace hooks).
 """
 
 import json
@@ -19,7 +18,7 @@ from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.heavyhitter.hashpipe import CebinaeFlowCache, ExactFlowCache
 from repro.netsim.engine import SECOND, Simulator
-from repro.netsim.tracing import FlowMonitor, LinkMonitor, TimeSeries
+from repro.netsim.tracing import FlowMonitor, TimeSeries
 from repro.netsim.packet import FlowId
 from repro.obs import bus as obs_bus
 from repro.obs import cli as obs_cli
@@ -392,42 +391,6 @@ class TestHashPipeTraceHook:
         # And the traceless fast path still counts.
         plain = ExactFlowCache()
         assert plain.update("a", 1)
-
-
-class TestLinkMonitorHorizon:
-    class _FakeLink:
-        def __init__(self):
-            self.tx_bytes = 0
-
-    def test_monitor_stops_at_horizon(self):
-        sim = Simulator()
-        link = self._FakeLink()
-        monitor = LinkMonitor(sim, [link], bin_width_ns=SECOND,
-                              horizon_ns=3 * SECOND)
-        link.tx_bytes = 100
-        sim.run()  # drains: the monitor must not reschedule forever
-        assert sim.now_ns == 3 * SECOND
-        assert monitor.series[link].total == 100
-
-    def test_unbounded_monitor_needs_run_until(self):
-        sim = Simulator()
-        monitor = LinkMonitor(sim, [self._FakeLink()],
-                              bin_width_ns=SECOND)
-        sim.run(until_ns=2 * SECOND)
-        assert sim.now_ns == 2 * SECOND
-        monitor.stop()
-        sim.run()  # now drains: the pending sample was cancelled
-        assert monitor._pending is None
-
-    def test_stop_is_idempotent(self):
-        sim = Simulator()
-        monitor = LinkMonitor(sim, [], horizon_ns=0)
-        monitor.stop()
-        monitor.stop()
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            LinkMonitor(Simulator(), [], horizon_ns=-1)
 
 
 class TestTimeSeriesEdgeBins:

@@ -115,3 +115,34 @@ class TestNoCache:
         # ones.
         assert len(calls) == len(specs)
         assert again == first
+
+
+class TestUndecodableEntry:
+    """An entry that parses but is not this task's schema is a miss,
+    never a traceback: re-simulated, overwritten, counted once."""
+
+    @pytest.mark.parametrize("payload, narrated", [
+        ([], False),                # Not an object: load's miss.
+        ({"name": "t"}, True),      # An object decode cannot read.
+    ])
+    def test_resimulated_and_overwritten(self, tmp_path, specs,
+                                         payload, narrated):
+        spec = specs[0]
+        fresh = require(run_many([spec], workers=1, progress=None)[0])
+        cache = ResultCache(tmp_path)
+        cache.store(spec.fingerprint(), "ScenarioResult", "x", payload)
+        lines = []
+        result = run_many([spec], workers=1, cache_dir=cache,
+                          progress=lines.append)[0]
+        assert result == fresh
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert any("stale" in line for line in lines) == narrated
+        assert not any("cached" in line for line in lines)
+        stored = cache.load(spec.fingerprint())
+        assert ScenarioResult.from_dict(stored) == fresh
+
+    def test_null_payload_counts_a_miss(self, tmp_path, specs):
+        cache = ResultCache(tmp_path)
+        cache.store(specs[0].fingerprint(), "ScenarioResult", "x", None)
+        assert cache.load(specs[0].fingerprint()) is None
+        assert (cache.hits, cache.misses) == (0, 1)

@@ -126,6 +126,7 @@ class TestCli:
          "/nonexistent.json"),
         (["figure1", "--rows", "3"], "--rows"),
         (["figure1", "--wall-limit", "5"], "--wall-limit"),
+        (["bench", "report", "x.json"], "bench"),
     ])
     def test_usage_errors_exit_2_in_one_line(self, argv, names,
                                              monkeypatch, capsys):

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import MILLISECOND, SECOND, Simulator, seconds
+from repro.netsim.engine import MILLISECOND, Simulator, seconds
 from repro.netsim.packet import FlowId, Packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.topology import (Network, build_dumbbell,
-                                   build_parking_lot, drop_tail_factory)
-from repro.netsim.tracing import (FlowMonitor, LinkMonitor, TimeSeries)
+                                   build_parking_lot)
+from repro.netsim.tracing import FlowMonitor, TimeSeries
 
 
 def fifo(spec):
@@ -215,22 +215,3 @@ class TestFlowMonitor:
         flow = FlowId(1, 2, 3, 4)
         monitor.register(flow)
         assert monitor.goodputs_bps(seconds(1))[flow] == 0.0
-
-
-class TestLinkMonitor:
-    def test_throughput_series(self):
-        sim = Simulator()
-        network = Network(sim)
-        a = network.add_host("a")
-        b = network.add_host("b")
-        link = network.add_link(a, b, 8e6, 0,
-                                drop_tail_factory(limit_packets=100))
-        a.routes[b.node_id] = link
-        monitor = LinkMonitor(sim, [link], bin_width_ns=SECOND)
-        flow = FlowId(a.node_id, b.node_id, 1, 2)
-        # 1000 bytes in the first second only.
-        a.send(Packet(flow=flow, size_bytes=1000))
-        sim.run(until_ns=seconds(2))
-        series = monitor.throughput_series_bps(link, seconds(2))
-        assert series[0] == pytest.approx(8000)
-        assert series[1] == 0.0
