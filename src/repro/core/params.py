@@ -30,10 +30,9 @@ Constraints enforced here (section 4.4):
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Mapping
+from typing import TYPE_CHECKING
 
 from ..netsim.engine import MICROSECOND, MILLISECOND, SECOND
 
@@ -88,19 +87,6 @@ class CebinaeParams:
         if not 0.0 <= self.min_bottom_rate_fraction < 1.0:
             raise ValueError(
                 "min_bottom_rate_fraction must be in [0, 1)")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready payload (field name → primitive value)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CebinaeParams":
-        """Rebuild parameters from :meth:`to_dict` output (strict)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown CebinaeParams keys: {unknown}")
-        return cls(**dict(data))
 
     @property
     def recompute_interval_ns(self) -> TimeNs:

@@ -144,43 +144,6 @@ class RunSpec:
     def fingerprint(self) -> str:
         return fingerprint("ScenarioResult", self.params())
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready payload that rebuilds this spec losslessly.
-
-        This is what the sweep-fabric manifest persists per task: a
-        worker process reconstructs the exact :class:`RunSpec` (and
-        hence the exact cache fingerprint) from the manifest alone,
-        with no Python state shared with the process that wrote it.
-        """
-        return {
-            "scaled": self.scaled.to_dict(),
-            "discipline": self.discipline.value,
-            "collect_series": self.collect_series,
-            "record_history": self.record_history,
-            "seed": self.seed,
-            "faults": None if self.faults is None
-            else self.faults.to_dict(),
-            "backend": self.backend,
-            "wall_limit_s": self.wall_limit_s,
-            "max_events": self.max_events,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        faults = data.get("faults")
-        wall_limit = data.get("wall_limit_s")
-        max_events = data.get("max_events")
-        return cls(
-            scaled=ScaledScenario.from_dict(data["scaled"]),
-            discipline=Discipline(data["discipline"]),
-            collect_series=bool(data.get("collect_series", False)),
-            record_history=bool(data.get("record_history", False)),
-            seed=int(data.get("seed", 0)),
-            faults=None if faults is None else FaultSpec.from_dict(faults),
-            backend=str(data.get("backend", "packet")),
-            wall_limit_s=None if wall_limit is None else float(wall_limit),
-            max_events=None if max_events is None else int(max_events))
-
 
 @dataclass
 class FailedRun:
@@ -212,15 +175,6 @@ class FailedRun:
                 "backoff_s": list(self.backoff_s),
                 "partial": self.partial,
                 "interrupted": self.interrupted}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FailedRun":
-        return cls(label=data["label"], error=data["error"],
-                   attempts=data["attempts"],
-                   timed_out=data.get("timed_out", False),
-                   backoff_s=list(data.get("backoff_s", [])),
-                   partial=data.get("partial"),
-                   interrupted=data.get("interrupted", False))
 
 
 def require(result: Union[Any, FailedRun]) -> Any:

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import (Any, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import ClassVar, List, Optional, Sequence, Tuple, Union
 
 from ..netsim.engine import MILLISECOND, seconds
 from ..netsim.packet import MSS_BYTES, MTU_BYTES
@@ -79,13 +78,6 @@ class FlowPlan:
             raise ValueError(
                 f"{owner}: start_time_s must be >= 0, got "
                 f"{self.start_time_s!r}")
-
-
-def _number(value: object) -> float:
-    """Validate a JSON number, preserving its int/float identity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -189,40 +181,6 @@ class ScenarioSpec:
     def min_rtt_s(self) -> float:
         return min(self.rtts_ms) / 1e3
 
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready payload (tuples become lists)."""
-        return {
-            "name": self.name,
-            "rate_bps": self.rate_bps,
-            "rtts_ms": list(self.rtts_ms),
-            "buffer_mtus": self.buffer_mtus,
-            "cca_mix": [list(pair) for pair in self.cca_mix],
-            "duration_s": self.duration_s,
-            "start_times_s": None if self.start_times_s is None
-            else list(self.start_times_s),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (validated).
-
-        Numeric fields keep their int/float identity rather than being
-        coerced: cache fingerprints canonicalise through JSON, where
-        ``20`` and ``20.0`` hash differently, so a round-tripped spec
-        must reproduce the exact values ``to_dict`` wrote.
-        """
-        starts = data.get("start_times_s")
-        return cls(
-            name=str(data["name"]),
-            rate_bps=_number(data["rate_bps"]),
-            rtts_ms=tuple(_number(v) for v in data["rtts_ms"]),  # type: ignore[union-attr]
-            buffer_mtus=int(data["buffer_mtus"]),      # type: ignore[arg-type]
-            cca_mix=tuple((str(cca), int(count))
-                          for cca, count in data["cca_mix"]),  # type: ignore[union-attr]
-            duration_s=_number(data["duration_s"]),
-            start_times_s=None if starts is None
-            else tuple(_number(v) for v in starts))    # type: ignore[union-attr]
-
 
 @dataclass(frozen=True)
 class ParkingLotSpec:
@@ -314,40 +272,9 @@ class ParkingLotSpec:
                               rate_scale=rate_scale, flow_scale=1.0,
                               cebinae=params)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready payload (tuples become lists)."""
-        return {
-            "name": self.name,
-            "rate_bps": self.rate_bps,
-            "buffer_mtus": self.buffer_mtus,
-            "num_long": self.num_long,
-            "long_cca": self.long_cca,
-            "cross_mix": [list(pair) for pair in self.cross_mix],
-            "duration_s": self.duration_s,
-            "access_delay_ms": self.access_delay_ms,
-            "bottleneck_delay_ms": self.bottleneck_delay_ms,
-            "paper_rate_bps": self.paper_rate_bps,
-            "tau": self.tau,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ParkingLotSpec":
-        """Rebuild a spec from :meth:`to_dict` output (validated)."""
-        kwargs = dict(data)
-        kwargs["cross_mix"] = tuple(
-            (str(cca), int(count)) for cca, count in kwargs["cross_mix"])
-        return cls(**kwargs)
-
 
 #: What the runner builds: either topology's description.
 TopologySpec = Union[ScenarioSpec, ParkingLotSpec]
-
-
-def _spec_from_dict(data: Dict[str, Any]) -> TopologySpec:
-    """Either kind of spec; only a parking lot has a ``cross_mix``."""
-    if "cross_mix" in data:
-        return ParkingLotSpec.from_dict(data)
-    return ScenarioSpec.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -363,32 +290,6 @@ class ScaledScenario:
     rate_scale: float             # paper rate / sim rate.
     flow_scale: float             # paper flows / sim flows.
     cebinae: CebinaeParams
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-ready payload mirroring the dataclass shape.
-
-        Round-tripping a scaled scenario (rather than re-applying the
-        policy on load) keeps the sweep-fabric manifest a pure record
-        of *what will run*: a manifest written under one policy version
-        replays the identical configuration even if scaling laws later
-        change.
-        """
-        return {
-            "spec": self.spec.to_dict(),
-            "paper_spec": self.paper_spec.to_dict(),
-            "rate_scale": self.rate_scale,
-            "flow_scale": self.flow_scale,
-            "cebinae": self.cebinae.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScaledScenario":
-        return cls(
-            spec=_spec_from_dict(data["spec"]),               # type: ignore[arg-type]
-            paper_spec=_spec_from_dict(data["paper_spec"]),   # type: ignore[arg-type]
-            rate_scale=float(data["rate_scale"]),             # type: ignore[arg-type]
-            flow_scale=float(data["flow_scale"]),             # type: ignore[arg-type]
-            cebinae=CebinaeParams.from_dict(data["cebinae"]))  # type: ignore[arg-type]
 
 
 #: TCP needs roughly this many segments per RTT to avoid RTO collapse.

@@ -29,14 +29,14 @@ from .events import (TRACE_SCHEMA_VERSION, TOPICS, SchemaError,
                      SpanEvent, TraceRecord, canonical_dict,
                      validate_record)
 from .metrics import METRICS_SCHEMA_VERSION, MetricsRegistry, collected
-from .sinks import (ControlTimelineSink, JsonlSpanSink, JsonlTraceSink,
-                    MemorySink, PacketLogSink)
+from .sinks import (ControlTimelineSink, JsonlTraceSink, MemorySink,
+                    PacketLogSink)
 from .spans import span, span_tree
 
 __all__ = [
     "AGGREGATE_SCHEMA_VERSION", "METRICS_SCHEMA_VERSION", "TOPICS",
-    "TRACE_SCHEMA_VERSION", "ControlTimelineSink", "JsonlSpanSink",
-    "JsonlTraceSink", "MemorySink", "MetricsRegistry", "PacketLogSink",
+    "TRACE_SCHEMA_VERSION", "ControlTimelineSink", "JsonlTraceSink",
+    "MemorySink", "MetricsRegistry", "PacketLogSink",
     "SchemaError", "SpanEvent", "TraceBus", "TraceRecord", "aggregate",
     "bus", "canonical_dict", "collected", "events", "fleet_view",
     "merge_snapshots", "metrics", "sinks", "span", "span_tree",

@@ -38,8 +38,8 @@ from ..experiments.scenarios import DEFAULT_POLICY
 from . import bus as obs_bus
 from . import metrics as obs_metrics
 from .events import TOPICS
-from .sinks import (ControlTimelineSink, JsonlSpanSink, JsonlTraceSink,
-                    PacketLogSink, _JSON_KWARGS)
+from .sinks import (ControlTimelineSink, JsonlTraceSink, PacketLogSink,
+                    _JSON_KWARGS)
 
 #: Paper scenarios the trace CLI can rebuild (figure-9-class default).
 SCENARIOS = ("figure1", "figure7", "figure9")
@@ -102,7 +102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         bus.subscribe(trace_topics, JsonlTraceSink(
             os.path.join(args.out, "trace.jsonl")))
     if "span" in topics:
-        bus.subscribe("span", JsonlSpanSink(
+        bus.subscribe("span", JsonlTraceSink(
             os.path.join(args.out, "spans.jsonl")))
     if "packet" in topics:
         bus.subscribe("packet", PacketLogSink(args.out))

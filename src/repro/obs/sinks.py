@@ -14,7 +14,7 @@ import json
 import os
 from typing import IO, Any, Dict, List, Optional
 
-from .events import ControlRound, PacketTx, SpanEvent, TraceRecord
+from .events import ControlRound, PacketTx, TraceRecord
 
 #: Compact, key-sorted JSON: the only encoding sinks use.
 _JSON_KWARGS: Dict[str, Any] = {"sort_keys": True,
@@ -41,7 +41,14 @@ class MemorySink:
 
 
 class JsonlTraceSink:
-    """One JSON object per line, in event order, to a single file."""
+    """One JSON object per line, in event order, to a single file.
+
+    Subscribed to the ``span`` topic alone it writes a span file, all
+    :func:`repro.obs.spans.span_tree` needs.  Span records carry the
+    one nondeterministic field (``wall_s``); strip it with
+    :func:`repro.obs.events.canonical_dict` before comparing span
+    files byte-wise.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -106,37 +113,6 @@ class PacketLogSink:
         self._handles.clear()
 
 
-class JsonlSpanSink:
-    """Lifecycle spans alone, one JSON object per line, in close order.
-
-    The file is everything needed to rebuild the span tree
-    (:func:`repro.obs.spans.span_tree`).  Span records carry the one
-    schema-sanctioned nondeterministic field (``wall_s``, host
-    wall-clock); strip it with
-    :func:`repro.obs.events.canonical_dict` before comparing span
-    files byte-wise — every other byte is deterministic.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w",
-                                               encoding="utf-8")
-
-    def accept(self, record: TraceRecord) -> None:
-        if not isinstance(record, SpanEvent):
-            return
-        handle = self._handle
-        if handle is None:
-            raise ValueError(f"span sink {self.path!r} is closed")
-        handle.write(encode_record(record))
-        handle.write("\n")
-
-    def close(self) -> None:
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.close()
-
-
 class ControlTimelineSink:
     """Collects per-``dT`` control-plane rounds for reports and JSONL.
 
@@ -163,6 +139,6 @@ class ControlTimelineSink:
 
 
 __all__ = [
-    "ControlTimelineSink", "JsonlSpanSink", "JsonlTraceSink",
+    "ControlTimelineSink", "JsonlTraceSink",
     "MemorySink", "PacketLogSink", "encode_record",
 ]

@@ -13,20 +13,18 @@ setting (``REPRO_DEBUG``) against the committed digests and exits 1 on
 any mismatch; the CI ``suite-smoke`` job runs it with the gate on.
 ``--update-golden`` replays each spec with the debug gate off and on
 in-process (refusing to write if the two disagree) and rewrites the
-golden files.
+golden files.  ``cebinae-repro sweep run SWEEP --suite <dir>`` runs the
+same directory crash-resumably, then ``sweep merge`` reads it back.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import json
 import sys
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..experiments.runner import BACKENDS, Discipline
+from ..experiments.runner import BACKENDS
 from .golden import (check_golden, conformance_digests, result_digest,
                      run_compiled, write_golden)
 from .registry import SuiteRegistry
@@ -56,52 +54,6 @@ def _describe_spec(spec: SuiteSpec) -> str:
     if spec.description:
         parts.append(f"— {spec.description}")
     return "  ".join(parts)
-
-
-def _run_fabric(specs: List[SuiteSpec], args: argparse.Namespace,
-                out: List[Any]) -> int:
-    """Execute every compiled run through the sweep fabric.
-
-    Compiles all specs into one manifest under ``--fabric-dir``, runs
-    ``--workers`` lease-claiming workers over it (resuming whatever an
-    earlier — possibly killed — invocation already finished), then
-    appends each result to ``out`` from the sweep's fingerprint-keyed
-    cache, in manifest order: spec by spec, each in compile order.
-    Returns a non-zero exit code on quarantined or missing runs.
-    """
-    from ..experiments.runner import ScenarioResult
-    from ..sweep.cli import start_workers
-    from ..sweep.manifest import SweepDir, manifest_from_specs
-    from ..sweep.worker import WorkerConfig
-
-    fabric_dir = args.fabric_dir or str(
-        Path(f"{args.cache_dir}.sweep")
-        / Path(args.directory).name)
-    manifest = manifest_from_specs(Path(args.directory).name, specs)
-    sweep = SweepDir(fabric_dir)
-    sweep.initialise(manifest)
-    print(f"[fabric] {len(manifest.tasks)} task(s) -> {fabric_dir} "
-          f"({args.workers} worker(s)); resumable via "
-          f"'cebinae-repro sweep resume {fabric_dir}'")
-    code = start_workers(fabric_dir, args.workers,
-                         WorkerConfig(worker_id="suite-w0"), quiet=True)
-    if code != 0:
-        return code
-    failures: List[str] = []
-    for entry in sweep.outcomes():
-        if entry["status"] == "done":
-            out.append(ScenarioResult.from_dict(entry["payload"]))
-        else:
-            error = entry.get("failed", {}).get("error",
-                                                "missing result")
-            failures.append(f"{entry['label']}: {error}")
-    if failures:
-        print(f"{len(failures)} fabric run(s) did not complete:",
-              file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -136,30 +88,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mismatch-out", metavar="PATH",
                         help="with --golden: also write a JSON "
                              "mismatch report to PATH (CI artifact)")
-    parser.add_argument("--fabric", action="store_true",
-                        help="execute through the crash-resumable "
-                             "sweep fabric (repro.sweep): a manifest "
-                             "+ lease-claiming workers instead of one "
-                             "process pool, resumable after any kill "
-                             "via 'cebinae-repro sweep resume'")
-    parser.add_argument("--fabric-dir", metavar="DIR",
-                        help="sweep directory for --fabric (default: "
-                             "<cache-dir>.sweep/<suite dir name>)")
     args = parser.parse_args(argv)
 
     if args.golden and args.update_golden:
         parser.error("--golden and --update-golden are exclusive")
-    if args.fabric and args.update_golden:
-        parser.error("--update-golden replays debug off and on "
-                     "in-process and cannot run on the fabric")
-    if args.fabric_dir and not args.fabric:
-        parser.error("--fabric-dir requires --fabric")
-    if args.fabric and args.no_cache:
-        # The sweep directory is the fabric's cache: honouring
-        # --no-cache would mean discarding what makes it resumable.
-        parser.error("--fabric reuses whatever its sweep directory "
-                     "already holds, so --no-cache cannot apply; pass "
-                     "--fabric-dir <fresh dir> to re-simulate")
     if args.backend == "hybrid" and (args.golden or args.update_golden):
         # Golden digests pin the packet backend's byte-identical
         # contract; the hybrid tier is validated by tolerance, not
@@ -173,12 +105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    specs: List[SuiteSpec] = list(registry)
-    if args.backend is not None:
-        specs = [spec if (spec.parking is not None
-                          or Discipline.AFQ in spec.disciplines)
-                 else dataclasses.replace(spec, backend=args.backend)
-                 for spec in specs]
+    specs = [spec.with_backend(args.backend) for spec in registry]
 
     if args.list:
         for spec in specs:
@@ -195,26 +122,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  wrote {path} ({len(digests)} run(s))")
         return 0
 
-    fabric_results: List[Any] = []
-    if args.fabric:
-        code = _run_fabric(specs, args, fabric_results)
-        if code != 0:
-            return code
-    fabric_remaining = iter(fabric_results)
-
     mismatches: List[str] = []
     report: Dict[str, Any] = {}
     for spec in specs:
         print(f"=== {_describe_spec(spec)} ===")
         runs = spec.compile()
-        if args.fabric:
-            results = list(itertools.islice(fabric_remaining,
-                                            len(runs)))
-        else:
-            results = run_compiled(
-                runs, workers=args.workers,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                use_cache=not args.no_cache)
+        results = run_compiled(
+            runs, workers=args.workers,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            use_cache=not args.no_cache)
         digests = {}
         for run, result in zip(runs, results):
             print(_format_run(run.label, result))

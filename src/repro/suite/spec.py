@@ -20,7 +20,9 @@ Determinism contract: a spec is a pure value.  Equal specs have equal
 :meth:`SuiteSpec.fingerprint` digests, ``from_dict(to_dict(s)) == s``
 holds field for field (``tests/test_scenario_specs.py`` pins both with
 hypothesis), and every compiled run is replayable byte-identically —
-which is what the golden-conformance harness asserts.
+which is what the golden-conformance harness asserts.  The document is
+also the one serialised form of a run: a sweep manifest stores it and
+its workers compile it again (:mod:`repro.sweep.manifest`).
 """
 
 from __future__ import annotations
@@ -174,9 +176,18 @@ def _parse_parking(source: str, name: str, data: Mapping[str, Any]
 
 def _parking_to_dict(spec: ParkingLotSpec) -> Dict[str, Any]:
     """The ``parking_lot`` section (the name sits at the top level)."""
-    data = spec.to_dict()
-    del data["name"]
-    return data
+    return {
+        "rate_bps": spec.rate_bps,
+        "buffer_mtus": spec.buffer_mtus,
+        "num_long": spec.num_long,
+        "long_cca": spec.long_cca,
+        "cross_mix": [list(pair) for pair in spec.cross_mix],
+        "duration_s": spec.duration_s,
+        "access_delay_ms": spec.access_delay_ms,
+        "bottleneck_delay_ms": spec.bottleneck_delay_ms,
+        "paper_rate_bps": spec.paper_rate_bps,
+        "tau": spec.tau,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -321,16 +332,6 @@ class CompiledRun:
     def task(self) -> Task:
         return dataclasses.replace(scenario_task(self.runspec),
                                    label=self.label)
-
-    def to_source(self) -> Dict[str, Any]:
-        """The JSON document a sweep manifest rebuilds this run from."""
-        return {"type": "runspec", "runspec": self.runspec.to_dict()}
-
-    @classmethod
-    def from_source(cls, label: str,
-                    source: Mapping[str, Any]) -> "CompiledRun":
-        """Rebuild the run :meth:`to_source` described, under ``label``."""
-        return cls(label, runspec=RunSpec.from_dict(source["runspec"]))
 
 
 # --------------------------------------------------------------------------
@@ -556,6 +557,17 @@ class SuiteSpec:
         determinism break.
         """
         return fingerprint("SuiteSpec", {"doc": self.to_dict()})
+
+    def with_backend(self, backend: Optional[str]) -> "SuiteSpec":
+        """This spec under a command-line ``--backend`` override.
+
+        None overrides nothing.  Parking lots and specs that run AFQ
+        keep the packet backend, the only one they run on.
+        """
+        if (backend is None or self.parking is not None
+                or Discipline.AFQ in self.disciplines):
+            return self
+        return dataclasses.replace(self, backend=backend)
 
     # -- compilation ------------------------------------------------------
     def _points(self) -> List[ScenarioSpec]:

@@ -4,7 +4,8 @@ A *sweep* is a directory on disk that fully describes a parameter
 study and its progress — no Python state survives anywhere else:
 
 * ``manifest.json`` — the versioned, fsynced list of fingerprinted
-  tasks (:mod:`repro.sweep.manifest`), written once at init;
+  tasks and the suite documents they compile from
+  (:mod:`repro.sweep.manifest`), written once at init;
 * ``cache/`` — the standard fingerprint-keyed
   :class:`~repro.experiments.parallel.ResultCache` that results stream
   into as they finish (a task is *done* iff its entry exists);
@@ -25,12 +26,11 @@ result set is byte-identical to an uninterrupted run.
 
 from .lease import Lease, LeaseStore
 from .manifest import (MANIFEST_VERSION, ManifestTask, SweepDir,
-                       SweepManifest, manifest_from_runs,
-                       manifest_from_specs)
+                       SweepManifest, manifest_from_specs)
 from .worker import SweepWorker, WorkerConfig, WorkerReport
 
 __all__ = [
     "Lease", "LeaseStore", "MANIFEST_VERSION", "ManifestTask",
     "SweepDir", "SweepManifest", "SweepWorker", "WorkerConfig",
-    "WorkerReport", "manifest_from_runs", "manifest_from_specs",
+    "WorkerReport", "manifest_from_specs",
 ]

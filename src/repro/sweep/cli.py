@@ -61,8 +61,7 @@ def _compile_suite(directory: str, backend: Optional[str],
                    shard_size: int) -> SweepManifest:
     """Compile every suite spec in ``directory`` into one manifest."""
     from ..suite.registry import SuiteRegistry
-    specs = [spec if backend is None or spec.parking is not None
-             else dataclasses.replace(spec, backend=backend)
+    specs = [spec.with_backend(backend)
              for spec in SuiteRegistry.from_directory(directory)]
     return manifest_from_specs(Path(directory).name, specs, shard_size)
 
@@ -103,9 +102,9 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
         # Lifecycle spans for this worker: sweep → shard → task (and,
         # below the tasks, run/phase/engine spans from the runner).
         from ..obs import bus as obs_bus
-        from ..obs.sinks import JsonlSpanSink
+        from ..obs.sinks import JsonlTraceSink
         sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
-        sink = JsonlSpanSink(str(
+        sink = JsonlTraceSink(str(
             sweep.metrics_dir / f"{config.worker_id}.spans.jsonl"))
         bus = obs_bus.install(obs_bus.TraceBus())
         bus.subscribe("span", sink)

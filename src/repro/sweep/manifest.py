@@ -12,13 +12,16 @@ and ``sweep resume`` do after a ``kill -9``.
 Each task entry records its label, its cache ``fingerprint`` (shared
 with the single-pool executor, so warm figure-sweep caches satisfy
 sweep tasks and vice versa), its shard assignment, and a ``source``
-document from which a worker process rebuilds the executable
+from which :meth:`SweepManifest.task` rebuilds the executable
 :class:`~repro.experiments.parallel.Task`:
 
-``{"type": "runspec", ...}``
-    A suite run, dumbbell or parking lot: the document
-    :meth:`~repro.suite.spec.CompiledRun.to_source` writes and
-    :meth:`~repro.suite.spec.CompiledRun.from_source` reads back.
+``{"type": "suite", "spec": name, "run": label}``
+    One compiled run of a suite spec, dumbbell or parking lot.  The
+    manifest's top-level ``specs`` holds each spec's
+    :meth:`~repro.suite.spec.SuiteSpec.to_dict` document once; a
+    worker parses and compiles it again, so it runs the task the pool
+    runs, and refuses the task if the run's fingerprint is no longer
+    the one recorded here.
 ``{"type": "callable", "fn": "pkg.mod:name", "kwargs": {...}}``
     A generic deterministic function of JSON-able kwargs returning a
     JSON-able value — the escape hatch the chaos tests and non-scenario
@@ -34,16 +37,20 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Union)
 
 from ..experiments.parallel import (CACHE_VERSION, FailedRun, ResultCache,
                                     Task)
 
+if TYPE_CHECKING:
+    from ..suite.spec import CompiledRun, SuiteSpec
+
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Source documents a manifest task may carry.
-SOURCE_TYPES = ("runspec", "callable")
+SOURCE_TYPES = ("suite", "callable")
 
 
 class ManifestError(ValueError):
@@ -117,45 +124,24 @@ class ManifestTask:
                    shard=int(data["shard"]), kind=str(data["kind"]),
                    source=dict(source))
 
-    def task(self) -> Task:
-        """Rebuild the executable pool task from the source document.
-
-        It carries the manifest's fingerprint, the one ``is_done``
-        looks for, whatever the rebuilt source would hash to.  A
-        source that cannot be rebuilt (a damaged entry, a callable
-        that no longer imports) raises :class:`ManifestError` naming
-        the task, so a worker can park this task and run the rest.
-        """
-        try:
-            if self.source["type"] == "callable":
-                return Task(fn=resolve_callable(self.source["fn"]),
-                            kwargs=dict(self.source.get("kwargs", {})),
-                            label=self.label,
-                            fingerprint=self.fingerprint,
-                            kind=self.kind, encode=_identity,
-                            decode=_identity)
-            from ..suite.spec import CompiledRun
-            run = CompiledRun.from_source(self.label, self.source)
-            return dataclasses.replace(run.task(),
-                                       fingerprint=self.fingerprint)
-        except (KeyError, TypeError, ValueError, AttributeError,
-                ImportError) as exc:
-            raise ManifestError(
-                f"task {self.label!r}: its manifest source cannot be "
-                f"rebuilt: {type(exc).__name__}: {exc}") from exc
-
 
 @dataclass
 class SweepManifest:
-    """The immutable task list of one sweep."""
+    """The immutable task list of one sweep and its suite documents."""
 
     name: str
     tasks: List[ManifestTask] = field(default_factory=list)
+    #: Spec name → its suite document, the source of every suite task.
+    specs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Spec name → its compiled runs by label, built on first use.
+    _runs: Dict[str, Dict[str, CompiledRun]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"manifest_version": MANIFEST_VERSION,
                 "cache_version": CACHE_VERSION,
                 "name": self.name,
+                "specs": self.specs,
                 "tasks": [task.to_dict() for task in self.tasks]}
 
     @classmethod
@@ -176,7 +162,8 @@ class SweepManifest:
         labels = [task.label for task in tasks]
         if len(set(labels)) != len(labels):
             raise ManifestError("manifest task labels collide")
-        return cls(name=str(data.get("name", "sweep")), tasks=tasks)
+        return cls(name=str(data.get("name", "sweep")), tasks=tasks,
+                   specs=dict(data.get("specs", {})))
 
     def shards(self) -> Dict[int, List[ManifestTask]]:
         """Shard id → its tasks, in manifest order."""
@@ -185,36 +172,79 @@ class SweepManifest:
             out.setdefault(task.shard, []).append(task)
         return out
 
+    def _compiled(self, spec_name: str) -> Dict[str, CompiledRun]:
+        """One stored spec document, parsed and compiled once."""
+        runs = self._runs.get(spec_name)
+        if runs is None:
+            from ..suite.spec import SuiteSpec
+            spec = SuiteSpec.from_dict(
+                self.specs[spec_name],
+                source=f"manifest specs[{spec_name!r}]")
+            runs = self._runs[spec_name] = {
+                run.label: run for run in spec.compile()}
+        return runs
 
-def manifest_from_runs(name: str, runs: Iterable[Any],
-                       shard_size: int = 1) -> SweepManifest:
-    """Compile suite :class:`~repro.suite.spec.CompiledRun`s to a manifest.
+    def task(self, entry: ManifestTask) -> Task:
+        """Rebuild the executable pool task of one manifest entry.
 
-    ``shard_size`` groups consecutive tasks under one lease: larger
-    shards amortise claim traffic for huge sweeps, smaller shards give
-    finer crash granularity.
-    """
-    if shard_size < 1:
-        raise ManifestError(f"shard_size must be >= 1, got {shard_size}")
-    return SweepManifest(name=name, tasks=[
-        ManifestTask(index=index, label=run.label,
-                     fingerprint=run.fingerprint(),
-                     shard=index // shard_size, kind="ScenarioResult",
-                     source=run.to_source())
-        for index, run in enumerate(runs)])
+        A suite entry is the pool's task for its run, under the
+        manifest label, and only while the run still compiles to the
+        recorded fingerprint.  An entry that cannot be rebuilt (a
+        damaged document, a callable that no longer imports, a drifted
+        fingerprint) raises :class:`ManifestError` naming the task, so
+        a worker can park this task and run the rest.
+        """
+        source = entry.source
+        try:
+            if source["type"] == "callable":
+                return Task(fn=resolve_callable(source["fn"]),
+                            kwargs=dict(source.get("kwargs", {})),
+                            label=entry.label,
+                            fingerprint=entry.fingerprint,
+                            kind=entry.kind, encode=_identity,
+                            decode=_identity)
+            run = self._compiled(source["spec"])[source["run"]]
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ImportError) as exc:
+            raise ManifestError(
+                f"task {entry.label!r}: its manifest source cannot be "
+                f"rebuilt: {type(exc).__name__}: {exc}") from exc
+        if run.fingerprint() != entry.fingerprint:
+            raise ManifestError(
+                f"task {entry.label!r}: its spec document now compiles "
+                f"to fingerprint {run.fingerprint()}, not the "
+                f"manifest's {entry.fingerprint}; re-init the sweep")
+        return dataclasses.replace(run.task(), label=entry.label)
 
 
-def manifest_from_specs(name: str, specs: Iterable[Any],
+def manifest_from_specs(name: str, specs: Iterable[SuiteSpec],
                         shard_size: int = 1) -> SweepManifest:
     """Compile :class:`~repro.suite.spec.SuiteSpec`s into one manifest.
 
-    Tasks go spec by spec, each spec's runs in compile order, and each
-    label is prefixed with its owning spec's name so runs of different
-    specs cannot collide.
+    Each spec's document is stored once, and each task's fingerprint
+    is the one that stored document compiles to, the one a worker
+    checks.  Tasks go spec by spec, each spec's runs in compile order,
+    and each label is prefixed with its owning spec's name so runs of
+    different specs cannot collide.  ``shard_size`` groups consecutive
+    tasks under one lease: larger shards amortise claim traffic for
+    huge sweeps, smaller shards give finer crash granularity.
     """
-    return manifest_from_runs(name, [
-        dataclasses.replace(run, label=f"{spec.name}:{run.label}")
-        for spec in specs for run in spec.compile()], shard_size)
+    if shard_size < 1:
+        raise ManifestError(f"shard_size must be >= 1, got {shard_size}")
+    documents = [(spec.name, spec.to_dict()) for spec in specs]
+    manifest = SweepManifest(name=name, specs=dict(documents))
+    if len(manifest.specs) != len(documents):
+        raise ManifestError("suite spec names collide")
+    runs = [(spec_name, run) for spec_name in manifest.specs
+            for run in manifest._compiled(spec_name).values()]
+    manifest.tasks = [
+        ManifestTask(index=index, label=f"{spec_name}:{run.label}",
+                     fingerprint=run.fingerprint(),
+                     shard=index // shard_size, kind="ScenarioResult",
+                     source={"type": "suite", "spec": spec_name,
+                             "run": run.label})
+        for index, (spec_name, run) in enumerate(runs)]
+    return manifest
 
 
 def manifest_from_callables(name: str,
@@ -356,7 +386,7 @@ class SweepDir:
         quarantine record's ``failed`` when it is ``"quarantined"``,
         and neither when the task is still ``"missing"``.  The one
         read-back of a sweep directory: ``sweep merge`` writes these
-        entries out, ``suite --fabric`` decodes them.
+        entries out and ``sweep resume`` names the quarantined ones.
         """
         cache = self.cache()
         quarantined = self.quarantined()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
@@ -42,7 +42,7 @@ from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry, record_sweep
 from .lease import Lease, LeaseStore
 from .manifest import (ManifestError, ManifestTask, SweepDir,
-                       _shard_key)
+                       SweepManifest, _shard_key)
 
 #: How many times per expiry window the heartbeat renews.
 HEARTBEAT_FRACTION = 4.0
@@ -74,7 +74,7 @@ class WorkerConfig:
 
 @dataclass
 class WorkerReport:
-    """What one worker run accomplished (JSON-able)."""
+    """What one worker run accomplished."""
 
     worker_id: str
     completed: int = 0
@@ -82,16 +82,6 @@ class WorkerReport:
     lease_expiries: int = 0
     lease_lost: int = 0
     interrupted: bool = False
-    failures: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"worker_id": self.worker_id,
-                "completed": self.completed,
-                "quarantined": self.quarantined,
-                "lease_expiries": self.lease_expiries,
-                "lease_lost": self.lease_lost,
-                "interrupted": self.interrupted,
-                "failures": list(self.failures)}
 
 
 class _Heartbeat:
@@ -179,7 +169,7 @@ class SweepWorker:
                                          sim_clock=False)
         with sigterm_as_interrupt():
             try:
-                self._loop(manifest.shards(), store, cache, report)
+                self._loop(manifest, store, cache, report)
             except KeyboardInterrupt as exc:
                 report.interrupted = True
                 self._emit(f"shutdown ({type(exc).__name__}): lease "
@@ -208,9 +198,9 @@ class SweepWorker:
                 if not self.sweep.is_done(task.fingerprint)
                 and not self.sweep.is_quarantined(task.fingerprint)]
 
-    def _loop(self, shards: Dict[int, List[ManifestTask]],
-              store: LeaseStore, cache: Any,
-              report: WorkerReport) -> None:
+    def _loop(self, manifest: SweepManifest, store: LeaseStore,
+              cache: Any, report: WorkerReport) -> None:
+        shards = manifest.shards()
         idle_s = IDLE_FLOOR_S
         while True:
             claimed_any = False
@@ -226,8 +216,8 @@ class SweepWorker:
                     continue
                 claimed_any = True
                 try:
-                    self._run_shard(shard, runnable, store, lease,
-                                    cache, report)
+                    self._run_shard(manifest, shard, runnable, store,
+                                    lease, cache, report)
                 finally:
                     store.release(lease)
                 if (self.config.max_tasks is not None
@@ -245,8 +235,9 @@ class SweepWorker:
                 self._idle_sleep(min(idle_s, self.config.poll_s))
                 idle_s *= 2.0
 
-    def _run_shard(self, shard: int, tasks: List[ManifestTask],
-                   store: LeaseStore, lease: Lease, cache: Any,
+    def _run_shard(self, manifest: SweepManifest, shard: int,
+                   tasks: List[ManifestTask], store: LeaseStore,
+                   lease: Lease, cache: Any,
                    report: WorkerReport) -> None:
         self._emit(f"claimed {_shard_key(shard)} "
                    f"({len(tasks)} runnable task(s))")
@@ -260,15 +251,15 @@ class SweepWorker:
             from contextlib import nullcontext
             heartbeat = nullcontext()
         try:
-            self._run_shard_tasks(shard, tasks, heartbeat, cache,
-                                  report)
+            self._run_shard_tasks(manifest, shard, tasks, heartbeat,
+                                  cache, report)
         finally:
             self._count("inflight_shards", 0)
             self._write_metrics()
 
-    def _run_shard_tasks(self, shard: int, tasks: List[ManifestTask],
-                         heartbeat: Any, cache: Any,
-                         report: WorkerReport) -> None:
+    def _run_shard_tasks(self, manifest: SweepManifest, shard: int,
+                         tasks: List[ManifestTask], heartbeat: Any,
+                         cache: Any, report: WorkerReport) -> None:
         with obs_spans.span("shard", _shard_key(shard),
                             sim_clock=False) as shard_span:
             if shard_span is not None:
@@ -289,19 +280,19 @@ class SweepWorker:
                                    f"{_shard_key(shard)}; "
                                    f"abandoning the shard")
                         return
-                    self._run_task(task, cache, report)
+                    self._run_task(manifest, task, cache, report)
                     if (self.config.max_tasks is not None
                             and report.completed
                             >= self.config.max_tasks):
                         return
 
-    def _run_task(self, mtask: ManifestTask, cache: Any,
-                  report: WorkerReport) -> None:
+    def _run_task(self, manifest: SweepManifest, mtask: ManifestTask,
+                  cache: Any, report: WorkerReport) -> None:
         with obs_spans.span("task", mtask.label,
                             sim_clock=False) as task_span:
             outcome: Union[Dict[str, Any], FailedRun]
             try:
-                task = mtask.task()
+                task = manifest.task(mtask)
             except ManifestError as exc:
                 # Never attempted: parked like a poison task, so one
                 # damaged entry costs one task and not the sweep.
@@ -317,7 +308,6 @@ class SweepWorker:
                 self.sweep.quarantine(mtask, outcome,
                                       self.config.worker_id)
                 report.quarantined += 1
-                report.failures.append(outcome.to_dict())
                 self._count("tasks_quarantined")
                 self._count("quarantine_depth", report.quarantined)
                 self._write_metrics()

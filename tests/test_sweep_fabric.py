@@ -1,7 +1,7 @@
 """The crash-resumable sweep fabric: manifests, leases, workers, CLIs.
 
-Covers the fabric contract piece by piece: manifest round-trips
-rebuild the exact tasks (and fingerprints) from JSON alone, the lease
+Covers the fabric contract piece by piece: a manifest rebuilds the
+pool's own tasks (and fingerprints) from its JSON alone, the lease
 protocol hands each shard to exactly one live worker and recycles
 leases whose owner stalled or died, the worker streams results /
 retries transients / quarantines poison tasks, and the ``sweep`` and
@@ -9,6 +9,7 @@ retries transients / quarantines poison tasks, and the ``sweep`` and
 The end-to-end kill -9 drills live in ``test_sweep_resume.py``.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -21,33 +22,48 @@ import time
 import pytest
 
 import repro.experiments.parallel as parallel
-from repro.experiments.parallel import (FailedRun, ResultCache, RunSpec,
-                                        Task, TerminateSweep, run_tasks)
-from repro.experiments.runner import Discipline
-from repro.experiments.scenarios import (ParkingLotSpec, ScalePolicy,
-                                         ScenarioSpec)
+from repro.experiments.parallel import (FailedRun, ResultCache, Task,
+                                        TerminateSweep, run_tasks)
 from repro.faults.watchdog import RunAborted
-from repro.suite.spec import CompiledRun
+from repro.suite import SuiteRegistry, SuiteSpec
 from repro.sweep import tasks as sweep_tasks
 from repro.sweep.lease import LeaseStore
 from repro.sweep.manifest import (ManifestError, SweepDir, SweepManifest,
                                   manifest_from_callables,
-                                  manifest_from_runs)
+                                  manifest_from_specs)
 from repro.sweep.cli import EXIT_INTERRUPTED
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.worker import IDLE_FLOOR_S, SweepWorker, WorkerConfig
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
-TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
+PARKING_DOC = {
+    "schema_version": 1, "name": "lot", "topology": "parking_lot",
+    "parking_lot": {"rate_bps": 5e6, "buffer_mtus": 40, "num_long": 2,
+                    "long_cca": "newreno",
+                    "cross_mix": [["vegas", 2], ["cubic", 1]],
+                    "duration_s": 1.0, "tau": 0.06},
+    "disciplines": ["fifo", "cebinae"]}
 
 
-def tiny_scaled(name="sweep", duration_s=2.0):
-    spec = ScenarioSpec(name=name, rate_bps=100e6, rtts_ms=(20, 30),
-                        buffer_mtus=60,
-                        cca_mix=(("newreno", 1), ("newreno", 1)),
-                        duration_s=duration_s)
-    return TINY_POLICY.apply(spec)
+def tiny_doc(name, **overrides):
+    """A two-flow dumbbell suite document at simulator scale."""
+    doc = {"schema_version": 1, "name": name,
+           "scenario": {"rate_bps": 100e6, "rtts_ms": [20, 30],
+                        "buffer_mtus": 60,
+                        "cca_mix": [["newreno", 1], ["newreno", 1]],
+                        "duration_s": 0.5},
+           "policy": {"target_rate_bps": 5e6, "max_rate_bps": 5e6},
+           "disciplines": ["fifo"]}
+    doc.update(overrides)
+    return doc
+
+
+def write_suite(directory, *docs):
+    directory.mkdir()
+    for doc in docs:
+        (directory / f"{doc['name']}.json").write_text(json.dumps(doc))
+    return directory
 
 
 def callable_manifest(name="demo", count=4, shard_size=1, rounds=5):
@@ -56,35 +72,6 @@ def callable_manifest(name="demo", count=4, shard_size=1, rounds=5):
          "fn": "repro.sweep.tasks:checksum",
          "kwargs": {"label": f"task-{i}", "seed": i, "rounds": rounds}}
         for i in range(count)], shard_size=shard_size)
-
-
-def tiny_parking(duration_s=1.0):
-    lot = ParkingLotSpec(name="lot", rate_bps=5e6, buffer_mtus=40,
-                         num_long=2, long_cca="newreno",
-                         cross_mix=(("vegas", 2), ("cubic", 1)),
-                         duration_s=duration_s, tau=0.06)
-    return lot.scaled(TINY_POLICY)
-
-
-class TestRunSpecRoundTrip:
-    """Both topologies, in one test each so the test ids stay put."""
-
-    def test_runspec_rebuilds_identical_fingerprint(self):
-        for scaled in (tiny_scaled(), tiny_parking()):
-            spec = RunSpec(scaled, Discipline.CEBINAE,
-                           record_history=True, collect_series=True)
-            rebuilt = RunSpec.from_dict(
-                json.loads(json.dumps(spec.to_dict())))
-            assert rebuilt == spec
-            assert rebuilt.fingerprint() == spec.fingerprint()
-            assert rebuilt.to_dict() == spec.to_dict()
-
-    def test_scaled_scenario_round_trip(self):
-        for scaled in (tiny_scaled(), tiny_parking()):
-            rebuilt = type(scaled).from_dict(
-                json.loads(json.dumps(scaled.to_dict())))
-            assert rebuilt == scaled
-            assert type(rebuilt.spec) is type(scaled.spec)
 
 
 class TestManifest:
@@ -100,20 +87,50 @@ class TestManifest:
 
     def test_callable_task_rebuilds_and_runs(self):
         manifest = callable_manifest(count=1)
-        task = manifest.tasks[0].task()
+        task = manifest.task(manifest.tasks[0])
         value = task.fn(**task.kwargs)
         assert value["label"] == "task-0"
         assert len(value["digest"]) == 64
 
     def test_runspec_manifest_preserves_fingerprints(self):
-        runs = [RunSpec(tiny_scaled(), Discipline.FIFO),
-                RunSpec(tiny_scaled(), Discipline.CEBINAE)]
-        manifest = manifest_from_runs(
-            "fp", [CompiledRun(label=r.label, runspec=r) for r in runs])
-        for entry, spec in zip(manifest.tasks, runs):
-            assert entry.fingerprint == spec.fingerprint()
-            rebuilt = entry.task()
-            assert rebuilt.fingerprint == spec.fingerprint()
+        spec = SuiteSpec.from_dict(
+            tiny_doc("fp", disciplines=["fifo", "cebinae"]))
+        manifest = manifest_from_specs("fp", [spec])
+        runs = spec.compile()
+        assert len(manifest.tasks) == len(runs) == 2
+        for entry, run in zip(manifest.tasks, runs):
+            assert entry.fingerprint == run.fingerprint()
+            assert manifest.task(entry).fingerprint == run.fingerprint()
+
+    def test_suite_tasks_are_the_pools_tasks(self, tmp_path):
+        # Every rebuilt task is the one run_compiled hands the pool
+        # (fn, kwargs, kind, fingerprint), under the spec:run label.
+        suite = write_suite(
+            tmp_path / "suite",
+            tiny_doc("grid", grid={"rtts_ms": [[20], [20, 40]]},
+                     repeats=2, faults={"seed": 3, "loss_rate": 0.01},
+                     disciplines=["fifo", "cebinae"]),
+            PARKING_DOC)
+        sweep_dir = tmp_path / "sweep"
+        assert sweep_main(["init", str(sweep_dir), "--suite",
+                           str(suite)]) == 0
+        manifest = SweepDir(sweep_dir).load_manifest()
+        specs = list(SuiteRegistry.from_directory(suite))
+        pooled = [dataclasses.replace(run.task(),
+                                      label=f"{spec.name}:{run.label}")
+                  for spec in specs for run in spec.compile()]
+        assert len(manifest.tasks) == len(pooled) == 10
+        assert [manifest.task(entry) for entry in manifest.tasks] == \
+            pooled
+        # One document per spec; tasks only name a spec and a run.
+        document = json.loads((sweep_dir / "manifest.json").read_text())
+        assert set(document) == {"manifest_version", "cache_version",
+                                 "name", "specs", "tasks"}
+        assert document["specs"] == {spec.name: spec.to_dict()
+                                     for spec in specs}
+        assert {tuple(sorted(task["source"]))
+                for task in document["tasks"]} == {("run", "spec",
+                                                    "type")}
 
     def test_wrong_version_refused(self):
         data = callable_manifest().to_dict()
@@ -126,18 +143,18 @@ class TestManifest:
             SweepManifest.from_dict(data)
 
     def test_retired_parking_source_refused(self, tmp_path, capsys):
-        # Sweep directories written before parking lots became
-        # RunSpecs carry this source type: refused, never misread.
-        data = callable_manifest(count=1).to_dict()
-        data["tasks"][0]["source"] = {"type": "parking",
-                                      "parking_name": "lot"}
-        with pytest.raises(ManifestError, match="'parking'"):
-            SweepManifest.from_dict(data)
-        sweep = SweepDir(tmp_path / "old")
-        sweep.root.mkdir()
-        sweep.manifest_path.write_text(json.dumps(data))
-        assert sweep_main(["status", str(sweep.root)]) == 2
-        assert "'parking'" in capsys.readouterr().err
+        # Source types of earlier manifests, the parking lot's own and
+        # the RunSpec codec's: refused, never misread.
+        for retired in ("parking", "runspec"):
+            data = callable_manifest(count=1).to_dict()
+            data["tasks"][0]["source"] = {"type": retired}
+            with pytest.raises(ManifestError, match=f"'{retired}'"):
+                SweepManifest.from_dict(data)
+            sweep = SweepDir(tmp_path / retired)
+            sweep.root.mkdir()
+            sweep.manifest_path.write_text(json.dumps(data))
+            assert sweep_main(["status", str(sweep.root)]) == 2
+            assert f"'{retired}'" in capsys.readouterr().err
 
     def test_label_collision_refused(self):
         data = callable_manifest(count=2).to_dict()
@@ -271,9 +288,9 @@ class TestWorker:
         record = sweep.quarantined()
         (fingerprint,) = record
         assert record[fingerprint]["label"] == "bad"
-        failed = FailedRun.from_dict(record[fingerprint]["failed"])
-        assert failed.attempts == 2
-        assert len(failed.backoff_s) == 1
+        failed = record[fingerprint]["failed"]
+        assert failed["attempts"] == 2
+        assert len(failed["backoff_s"]) == 1
         # A later worker skips the quarantined task instead of
         # re-poisoning itself.
         assert self.run_worker(sweep, worker_id="w2").completed == 0
@@ -282,29 +299,29 @@ class TestWorker:
                           "pending": 0}
 
     @pytest.mark.parametrize("kind, reason", [
-        ("runspec", "rate_bps"), ("callable", "no_such_module")])
+        ("suite", "rate_bps"), ("callable", "no_such_module")])
     def test_damaged_manifest_entry_is_quarantined_not_fatal(
             self, tmp_path, capsys, kind, reason):
         # One entry whose source cannot be rebuilt (a hand-edited or
         # bit-rotted manifest) costs that task, never the sweep.
-        if kind == "runspec":
-            manifest = manifest_from_runs("damaged", [
-                CompiledRun(label=discipline.value, runspec=RunSpec(
-                    tiny_scaled(duration_s=0.5), discipline))
-                for discipline in (Discipline.FIFO, Discipline.FQ)])
+        if kind == "suite":
+            manifest = manifest_from_specs("damaged", [
+                SuiteSpec.from_dict(tiny_doc(name))
+                for name in ("damaged", "intact")])
         else:
             manifest = callable_manifest(count=3)
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest)
         document = json.loads(sweep.manifest_path.read_text())
-        source = document["tasks"][0]["source"]
-        if kind == "runspec":
-            del source["runspec"]["scaled"]["spec"]["rate_bps"]
+        if kind == "suite":
+            del document["specs"]["damaged"]["scenario"]["rate_bps"]
         else:
-            source["fn"] = "repro.no_such_module:checksum"
+            document["tasks"][0]["source"]["fn"] = \
+                "repro.no_such_module:checksum"
         sweep.manifest_path.write_text(json.dumps(document))
+        loaded = sweep.load_manifest()
         with pytest.raises(ManifestError, match=reason):
-            sweep.load_manifest().tasks[0].task()
+            loaded.task(loaded.tasks[0])
 
         report = self.run_worker(sweep)
         assert report.completed == len(manifest.tasks) - 1
@@ -323,6 +340,36 @@ class TestWorker:
         out = capsys.readouterr().out
         assert f"quarantined {damaged['label']}" in out
         assert reason in out
+
+    def test_drifted_spec_document_is_quarantined_not_fatal(self,
+                                                            tmp_path):
+        # A stored document that no longer compiles to the recorded
+        # fingerprints costs its own spec's tasks, never the sweep.
+        manifest = manifest_from_specs("drift", [
+            SuiteSpec.from_dict(tiny_doc("drifted",
+                                         disciplines=["fifo", "fq"])),
+            SuiteSpec.from_dict(tiny_doc("intact"))])
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest)
+        document = json.loads(sweep.manifest_path.read_text())
+        document["specs"]["drifted"]["base_seed"] = 7
+        sweep.manifest_path.write_text(json.dumps(document))
+        drifted = {f"drifted:{run.label}": run.fingerprint()
+                   for run in SuiteSpec.from_dict(
+                       document["specs"]["drifted"]).compile()}
+
+        report = self.run_worker(sweep)
+        assert (report.completed, report.quarantined) == (1, 2)
+        *parked, intact = sweep.outcomes()
+        assert intact["label"] == "intact:intact/fifo"
+        assert intact["status"] == "done"
+        assert [entry["label"] for entry in parked] == sorted(drifted)
+        for entry in parked:
+            assert entry["status"] == "quarantined"
+            assert entry["failed"]["attempts"] == 0
+            assert entry["fingerprint"] in entry["failed"]["error"]
+            assert drifted[entry["label"]] in entry["failed"]["error"]
+            assert drifted[entry["label"]] != entry["fingerprint"]
 
     def test_transient_failure_heals_via_retry(self, tmp_path):
         counter = tmp_path / "attempts"
@@ -556,7 +603,7 @@ class TestOneLifecycle:
                           in sweep.quarantined().values()]
             else:
                 results = run_tasks(
-                    [task.task() for task in manifest.tasks],
+                    [manifest.task(task) for task in manifest.tasks],
                     workers=1 if executor == "serial" else 2,
                     cache_dir=sweep.cache_dir, retries=1,
                     backoff_base_s=0.001, progress=None)
@@ -574,7 +621,7 @@ class TestOneLifecycle:
         else:
             assert entry not in stored
             (verdict,) = failed
-            assert FailedRun.from_dict(verdict).label == case
+            assert verdict["label"] == case
         if case == "flaky":
             assert counter.read_text() == "2"
         if case == "always_fails":
@@ -656,9 +703,7 @@ class TestRunTasksSigterm:
         assert len(failed.backoff_s) == 1
         assert failed.backoff_s[0] < 1.0
         assert "interrupted during retry backoff" in failed.error
-        rebuilt = FailedRun.from_dict(
-            json.loads(json.dumps(failed.to_dict())))
-        assert rebuilt.interrupted
+        assert json.loads(json.dumps(failed.to_dict()))["interrupted"]
 
 
 class TestResumeWorkers:
@@ -819,17 +864,7 @@ class TestCachePrune:
 class TestSweepCli:
     @pytest.fixture
     def suite_dir(self, tmp_path):
-        directory = tmp_path / "suite"
-        directory.mkdir()
-        (directory / "tiny.json").write_text(json.dumps({
-            "schema_version": 1, "name": "tiny",
-            "scenario": {"rate_bps": 100e6, "rtts_ms": [20, 30],
-                         "buffer_mtus": 60,
-                         "cca_mix": [["newreno", 1], ["newreno", 1]],
-                         "duration_s": 2.0},
-            "policy": {"target_rate_bps": 5e6, "max_rate_bps": 5e6},
-            "disciplines": ["fifo"], "repeats": 1}))
-        return directory
+        return write_suite(tmp_path / "suite", tiny_doc("tiny"))
 
     def test_init_work_status_merge(self, tmp_path, suite_dir, capsys):
         from repro.sweep.cli import main
@@ -965,23 +1000,26 @@ class TestSweepCli:
         assert "EXPIRED" in out
         assert "resume would reclaim it" in out
 
-    def test_suite_fabric_flag(self, tmp_path, suite_dir, capsys):
-        from repro.suite.cli import main
-        fabric_dir = str(tmp_path / "fabric")
-        assert main([str(suite_dir), "--fabric", "--fabric-dir",
-                     fabric_dir,
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
-        assert "JFI=" in capsys.readouterr().out
-        assert SweepDir(fabric_dir).status()["counts"]["done"] == 1
-
-    def test_fabric_dir_requires_fabric(self, suite_dir):
-        from repro.suite.cli import main
-        with pytest.raises(SystemExit):
-            main([str(suite_dir), "--fabric-dir", "x"])
-
-    def test_fabric_rejects_no_cache(self, suite_dir, capsys):
-        from repro.suite.cli import main
-        with pytest.raises(SystemExit) as excinfo:
-            main([str(suite_dir), "--fabric", "--no-cache"])
-        assert excinfo.value.code == 2
-        assert "--fabric-dir <fresh dir>" in capsys.readouterr().err
+    def test_hybrid_override_keeps_afq_specs_packet(self, tmp_path,
+                                                    capsys):
+        # sweep init applies suite's --backend rule: a spec running
+        # AFQ stays packet, the others go hybrid, same runs either way.
+        from repro.suite.cli import main as suite_main
+        suite = write_suite(
+            tmp_path / "suite",
+            tiny_doc("afq_mix", disciplines=["fifo", "afq"]),
+            tiny_doc("cebinae_mix", disciplines=["fifo", "cebinae"]))
+        assert suite_main([str(suite), "--backend", "hybrid",
+                           "--list"]) == 0
+        listed = [tuple(line.split())
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  ")]
+        sweep_dir = tmp_path / "sweep"
+        assert sweep_main(["init", str(sweep_dir), "--suite", str(suite),
+                           "--backend", "hybrid"]) == 0
+        document = json.loads((sweep_dir / "manifest.json").read_text())
+        assert "backend" not in document["specs"]["afq_mix"]
+        assert document["specs"]["cebinae_mix"]["backend"] == "hybrid"
+        assert [(task["label"].split(":", 1)[1], task["fingerprint"])
+                for task in document["tasks"]] == listed
+        assert len(listed) == 4

@@ -240,21 +240,6 @@ class TestPoolTimeout:
 
 
 class TestFailedRunSerialisation:
-    def test_round_trips_through_json(self):
-        failed = FailedRun(label="p1", error="boom", attempts=3,
-                           timed_out=True, backoff_s=[0.05, 0.11],
-                           partial={"events": 12})
-        payload = json.loads(json.dumps(failed.to_dict()))
-        assert FailedRun.from_dict(payload) == failed
-
-    def test_legacy_payload_defaults(self):
-        # Entries written before the watchdog fields existed.
-        failed = FailedRun.from_dict(
-            {"label": "p", "error": "x", "attempts": 2})
-        assert not failed.timed_out
-        assert failed.backoff_s == []
-        assert failed.partial is None
-
     def test_require_unwraps_or_raises(self):
         assert require({"value": 1}) == {"value": 1}
         with pytest.raises(RuntimeError, match="p1"):
