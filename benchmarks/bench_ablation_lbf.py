@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.figures import figure1
 from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import DEFAULT_POLICY, ScenarioSpec
 

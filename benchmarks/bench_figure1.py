@@ -7,18 +7,18 @@ time.  The benchmark prints both goodput time series.
 
 import pytest
 
-from repro.experiments.figures import figure1
 from repro.experiments.report import figure1_report
 from repro.experiments.runner import Discipline
 from repro.fairness.metrics import jain_fairness_index
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1_time_series(benchmark):
     comparisons = run_declared(
-        benchmark, figure1(duration_s=bench_duration_s(30.0)))
+        benchmark,
+        paper_points("figure1", duration_s=bench_duration_s(30.0)))
     print()
     print(figure1_report(comparisons))
     fifo = comparisons[0].results[Discipline.FIFO]
@@ -38,7 +38,8 @@ def test_figure1_late_window_fairness(benchmark):
     """Convergence shape: over the last third of the run, Cebinae's
     per-second JFI should not be below FIFO's."""
     comparison, = run_declared(
-        benchmark, figure1(duration_s=bench_duration_s(30.0)))
+        benchmark,
+        paper_points("figure1", duration_s=bench_duration_s(30.0)))
 
     def late_jfi(run):
         series = run.goodput_series_bps

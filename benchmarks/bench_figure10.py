@@ -5,20 +5,36 @@ at ~5 s and a Cubic flow at ~25 s, each dragging fairness down under
 FIFO.  Paper shape: Cebinae's per-second JFI recovers after each
 arrival instead of staying depressed."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.figures import figure10
 from repro.experiments.report import figure10_report
 from repro.experiments.runner import Discipline
+from repro.suite.registry import paper_spec
 
 from conftest import bench_duration_s, run_declared
+
+#: The bench's Vegas population: half the document's 32.
+NUM_VEGAS = 16
+
+
+def _points(duration_s):
+    """The figure10 document with 16 Vegas flows, at ``duration_s``."""
+    spec = paper_spec("figure10")
+    scenario = replace(
+        spec.scenario,
+        cca_mix=(("vegas", NUM_VEGAS),) + spec.scenario.cca_mix[1:],
+        start_times_s=spec.scenario.start_times_s[-NUM_VEGAS - 2:],
+        duration_s=duration_s)
+    return [run.runspec
+            for run in replace(spec, scenario=scenario).compile()]
 
 
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_churn_series(benchmark):
     duration = max(bench_duration_s(50.0), 35.0)  # Cubic joins at 25 s.
-    comparisons = run_declared(
-        benchmark, figure10(duration_s=duration, num_vegas=16))
+    comparisons = run_declared(benchmark, _points(duration))
     print()
     print(figure10_report(comparisons))
     results = comparisons[0].results

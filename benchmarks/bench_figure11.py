@@ -7,18 +7,18 @@ ideal max-min allocation* (computed by water-filling): paper 0.852
 
 import pytest
 
-from repro.experiments.figures import (PAPER_JFI, figure11,
-                                       parking_lot_ideal)
+from repro.experiments.figures import PAPER_JFI, parking_lot_ideal
 from repro.experiments.report import figure11_report, parking_lot_jfi
 from repro.experiments.runner import Discipline
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
 
 @pytest.mark.benchmark(group="figure11")
 def test_figure11_parking_lot(benchmark):
     comparisons = run_declared(
-        benchmark, figure11(duration_s=bench_duration_s(30.0)))
+        benchmark,
+        paper_points("figure11", duration_s=bench_duration_s(30.0)))
     print()
     print(figure11_report(comparisons))
     comparison, = comparisons
@@ -47,7 +47,8 @@ def test_figure11_long_flows_not_crushed(benchmark):
     them a usable share (Definition 2 says only their *bottleneck* link
     should constrain them)."""
     cebinae_only = [spec for spec
-                    in figure11(duration_s=bench_duration_s(30.0))
+                    in paper_points("figure11",
+                                    duration_s=bench_duration_s(30.0))
                     if spec.discipline is Discipline.CEBINAE]
     comparison, = run_declared(benchmark, cebinae_only)
     ideal = parking_lot_ideal(comparison.scaled.spec)

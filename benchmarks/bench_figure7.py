@@ -5,17 +5,17 @@ Paper: FIFO lets the single NewReno flow take ~80% of the link (JFI
 
 import pytest
 
-from repro.experiments.figures import figure7
 from repro.experiments.report import bar_figure_report
 from repro.experiments.runner import Discipline
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
 
 @pytest.mark.benchmark(group="figure7")
 def test_figure7_goodput_bars(benchmark):
     comparisons = run_declared(
-        benchmark, figure7(duration_s=bench_duration_s(30.0)))
+        benchmark,
+        paper_points("figure7", duration_s=bench_duration_s(30.0)))
     print()
     print(bar_figure_report(comparisons))
     fifo = comparisons[0].results[Discipline.FIFO]

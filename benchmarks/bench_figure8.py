@@ -8,17 +8,15 @@ the left tail of the CDF (paper 0.956 -> 0.964)."""
 
 import pytest
 
-from repro.experiments.figures import figure8
 from repro.experiments.report import bar_figure_report
 from repro.experiments.runner import Discipline
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
 
 def _run_part(benchmark, part):
-    """One part's points out of the figure's declaration."""
-    specs = [spec for spec in figure8(duration_s=bench_duration_s(30.0))
-             if spec.scaled.spec.name == part]
+    """One part's points: its own document."""
+    specs = paper_points(part, duration_s=bench_duration_s(30.0))
     comparison, = run_declared(benchmark, specs)
     return (comparison, comparison.results[Discipline.FIFO],
             comparison.results[Discipline.CEBINAE])

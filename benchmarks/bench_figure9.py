@@ -9,24 +9,26 @@ import os
 
 import pytest
 
-from repro.experiments.figures import figure9
 from repro.experiments.report import figure9_report
 from repro.experiments.parallel import THREE_WAY
 from repro.experiments.runner import Discipline
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
+#: The document's swept RTTs this benchmark runs: a subset unless the
+#: full-length env override is set.
 SWEEP_RTTS_MS = (16, 64, 256) if "CEBINAE_BENCH_DURATION" not in \
     os.environ else (16, 32, 64, 128, 256)
 
 
 @pytest.mark.benchmark(group="figure9")
-def test_figure9_rtt_sweep(benchmark):
+def test_figure9_asymmetry_sweep(benchmark):
     # The sweep's (RTT x discipline) grid fans out over the process
     # pool; a repeated invocation replays every point from the cache.
-    comparisons = run_declared(
-        benchmark, figure9(rtts_ms=SWEEP_RTTS_MS,
-                           duration_s=bench_duration_s(30.0)))
+    specs = [spec for spec in paper_points(
+                 "figure9", duration_s=bench_duration_s(30.0))
+             if spec.scaled.spec.rtts_ms[1] in SWEEP_RTTS_MS]
+    comparisons = run_declared(benchmark, specs)
     print()
     print(figure9_report(comparisons))
     for rtt, comparison in zip(SWEEP_RTTS_MS, comparisons):

@@ -14,20 +14,19 @@ import pytest
 from repro.core.resource_model import queues_required
 from repro.experiments.report import scalability_report
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scalability import rtt_sweep
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.netsim.fluid import HybridPolicy
 
-from conftest import (bench_duration_s, bench_flows, run_declared,
-                      run_once)
+from conftest import (bench_duration_s, bench_flows, paper_points,
+                      run_declared, run_once)
 
 
 @pytest.mark.benchmark(group="scalability")
-def test_rtt_sweep_afq_vs_cebinae(benchmark):
-    rtts_ms = (20, 80, 320)
+def test_growing_rtt_afq_vs_cebinae(benchmark):
+    rtts_ms = (20, 80, 320)     # The document's grid.
     comparisons = run_declared(
-        benchmark, rtt_sweep(rtts_ms=rtts_ms, num_flows=4,
-                             duration_s=bench_duration_s(15.0)))
+        benchmark,
+        paper_points("scalability", duration_s=bench_duration_s(15.0)))
     print()
     print(scalability_report(comparisons))
     by_key = {(discipline, rtt): run
@@ -67,9 +66,10 @@ def test_afq_fairness_at_short_rtt(benchmark):
     the baseline works, which is what makes the long-RTT contrast
     meaningful."""
     afq_only = [spec for spec
-                in rtt_sweep(rtts_ms=(20,), num_flows=4,
-                             duration_s=bench_duration_s(15.0))
-                if spec.discipline is Discipline.AFQ]
+                in paper_points("scalability",
+                                duration_s=bench_duration_s(15.0))
+                if spec.discipline is Discipline.AFQ
+                and spec.scaled.spec.rtts_ms == (20.0,)]
     comparison, = run_declared(benchmark, afq_only)
     jfi = comparison.results[Discipline.AFQ].jfi
     benchmark.extra_info["afq_jfi"] = round(jfi, 3)

@@ -11,10 +11,9 @@ import pytest
 
 from repro.experiments.report import table2_report
 from repro.experiments.runner import Discipline
-from repro.experiments.table2 import (TABLE2_BY_NAME, TABLE2_ROWS,
-                                      table2)
+from repro.experiments.table2 import TABLE2_BY_NAME
 
-from conftest import bench_duration_s, run_declared
+from conftest import bench_duration_s, paper_points, run_declared
 
 #: Representative rows per link class (1-based row numbers): RTT
 #: unfairness, intra-CCA, Vegas starvation, BBR aggression, 10G mix.
@@ -24,9 +23,10 @@ ROWS_10G = (24, 25)
 
 
 def _run_rows(benchmark, row_numbers):
-    rows = [TABLE2_ROWS[number - 1] for number in row_numbers]
+    documents = [f"table2_row{number:02d}" for number in row_numbers]
     comparisons = run_declared(
-        benchmark, table2(rows, duration_s=bench_duration_s()))
+        benchmark,
+        paper_points(*documents, duration_s=bench_duration_s()))
     print()
     print(table2_report(comparisons))
     return comparisons

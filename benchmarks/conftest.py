@@ -61,6 +61,15 @@ def run_once(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1, warmup_rounds=0)
 
 
+def paper_points(*documents, duration_s):
+    """The ``RunSpec`` points of the paper's suite documents, in order,
+    none longer than ``duration_s``."""
+    from repro.suite.registry import paper_spec
+    return [run.runspec for name in documents
+            for run in paper_spec(name).with_duration_cap(duration_s)
+            .compile()]
+
+
 def run_declared(benchmark, specs):
     """Run an experiment's declared points once, over the benchmark
     pool and cache (``CEBINAE_BENCH_WORKERS``, ``CEBINAE_CACHE_DIR``)."""

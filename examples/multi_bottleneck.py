@@ -12,9 +12,13 @@ Run:
     python examples/multi_bottleneck.py
 """
 
-from repro.experiments.figures import figure11, parking_lot_ideal
+from repro.experiments.figures import parking_lot_ideal
 from repro.experiments.parallel import run_grid
 from repro.experiments.report import parking_lot_jfi
+from repro.suite.registry import paper_spec
+
+#: Simulated seconds (the paper's figure11 document runs 60).
+DURATION_S = 40.0
 
 
 def show(comparison, discipline):
@@ -38,7 +42,8 @@ def show(comparison, discipline):
 def main():
     print("Parking lot: 8 NewReno long flows vs 2 Bic / 8 Vegas / "
           "4 Cubic cross flows on three 25 Mbps bottlenecks\n")
-    comparison, = run_grid(figure11(duration_s=40.0), workers=1)
+    runs = paper_spec("figure11").with_duration_cap(DURATION_S).compile()
+    comparison, = run_grid([run.runspec for run in runs], workers=1)
     for discipline in comparison.results:
         show(comparison, discipline)
 

@@ -15,7 +15,7 @@ Subpackages:
 from .core import (CebinaeControlPlane, CebinaeParams, CebinaeQueueDisc,
                    FlowGroup, LbfDecision, LeakyBucketFilter,
                    cebinae_factory, estimate_resources)
-from .experiments import (Discipline, ScalePolicy, ScenarioSpec, grid,
+from .experiments import (Discipline, ScalePolicy, ScenarioSpec,
                           run_grid, run_scenario)
 from .fairness import (FlowSpec, jain_fairness_index, normalized_jfi,
                        water_filling)
@@ -37,5 +37,5 @@ __all__ = [
     "FlowSpec", "water_filling", "jain_fairness_index",
     "normalized_jfi",
     "ScenarioSpec", "ScalePolicy", "Discipline", "run_scenario",
-    "grid", "run_grid",
+    "run_grid",
 ]

@@ -1,7 +1,9 @@
 """Command-line entry point: ``cebinae-repro <experiment>``.
 
 Runs any of the paper's experiments and prints the report that feeds
-EXPERIMENTS.md.  ``--quick`` shrinks durations for smoke runs.
+EXPERIMENTS.md.  A scenario experiment is its suite documents under
+``repro/experiments/paper/``, compiled and run by ``run_grid``.
+``--quick`` caps every point's duration for smoke runs.
 """
 
 from __future__ import annotations
@@ -17,71 +19,55 @@ from ..core.resource_model import estimate_resources
 from ..faults.spec import FaultSpec, parse_fault_tokens
 from ..heavyhitter.evaluation import sweep_round_interval, \
     sweep_slot_count
-from . import figures, report
+from ..suite.registry import paper_spec
+from . import report
 from .faults import demo_fault_spec, fault_recovery_sweep
-from .parallel import RunSpec, run_grid
-from .scalability import rtt_sweep
-from .table2 import TABLE2_ROWS, Table2Row, table2
+from .parallel import run_grid
+from .table2 import PAPER_TABLE2
 
-EXPERIMENTS = ("table2", "figure1", "figure7", "figure8", "figure9",
-               "figure10", "figure11", "figure12", "figure13",
-               "table3", "scalability", "faults", "all")
+#: Every experiment the CLI runs, in the order ``all`` runs them.
+CHOICES = ("table2", "figure1", "figure7", "figure8", "figure9",
+           "figure10", "figure11", "figure12", "figure13",
+           "table3", "scalability", "faults", "all")
 
 #: Experiments excluded from ``all`` (opt-in extras, not paper tables).
 NOT_IN_ALL = ("all", "faults")
 
+#: ``--quick``'s cap on every point's simulated seconds.
+QUICK_DURATION_S = 15.0
 
-def _duration(default: float, quick: bool) -> float:
-    return min(default, 15.0) if quick else default
-
-
-def _table2_rows(rows: Optional[List[int]]) -> List[Table2Row]:
-    """The selected Table 2 rows (1-based numbers); all when none given."""
-    if not rows:
-        return TABLE2_ROWS
-    bad = [row for row in rows if not 1 <= row <= len(TABLE2_ROWS)]
-    if bad:
-        raise ValueError(f"table2 rows are 1..{len(TABLE2_ROWS)}, "
-                         f"got {bad}")
-    return [TABLE2_ROWS[row - 1] for row in rows]
-
-
-#: The scenario experiments, each one path: :func:`declare` its points,
-#: ``run_grid`` them, print them.  Per name: the declaration, its full
-#: duration, the sweep axis ``--quick`` thins (the declaration's default
-#: is the full one), and the report.
-SCENARIO_EXPERIMENTS = {
-    "table2": (table2, 60.0, {}, report.table2_report),
-    "figure1": (figures.figure1, 50.0, {}, report.figure1_report),
-    "figure7": (figures.figure7, 60.0, {}, report.bar_figure_report),
-    "figure8": (figures.figure8, 60.0, {}, report.bar_figure_report),
-    "figure9": (figures.figure9, 60.0, {"rtts_ms": (16, 64, 256)},
-                report.figure9_report),
-    "figure10": (figures.figure10, 50.0, {}, report.figure10_report),
-    "figure11": (figures.figure11, 60.0, {}, report.figure11_report),
-    "figure12": (figures.figure12, 40.0,
-                 {"thresholds": (0.01, 0.1, 1.0)},
-                 report.figure12_report),
-    "scalability": (rtt_sweep, 20.0, {"rtts_ms": (20, 320)},
-                    report.scalability_report),
+#: The scenario experiments: per name, its paper documents in run order
+#: and the report that prints their comparisons.
+EXPERIMENTS = {
+    "table2": (tuple(PAPER_TABLE2), report.table2_report),
+    "figure1": (("figure1",), report.figure1_report),
+    "figure7": (("figure7",), report.bar_figure_report),
+    "figure8": (("figure8a", "figure8b"), report.bar_figure_report),
+    "figure9": (("figure9",), report.figure9_report),
+    "figure10": (("figure10",), report.figure10_report),
+    "figure11": (("figure11",), report.figure11_report),
+    "figure12": (("figure12", "figure12_tau"), report.figure12_report),
+    "scalability": (("scalability",), report.scalability_report),
 }
 
 
-def declare(name: str, quick: bool = False,
-            rows: Optional[List[int]] = None) -> List[RunSpec]:
-    """The points of one scenario experiment, as the CLI runs it."""
-    points, duration_s, thinned, _ = SCENARIO_EXPERIMENTS[name]
-    axes = dict(thinned) if quick else {}
-    if name == "table2":
-        axes["rows"] = _table2_rows(rows)
-    return points(duration_s=_duration(duration_s, quick), **axes)
+def _table2_documents(rows: Optional[List[int]]) -> Tuple[str, ...]:
+    """The selected Table 2 row documents (1-based); all when none given."""
+    documents, _ = EXPERIMENTS["table2"]
+    if not rows:
+        return documents
+    bad = [row for row in rows if not 1 <= row <= len(documents)]
+    if bad:
+        raise ValueError(f"table2 rows are 1..{len(documents)}, "
+                         f"got {bad}")
+    return tuple(documents[row - 1] for row in rows)
 
 
 def _faults_inputs(quick: bool, tokens: Optional[List[str]]
                    ) -> Tuple[float, FaultSpec]:
     """The faults experiment's duration and its schedule: the demo spec
     at that duration with any ``--faults`` tokens applied on top."""
-    duration = _duration(40.0, quick)
+    duration = QUICK_DURATION_S if quick else 40.0
     base = demo_fault_spec(duration)
     return duration, (parse_fault_tokens(tokens, base=base) if tokens
                       else base)
@@ -93,14 +79,17 @@ def run_experiment(name: str, quick: bool = False,
                    cache_dir: Optional[str] = None,
                    use_cache: bool = True,
                    faults: Optional[List[str]] = None,
-                   wall_limit_s: Optional[float] = None) -> str:
+                   wall_limit_s: Optional[float] = None,
+                   max_duration_s: Optional[float] = None) -> str:
     """Run one experiment by name and return its report text.
 
     ``workers``/``cache_dir``/``use_cache`` flow into the parallel
     executor: independent simulation points fan out over a process
     pool, and finished points are replayed from the on-disk cache.
     ``faults`` (CLI ``--faults`` tokens) and ``wall_limit_s`` apply to
-    the ``faults`` experiment only.
+    the ``faults`` experiment only.  ``max_duration_s`` caps a scenario
+    experiment's points (``quick`` caps them at
+    :data:`QUICK_DURATION_S`).
     """
     pool = {"workers": workers, "cache_dir": cache_dir,
             "use_cache": use_cache}
@@ -112,9 +101,16 @@ def run_experiment(name: str, quick: bool = False,
     if faults:
         raise ValueError(
             f"--faults applies to the 'faults' experiment, not {name!r}")
-    if name in SCENARIO_EXPERIMENTS:
-        *_, print_report = SCENARIO_EXPERIMENTS[name]
-        return print_report(run_grid(declare(name, quick, rows), **pool))
+    if name in EXPERIMENTS:
+        documents, print_report = EXPERIMENTS[name]
+        if name == "table2":
+            documents = _table2_documents(rows)
+        if max_duration_s is None and quick:
+            max_duration_s = QUICK_DURATION_S
+        points = [run.runspec for document in documents
+                  for run in paper_spec(document)
+                  .with_duration_cap(max_duration_s).compile()]
+        return print_report(run_grid(points, **pool))
     if name == "figure13":
         trials = 1 if quick else 10
         duration = 0.15 if quick else 0.5
@@ -217,9 +213,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "drives the crash-resumable distributed sweep "
                     "fabric; 'cebinae-repro cache gc' prunes corrupt "
                     "result-cache entries.")
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=CHOICES)
     parser.add_argument("--quick", action="store_true",
-                        help="short durations for smoke runs")
+                        help="cap every point at "
+                             f"{QUICK_DURATION_S:g} s for smoke runs")
     parser.add_argument("--rows", type=int, nargs="*",
                         help="table2 only: 1-based row numbers")
     parser.add_argument("--workers", type=int, default=1,
@@ -257,11 +254,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--rows applies to 'table2' (or 'all'), not "
                      f"{args.experiment!r}")
     try:
-        _table2_rows(args.rows)
+        _table2_documents(args.rows)
         _faults_inputs(args.quick, args.faults)
     except (ValueError, OSError, InvariantViolation) as exc:
         parser.error(str(exc))
-    names = [name for name in EXPERIMENTS if name not in NOT_IN_ALL] \
+    names = [name for name in CHOICES if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]
     profile_scope: ContextManager[Any] = nullcontext()
     if args.profile:

@@ -25,7 +25,8 @@ Three properties make this safe:
 
 Typical use::
 
-    specs = grid([scaled], (Discipline.FIFO, Discipline.CEBINAE))
+    specs = [RunSpec(scaled, discipline)
+             for discipline in (Discipline.FIFO, Discipline.CEBINAE)]
     comparison, = run_grid(specs, workers=4, cache_dir=".cebinae-cache")
 """
 
@@ -670,20 +671,11 @@ def run_many(specs: Sequence[RunSpec], workers: Optional[int] = None,
 
 
 # --------------------------------------------------------------------------
-# Experiments as declarations: a table or figure is a list of RunSpecs.
+# A table or figure is a list of RunSpecs, grouped by scenario.
 # --------------------------------------------------------------------------
 
 #: The paper's three-way comparison, in its tables' column order.
 THREE_WAY = (Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE)
-
-
-def grid(scenarios: Sequence[ScaledScenario],
-         disciplines: Sequence[Discipline] = THREE_WAY,
-         **flags: Any) -> List[RunSpec]:
-    """Every scenario under every discipline, scenario-major; ``flags``
-    are :class:`RunSpec` fields all the points share."""
-    return [RunSpec(scaled=scaled, discipline=discipline, **flags)
-            for scaled in scenarios for discipline in disciplines]
 
 
 @dataclass

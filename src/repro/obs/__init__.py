@@ -17,9 +17,10 @@ Three pieces:
 * :mod:`repro.obs.aggregate` — cross-worker snapshot merging and the
   fleet view ``cebinae-repro sweep watch`` renders.
 
-This package never imports the simulator or the experiments layer
-(``repro.obs.cli`` is the one exception and must be imported
-explicitly), so any component can depend on it without cycles.
+This package never imports the simulator, the experiments layer or the
+suite layer (``repro.obs.cli`` is the one exception and must be
+imported explicitly), so any component can depend on it without
+cycles.
 """
 
 from . import aggregate, bus, events, metrics, sinks, spans

@@ -1,10 +1,11 @@
 """``cebinae-repro trace <scenario>``: run one scenario with tracing on.
 
 The one place in :mod:`repro.obs` allowed to import the experiments
-layer (see the package docstring).  It builds a figure-class scenario,
-installs a :class:`~repro.obs.bus.TraceBus` with file sinks *before*
-the topology is constructed (the binding contract of the bus), runs the
-scenario, and writes a deterministic artifact directory::
+layer (see the package docstring).  It takes the base point of one of
+the paper's suite documents (``repro/experiments/paper/``), installs a
+:class:`~repro.obs.bus.TraceBus` with file sinks *before* the topology
+is constructed (the binding contract of the bus), runs the scenario,
+and writes a deterministic artifact directory::
 
     <out>/result.json             the ScenarioResult payload
     <out>/trace.jsonl             one record per line, event order
@@ -31,18 +32,13 @@ import sys
 from contextlib import nullcontext
 from typing import ContextManager, List, Optional
 
-from ..experiments.figures import (figure1_spec, figure7_spec,
-                                   figure9_spec)
 from ..experiments.runner import Discipline, run_scenario
-from ..experiments.scenarios import DEFAULT_POLICY
+from ..suite.registry import paper_names, paper_spec
 from . import bus as obs_bus
 from . import metrics as obs_metrics
 from .events import TOPICS
 from .sinks import (ControlTimelineSink, JsonlTraceSink, PacketLogSink,
                     _JSON_KWARGS)
-
-#: Paper scenarios the trace CLI can rebuild (figure-9-class default).
-SCENARIOS = ("figure1", "figure7", "figure9")
 
 
 def parse_topics(spec: str) -> List[str]:
@@ -65,7 +61,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="cebinae-repro trace",
         description="Run one scenario with structured tracing enabled "
                     "and write deterministic JSONL/metrics artifacts.")
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=paper_names(),
+                        metavar="DOCUMENT",
+                        help="a paper document (figure1, figure9, "
+                             "table2_row08, ...); its base point runs")
     parser.add_argument("--discipline", default="cebinae",
                         choices=[d.value for d in Discipline])
     parser.add_argument("--events", type=parse_topics, default="all",
@@ -78,20 +77,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "<out>/metrics.json")
     parser.add_argument("--duration", type=float, default=10.0,
                         metavar="SECONDS")
-    parser.add_argument("--rtt-ms", type=float, default=64.0,
-                        help="figure9 only: the swept flow group's RTT")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     topics = args.events if isinstance(args.events, list) \
         else parse_topics(args.events)
-    if args.scenario == "figure1":
-        spec = figure1_spec(args.duration)
-    elif args.scenario == "figure7":
-        spec = figure7_spec(args.duration)
-    else:
-        spec = figure9_spec(args.rtt_ms, args.duration)
-    scaled = DEFAULT_POLICY.apply(spec)
+    scaled = paper_spec(args.scenario).base_point(args.duration)
     os.makedirs(args.out, exist_ok=True)
 
     bus = obs_bus.TraceBus()

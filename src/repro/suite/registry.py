@@ -9,6 +9,9 @@ The registry enforces the hygiene that keeps golden files trustworthy:
 * a ``.yaml``/``.yml`` file is refused by name, never skipped: a spec
   that silently did not run would pass its golden check;
 * iteration order is sorted by name, independent of filesystem order.
+
+:func:`paper_spec` loads one of the paper's own documents, which ship
+with the package so ``cebinae-repro <experiment>`` needs no checkout.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ SPEC_EXTENSION = ".json"
 
 #: Extensions that look like suite documents and are refused.
 _YAML_EXTENSIONS = (".yaml", ".yml")
+
+#: The paper's evaluation as suite documents, shipped as package data:
+#: Table 2's rows, Figures 1 and 7-12 and section 5.5.
+PAPER_DIR = Path(__file__).resolve().parent.parent / "experiments" / "paper"
 
 
 def load_spec_file(path: Union[str, Path]) -> SuiteSpec:
@@ -48,6 +55,21 @@ def load_spec_file(path: Union[str, Path]) -> SuiteSpec:
             f"{path}: spec name {spec.name!r} must match the file "
             f"stem {path.stem!r} (golden files are keyed by name)")
     return spec
+
+
+def paper_names() -> List[str]:
+    """The names of the paper's documents, sorted."""
+    return sorted(path.stem for path in PAPER_DIR.glob(f"*{SPEC_EXTENSION}"))
+
+
+def paper_spec(name: str) -> SuiteSpec:
+    """One of the paper's documents by name (``figure9``,
+    ``table2_row03``)."""
+    path = PAPER_DIR / f"{name}{SPEC_EXTENSION}"
+    if not path.is_file():
+        raise SpecError(f"unknown paper document {name!r}; known: "
+                        f"{paper_names()}")
+    return load_spec_file(path)
 
 
 class SuiteRegistry:

@@ -2,8 +2,9 @@
 
 A *suite spec* is one JSON document describing a workload:
 a topology (dumbbell or parking lot), a flow mix, the disciplines to
-compare, an optional scale-policy override, optional fault injection,
-optional grid axes, and repeats with derived seeds.  Parsing is strict
+compare, an optional scale-policy override, optional Cebinae parameter
+overrides, optional fault injection, optional grid axes, and repeats
+with derived seeds.  Parsing is strict
 — unknown keys, wrong types, and degenerate values are rejected with
 the offending JSON path named — and the parsed document compiles into
 the existing execution machinery:
@@ -14,7 +15,9 @@ the existing execution machinery:
   :class:`~repro.experiments.scenarios.ParkingLotSpec` objects, which
   scale themselves under the same policy;
 * either way each run is a :class:`~repro.experiments.parallel.RunSpec`
-  point, so suite runs share cache fingerprints with the figure sweeps.
+  point.  The paper's own evaluation is written in this format too
+  (``repro/experiments/paper/``), so ``cebinae-repro <experiment>`` and
+  a suite run of the same document share cache entries.
 
 Determinism contract: a spec is a pure value.  Equal specs have equal
 :meth:`SuiteSpec.fingerprint` digests, ``from_dict(to_dict(s)) == s``
@@ -28,25 +31,39 @@ its workers compile it again (:mod:`repro.sweep.manifest`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..analysis.invariants import InvariantViolation
 from ..experiments.parallel import (RunSpec, Task, fingerprint,
                                     scenario_task)
 from ..experiments.runner import (AFQ_HYBRID_REFUSAL, BACKENDS,
                                   Discipline)
-from ..experiments.scenarios import (ParkingLotSpec, ScalePolicy,
-                                     ScenarioSpec)
+from ..experiments.scenarios import (ParkingLotSpec, ScaledScenario,
+                                     ScalePolicy, ScenarioSpec)
 from ..faults.schedule import derive_seed
 from ..faults.spec import FaultSpec
+from ..netsim.engine import seconds
+from ..netsim.packet import MTU_BYTES
 
 #: Bump when the document format changes incompatibly.
 SPEC_SCHEMA_VERSION = 1
 
-#: ScenarioSpec fields a ``grid`` section may sweep.
+#: What a ``grid`` section may sweep: ScenarioSpec fields, then
+#: ``cebinae`` (sparse override objects, merged over the top-level
+#: section).
 GRID_FIELDS = ("rate_bps", "rtts_ms", "buffer_mtus", "cca_mix",
-               "duration_s")
+               "duration_s", "cebinae")
+
+#: The CebinaeParams fields a ``cebinae`` section may override, in
+#: canonical order; the last three are integer nanoseconds.
+CEBINAE_FIELDS = ("tau", "delta_port", "delta_flow",
+                  "min_bottom_rate_fraction", "dt_ns", "vdt_ns", "l_ns")
+
+#: A parsed ``cebinae`` section: (field, value) pairs in canonical order.
+Overrides = Tuple[Tuple[str, float], ...]
 
 
 class SpecError(ValueError):
@@ -79,8 +96,11 @@ def _expect_keys(source: str, path: str, data: Mapping[str, Any],
 
 
 def _expect_number(source: str, path: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(source, path, f"expected a number, got {value!r}")
+    # Python's json accepts Infinity and NaN; no field means either.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise _fail(source, path,
+                    f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -268,6 +288,8 @@ def _parse_grid(source: str, data: Mapping[str, Any]
                 converted.append(_parse_mix(source, here, value))
             elif field_name == "buffer_mtus":
                 converted.append(_expect_int(source, here, value))
+            elif field_name == "cebinae":
+                converted.append(_parse_cebinae(source, here, value))
             else:
                 converted.append(_expect_number(source, here, value))
         axes.append((field_name, tuple(converted)))
@@ -281,6 +303,8 @@ def _grid_to_dict(grid: Tuple[Tuple[str, Tuple[Any, ...]], ...]
             return list(value)
         if field_name == "cca_mix":
             return [list(pair) for pair in value]
+        if field_name == "cebinae":
+            return dict(value)
         return value
 
     return {field_name: [encode(field_name, v) for v in values]
@@ -308,6 +332,34 @@ def _policy_to_dict(policy: ScalePolicy) -> Dict[str, Any]:
     return {f.name: getattr(policy, f.name)
             for f in dataclasses.fields(ScalePolicy)
             if getattr(policy, f.name) != getattr(default, f.name)}
+
+
+def _parse_cebinae(source: str, path: str, value: Any) -> Overrides:
+    data = _expect_mapping(source, path, value)
+    _expect_keys(source, path, data, CEBINAE_FIELDS)
+    return tuple(
+        (key, _expect_int(source, f"{path}.{key}", data[key])
+         if key.endswith("_ns")
+         else _expect_number(source, f"{path}.{key}", data[key]))
+        for key in CEBINAE_FIELDS if key in data)
+
+
+def _with_cebinae(scaled: ScaledScenario,
+                 overrides: Mapping[str, float]) -> ScaledScenario:
+    """``scaled`` with fields of its policy-derived Cebinae parameters
+    replaced.
+
+    P is derived again from the final dT (``ceil(max_rtt / dT)``, the
+    rule of both ``ScalePolicy.cebinae_params`` and
+    ``CebinaeParams.for_link``) and the result must satisfy Equation
+    (2) on the scaled link; a violation raises ``ValueError``.
+    """
+    params = dataclasses.replace(scaled.cebinae, **overrides)
+    spec = scaled.spec
+    params = dataclasses.replace(params, recompute_rounds=max(
+        1, math.ceil(seconds(spec.max_rtt_s) / params.dt_ns)))
+    params.validate_for_link(spec.rate_bps, spec.buffer_mtus * MTU_BYTES)
+    return dataclasses.replace(scaled, cebinae=params)
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +393,7 @@ class CompiledRun:
 _TOP_KEYS = ("schema_version", "name", "description", "topology",
              "scenario", "parking_lot", "grid", "policy", "disciplines",
              "collect_series", "record_history", "repeats", "base_seed",
-             "faults", "backend")
+             "faults", "backend", "cebinae")
 
 
 @dataclass(frozen=True)
@@ -353,6 +405,8 @@ class SuiteSpec:
     scenario fields (cartesian product, canonical axis order);
     ``repeats`` replicates every point with seeds derived from
     ``base_seed`` via :func:`repro.faults.schedule.derive_seed`.
+    ``cebinae`` overrides fields of the policy-derived Cebinae
+    parameters of every dumbbell point (see :func:`_with_cebinae`).
     """
 
     name: str
@@ -369,10 +423,15 @@ class SuiteSpec:
     base_seed: int = 0
     faults: Optional[FaultSpec] = None
     backend: str = "packet"
+    cebinae: Overrides = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("suite spec name must not be empty")
+        if self.parking is not None and self.cebinae:
+            raise ValueError(
+                f"suite spec {self.name!r}: a parking lot's one Cebinae "
+                f"override is parking_lot.tau")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"suite spec {self.name!r}: backend must be one of "
@@ -509,12 +568,24 @@ class SuiteSpec:
             # the invariants module, not plain ValueError.
             except (TypeError, ValueError, InvariantViolation) as exc:
                 raise _fail(source, "faults", str(exc)) from exc
+        if "cebinae" in data:
+            if topology == "parking_lot":
+                raise _fail(source, "cebinae",
+                            "not allowed with topology 'parking_lot' "
+                            "(its one Cebinae override is "
+                            "parking_lot.tau)")
+            kwargs["cebinae"] = _parse_cebinae(source, "cebinae",
+                                               data["cebinae"])
         try:
-            return cls(**kwargs)
+            spec = cls(**kwargs)
         except SpecError:
             raise
         except ValueError as exc:
             raise _fail(source, "$", str(exc)) from exc
+        if spec.cebinae or "cebinae" in dict(spec.grid):
+            # Overrides are checked on every point's scaled link.
+            spec._scaled_points(source)
+        return spec
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready document; ``from_dict`` restores it losslessly."""
@@ -547,6 +618,9 @@ class SuiteSpec:
             # Emitted only when non-default so documents written before
             # the hybrid backend existed keep their fingerprints.
             data["backend"] = self.backend
+        if self.cebinae:
+            # The same rule: emitted only when set.
+            data["cebinae"] = dict(self.cebinae)
         return data
 
     def fingerprint(self) -> str:
@@ -569,18 +643,81 @@ class SuiteSpec:
             return self
         return dataclasses.replace(self, backend=backend)
 
-    # -- compilation ------------------------------------------------------
-    def _points(self) -> List[ScenarioSpec]:
-        """Grid expansion: one ScenarioSpec per grid point."""
+    def _with_durations(self, duration: Callable[[float], float]
+                        ) -> "SuiteSpec":
+        """``duration`` applied to the scenario's (or parking lot's)
+        duration and to every value of a ``duration_s`` grid axis."""
+        if self.parking is not None:
+            return dataclasses.replace(self, parking=dataclasses.replace(
+                self.parking, duration_s=duration(self.parking.duration_s)))
         assert self.scenario is not None
-        if not self.grid:
-            return [self.scenario]
-        points = [self.scenario]
+        grid = tuple(
+            (field_name, tuple(duration(value) for value in values)
+             if field_name == "duration_s" else values)
+            for field_name, values in self.grid)
+        return dataclasses.replace(
+            self, grid=grid, scenario=dataclasses.replace(
+                self.scenario,
+                duration_s=duration(self.scenario.duration_s)))
+
+    def with_duration_cap(self, max_s: Optional[float]) -> "SuiteSpec":
+        """This spec with no point longer than ``max_s`` seconds (None
+        caps nothing): ``cebinae-repro <experiment> --quick``."""
+        if max_s is None:
+            return self
+        return self._with_durations(lambda value: min(value, max_s))
+
+    def base_point(self, duration_s: float) -> ScaledScenario:
+        """The document without its grid, ``duration_s`` long, scaled
+        under its own policy and ``cebinae`` section: what
+        ``cebinae-repro trace`` runs."""
+        base = dataclasses.replace(self, grid=())._with_durations(
+            lambda _: duration_s)
+        (_, scaled), = base._scaled_points(f"suite spec {self.name!r}")
+        return scaled
+
+    # -- compilation ------------------------------------------------------
+    def _points(self) -> List[Tuple[ScenarioSpec, Dict[str, float], str]]:
+        """Grid expansion: per point, its ScenarioSpec, its Cebinae
+        overrides (a grid value merged over the top-level section) and
+        the JSON path they came from."""
+        assert self.scenario is not None
+        points = [(self.scenario, dict(self.cebinae), "cebinae")]
         for field_name, values in self.grid:
-            points = [dataclasses.replace(point, **{field_name: value})
-                      for point in points for value in values]
-        return [dataclasses.replace(point, name=f"{self.name}#p{index}")
-                for index, point in enumerate(points)]
+            if field_name == "cebinae":
+                points = [(point, {**overrides, **dict(value)},
+                           f"grid.cebinae[{index}]")
+                          for point, overrides, _ in points
+                          for index, value in enumerate(values)]
+            else:
+                points = [(dataclasses.replace(point,
+                                               **{field_name: value}),
+                           overrides, path)
+                          for point, overrides, path in points
+                          for value in values]
+        if not self.grid:
+            return points
+        return [(dataclasses.replace(point, name=f"{self.name}#p{index}"),
+                 overrides, path)
+                for index, (point, overrides, path) in enumerate(points)]
+
+    def _scaled_points(self, source: str
+                       ) -> List[Tuple[str, ScaledScenario]]:
+        """Each point's name and scaled scenario, overrides applied; an
+        override the point's link rejects is a :class:`SpecError`."""
+        if self.parking is not None:
+            return [(self.name, self.parking.scaled(self.policy))]
+        points = []
+        for point, overrides, path in self._points():
+            scaled = self.policy.apply(point)
+            if overrides:
+                try:
+                    scaled = _with_cebinae(scaled, overrides)
+                except ValueError as exc:
+                    raise _fail(source, path,
+                                f"{point.name}: {exc}") from exc
+            points.append((point.name, scaled))
+        return points
 
     def seeds(self, point_name: str) -> List[int]:
         """Per-repeat seeds: the base, then derived children.
@@ -595,18 +732,13 @@ class SuiteSpec:
 
     def compile(self) -> List[CompiledRun]:
         """Expand grid x repeats x disciplines into executable runs."""
-        if self.scenario is not None:
-            points = [(point.name, self.policy.apply(point))
-                      for point in self._points()]
-        else:
-            assert self.parking is not None
-            if self.faults is not None:
-                raise SpecError(
-                    f"suite spec {self.name!r}: fault injection is "
-                    f"not supported on parking-lot topologies yet")
-            points = [(self.name, self.parking.scaled(self.policy))]
+        if self.parking is not None and self.faults is not None:
+            raise SpecError(
+                f"suite spec {self.name!r}: fault injection is "
+                f"not supported on parking-lot topologies yet")
         runs: List[CompiledRun] = []
-        for name, scaled in points:
+        for name, scaled in self._scaled_points(f"suite spec "
+                                                f"{self.name!r}"):
             for index, seed in enumerate(self.seeds(name)):
                 for discipline in self.disciplines:
                     label = f"{name}/{discipline.value}"

@@ -48,7 +48,7 @@ class TestExamples:
     def test_multi_bottleneck(self, monkeypatch, capsys):
         out = run_example(
             "multi_bottleneck.py",
-            {"duration_s=40.0": "duration_s=4.0"},
+            {"DURATION_S = 40.0": "DURATION_S = 4.0"},
             monkeypatch, capsys)
         assert "normalised JFI" in out
         assert "ideal" in out

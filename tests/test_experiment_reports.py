@@ -1,10 +1,11 @@
 """The nine scenario experiments, end to end through the CLI's one path.
 
-``run_experiment`` is declare -> ``run_grid`` -> report.  For each
-experiment this pins that the declared points are distinct, that they
-are what the run leaves in the cache, that the report prints what those
-points give when run directly, and that a warm cache replays the same
-text without simulating.
+``run_experiment`` compiles the experiment's paper documents, runs them
+with ``run_grid`` and prints the report.  For each experiment this pins,
+under a short duration cap, that the compiled points are distinct, that
+they are what the run leaves in the cache, that the report prints what
+those points give when run directly, and that a warm cache replays the
+same text without simulating.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.experiments.figures import parking_lot_ideal
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import ScenarioResult, run_scenario
 from repro.fairness.metrics import normalized_jfi
+from repro.suite.registry import paper_spec
 
 DURATION_S = 1.5
 
@@ -30,18 +32,23 @@ def printed(name, spec, result):
     return f"{result.jfi:.3f}"
 
 
-@pytest.mark.parametrize("name", sorted(cli.SCENARIO_EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
 def test_report_is_its_declared_points(name, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_duration", lambda default, quick: DURATION_S)
     rows = [1, 8] if name == "table2" else None
-    specs = cli.declare(name, quick=True, rows=rows)
+    documents, _ = cli.EXPERIMENTS[name]
+    if rows:
+        documents = [documents[row - 1] for row in rows]
+    specs = [run.runspec for document in documents
+             for run in paper_spec(document)
+             .with_duration_cap(DURATION_S).compile()]
     assert all(spec.scaled.spec.duration_s == DURATION_S for spec in specs)
     fingerprints = [spec.fingerprint() for spec in specs]
     assert len(set(fingerprints)) == len(specs) >= 2
 
     def run():
-        return cli.run_experiment(name, quick=True, rows=rows, workers=1,
-                                  cache_dir=str(tmp_path))
+        return cli.run_experiment(name, rows=rows, workers=1,
+                                  cache_dir=str(tmp_path),
+                                  max_duration_s=DURATION_S)
 
     text = run()
     cache = ResultCache(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.params import CebinaeParams
 from repro.experiments import runner
-from repro.experiments.parallel import grid, run_grid
+from repro.experiments.parallel import THREE_WAY, RunSpec, run_grid
 from repro.experiments.runner import (Discipline, ScenarioResult,
                                       queue_factory_for, run_scenario)
 from repro.experiments.scenarios import (MIN_SEGMENTS_PER_RTT,
@@ -152,8 +152,9 @@ class TestRunner:
         assert len(result.cp_history) > 0
 
     def test_comparison_runs_all_disciplines(self, tiny_scaled):
-        comparison, = run_grid(grid([tiny_scaled]), workers=1,
-                               progress=None)
+        comparison, = run_grid([RunSpec(tiny_scaled, discipline)
+                                for discipline in THREE_WAY],
+                               workers=1, progress=None)
         assert list(comparison.results) == [
             Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE]
 
@@ -226,9 +227,11 @@ class TestAfqDiscipline:
 
     @pytest.fixture(scope="class")
     def scaled(self):
-        # Four flows on a buffer smaller than their calendars span.
-        from repro.experiments.scalability import scalability_scenario
-        return scalability_scenario(4, 80, duration_s=2.0)
+        # Four flows on a buffer smaller than their calendars span: the
+        # section 5.5 document's 80 ms point.
+        from repro.suite.registry import paper_spec
+        runs = paper_spec("scalability").with_duration_cap(2.0).compile()
+        return runs[2].runspec.scaled
 
     def test_replay_is_byte_identical_across_the_debug_gate(
             self, scaled):

@@ -12,8 +12,8 @@ import pytest
 
 from repro.experiments import cli
 from repro.experiments.parallel import (FailedRun, RunSpec, Task,
-                                        fingerprint, grid, require,
-                                        run_grid, run_tasks)
+                                        fingerprint, require, run_grid,
+                                        run_tasks)
 from repro.experiments.runner import Discipline
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 
@@ -140,12 +140,9 @@ class TestCliFlags:
 class TestRunGrid:
     def test_one_comparison_per_scenario_in_declaration_order(self):
         two_way = (Discipline.CEBINAE, Discipline.FIFO)
-        specs = grid([tiny_scaled("grid_b", duration_s=1.0),
-                      tiny_scaled("grid_a", duration_s=1.0)], two_way)
-        assert [(spec.scaled.spec.name, spec.discipline)
-                for spec in specs] == [
-            ("grid_b", two_way[0]), ("grid_b", two_way[1]),
-            ("grid_a", two_way[0]), ("grid_a", two_way[1])]
+        specs = [RunSpec(tiny_scaled(name, duration_s=1.0), discipline)
+                 for name in ("grid_b", "grid_a")
+                 for discipline in two_way]
         comparisons = run_grid(specs, workers=1, progress=None)
         assert [c.scaled.spec.name for c in comparisons] == \
             ["grid_b", "grid_a"]
@@ -157,19 +154,13 @@ class TestRunGrid:
 
     def test_scenarios_differing_only_in_cebinae_stay_apart(self):
         taus = (0.01, 0.2)
-        specs = grid([tiny_scaled(duration_s=1.0, tau=tau)
-                      for tau in taus], (Discipline.CEBINAE,))
+        specs = [RunSpec(tiny_scaled(duration_s=1.0, tau=tau),
+                         Discipline.CEBINAE) for tau in taus]
         comparisons = run_grid(specs, workers=1, progress=None)
         assert [c.scaled.cebinae.tau for c in comparisons] == list(taus)
 
-    def test_grid_flags_reach_every_point(self):
-        specs = grid([tiny_scaled()], collect_series=True, seed=3)
-        assert len(specs) == 3
-        assert all(spec.collect_series and spec.seed == 3
-                   for spec in specs)
-
     def test_a_failed_point_raises_naming_its_label(self):
-        specs = grid([tiny_scaled("grid_fail", duration_s=1.0)],
-                     (Discipline.FIFO,), max_events=1)
+        specs = [RunSpec(tiny_scaled("grid_fail", duration_s=1.0),
+                         Discipline.FIFO, max_events=1)]
         with pytest.raises(RuntimeError, match="grid_fail/fifo"):
             run_grid(specs, workers=1, progress=None)

@@ -1,17 +1,22 @@
-"""Tests for report formatting, the CLI, and the scalability helper."""
+"""Tests for report formatting, the CLI, and the scalability report."""
 
 import pytest
 
 from repro.experiments import cli, parallel
-from repro.experiments.figures import figure11, parking_lot_ideal
+from repro.experiments.figures import parking_lot_ideal
 from repro.experiments.parallel import Comparison, run_grid
 from repro.experiments.report import (format_table, mbps,
                                       parking_lot_jfi,
                                       scalability_report)
 from repro.experiments.runner import Discipline, ScenarioResult
-from repro.experiments.scalability import scalability_scenario
 from repro.heavyhitter.evaluation import DetectionResult
 from repro.experiments.report import figure13_report
+from repro.suite.registry import paper_spec
+
+
+def figure11_points(duration_s):
+    runs = paper_spec("figure11").with_duration_cap(duration_s).compile()
+    return [run.runspec for run in runs]
 
 
 class TestFormatTable:
@@ -47,7 +52,7 @@ class TestFigure13Report:
 
 class TestScalabilityHelper:
     def test_scalability_report_row(self):
-        scaled = scalability_scenario(4, 20.0)
+        scaled = paper_spec("scalability").base_point(20.0)
         run = ScenarioResult(
             name=scaled.spec.name, discipline=Discipline.AFQ,
             duration_s=20.0, sim_rate_bps=20e6, rate_scale=1.0,
@@ -63,7 +68,7 @@ class TestScalabilityHelper:
 class TestFigure11:
     def test_two_disciplines_through_the_cache(self, tmp_path,
                                                monkeypatch):
-        comparison, = run_grid(figure11(duration_s=2.0), workers=1,
+        comparison, = run_grid(figure11_points(2.0), workers=1,
                                cache_dir=tmp_path)
         assert list(comparison.results) == \
             [Discipline.FIFO, Discipline.CEBINAE]
@@ -80,7 +85,7 @@ class TestFigure11:
             raise AssertionError("a warm cache must not simulate")
 
         monkeypatch.setattr(parallel, "run_scenario", simulated)
-        assert run_grid(figure11(duration_s=2.0), workers=1,
+        assert run_grid(figure11_points(2.0), workers=1,
                         cache_dir=tmp_path) == [comparison]
 
 

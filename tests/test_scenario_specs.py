@@ -115,6 +115,11 @@ def suite_documents(draw):
     if not parking and draw(st.booleans()):
         doc["grid"] = {"duration_s": draw(st.lists(
             DURATIONS, min_size=1, max_size=3))}
+    if not parking and draw(st.booleans()):
+        # Thresholds only: a dT override must clear Equation (2) on
+        # the drawn link, which tests/test_paper_documents.py covers.
+        doc["cebinae"] = {"tau": draw(st.floats(min_value=0.0,
+                                                max_value=1.0))}
     return doc
 
 

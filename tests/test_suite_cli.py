@@ -7,6 +7,7 @@ mismatch exit codes, and the JSON mismatch artifact.
 """
 
 import json
+import re
 
 import pytest
 
@@ -112,6 +113,24 @@ class TestSuiteCli:
             json.dumps({"name": "bad"}), encoding="utf-8")
         assert suite_main([str(suite_dir), "--list"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("rtts_ms", [float("inf")], r"scenario\.rtts_ms\[0\]"),
+        ("duration_s", float("inf"), r"scenario\.duration_s"),
+        ("rate_bps", float("inf"), r"scenario\.rate_bps"),
+        ("rate_bps", float("-inf"), r"scenario\.rate_bps"),
+    ])
+    def test_non_finite_number_exits_2_naming_its_path(
+            self, suite_dir, capsys, key, value, path):
+        # json.dumps writes Infinity / -Infinity, which json.load reads
+        # back: the parser, not the JSON layer, must refuse them.
+        scenario = dict(TINY_DOC["scenario"], **{key: value})
+        write_spec(suite_dir, "tiny", scenario=scenario)
+        assert suite_main([str(suite_dir), "--list"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(rf"tiny\.json: {path}: expected a finite "
+                         rf"number", err), err
 
     def test_golden_roundtrip_and_mismatch(self, suite_dir, tmp_path,
                                            capsys):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """CI smoke test for the repro.obs subsystem (the ``obs-smoke`` job).
 
-Replays the observability contract on a figure-9-class scenario:
+Replays the observability contract on the base point of the paper's
+``figure9`` document (its 64 ms RTT):
 
 1. **Off-path purity** — running with the trace bus installed produces
    a ``ScenarioResult`` JSON byte-identical to a run without it, also
@@ -40,20 +41,19 @@ from typing import List, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis import invariants
-from repro.experiments.figures import figure9_spec
 from repro.experiments.runner import Discipline, run_scenario
-from repro.experiments.scenarios import DEFAULT_POLICY
 from repro.obs import bus as obs_bus
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.events import TOPICS, canonical_dict, validate_record
 from repro.obs.sinks import MemorySink, encode_record
+from repro.suite.registry import paper_spec
 
 
 def run_once(duration_s: float,
              traced: bool) -> Tuple[str, List[str], float]:
     """One scenario run: (result JSON, JSONL lines, wall seconds)."""
-    scaled = DEFAULT_POLICY.apply(figure9_spec(64, duration_s))
+    scaled = paper_spec("figure9").base_point(duration_s)
     sink = MemorySink()
     start = time.perf_counter()  # simlint: allow[D103] host-side wall timing of the smoke harness; feeds stdout only, never simulation state
     if traced:
