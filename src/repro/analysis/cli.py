@@ -51,17 +51,16 @@ def _usage_error(message: str) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint",
-        description="Determinism & unit-safety static analysis for the "
+        description="Determinism and hygiene static analysis for the "
                     "Cebinae reproduction (rules: D1xx determinism, "
-                    "U2xx unit safety, H3xx hygiene, S9xx suppression "
-                    "hygiene).")
+                    "H3xx hygiene, S9xx suppression hygiene).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to analyze")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as a JSON array (for CI)")
     parser.add_argument("--select", metavar="IDS",
                         help="comma-separated rule IDs to run "
-                             "(e.g. D101,U201); disables S9xx checks")
+                             "(e.g. D101,H301); disables S9xx checks")
     parser.add_argument("--no-hints", action="store_true",
                         help="omit fix-it hints from text output")
     parser.add_argument("--list-rules", action="store_true",

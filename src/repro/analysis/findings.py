@@ -109,7 +109,7 @@ def audit(suppressions: List[Suppression], path: str) -> List[Finding]:
     """The S9xx suppression-hygiene pass over one file's comments.
 
     * S901 — an allow-comment with no reason.  Reasons are mandatory
-      for every family (D1xx/U2xx/H3xx): they are the determinism
+      for every family (D1xx/H3xx): they are the determinism
       audit trail.
     * S902 — an allow-comment that matched no finding.
     * S903 — an allow-comment naming a rule ID that is not in the

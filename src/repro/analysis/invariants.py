@@ -111,9 +111,9 @@ def require_probability(value: object, what: str) -> float:
 def require_int_ns(value: object, what: str) -> int:
     """Enforce the integer-nanosecond clock contract on ``value``.
 
-    Rejects floats (drifting rotation boundaries — see the U201 rule)
-    and bools (a ``True`` delay is almost certainly a bug, not a 1 ns
-    wait).  Returns the value typed as ``int``.
+    Rejects floats (drifting rotation boundaries) and bools (a
+    ``True`` delay is almost certainly a bug, not a 1 ns wait).
+    Returns the value typed as ``int``.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvariantViolation(

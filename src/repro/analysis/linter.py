@@ -1,4 +1,4 @@
-"""simlint: an AST-based determinism & unit-safety analyzer.
+"""simlint: an AST-based determinism and hygiene analyzer.
 
 The simulator's reproduction claims rest on bit-identical replay: the
 same scenario fingerprint must produce the same packet schedule in any
@@ -9,7 +9,7 @@ analysis-time gate.
 
 One pass, one pipeline.  :func:`lint_source` is the pipeline for one
 module's text: parse (E901) → :class:`_ModuleChecker` (D1xx
-determinism, U2xx token-level units, H3xx hygiene) →
+determinism, H3xx hygiene) →
 ``# simlint: allow[ID] reason`` suppressions → the S9xx audit of those
 comments → sort.  :func:`lint_paths` is a loop over
 :func:`iter_python_files` calling it.  The catalog (IDs, summaries,
@@ -18,9 +18,9 @@ suppression machinery are :mod:`repro.analysis.findings`.
 
 Findings are deliberately *syntactic and conservative*: the checker
 only flags what it can prove from one module's AST (a set literal
-iterated in a dict comprehension, a ``*_s`` name copied into a ``*_ns``
-one), so a clean run is a meaningful invariant rather than a
-type-inference lottery.
+iterated in a dict comprehension, an unseeded ``random.Random()``), so
+a clean run is a meaningful invariant rather than a type-inference
+lottery.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from pathlib import Path
 from typing import (Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .astutil import call_name as _call_name
-from .astutil import name_dim as _name_unit
 from .findings import (Finding, apply_suppressions, audit,
                        collect_suppressions)
 
@@ -95,18 +93,20 @@ SET_ANNOTATIONS = frozenset({
     "MutableSet",
 })
 
-#: Calls that launder a float back into an int (U201 cleansers).
-INT_CLEANSING_CALLS = frozenset({"int", "floor", "ceil", "trunc"})
-
-#: Known float-producing helpers (U201 taint sources beyond literals).
-FLOAT_PRODUCING_CALLS = frozenset({"float", "to_seconds", "sqrt",
-                                   "log", "exp"})
-
 #: Builtins whose shadowing corrupts later lookups in engine code.
 SHADOW_SENSITIVE_BUILTINS = frozenset({
     "hash", "id", "sum", "min", "max", "len", "list", "dict", "set",
     "sorted", "tuple", "type", "next", "filter", "map", "range",
 })
+
+
+def _call_name(func: ast.expr) -> Optional[str]:
+    """The trailing identifier of a call target (``a.b.c`` -> ``c``)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
@@ -127,7 +127,7 @@ def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
 
 
 class _ModuleChecker(ast.NodeVisitor):
-    """The single-module pass: local D1xx/U2xx/H3xx rules."""
+    """The single-module pass: local D1xx/H3xx rules."""
 
     def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
@@ -343,7 +343,7 @@ class _ModuleChecker(ast.NodeVisitor):
                        f"definition")
 
     # ------------------------------------------------------------------
-    # assignments: H302, U201, U202, set tracking
+    # assignments: H302, set tracking
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -353,30 +353,12 @@ class _ModuleChecker(ast.NodeVisitor):
             else:
                 self._check_shadowing(target)
             self._record_set_binding(target, node.value)
-            self._check_ns_assignment(target, node.value)
-            self._check_unit_mismatch_assign(target, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._check_shadowing(node.target)
         self._record_set_binding(node.target, node.value,
                                  node.annotation)
-        if node.value is not None:
-            self._check_ns_assignment(node.target, node.value)
-            self._check_unit_mismatch_assign(node.target, node.value)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        name = self._target_name(node.target)
-        if _name_unit(name) == "ns":
-            if isinstance(node.op, ast.Div):
-                self._flag(node, "U201",
-                           f"true division drives float into "
-                           f"'{name}' (use //)")
-            elif self._float_tainted(node.value):
-                self._flag(node, "U201",
-                           f"float-valued expression folded into "
-                           f"'{name}'")
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
@@ -398,93 +380,8 @@ class _ModuleChecker(ast.NodeVisitor):
         self._record_set_binding(node.target, node.value)
         self.generic_visit(node)
 
-    @staticmethod
-    def _target_name(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Name):
-            return target.id
-        if isinstance(target, ast.Attribute):
-            return target.attr
-        return None
-
     # ------------------------------------------------------------------
-    # U201: float taint into integer-nanosecond slots
-
-    def _float_tainted(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, float)
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Div):
-                return True
-            if isinstance(node.op, ast.FloorDiv):
-                return False
-            return self._float_tainted(node.left) or \
-                self._float_tainted(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self._float_tainted(node.operand)
-        if isinstance(node, ast.IfExp):
-            return self._float_tainted(node.body) or \
-                self._float_tainted(node.orelse)
-        if isinstance(node, ast.Call):
-            name = _call_name(node.func)
-            if name in INT_CLEANSING_CALLS:
-                return False
-            if name == "round":
-                # Two-argument round() keeps the float type.
-                return len(node.args) > 1
-            if name in FLOAT_PRODUCING_CALLS:
-                return True
-            if name in {"min", "max"}:
-                return any(self._float_tainted(arg)
-                           for arg in node.args)
-            resolved = self._resolve(node.func)
-            return resolved in WALL_CLOCK_CALLS and \
-                resolved is not None and \
-                not resolved.endswith("_ns")
-        return False
-
-    def _check_ns_assignment(self, target: ast.expr,
-                             value: ast.expr) -> None:
-        name = self._target_name(target)
-        if _name_unit(name) == "ns" and self._float_tainted(value):
-            self._flag(value, "U201",
-                       f"float-valued expression assigned to "
-                       f"'{name}' (integer-nanosecond contract)")
-
-    # ------------------------------------------------------------------
-    # U202: unit suffix mismatches
-
-    def _check_unit_mismatch_assign(self, target: ast.expr,
-                                    value: ast.expr) -> None:
-        if not isinstance(value, (ast.Name, ast.Attribute)):
-            return
-        target_unit = _name_unit(self._target_name(target))
-        value_unit = _name_unit(self._target_name(value))
-        if target_unit and value_unit and target_unit != value_unit:
-            self._flag(value, "U202",
-                       f"'{self._target_name(value)}' "
-                       f"({value_unit}) copied into "
-                       f"'{self._target_name(target)}' "
-                       f"({target_unit}) without conversion")
-
-    def _check_unit_mismatch_call(self, node: ast.Call) -> None:
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            param_unit = _name_unit(keyword.arg)
-            if param_unit is None:
-                continue
-            if not isinstance(keyword.value, (ast.Name, ast.Attribute)):
-                continue
-            value_name = self._target_name(keyword.value)
-            value_unit = _name_unit(value_name)
-            if value_unit and value_unit != param_unit:
-                self._flag(keyword.value, "U202",
-                           f"'{value_name}' ({value_unit}) passed to "
-                           f"parameter '{keyword.arg}' "
-                           f"({param_unit}) without conversion")
-
-    # ------------------------------------------------------------------
-    # calls: D101, D102, D103, D104 sinks, U201/U202 at call sites
+    # calls: D101, D102, D103, D104 sinks
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -501,25 +398,8 @@ class _ModuleChecker(ast.NodeVisitor):
                 self._flag(node, "D103",
                            f"{resolved}() reads the host clock; "
                            f"simulation time is Simulator.now_ns")
-        # U201: float into schedule*()/post*() time positions.
-        callee = _call_name(func)
-        if callee in {"schedule", "schedule_at", "post", "post_at"} \
-                and node.args:
-            if self._float_tainted(node.args[0]):
-                which = "time_ns" if callee.endswith("_at") \
-                    else "delay_ns"
-                self._flag(node.args[0], "U201",
-                           f"float-valued expression passed as "
-                           f"{callee}() {which}")
-        for keyword in node.keywords:
-            if keyword.arg and _name_unit(keyword.arg) == "ns" and \
-                    self._float_tainted(keyword.value):
-                self._flag(keyword.value, "U201",
-                           f"float-valued expression passed as "
-                           f"'{keyword.arg}'")
-        self._check_unit_mismatch_call(node)
         # D104: materialising the order of a set.
-        self._check_order_materializing_call(node, callee)
+        self._check_order_materializing_call(node, _call_name(func))
         self.generic_visit(node)
 
     def _check_rng_call(self, node: ast.Call, resolved: str) -> None:

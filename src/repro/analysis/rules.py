@@ -8,10 +8,6 @@ one-line summary, and a fix-it hint.  IDs are grouped by series:
   (PYTHONHASHSEED-dependent hashing, unseeded randomness, wall-clock
   reads, set-iteration order leaking into ordered state), visible
   within one module.
-* **U2xx — unit safety (token-level).**  Violations of the
-  integer-nanosecond clock contract visible in a single expression
-  (floats flowing into ``schedule``/``*_ns`` positions, unit suffix
-  mismatches between names).
 * **H3xx — hygiene.**  Python pitfalls that corrupt engine state
   (mutable default arguments, locals shadowing module-level names).
 * **S9xx — suppression hygiene.**  Problems with the
@@ -39,7 +35,7 @@ class Rule:
 
     @property
     def series(self) -> str:
-        """The rule family letter (D, U, H, S, E)."""
+        """The rule family letter (D, H, S, E)."""
         return self.rule_id[0]
 
 
@@ -68,20 +64,6 @@ _RULES = (
         "iteration over a set in an order-sensitive position",
         "sort at the boundary (sorted(s) or sorted(s, key=repr)) before "
         "the order can reach scheduling, membership updates, or reports",
-    ),
-    Rule(
-        "U201", "float-into-ns",
-        "float-valued expression flows into an integer-nanosecond slot",
-        "keep the clock integral: wrap the arithmetic in int(...) / "
-        "round(...) / math.ceil(...) before it reaches a *_ns name or a "
-        "schedule*()/post*() time argument",
-    ),
-    Rule(
-        "U202", "unit-mismatch",
-        "value with one unit suffix assigned/passed to a name with "
-        "another",
-        "convert explicitly (e.g. seconds(x_s) -> ns, x_ns / SECOND -> "
-        "s) instead of copying across unit suffixes",
     ),
     Rule(
         "H301", "mutable-default",
@@ -126,4 +108,4 @@ RULES: Dict[str, Rule] = {rule.rule_id: rule for rule in _RULES}
 
 #: IDs of rules that scan source; S9xx/E9xx are emitted by the driver.
 CHECKER_RULE_IDS = tuple(
-    rule_id for rule_id in RULES if rule_id[0] in "DUH")
+    rule_id for rule_id in RULES if rule_id[0] in "DH")

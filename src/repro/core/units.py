@@ -4,8 +4,8 @@ Plain ``int``/``float`` aliases, imported under ``TYPE_CHECKING`` by the
 modules that annotate with them: they tell a reader (and mypy, as the
 backing type) whether a parameter is integer nanoseconds, a byte count
 or a bits-per-second rate.  Nothing enforces the dimension; the unit
-contract is held by simlint's U2xx name-suffix rules, the
-``REPRO_DEBUG`` invariants and the goldens (DESIGN.md section 8).
+contract is held by the ``REPRO_DEBUG`` invariants, the goldens and
+tier-1 (DESIGN.md section 8).
 """
 
 TimeNs = int        # simulation time / durations, integer ns

@@ -3,26 +3,25 @@
 Runs any of the paper's experiments and prints the report that feeds
 EXPERIMENTS.md.  A scenario experiment is its suite documents under
 ``repro/experiments/paper/``, compiled and run by ``run_grid``.
-``--quick`` caps every point's duration for smoke runs.
+``--quick`` caps every point's duration for smoke runs, and
+``--wall-limit`` bounds every point's wall clock.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from contextlib import nullcontext
 from typing import Any, ContextManager, List, Optional, Tuple
 
-from ..analysis.invariants import InvariantViolation
 from ..core.resource_model import estimate_resources
-from ..faults.spec import FaultSpec, parse_fault_tokens
 from ..heavyhitter.evaluation import sweep_round_interval, \
     sweep_slot_count
 from ..suite.registry import paper_spec
 from . import report
-from .faults import demo_fault_spec, fault_recovery_sweep
-from .parallel import run_grid
+from .parallel import RunFailed, run_grid
 from .table2 import PAPER_TABLE2
 
 #: Every experiment the CLI runs, in the order ``all`` runs them.
@@ -48,6 +47,7 @@ EXPERIMENTS = {
     "figure11": (("figure11",), report.figure11_report),
     "figure12": (("figure12", "figure12_tau"), report.figure12_report),
     "scalability": (("scalability",), report.scalability_report),
+    "faults": (tuple(report.FAULT_INTENSITIES), report.faults_report),
 }
 
 
@@ -63,22 +63,11 @@ def _table2_documents(rows: Optional[List[int]]) -> Tuple[str, ...]:
     return tuple(documents[row - 1] for row in rows)
 
 
-def _faults_inputs(quick: bool, tokens: Optional[List[str]]
-                   ) -> Tuple[float, FaultSpec]:
-    """The faults experiment's duration and its schedule: the demo spec
-    at that duration with any ``--faults`` tokens applied on top."""
-    duration = QUICK_DURATION_S if quick else 40.0
-    base = demo_fault_spec(duration)
-    return duration, (parse_fault_tokens(tokens, base=base) if tokens
-                      else base)
-
-
 def run_experiment(name: str, quick: bool = False,
                    rows: Optional[List[int]] = None,
                    workers: int = 1,
                    cache_dir: Optional[str] = None,
                    use_cache: bool = True,
-                   faults: Optional[List[str]] = None,
                    wall_limit_s: Optional[float] = None,
                    max_duration_s: Optional[float] = None) -> str:
     """Run one experiment by name and return its report text.
@@ -86,31 +75,26 @@ def run_experiment(name: str, quick: bool = False,
     ``workers``/``cache_dir``/``use_cache`` flow into the parallel
     executor: independent simulation points fan out over a process
     pool, and finished points are replayed from the on-disk cache.
-    ``faults`` (CLI ``--faults`` tokens) and ``wall_limit_s`` apply to
-    the ``faults`` experiment only.  ``max_duration_s`` caps a scenario
-    experiment's points (``quick`` caps them at
-    :data:`QUICK_DURATION_S`).
+    ``wall_limit_s`` bounds each point of a scenario experiment (its
+    watchdog and the pool's timeout); a point that breaches it raises.
+    ``max_duration_s`` caps a scenario experiment's points (``quick``
+    caps them at :data:`QUICK_DURATION_S`).
     """
     pool = {"workers": workers, "cache_dir": cache_dir,
             "use_cache": use_cache}
-    if name == "faults":
-        duration, base = _faults_inputs(quick, faults)
-        points = fault_recovery_sweep(duration_s=duration, base=base,
-                                      wall_limit_s=wall_limit_s, **pool)
-        return report.faults_report(points)
-    if faults:
-        raise ValueError(
-            f"--faults applies to the 'faults' experiment, not {name!r}")
     if name in EXPERIMENTS:
         documents, print_report = EXPERIMENTS[name]
         if name == "table2":
             documents = _table2_documents(rows)
         if max_duration_s is None and quick:
             max_duration_s = QUICK_DURATION_S
-        points = [run.runspec for document in documents
+        points = [dataclasses.replace(run.runspec,
+                                      wall_limit_s=wall_limit_s)
+                  for document in documents
                   for run in paper_spec(document)
                   .with_duration_cap(max_duration_s).compile()]
-        return print_report(run_grid(points, **pool))
+        return print_report(run_grid(points, timeout_s=wall_limit_s,
+                                     **pool))
     if name == "figure13":
         trials = 1 if quick else 10
         duration = 0.15 if quick else 0.5
@@ -172,7 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
         # ``cebinae-repro lint <paths>``: the simlint analyzer
-        # (determinism / unit-safety / hygiene rules; see
+        # (determinism / hygiene rules; see
         # repro.analysis.linter).  Shares exit-code semantics with
         # ``python tools/simlint.py``.
         from ..analysis.cli import main as lint_main
@@ -204,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="cebinae-repro",
         description="Reproduce the Cebinae (SIGCOMM 2022) evaluation. "
                     "Also: 'cebinae-repro lint <paths>' runs the "
-                    "simlint determinism/unit-safety analyzer; "
+                    "simlint determinism/hygiene analyzer; "
                     "'cebinae-repro trace <scenario>' runs one "
                     "scenario with structured event tracing on; "
                     "'cebinae-repro suite <dir>' runs a directory of "
@@ -227,17 +211,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore cached results and re-simulate "
                              "every point")
-    parser.add_argument("--faults", nargs="+", metavar="SPEC",
-                        help="fault injection for the 'faults' "
-                             "experiment: a JSON spec file and/or "
-                             "key=value overrides (e.g. --faults "
-                             "loss_rate=0.001 seed=7 "
-                             "cp_outage_windows=12e9-24e9)")
     parser.add_argument("--wall-limit", type=float, metavar="SECONDS",
-                        help="per-run wall-clock watchdog for the "
-                             "'faults' experiment; a wedged run is "
-                             "recorded as FAILED instead of hanging "
-                             "the sweep")
+                        help="per-point wall-clock watchdog for the "
+                             "scenario experiments; a wedged point "
+                             "ends the run with an error instead of "
+                             "hanging it")
     parser.add_argument("--profile", action="store_true",
                         help="profile the simulator hot path: "
                              "per-component event counts, events/sec "
@@ -245,18 +223,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "runs only; use --workers 1 --no-cache)")
     args = parser.parse_args(argv)
     # Usage errors end here, in one line and exit 2, before anything
-    # runs; run_experiment raises the same for library callers.
-    if args.experiment != "faults" and (args.faults
-                                        or args.wall_limit is not None):
-        parser.error("--faults and --wall-limit apply to the 'faults' "
-                     f"experiment, not {args.experiment!r}")
+    # runs; run_experiment raises the same for bad rows.
+    if args.wall_limit is not None and args.experiment in ("figure13",
+                                                           "table3"):
+        parser.error("--wall-limit applies to the scenario experiments, "
+                     f"not {args.experiment!r}")
     if args.rows is not None and args.experiment not in ("table2", "all"):
         parser.error("--rows applies to 'table2' (or 'all'), not "
                      f"{args.experiment!r}")
     try:
         _table2_documents(args.rows)
-        _faults_inputs(args.quick, args.faults)
-    except (ValueError, OSError, InvariantViolation) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     names = [name for name in CHOICES if name not in NOT_IN_ALL] \
         if args.experiment == "all" else [args.experiment]
@@ -276,12 +253,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             # NTP and print a negative duration.
             start = time.monotonic()  # simlint: allow[D103] CLI timer
             print(f"=== {name} ===")
-            print(run_experiment(name, quick=args.quick, rows=args.rows,
-                                 workers=args.workers,
-                                 cache_dir=args.cache_dir,
-                                 use_cache=not args.no_cache,
-                                 faults=args.faults,
-                                 wall_limit_s=args.wall_limit))
+            try:
+                text = run_experiment(name, quick=args.quick,
+                                      rows=args.rows, workers=args.workers,
+                                      cache_dir=args.cache_dir,
+                                      use_cache=not args.no_cache,
+                                      wall_limit_s=args.wall_limit)
+            except RunFailed as exc:
+                # A point that failed for good (a watchdog abort, or a
+                # crash after its retries): one line, exit 1.
+                print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+                return 1
+            print(text)
             elapsed = time.monotonic() - start  # simlint: allow[D103] CLI timer
             print(f"[{name}: {elapsed:.1f}s]\n")
     if registry is not None:

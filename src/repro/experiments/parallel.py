@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterator, List, Mapping,
-                    Optional, Sequence, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from ..faults.spec import FaultSpec
 from ..faults.watchdog import RunAborted
@@ -178,10 +178,15 @@ class FailedRun:
                 "interrupted": self.interrupted}
 
 
+class RunFailed(RuntimeError):
+    """What :func:`require` raises for a :class:`FailedRun`."""
+
+
 def require(result: Union[Any, FailedRun]) -> Any:
-    """Unwrap a run result, raising if the run failed."""
+    """Unwrap a run result, raising :class:`RunFailed` if the run
+    failed."""
     if isinstance(result, FailedRun):
-        raise RuntimeError(
+        raise RunFailed(
             f"run {result.label!r} failed after {result.attempts} "
             f"attempts: {result.error}")
     return result
@@ -693,7 +698,18 @@ def run_grid(specs: Sequence[RunSpec], **pool: Any) -> List[Comparison]:
     (:func:`require`).  One :class:`Comparison` per distinct
     :class:`ScaledScenario`, in declaration order; scenarios that
     differ only in Cebinae parameters (Figure 12's axis) are distinct.
+    A comparison holds one result per discipline, so two points that
+    share a scenario and a discipline (repeats) raise ``ValueError``
+    before anything runs.
     """
+    seen: Dict[Tuple[ScaledScenario, Discipline], RunSpec] = {}
+    for spec in specs:
+        earlier = seen.setdefault((spec.scaled, spec.discipline), spec)
+        if earlier is not spec:
+            raise ValueError(
+                f"run_grid keeps one result per scenario and "
+                f"discipline; {earlier.label!r} and {spec.label!r} "
+                f"share both")
     comparisons: Dict[ScaledScenario, Comparison] = {}
     for spec, result in zip(specs, run_many(specs, **pool)):
         comparison = comparisons.setdefault(

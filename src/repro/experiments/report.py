@@ -7,12 +7,14 @@ straight into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..fairness.metrics import normalized_jfi
 from ..heavyhitter.evaluation import DetectionResult
+from ..netsim.engine import SECOND
 from ..obs.events import ControlRound
 from ..obs.metrics import MetricsRegistry
+from ..suite.registry import paper_spec
 from .figures import PAPER_JFI, parking_lot_ideal
 from .parallel import THREE_WAY, Comparison
 from .runner import Discipline
@@ -201,28 +203,75 @@ def scalability_report(comparisons: Sequence[Comparison]) -> str:
     return "\n".join(lines)
 
 
-def faults_report(points: Sequence["FaultSweepPoint"]) -> str:
-    """The fault-intensity sweep: degradation counters and recovery."""
-    from .faults import FaultSweepPoint  # noqa: F401 - typing only
+#: The fault-recovery sweep's documents (``paper/faults_*.json``) in run
+#: order, with the intensity each one's row prints.
+FAULT_INTENSITIES = {"faults_i0": "0", "faults_i05": "0.5",
+                     "faults_i1": "1", "faults_i2": "2"}
+
+
+def jfi_recovery_time_s(jfi_series: Sequence[float],
+                        fault_end_s: float,
+                        baseline_jfi: float,
+                        tolerance: float = 0.05,
+                        sustain_s: int = 3) -> Optional[float]:
+    """Seconds after the faults clear until JFI is back, or None.
+
+    "Back" means within ``tolerance`` of ``baseline_jfi`` for
+    ``sustain_s`` consecutive one-second bins — a single lucky second
+    during loss recovery must not count as convergence.  Returns the
+    delay from ``fault_end_s`` to the start of the first sustained
+    window, 0.0 if fairness never left the band, or None if the run
+    ended before a sustained return.
+    """
+    target = baseline_jfi - tolerance
+    first_bin = int(fault_end_s)
+    run = 0
+    for index in range(first_bin, len(jfi_series)):
+        if jfi_series[index] >= target:
+            run += 1
+            if run >= sustain_s:
+                start_s = float(index - sustain_s + 1)
+                return max(0.0, start_s - fault_end_s)
+        else:
+            run = 0
+    return None
+
+
+def _fault_window_s() -> Tuple[float, float]:
+    """The sweep's one fault schedule, (start, end) in seconds, read
+    from the documents that inject faults."""
+    windows = sorted({(spec.faults.start_ns, spec.faults.end_ns)
+                      for spec in map(paper_spec, FAULT_INTENSITIES)
+                      if spec.faults is not None and spec.faults.enabled})
+    (start_ns, end_ns), = windows
+    return start_ns / SECOND, end_ns / SECOND
+
+
+def faults_report(comparisons: Sequence[Comparison]) -> str:
+    """The fault-intensity sweep: degradation counters and recovery.
+
+    Every row, the fault-free control's too, is measured against the
+    sweep's schedule: the pre-fault JFI is the mean before it opens,
+    and recovery counts from when it clears.
+    """
+    start_s, end_s = _fault_window_s()
     headers = ["intensity", "JFI", "recovery s", "CP misses",
                "failopen rounds", "lost pkts", "status"]
     rows: List[List[str]] = []
-    for point in points:
-        if point.failed:
-            failed = point.result
-            status = "TIMED OUT" if failed.timed_out else "FAILED"
-            rows.append([f"{point.intensity:g}", "-", "-", "-", "-",
-                         "-", f"{status} ({failed.error})"])
-            continue
-        result = point.result
+    for comparison in comparisons:
+        result, = comparison.results.values()
         summary = result.fault_summary or {}
         cp = summary.get("control_plane", {})
         lost = sum(link.get("lost_packets", 0)
                    for link in summary.get("links", {}).values())
-        recovery = "-" if point.recovery_s is None \
-            else f"{point.recovery_s:.0f}"
-        rows.append([f"{point.intensity:g}", f"{result.jfi:.3f}",
-                     recovery, str(cp.get("deadline_misses", 0)),
+        series = result.jfi_series()
+        pre_fault = series[:int(start_s)]
+        recovery = None if not pre_fault else jfi_recovery_time_s(
+            series, end_s, sum(pre_fault) / len(pre_fault))
+        rows.append([FAULT_INTENSITIES[comparison.scaled.spec.name],
+                     f"{result.jfi:.3f}",
+                     "-" if recovery is None else f"{recovery:.0f}",
+                     str(cp.get("deadline_misses", 0)),
                      str(cp.get("failopen_rounds", 0)), str(lost),
                      "ok"])
     intro = ("Fault-recovery sweep: CP outage + bottleneck loss "

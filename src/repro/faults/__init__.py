@@ -29,7 +29,7 @@ package.
 """
 
 from .schedule import ControlPlaneFaults, FaultSchedule, derive_seed
-from .spec import FaultSpec, parse_fault_tokens
+from .spec import FaultSpec
 from .watchdog import RunAborted, WallClockWatchdog
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "RunAborted",
     "WallClockWatchdog",
     "derive_seed",
-    "parse_fault_tokens",
 ]

@@ -62,12 +62,15 @@ class LinkFaultState:
     across links.
     """
 
-    __slots__ = ("spec", "rng", "lost_packets", "corrupted_packets",
-                 "reordered_packets", "down_drops", "down_windows")
+    __slots__ = ("spec", "rng", "name", "lost_packets",
+                 "corrupted_packets", "reordered_packets", "down_drops",
+                 "down_windows", "_trace_fault")
 
-    def __init__(self, spec: FaultSpec, seed: int) -> None:
+    def __init__(self, spec: FaultSpec, seed: int, name: str = "") -> None:
         self.spec = spec
         self.rng = random.Random(seed)
+        #: The impaired link's name, the target of its trace records.
+        self.name = name
         self.lost_packets = 0
         self.corrupted_packets = 0
         self.reordered_packets = 0
@@ -75,6 +78,9 @@ class LinkFaultState:
         self.down_drops = 0
         #: The merged down schedule, for reporting.
         self.down_windows: Tuple[Window, ...] = ()
+        # Observability: each packet's impaired fate lands on the trace
+        # bus (topic "fault"); the counters say how many, not when.
+        self._trace_fault = obs_bus.emitter_for("fault")
 
     def draw(self, now_ns: int) -> int:
         """The fate of one transmitted packet.
@@ -91,14 +97,23 @@ class LinkFaultState:
         u = self.rng.random()
         if u < spec.loss_rate:
             self.lost_packets += 1
-            return -1
+            return self._fate(now_ns, "loss", -1)
         if u < spec.loss_rate + spec.corrupt_rate:
             self.corrupted_packets += 1
-            return -2
+            return self._fate(now_ns, "corrupt", -2)
         if u < spec.loss_rate + spec.corrupt_rate + spec.reorder_rate:
             self.reordered_packets += 1
-            return self.rng.randrange(1, spec.reorder_delay_ns + 1)
+            return self._fate(now_ns, "reorder", self.rng.randrange(
+                1, spec.reorder_delay_ns + 1))
         return 0
+
+    def _fate(self, now_ns: int, kind: str, fate: int) -> int:
+        """``fate``, traced as one ``kind`` record when the bus is on."""
+        trace = self._trace_fault
+        if trace is not None:
+            trace(FaultTraceEvent(time_ns=now_ns, kind=kind,
+                                  target=self.name))
+        return fate
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -227,7 +242,7 @@ class FaultSchedule:
     def _install_link(self, link: Link, duration_ns: int) -> None:
         spec = self.spec
         state = LinkFaultState(
-            spec, derive_seed(spec.seed, "link", link.name))
+            spec, derive_seed(spec.seed, "link", link.name), link.name)
         windows = list(spec.link_down_windows)
         if spec.flap_count:
             flap_end = spec.end_ns or duration_ns

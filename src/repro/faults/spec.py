@@ -6,25 +6,13 @@ configuration (:class:`~repro.experiments.scenarios.ScaledScenario`,
 primitives, so it canonicalises into the result-cache fingerprint,
 round-trips through ``to_dict``/``from_dict`` without loss, and equals
 itself across processes.
-
-Specs reach the CLI two ways (``cebinae-repro faults --faults ...``):
-
-* a JSON file: ``--faults spec.json`` (keys are the field names below);
-* inline ``key=value`` tokens: ``--faults loss_rate=0.001 seed=7
-  cp_outage_windows=10e9-20e9``.
-
-Window fields accept ``start-end`` nanosecond pairs separated by
-commas; node freezes prefix a name pattern (``node_freeze_windows=
-L:1e9-2e9``).  Numbers may use scientific notation (``10e9`` is 10
-seconds in nanoseconds).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..analysis.invariants import require, require_probability
 
@@ -142,34 +130,6 @@ class FaultSpec:
             return False
         return self.end_ns == 0 or now_ns < self.end_ns
 
-    def scaled(self, intensity: float) -> "FaultSpec":
-        """This spec with all stochastic rates scaled by ``intensity``.
-
-        Structural faults (windows, flaps) are kept at ``intensity > 0``
-        and removed entirely at 0, so an intensity sweep's first point
-        is a true no-fault baseline.
-        """
-        require(intensity >= 0, "intensity must be >= 0")
-        if intensity == 0:
-            return FaultSpec(seed=self.seed)
-
-        def clamp(rate: float) -> float:
-            return min(1.0, rate * intensity)
-
-        total = (clamp(self.loss_rate) + clamp(self.corrupt_rate)
-                 + clamp(self.reorder_rate))
-        shrink = 1.0 / total if total > 1.0 else 1.0
-        return dataclasses.replace(
-            self,
-            loss_rate=clamp(self.loss_rate) * shrink,
-            corrupt_rate=clamp(self.corrupt_rate) * shrink,
-            reorder_rate=clamp(self.reorder_rate) * shrink,
-            cp_delay_prob=clamp(self.cp_delay_prob),
-            cp_drop_prob=clamp(self.cp_drop_prob),
-            flap_count=max(1, round(self.flap_count * intensity))
-            if self.flap_count else 0,
-        )
-
     # -- serialisation -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready payload (tuples become lists)."""
@@ -198,101 +158,6 @@ class FaultSpec:
                 (str(p), int(s), int(e))
                 for p, s, e in kwargs["node_freeze_windows"])
         return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "FaultSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"{path}: fault spec must be a JSON object")
-        return cls.from_dict(data)
-
-
-# --------------------------------------------------------------------------
-# Inline ``key=value`` parsing for the CLI.
-# --------------------------------------------------------------------------
-
-_INT_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(FaultSpec) if f.type == "int")
-_FLOAT_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(FaultSpec) if f.type == "float")
-_BOOL_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(FaultSpec) if f.type == "bool")
-
-
-def _parse_int(token: str) -> int:
-    """An integer, allowing scientific notation (``10e9``)."""
-    try:
-        return int(token)
-    except ValueError:
-        value = float(token)
-        result = int(value)
-        if result != value:
-            raise ValueError(
-                f"{token!r} is not a whole number of nanoseconds")
-        return result
-
-
-def _parse_windows(token: str) -> Tuple[Window, ...]:
-    windows: List[Window] = []
-    for part in token.split(","):
-        start, sep, end = part.partition("-")
-        if not sep:
-            raise ValueError(
-                f"window {part!r} must look like start-end")
-        windows.append((_parse_int(start), _parse_int(end)))
-    return tuple(windows)
-
-
-def _parse_freezes(token: str) -> Tuple[FreezeWindow, ...]:
-    freezes: List[FreezeWindow] = []
-    for part in token.split(","):
-        pattern, sep, window = part.partition(":")
-        if not sep:
-            raise ValueError(
-                f"freeze {part!r} must look like pattern:start-end")
-        (start, end), = _parse_windows(window)
-        freezes.append((pattern, start, end))
-    return tuple(freezes)
-
-
-def parse_fault_tokens(tokens: Sequence[str],
-                       base: "FaultSpec" = FaultSpec()) -> "FaultSpec":
-    """Build a spec from CLI tokens: a JSON path and/or ``key=value``.
-
-    A token containing no ``=`` is read as a JSON spec file; later
-    ``key=value`` tokens override its fields, so
-    ``--faults sweep.json seed=9`` reseeds a canned spec.
-    """
-    overrides: Dict[str, Any] = {}
-    spec = base
-    for token in tokens:
-        if "=" not in token:
-            spec = FaultSpec.from_json_file(token)
-            continue
-        key, _, raw = token.partition("=")
-        key = key.strip()
-        if key == "link_down_windows" or key == "cp_outage_windows":
-            overrides[key] = _parse_windows(raw)
-        elif key == "node_freeze_windows":
-            overrides[key] = _parse_freezes(raw)
-        elif key in _INT_FIELDS:
-            overrides[key] = _parse_int(raw)
-        elif key in _FLOAT_FIELDS:
-            overrides[key] = float(raw)
-        elif key in _BOOL_FIELDS:
-            overrides[key] = raw.strip().lower() not in (
-                "0", "false", "no", "off", "")
-        elif key == "link_pattern":
-            overrides[key] = raw
-        else:
-            known = sorted(f.name for f in dataclasses.fields(FaultSpec))
-            raise ValueError(
-                f"unknown fault-spec key {key!r}; known keys: {known}")
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
 
 
 def merge_windows(windows: Iterable[Window]) -> Tuple[Window, ...]:

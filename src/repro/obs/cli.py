@@ -2,7 +2,8 @@
 
 The one place in :mod:`repro.obs` allowed to import the experiments
 layer (see the package docstring).  It takes the base point of one of
-the paper's suite documents (``repro/experiments/paper/``), installs a
+the paper's suite documents (``repro/experiments/paper/``), with the
+document's fault schedule and seed, installs a
 :class:`~repro.obs.bus.TraceBus` with file sinks *before* the topology
 is constructed (the binding contract of the bus), runs the scenario,
 and writes a deterministic artifact directory::
@@ -64,7 +65,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("scenario", choices=paper_names(),
                         metavar="DOCUMENT",
                         help="a paper document (figure1, figure9, "
-                             "table2_row08, ...); its base point runs")
+                             "table2_row08, faults_i1, ...); its base "
+                             "point runs, with its faults and seed")
     parser.add_argument("--discipline", default="cebinae",
                         choices=[d.value for d in Discipline])
     parser.add_argument("--events", type=parse_topics, default="all",
@@ -77,12 +79,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "<out>/metrics.json")
     parser.add_argument("--duration", type=float, default=10.0,
                         metavar="SECONDS")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int,
+                        help="override the document's base_seed")
     args = parser.parse_args(argv)
 
     topics = args.events if isinstance(args.events, list) \
         else parse_topics(args.events)
-    scaled = paper_spec(args.scenario).base_point(args.duration)
+    point = paper_spec(args.scenario).base_point(
+        args.duration, Discipline(args.discipline))
     os.makedirs(args.out, exist_ok=True)
 
     bus = obs_bus.TraceBus()
@@ -108,9 +112,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         = obs_metrics.collected() if args.metrics_json else nullcontext()
     try:
         with metrics_scope as registry, obs_bus.tracing(bus):
-            result = run_scenario(scaled, Discipline(args.discipline),
-                                  collect_series=True,
-                                  record_history=True, seed=args.seed)
+            result = run_scenario(
+                point.scaled, point.discipline, collect_series=True,
+                record_history=True,
+                seed=point.seed if args.seed is None else args.seed,
+                faults=point.faults, backend=point.backend)
     finally:
         bus.close()
 

@@ -667,14 +667,17 @@ class SuiteSpec:
             return self
         return self._with_durations(lambda value: min(value, max_s))
 
-    def base_point(self, duration_s: float) -> ScaledScenario:
-        """The document without its grid, ``duration_s`` long, scaled
-        under its own policy and ``cebinae`` section: what
+    def base_point(self, duration_s: float,
+                   discipline: Discipline) -> RunSpec:
+        """The document's one point without its grid or repeats,
+        ``duration_s`` long, under ``discipline``: its own policy,
+        ``cebinae`` and ``faults`` sections and ``base_seed``.  What
         ``cebinae-repro trace`` runs."""
-        base = dataclasses.replace(self, grid=())._with_durations(
-            lambda _: duration_s)
-        (_, scaled), = base._scaled_points(f"suite spec {self.name!r}")
-        return scaled
+        base = dataclasses.replace(
+            self, grid=(), repeats=1, disciplines=(discipline,)
+        )._with_durations(lambda _: duration_s)
+        run, = base.compile()
+        return run.runspec
 
     # -- compilation ------------------------------------------------------
     def _points(self) -> List[Tuple[ScenarioSpec, Dict[str, float], str]]:

@@ -1,4 +1,4 @@
-"""The nine scenario experiments, end to end through the CLI's one path.
+"""The ten scenario experiments, end to end through the CLI's one path.
 
 ``run_experiment`` compiles the experiment's paper documents, runs them
 with ``run_grid`` and prints the report.  For each experiment this pins,
@@ -56,7 +56,8 @@ def test_report_is_its_declared_points(name, tmp_path, monkeypatch):
     for spec in specs:
         direct = run_scenario(spec.scaled, spec.discipline,
                               collect_series=spec.collect_series,
-                              record_history=spec.record_history)
+                              record_history=spec.record_history,
+                              seed=spec.seed, faults=spec.faults)
         cached = cache.load(spec.fingerprint())
         assert cached is not None, spec.label
         assert ScenarioResult.from_dict(cached) == direct

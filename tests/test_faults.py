@@ -2,7 +2,7 @@
 
 Three layers under test:
 
-* the spec format (validation, JSON/CLI parsing, round-trips);
+* the spec format (validation, JSON round-trips);
 * the netsim-level fault machinery (per-link stochastic impairments,
   link down windows, node freezes) and its determinism contract — the
   same seed produces byte-identical ``ScenarioResult`` JSON across
@@ -29,12 +29,13 @@ from repro.experiments.runner import (Discipline, ScenarioResult,
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.faults.schedule import (ControlPlaneFaults, FaultSchedule,
                                    LinkFaultState, derive_seed)
-from repro.faults.spec import (FaultSpec, merge_windows,
-                               parse_fault_tokens)
-from repro.netsim.engine import SECOND, Simulator, seconds
+from repro.faults.spec import FaultSpec, merge_windows
+from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Host, Router
 from repro.netsim.queues import DropTailQueue
+from repro.obs import bus as obs_bus
+from repro.obs.sinks import MemorySink
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -99,65 +100,10 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault-spec"):
             FaultSpec.from_dict({"loss_rte": 0.1})
 
-    def test_scaled_zero_is_a_clean_baseline(self):
-        spec = FaultSpec(seed=5, loss_rate=0.1, flap_count=3,
-                         cp_drop_prob=0.2)
-        baseline = spec.scaled(0)
-        assert not baseline.enabled
-        assert baseline.seed == 5
-
-    def test_scaled_clamps_rates(self):
-        spec = FaultSpec(loss_rate=0.4, corrupt_rate=0.4)
-        doubled = spec.scaled(10)
-        total = doubled.loss_rate + doubled.corrupt_rate
-        assert total <= 1.0 + 1e-12
-        assert doubled.loss_rate == pytest.approx(doubled.corrupt_rate)
-
     def test_merge_windows(self):
         assert merge_windows([(5, 9), (1, 3), (2, 4), (9, 11)]) == \
             ((1, 4), (5, 11))
         assert merge_windows([]) == ()
-
-
-class TestFaultTokenParsing:
-    def test_key_value_tokens(self):
-        spec = parse_fault_tokens(["loss_rate=0.01", "seed=7",
-                                   "link_pattern=L->R",
-                                   "cp_fail_open=false",
-                                   "end_ns=2e9"])
-        assert spec.loss_rate == 0.01
-        assert spec.seed == 7
-        assert spec.link_pattern == "L->R"
-        assert spec.cp_fail_open is False
-        assert spec.end_ns == 2 * SECOND
-
-    def test_window_tokens(self):
-        spec = parse_fault_tokens(
-            ["link_down_windows=1e9-2e9,3e9-4e9",
-             "node_freeze_windows=L:5e8-6e8"])
-        assert spec.link_down_windows == ((SECOND, 2 * SECOND),
-                                          (3 * SECOND, 4 * SECOND))
-        assert spec.node_freeze_windows == \
-            (("L", 500_000_000, 600_000_000),)
-
-    def test_json_file_then_overrides(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(
-            FaultSpec(seed=3, loss_rate=0.5).to_dict()))
-        spec = parse_fault_tokens([str(path), "seed=9"])
-        assert spec.loss_rate == 0.5
-        assert spec.seed == 9
-
-    @pytest.mark.parametrize("token", [
-        "bogus_key=1", "link_down_windows=5", "10e9.5",
-        "node_freeze_windows=1-2",
-    ])
-    def test_bad_tokens_rejected(self, token, tmp_path):
-        with pytest.raises((ValueError, OSError)):
-            if "=" in token:
-                parse_fault_tokens([token])
-            else:
-                parse_fault_tokens([str(tmp_path / token)])
 
 
 # -- seeded streams ----------------------------------------------------------
@@ -182,6 +128,22 @@ class TestSeededStreams:
         assert state.reordered_packets == \
             sum(1 for fate in fates if fate > 0) > 0
         assert all(fate <= 1000 for fate in fates)
+
+    def test_link_state_traces_each_fate(self):
+        spec = FaultSpec(loss_rate=0.3, corrupt_rate=0.3,
+                         reorder_rate=0.3, reorder_delay_ns=1000)
+        bus = obs_bus.TraceBus()
+        sink = MemorySink()
+        bus.subscribe("fault", sink)
+        with obs_bus.tracing(bus):
+            state = LinkFaultState(spec, seed=1, name="L->R")
+            for time_ns in range(500):
+                state.draw(time_ns)
+        kinds = [record.kind for record in sink.records]
+        assert kinds.count("loss") == state.lost_packets > 0
+        assert kinds.count("corrupt") == state.corrupted_packets > 0
+        assert kinds.count("reorder") == state.reordered_packets > 0
+        assert {record.target for record in sink.records} == {"L->R"}
 
     def test_draws_outside_window_are_free(self):
         spec = FaultSpec(loss_rate=1.0, start_ns=100, end_ns=200)

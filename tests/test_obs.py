@@ -28,6 +28,7 @@ from repro.obs.events import (TOPICS, ControlRound, PacketTx, QueueDrop,
                               sorted_flow_strings, validate_record)
 from repro.obs.sinks import (ControlTimelineSink, JsonlTraceSink,
                              MemorySink, PacketLogSink, encode_record)
+from repro.suite.registry import paper_spec
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -280,6 +281,24 @@ class TestTraceCli:
                          row["name"] == "sim_component_events_total"]
         events = json.loads((first / "result.json").read_text())["events"]
         assert per_component and sum(per_component) == events
+
+    def test_the_document_faults_and_seed_reach_the_run(self, tmp_path,
+                                                         monkeypatch):
+        seen = []
+        run = obs_cli.run_scenario
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(obs_cli, "run_scenario", spy)
+        for extra in ([], ["--seed", "5"]):
+            assert cli.main(["trace", "faults_i1", "--duration", "0.5",
+                             "--events", "fault", "--out",
+                             str(tmp_path / "t"), *extra]) == 0
+        faults = paper_spec("faults_i1").faults
+        assert faults.enabled
+        assert [(kwargs["faults"], kwargs["seed"]) for kwargs in seen] \
+            == [(faults, 0), (faults, 5)]
 
     def test_no_registry_unless_metrics_json(self, tmp_path,
                                              monkeypatch):

@@ -1,12 +1,13 @@
 """The paper's evaluation as suite documents, and their ``cebinae`` section.
 
 ``repro/experiments/paper/`` declares Table 2's rows, Figures 1 and
-7-12 and section 5.5; ``cebinae-repro <experiment>`` compiles them.
-``tests/golden/paper_points.json`` holds, per experiment and in run
-order, a digest of every point the earlier Python declarations made:
-the scaled scenario with its two spec names blanked, the discipline,
-the seed and the collection flags.  Numbers are digested as floats, so
-an RTT written ``28`` there and parsed ``28.0`` here agree.
+7-12, section 5.5 and the fault-recovery sweep; ``cebinae-repro
+<experiment>`` compiles them.  ``tests/golden/paper_points.json`` holds,
+per experiment and in run order, a digest of every point the earlier
+Python declarations made: the scaled scenario with its two spec names
+blanked, the discipline, the seed, the collection flags and, when set,
+the fault spec.  Numbers are digested as floats, so an RTT written
+``28`` there and parsed ``28.0`` here agree.
 """
 
 import hashlib
@@ -47,6 +48,8 @@ def point_digest(runspec):
                         "record_history": runspec.record_history})
     canon["scaled"]["spec"]["name"] = ""
     canon["scaled"]["paper_spec"]["name"] = ""
+    if runspec.faults is not None:
+        canon["faults"] = _canonical(runspec.faults)
     blob = json.dumps(_floats(canon), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -61,7 +64,7 @@ def experiment_points(name):
 class TestPaperDocuments:
     def test_the_directory_is_one_suite(self):
         registry = SuiteRegistry.from_directory(PAPER_DIR)
-        assert len(registry) == 35
+        assert len(registry) == 39
         documents = {document for documents, _ in cli.EXPERIMENTS.values()
                      for document in documents}
         assert documents == set(registry.names)
@@ -69,8 +72,7 @@ class TestPaperDocuments:
     @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
     def test_documents_compile_to_the_recorded_points(self, name):
         points = experiment_points(name)
-        assert all(point.faults is None and point.backend == "packet"
-                   for point in points)
+        assert all(point.backend == "packet" for point in points)
         assert [point_digest(point) for point in points] == RECORDED[name]
 
     def test_scalability_is_for_link_with_p_from_the_final_dt(self):
@@ -93,10 +95,12 @@ class TestPaperDocuments:
             .parking.duration_s == 60.0
 
     def test_base_point_is_gridless(self):
-        scaled = paper_spec("figure9").base_point(2.0)
-        assert scaled.spec.name == "figure9"
-        assert scaled.spec.rtts_ms == (256.0, 64.0)
-        assert scaled.spec.duration_s == 2.0
+        point = paper_spec("figure9").base_point(2.0, Discipline.FQ)
+        assert point.scaled.spec.name == "figure9"
+        assert point.scaled.spec.rtts_ms == (256.0, 64.0)
+        assert point.scaled.spec.duration_s == 2.0
+        assert point.discipline is Discipline.FQ
+        assert (point.seed, point.faults) == (0, None)
 
 
 def doc(**extra):

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import cli
+from repro.experiments import cli, parallel
 from repro.experiments.parallel import (FailedRun, RunSpec, Task,
                                         fingerprint, require, run_grid,
                                         run_tasks)
@@ -163,4 +163,19 @@ class TestRunGrid:
         specs = [RunSpec(tiny_scaled("grid_fail", duration_s=1.0),
                          Discipline.FIFO, max_events=1)]
         with pytest.raises(RuntimeError, match="grid_fail/fifo"):
+            run_grid(specs, workers=1, progress=None)
+
+    def test_repeats_of_one_point_are_refused_before_running(
+            self, monkeypatch):
+        # A Comparison keeps one result per discipline: a second seed of
+        # the same scenario must not silently replace the first.
+        def ran(*args, **kwargs):
+            raise AssertionError("nothing may run")
+
+        monkeypatch.setattr(parallel, "run_many", ran)
+        scaled = tiny_scaled("grid_rep", duration_s=1.0)
+        specs = [RunSpec(scaled, Discipline.CEBINAE, seed=seed)
+                 for seed in (0, 7)]
+        with pytest.raises(ValueError, match=r"'grid_rep/cebinae' and "
+                                             r"'grid_rep/cebinae@seed7'"):
             run_grid(specs, workers=1, progress=None)

@@ -1,11 +1,13 @@
-"""Tests for report formatting, the CLI, and the scalability report."""
+"""Tests for report formatting, the CLI, and the scalability and
+fault-recovery reports."""
 
 import pytest
 
 from repro.experiments import cli, parallel
 from repro.experiments.figures import parking_lot_ideal
 from repro.experiments.parallel import Comparison, run_grid
-from repro.experiments.report import (format_table, mbps,
+from repro.experiments.report import (faults_report, format_table,
+                                      jfi_recovery_time_s, mbps,
                                       parking_lot_jfi,
                                       scalability_report)
 from repro.experiments.runner import Discipline, ScenarioResult
@@ -52,7 +54,8 @@ class TestFigure13Report:
 
 class TestScalabilityHelper:
     def test_scalability_report_row(self):
-        scaled = paper_spec("scalability").base_point(20.0)
+        scaled = paper_spec("scalability").base_point(
+            20.0, Discipline.AFQ).scaled
         run = ScenarioResult(
             name=scaled.spec.name, discipline=Discipline.AFQ,
             duration_s=20.0, sim_rate_bps=20e6, rate_scale=1.0,
@@ -63,6 +66,60 @@ class TestScalabilityHelper:
             [Comparison(scaled, {Discipline.AFQ: run})])
         assert text.splitlines()[-1] == (
             "     afq     4   20ms  0.893   10.00 M             3")
+
+
+class TestJfiRecoveryTime:
+    """Recovery after faults clear at 24 s from a 0.9 pre-fault JFI."""
+
+    def recovery(self, after_24_s, sustain_s=3):
+        series = [0.9] * 12 + [0.5] * 12 + after_24_s
+        return jfi_recovery_time_s(series, 24.0, 0.9, sustain_s=sustain_s)
+
+    def test_never_left_the_band(self):
+        series = [0.9] * 40
+        assert jfi_recovery_time_s(series, 24.0, 0.9) == 0.0
+
+    def test_sustained_return_k_seconds_after(self):
+        assert self.recovery([0.5] * 4 + [0.9] * 12) == 4.0
+
+    def test_one_in_band_second_inside_a_dip_does_not_count(self):
+        assert self.recovery([0.5, 0.9, 0.5, 0.5] + [0.9] * 12) == 4.0
+
+    def test_run_ends_before_a_sustained_return(self):
+        assert self.recovery([0.5, 0.9, 0.9]) is None
+
+
+class TestFaultsReport:
+    def test_every_row_is_measured_against_the_sweep_schedule(self):
+        # Two flows, fair (JFI 1) until 12 s, one starved (JFI 0.5)
+        # through 27 s, fair again from 28 s: recovery 4 s after the
+        # schedule clears at 24 s.  The fault-free control reads the
+        # same, because the window is the sweep's, not its own (it has
+        # none).
+        fair, starved = [1e6, 1e6], [1e6, 0.0]
+        seconds = [fair] * 12 + [starved] * 16 + [fair] * 12
+        goodput_series = [list(flow) for flow in zip(*seconds)]
+        summary = {"control_plane": {"deadline_misses": 300,
+                                     "failopen_rounds": 300},
+                   "links": {"L->R": {"lost_packets": 29}}}
+        comparisons = []
+        for name, fault_summary in (("faults_i0", None),
+                                    ("faults_i1", summary)):
+            scaled = paper_spec(name).base_point(
+                40.0, Discipline.CEBINAE).scaled
+            run = ScenarioResult(
+                name=name, discipline=Discipline.CEBINAE, duration_s=40.0,
+                sim_rate_bps=5e6, rate_scale=20.0, flow_scale=1.0,
+                cca_names=["newreno"] * 2, goodputs_bps=[1e6, 1e6],
+                throughput_bps=2e6, events=1,
+                goodput_series_bps=goodput_series,
+                fault_summary=fault_summary)
+            comparisons.append(
+                Comparison(scaled, {Discipline.CEBINAE: run}))
+        rows = faults_report(comparisons).splitlines()[-2:]
+        assert [row.split() for row in rows] == [
+            ["0", "1.000", "4", "0", "0", "0", "ok"],
+            ["1", "1.000", "4", "300", "300", "29", "ok"]]
 
 
 class TestFigure11:
@@ -125,12 +182,11 @@ class TestCli:
         assert "1..25" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, names", [
-        (["table3", "--faults", "loss_rate=0.1"], "--faults"),
-        (["faults", "--quick", "--faults", "bogus_key=1"], "bogus_key"),
-        (["faults", "--faults", "/nonexistent.json"],
-         "/nonexistent.json"),
+        (["figure13", "--wall-limit", "5"], "--wall-limit"),
+        (["faults", "--rows", "3"], "--rows"),
+        (["all", "--rows", "26"], "1..25"),
         (["figure1", "--rows", "3"], "--rows"),
-        (["figure1", "--wall-limit", "5"], "--wall-limit"),
+        (["table3", "--wall-limit", "5"], "--wall-limit"),
         (["bench", "report", "x.json"], "bench"),
     ])
     def test_usage_errors_exit_2_in_one_line(self, argv, names,
@@ -148,3 +204,16 @@ class TestCli:
         error_line = captured.err.strip().splitlines()[-1]
         assert error_line.startswith("cebinae-repro: error:")
         assert names in error_line
+
+    def test_a_failed_point_ends_the_run_in_one_line(self, tmp_path,
+                                                      capsys):
+        argv = ["figure1", "--quick", "--no-cache", "--wall-limit", "1e-9",
+                "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("cebinae-repro: error:")]
+        assert len(errors) == 1
+        assert "figure1/fifo" in errors[0]
+        assert "watchdog" in errors[0]

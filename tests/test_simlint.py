@@ -161,59 +161,6 @@ def test_d104_passes_sorted_and_aggregates():
     """, "D104")
 
 
-# -- U201: float into the integer-ns clock -------------------------------------
-
-def test_u201_flags_float_delay():
-    assert findings_for("""
-        def arm(sim, rtt_ns):
-            sim.schedule(rtt_ns * 1.5, lambda: None)
-    """, "U201")
-
-
-def test_u201_flags_float_into_post_and_post_at():
-    found = findings_for("""
-        def arm(sim, rtt_ns, now_ns):
-            sim.post(rtt_ns * 1.5, lambda: None)
-            sim.post_at(now_ns + rtt_ns / 2, lambda: None)
-            sim.post(int(rtt_ns * 1.5), lambda: None)
-    """, "U201")
-    assert [f.line for f in found] == [3, 4]
-    assert "post() delay_ns" in found[0].message
-    assert "post_at() time_ns" in found[1].message
-
-
-def test_u201_flags_true_division_into_ns():
-    assert findings_for("""
-        def half(interval_ns):
-            next_ns = interval_ns / 2
-            return next_ns
-    """, "U201")
-
-
-def test_u201_passes_int_cleansed():
-    assert not findings_for("""
-        def arm(sim, rtt_ns):
-            sim.schedule(int(rtt_ns * 1.5), lambda: None)
-            next_ns = interval_ns // 2
-    """, "U201")
-
-
-# -- U202: unit-suffix mismatches ----------------------------------------------
-
-def test_u202_flags_suffix_mismatch():
-    assert findings_for("""
-        def configure(run):
-            run(timeout_ns=duration_seconds)
-    """, "U202")
-
-
-def test_u202_passes_matching_suffixes():
-    assert not findings_for("""
-        def configure(run):
-            run(timeout_ns=duration_ns, budget_seconds=limit_seconds)
-    """, "U202")
-
-
 # -- H301: mutable defaults ----------------------------------------------------
 
 def test_h301_flags_mutable_default():
@@ -295,7 +242,7 @@ def test_every_checker_rule_has_a_must_flag_fixture():
     # Each D/U/H rule has at least one must-flag case above.  This
     # pins the catalog so adding a rule without a fixture fails loudly.
     assert set(CHECKER_RULE_IDS) == {
-        "D101", "D102", "D103", "D104", "U201", "U202", "H301", "H302"}
+        "D101", "D102", "D103", "D104", "H301", "H302"}
     assert set(RULES) - set(CHECKER_RULE_IDS) == {
         "S901", "S902", "S903", "E901"}
 
@@ -304,7 +251,7 @@ def test_rules_have_ids_hints_and_series():
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
         assert rule.hint
-        assert rule.series in "DUHSE"
+        assert rule.series in "DHSE"
 
 
 # -- the repository's own sources are clean ------------------------------------
@@ -367,7 +314,7 @@ def test_cli_list_rules():
     assert result.returncode == 0
     for rule_id in CHECKER_RULE_IDS:
         assert rule_id in result.stdout
-    assert len(re.findall(r"^  [A-Z]\d{3} ", result.stdout, re.M)) == 12
+    assert len(re.findall(r"^  [A-Z]\d{3} ", result.stdout, re.M)) == 10
 
 
 def test_cli_flags_are_exactly_the_four(capsys):

@@ -22,6 +22,12 @@ Replays the observability contract on the base point of the paper's
    (all topics), and metrics-enabled runs lands in
    ``BENCH_obs_overhead.json`` (pytest-benchmark envelope) so the
    disabled-path ≤2% budget is reviewable per PR.
+6. **A fault run** — the base point of ``faults_i1`` at 14 s, whose
+   control-plane outage opens at 12 s: tracing every topic but
+   ``packet`` (which would hold ~10^5 records in memory) and ``span``
+   leaves the result JSON byte-identical, two traced runs emit
+   byte-identical JSONL, and the ``fault`` and ``control`` topics carry
+   records, at least one of them a ``fail_open`` round.
 
 Exit status 0 on success; any contract violation raises.
 
@@ -36,7 +42,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -49,21 +55,32 @@ from repro.obs.events import TOPICS, canonical_dict, validate_record
 from repro.obs.sinks import MemorySink, encode_record
 from repro.suite.registry import paper_spec
 
+#: The fault leg: a document whose outage opens at 12 s, run past it.
+FAULT_DOCUMENT = "faults_i1"
+FAULT_DURATION_S = 14.0
 
-def run_once(duration_s: float,
-             traced: bool) -> Tuple[str, List[str], float]:
-    """One scenario run: (result JSON, JSONL lines, wall seconds)."""
-    scaled = paper_spec("figure9").base_point(duration_s)
+
+def run_once(duration_s: float, traced: bool, document: str = "figure9",
+             topics: Sequence[str] = TOPICS
+             ) -> Tuple[str, List[str], float]:
+    """One run of ``document``'s base point under Cebinae, with its
+    faults and seed: (result JSON, JSONL lines, wall seconds)."""
+    point = paper_spec(document).base_point(duration_s, Discipline.CEBINAE)
+
+    def run():
+        return run_scenario(point.scaled, point.discipline,
+                            seed=point.seed, faults=point.faults)
+
     sink = MemorySink()
     start = time.perf_counter()  # simlint: allow[D103] host-side wall timing of the smoke harness; feeds stdout only, never simulation state
     if traced:
         bus = obs_bus.TraceBus()
-        bus.subscribe(TOPICS, sink)
+        bus.subscribe(topics, sink)
         with obs_bus.tracing(bus):
-            result = run_scenario(scaled, Discipline.CEBINAE)
+            result = run()
         bus.close()
     else:
-        result = run_scenario(scaled, Discipline.CEBINAE)
+        result = run()
     wall_s = time.perf_counter() - start  # simlint: allow[D103] host-side wall timing of the smoke harness; feeds stdout only, never simulation state
     payload = json.dumps(result.to_dict(), sort_keys=True,
                          separators=(",", ":"))
@@ -163,6 +180,29 @@ def main(argv=None) -> int:
         "metrics snapshot does not round-trip"
     assert registry.counter("sim_runs_total").value >= 1
 
+    # 5. A fault run: purity, rerun identity, and the fault and control
+    # topics populated through a fail-open outage.
+    fault_topics = [topic for topic in TOPICS
+                    if topic not in ("packet", "span")]
+    fault_plain, _, _ = run_once(FAULT_DURATION_S, False, FAULT_DOCUMENT)
+    fault_traced, fault_lines, _ = run_once(
+        FAULT_DURATION_S, True, FAULT_DOCUMENT, fault_topics)
+    assert fault_traced == fault_plain, \
+        "tracing perturbed the fault run's ScenarioResult"
+    _, fault_rerun_lines, _ = run_once(
+        FAULT_DURATION_S, True, FAULT_DOCUMENT, fault_topics)
+    assert fault_rerun_lines == fault_lines, \
+        "the fault run's trace JSONL differs between identical runs"
+    fault_records = [json.loads(line) for line in fault_lines]
+    by_topic = {topic: [record for record in fault_records
+                        if record["topic"] == topic]
+                for topic in ("fault", "control")}
+    assert all(by_topic.values()), \
+        f"empty topic in the fault run: { {t: len(r) for t, r in by_topic.items()} }"
+    fail_open = sum(1 for record in by_topic["control"]
+                    if record.get("kind") == "fail_open")
+    assert fail_open, "the fault run traced no fail_open round"
+
     bench = {"benchmarks": [{
         "group": "obs",
         "name": f"obs_smoke_figure9_{duration:g}s",
@@ -181,7 +221,10 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"obs smoke OK: {len(trace_lines)} records "
           f"({span_records} spans), result JSON byte-identical off/on "
-          f"and under REPRO_DEBUG; overhead written to {args.out}")
+          f"and under REPRO_DEBUG; {FAULT_DOCUMENT} at "
+          f"{FAULT_DURATION_S:g} s: {len(fault_lines)} records, "
+          f"{len(by_topic['fault'])} fault, {fail_open} fail-open "
+          f"rounds; overhead written to {args.out}")
     return 0
 
 
