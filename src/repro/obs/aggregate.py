@@ -3,9 +3,9 @@
 The PR 9 sweep fabric leaves N per-worker
 :class:`~repro.obs.metrics.MetricsRegistry` snapshots under
 ``<sweep>/metrics/``; this module folds them — plus the sweep's
-on-disk status and leases — into a single canonical *aggregate
-document* that ``cebinae-repro sweep watch`` renders and tests/CI
-consume via ``watch --once --json``.
+on-disk status and held shard locks — into a single canonical
+*aggregate document* that ``cebinae-repro sweep watch`` renders and
+tests/CI consume via ``watch --once --json``.
 
 Two layers:
 
@@ -24,8 +24,8 @@ Two layers:
 
 Everything is computed from the directory alone (the fabric's design
 invariant), so the document is byte-stable on a finished sweep: no
-leases ⇒ no heartbeat ages, remaining work 0 ⇒ ETA 0.0, and every
-other field comes from immutable or atomically written files.
+held shards, remaining work 0 ⇒ ETA 0.0, and every other field comes
+from immutable or atomically written files.
 
 ``sweep`` arguments are duck-typed over
 :class:`~repro.sweep.manifest.SweepDir` (``status()``,
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping,
-                    Optional, Tuple)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .metrics import (METRICS_SCHEMA_VERSION, SWEEP_EVENTS, LabelKey,
                       MetricsRegistry, _label_key)
@@ -104,10 +103,11 @@ def read_worker_snapshots(
                                    List[str]]:
     """Worker name → snapshot document from a sweep's metrics dir.
 
-    Unreadable, torn, or foreign-schema files are skipped and returned
-    by name in the second element — a live fleet rewrites these files
-    continuously (atomically, but an NFS reader can still lose a race)
-    and the watch view must degrade, not crash.
+    Unreadable, torn, foreign-schema or malformed files (a row
+    without a string name, string labels and a numeric value, or a
+    histogram without matching numeric bounds and counts) are skipped
+    and returned by name in the second element — the watch view must
+    degrade, not crash.
     """
     snapshots: Dict[str, Dict[str, Any]] = {}
     errors: List[str] = []
@@ -123,11 +123,43 @@ def read_worker_snapshots(
             continue
         if (not isinstance(document, dict) or
                 document.get("schema_version")
-                != METRICS_SCHEMA_VERSION):
+                != METRICS_SCHEMA_VERSION or
+                not _well_formed(document)):
             errors.append(path.name)
             continue
         snapshots[path.stem] = document
     return snapshots, errors
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _row_well_formed(row: Any, histogram: bool) -> bool:
+    if not (isinstance(row, dict) and isinstance(row.get("name"), str)
+            and isinstance(row.get("labels"), dict)
+            and all(isinstance(value, str)
+                    for value in row["labels"].values())):
+        return False
+    if not histogram:
+        return _is_number(row.get("value"))
+    bounds, counts = row.get("bounds"), row.get("counts")
+    return (isinstance(bounds, list) and isinstance(counts, list)
+            and len(counts) == len(bounds) + 1
+            and all(map(_is_number, bounds + counts))
+            and _is_number(row.get("sum"))
+            and _is_number(row.get("count")))
+
+
+def _well_formed(document: Mapping[str, Any]) -> bool:
+    """Whether every row has the shape :func:`merge_snapshots` reads."""
+    for table in ("counters", "gauges", "histograms"):
+        rows = document.get(table, [])
+        if not isinstance(rows, list) or not all(
+                _row_well_formed(row, table == "histograms")
+                for row in rows):
+            return False
+    return True
 
 
 # -- per-snapshot readers (operate on the JSON rows directly) -----------
@@ -160,7 +192,7 @@ def _histogram_totals(document: Mapping[str, Any],
 
 def _worker_row(worker: str, document: Mapping[str, Any],
                 manifest_tasks: List[Any],
-                lease_info: List[Mapping[str, Any]]) -> Dict[str, Any]:
+                shards: List[str]) -> Dict[str, Any]:
     completed = _counter_total(document, "sweep_tasks_completed_total")
     busy_s, observed = _histogram_totals(document,
                                          "sweep_task_wall_seconds")
@@ -176,10 +208,6 @@ def _worker_row(worker: str, document: Mapping[str, Any],
         last_task = {"index": int(last_index),
                      "label": task.label,
                      "fingerprint": task.fingerprint}
-    leases = [info for info in lease_info
-              if info.get("worker") == worker]
-    ages = [info["age_s"] for info in leases
-            if isinstance(info.get("age_s"), (int, float))]
     return {
         "worker": worker,
         "completed": int(completed),
@@ -193,30 +221,28 @@ def _worker_row(worker: str, document: Mapping[str, Any],
             document, "sweep_quarantine_depth") or 0),
         "last_task": last_task,
         "captured_at": document.get("captured_at"),
-        "shards": sorted(str(info["key"]) for info in leases),
-        "heartbeat_age_s": round(min(ages), 3) if ages else None,
-        "lease_expired": any(info.get("expired") for info in leases),
+        "shards": shards,
     }
 
 
-def fleet_view(sweep: Any,
-               clock: Optional[Callable[[], float]] = None
-               ) -> Dict[str, Any]:
+def fleet_view(sweep: Any) -> Dict[str, Any]:
     """The canonical aggregate document for one sweep directory.
 
-    ``clock`` (wall seconds, injectable for tests) feeds lease
-    heartbeat ages; the default is the lease store's own wall clock.
-    Raises :class:`~repro.sweep.manifest.ManifestError` via
-    ``sweep.status()`` when the directory holds no readable manifest.
+    Each worker's ``shards`` are the shard locks it holds now, from
+    ``status()["lease_info"]``.  Raises
+    :class:`~repro.sweep.manifest.ManifestError` via ``sweep.status()``
+    when the directory holds no readable manifest.
     """
-    status = sweep.status(clock=clock)
+    status = sweep.status()
     manifest = sweep.load_manifest()
-    lease_info: List[Mapping[str, Any]] = status.get("lease_info", [])
+    held: Dict[str, List[str]] = {}
+    for info in status["lease_info"]:
+        held.setdefault(info["worker"], []).append(info["key"])
     snapshots, errors = read_worker_snapshots(sweep.metrics_dir)
     merged = merge_snapshots(snapshots.values()).snapshot()
 
     workers = [_worker_row(worker, document, manifest.tasks,
-                           lease_info)
+                           sorted(held.get(worker, [])))
                for worker, document in sorted(snapshots.items())]
     totals = {event: int(_counter_total(merged,
                                         f"sweep_{event}_total"))
@@ -236,8 +262,7 @@ def fleet_view(sweep: Any,
     busy_total = sum(
         _histogram_totals(document, "sweep_task_wall_seconds")[0]
         for document in snapshots.values())
-    active_workers = len({info["worker"] for info in lease_info
-                          if not info.get("expired")})
+    active_workers = len(held)
     if remaining == 0:
         eta_s: Optional[float] = 0.0
     elif completed_by_workers > 0 and busy_total > 0:

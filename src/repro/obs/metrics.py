@@ -292,15 +292,14 @@ def record_hybrid(registry: MetricsRegistry, report: Any,
 
 #: Sweep-fabric event names accepted by :func:`record_sweep`.  One
 #: counter per event, labelled by worker: tasks completed/quarantined,
-#: lease lifecycle anomalies (expiry steals, lost heartbeats), graceful
-#: interrupts, and resume invocations.
-SWEEP_EVENTS = ("tasks_completed", "tasks_quarantined",
-                "lease_expiries", "lease_lost", "interrupts", "resumes")
+#: graceful interrupts, and resume invocations.
+SWEEP_EVENTS = ("tasks_completed", "tasks_quarantined", "interrupts",
+                "resumes")
 
 #: Sweep-fabric *gauge* names accepted by :func:`record_sweep`:
 #: point-in-time state the watch view renders.  ``inflight_shards`` is
-#: 1 while the worker holds a lease, ``quarantine_depth`` its running
-#: quarantined count, ``last_task_index`` the manifest index of its
+#: 1 while the worker holds a shard lock, ``quarantine_depth`` its
+#: running quarantined count, ``last_task_index`` the manifest index of its
 #: most recently completed task (the watch view maps it back to the
 #: task's fingerprint and label).
 SWEEP_GAUGES = ("inflight_shards", "quarantine_depth",

@@ -16,8 +16,8 @@ fsynced manifest; ``work`` runs one worker process against it;
 directory alone; ``watch`` renders the cross-worker fleet view
 (:func:`repro.obs.aggregate.fleet_view`) on a refresh loop, or — with
 ``--once --json`` — prints the one canonical aggregate document CI and
-tests parse; ``resume`` breaks expired leases, counts the resume
-in the metrics, and finishes the remaining tasks with N fresh workers
+tests parse; ``resume`` counts the resume in the metrics and finishes
+the remaining tasks with N fresh workers
 (:func:`start_workers`: in-process when N=1, otherwise N
 ``multiprocessing`` processes started from this already-imported one,
 each running the body of ``work``); ``merge`` writes the ordered,
@@ -26,9 +26,10 @@ workers ran which tasks in which order, because every payload comes
 from the fingerprint-keyed cache.
 
 Exit codes: 0 success; 1 incomplete (pending tasks remain after
-resume, or merge found holes); 2 usage/spec errors; 3 interrupted
-(SIGTERM/SIGINT reached a worker, which released its lease first;
-its completed results were stored as each finished).
+resume, or merge found a missing or quarantined task); 2 usage/spec
+errors; 3 interrupted (SIGTERM/SIGINT reached a worker, which released
+its shard lock first; its completed results were stored as each
+finished).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import multiprocessing
 import os
 import sys
 import time
-from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
@@ -48,9 +48,8 @@ from ..experiments.parallel import (print_progress as _print,
                                     sigterm_as_interrupt)
 from ..experiments.runner import BACKENDS
 from ..obs.metrics import MetricsRegistry, record_sweep
-from .lease import LeaseStore
 from .manifest import (ManifestError, SweepDir, SweepManifest,
-                       _shard_key, manifest_from_specs)
+                       manifest_from_specs)
 from .worker import SweepWorker, WorkerConfig
 
 #: Exit code when a worker was stopped by SIGTERM/SIGINT.
@@ -83,9 +82,8 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 def _worker_config(args: argparse.Namespace) -> WorkerConfig:
     worker_id = args.worker_id or f"w{os.getpid()}"
-    return WorkerConfig(worker_id=worker_id, expiry_s=args.expiry_s,
-                        retries=args.retries, poll_s=args.poll_s,
-                        max_tasks=args.max_tasks)
+    return WorkerConfig(worker_id=worker_id, retries=args.retries,
+                        poll_s=args.poll_s, max_tasks=args.max_tasks)
 
 
 def run_worker(sweep: SweepDir, config: WorkerConfig,
@@ -121,8 +119,7 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
     if progress is not None:
         progress(f"[sweep] worker {report.worker_id}: "
                  f"{report.completed} completed, "
-                 f"{report.quarantined} quarantined, "
-                 f"{report.lease_expiries} expired lease(s) claimed")
+                 f"{report.quarantined} quarantined")
     return EXIT_INTERRUPTED if report.interrupted else 0
 
 
@@ -145,33 +142,13 @@ def _cmd_status(args: argparse.Namespace) -> int:
     print(f"sweep {status['name']}: {status['total']} task(s)  "
           f"done={counts['done']} quarantined={counts['quarantined']} "
           f"leased={counts['leased']} pending={counts['pending']}")
-    lease_by_key = {info["key"]: info
-                    for info in status.get("lease_info", [])}
     for shard, info in status["shards"].items():
-        holder = ""
-        if info["worker"]:
-            # Heartbeat *age*, not the raw renewal timestamp: the
-            # operator question is "is this worker alive", and an age
-            # answers it without mental clock arithmetic.
-            holder = f"  worker={info['worker']}"
-            lease = lease_by_key.get(_shard_key(int(shard)))
-            if lease is not None and isinstance(
-                    lease.get("age_s"), (int, float)):
-                holder += f" heartbeat {lease['age_s']:.1f}s ago"
         print(f"  shard {shard}: {info['done']}/{info['total']} done"
               + (f"  quarantined={info['quarantined']}"
-                 if info["quarantined"] else "") + holder)
-    for info in status.get("lease_info", []):
-        if not info["expired"]:
-            continue
-        age = (f"{info['age_s']:.1f}s"
-               if isinstance(info.get("age_s"), (int, float))
-               else "unknown")
-        print(f"  lease {info['key']}: worker={info['worker']} "
-              f"EXPIRED (heartbeat {age} ago, expiry "
-              f"{info['expiry_s']:.0f}s; resume would reclaim it)")
+                 if info["quarantined"] else "")
+              + (f"  worker={info['worker']}" if info["worker"] else ""))
     for fingerprint, record in sorted(sweep.quarantined().items()):
-        failed = record.get("failed", {})
+        failed = record["failed"]
         print(f"  quarantined {record.get('label', fingerprint)}: "
               f"{failed.get('error', '?')} "
               f"(attempts={failed.get('attempts', '?')})")
@@ -181,7 +158,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _render_watch(doc: Dict[str, Any]) -> str:
     """The terminal rendering of one aggregate document."""
     counts = doc["counts"]
-    totals = doc["totals"]
     lines = [f"sweep {doc['sweep']}: {counts['done']}/{doc['total']} "
              f"done  quarantined={counts['quarantined']} "
              f"leased={counts['leased']} pending={counts['pending']}"]
@@ -191,27 +167,20 @@ def _render_watch(doc: Dict[str, Any]) -> str:
     if doc["eta_s"] is not None:
         summary.append("ETA done" if doc["eta_s"] == 0
                        else f"ETA ~{doc['eta_s']:.0f}s")
-    if totals["lease_expiries"] or totals["lease_lost"]:
-        summary.append(f"lease expiries={totals['lease_expiries']} "
-                       f"lost={totals['lease_lost']}")
     if summary:
         lines.append("  " + "  ".join(summary))
     if doc["workers"]:
-        lines.append(f"  {'worker':<14} {'shards':<18} {'hb age':>7} "
+        lines.append(f"  {'worker':<14} {'shards':<18} "
                      f"{'done':>5} {'quar':>5} {'t/min':>6}  last task")
         for row in doc["workers"]:
             shards = ",".join(key.replace("shard-", "")
                               for key in row["shards"]) or "-"
-            if row["lease_expired"]:
-                shards += "!"
-            age = (f"{row['heartbeat_age_s']:.0f}s"
-                   if row["heartbeat_age_s"] is not None else "-")
             rate = (f"{row['tasks_per_min']:.1f}"
                     if row["tasks_per_min"] is not None else "-")
             last = (row["last_task"]["label"]
                     if row["last_task"] is not None else "-")
             lines.append(f"  {row['worker']:<14} {shards:<18} "
-                         f"{age:>7} {row['completed']:>5} "
+                         f"{row['completed']:>5} "
                          f"{row['quarantined']:>5} {rate:>6}  {last}")
     if doc["snapshot_errors"]:
         lines.append("  unreadable snapshot(s): "
@@ -274,13 +243,14 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
     ``multiprocessing.get_context()`` -- the start policy of
     ``experiments.parallel.run_tasks`` -- so where that forks they
     begin from this already-imported process instead of a cold
-    interpreter.  This process starts no thread first (heartbeat
-    threads live only inside workers), which is what makes forking it
-    safe.  A worker that exits ``EXIT_INTERRUPTED`` released its lease
-    on a signal of its own and is tolerated; any other non-zero exit
-    is returned.  SIGTERM (converted to ``TerminateSweep``, as in
-    ``run_tasks``) or ^C here terminates and joins every worker (each
-    releases its lease on the way out), then re-raises.
+    interpreter.  This process starts no thread and opens no shard
+    lock first (each worker opens its own), which is what makes
+    forking it safe.  A worker that exits ``EXIT_INTERRUPTED`` released
+    its lock on a signal of its own and is tolerated; any other
+    non-zero exit is returned.  SIGTERM (converted to
+    ``TerminateSweep``, as in ``run_tasks``) or ^C here terminates and
+    joins every worker (each releases its lock on the way out), then
+    re-raises.
     """
     if count <= 1:
         return run_worker(SweepDir(directory), template, quiet=quiet)
@@ -299,16 +269,10 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
         with sigterm_as_interrupt():
             for proc in procs:
                 proc.start()
-            # Reaped in the order they exit, so a crashed worker's pid
-            # is gone (not a zombie) when a sibling tests its orphaned
-            # lease.
-            running = {proc.sentinel: proc for proc in procs}
-            while running:
-                for sentinel in connection.wait(list(running)):
-                    proc = running.pop(sentinel)
-                    proc.join()
-                    if proc.exitcode not in (0, EXIT_INTERRUPTED):
-                        exit_code = proc.exitcode or 1
+            for proc in procs:
+                proc.join()
+                if proc.exitcode not in (0, EXIT_INTERRUPTED):
+                    exit_code = proc.exitcode or 1
     except KeyboardInterrupt:
         for proc in procs:
             if proc.is_alive():
@@ -323,24 +287,16 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
 def _cmd_resume(args: argparse.Namespace) -> int:
     sweep = SweepDir(args.directory)
     try:
-        manifest = sweep.load_manifest()
+        sweep.load_manifest()
     except ManifestError as exc:
         _print(f"error: {exc}")
         return 2
-    store = LeaseStore(sweep.lease_dir, expiry_s=args.expiry_s)
-    broken = store.break_expired()
-    if broken:
-        _print(f"[sweep] broke {broken} expired lease(s)")
     registry = MetricsRegistry()
     record_sweep(registry, "resumes", worker="resume")
-    if broken:
-        record_sweep(registry, "lease_expiries", worker="resume",
-                     amount=broken)
     sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
     registry.write_json(str(sweep.metrics_dir / "resume.json"))
 
-    config = WorkerConfig(worker_id="resume-w0",
-                          expiry_s=args.expiry_s, retries=args.retries,
+    config = WorkerConfig(worker_id="resume-w0", retries=args.retries,
                           poll_s=args.poll_s)
     code = start_workers(args.directory, args.workers, config,
                          quiet=args.quiet)
@@ -370,16 +326,19 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         return 2
     entries = sweep.outcomes()
     missing = sum(entry["status"] == "missing" for entry in entries)
+    quarantined = sum(entry["status"] == "quarantined"
+                      for entry in entries)
     document = {"sweep": manifest.name, "results": entries}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
         _print(f"[sweep] merged {len(entries)} result(s) "
-               f"({missing} missing) -> {args.out}")
+               f"({missing} missing, {quarantined} quarantined) "
+               f"-> {args.out}")
     else:
         print(text, end="")
-    return 1 if missing else 0
+    return 1 if missing or quarantined else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -391,17 +350,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _add_worker_options(parser: argparse.ArgumentParser) -> None:
     defaults = WorkerConfig(worker_id="")
-    parser.add_argument("--expiry-s", type=float,
-                        default=defaults.expiry_s,
-                        help="seconds without a heartbeat before a "
-                             "shard lease is stealable (default "
-                             f"{defaults.expiry_s:g})")
     parser.add_argument("--retries", type=int, default=defaults.retries,
                         help="per-task retry budget before a "
                              "deterministic failure is quarantined")
     parser.add_argument("--poll-s", type=float, default=defaults.poll_s,
                         help="longest idle between scans when every "
-                             "runnable shard is leased elsewhere; "
+                             "runnable shard is locked by a live "
+                             "worker; "
                              "idling backs off from a few ms up to "
                              f"this cap (default {defaults.poll_s:g})")
 
@@ -409,8 +364,8 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cebinae-repro sweep",
-        description="Crash-resumable distributed sweeps: manifest of "
-                    "fingerprinted tasks, lease-claiming workers, "
+        description="Crash-resumable sweeps: manifest of "
+                    "fingerprinted tasks, shard-locking workers, "
                     "quarantine for poison tasks, kill -9-safe resume.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,7 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_watch = sub.add_parser(
         "watch", help="refresh-loop fleet view: per-worker progress, "
-                      "heartbeats, throughput, ETA")
+                      "held shards, throughput, ETA")
     p_watch.add_argument("directory")
     p_watch.add_argument("--interval", type=float, default=2.0,
                          help="seconds between refreshes (default 2)")
@@ -461,7 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_watch.set_defaults(handler=_cmd_watch)
 
     p_resume = sub.add_parser(
-        "resume", help="break expired leases and finish the sweep")
+        "resume", help="finish the sweep's remaining tasks")
     p_resume.add_argument("directory")
     p_resume.add_argument("--workers", type=int, default=1)
     p_resume.add_argument("--quiet", action="store_true")

@@ -1,256 +1,97 @@
-"""Shard leases: crash-safe work claiming over a shared directory.
+"""Shard leases: one ``flock`` per shard, held while a worker runs it.
 
-A lease is a small JSON file ``leases/<key>.lease`` naming the worker
-that currently owns one shard of the manifest.  The protocol needs
-nothing but POSIX filesystem atomicity, so it works for N processes on
-one host today and N hosts on a shared filesystem tomorrow:
+A worker owns shard ``key`` while it holds an exclusive, non-blocking
+``fcntl.flock`` on ``leases/<key>.lock``.  Closing the descriptor drops
+the lock, and so does the holder's death, ``kill -9`` included, so a
+dead worker's shard is free at once: no clock, renewal or timeout.
 
-* **Claim** — the worker writes a temp file (fsynced) and
-  ``os.link``\\ s it to the lease path.  ``link`` fails with
-  ``FileExistsError`` if the shard is already owned, and the lease file
-  it creates is complete by construction — a reader can never observe
-  a torn claim.
-* **Renew (heartbeat)** — the owner periodically rewrites the file via
-  atomic replace, bumping ``renewed_unix``.  Renewal re-reads the file
-  first and refuses if the nonce changed: a worker that lost its lease
-  (e.g. it froze past expiry and was stolen from) finds out on its
-  next heartbeat.
-* **Expiry / steal** — a lease is *expired* when its last heartbeat is
-  older than ``expiry_s``, or when its owning pid is provably gone on
-  this host (the post-``kill -9`` fast path).  A claimer that finds an
-  expired lease unlinks it and retries the ``link`` once.
+* **Claim** opens the file and tries the lock; a live holder makes it
+  fail.  The winner writes ``{"worker": id, "pid": pid}`` into the
+  file, for display only: not fsynced, never trusted for ownership.
+* **Release** closes the descriptor.
+* **Probe** (:meth:`LeaseStore.holders`) tries the lock from a fresh
+  descriptor: taking it means free (unlock at once), failing means
+  held.  ``flock`` locks belong to the open file description, so this
+  is right inside the holder's own process too.  A probe may make a
+  claimer skip that shard for one scan; the idle back-off retries it.
 
-The steal path has a benign race: two claimers can, in a narrow
-window, both conclude the same lease is dead and both run the shard.
-That duplicates *work*, never *results* — tasks write to the
-fingerprint-keyed cache via atomic same-content stores, so execution
-is idempotent by construction and the fabric prefers rare duplicate
-computation over a coordinator process.
+Lock files are never unlinked: unlinking a locked path races a
+concurrent ``open``, which could then lock a second inode under the
+same name, and a leftover unlocked file is free by definition.
+``flock`` is local to one host: the fabric is single-host and POSIX.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
-import socket
-import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
-
-#: Bump when the lease-file layout changes incompatibly.
-LEASE_VERSION = 1
-
-#: Default seconds without a heartbeat before a lease is stealable.
-DEFAULT_EXPIRY_S = 30.0
-
-
-def _wall_clock() -> float:
-    # Lease timestamps must be comparable across processes (and, on a
-    # shared filesystem, across hosts), which only the wall clock is.
-    # Host-side orchestration state: never flows into simulation.
-    return time.time()  # simlint: allow[D103] cross-process lease timestamps
+from typing import Any, Dict, Optional, Union
 
 
 @dataclass
 class Lease:
-    """One claimed shard, as held by its owning worker."""
+    """One claimed shard: the descriptor holding its lock."""
 
     key: str
-    worker_id: str
-    nonce: str
-    path: Path
-    expiry_s: float
-    renewed_unix: float
+    fd: Optional[int]
+
+
+def _try_lock(path: Path) -> Optional[int]:
+    """A descriptor holding ``path``'s lock, or None if someone has it."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fd
+    except OSError as exc:
+        os.close(fd)
+        if isinstance(exc, BlockingIOError):
+            return None
+        raise
 
 
 class LeaseStore:
-    """Claim/renew/release shard leases under one directory.
+    """Claim, release and probe the shard locks under one directory."""
 
-    ``clock`` is injectable so expiry logic is testable without
-    sleeping; it must return wall-clock seconds.
-    """
-
-    def __init__(self, directory: Union[str, Path],
-                 expiry_s: float = DEFAULT_EXPIRY_S,
-                 clock: Callable[[], float] = _wall_clock) -> None:
-        if expiry_s <= 0:
-            raise ValueError(f"expiry_s must be > 0, got {expiry_s}")
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.expiry_s = expiry_s
-        self._clock = clock
-        #: Leases this store stole after expiry (observability).
-        self.expired_claims = 0
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.lease"
-
-    # -- record I/O --------------------------------------------------------
-    def read(self, key: str) -> Optional[Dict[str, Any]]:
-        """The current lease record for ``key``, or None if unclaimed."""
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        return record
-
-    def _record(self, key: str, worker_id: str, nonce: str,
-                acquired: float) -> Dict[str, Any]:
-        return {"lease_version": LEASE_VERSION, "key": key,
-                "worker_id": worker_id, "nonce": nonce,
-                "pid": os.getpid(), "host": socket.gethostname(),
-                "acquired_unix": acquired,
-                "renewed_unix": self._clock(),
-                "expiry_s": self.expiry_s}
-
-    def _write(self, path: Path, record: Dict[str, Any]) -> str:
-        """Write a record to a temp file (fsynced); return its name."""
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False,
-            encoding="utf-8")
-        try:
-            with handle:
-                json.dump(record, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        return handle.name
-
-    # -- expiry ------------------------------------------------------------
-    def is_expired(self, record: Dict[str, Any]) -> bool:
-        """Heartbeat too old, or owner provably dead on this host."""
-        renewed = record.get("renewed_unix")
-        expiry = record.get("expiry_s", self.expiry_s)
-        if not isinstance(renewed, (int, float)):
-            return True
-        if self._clock() - float(renewed) > float(expiry):
-            return True
-        pid = record.get("pid")
-        if (isinstance(pid, int) and pid > 0
-                and record.get("host") == socket.gethostname()):
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True     # kill -9 fast path: no waiting out expiry.
-            except (PermissionError, OSError):
-                pass            # Alive (or unknowable): trust the heartbeat.
-        return False
-
-    # -- the protocol ------------------------------------------------------
     def claim(self, key: str, worker_id: str) -> Optional[Lease]:
-        """Try to acquire ``key``; None means someone else owns it."""
-        nonce = os.urandom(8).hex()
-        now = self._clock()
-        record = self._record(key, worker_id, nonce, acquired=now)
-        path = self._path(key)
-        for attempt in range(2):
-            temp = self._write(path, record)
-            try:
-                os.link(temp, path)
-                return Lease(key=key, worker_id=worker_id, nonce=nonce,
-                             path=path, expiry_s=self.expiry_s,
-                             renewed_unix=record["renewed_unix"])
-            except FileExistsError:
-                pass
-            finally:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-            current = self.read(key)
-            if current is None:
-                continue        # Vanished (released): retry the link.
-            if attempt == 0 and self.is_expired(current):
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    pass
-                self.expired_claims += 1
-                continue        # Stole it: retry the link once.
+        """Lock shard ``key``; None means a live holder has it."""
+        fd = _try_lock(self.directory / f"{key}.lock")
+        if fd is None:
             return None
-        return None
-
-    def renew(self, lease: Lease) -> bool:
-        """Heartbeat: True if still owned, False if the lease was lost."""
-        current = self.read(lease.key)
-        if (current is None
-                or current.get("nonce") != lease.nonce
-                or current.get("worker_id") != lease.worker_id):
-            return False
-        current["renewed_unix"] = self._clock()
-        temp = self._write(lease.path, current)
-        os.replace(temp, lease.path)
-        lease.renewed_unix = current["renewed_unix"]
-        return True
+        try:
+            os.ftruncate(fd, 0)
+            os.write(fd, json.dumps({"worker": worker_id,
+                                     "pid": os.getpid()}).encode())
+        except OSError:
+            os.close(fd)
+            raise
+        return Lease(key=key, fd=fd)
 
     def release(self, lease: Lease) -> None:
-        """Drop the lease if (and only if) we still own it."""
-        current = self.read(lease.key)
-        if current is not None and current.get("nonce") == lease.nonce:
-            try:
-                os.unlink(lease.path)
-            except FileNotFoundError:
-                pass
+        """Close the lease's descriptor, dropping the lock (idempotent)."""
+        if lease.fd is not None:
+            os.close(lease.fd)
+            lease.fd = None
 
-    # -- observation -------------------------------------------------------
-    def active(self) -> List[Dict[str, Any]]:
-        """All live (non-expired) lease records, sorted by key."""
-        out = []
-        for path in sorted(self.directory.glob("*.lease")):
-            record = self.read(path.stem)
-            if record is not None and not self.is_expired(record):
-                out.append(record)
-        return out
-
-    def describe(self) -> List[Dict[str, Any]]:
-        """One row per lease file — expired ones included, flagged.
-
-        Unlike :meth:`active`, this is the *watch-view* reading: the
-        operator wants to see a stale lease (with its heartbeat age)
-        precisely because :meth:`break_expired` would reclaim it.
-        ``age_s`` is seconds since the last heartbeat on this store's
-        clock (None when the record carries no usable timestamp, which
-        also marks it expired).
-        """
-        out = []
-        for path in sorted(self.directory.glob("*.lease")):
-            record = self.read(path.stem)
-            if record is None:
+    def holders(self) -> Dict[str, Dict[str, Any]]:
+        """Held shard key → its record (worker ``?`` if unreadable)."""
+        held: Dict[str, Dict[str, Any]] = {}
+        for path in sorted(self.directory.glob("*.lock")):
+            fd = _try_lock(path)
+            if fd is not None:
+                os.close(fd)        # Free: the probe's lock goes too.
                 continue
-            renewed = record.get("renewed_unix")
-            age_s: Optional[float] = None
-            if isinstance(renewed, (int, float)) \
-                    and not isinstance(renewed, bool):
-                age_s = max(0.0, self._clock() - float(renewed))
-            out.append({
-                "key": str(record.get("key", path.stem)),
-                "worker": str(record.get("worker_id", "")),
-                "age_s": age_s,
-                "expiry_s": float(record.get("expiry_s",
-                                             self.expiry_s)),
-                "expired": self.is_expired(record),
-            })
-        return out
-
-    def break_expired(self) -> int:
-        """Unlink every expired lease; returns how many were broken."""
-        broken = 0
-        for path in sorted(self.directory.glob("*.lease")):
-            record = self.read(path.stem)
-            if record is None or self.is_expired(record):
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    continue
-                broken += 1
-        return broken
+            try:
+                record = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                record = None
+            if not isinstance(record, dict) or "worker" not in record:
+                record = {"worker": "?"}
+            held[path.stem] = record
+        return held

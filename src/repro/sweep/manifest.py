@@ -5,9 +5,9 @@ The manifest is the fabric's source of truth.  It is written once at
 :meth:`~repro.experiments.parallel.ResultCache.store` (write-to-temp,
 fsync, atomic rename) and never mutated afterwards: *progress* lives
 in the result cache (done), the quarantine directory (parked), and the
-lease directory (in flight), so any process can compute the sweep's
-exact state from the directory alone — which is what ``sweep status``
-and ``sweep resume`` do after a ``kill -9``.
+shard locks under ``leases/`` (in flight while held), so any process
+can compute the sweep's exact state from the directory alone — which
+is what ``sweep status`` and ``sweep resume`` do after a ``kill -9``.
 
 Each task entry records its label, its cache ``fingerprint`` (shared
 with the single-pool executor, so warm figure-sweep caches satisfy
@@ -38,7 +38,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Union)
+                    Union)
 
 from ..experiments.parallel import (CACHE_VERSION, FailedRun, ResultCache,
                                     Task)
@@ -113,16 +113,28 @@ class ManifestTask:
                 "kind": self.kind, "source": self.source}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ManifestTask":
-        source = data["source"]
+    def from_dict(cls, data: Any, position: int) -> "ManifestTask":
+        """Entry ``position`` of a manifest's task list, validated."""
+        where = f"manifest task entry {position}"
+        if not isinstance(data, dict):
+            raise ManifestError(f"{where} is not an object")
+        source = data.get("source")
+        if not isinstance(source, dict):
+            raise ManifestError(f"{where} has no object 'source'")
         if source.get("type") not in SOURCE_TYPES:
             raise ManifestError(
-                f"task {data.get('label')!r}: unknown source type "
+                f"{where} ({data.get('label')!r}): unknown source type "
                 f"{source.get('type')!r}; known: {list(SOURCE_TYPES)}")
-        return cls(index=int(data["index"]), label=str(data["label"]),
-                   fingerprint=str(data["fingerprint"]),
-                   shard=int(data["shard"]), kind=str(data["kind"]),
-                   source=dict(source))
+        try:
+            return cls(index=int(data["index"]),
+                       label=str(data["label"]),
+                       fingerprint=str(data["fingerprint"]),
+                       shard=int(data["shard"]), kind=str(data["kind"]),
+                       source=dict(source))
+        except KeyError as exc:
+            raise ManifestError(f"{where} has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -145,7 +157,11 @@ class SweepManifest:
                 "tasks": [task.to_dict() for task in self.tasks]}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepManifest":
+    def from_dict(cls, data: Any) -> "SweepManifest":
+        if not isinstance(data, dict):
+            raise ManifestError(
+                f"a manifest is a JSON object, not a "
+                f"{type(data).__name__}")
         version = data.get("manifest_version")
         if version != MANIFEST_VERSION:
             raise ManifestError(
@@ -157,13 +173,17 @@ class SweepManifest:
                 f"{data.get('cache_version')!r}, this build uses "
                 f"{CACHE_VERSION}; its fingerprints would never match "
                 f"— re-init the sweep")
-        tasks = [ManifestTask.from_dict(entry)
-                 for entry in data.get("tasks", [])]
+        entries, specs = data.get("tasks", []), data.get("specs", {})
+        if not isinstance(entries, list) or not isinstance(specs, dict):
+            raise ManifestError(
+                "manifest 'tasks' must be a list and 'specs' an object")
+        tasks = [ManifestTask.from_dict(entry, position)
+                 for position, entry in enumerate(entries)]
         labels = [task.label for task in tasks]
         if len(set(labels)) != len(labels):
             raise ManifestError("manifest task labels collide")
         return cls(name=str(data.get("name", "sweep")), tasks=tasks,
-                   specs=dict(data.get("specs", {})))
+                   specs=dict(specs))
 
     def shards(self) -> Dict[int, List[ManifestTask]]:
         """Shard id → its tasks, in manifest order."""
@@ -368,14 +388,27 @@ class SweepDir:
             "failed": failed.to_dict()})
 
     def quarantined(self) -> Dict[str, Dict[str, Any]]:
-        """Fingerprint → quarantine record, unreadable entries skipped."""
+        """Fingerprint → quarantine record, each with an object ``failed``.
+
+        A record that cannot be read, is not an object or has no object
+        ``failed`` still parks its task, as its file's existence does
+        for :meth:`is_quarantined`: its ``failed`` becomes ``{"error":
+        "unreadable quarantine record: ..."}``, so ``status``, ``merge``
+        and ``resume`` agree on it.
+        """
         out: Dict[str, Dict[str, Any]] = {}
         for path in sorted(self.quarantine_dir.glob("*.json")):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
-                    out[path.stem] = json.load(handle)
-            except (OSError, ValueError):
-                continue
+                    record = json.load(handle)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                if not isinstance(record.get("failed"), dict):
+                    raise ValueError("no object 'failed'")
+            except (OSError, ValueError) as exc:
+                record = {"failed": {
+                    "error": f"unreadable quarantine record: {exc}"}}
+            out[path.stem] = record
         return out
 
     def outcomes(self) -> List[Dict[str, Any]]:
@@ -406,51 +439,44 @@ class SweepDir:
             entries.append(entry)
         return entries
 
-    def status(self, clock: Optional[Callable[[], float]] = None
-               ) -> Dict[str, Any]:
+    def status(self) -> Dict[str, Any]:
         """The sweep's full progress, computed from the directory alone.
 
-        ``clock`` (wall seconds) is injectable so tests can pin lease
-        heartbeat ages; None uses the lease store's wall clock.  The
-        returned ``lease_info`` lists *every* lease file — expired ones
-        flagged, with heartbeat ages — while ``leases``/``shards`` keep
-        counting only live ones, as before.
+        A shard is ``leased`` while a live worker holds its lock;
+        ``lease_info`` lists each held shard's ``key`` and the
+        ``worker`` its lock file names.
         """
         from .lease import LeaseStore
         manifest = self.load_manifest()
-        store = LeaseStore(self.lease_dir) if clock is None else \
-            LeaseStore(self.lease_dir, clock=clock)
-        lease_info = store.describe()
-        leased = {info["key"]: info for info in lease_info
-                  if not info["expired"]}
+        leased = {key: str(record["worker"]) for key, record
+                  in LeaseStore(self.lease_dir).holders().items()}
         shards: Dict[int, Dict[str, Any]] = {}
         counts = {"done": 0, "quarantined": 0, "leased": 0,
                   "pending": 0}
         for task in manifest.tasks:
+            key = _shard_key(task.shard)
             if self.is_done(task.fingerprint):
                 state = "done"
             elif self.is_quarantined(task.fingerprint):
                 state = "quarantined"
-            elif _shard_key(task.shard) in leased:
+            elif key in leased:
                 state = "leased"
             else:
                 state = "pending"
             counts[state] += 1
             shard = shards.setdefault(task.shard, {
                 "total": 0, "done": 0, "quarantined": 0,
-                "worker": None})
+                "worker": leased.get(key)})
             shard["total"] += 1
             if state in ("done", "quarantined"):
                 shard[state] += 1
-            info = leased.get(_shard_key(task.shard))
-            if info is not None:
-                shard["worker"] = info["worker"]
         return {"name": manifest.name,
                 "total": len(manifest.tasks),
                 "counts": counts,
                 "shards": {str(k): v for k, v in sorted(shards.items())},
                 "leases": sorted(leased),
-                "lease_info": lease_info}
+                "lease_info": [{"key": key, "worker": worker}
+                               for key, worker in sorted(leased.items())]}
 
 
 def _shard_key(shard: int) -> str:

@@ -1,38 +1,39 @@
 """The sweep worker: claim shards, run tasks, stream results, survive.
 
 A worker is one independent process (``cebinae-repro sweep work
-<dir>``) holding no sweep state beyond its current lease.  Its loop:
+<dir>``) holding no sweep state beyond the shard lock it holds.  Its
+loop:
 
 1. scan the manifest for a shard that still has runnable tasks
-   (not done, not quarantined) and try to claim its lease;
+   (not done, not quarantined) and try to lock it
+   (:class:`~repro.sweep.lease.LeaseStore`);
 2. run the shard's tasks serially in-process, storing each result into
    the sweep's :class:`~repro.experiments.parallel.ResultCache` the
    moment it finishes (streaming: a crash loses at most the in-flight
-   task), heartbeating the lease from a background thread;
+   task);
 3. each task goes through the executor's one lifecycle,
    :func:`~repro.experiments.parallel.settle` (attempt, seeded
    backoff, retry, store); a task it gives up on — retry budget
    spent, or a deterministic casualty — is **quarantined** instead of
    wedging the shard;
-4. release the lease and move on; exit when a full scan finds no
+4. release the lock and move on; exit when a full scan finds no
    runnable task anywhere.  A scan that claims nothing (every runnable
-   shard is leased elsewhere) idles before the next one, backing off
-   geometrically from :data:`IDLE_FLOOR_S` up to ``poll_s``; any
+   shard is locked by a live peer) idles before the next one, backing
+   off geometrically from :data:`IDLE_FLOOR_S` up to ``poll_s``; any
    successful claim resets the back-off.
 
 SIGTERM (converted by the executor's
 :func:`~repro.experiments.parallel.sigterm_as_interrupt`) and SIGINT
 raise ``KeyboardInterrupt`` at the next bytecode boundary: the worker
-releases its lease (so the shard is instantly re-claimable, no expiry
-wait), writes its metrics snapshot, and exits — every completed result
-is on disk already.  SIGKILL skips all of that by definition, which is
-exactly what lease expiry (plus the dead-pid fast path) exists for.
+releases its lock, writes its metrics snapshot, and exits — every
+completed result is on disk already.  SIGKILL skips all of that, and
+needs none of it: the kernel drops a dead process's locks, so its
+shard is free to the next scan.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -40,12 +41,9 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
 from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry, record_sweep
-from .lease import Lease, LeaseStore
+from .lease import LeaseStore
 from .manifest import (ManifestError, ManifestTask, SweepDir,
                        SweepManifest, _shard_key)
-
-#: How many times per expiry window the heartbeat renews.
-HEARTBEAT_FRACTION = 4.0
 
 #: First idle delay after a scan that claimed nothing; each further
 #: empty scan doubles it, up to ``WorkerConfig.poll_s``.  A few ms, so
@@ -59,17 +57,14 @@ class WorkerConfig:
     """Tunables of one worker process."""
 
     worker_id: str
-    expiry_s: float = 30.0
     retries: int = 1
     backoff_base_s: float = 0.05
-    #: Longest idle between scans when every runnable shard is leased
-    #: by someone else (the cap of the geometric back-off), so an
-    #: expired lease is stolen within ``expiry_s + poll_s``.
+    #: Longest idle between scans when every runnable shard is locked
+    #: by a live peer (the cap of the geometric back-off).
     poll_s: float = 0.5
     #: Stop after completing this many tasks (None = run to the end);
     #: the chaos tests use it to park workers at exact progress points.
     max_tasks: Optional[int] = None
-    heartbeat: bool = True
 
 
 @dataclass
@@ -79,36 +74,7 @@ class WorkerReport:
     worker_id: str
     completed: int = 0
     quarantined: int = 0
-    lease_expiries: int = 0
-    lease_lost: int = 0
     interrupted: bool = False
-
-
-class _Heartbeat:
-    """Background lease renewal while a shard's tasks run."""
-
-    def __init__(self, store: LeaseStore, lease: Lease,
-                 interval_s: float) -> None:
-        self._store = store
-        self._lease = lease
-        self._interval_s = interval_s
-        self._stop = threading.Event()
-        self.lost = False
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._stop.set()
-        self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            if not self._store.renew(self._lease):
-                self.lost = True
-                return
 
 
 class SweepWorker:
@@ -160,8 +126,7 @@ class SweepWorker:
         """Work until nothing runnable remains (or a signal stops us)."""
         report = WorkerReport(worker_id=self.config.worker_id)
         manifest = self.sweep.load_manifest()
-        store = LeaseStore(self.sweep.lease_dir,
-                           expiry_s=self.config.expiry_s)
+        store = LeaseStore(self.sweep.lease_dir)
         cache = self.sweep.cache()
         # Host-level lifecycle span over the whole worker run (None
         # when no bus carries the span topic — the default).
@@ -182,9 +147,6 @@ class SweepWorker:
                     obs_spans.close_span(
                         sweep_span,
                         status="error" if report.interrupted else "ok")
-                report.lease_expiries = store.expired_claims
-                if store.expired_claims:
-                    self._count("lease_expiries", store.expired_claims)
                 self.registry.gauge(
                     "sweep_worker_completed",
                     worker=self.config.worker_id).set(report.completed)
@@ -216,8 +178,8 @@ class SweepWorker:
                     continue
                 claimed_any = True
                 try:
-                    self._run_shard(manifest, shard, runnable, store,
-                                    lease, cache, report)
+                    self._run_shard(manifest, shard, runnable, cache,
+                                    report)
                 finally:
                     store.release(lease)
                 if (self.config.max_tasks is not None
@@ -230,61 +192,34 @@ class SweepWorker:
             if claimed_any:
                 idle_s = IDLE_FLOOR_S
             else:
-                # Everything runnable is leased elsewhere: idle, then
-                # rescan (the sweep may finish, or a lease expire).
+                # Everything runnable is locked by live peers: idle,
+                # then rescan (the sweep may finish, or a peer let go).
                 self._idle_sleep(min(idle_s, self.config.poll_s))
                 idle_s *= 2.0
 
     def _run_shard(self, manifest: SweepManifest, shard: int,
-                   tasks: List[ManifestTask], store: LeaseStore,
-                   lease: Lease, cache: Any,
+                   tasks: List[ManifestTask], cache: Any,
                    report: WorkerReport) -> None:
         self._emit(f"claimed {_shard_key(shard)} "
                    f"({len(tasks)} runnable task(s))")
         self._count("inflight_shards", 1)
         self._write_metrics()
-        interval = lease.expiry_s / HEARTBEAT_FRACTION
-        heartbeat: Any
-        if self.config.heartbeat:
-            heartbeat = _Heartbeat(store, lease, interval)
-        else:
-            from contextlib import nullcontext
-            heartbeat = nullcontext()
         try:
-            self._run_shard_tasks(manifest, shard, tasks, heartbeat,
-                                  cache, report)
-        finally:
-            self._count("inflight_shards", 0)
-            self._write_metrics()
-
-    def _run_shard_tasks(self, manifest: SweepManifest, shard: int,
-                         tasks: List[ManifestTask], heartbeat: Any,
-                         cache: Any, report: WorkerReport) -> None:
-        with obs_spans.span("shard", _shard_key(shard),
-                            sim_clock=False) as shard_span:
-            if shard_span is not None:
-                shard_span.count = len(tasks)
-            with heartbeat:
+            with obs_spans.span("shard", _shard_key(shard),
+                                sim_clock=False) as shard_span:
+                if shard_span is not None:
+                    shard_span.count = len(tasks)
                 for task in tasks:
                     if self.sweep.is_done(task.fingerprint):
-                        continue  # A twin finished it while we held on.
-                    if getattr(heartbeat, "lost", False):
-                        # Our lease was stolen (we must have stalled
-                        # past expiry).  Finishing the current task was
-                        # safe — results are idempotent — but racing
-                        # the new owner through the rest of the shard
-                        # is waste.
-                        report.lease_lost += 1
-                        self._count("lease_lost")
-                        self._emit(f"lost lease on "
-                                   f"{_shard_key(shard)}; "
-                                   f"abandoning the shard")
-                        return
+                        continue  # The shard's last holder finished it.
                     self._run_task(manifest, task, cache, report)
                     if (self.config.max_tasks is not None
                             and report.completed
                             >= self.config.max_tasks):
                         return
+        finally:
+            self._count("inflight_shards", 0)
+            self._write_metrics()
 
     def _run_task(self, manifest: SweepManifest, mtask: ManifestTask,
                   cache: Any, report: WorkerReport) -> None:

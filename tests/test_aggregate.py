@@ -96,6 +96,33 @@ class TestReadWorkerSnapshots:
         assert list(snapshots) == ["w0"]
         assert sorted(errors) == ["foreign.json", "torn.json"]
 
+    @pytest.mark.parametrize("table, row", [
+        ("counters", {"name": "c", "value": 1}),
+        ("counters", {"name": "c", "labels": {"w": 1}, "value": 1}),
+        ("counters", {"name": 3, "labels": {}, "value": 1}),
+        ("gauges", {"name": "g", "labels": {}, "value": "high"}),
+        ("gauges", ["g", {}, 1]),
+        ("histograms", {"name": "h", "labels": {}, "bounds": [1.0],
+                        "counts": [1], "sum": 1.0, "count": 1}),
+        ("histograms", {"name": "h", "labels": {}, "bounds": "1",
+                        "counts": [1, 0], "sum": 1.0, "count": 1}),
+        ("histograms", {"name": "h", "labels": {}, "bounds": [1.0],
+                        "counts": [1, 0], "count": 1}),
+        ("counters", None),
+    ])
+    def test_malformed_rows_are_snapshot_errors(self, tmp_path, table,
+                                                row):
+        registry = MetricsRegistry()
+        registry.counter("sim_runs_total").inc(1)
+        registry.write_json(str(tmp_path / "w0.json"))
+        document = registry.snapshot()
+        document[table] = row if row is None else [row]
+        (tmp_path / "bad.json").write_text(json.dumps(document))
+        snapshots, errors = read_worker_snapshots(tmp_path)
+        assert list(snapshots) == ["w0"] and errors == ["bad.json"]
+        # What is left merges: the watch view degrades, not crashes.
+        merge_snapshots(snapshots.values())
+
 
 def fake_sweep(tmp_path, counts, lease_info, fingerprints):
     (tmp_path / "metrics").mkdir(exist_ok=True)
@@ -107,7 +134,7 @@ def fake_sweep(tmp_path, counts, lease_info, fingerprints):
     return SimpleNamespace(
         metrics_dir=tmp_path / "metrics",
         cache_dir=tmp_path / "cache",
-        status=lambda clock=None: dict(status),
+        status=lambda: dict(status),
         load_manifest=lambda: SimpleNamespace(tasks=tasks))
 
 
@@ -115,14 +142,10 @@ class TestFleetView:
     def test_aggregates_workers_leases_and_integrity(self, tmp_path):
         sweep = fake_sweep(
             tmp_path,
-            counts={"done": 2, "pending": 1, "leased": 1,
+            counts={"done": 2, "pending": 0, "leased": 2,
                     "quarantined": 0},
-            lease_info=[
-                {"key": "shard-00002", "worker": "w0", "age_s": 1.5,
-                 "expiry_s": 300.0, "expired": False},
-                {"key": "shard-00003", "worker": "w1", "age_s": 400.0,
-                 "expiry_s": 300.0, "expired": True},
-            ],
+            lease_info=[{"key": "shard-00002", "worker": "w0"},
+                        {"key": "shard-00003", "worker": "w1"}],
             fingerprints=["f0", "f1", "f2", "f3"])
         for name in ("f0", "f1", "orphan"):
             (tmp_path / "cache" / f"{name}.json").write_text("{}")
@@ -143,8 +166,8 @@ class TestFleetView:
         assert doc["totals"]["tasks_completed"] == 2
         # Both done results were computed here: no cache warm start.
         assert doc["cache_hit_ratio"] == 0.0
-        # 2 remaining tasks / 1 live worker at 3 s/task mean.
-        assert doc["eta_s"] == pytest.approx(6.0)
+        # 2 remaining tasks / 2 lock-holding workers at 3 s/task mean.
+        assert doc["eta_s"] == pytest.approx(3.0)
         assert doc["integrity"] == {"missing_results": 2,
                                     "orphan_results": 1}
         assert doc["snapshot_errors"] == []
@@ -157,8 +180,6 @@ class TestFleetView:
                                     "fingerprint": "f1"}
         assert row["captured_at"] == 12.5
         assert row["shards"] == ["shard-00002"]
-        assert row["heartbeat_age_s"] == 1.5
-        assert row["lease_expired"] is False
 
     def test_finished_sweep_is_byte_stable(self, tmp_path):
         sweep = fake_sweep(

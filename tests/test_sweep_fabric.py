@@ -2,8 +2,8 @@
 
 Covers the fabric contract piece by piece: a manifest rebuilds the
 pool's own tasks (and fingerprints) from its JSON alone, the lease
-protocol hands each shard to exactly one live worker and recycles
-leases whose owner stalled or died, the worker streams results /
+protocol hands each shard to exactly one live worker and frees it
+the moment that worker lets go or dies, the worker streams results /
 retries transients / quarantines poison tasks, and the ``sweep`` and
 ``cache gc`` CLIs report state computed from the directory alone.
 The end-to-end kill -9 drills live in ``test_sweep_resume.py``.
@@ -172,70 +172,72 @@ class TestManifest:
         assert len(sweep.load_manifest().tasks) == 3
 
 
+def hold_in_child(lease_dir, key):
+    """A child process that claims ``key`` and sleeps holding it."""
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, time\n"
+         "from repro.sweep.lease import LeaseStore\n"
+         "lease = LeaseStore(sys.argv[1]).claim(sys.argv[2], 'peer')\n"
+         "print('held' if lease else 'busy', flush=True)\n"
+         "time.sleep(600)\n",
+         str(lease_dir), key],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC_DIR] + os.environ.get("PYTHONPATH", "")
+            .split(os.pathsep))),
+        stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline().strip() == "held"
+    return child
+
+
 class TestLeaseStore:
     def test_claim_conflict_release(self, tmp_path):
-        store = LeaseStore(tmp_path, expiry_s=30.0)
+        store = LeaseStore(tmp_path)
         lease = store.claim("shard-00000", "alice")
         assert lease is not None
         assert store.claim("shard-00000", "bob") is None
         assert store.claim("shard-00001", "bob") is not None
         store.release(lease)
+        store.release(lease)        # Idempotent.
         assert store.claim("shard-00000", "bob") is not None
 
-    def test_renew_bumps_heartbeat_and_detects_loss(self, tmp_path):
-        now = [1000.0]
-        store = LeaseStore(tmp_path, expiry_s=10.0, clock=lambda: now[0])
+    def test_holders_probes_locks_not_files(self, tmp_path):
+        store = LeaseStore(tmp_path)
         lease = store.claim("shard-00000", "alice")
-        now[0] += 5.0
-        assert store.renew(lease)
-        assert store.read("shard-00000")["renewed_unix"] == 1005.0
-        # Steal out from under alice: her next renewal must fail.
-        os.unlink(lease.path)
-        thief = store.claim("shard-00000", "bob")
-        assert thief is not None
-        assert not store.renew(lease)
-        # And her release must not drop bob's lease.
+        # The probe is right inside the holder's own process.
+        assert store.holders() == {
+            "shard-00000": {"worker": "alice", "pid": os.getpid()}}
+        # The record is for display only: damage shows worker "?".
+        (tmp_path / "shard-00000.lock").write_text("{garbage")
+        assert store.holders() == {"shard-00000": {"worker": "?"}}
+        # Released, the lock file stays behind and counts as free, as
+        # do an unlocked file's stale record and older lease files.
         store.release(lease)
-        assert store.read("shard-00000")["worker_id"] == "bob"
+        (tmp_path / "shard-00001.lock").write_text(
+            json.dumps({"worker": "crashed", "pid": 1}))
+        (tmp_path / "shard-00002.lease").write_text("{}")
+        assert store.holders() == {}
+        assert (tmp_path / "shard-00000.lock").exists()
+        assert store.claim("shard-00001", "bob") is not None
 
-    def test_stale_heartbeat_is_stealable(self, tmp_path):
-        now = [1000.0]
-        store = LeaseStore(tmp_path, expiry_s=10.0, clock=lambda: now[0])
-        first = store.claim("shard-00000", "alice")
-        assert first is not None
-        now[0] += 10.5
-        stolen = store.claim("shard-00000", "bob")
-        assert stolen is not None
-        assert store.expired_claims == 1
-        assert store.read("shard-00000")["worker_id"] == "bob"
-
-    def test_dead_pid_fast_path(self, tmp_path):
-        store = LeaseStore(tmp_path, expiry_s=3600.0)
-        lease = store.claim("shard-00000", "ghost")
-        record = store.read("shard-00000")
-        # Rewrite the lease as if a since-killed pid owned it.  Find a
-        # free pid by probing; pid 2**22 is above kernel defaults.
-        record["pid"] = 2 ** 22 - 1
-        with open(lease.path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        assert store.is_expired(record)
+    def test_lock_dies_with_its_holder(self, tmp_path):
+        store = LeaseStore(tmp_path)
+        child = hold_in_child(tmp_path, "shard-00000")
+        try:
+            assert store.holders() == {
+                "shard-00000": {"worker": "peer", "pid": child.pid}}
+            assert store.claim("shard-00000", "bob") is None
+        finally:
+            child.kill()
+            child.wait()
+        # SIGKILL ran no cleanup; the kernel dropped the lock anyway.
+        assert store.holders() == {}
         assert store.claim("shard-00000", "bob") is not None
-
-    def test_break_expired(self, tmp_path):
-        now = [1000.0]
-        store = LeaseStore(tmp_path, expiry_s=10.0, clock=lambda: now[0])
-        store.claim("shard-00000", "alice")
-        store.claim("shard-00001", "alice")
-        assert store.break_expired() == 0
-        now[0] += 11.0
-        assert store.break_expired() == 2
-        assert store.active() == []
 
 
 class TestWorker:
     def run_worker(self, sweep, **config):
         config.setdefault("worker_id", "test-w0")
-        config.setdefault("heartbeat", False)
         worker = SweepWorker(sweep, WorkerConfig(**config))
         return worker.run()
 
@@ -249,8 +251,8 @@ class TestWorker:
         for task in sweep.load_manifest().tasks:
             payload = cache.load(task.fingerprint)
             assert payload["label"] == task.label
-        # Leases all released; metrics snapshot written.
-        assert list(sweep.lease_dir.glob("*.lease")) == []
+        # Every shard released; metrics snapshot written.
+        assert LeaseStore(sweep.lease_dir).holders() == {}
         assert (sweep.metrics_dir / "test-w0.json").exists()
 
     def test_rerun_is_idempotent(self, tmp_path):
@@ -394,8 +396,7 @@ class TestWorker:
              "kwargs": {"marker": str(marker)}}])
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest)
-        worker = SweepWorker(sweep, WorkerConfig(
-            worker_id="term-w0", heartbeat=False))
+        worker = SweepWorker(sweep, WorkerConfig(worker_id="term-w0"))
         report = worker.run()
         assert report.interrupted
         assert report.completed == 1
@@ -422,7 +423,7 @@ class TestWorker:
         assert report.interrupted
         assert (report.completed, report.quarantined) == (0, 0)
         assert sweep.quarantined() == {}
-        assert list(sweep.lease_dir.glob("*.lease")) == []
+        assert LeaseStore(sweep.lease_dir).holders() == {}
         assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
     def test_outcomes_and_merge_read_the_sweep_back_in_order(
@@ -464,7 +465,7 @@ class TestWorker:
                                                           tmp_path):
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(callable_manifest(count=3))
-        peer = LeaseStore(sweep.lease_dir, expiry_s=300.0)
+        peer = LeaseStore(sweep.lease_dir)
         held = {key: peer.claim(key, "peer")
                 for key in ("shard-00001", "shard-00002")}
         delays = []
@@ -479,8 +480,7 @@ class TestWorker:
                 peer.release(held["shard-00002"])
 
         worker = SweepWorker(
-            sweep, WorkerConfig(worker_id="idle-w0", poll_s=0.02,
-                                heartbeat=False),
+            sweep, WorkerConfig(worker_id="idle-w0", poll_s=0.02),
             idle_sleep=idle_sleep)
         report = worker.run()
         assert report.completed == 3
@@ -491,29 +491,27 @@ class TestWorker:
         assert delays[6:] == [floor, 2 * floor, 4 * floor]
         assert max(delays) <= 0.02
 
-    def test_idle_worker_still_steals_an_expired_lease(self, tmp_path):
+    def test_idle_worker_claims_a_dead_holders_shard(self, tmp_path):
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(callable_manifest(count=1))
-        peer = LeaseStore(sweep.lease_dir, expiry_s=300.0)
-        lease = peer.claim("shard-00000", "peer")
+        peer = hold_in_child(sweep.lease_dir, "shard-00000")
         delays = []
 
         def idle_sleep(delay):
-            # The peer (this live pid) stops heartbeating: its lease's
-            # last renewal slides out of the expiry window.
+            # The peer dies without releasing anything.
             delays.append(delay)
             if len(delays) == 4:
-                record = peer.read("shard-00000")
-                record["renewed_unix"] = 0.0
-                with open(lease.path, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle)
+                peer.kill()
+                peer.wait()
 
-        worker = SweepWorker(
-            sweep, WorkerConfig(worker_id="idle-w0", heartbeat=False),
-            idle_sleep=idle_sleep)
-        report = worker.run()
+        try:
+            report = SweepWorker(
+                sweep, WorkerConfig(worker_id="idle-w0"),
+                idle_sleep=idle_sleep).run()
+        finally:
+            peer.kill()
+            peer.wait()
         assert len(delays) == 4
-        assert report.lease_expiries == 1
         assert report.completed == 1
 
 
@@ -535,6 +533,16 @@ def _exit_worker(code):
 
 def _noop():
     return {"ok": True}
+
+
+def _log_run(label, log):
+    """Sweep task that appends one line per execution to ``log``."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{label}\n".encode())
+    finally:
+        os.close(fd)
+    return {"label": label}
 
 
 def _report_sigterm_disposition(marker):
@@ -598,7 +606,7 @@ class TestOneLifecycle:
             if executor == "worker":
                 SweepWorker(sweep, WorkerConfig(
                     worker_id="parity-w0", retries=1,
-                    backoff_base_s=0.001, heartbeat=False)).run()
+                    backoff_base_s=0.001)).run()
                 failed = [record["failed"] for record
                           in sweep.quarantined().values()]
             else:
@@ -729,7 +737,7 @@ class TestResumeWorkers:
         counts = sweep.status()["counts"]
         assert counts == {"done": 6, "quarantined": 0, "leased": 0,
                           "pending": 0}
-        assert list(sweep.lease_dir.glob("*.lease")) == []
+        assert LeaseStore(sweep.lease_dir).holders() == {}
         for worker_id in ("resume-w0", "resume-w1"):
             assert (sweep.metrics_dir / f"{worker_id}.json").exists()
         # --quiet reaches the started workers: no per-task narration.
@@ -743,6 +751,38 @@ class TestResumeWorkers:
                            "--workers", "2"]) == 0
         err = capfd.readouterr().err
         assert "done   task-0" in err and "done   task-1" in err
+
+    def test_more_workers_than_cores_run_each_task_once(self, tmp_path):
+        # Four workers race for 40 one-task shards while this process
+        # keeps probing the locks: exactly one execution per task.
+        log = tmp_path / "runs.log"
+        labels = [f"t{i}" for i in range(40)]
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest_from_callables("stress", [
+            {"label": label, "fn": "tests.test_sweep_fabric:_log_run",
+             "kwargs": {"label": label, "log": str(log)}}
+            for label in labels]))
+        repo_root = os.path.dirname(SRC_DIR)
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro.sweep.cli", "resume",
+             str(sweep.root), "--workers", "4", "--quiet"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [SRC_DIR, repo_root] + os.environ.get("PYTHONPATH", "")
+                .split(os.pathsep))),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        store = LeaseStore(sweep.lease_dir)
+        try:
+            deadline = time.monotonic() + 120  # simlint: allow[D103] subprocess watchdog
+            while (parent.poll() is None
+                   and time.monotonic() < deadline):  # simlint: allow[D103] subprocess watchdog
+                store.holders()
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+            code = parent.wait(timeout=30)
+        assert code == 0
+        assert sorted(log.read_text().split()) == sorted(labels)
+        assert store.holders() == {}
 
     def test_propagates_a_workers_exit_code(self, tmp_path):
         manifest = manifest_from_callables("dies", [
@@ -763,7 +803,7 @@ class TestResumeWorkers:
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest)
         # Each worker that meets "boom" SIGTERMs itself, releases its
-        # lease and exits EXIT_INTERRUPTED; resume reports the hole
+        # lock and exits EXIT_INTERRUPTED; resume reports the hole
         # (exit 1) instead of passing that code on.
         assert sweep_main(["resume", str(sweep.root), "--workers", "2",
                            "--quiet"]) == 1
@@ -791,11 +831,13 @@ class TestResumeWorkers:
         try:
             store = LeaseStore(sweep.lease_dir)
             deadline = time.monotonic() + 60  # simlint: allow[D103] subprocess watchdog
-            while (len(store.active()) < 2
-                   and time.monotonic() < deadline):  # simlint: allow[D103] subprocess watchdog
+            while time.monotonic() < deadline:  # simlint: allow[D103] subprocess watchdog
+                pids = [record.get("pid")
+                        for record in store.holders().values()]
+                if len(pids) == 2 and None not in pids:
+                    break
                 assert parent.poll() is None
                 time.sleep(0.02)
-            pids = [record["pid"] for record in store.active()]
             assert len(pids) == 2 and parent.pid not in pids
             parent.send_signal(signal.SIGTERM)
             assert parent.wait(timeout=30) == EXIT_INTERRUPTED
@@ -803,9 +845,9 @@ class TestResumeWorkers:
             if parent.poll() is None:
                 parent.kill()
                 parent.wait(timeout=30)
-        # Both workers released their leases and were joined: the
+        # Both workers released their locks and were joined: the
         # parent left no live (or zombie) child behind.
-        assert list(sweep.lease_dir.glob("*.lease")) == []
+        assert store.holders() == {}
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
@@ -970,35 +1012,101 @@ class TestSweepCli:
         assert "1/1 done" in out
         assert "worker" in out
 
-    def test_status_prints_heartbeat_and_expired_leases(
-            self, tmp_path, suite_dir, capsys):
+    def test_status_prints_lock_holders(self, tmp_path, suite_dir,
+                                        capsys):
         from repro.sweep.cli import main
         sweep_dir = tmp_path / "sweep"
         assert main(["init", str(sweep_dir), "--suite",
                      str(suite_dir)]) == 0
-        now = [1000.0]
-        store = LeaseStore(sweep_dir / "leases", expiry_s=300,
-                           clock=lambda: now[0])
-        assert store.claim("shard-00000", "hb-w0") is not None
-        now[0] += 12.0
-        status = SweepDir(sweep_dir).status(clock=lambda: now[0])
-        (info,) = status["lease_info"]
-        assert info["worker"] == "hb-w0"
-        assert info["age_s"] == pytest.approx(12.0)
-        assert info["expired"] is False
-        # Past expiry the lease is flagged but still listed.
-        now[0] += 400.0
-        status = SweepDir(sweep_dir).status(clock=lambda: now[0])
-        (info,) = status["lease_info"]
-        assert info["expired"] is True
+        store = LeaseStore(sweep_dir / "leases")
+        lease = store.claim("shard-00000", "lock-w0")
+        status = SweepDir(sweep_dir).status()
+        assert status["lease_info"] == [{"key": "shard-00000",
+                                         "worker": "lock-w0"}]
+        assert status["counts"]["leased"] == 1
+        assert status["shards"]["0"]["worker"] == "lock-w0"
         capsys.readouterr()
-        # The CLI renders the age on live shards and names expired
-        # leases (its clock is real wall time: the decade-old stamp
-        # is long expired).
         assert main(["status", str(sweep_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "EXPIRED" in out
-        assert "resume would reclaim it" in out
+        assert "worker=lock-w0" in capsys.readouterr().out
+        # Released: the shard is pending again, with no holder.
+        store.release(lease)
+        status = SweepDir(sweep_dir).status()
+        assert status["lease_info"] == []
+        assert status["counts"]["pending"] == 1
+        assert main(["status", str(sweep_dir)]) == 0
+        assert "worker=" not in capsys.readouterr().out
+
+    def test_merge_exits_1_on_a_quarantined_task(self, tmp_path,
+                                                 capsys):
+        # A pipeline `sweep run && sweep merge && report` must stop at
+        # a parked task, not only at a missing one.
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest_from_callables("holes", [
+            {"label": "bad", "fn": "repro.sweep.tasks:always_fails",
+             "kwargs": {"label": "bad"}},
+            {"label": "good", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "good", "seed": 1, "rounds": 5}}]))
+        assert sweep_main(["resume", str(sweep.root), "--quiet",
+                           "--retries", "0"]) == 0
+        out = tmp_path / "merged.json"
+        assert sweep_main(["merge", str(sweep.root),
+                           "--out", str(out)]) == 1
+        assert "0 missing, 1 quarantined" in capsys.readouterr().err
+        statuses = [entry["status"] for entry
+                    in json.loads(out.read_text())["results"]]
+        assert statuses == ["quarantined", "done"]
+
+    @pytest.mark.parametrize("command", ["status", "work", "resume",
+                                         "merge"])
+    @pytest.mark.parametrize("damage, message", [
+        ("no_source", "entry 1 has no object 'source'"),
+        ("bad_index", "entry 1: invalid literal"),
+        ("list", "not a list"),
+        ("bad_entry", "entry 0 is not an object"),
+    ])
+    def test_malformed_manifest_exits_2_without_a_traceback(
+            self, tmp_path, capsys, command, damage, message):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=2))
+        document = json.loads(sweep.manifest_path.read_text())
+        if damage == "no_source":
+            del document["tasks"][1]["source"]
+        elif damage == "bad_index":
+            document["tasks"][1]["index"] = "x"
+        elif damage == "bad_entry":
+            document["tasks"][0] = 7
+        else:
+            document = document["tasks"]
+        sweep.manifest_path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert sweep_main([command, str(sweep.root)]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("record", [
+        "[1, 2]", '{"label": "bad"}', '{"failed": "boom"}', '{"fai'])
+    def test_malformed_quarantine_record_is_still_a_quarantine(
+            self, tmp_path, capsys, record):
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=2))
+        parked = sweep.load_manifest().tasks[0]
+        sweep.quarantine_path(parked.fingerprint).write_text(record)
+        assert sweep.status()["counts"]["quarantined"] == 1
+        assert sweep_main(["resume", str(sweep.root)]) == 0
+        assert "unreadable quarantine record" in capsys.readouterr().err
+        assert sweep_main(["status", str(sweep.root)]) == 0
+        assert "unreadable quarantine record" in capsys.readouterr().out
+        out = tmp_path / "merged.json"
+        assert sweep_main(["merge", str(sweep.root),
+                           "--out", str(out)]) == 1
+        entry, done = json.loads(out.read_text())["results"]
+        assert entry["status"] == "quarantined"
+        assert entry["failed"]["error"].startswith(
+            "unreadable quarantine record: ")
+        assert done["status"] == "done"
 
     def test_hybrid_override_keeps_afq_specs_packet(self, tmp_path,
                                                     capsys):

@@ -1,16 +1,16 @@
 """Kill-resume property: a murdered sweep resumes byte-identically.
 
 The fabric's headline guarantee is that SIGKILLing a worker at *any*
-point — between tasks, mid-task, holding a lease — loses nothing:
-``sweep resume`` breaks the orphaned lease, re-runs whatever lacks a
-cache entry, and the merged result document is byte-identical to an
-uninterrupted run, because results are keyed by deterministic
-fingerprints and written atomically.
+point — between tasks, mid-task, holding a shard lock — loses nothing:
+the kernel drops the dead worker's lock, ``sweep resume`` re-runs
+whatever lacks a cache entry, and the merged result document is
+byte-identical to an uninterrupted run, because results are keyed by
+deterministic fingerprints and written atomically.
 
 Hypothesis drives the kill point (how many tasks the victim completes
 before the SIGKILL).  The victim is a real
 ``python -m repro.sweep.cli work`` subprocess so the kill exercises the
-honest path: orphaned lease file, dead pid, no graceful flush.
+honest path: a lock held by a process that dies, no graceful flush.
 """
 
 import json
@@ -25,7 +25,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sweep.cli import main as sweep_main
+from repro.sweep.lease import LeaseStore
 from repro.sweep.manifest import SweepDir, manifest_from_callables
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 TASK_COUNT = 6
 
@@ -49,24 +52,25 @@ def merged_document(sweep_dir):
     return json.dumps(payloads, sort_keys=True)
 
 
+def worker_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def run_victim(sweep_dir, max_tasks):
     """A real worker subprocess, SIGKILLed after ``max_tasks`` tasks.
 
     ``--max-tasks`` parks the worker at an exact progress point (it
     idles afterwards only because it exits); killing it right after
-    guarantees an orphaned lease is plausible but not required — the
+    makes dying with a shard locked plausible but not required — the
     property must hold either way.
     """
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   [os.path.join(os.path.dirname(__file__), "..",
-                                 "src")]
-                   + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.sweep.cli", "work",
          str(sweep_dir), "--worker-id", "victim",
-         "--max-tasks", str(max_tasks), "--expiry-s", "300"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+         "--max-tasks", str(max_tasks)],
+        env=worker_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 60  # simlint: allow[D103] subprocess watchdog
     while time.monotonic() < deadline:  # simlint: allow[D103] subprocess watchdog
         done = SweepDir(sweep_dir).status()["counts"]["done"]
@@ -76,6 +80,8 @@ def run_victim(sweep_dir, max_tasks):
     if proc.poll() is None:
         proc.send_signal(signal.SIGKILL)
     proc.wait()
+    # Dead, so it holds nothing: the kernel dropped its lock.
+    assert LeaseStore(SweepDir(sweep_dir).lease_dir).holders() == {}
 
 
 class TestKillResume:
@@ -104,8 +110,8 @@ class TestKillResume:
         status = SweepDir(murdered_dir).status()
         assert status["counts"]["done"] >= kill_after
 
-        # Resume (dead-pid fast path breaks any orphaned lease
-        # immediately; no expiry wait) and demand byte-identity.
+        # Resume (nothing to break or wait out) and demand
+        # byte-identity.
         assert sweep_main(["resume", str(murdered_dir),
                            "--quiet"]) == 0
         counts = SweepDir(murdered_dir).status()["counts"]
@@ -113,8 +119,7 @@ class TestKillResume:
         assert counts["pending"] == 0
         assert counts["quarantined"] == 0
         assert merged_document(murdered_dir) == baseline
-        assert list(
-            (murdered_dir / "leases").glob("*.lease")) == []
+        assert LeaseStore(murdered_dir / "leases").holders() == {}
 
 
 class TestScenarioKillResume:
@@ -142,19 +147,23 @@ class TestScenarioKillResume:
                                str(suite)]) == 0
         assert sweep_main(["resume", str(baseline_dir),
                            "--quiet"]) == 0
-        # Simulate a crash after one task: run with a budget, leave an
-        # unreleased (stale-pid) lease behind by hand.
+        # Simulate a crash after one task: run with a budget, then
+        # leave what a dead or damaged holder would: an unlocked lock
+        # file with a garbage record, and a lease file of the older
+        # format whose timestamp lies in the future.
         assert sweep_main(["work", str(partial_dir), "--worker-id",
                            "crashed", "--max-tasks", "1"]) == 0
         store_dir = partial_dir / "leases"
+        (store_dir / "shard-00001.lock").write_text('{"worker": "cra')
         (store_dir / "shard-00001.lease").write_text(json.dumps({
-            "lease_version": 1, "key": "shard-00001",
-            "worker_id": "crashed", "nonce": "dead",
-            "pid": 2 ** 22 - 1, "host": __import__("socket")
-            .gethostname(),
-            "acquired_unix": 0.0, "renewed_unix": 0.0,
-            "expiry_s": 30.0}))
-        assert sweep_main(["resume", str(partial_dir),
-                           "--quiet"]) == 0
+            "key": "shard-00001", "worker_id": "ghost",
+            "renewed_unix": 4e9}))
+        # Neither is held, so resume finishes at once.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.sweep.cli", "resume",
+             str(partial_dir), "--quiet"],
+            env=worker_env(), capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
         assert merged_document(partial_dir) == \
             merged_document(baseline_dir)

@@ -7,13 +7,14 @@ Proves the fabric's end-to-end recovery guarantee on real simulations:
    run it once, uninterrupted, for the reference merged document.
 2. ``sweep init`` a second sweep over the same suite and launch three
    worker subprocesses against it.
-3. Murder the fleet mid-flight: SIGKILL worker 0 (orphaned lease, no
-   flush), SIGTERM worker 1 (graceful: lease released, completed
+3. Murder the fleet mid-flight: SIGKILL worker 0 (no flush; the
+   kernel must drop its shard lock at once, checked before any
+   resume), SIGTERM worker 1 (graceful: lock released, completed
    results flushed), and SIGTERM worker 2 a little later.
 4. ``sweep resume --workers 2`` and assert: zero pending, zero
-   quarantined, zero leases left behind, no duplicate or missing
-   fingerprints, and a merged result document **byte-identical** to
-   the uninterrupted reference.
+   quarantined, no shard held, no duplicate or missing fingerprints,
+   and a merged result document **byte-identical** to the
+   uninterrupted reference.
 
 Artifacts (manifest, final status, worker/resume metrics, both merged
 documents) are copied to ``--out-dir`` for CI upload.
@@ -42,6 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sweep.cli import main as sweep_main           # noqa: E402
+from repro.sweep.lease import LeaseStore                 # noqa: E402
 from repro.sweep.manifest import SweepDir                # noqa: E402
 
 #: (cca_mix, disciplines) axes: 12 points = 6 scenarios x 2 disciplines.
@@ -76,8 +78,7 @@ def spawn_worker(sweep_dir: Path, worker_id: str) -> subprocess.Popen:
         + env.get("PYTHONPATH", "").split(os.pathsep))
     return subprocess.Popen(
         [sys.executable, "-m", "repro.sweep.cli", "work",
-         str(sweep_dir), "--worker-id", worker_id,
-         "--expiry-s", "300"],
+         str(sweep_dir), "--worker-id", worker_id],
         env=env)
 
 
@@ -132,11 +133,16 @@ def run_drill(root: Path, out_dir: Path, duration_s: float) -> None:
     workers = [spawn_worker(victim_dir, f"chaos-w{i}")
                for i in range(3)]
 
-    # 3. Murder schedule: SIGKILL w0 early (orphaned lease), SIGTERM
-    #    w1 right after (graceful flush), SIGTERM w2 a beat later.
+    # 3. Murder schedule: SIGKILL w0 early (no flush), SIGTERM w1
+    #    right after (graceful flush), SIGTERM w2 a beat later.
     done_at_kill = wait_for_done(victim_dir, 2, 120.0, workers)
     workers[0].send_signal(signal.SIGKILL)
+    workers[0].wait()
     print(f"[chaos] SIGKILLed chaos-w0 at {done_at_kill} done")
+    # The kernel dropped the dead worker's lock: no resume, no wait.
+    held = LeaseStore(victim_dir / "leases").holders()
+    assert all(record["worker"] != "chaos-w0"
+               for record in held.values()), held
     workers[1].send_signal(signal.SIGTERM)
     wait_for_done(victim_dir, min(total, done_at_kill + 2), 120.0,
                   [workers[2]])
@@ -168,7 +174,7 @@ def run_drill(root: Path, out_dir: Path, duration_s: float) -> None:
     assert final["counts"]["done"] == total, final
     assert final["counts"]["pending"] == 0, final
     assert final["counts"]["quarantined"] == 0, final
-    assert list((victim_dir / "leases").glob("*.lease")) == []
+    assert LeaseStore(victim_dir / "leases").holders() == {}
 
     # No duplicated or missing results: one cache entry per manifest
     # fingerprint, exactly.
@@ -182,7 +188,7 @@ def run_drill(root: Path, out_dir: Path, duration_s: float) -> None:
 
     # Post-resume fleet view: nothing lost, nothing duplicated, and
     # the canonical --once --json document is byte-stable on a
-    # quiescent sweep (no live leases, wall clock out of the picture).
+    # quiescent sweep (no shard held, wall clock out of the picture).
     watch_final, watch_final_text = watch_json(victim_dir)
     assert watch_final["counts"] == final["counts"], \
         (watch_final["counts"], final["counts"])
