@@ -19,12 +19,15 @@ args)`` tuples (:class:`HeapScheduler`).  Tuple entries keep
 comparisons in C (int compares) instead of calling a Python ``__lt__``
 per sift, and the unique ``(time_ns, seq)`` prefix is the total order:
 nondecreasing time, FIFO among ties.  ``post``/``post_at`` push the
-callback itself and return nothing; ``schedule``/``schedule_at`` are
-for the few callers that cancel: they return an :class:`Event` handle
-and push ``(time_ns, seq, None, event)``, so only those entries pay
-for an object and a cancelled check.  Both kinds share the one heap
-and the one seq counter.  ``tests/test_engine_ordering.py`` checks
-that order against a stable sort.
+callback itself and return nothing; :class:`~repro.netsim.link.Link`
+builds the same entry for its two per-packet events and pushes it
+itself.  ``schedule``/``schedule_at`` are for the three timers that
+get cancelled (TCP RTO and pacing, the UDP sender): they return an
+:class:`Event` handle and push ``(time_ns, seq, None, event)``, so
+only those entries pay for an object and a cancelled check.  All
+kinds share the one heap and the one seq counter.
+``tests/test_engine_ordering.py`` checks that order against a stable
+sort.
 
 Per-event argument validation (:func:`repro.analysis.invariants
 .require_int_ns`) is debug-gated: it runs when
@@ -58,6 +61,9 @@ MICROSECOND = 1_000
 MILLISECOND = 1_000_000
 #: Nanoseconds in a second.
 SECOND = 1_000_000_000
+#: The bound of an unbounded ``run``: an int (so the per-event compare
+#: stays int against int) beyond any time or event count a run reaches.
+_NEVER = 1 << 256
 
 
 def seconds(value: Seconds) -> TimeNs:
@@ -120,6 +126,8 @@ class Simulator:
     """An event-driven simulator with an integer-nanosecond clock."""
 
     def __init__(self) -> None:
+        # Link pushes its two per-packet entries onto _heap itself, as
+        # post() would (netsim/link.py): the one other writer.
         self._heap = HeapScheduler()
         # post()/schedule() run once per event, so the seq counter's
         # __next__ is resolved here instead of per call.
@@ -262,10 +270,15 @@ class Simulator:
         start_ns = self._now_ns
         # The loop below is the simulator's hot path: one heappop, one
         # unpack, two int compares and the callback per event; only a
-        # cancellable entry (callback None) is looked into.
+        # cancellable entry (callback None) is looked into.  The
+        # executed count reaches ``_processed`` in ``finally`` and
+        # before each watchdog call, which may read it mid-run.
         heap = self._heap
         pop = heappop
+        limit = _NEVER if until_ns is None else until_ns
+        budget = _NEVER if max_events is None else max_events
         executed = 0
+        synced = 0
         try:
             while heap:
                 entry = pop(heap)
@@ -274,18 +287,19 @@ class Simulator:
                     if args.cancelled:
                         continue
                     callback, args = args.callback, args.args
-                if until_ns is not None and time_ns > until_ns:
+                if time_ns > limit:
                     heappush(heap, entry)
                     break
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     heappush(heap, entry)
                     raise SimulationError(
                         f"exceeded max_events={max_events}")
                 executed += 1
                 self._now_ns = time_ns
-                self._processed += 1
                 if (watchdog is not None
                         and not executed % watchdog_interval):
+                    self._processed += executed - synced
+                    synced = executed
                     watchdog()
                 if registry is not None:
                     owner = component_of(callback)
@@ -294,6 +308,7 @@ class Simulator:
             if until_ns is not None and until_ns > self._now_ns:
                 self._now_ns = until_ns
         finally:
+            self._processed += executed - synced
             self._running = False
             if span is not None:
                 span.count = executed

@@ -6,13 +6,21 @@ Bidirectional cables are simply two links.  The link owns the egress
 queue disc of its port and pulls from it whenever the transmitter is
 idle, which is the same service model as ns-3's
 ``PointToPointNetDevice`` + traffic-control-layer queue.
+
+A link schedules two events per packet (end of serialization, arrival
+at ``dst``) and pushes both straight onto the simulator's heap: the
+``(time_ns, seq, callback, args)`` entry and DEBUG check that
+:meth:`Simulator.post <repro.netsim.engine.Simulator.post>` would make,
+without its frame.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from ..analysis.invariants import unwrap
+from ..analysis import invariants
+from ..analysis.invariants import require_int_ns, unwrap
 from ..obs import bus as obs_bus
 from ..obs.events import PacketTx
 from .engine import SECOND, Simulator
@@ -147,25 +155,27 @@ class Link:
         return self._queue.enqueue(packet)
 
     def _on_queue_ready(self) -> None:
-        if not self._busy:
-            self._start_transmission()
+        """The queue's waker: an idle transmitter starts on its packet.
 
-    def _start_transmission(self) -> None:
-        if not self._up:
-            # Transmitter paused while the link is down; set_up(True)
-            # re-kicks it through _on_queue_ready.
-            self._busy = False
+        The transmitter stays paused while the link is down;
+        ``set_up(True)`` kicks it through here again.
+        """
+        if self._busy or not self._up:
             return
         packet = self._queue.dequeue()
         if packet is None:
-            self._busy = False
             return
         self._busy = True
-        size = packet.size_bytes
-        tx_time = self._ser_delay_cache.get(size)
-        if tx_time is None:
-            tx_time = self.serialization_delay_ns(size)
-        self.sim.post(tx_time, self._finish_transmission, packet)
+        try:
+            tx_time = self._ser_delay_cache[packet.size_bytes]
+        except KeyError:
+            tx_time = self.serialization_delay_ns(packet.size_bytes)
+        # sim.post(tx_time, self._finish_transmission, packet), inline.
+        if invariants.DEBUG:
+            require_int_ns(tx_time, "post() delay_ns")
+        sim = self.sim
+        heappush(sim._heap, (sim._now_ns + tx_time, sim._next_seq(),
+                             self._finish_transmission, (packet,)))
 
     def _finish_transmission(self, packet: Packet) -> None:
         self.tx_packets += 1
@@ -181,11 +191,34 @@ class Link:
                            size_bytes=packet.size_bytes,
                            seq=packet.seq, ack=packet.ack,
                            ecn=packet.ecn.name))
+        sim = self.sim
+        debug = invariants.DEBUG
         if self._impaired:
             self._deliver_impaired(packet)
         else:
-            self.sim.post(self.delay_ns, self.dst.receive, packet, self)
-        self._start_transmission()
+            # sim.post(self.delay_ns, self.dst.receive, packet, self).
+            if debug:
+                require_int_ns(self.delay_ns, "post() delay_ns")
+            heappush(sim._heap, (sim._now_ns + self.delay_ns,
+                                 sim._next_seq(), self.dst.receive,
+                                 (packet, self)))
+        # The next packet, if any, goes straight onto the wire: the
+        # waker's work, inline, since this runs once per transmission.
+        if self._up:
+            packet = self._queue.dequeue()
+            if packet is not None:
+                try:
+                    tx_time = self._ser_delay_cache[packet.size_bytes]
+                except KeyError:
+                    tx_time = self.serialization_delay_ns(
+                        packet.size_bytes)
+                if debug:
+                    require_int_ns(tx_time, "post() delay_ns")
+                heappush(sim._heap, (sim._now_ns + tx_time,
+                                     sim._next_seq(),
+                                     self._finish_transmission, (packet,)))
+                return
+        self._busy = False
 
     def _deliver_impaired(self, packet: Packet) -> None:
         """Off-hot-path delivery when the link is down or fault-laden."""

@@ -82,10 +82,6 @@ class CongestionControl:
         self.on_enter_recovery(int(self.cwnd_bytes), now_ns)
         self.on_exit_recovery(now_ns)
 
-    def on_packet_sent(self, size_bytes: Bytes, now_ns: TimeNs,
-                       in_flight_bytes: int) -> None:
-        """A data segment entered the network (used by BBR)."""
-
     # -- queries ----------------------------------------------------------
     @property
     def in_slow_start(self) -> bool:

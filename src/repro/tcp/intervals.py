@@ -53,7 +53,12 @@ class IntervalSet:
             self.max_end = end
             return
         # Find all existing ranges that touch or overlap the new one.
+        # ``start <= max_end`` here, so ``left`` indexes a range.
         left = bisect.bisect_left(ends, start)
+        if starts[left] <= start and end <= ends[left]:
+            # Already held (a SACK block re-sent on every ACK, the
+            # common case): nothing changes.
+            return
         right = bisect.bisect_right(starts, end)
         if left < right:
             start = min(start, starts[left])

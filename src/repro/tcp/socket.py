@@ -185,23 +185,6 @@ class TcpSender:
         return self.snd_nxt - horizon + self._retx_out_bytes
 
     # -- transmission -------------------------------------------------------
-    def _new_segment_size(self) -> Bytes:
-        """Payload of the next new segment; 0 when none may be sent now
-        (not started, done, application drained, or window full)."""
-        if not self.started or self.completed:
-            return 0
-        payload = MSS_BYTES
-        if self.max_bytes is not None:
-            remaining = self.max_bytes - self.snd_nxt
-            if remaining < payload:
-                if remaining <= 0:
-                    return 0
-                payload = remaining
-        if self.pipe_bytes + payload > \
-                self.cca.cwnd_bytes + self._inflation_bytes:
-            return 0
-        return payload
-
     def _next_hole(self) -> Optional[int]:
         """The next unSACKed byte to retransmit; SACK recovery only.
 
@@ -232,11 +215,32 @@ class TcpSender:
                     self._transmit(hole, payload, retransmit=True)
                     self._recovery_scan = hole + payload
                     continue
-            payload = self._new_segment_size()
-            if not payload or not self._pacing_gate():
+            # A new segment: none before start or after completion, at
+            # most what the application has left, and only while pipe
+            # (:attr:`pipe_bytes`, inline: once per segment) leaves room.
+            if not self.started or self.completed:
                 return
-            self._transmit(self.snd_nxt, payload, retransmit=False)
-            self.snd_nxt += payload
+            snd_nxt = self.snd_nxt
+            payload = MSS_BYTES
+            if self.max_bytes is not None:
+                remaining = self.max_bytes - snd_nxt
+                if remaining < payload:
+                    if remaining <= 0:
+                        return
+                    payload = remaining
+            horizon = self._scoreboard.max_end
+            if horizon < self.snd_una:
+                horizon = self.snd_una
+            if self._rto_recovery and horizon < self._recover_seq:
+                horizon = self._recover_seq
+            pipe = self._retx_out_bytes
+            if horizon < snd_nxt:
+                pipe += snd_nxt - horizon
+            if pipe + payload > self.cca.cwnd_bytes + self._inflation_bytes \
+                    or not self._pacing_gate():
+                return
+            self._transmit(snd_nxt, payload, retransmit=False)
+            self.snd_nxt = snd_nxt + payload
 
     def _pacing_gate(self) -> bool:
         """True if a packet may be sent now; otherwise arm the pacer."""
@@ -278,7 +282,6 @@ class TcpSender:
                 delivered_at_send=self._delivered_bytes))
         self.sent_segments += 1
         self.host.send(packet)
-        self.cca.on_packet_sent(packet.size_bytes, now, self.pipe_bytes)
         # RFC 6298: arm the timer if idle, but never push back a running
         # one on transmission — only new-data ACKs restart it.  (A
         # retransmission must restart it or the backoff never takes
@@ -454,12 +457,23 @@ class TcpSender:
                 self._retransmit_head()
             # In SACK mode the scoreboard drives hole retransmissions
             # from _try_send; nothing else to do on a partial ACK.
+        # The CCA sees :attr:`pipe_bytes`, inline (once per ACK).
+        snd_nxt = self.snd_nxt
+        horizon = scoreboard.max_end
+        if horizon < ack:
+            horizon = ack
+        if self._rto_recovery and horizon < self._recover_seq:
+            horizon = self._recover_seq
+        pipe = self._retx_out_bytes
+        if horizon < snd_nxt:
+            pipe += snd_nxt - horizon
+        max_bytes = self.max_bytes
         ctx = AckContext(acked_bytes=acked, ack_seq=ack,
                          rtt_ns=rtt_sample, now_ns=self.sim.now_ns,
-                         in_flight_bytes=self.pipe_bytes,
-                         snd_nxt=self.snd_nxt,
+                         in_flight_bytes=pipe, snd_nxt=snd_nxt,
                          delivery_rate_bps=rate_sample,
-                         is_app_limited=self._app_limited(),
+                         is_app_limited=max_bytes is not None
+                         and snd_nxt >= max_bytes,
                          # RTO recovery is slow start for the CCA: the
                          # window must rebuild with the ACK clock.
                          in_recovery=self.in_recovery
@@ -488,10 +502,6 @@ class TcpSender:
             if not self.sack_enabled:
                 self._inflation_bytes = DUPACK_THRESHOLD * MSS_BYTES
             self._retransmit_head()
-
-    def _app_limited(self) -> bool:
-        return self.max_bytes is not None and \
-            self.snd_nxt >= self.max_bytes
 
     def _maybe_complete(self) -> None:
         if (not self.completed and self.max_bytes is not None
@@ -549,22 +559,30 @@ class TcpReceiver:
             self._ece = False
         if packet.ecn is EcnCodepoint.CE:
             self._ece = True
-        self._reassemble(packet)
+        end = packet.seq + packet.payload_bytes
+        rcv_nxt = self.rcv_nxt
+        # A pure duplicate delivers nothing; the ACK we send is the signal.
+        if packet.payload_bytes > 0 and end > rcv_nxt:
+            if packet.seq <= rcv_nxt and not self._ranges:
+                # In order with nothing buffered: delivered straight
+                # through, without the reassembly frames.
+                payload_bytes = end - rcv_nxt
+                self.rcv_nxt = end
+                self.delivered_bytes += payload_bytes
+                if self.monitor is not None:
+                    self.monitor.on_delivered(self.flow, payload_bytes)
+            else:
+                self._reassemble(max(packet.seq, rcv_nxt), end)
         self._send_ack()
 
-    def _reassemble(self, packet: Packet) -> None:
-        end = packet.seq + packet.payload_bytes
-        if packet.payload_bytes <= 0 or end <= self.rcv_nxt:
-            return  # Pure duplicate; the ACK we send is the signal.
-        if packet.seq <= self.rcv_nxt and not self._ranges:
-            # In order with nothing buffered: no reassembly to do.
-            self._deliver(end - self.rcv_nxt)
-            return
-        self._ranges.add(max(packet.seq, self.rcv_nxt), end)
-        if self._ranges.covers_point(self.rcv_nxt):
-            new_nxt = self._ranges.first_gap_at_or_after(self.rcv_nxt)
+    def _reassemble(self, start: int, end: int) -> None:
+        """Buffer ``[start, end)``; deliver whatever it completes."""
+        ranges = self._ranges
+        ranges.add(start, end)
+        if ranges.covers_point(self.rcv_nxt):
+            new_nxt = ranges.first_gap_at_or_after(self.rcv_nxt)
             self._deliver(new_nxt - self.rcv_nxt)
-            self._ranges.prune_below(self.rcv_nxt)
+            ranges.prune_below(self.rcv_nxt)
 
     def _deliver(self, payload_bytes: Bytes) -> None:
         self.rcv_nxt += payload_bytes

@@ -167,27 +167,55 @@ class TestProperties:
     @given(st.lists(st.one_of(
         st.tuples(st.just("add"), st.integers(0, 300),
                   st.integers(1, 40)),
+        st.tuples(st.just("repeat"), st.integers(0, 60)),
         st.tuples(st.just("prune_below"), st.integers(0, 340)),
         st.tuples(st.just("clear"))), max_size=60))
     def test_running_totals_after_any_op_sequence(self, ops):
         """``total_bytes``/``max_end`` are kept by the mutators, not
         recomputed: after every operation they must equal what the
-        ranges themselves (and the byte-set model) say."""
+        ranges themselves (and the byte-set model) say.  ``repeat``
+        re-adds an earlier range, as SACK blocks are re-sent."""
         ranges = IntervalSet()
         model = set()
+        added = []
         for op in ops:
+            if op[0] == "repeat" and added:
+                op = ("add",) + added[op[1] % len(added)]
             if op[0] == "add":
                 ranges.add(op[1], op[1] + op[2])
                 model.update(range(op[1], op[1] + op[2]))
+                added.append(op[1:])
             elif op[0] == "prune_below":
                 ranges.prune_below(op[1])
                 model = {p for p in model if p >= op[1]}
-            else:
+            elif op[0] == "clear":
                 ranges.clear()
                 model = set()
             assert ranges.total_bytes == \
                 sum(end - start for start, end in ranges) == len(model)
             assert ranges.max_end == (max(model) + 1 if model else 0)
+
+    @given(st.lists(st.tuples(st.integers(0, 500),
+                              st.integers(1, 40)),
+                    min_size=1, max_size=40),
+           st.integers(0, 10_000), st.integers(0, 10_000),
+           st.integers(0, 10_000))
+    def test_adding_a_covered_range_changes_nothing(self, raw, pick,
+                                                    left, right):
+        """The already-held fast path: any ``[start, end)`` inside one
+        held range leaves the ranges and both running totals as they
+        were."""
+        ranges = IntervalSet()
+        for start, length in raw:
+            ranges.add(start, start + length)
+        held = list(ranges)
+        low, high = held[pick % len(held)]
+        start = low + left % (high - low)
+        end = start + 1 + right % (high - start)
+        totals = (ranges.total_bytes, ranges.max_end)
+        ranges.add(start, end)
+        assert list(ranges) == held
+        assert (ranges.total_bytes, ranges.max_end) == totals
 
     @given(st.lists(st.tuples(st.integers(0, 500),
                               st.integers(1, 40)),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import invariants
 from repro.netsim.engine import SECOND, Simulator
 from repro.netsim.link import Link
 from repro.netsim.node import Host, Router
@@ -61,6 +62,20 @@ class TestLinkTiming:
         sim.schedule(1_000_000, link.send, make_packet(size=1000))
         sim.run()
         assert arrivals == [1_000_000, 3_000_000]
+
+    def test_pushes_are_post_entries_with_the_debug_check(self):
+        # The link pushes its heap entries itself: the entry post()
+        # would make, checked as post() checks it.
+        sim = Simulator()
+        _, _, link = wire(sim, rate_bps=8e6, delay_ns=500)
+        packet = make_packet(size=1000)
+        link.send(packet)
+        (time_ns, _, callback, args), = sim.scheduler
+        assert (time_ns, callback, args) == \
+            (1_000_000, link._finish_transmission, (packet,))
+        link.delay_ns = 0.5
+        with pytest.raises(invariants.InvariantViolation):
+            sim.run()
 
     def test_counters(self):
         sim = Simulator()

@@ -5,6 +5,7 @@ text, a warm cache replays results without simulating anything, and
 ``use_cache=False`` re-simulates every point even when entries exist.
 """
 
+import gc
 import json
 
 import pytest
@@ -115,6 +116,37 @@ class TestNoCache:
         # ones.
         assert len(calls) == len(specs)
         assert again == first
+
+
+class TestStore:
+    """An entry is the one-shot ``json.dumps`` text of its envelope, and
+    writing it leaves nothing for the cyclic collector."""
+
+    PAYLOAD = {"name": "t", "series": [[1, 2.5], [3, None]],
+               "nested": {"flag": True, "label": "xé"}}
+
+    def test_file_is_the_json_dumps_text(self, tmp_path):
+        ResultCache(tmp_path).store("fp", "ScenarioResult", "label",
+                                    self.PAYLOAD)
+        entry = {"cache_version": parallel.CACHE_VERSION,
+                 "kind": "ScenarioResult", "label": "label",
+                 "payload": self.PAYLOAD}
+        assert (tmp_path / "fp.json").read_text(encoding="utf-8") == \
+            json.dumps(entry)
+
+    def test_stores_leave_no_cyclic_garbage(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store("warm", "ScenarioResult", "label", self.PAYLOAD)
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(20):
+                cache.store(f"fp{index}", "ScenarioResult", "label",
+                            self.PAYLOAD)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestUndecodableEntry:
