@@ -54,12 +54,11 @@ class PerFlowCebinaeQueueDisc(CebinaeQueueDisc):
     def _admit_top_flow(self, flow: FlowId, size_bytes: int,
                         now_ns: int) -> LbfDecision:
         lbf = self.lbf
-        lbf._advance_virtual_round(now_ns)
         rate_head = self.flow_rates[lbf.headq].get(
             flow, lbf.capacity_bytes_per_sec)
         rate_tail = self.flow_rates[1 - lbf.headq].get(
             flow, lbf.capacity_bytes_per_sec)
-        aggregate = lbf._aggregate_size(rate_head, rate_tail)
+        aggregate = lbf.credit(rate_head, rate_tail, now_ns)
         level = max(self.flow_bytes.get(flow, 0.0), aggregate) + \
             size_bytes
         self.flow_bytes[flow] = level
