@@ -123,7 +123,7 @@ def test_link_fq_codel_transmit_chain(benchmark):
 
 @pytest.mark.benchmark(group="hotpath-packet")
 def test_packet_construction(benchmark):
-    """Packet allocation cost (meta dict is now lazy)."""
+    """Packet allocation cost: one generated ``__init__`` frame each."""
     flow = FlowId(0, 1, 1, 80)
 
     def make_1k():
@@ -131,7 +131,9 @@ def test_packet_construction(benchmark):
                 for i in range(1000)]
 
     packets = benchmark(make_1k)
-    assert len(packets) == 1000 and not packets[0].has_meta
+    assert len(packets) == 1000
+    assert packets[999].seq == 999 and packets[0].flow == flow
+    assert packets[0].size_bytes == MTU_BYTES
 
 
 @pytest.mark.benchmark(group="hotpath-tracing")

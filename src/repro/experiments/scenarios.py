@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..netsim.engine import MILLISECOND, seconds
 from ..netsim.packet import MSS_BYTES, MTU_BYTES
@@ -296,6 +297,34 @@ class ScaledScenario:
 MIN_SEGMENTS_PER_RTT = 3.0
 
 
+def _fraction(value: float) -> bool:
+    return 0.0 <= value <= 1.0
+
+
+#: What each :class:`ScalePolicy` field must satisfy: (test, wording).
+#: dT must cover the buffer's drain time (Equation 2) and exceed vdT,
+#: which the policy fixes at 1 ms.
+_POLICY_BOUNDS: Dict[str, Tuple[Callable[[float], bool], str]] = {
+    "target_rate_bps": (lambda value: value > 0, "> 0"),
+    "max_rate_bps": (lambda value: value > 0, "> 0"),
+    "max_flows": (lambda value: value >= 1, ">= 1"),
+    "tau_paper": (_fraction, "in [0, 1]"),
+    "delta_paper": (_fraction, "in [0, 1]"),
+    "tau_cap": (_fraction, "in [0, 1]"),
+    "delta_cap": (_fraction, "in [0, 1]"),
+    "min_bottom_rate_fraction": (lambda value: 0.0 <= value < 1.0,
+                                 "in [0, 1)"),
+    "dt_headroom": (lambda value: value >= 1.0, ">= 1"),
+    "min_dt_s": (lambda value: value > 0.001, "> 0.001 (vdT)"),
+}
+
+
+def policy_field_problem(name: str, value: float) -> Optional[str]:
+    """Why ``value`` is no valid ScalePolicy ``name``, or None."""
+    valid, wording = _POLICY_BOUNDS[name]
+    return None if valid(value) else f"must be {wording}, got {value!r}"
+
+
 @dataclass(frozen=True)
 class ScalePolicy:
     """Maps paper-scale scenarios onto simulator-scale ones."""
@@ -310,6 +339,12 @@ class ScalePolicy:
     min_bottom_rate_fraction: float = 0.02
     dt_headroom: float = 1.2
     min_dt_s: float = 0.04
+
+    def __post_init__(self) -> None:
+        for name in _POLICY_BOUNDS:
+            problem = policy_field_problem(name, getattr(self, name))
+            if problem is not None:
+                raise ValueError(f"ScalePolicy.{name} {problem}")
 
     # -- individual scaling rules ---------------------------------------------
     def scale_mix(self, mix: Sequence[Tuple[str, int]]

@@ -17,8 +17,7 @@ from .fq_codel import (CODEL_INTERVAL_NS, CODEL_TARGET_NS, CoDelState,
 from .link import Link
 from .node import Host, Node, Router
 from .packet import (ACK_BYTES, HEADER_BYTES, MSS_BYTES, MTU_BYTES,
-                     EcnCodepoint, FlowId, Packet, PacketType,
-                     make_rotate_packet)
+                     EcnCodepoint, FlowId, Packet, PacketType)
 from .queues import DropTailQueue, QueueDisc
 from .topology import (Dumbbell, Network, ParkingLot, PortSpec,
                        QueueFactory, build_dumbbell, build_parking_lot,
@@ -30,7 +29,6 @@ __all__ = [
     "seconds", "to_seconds", "Event", "Simulator", "SimulationError",
     "Packet", "PacketType", "FlowId", "EcnCodepoint",
     "MTU_BYTES", "MSS_BYTES", "HEADER_BYTES", "ACK_BYTES",
-    "make_rotate_packet",
     "QueueDisc", "DropTailQueue", "AfqQueue", "afq_factory",
     "CoDelState", "FqCoDelQueue", "fq_codel_factory",
     "CODEL_TARGET_NS", "CODEL_INTERVAL_NS",

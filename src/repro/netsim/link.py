@@ -58,7 +58,7 @@ class Link:
         self._on_transmit: Optional[Callable[[Packet], None]] = None
         # Serialization delay depends only on packet size, and traffic
         # is dominated by a handful of sizes (MTU, MSS boundaries, pure
-        # ACKs, ROTATE markers), so the round() per packet memoises
+        # ACKs), so the round() per packet memoises
         # into a tiny dict.  Invalidated by the rate_bps setter.
         self._ser_delay_cache: Dict[int, int] = {}
         # Fault-injection state (repro.faults).  The hot path pays one

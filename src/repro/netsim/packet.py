@@ -1,19 +1,19 @@
 """Packets and flow identifiers.
 
-A :class:`Packet` is the unit of everything in the simulator: TCP data
-segments, ACKs, and Cebinae's internal ROTATE packets all use the same
-class, distinguished by :class:`PacketType`.  The header layout mirrors
-what the paper's data plane sees: a five-tuple flow identifier plus the
-two ECN bits.
+A :class:`Packet` is the unit of everything in the simulator: TCP and
+UDP data segments and TCP ACKs all use the same class, distinguished by
+:class:`PacketType`.  It is a plain header, and the layout mirrors what
+the paper's data plane sees: a five-tuple flow identifier plus the two
+ECN bits.  Cebinae's queue rotation is driven by control-plane timers,
+not by marker packets.
 """
 
 from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import InitVar, dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, Mapping, NamedTuple,
-                    Optional, Tuple)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     from ..core.units import Bytes
@@ -33,7 +33,6 @@ class PacketType(enum.Enum):
 
     DATA = "data"
     ACK = "ack"
-    ROTATE = "rotate"  # Cebinae queue-rotation marker (packet generator).
 
 
 class EcnCodepoint(enum.Enum):
@@ -88,20 +87,13 @@ class Packet:
         seq: first payload byte number carried (TCP DATA only).
         payload_bytes: number of application payload bytes carried.
         ack: cumulative acknowledgment number (TCP ACK only).
-    sack: selective-acknowledgment blocks, as (start, end) byte ranges
-        above ``ack`` (TCP ACK only).
-        ptype: DATA / ACK / ROTATE.
+        sack: selective-acknowledgment blocks, as (start, end) byte
+            ranges above ``ack`` (TCP ACK only).
+        ptype: DATA / ACK.
         ecn: the IP ECN codepoint; queues set CE on ECN-capable packets.
         ece: TCP ECN-Echo flag (receiver -> sender).
         cwr: TCP Congestion Window Reduced flag (sender -> receiver).
         enqueue_time_ns: stamped by queues for delay measurement (CoDel).
-        meta: free-form annotations used by tracing and schedulers.
-            Allocated lazily on first access — the overwhelming
-            majority of packets (every DATA segment and ACK) never
-            carry annotations, and skipping the dict allocation is a
-            measurable win at millions of packets per run.  The
-            constructor still accepts ``meta={...}`` (the pre-lazy
-            API); annotations are excluded from equality and ``repr``.
     """
 
     flow: FlowId
@@ -114,28 +106,7 @@ class Packet:
     ecn: EcnCodepoint = EcnCodepoint.NOT_ECT
     ece: bool = False
     cwr: bool = False
-    sent_time_ns: int = 0
     enqueue_time_ns: int = 0
-    meta: InitVar[Optional[Dict[str, Any]]] = None
-    _meta: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self, meta: Optional[Dict[str, Any]]) -> None:
-        if meta is not None:
-            self._meta = meta
-
-    def _lazy_meta(self) -> Dict[str, Any]:
-        """Lazy annotation dict (created on first touch)."""
-        store = self._meta
-        if store is None:
-            store = {}
-            self._meta = store
-        return store
-
-    @property
-    def has_meta(self) -> bool:
-        """True if annotations exist, without forcing allocation."""
-        return bool(self._meta)
 
     def mark_ce(self) -> bool:
         """Set Congestion Experienced if the packet is ECN-capable.
@@ -147,25 +118,10 @@ class Packet:
             return True
         return self.ecn is EcnCodepoint.CE
 
-    @property
-    def is_data(self) -> bool:
-        return self.ptype is PacketType.DATA
-
-    @property
-    def is_ack(self) -> bool:
-        return self.ptype is PacketType.ACK
-
     def __repr__(self) -> str:
         return (f"Packet({self.ptype.value}, {self.flow}, "
                 f"seq={self.seq}, ack={self.ack}, {self.size_bytes}B)")
 
-
-# ``meta`` is an InitVar (so ``Packet(..., meta={...})`` keeps working)
-# and leaves no instance attribute behind, which lets this class-level
-# property serve ``pkt.meta`` reads with the lazy allocation.  It is
-# attached after the @dataclass decoration so the generated __init__
-# sees the plain ``None`` default rather than the property object.
-Packet.meta = property(Packet._lazy_meta)  # type: ignore[assignment]
 
 # pstats keeps one row per (file, line, name), and every dataclass's
 # generated ``__init__`` is ("<string>", 2, "__init__"): in a profile
@@ -177,19 +133,3 @@ _packet_init = Packet.__dict__["__init__"]
 _packet_init.__code__ = _packet_init.__code__.replace(
     co_name="Packet.__init__")
 
-
-def make_rotate_packet(port: int,
-                       last_rates: Optional[Mapping[Any, float]] = None
-                       ) -> Packet:
-    """Build a Cebinae ROTATE marker for ``port``.
-
-    ROTATE packets are generated by the switch's hardware packet
-    generator in the paper; here they are ordinary packets injected by
-    the Cebinae queue disc's timer, carrying the rates of the round that
-    just ended (Figure 5, lines 8-12).
-    """
-    flow = FlowId(src=-1, dst=-1, src_port=port, dst_port=port,
-                  protocol="cebinae")
-    pkt = Packet(flow=flow, size_bytes=0, ptype=PacketType.ROTATE)
-    pkt.meta["last_rates"] = dict(last_rates or {})
-    return pkt

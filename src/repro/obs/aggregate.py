@@ -252,8 +252,8 @@ def fleet_view(sweep: Any) -> Dict[str, Any]:
     done = counts["done"]
     completed_by_workers = totals["tasks_completed"]
     # Done results nobody here computed came from the shared
-    # fingerprint cache (warm starts, prior sweeps, overwritten
-    # resume snapshots): the fleet's cache hit ratio.
+    # fingerprint cache (warm starts, prior sweeps): the fleet's
+    # cache hit ratio.  Worker snapshots accumulate over resumes.
     cache_hit_ratio = round(
         max(0, done - completed_by_workers) / done, 4) \
         if done else None

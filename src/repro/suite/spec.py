@@ -42,7 +42,8 @@ from ..experiments.parallel import (RunSpec, Task, fingerprint,
 from ..experiments.runner import (AFQ_HYBRID_REFUSAL, BACKENDS,
                                   Discipline)
 from ..experiments.scenarios import (ParkingLotSpec, ScaledScenario,
-                                     ScalePolicy, ScenarioSpec)
+                                     ScalePolicy, ScenarioSpec,
+                                     policy_field_problem)
 from ..faults.schedule import derive_seed
 from ..faults.spec import FaultSpec
 from ..netsim.engine import seconds
@@ -323,6 +324,9 @@ def _parse_policy(source: str, data: Mapping[str, Any]) -> ScalePolicy:
             kwargs[key] = _expect_int(source, f"policy.{key}", value)
         else:
             kwargs[key] = _expect_number(source, f"policy.{key}", value)
+        problem = policy_field_problem(key, kwargs[key])
+        if problem is not None:
+            raise _fail(source, f"policy.{key}", problem)
     return ScalePolicy(**kwargs)
 
 

@@ -47,10 +47,10 @@ from typing import Any, Dict, Optional, Sequence
 from ..experiments.parallel import (print_progress as _print,
                                     sigterm_as_interrupt)
 from ..experiments.runner import BACKENDS
-from ..obs.metrics import MetricsRegistry, record_sweep
+from ..obs.metrics import record_sweep
 from .manifest import (ManifestError, SweepDir, SweepManifest,
                        manifest_from_specs)
-from .worker import SweepWorker, WorkerConfig
+from .worker import SweepWorker, WorkerConfig, worker_metrics
 
 #: Exit code when a worker was stopped by SIGTERM/SIGINT.
 EXIT_INTERRUPTED = 3
@@ -291,13 +291,14 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     except ManifestError as exc:
         _print(f"error: {exc}")
         return 2
-    registry = MetricsRegistry()
-    record_sweep(registry, "resumes", worker="resume")
-    sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
-    registry.write_json(str(sweep.metrics_dir / "resume.json"))
-
+    # The resume is counted in the snapshot of resume-w0, the worker
+    # every resume runs, which carries it on (see repro.sweep.worker).
     config = WorkerConfig(worker_id="resume-w0", retries=args.retries,
                           poll_s=args.poll_s)
+    registry = worker_metrics(sweep, config.worker_id)
+    record_sweep(registry, "resumes", worker=config.worker_id)
+    sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
+    registry.write_json(str(sweep.metrics_path(config.worker_id)))
     code = start_workers(args.directory, args.workers, config,
                          quiet=args.quiet)
     if code != 0:

@@ -323,6 +323,10 @@ class SweepDir:
     def metrics_dir(self) -> Path:
         return self.root / "metrics"
 
+    def metrics_path(self, worker_id: str) -> Path:
+        """Where worker ``worker_id`` publishes its metrics snapshot."""
+        return self.metrics_dir / f"{worker_id}.json"
+
     # -- lifecycle ---------------------------------------------------------
     def initialise(self, manifest: SweepManifest,
                    force: bool = False) -> None:

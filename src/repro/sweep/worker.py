@@ -29,10 +29,16 @@ releases its lock, writes its metrics snapshot, and exits — every
 completed result is on disk already.  SIGKILL skips all of that, and
 needs none of it: the kernel drops a dead process's locks, so its
 shard is free to the next scan.
+
+A worker id can run more than once over a sweep (every ``sweep
+resume`` starts ``resume-w0`` ..): each run continues the id's previous
+metrics snapshot rather than replacing it, so the fleet's counters
+accumulate over every run of the sweep.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -40,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
 from ..obs import spans as obs_spans
-from ..obs.metrics import MetricsRegistry, record_sweep
+from ..obs.metrics import MetricsRegistry, load_snapshot, record_sweep
 from .lease import LeaseStore
 from .manifest import (ManifestError, ManifestTask, SweepDir,
                        SweepManifest, _shard_key)
@@ -50,6 +56,20 @@ from .manifest import (ManifestError, ManifestTask, SweepDir,
 #: the worker that runs out of claimable shards first notices the end
 #: of the sweep within about a task length of its peers finishing.
 IDLE_FLOOR_S = 0.004
+
+
+def worker_metrics(sweep: SweepDir, worker_id: str) -> MetricsRegistry:
+    """``worker_id``'s metrics so far: its last snapshot, or empty.
+
+    A missing, torn or foreign snapshot starts afresh (metrics are
+    best-effort, as in :meth:`SweepWorker._write_metrics`).
+    """
+    try:
+        with open(sweep.metrics_path(worker_id), "r",
+                  encoding="utf-8") as handle:
+            return load_snapshot(json.load(handle))
+    except (OSError, ValueError, KeyError, TypeError):
+        return MetricsRegistry()
 
 
 @dataclass
@@ -88,7 +108,8 @@ class SweepWorker:
         self.sweep = sweep
         self.config = config
         self.progress = progress
-        self.registry = registry or MetricsRegistry()
+        self.registry = registry or worker_metrics(sweep,
+                                                   config.worker_id)
         #: Injectable so the idle back-off is testable without waiting.
         self._idle_sleep = idle_sleep
 
@@ -101,6 +122,12 @@ class SweepWorker:
         record_sweep(self.registry, event,
                      worker=self.config.worker_id, amount=amount)
 
+    def _update_quarantine_depth(self) -> None:
+        """Gauge this worker id's quarantined count over all its runs."""
+        self._count("quarantine_depth", self.registry.counter(
+            "sweep_tasks_quarantined_total",
+            worker=self.config.worker_id).value)
+
     def _write_metrics(self) -> None:
         """Atomically publish this worker's live metrics snapshot.
 
@@ -111,8 +138,7 @@ class SweepWorker:
         """
         try:
             self.sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
-            path = (self.sweep.metrics_dir
-                    / f"{self.config.worker_id}.json")
+            path = self.sweep.metrics_path(self.config.worker_id)
             temp = path.with_name(path.name + f".tmp-{os.getpid()}")
             self.registry.write_json(
                 str(temp),
@@ -151,7 +177,7 @@ class SweepWorker:
                     "sweep_worker_completed",
                     worker=self.config.worker_id).set(report.completed)
                 self._count("inflight_shards", 0)
-                self._count("quarantine_depth", report.quarantined)
+                self._update_quarantine_depth()
                 self._write_metrics()
         return report
 
@@ -244,7 +270,7 @@ class SweepWorker:
                                       self.config.worker_id)
                 report.quarantined += 1
                 self._count("tasks_quarantined")
-                self._count("quarantine_depth", report.quarantined)
+                self._update_quarantine_depth()
                 self._write_metrics()
                 self._emit(f"QUARANTINED {mtask.label} after "
                            f"{outcome.attempts} attempt(s): "

@@ -5,15 +5,15 @@ The sender implements the transport machinery shared by every CCA:
 * cumulative ACKs with duplicate-ACK counting and fast retransmit;
 * SACK loss recovery (a simplified RFC 6675 scoreboard: the receiver
   reports its out-of-order ranges, the sender fills holes below the
-  highest SACKed byte while keeping ``pipe`` under cwnd) — enabled by
-  default, as in ns-3.35, the paper's simulation substrate;
-* NewReno partial-ACK recovery with window inflation (RFC 6582) when
-  SACK is disabled;
+  highest SACKed byte while keeping the FACK ``pipe`` estimate under
+  cwnd) — the only recovery machine, as SACK is on by default in
+  ns-3.35, the paper's simulation substrate;
 * RFC 6298 RTT estimation and retransmission timeout with Karn's
   algorithm extended to hole-repair ACKs (no samples from any ACK whose
   range starts below the retransmission high-water mark — such ACKs
   measure recovery latency, not network RTT);
-* go-back-N rebuild after an RTO;
+* RTO recovery through the same scoreboard: everything unSACKed is
+  presumed lost and refilled as the window rebuilds in slow start;
 * per-segment delivery-rate samples for BBR;
 * optional packet pacing (used whenever the CCA supplies a rate);
 * RFC 3168 ECN: senders mark data ECT(0) when enabled, receivers echo
@@ -95,7 +95,6 @@ class TcpSender:
     def __init__(self, host: Host, flow: FlowId, cca: CongestionControl,
                  max_bytes: Optional[int] = None,
                  ecn_enabled: bool = False,
-                 sack_enabled: bool = True,
                  on_complete: Optional[Callable[[], None]] = None) -> None:
         self.host = host
         self.sim: Simulator = host.sim
@@ -103,7 +102,6 @@ class TcpSender:
         self.cca = cca
         self.max_bytes = max_bytes
         self.ecn_enabled = ecn_enabled
-        self.sack_enabled = sack_enabled
         self.on_complete = on_complete
         # Sequence state.
         self.snd_una = 0
@@ -112,9 +110,8 @@ class TcpSender:
         self.dupack_count = 0
         self.in_recovery = False
         self._recover_seq = 0
-        self._inflation_bytes = 0       # NewReno mode only.
         self._scoreboard = IntervalSet()  # SACKed ranges above snd_una.
-        self._recovery_scan = 0         # Hole-fill pointer (SACK mode).
+        self._recovery_scan = 0         # Hole-fill pointer.
         self._retx_out_bytes = 0        # Retransmissions in flight.
         self._rto_recovery = False      # Hole-fill everything unSACKed.
         # ECN state.
@@ -139,7 +136,8 @@ class TcpSender:
         # Observability: cwnd samples and state transitions.  Bound
         # once; the disabled path pays one attribute test per ACK.
         self._trace_tcp = obs_bus.emitter_for("tcp")
-        host.register_handler(flow.reversed(), self._on_ack_packet)
+        self._ack_flow = flow.reversed()
+        host.register_handler(self._ack_flow, self._on_ack_packet)
 
     def _trace_state(self, kind: str) -> None:
         """Emit one TcpStateEvent (only called when the topic is on)."""
@@ -186,7 +184,7 @@ class TcpSender:
 
     # -- transmission -------------------------------------------------------
     def _next_hole(self) -> Optional[int]:
-        """The next unSACKed byte to retransmit; SACK recovery only.
+        """The next unSACKed byte to retransmit in recovery.
 
         In fast recovery a byte counts as lost when SACKed data exists
         above it (the RFC 6675 'FACK' heuristic, adequate at simulation
@@ -204,7 +202,7 @@ class TcpSender:
 
     def _try_send(self) -> None:
         while True:
-            if self.in_recovery and self.sack_enabled:
+            if self.in_recovery:
                 hole = self._next_hole()
                 if hole is not None and \
                         self.pipe_bytes + MSS_BYTES <= self.cca.cwnd_bytes:
@@ -236,7 +234,7 @@ class TcpSender:
             pipe = self._retx_out_bytes
             if horizon < snd_nxt:
                 pipe += snd_nxt - horizon
-            if pipe + payload > self.cca.cwnd_bytes + self._inflation_bytes \
+            if pipe + payload > self.cca.cwnd_bytes \
                     or not self._pacing_gate():
                 return
             self._transmit(snd_nxt, payload, retransmit=False)
@@ -265,7 +263,7 @@ class TcpSender:
         now = self.sim.now_ns
         packet = Packet(flow=self.flow, size_bytes=payload + HEADER_BYTES,
                         ptype=PacketType.DATA, seq=seq,
-                        payload_bytes=payload, sent_time_ns=now)
+                        payload_bytes=payload)
         if self.ecn_enabled:
             packet.ecn = EcnCodepoint.ECT0
         if self._cwr_pending:
@@ -318,28 +316,19 @@ class TcpSender:
         # excluded) — the raw sequence range is inflated by dead data
         # and would leave ssthresh far above what the path can hold.
         self.cca.on_retransmit_timeout(self.pipe_bytes, self.sim.now_ns)
-        self._inflation_bytes = 0
         self.dupack_count = 0
         self.rtt.backoff()
         # All outstanding timing info is now ambiguous (Karn).
         self._segments.clear()
         self._ambiguous_below = max(self._ambiguous_below, self.snd_nxt)
         self._retx_out_bytes = 0
-        if self.sack_enabled:
-            # Enter RTO recovery: everything outstanding and unSACKed
-            # is presumed lost and refilled through the scoreboard's
-            # hole machinery as the window rebuilds in slow start.
-            self.in_recovery = True
-            self._rto_recovery = True
-            self._recover_seq = self.snd_nxt
-            self._recovery_scan = self.snd_una
-        else:
-            # Go-back-N (RFC 5681): rebuild from snd_una in slow start.
-            # The receiver discards duplicates and its cumulative ACKs
-            # fast-forward past anything it already holds.
-            self.in_recovery = False
-            self.retransmits += 1
-            self.snd_nxt = self.snd_una
+        # Enter RTO recovery: everything outstanding and unSACKed is
+        # presumed lost and refilled through the scoreboard's hole
+        # machinery as the window rebuilds in slow start.
+        self.in_recovery = True
+        self._rto_recovery = True
+        self._recover_seq = self.snd_nxt
+        self._recovery_scan = self.snd_una
         self._try_send()
         if self._rto_event is None and self.in_flight_bytes > 0:
             self._arm_rto()
@@ -350,13 +339,12 @@ class TcpSender:
             return
         if packet.ece:
             self._handle_ecn_echo()
-        new_sack_info = bool(packet.sack) and self.sack_enabled and \
+        new_sack_info = bool(packet.sack) and \
             self._update_scoreboard(packet.sack)
         ack = packet.ack
         if ack > self.snd_una:
             self._handle_new_ack(ack)
-        elif ack == self.snd_una and self.snd_nxt > ack and \
-                (new_sack_info or not self.sack_enabled):
+        elif ack == self.snd_una and self.snd_nxt > ack and new_sack_info:
             self._handle_dupack()
         self._try_send()
         self._maybe_complete()
@@ -435,28 +423,20 @@ class TcpSender:
             rtt_sample, rate_sample = None, None
         if rtt_sample is not None:
             self.rtt.observe(rtt_sample)
-        if self.in_recovery:
-            if ack >= self._recover_seq:
-                was_rto_recovery = self._rto_recovery
-                self.in_recovery = False
-                self._rto_recovery = False
-                self._inflation_bytes = 0
-                if not was_rto_recovery:
-                    # Fast recovery deflates to ssthresh.  RTO recovery
-                    # is ordinary slow start: the window grew with the
-                    # ACK clock and must not jump (the jump would burst
-                    # a full ssthresh of packets into the queue).
-                    self.cca.on_exit_recovery(self.sim.now_ns)
-                if self._trace_tcp is not None:
-                    self._trace_state("exit_recovery")
-            elif not self.sack_enabled:
-                # NewReno partial ACK: retransmit the next hole, deflate
-                # by the acked amount, re-inflate one MSS (RFC 6582).
-                self._inflation_bytes = max(
-                    self._inflation_bytes - acked, 0) + MSS_BYTES
-                self._retransmit_head()
-            # In SACK mode the scoreboard drives hole retransmissions
-            # from _try_send; nothing else to do on a partial ACK.
+        # On a partial ACK the scoreboard drives hole retransmissions
+        # from _try_send; only a full ACK of the recovery point matters.
+        if self.in_recovery and ack >= self._recover_seq:
+            was_rto_recovery = self._rto_recovery
+            self.in_recovery = False
+            self._rto_recovery = False
+            if not was_rto_recovery:
+                # Fast recovery deflates to ssthresh.  RTO recovery is
+                # ordinary slow start: the window grew with the ACK
+                # clock and must not jump (the jump would burst a full
+                # ssthresh of packets into the queue).
+                self.cca.on_exit_recovery(self.sim.now_ns)
+            if self._trace_tcp is not None:
+                self._trace_state("exit_recovery")
         # The CCA sees :attr:`pipe_bytes`, inline (once per ACK).
         snd_nxt = self.snd_nxt
         horizon = scoreboard.max_end
@@ -489,8 +469,6 @@ class TcpSender:
     def _handle_dupack(self) -> None:
         self.dupack_count += 1
         if self.in_recovery:
-            if not self.sack_enabled:
-                self._inflation_bytes += MSS_BYTES
             return
         if self.dupack_count >= DUPACK_THRESHOLD:
             self.in_recovery = True
@@ -499,8 +477,6 @@ class TcpSender:
                                        self.sim.now_ns)
             if self._trace_tcp is not None:
                 self._trace_state("fast_recovery")
-            if not self.sack_enabled:
-                self._inflation_bytes = DUPACK_THRESHOLD * MSS_BYTES
             self._retransmit_head()
 
     def _maybe_complete(self) -> None:
@@ -523,20 +499,18 @@ class TcpSender:
         if self._pacing_event is not None:
             self._pacing_event.cancel()
             self._pacing_event = None
-        self.host.unregister_handler(self.flow.reversed())
+        self.host.unregister_handler(self._ack_flow)
 
 
 class TcpReceiver:
     """A TCP receiver: reassembly, immediate ACKs, SACK, ECN echo."""
 
     def __init__(self, host: Host, flow: FlowId,
-                 monitor: Optional[FlowMonitor] = None,
-                 sack_enabled: bool = True) -> None:
+                 monitor: Optional[FlowMonitor] = None) -> None:
         self.host = host
         self.sim: Simulator = host.sim
         self.flow = flow
         self.monitor = monitor
-        self.sack_enabled = sack_enabled
         self._ack_flow = flow.reversed()
         self.rcv_nxt = 0
         self.delivered_bytes = 0
@@ -592,7 +566,7 @@ class TcpReceiver:
 
     def _send_ack(self) -> None:
         sack: Tuple[Tuple[int, int], ...] = ()
-        if self.sack_enabled and self._ranges:
+        if self._ranges:
             sack = tuple(self._ranges.first_blocks(SACK_BLOCK_LIMIT))
         ack = Packet(flow=self._ack_flow, size_bytes=ACK_BYTES,
                      ptype=PacketType.ACK, ack=self.rcv_nxt,

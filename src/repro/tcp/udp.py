@@ -58,8 +58,7 @@ class UdpSender:
         payload = self.packet_bytes - HEADER_BYTES
         packet = Packet(flow=self.flow, size_bytes=self.packet_bytes,
                         ptype=PacketType.DATA, seq=self._seq,
-                        payload_bytes=payload,
-                        sent_time_ns=self.sim.now_ns)
+                        payload_bytes=payload)
         self._seq += payload
         self.sent_packets += 1
         self.sent_bytes += self.packet_bytes

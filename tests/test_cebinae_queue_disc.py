@@ -121,13 +121,13 @@ class TestSaturatedPhase:
 
 class TestPriorityService:
     def test_headq_served_before_tail(self):
-        _, qdisc = self.__class__._qdisc_with_split()
+        _, qdisc, tags = self._qdisc_with_split()
         order = []
         while True:
             packet = qdisc.dequeue()
             if packet is None:
                 break
-            order.append(packet.meta.get("queue"))
+            order.append(tags[id(packet)])
         # All head packets come out before any tail packet.
         first_tail = order.index("tail") if "tail" in order else \
             len(order)
@@ -135,6 +135,7 @@ class TestPriorityService:
 
     @staticmethod
     def _qdisc_with_split():
+        """A split qdisc and each admitted packet's queue, by identity."""
         sim, qdisc = make_qdisc()
         qdisc.set_membership({FlowId(1, 2, 1, 80)})
         qdisc.set_saturated(True, top_share=0.5, bottom_share=0.5)
@@ -142,18 +143,19 @@ class TestPriorityService:
             qdisc.lbf.rates[queue_index][FlowGroup.TOP] = 100_000
             qdisc.lbf.rates[queue_index][FlowGroup.BOTTOM] = 900_000
         head = qdisc.lbf.headq
+        tags = {}
         for _ in range(12):
             packet = make_packet(port=1)
             if qdisc.enqueue(packet):
-                queue_index = "head" if packet in \
-                    qdisc._queues[head] else "tail"
-                packet.meta["queue"] = queue_index
-        return sim, qdisc
+                in_head = any(queued is packet
+                              for queued in qdisc._queues[head])
+                tags[id(packet)] = "head" if in_head else "tail"
+        return sim, qdisc, tags
 
     def test_work_conserving_across_queues(self):
         """Tail packets are served when headq is empty (the statistical
         multiplexing the paper prizes)."""
-        sim, qdisc = self._qdisc_with_split()
+        sim, qdisc, _ = self._qdisc_with_split()
         served = 0
         while qdisc.dequeue() is not None:
             served += 1

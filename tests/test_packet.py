@@ -5,7 +5,7 @@ import sys
 
 from repro.netsim.packet import (ACK_BYTES, HEADER_BYTES, MSS_BYTES,
                                  MTU_BYTES, EcnCodepoint, FlowId, Packet,
-                                 PacketType, make_rotate_packet)
+                                 PacketType)
 
 
 class TestFlowId:
@@ -30,32 +30,6 @@ class TestFlowId:
     def test_usable_as_dict_key(self):
         table = {FlowId(1, 2, 3, 4): "x"}
         assert table[FlowId(1, 2, 3, 4)] == "x"
-
-
-class TestLazyMeta:
-    def _packet(self, **kwargs):
-        return Packet(flow=FlowId(1, 2, 100, 80), size_bytes=MTU_BYTES,
-                      **kwargs)
-
-    def test_meta_allocates_lazily(self):
-        packet = self._packet()
-        assert not packet.has_meta
-        packet.meta["tag"] = 7
-        assert packet.has_meta
-        assert packet.meta == {"tag": 7}
-
-    def test_constructor_accepts_meta_kwarg(self):
-        # The pre-lazy public API: Packet(..., meta={...}).
-        packet = self._packet(meta={"tag": 7})
-        assert packet.has_meta
-        assert packet.meta == {"tag": 7}
-
-    def test_constructor_meta_none_stays_lazy(self):
-        assert not self._packet(meta=None).has_meta
-
-    def test_meta_excluded_from_equality(self):
-        # Annotations are bookkeeping, not header bits.
-        assert self._packet(meta={"tag": 7}) == self._packet()
 
 
 class TestStableHash:
@@ -108,13 +82,6 @@ class TestPacket:
         assert packet.ecn is EcnCodepoint.NOT_ECT
         assert not packet.ece and not packet.cwr
 
-    def test_is_data_is_ack(self):
-        data = Packet(flow=FlowId(1, 2, 3, 4), size_bytes=1500)
-        ack = Packet(flow=FlowId(2, 1, 4, 3), size_bytes=64,
-                     ptype=PacketType.ACK)
-        assert data.is_data and not data.is_ack
-        assert ack.is_ack and not ack.is_data
-
 
 class TestEcnMarking:
     def test_not_ect_cannot_be_marked(self):
@@ -134,11 +101,3 @@ class TestEcnMarking:
         assert packet.mark_ce() is True
         assert packet.ecn is EcnCodepoint.CE
 
-
-class TestRotatePacket:
-    def test_rotate_packet_shape(self):
-        packet = make_rotate_packet(port=3, last_rates={"top": 10.0})
-        assert packet.ptype is PacketType.ROTATE
-        assert packet.size_bytes == 0
-        assert packet.meta["last_rates"] == {"top": 10.0}
-        assert packet.flow.protocol == "cebinae"

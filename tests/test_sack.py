@@ -61,17 +61,6 @@ class TestReceiverSackGeneration:
         assert receiver.delivered_bytes == MSS_BYTES
         assert acks[-1].ack == MSS_BYTES
 
-    def test_sack_disabled_receiver_sends_plain_acks(self):
-        sim = Simulator()
-        a, b, fwd, rev = make_pair(sim)
-        flow = FlowId(0, 1, 100, 80)
-        receiver = TcpReceiver(b, flow, sack_enabled=False)
-        acks = []
-        a.register_handler(flow.reversed(), acks.append)
-        receiver._on_data_packet(data_packet(flow, 2 * MSS_BYTES))
-        sim.run()
-        assert acks[-1].sack == ()
-
     def test_overlapping_segments_counted_once(self):
         sim, host, flow, receiver, acks = self.make_receiver()
         receiver._on_data_packet(data_packet(flow, MSS_BYTES))
@@ -216,24 +205,3 @@ class TestSenderSackRecovery:
         # Recovery was triggered by duplicate ACKs carrying SACK.
         assert sender.retransmits >= 1
         assert sender.timeouts == 0
-
-    def test_sack_disabled_falls_back_to_newreno(self):
-        sim = Simulator()
-        a, b, fwd, rev = make_pair(sim, rate_bps=40e6)
-        flow = FlowId(0, 1, 100, 80)
-        receiver = TcpReceiver(b, flow, sack_enabled=False)
-        sender = TcpSender(a, flow, NewReno(), sack_enabled=False)
-        pending = {3 * MSS_BYTES}
-        original = fwd.queue.enqueue
-
-        def filtered(packet):
-            if packet.seq in pending:
-                pending.discard(packet.seq)
-                return False
-            return original(packet)
-
-        fwd.queue.enqueue = filtered
-        sender.start()
-        sim.run(until_ns=seconds(2))
-        assert sender.timeouts == 0
-        assert receiver.delivered_bytes > 20 * MSS_BYTES

@@ -254,6 +254,24 @@ class TestStrictParsing:
         doc["record_history"] = False
         assert SuiteSpec.from_dict(doc).compile()
 
+    @pytest.mark.parametrize("policy, field", [
+        ({"max_flows": 0}, "max_flows"),
+        ({"max_rate_bps": 0}, "max_rate_bps"),
+        ({"max_rate_bps": -5e6}, "max_rate_bps"),
+        ({"target_rate_bps": -5e6}, "target_rate_bps"),
+        ({"tau_cap": 1.5}, "tau_cap"),
+        ({"min_bottom_rate_fraction": 1.0}, "min_bottom_rate_fraction"),
+        ({"dt_headroom": 0, "min_dt_s": 0}, "dt_headroom"),
+        ({"min_dt_s": 0.0005}, "min_dt_s")])
+    def test_bad_policy_value_is_located(self, policy, field):
+        # Each would otherwise crash compilation (a ZeroDivisionError
+        # or a plain ValueError) instead of naming the field.
+        doc = self.base()
+        doc["policy"] = policy
+        with pytest.raises(SpecError,
+                           match=rf"s\.json: policy\.{field}: must be"):
+            SuiteSpec.from_dict(doc, source="s.json").compile()
+
     def test_bad_faults_section_is_located(self):
         doc = self.base()
         doc["faults"] = {"loss_rate": 2.0}

@@ -938,12 +938,29 @@ class TestSweepCli:
                      str(suite_dir)]) == 0
         assert main(["resume", sweep_dir, "--quiet"]) == 0
         assert SweepDir(sweep_dir).status()["counts"]["done"] == 1
-        # Resume metrics got recorded.
+        # Resume metrics got recorded, in the snapshot of the worker
+        # every resume runs.
         metrics = json.loads(
-            (SweepDir(sweep_dir).metrics_dir / "resume.json")
-            .read_text())
+            SweepDir(sweep_dir).metrics_path("resume-w0").read_text())
         names = {m["name"] for m in metrics["counters"]}
         assert "sweep_resumes_total" in names
+
+    def test_fleet_counts_accumulate_over_resumes(self, tmp_path,
+                                                  suite_dir, capsys):
+        # Every resume reuses the worker ids resume-w<i>: a later one
+        # must carry the earlier snapshots on, not overwrite them.
+        from repro.sweep.cli import main
+        sweep_dir = str(tmp_path / "sweep")
+        assert main(["run", sweep_dir, "--suite", str(suite_dir),
+                     "--workers", "2", "--quiet"]) == 0
+        for _ in range(2):
+            assert main(["resume", sweep_dir, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["watch", sweep_dir, "--once", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["tasks_completed"] == doc["total"] == 1
+        assert doc["totals"]["resumes"] == 3
+        assert doc["cache_hit_ratio"] == 0.0
 
     @pytest.mark.parametrize("command", ["init", "run"])
     @pytest.mark.parametrize("flag, value, message", [
@@ -988,7 +1005,8 @@ class TestSweepCli:
         assert doc["snapshot_errors"] == []
         completed = {row["worker"]: row["completed"]
                      for row in doc["workers"]}
-        assert any(count == 1 for count in completed.values())
+        # One row per worker that ran; the resume count is no worker.
+        assert completed == {"resume-w0": 1}
 
     def test_watch_json_requires_once(self, tmp_path, suite_dir,
                                       capsys):
