@@ -102,7 +102,9 @@ class CebinaeQueueDisc(QueueDisc):
 
     # -- ingress path ------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
-        if self.byte_length + packet.size_bytes > self.buffer_bytes:
+        queue_bytes = self._queue_bytes  # byte_length, without its frame.
+        if queue_bytes[0] + queue_bytes[1] + packet.size_bytes \
+                > self.buffer_bytes:
             self.buffer_drops += 1
             self.record_drop(packet, reason="buffer")
             return False
@@ -121,19 +123,21 @@ class CebinaeQueueDisc(QueueDisc):
             queues = self._queues
             was_empty = not (queues[0] or queues[1])
             queues[queue_index].append(packet)
-            self._queue_bytes[queue_index] += packet.size_bytes
+            queue_bytes[queue_index] += packet.size_bytes
             if was_empty:
                 self._waker()
             return True
         now = self.sim.now_ns
+        group_name = "aggregate"
         if self.saturated:
             group = self.group_of(packet.flow)
             decision = self.lbf.admit(group, packet.size_bytes, now)
             self.lbf.track_total(packet.size_bytes)
-            group_name = group.name.lower()
+            if trace is not None:
+                # Enum.name is a Python-level descriptor: traced only.
+                group_name = group.name.lower()
         else:
             decision = self.lbf.admit_aggregate(packet.size_bytes, now)
-            group_name = "aggregate"
         if decision is LbfDecision.DROP:
             self.lbf_drops += 1
             if trace is not None:
@@ -159,7 +163,7 @@ class CebinaeQueueDisc(QueueDisc):
         queues = self._queues
         was_empty = not (queues[0] or queues[1])
         queues[queue_index].append(packet)
-        self._queue_bytes[queue_index] += packet.size_bytes
+        queue_bytes[queue_index] += packet.size_bytes
         if was_empty:
             self._waker()
         return True

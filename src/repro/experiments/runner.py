@@ -394,8 +394,8 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
     duration_ns = harness.duration_ns
     agents, schedule = harness.agents, harness.schedule
     queues = [link.queue for link in harness.bottlenecks]
-    goodputs = [monitor.goodputs_bps(duration_ns)[flow.flow_id]
-                for flow in flows]
+    by_flow = monitor.goodputs_bps(duration_ns)
+    goodputs = [by_flow[flow.flow_id] for flow in flows]
     series = None
     if collect_series:
         series = [monitor.goodput_series_bps(flow.flow_id, duration_ns)

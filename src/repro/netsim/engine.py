@@ -19,15 +19,24 @@ args)`` tuples (:class:`HeapScheduler`).  Tuple entries keep
 comparisons in C (int compares) instead of calling a Python ``__lt__``
 per sift, and the unique ``(time_ns, seq)`` prefix is the total order:
 nondecreasing time, FIFO among ties.  ``post``/``post_at`` push the
-callback itself and return nothing; :class:`~repro.netsim.link.Link`
-builds the same entry for its two per-packet events and pushes it
-itself.  ``schedule``/``schedule_at`` are for the three timers that
-get cancelled (TCP RTO and pacing, the UDP sender): they return an
-:class:`Event` handle and push ``(time_ns, seq, None, event)``, so
-only those entries pay for an object and a cancelled check.  All
-kinds share the one heap and the one seq counter.
-``tests/test_engine_ordering.py`` checks that order against a stable
-sort.
+callback itself and return nothing.  ``schedule``/``schedule_at`` are
+for the three timers that get cancelled (TCP RTO and pacing, the UDP
+sender): they return an :class:`Event` handle and push ``(time_ns,
+seq, None, event)``, so only those entries pay for an object and a
+cancelled check.  All kinds share the one heap and the one seq
+counter.  ``tests/test_engine_ordering.py`` checks that order against a
+stable sort.
+
+Three per-packet callers push onto ``_heap`` themselves, drawing
+``_next_seq()`` and running the DEBUG check of the method they stand
+in for: :class:`~repro.netsim.link.Link` (its two per-packet events,
+as ``post``), :meth:`Host.send <repro.netsim.node.Host.send>` (the
+jittered release, as ``post_at``) and the TCP sender's RTO re-arm (as
+``cancel()`` + ``schedule``, still one :class:`Event` per re-arm).
+Each builds exactly the entry the method would, so no event and no
+order changes.  The clock ``now_ns`` is a plain attribute that only
+this module writes (``tests/test_engine.py`` checks ``src/`` for other
+writers).
 
 Per-event argument validation (:func:`repro.analysis.invariants
 .require_int_ns`) is debug-gated: it runs when
@@ -126,25 +135,23 @@ class Simulator:
     """An event-driven simulator with an integer-nanosecond clock."""
 
     def __init__(self) -> None:
-        # Link pushes its two per-packet entries onto _heap itself, as
-        # post() would (netsim/link.py): the one other writer.
+        # Link, Host.send and TcpSender._arm_rto push entries onto
+        # _heap themselves, as post()/post_at()/schedule() would.
         self._heap = HeapScheduler()
         # post()/schedule() run once per event, so the seq counter's
         # __next__ is resolved here instead of per call.
         self._next_seq = itertools.count().__next__
-        self._now_ns = 0
+        #: The current simulation time in nanoseconds.  A plain
+        #: attribute, read once or more per event: only this module
+        #: writes it (``tests/test_engine.py`` holds src/ to that).
+        self.now_ns: int = 0
         self._running = False
         self._processed = 0
 
     @property
-    def now_ns(self) -> TimeNs:
-        """The current simulation time in nanoseconds."""
-        return self._now_ns
-
-    @property
     def now_seconds(self) -> Seconds:
         """The current simulation time in float seconds (for reporting)."""
-        return self._now_ns / SECOND
+        return self.now_ns / SECOND
 
     @property
     def processed_events(self) -> int:
@@ -169,7 +176,7 @@ class Simulator:
             require_int_ns(delay_ns, "post() delay_ns")
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        heappush(self._heap, (self._now_ns + delay_ns, self._next_seq(),
+        heappush(self._heap, (self.now_ns + delay_ns, self._next_seq(),
                               callback, args))
 
     def post_at(self, time_ns: TimeNs, callback: Callable[..., None],
@@ -177,9 +184,9 @@ class Simulator:
         """Run ``callback(*args)`` at absolute ``time_ns``; not cancellable."""
         if invariants.DEBUG:
             require_int_ns(time_ns, "post_at() time_ns")
-        if time_ns < self._now_ns:
+        if time_ns < self.now_ns:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self._now_ns}ns")
+                f"cannot schedule at {time_ns}ns, now is {self.now_ns}ns")
         heappush(self._heap, (time_ns, self._next_seq(), callback, args))
 
     def schedule(self, delay_ns: TimeNs, callback: Callable[..., None],
@@ -189,7 +196,7 @@ class Simulator:
             require_int_ns(delay_ns, "schedule() delay_ns")
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        time_ns = self._now_ns + delay_ns
+        time_ns = self.now_ns + delay_ns
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
         heappush(self._heap, (time_ns, seq, None, event))
@@ -200,9 +207,9 @@ class Simulator:
         """Like :meth:`post_at`, returning a handle that can be cancelled."""
         if invariants.DEBUG:
             require_int_ns(time_ns, "schedule_at() time_ns")
-        if time_ns < self._now_ns:
+        if time_ns < self.now_ns:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self._now_ns}ns")
+                f"cannot schedule at {time_ns}ns, now is {self.now_ns}ns")
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
         heappush(self._heap, (time_ns, seq, None, event))
@@ -227,7 +234,7 @@ class Simulator:
                 if args.cancelled:
                     continue
                 callback, args = args.callback, args.args
-            self._now_ns = time_ns
+            self.now_ns = time_ns
             self._processed += 1
             callback(*args)
             return True
@@ -267,7 +274,7 @@ class Simulator:
         registry = obs_metrics.current()
         counts: Dict[str, int] = {}
         wall_start = obs_spans.wall_now() if registry is not None else 0.0
-        start_ns = self._now_ns
+        start_ns = self.now_ns
         # The loop below is the simulator's hot path: one heappop, one
         # unpack, two int compares and the callback per event; only a
         # cancellable entry (callback None) is looked into.  The
@@ -295,7 +302,7 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}")
                 executed += 1
-                self._now_ns = time_ns
+                self.now_ns = time_ns
                 if (watchdog is not None
                         and not executed % watchdog_interval):
                     self._processed += executed - synced
@@ -305,8 +312,8 @@ class Simulator:
                     owner = component_of(callback)
                     counts[owner] = counts.get(owner, 0) + 1
                 callback(*args)
-            if until_ns is not None and until_ns > self._now_ns:
-                self._now_ns = until_ns
+            if until_ns is not None and until_ns > self.now_ns:
+                self.now_ns = until_ns
         finally:
             self._processed += executed - synced
             self._running = False
@@ -314,6 +321,6 @@ class Simulator:
                 span.count = executed
                 obs_spans.close_span(span)
             if registry is not None:
-                registry.record_run(self._now_ns - start_ns,
+                registry.record_run(self.now_ns - start_ns,
                                     obs_spans.wall_now() - wall_start,
                                     counts)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from .engine import MILLISECOND, Simulator
@@ -77,10 +78,6 @@ class _FlowQueue:
         self.codel = CoDelState(target_ns=target_ns, interval_ns=interval_ns)
         self.active = False
         self.is_new = False
-
-    @property
-    def byte_length(self) -> int:
-        return self.bytes
 
 
 class FqCoDelQueue(QueueDisc):
@@ -148,7 +145,7 @@ class FqCoDelQueue(QueueDisc):
     def _drop_from_fattest(self) -> None:
         """RFC 8290 overlimit behaviour: drop at head of the fattest queue."""
         fattest = max(self._queues.values(),
-                      key=lambda q: q.byte_length, default=None)
+                      key=attrgetter("bytes"), default=None)
         if fattest is None or not fattest.packets:
             return
         victim = fattest.packets.popleft()

@@ -151,7 +151,11 @@ class Link:
         self._impaired = (state is not None) or not self._up
 
     def send(self, packet: Packet) -> bool:
-        """Offer a packet to this port.  Returns False if dropped."""
+        """Offer a packet to this port.  Returns False if dropped.
+
+        ``Router.receive`` and ``Node.forward`` make this call inline,
+        one frame less per hop; it stays for every other sender.
+        """
         return self._queue.enqueue(packet)
 
     def _on_queue_ready(self) -> None:
@@ -174,7 +178,7 @@ class Link:
         if invariants.DEBUG:
             require_int_ns(tx_time, "post() delay_ns")
         sim = self.sim
-        heappush(sim._heap, (sim._now_ns + tx_time, sim._next_seq(),
+        heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
                              self._finish_transmission, (packet,)))
 
     def _finish_transmission(self, packet: Packet) -> None:
@@ -199,7 +203,7 @@ class Link:
             # sim.post(self.delay_ns, self.dst.receive, packet, self).
             if debug:
                 require_int_ns(self.delay_ns, "post() delay_ns")
-            heappush(sim._heap, (sim._now_ns + self.delay_ns,
+            heappush(sim._heap, (sim.now_ns + self.delay_ns,
                                  sim._next_seq(), self.dst.receive,
                                  (packet, self)))
         # The next packet, if any, goes straight onto the wire: the
@@ -214,7 +218,7 @@ class Link:
                         packet.size_bytes)
                 if debug:
                     require_int_ns(tx_time, "post() delay_ns")
-                heappush(sim._heap, (sim._now_ns + tx_time,
+                heappush(sim._heap, (sim.now_ns + tx_time,
                                      sim._next_seq(),
                                      self._finish_transmission, (packet,)))
                 return

@@ -9,8 +9,11 @@ and outgoing packets are routed onto the host's (usually single) uplink.
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
+from ..analysis import invariants
+from ..analysis.invariants import require_int_ns
 from .engine import Simulator
 from .link import Link
 from .packet import FlowId, Packet
@@ -61,7 +64,8 @@ class Node:
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
-        return link.send(packet)
+        # link.send(packet), inline: straight onto the egress port.
+        return link._queue.enqueue(packet)
 
     def receive(self, packet: Packet, from_link: Link) -> None:
         raise NotImplementedError
@@ -82,11 +86,12 @@ class Router(Node):
             self.frozen_drops += 1
             return
         self.forwarded_packets += 1
-        # forward() inlined: one frame per packet per hop.
+        # forward() and link.send() inlined: the hop's next frame is
+        # the egress queue disc's enqueue, looked up per packet.
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
-        link.send(packet)
+        link._queue.enqueue(packet)
 
 
 class Host(Node):
@@ -164,9 +169,16 @@ class Host(Node):
         draw = getrandbits(bits)
         while draw >= span:
             draw = getrandbits(bits)
-        release_ns = self.sim.now_ns + draw
+        sim = self.sim
+        release_ns = sim.now_ns + draw
         if release_ns < self._last_release_ns:
             release_ns = self._last_release_ns
         self._last_release_ns = release_ns
-        self.sim.post_at(release_ns, self.forward, packet)
+        # sim.post_at(release_ns, self.forward, packet), inline as Link
+        # does: release_ns is never in the past, so only the DEBUG
+        # check remains.
+        if invariants.DEBUG:
+            require_int_ns(release_ns, "post_at() time_ns")
+        heappush(sim._heap, (release_ns, sim._next_seq(), self.forward,
+                             (packet,)))
         return True

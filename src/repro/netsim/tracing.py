@@ -99,9 +99,11 @@ class FlowMonitor:
 
     def on_delivered(self, flow: FlowId, payload_bytes: int) -> None:
         """Record in-order payload delivery at the receiver."""
-        self.register(flow)
+        record = self.records.get(flow)
+        if record is None:
+            self.register(flow)
+            record = self.records[flow]
         now = self.sim.now_ns
-        record = self.records[flow]
         record.delivered_bytes += payload_bytes
         if record.first_delivery_ns is None:
             record.first_delivery_ns = now

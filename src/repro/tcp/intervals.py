@@ -22,6 +22,8 @@ class IntervalSet:
         self._starts: List[int] = []
         self._ends: List[int] = []
         #: Sum of all range lengths (maintained by add/prune/clear).
+        #: No held range is empty, so this is 0 exactly when the set
+        #: is: the endpoints' per-packet emptiness test, frame-free.
         self.total_bytes = 0
         #: The highest covered byte + 1, or 0 when empty (likewise).
         self.max_end = 0

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
+from ..analysis import invariants
+from ..analysis.invariants import require_int_ns
 from ..netsim.engine import MILLISECOND, SECOND, Event, Simulator
 from ..netsim.node import Host
 from ..netsim.packet import (ACK_BYTES, HEADER_BYTES, MSS_BYTES,
@@ -100,6 +103,10 @@ class TcpSender:
         self.sim: Simulator = host.sim
         self.flow = flow
         self.cca = cca
+        # Only a CCA whose class supplies a pacing rate (BBR) is paced:
+        # for the rest, _pacing_gate would always answer True.
+        self._paced = (type(cca).pacing_rate_bps
+                       is not CongestionControl.pacing_rate_bps)
         self.max_bytes = max_bytes
         self.ecn_enabled = ecn_enabled
         self.on_complete = on_complete
@@ -206,7 +213,7 @@ class TcpSender:
                 hole = self._next_hole()
                 if hole is not None and \
                         self.pipe_bytes + MSS_BYTES <= self.cca.cwnd_bytes:
-                    if not self._pacing_gate():
+                    if self._paced and not self._pacing_gate():
                         return
                     payload = max(min(MSS_BYTES,
                                       self._recover_seq - hole), 1)
@@ -235,7 +242,7 @@ class TcpSender:
             if horizon < snd_nxt:
                 pipe += snd_nxt - horizon
             if pipe + payload > self.cca.cwnd_bytes \
-                    or not self._pacing_gate():
+                    or (self._paced and not self._pacing_gate()):
                 return
             self._transmit(snd_nxt, payload, retransmit=False)
             self.snd_nxt = snd_nxt + payload
@@ -296,9 +303,21 @@ class TcpSender:
 
     # -- timers ----------------------------------------------------------------
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(self.rtt.rto_ns, self._on_rto)
+        # cancel() + sim.schedule(rto_ns, self._on_rto), inline: the
+        # same seq, Event and heap entry, with schedule()'s DEBUG check
+        # (rto_ns is never negative: RttEstimator keeps it >= its floor).
+        event = self._rto_event
+        if event is not None:
+            event.cancelled = True
+        sim = self.sim
+        delay_ns = self.rtt.rto_ns
+        if invariants.DEBUG:
+            require_int_ns(delay_ns, "schedule() delay_ns")
+        time_ns = sim.now_ns + delay_ns
+        seq = sim._next_seq()
+        event = Event(time_ns, seq, self._on_rto, ())
+        heappush(sim._heap, (time_ns, seq, None, event))
+        self._rto_event = event
 
     def _disarm_rto(self) -> None:
         if self._rto_event is not None:
@@ -347,7 +366,8 @@ class TcpSender:
         elif ack == self.snd_una and self.snd_nxt > ack and new_sack_info:
             self._handle_dupack()
         self._try_send()
-        self._maybe_complete()
+        if self.max_bytes is not None:
+            self._maybe_complete()
 
     def _update_scoreboard(
             self, blocks: Tuple[Tuple[int, int], ...]) -> bool:
@@ -408,7 +428,7 @@ class TcpSender:
         # Bytes in the ACKed range that were already counted when they
         # were SACKed (or before an RTO) must not count twice.
         scoreboard = self._scoreboard
-        if scoreboard:
+        if scoreboard.total_bytes:  # Non-empty, without a __bool__ frame.
             sacked_before = scoreboard.total_bytes
             scoreboard.prune_below(ack)
             already_counted = sacked_before - scoreboard.total_bytes
@@ -537,7 +557,7 @@ class TcpReceiver:
         rcv_nxt = self.rcv_nxt
         # A pure duplicate delivers nothing; the ACK we send is the signal.
         if packet.payload_bytes > 0 and end > rcv_nxt:
-            if packet.seq <= rcv_nxt and not self._ranges:
+            if packet.seq <= rcv_nxt and not self._ranges.total_bytes:
                 # In order with nothing buffered: delivered straight
                 # through, without the reassembly frames.
                 payload_bytes = end - rcv_nxt
@@ -566,7 +586,7 @@ class TcpReceiver:
 
     def _send_ack(self) -> None:
         sack: Tuple[Tuple[int, int], ...] = ()
-        if self._ranges:
+        if self._ranges.total_bytes:
             sack = tuple(self._ranges.first_blocks(SACK_BLOCK_LIMIT))
         ack = Packet(flow=self._ack_flow, size_bytes=ACK_BYTES,
                      ptype=PacketType.ACK, ack=self.rcv_nxt,

@@ -1,8 +1,12 @@
 """Tests for the discrete-event engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.netsim.engine import (MILLISECOND, SECOND, SimulationError,
                                  Simulator, seconds, to_seconds)
 
@@ -182,3 +186,58 @@ class TestPropertyBased:
             sim.schedule(delay, lambda d=delay: executed.append(d))
         sim.run(until_ns=cutoff)
         assert executed == sorted(d for d in delays if d <= cutoff)
+
+
+def _now_ns_writes(tree):
+    """Lines of ``tree`` that assign to an attribute named ``now_ns``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "now_ns"):
+            lines.append(node.lineno)
+            continue
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif (isinstance(target, ast.Attribute)
+                  and target.attr == "now_ns"):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestClockOwnership:
+    """``Simulator.now_ns`` is a plain attribute that only the engine
+    writes: the read-only guard a property gave it, as a static check."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def test_only_the_engine_assigns_now_ns(self):
+        writers = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            lines = _now_ns_writes(ast.parse(path.read_text(),
+                                             str(path)))
+            if lines:
+                writers[path.relative_to(self.SRC).as_posix()] = lines
+        assert list(writers) == ["netsim/engine.py"]
+
+    @pytest.mark.parametrize("source", [
+        "sim.now_ns = 5", "sim.now_ns += 1", "self.now_ns: int = 0",
+        "a, (b.now_ns, c) = x", "setattr(sim, 'now_ns', 3)"])
+    def test_the_scan_sees_each_form_of_write(self, source):
+        assert _now_ns_writes(ast.parse(source)) == [1]
+
+    def test_reads_are_not_writes(self):
+        source = "t = sim.now_ns\nctx = Ctx(now_ns=sim.now_ns)"
+        assert _now_ns_writes(ast.parse(source)) == []

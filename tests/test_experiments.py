@@ -13,6 +13,7 @@ from repro.experiments.runner import (Discipline, ScenarioResult,
 from repro.experiments.scenarios import (MIN_SEGMENTS_PER_RTT,
                                          ScalePolicy, ScenarioSpec)
 from repro.experiments.table2 import TABLE2_ROWS
+from repro.netsim.tracing import FlowRecord
 
 
 class TestScenarioSpec:
@@ -157,6 +158,24 @@ class TestRunner:
                                workers=1, progress=None)
         assert list(comparison.results) == [
             Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE]
+
+    def test_goodputs_are_read_once_per_flow(self, monkeypatch):
+        # The per-flow goodput dict is built once, not once per flow.
+        policy = ScalePolicy(target_rate_bps=10e6, max_rate_bps=10e6)
+        spec = ScenarioSpec(name="three", rate_bps=10e6, rtts_ms=(20,),
+                            buffer_mtus=50, cca_mix=(("newreno", 3),),
+                            duration_s=0.5)
+        calls = []
+        goodput_bps = FlowRecord.goodput_bps
+
+        def counted(record, duration_ns):
+            calls.append(record.flow)
+            return goodput_bps(record, duration_ns)
+
+        monkeypatch.setattr(FlowRecord, "goodput_bps", counted)
+        result = run_scenario(policy.apply(spec), Discipline.FIFO)
+        assert len(result.goodputs_bps) == 3
+        assert len(calls) == 3 and len(set(calls)) == 3
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_finished_run_is_freed_without_the_collector(

@@ -194,6 +194,8 @@ class TestProperties:
             assert ranges.total_bytes == \
                 sum(end - start for start, end in ranges) == len(model)
             assert ranges.max_end == (max(model) + 1 if model else 0)
+            # The TCP endpoints test emptiness through total_bytes.
+            assert bool(ranges.total_bytes) == bool(ranges)
 
     @given(st.lists(st.tuples(st.integers(0, 500),
                               st.integers(1, 40)),

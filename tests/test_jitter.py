@@ -91,6 +91,38 @@ class TestJitterSemantics:
                 for index, release in enumerate(releases)] == \
             [oracle.randint(0, jitter_ns) for _ in range(10_000)]
 
+    def test_release_entry_is_post_ats(self):
+        """``Host.send`` pushes its release entry itself: the key,
+        callback and arguments ``post_at`` would push, clamp included
+        (sends 10 us apart under 100 us of jitter)."""
+        jitter_ns = 100 * MICROSECOND
+        sims = [Simulator(), Simulator()]
+        hosts = [jittered_pair(sim, jitter_ns, seed=5)[0] for sim in sims]
+        oracle = random.Random(5)
+        last_release = 0
+
+        def keys(sim):
+            return sorted((time_ns, seq, getattr(callback, "__func__",
+                                                  callback),
+                           tuple(getattr(arg, "seq", type(arg))
+                                 for arg in args))
+                          for time_ns, seq, callback, args in sim._heap)
+
+        for seq in range(40):
+            now = seq * 10 * MICROSECOND
+            for sim in sims:
+                sim.run(until_ns=now)
+            hosts[0].send(make_packet(seq))
+            release = max(now + oracle.randint(0, jitter_ns),
+                          last_release)
+            last_release = release
+            sims[1].post_at(release, hosts[1].forward, make_packet(seq))
+            assert keys(sims[0]) == keys(sims[1])
+        for sim in sims:
+            sim.run()
+        assert sims[0].now_ns == sims[1].now_ns
+        assert sims[0].processed_events == sims[1].processed_events
+
     def test_default_jitter_scale(self):
         # One MTU at 25 Mbps is 480 us.
         assert host_jitter_ns(25e6) == pytest.approx(480_000, rel=0.01)

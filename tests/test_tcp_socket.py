@@ -9,7 +9,7 @@ import pytest
 from repro.netsim.engine import MILLISECOND, SECOND, Simulator, seconds
 from repro.netsim.link import Link
 from repro.netsim.node import Host
-from repro.netsim.packet import MSS_BYTES, FlowId
+from repro.netsim.packet import HEADER_BYTES, MSS_BYTES, FlowId
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.tracing import FlowMonitor
 from repro.tcp.cca import INITIAL_CWND_SEGMENTS, CongestionControl
@@ -221,6 +221,88 @@ class TestLossRecovery:
         fwd.queue.enqueue = real_enqueue
         sim.run(until_ns=seconds(8))
         assert receiver.delivered_bytes > 100 * MSS_BYTES
+
+
+class TestRtoTimer:
+    def test_rearm_pushes_what_cancel_and_schedule_push(self):
+        """``_arm_rto`` builds the timer entry itself; a twin run that
+        re-arms through ``cancel()`` + ``Simulator.schedule`` must
+        leave the same heap, key for key."""
+        sims = [Simulator(), Simulator()]
+        senders = []
+        for sim in sims:
+            sender, _, _, _ = make_connection(sim)
+            sender.start()
+            sim.run(until_ns=5 * MILLISECOND)
+            senders.append(sender)
+        inline, twin = senders
+        previous = [sender._rto_event for sender in senders]
+        assert previous[0] is not None and not previous[0].cancelled
+        inline._arm_rto()
+        previous[1].cancel()
+        twin._rto_event = sims[1].schedule(twin.rtt.rto_ns, twin._on_rto)
+
+        def keys(sim):
+            return sorted((time_ns, seq, callback is None,
+                           args.cancelled if callback is None else None)
+                          for time_ns, seq, callback, args in sim._heap)
+
+        assert previous[0].cancelled
+        assert keys(sims[0]) == keys(sims[1])
+        # One seq drawn, no more: both counters stand at the same place.
+        assert sims[0]._next_seq() == sims[1]._next_seq()
+        armed, expected = inline._rto_event, twin._rto_event
+        assert armed is not previous[0] and not armed.cancelled
+        assert (armed.time_ns, armed.seq, armed.args) == \
+            (expected.time_ns, expected.seq, expected.args)
+        assert armed.callback == inline._on_rto
+        for sim in sims:
+            sim.run(until_ns=seconds(1))
+        assert sims[0].processed_events == sims[1].processed_events
+        assert inline.snd_una == twin.snd_una > 0
+
+
+class _FixedRate(CongestionControl):
+    """The smallest paced CCA: a constant pacing rate."""
+
+    RATE_BPS = 8e6
+
+    def pacing_rate_bps(self):
+        return self.RATE_BPS
+
+
+class _NoRate(CongestionControl):
+    """Overrides the pacing hook but supplies no rate: ACK clocking."""
+
+    def pacing_rate_bps(self):
+        return None
+
+
+class TestPacing:
+    @pytest.mark.parametrize("cca_cls, gap_ns", [
+        (_FixedRate, int((MSS_BYTES + HEADER_BYTES) * 8 * SECOND
+                         / _FixedRate.RATE_BPS)),
+        (_NoRate, 0),
+        (CongestionControl, 0)])
+    def test_sends_are_spaced_by_the_pacing_rate(self, cca_cls, gap_ns):
+        # Only a CCA class that overrides pacing_rate_bps reaches the
+        # pacing gate; overriding it must still pace.
+        sim = Simulator()
+        sender, _, _, _ = make_connection(sim, cca=cca_cls())
+        host = sender.host
+        sends = []
+        send = host.send
+
+        def spy(packet):
+            sends.append(sim.now_ns)
+            return send(packet)
+
+        host.send = spy
+        sender.start()
+        sim.run(until_ns=8 * MILLISECOND)
+        first = sends[:INITIAL_CWND_SEGMENTS // 2]
+        assert [later - earlier for earlier, later
+                in zip(first, first[1:])] == [gap_ns] * (len(first) - 1)
 
 
 class TestKarnsAlgorithm:
