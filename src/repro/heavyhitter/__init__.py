@@ -7,12 +7,12 @@ from .hashpipe import (CebinaeFlowCache, ExactFlowCache,
                        select_bottlenecked, stage_hash)
 from .sketch import CountMinSketch
 from .traces import (BACKBONE_RATE_BPS, DEFAULT_FLOWS_PER_MINUTE,
-                     SyntheticTrace, TracePacket)
+                     SyntheticTrace)
 
 __all__ = [
     "CebinaeFlowCache", "ExactFlowCache", "select_bottlenecked",
     "stage_hash", "CountMinSketch",
-    "SyntheticTrace", "TracePacket", "BACKBONE_RATE_BPS",
+    "SyntheticTrace", "BACKBONE_RATE_BPS",
     "DEFAULT_FLOWS_PER_MINUTE",
     "DetectionResult", "evaluate_detection", "sweep_round_interval",
     "sweep_slot_count",

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
 from .hashpipe import CebinaeFlowCache, select_bottlenecked
-from .traces import SyntheticTrace
+from .traces import TRACE_REVISION, SyntheticTrace
 
 
 @dataclass
@@ -92,14 +92,15 @@ def evaluate_detection(stages: int, slots_per_stage: int,
             result.false_positives += len(detected - actual)
             result.false_negatives += len(actual - detected)
 
-        for packet in trace.packets():
-            while packet.time_ns >= boundary_ns:
+        times, flows, sizes = trace.packets()
+        for time_ns, flow, size in zip(times.tolist(), flows.tolist(),
+                                       sizes.tolist()):
+            while time_ns >= boundary_ns:
                 close_interval()
                 truth.clear()
                 boundary_ns += interval_ns
-            cache.update(packet.flow, packet.size_bytes)
-            truth[packet.flow] = truth.get(packet.flow, 0) + \
-                packet.size_bytes
+            cache.update(flow, size)
+            truth[flow] = truth.get(flow, 0) + size
         if truth:
             close_interval()
     return result
@@ -126,7 +127,8 @@ def _detection_tasks(configs: List[Tuple[int, int, float]],
                     "round_interval_ms": interval, **kwargs},
             label=f"figure13/s{stages}x{slots}@{interval:.0f}ms",
             fingerprint=fingerprint("DetectionResult",
-                                    dict(bound.arguments)),
+                                    {**bound.arguments,
+                                     "trace_revision": TRACE_REVISION}),
             kind="DetectionResult",
             encode=dataclasses.asdict,
             decode=lambda payload: DetectionResult(**payload)))
@@ -165,7 +167,7 @@ def sweep_slot_count(slot_options: Iterable[int],
                      cache_dir: Union[str, Path, None] = None,
                      use_cache: bool = True,
                      **kwargs: Any) -> List[DetectionResult]:
-    """Figure 13b: FPR/FNR vs slot count at a 100 ms round interval."""
+    """Figure 13b: FPR/FNR vs slot count at one round interval."""
     configs = [(stages, slots, round_interval_ms)
                for stages in stages_options
                for slots in slot_options]

@@ -4,37 +4,29 @@ The paper replays CAIDA anonymised traces from a 10 Gbps ISP backbone
 link (>400,000 flows/minute).  CAIDA traces cannot be redistributed, so
 we generate the statistical equivalent: flow rates drawn from a Zipf
 (discrete power-law) distribution — the canonical model for Internet
-flow sizes — with exponentially distributed per-flow packet
-inter-arrivals, merged into a single packet stream.  The parameters
-(flows per minute, mean packet size, link rate) are chosen to match the
-paper's setting; what the detection experiment needs from the trace is
-heavy-tailed skew at realistic flow counts, which this preserves.
+flow sizes — with Poisson per-flow packet arrivals, merged into a
+single packet stream.  The parameters (flows per minute, mean packet
+size, link rate) are chosen to match the paper's setting; what the
+detection experiment needs from the trace is heavy-tailed skew at
+realistic flow counts, which this preserves.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from ..core.units import BitsPerSec, Bytes, Seconds, TimeNs
+    from ..core.units import BitsPerSec, Bytes, Seconds
 
 #: Paper setting: a 10 Gbps backbone link.
 BACKBONE_RATE_BPS = 10e9
 #: Paper setting: >400k flows per minute.
 DEFAULT_FLOWS_PER_MINUTE = 400_000
-
-
-@dataclass(frozen=True)
-class TracePacket:
-    """One packet of a synthetic trace."""
-
-    time_ns: int
-    flow: int
-    size_bytes: int
+#: Bumped whenever the packets a given trace yields change, so that
+#: cached detection results computed from older traces go stale.
+TRACE_REVISION = 2
 
 
 class SyntheticTrace:
@@ -94,45 +86,27 @@ class SyntheticTrace:
         """The ground-truth average rate of each flow id."""
         return self._flow_rates_bps
 
-    def packets(self) -> Iterator[TracePacket]:
-        """Generate the merged packet stream in time order.
+    def packets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The merged packet stream as aligned int64 arrays
+        ``(time_ns, flow, size_bytes)``, in time order.
 
-        Flows whose expected packet count over the trace is below one
-        still get a chance to emit proportional to their rate, so the
-        long tail of tiny flows is present (they are what fills the
-        cache slots in the Figure 13 experiment).
+        Each flow is a Poisson process at its rate: a Poisson count of
+        packets over the trace, each at a uniform time in ``[0, T)``.
+        Flows expecting less than one packet still emit with
+        probability proportional to their rate, so the long tail of
+        tiny flows is present (they are what fills the cache slots in
+        the Figure 13 experiment).  Sizes are Gamma(4, mean/4) clipped
+        to [64, 1500] bytes.  Packets at the same nanosecond stay in
+        flow-id order.
         """
         import numpy as np
         rng = np.random.default_rng(self.seed + 1)
-        heap: List[Tuple[int, int]] = []  # (next_time_ns, flow)
-        packet_interval_ns = np.empty(self.num_flows)
-        for flow in range(self.num_flows):
-            rate = self._flow_rates_bps[flow]
-            pkt_per_sec = max(rate / (8.0 * self.mean_packet_bytes), 1e-9)
-            packet_interval_ns[flow] = 1e9 / pkt_per_sec
-            first = rng.exponential(packet_interval_ns[flow])
-            if first < self.duration_s * 1e9:
-                heap.append((int(first), flow))
-        heapq.heapify(heap)
         horizon_ns = int(self.duration_s * 1e9)
-        while heap:
-            time_ns, flow = heapq.heappop(heap)
-            size = int(rng.gamma(4.0, self.mean_packet_bytes / 4.0))
-            size = min(max(size, 64), 1500)
-            yield TracePacket(time_ns=time_ns, flow=flow, size_bytes=size)
-            nxt = time_ns + int(rng.exponential(packet_interval_ns[flow]))
-            if nxt < horizon_ns:
-                heapq.heappush(heap, (nxt, flow))
-
-    def true_bytes_by_interval(self, interval_ns: TimeNs
-                               ) -> List[Dict[int, Bytes]]:
-        """Ground-truth per-flow byte counts for each round interval."""
-        buckets: List[Dict[int, int]] = []
-        for packet in self.packets():
-            index = packet.time_ns // interval_ns
-            while len(buckets) <= index:
-                buckets.append({})
-            bucket = buckets[index]
-            bucket[packet.flow] = bucket.get(packet.flow, 0) + \
-                packet.size_bytes
-        return buckets
+        packets_per_s = self._flow_rates_bps / (8.0 * self.mean_packet_bytes)
+        counts = rng.poisson(packets_per_s * self.duration_s)
+        flow = np.repeat(np.arange(self.num_flows, dtype=np.int64), counts)
+        time_ns = rng.integers(0, horizon_ns, size=flow.size, dtype=np.int64)
+        sizes = rng.gamma(4.0, self.mean_packet_bytes / 4.0, size=flow.size)
+        size_bytes = np.clip(sizes.astype(np.int64), 64, 1500)
+        order = np.argsort(time_ns, kind="stable")
+        return time_ns[order], flow[order], size_bytes[order]

@@ -1,10 +1,13 @@
 """Tests for the passive flow cache, trace generator, and FPR/FNR
 evaluation."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.heavyhitter.evaluation import evaluate_detection
+from repro.heavyhitter.evaluation import _detection_tasks, evaluate_detection
 from repro.heavyhitter.hashpipe import (CebinaeFlowCache, ExactFlowCache,
                                         select_bottlenecked, stage_hash)
 from repro.heavyhitter.traces import SyntheticTrace
@@ -180,25 +183,27 @@ class TestSelectBottlenecked:
 
 
 class TestSyntheticTrace:
+    @staticmethod
+    def arrays(seed, duration_s=0.01, flows_per_minute=6000):
+        return SyntheticTrace(duration_s=duration_s,
+                              flows_per_minute=flows_per_minute,
+                              seed=seed).packets()
+
     def test_deterministic_given_seed(self):
-        a = list(SyntheticTrace(duration_s=0.01, flows_per_minute=6000,
-                                seed=3).packets())
-        b = list(SyntheticTrace(duration_s=0.01, flows_per_minute=6000,
-                                seed=3).packets())
-        assert a == b
+        a, b = self.arrays(seed=3), self.arrays(seed=3)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_different_seeds_differ(self):
-        a = list(SyntheticTrace(duration_s=0.01, flows_per_minute=6000,
-                                seed=3).packets())
-        b = list(SyntheticTrace(duration_s=0.01, flows_per_minute=6000,
-                                seed=4).packets())
-        assert a != b
+        a, b = self.arrays(seed=3), self.arrays(seed=4)
+        assert not all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_packets_in_time_order(self):
-        trace = SyntheticTrace(duration_s=0.02, flows_per_minute=60_000,
-                               seed=1)
-        times = [packet.time_ns for packet in trace.packets()]
-        assert times == sorted(times)
+        times, flows, sizes = self.arrays(seed=1, duration_s=0.02,
+                                          flows_per_minute=60_000)
+        assert times.size == flows.size == sizes.size > 0
+        assert all(a.dtype == np.int64 for a in (times, flows, sizes))
+        assert np.all(np.diff(times) >= 0)
+        assert times[0] >= 0
         assert times[-1] < 0.02 * 1e9
 
     def test_flow_population_independent_of_short_durations(self):
@@ -214,6 +219,37 @@ class TestSyntheticTrace:
         two = SyntheticTrace(duration_s=120, flows_per_minute=6000)
         assert two.num_flows == 2 * one.num_flows
 
+    def test_building_a_trace_draws_no_packets(self):
+        """A 120 s backbone trace holds ~10^8 packets (gigabytes as
+        arrays); building one must cost only its flow rates."""
+        tracemalloc.start()
+        try:
+            trace = SyntheticTrace(duration_s=120, flows_per_minute=6000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = trace.flow_rates_bps.sum() * 120 \
+            / (8 * trace.mean_packet_bytes)
+        assert expected > 1e8
+        assert peak < 4 << 20
+
+    def test_packet_counts_follow_poisson_law(self):
+        """Each flow's count is Poisson(rate·T): the total and the
+        top-rate flow's count lie within 4σ of their means."""
+        duration_s = 0.05
+        trace = SyntheticTrace(duration_s=duration_s,
+                               flows_per_minute=60_000, seed=5)
+        _, flows, _ = trace.packets()
+        packets_per_s = trace.flow_rates_bps \
+            / (8 * trace.mean_packet_bytes)
+        top = int(np.argmax(packets_per_s))
+        for observed, mean in (
+                (flows.size, packets_per_s.sum() * duration_s),
+                (int(np.count_nonzero(flows == top)),
+                 packets_per_s[top] * duration_s)):
+            assert mean > 1000
+            assert abs(observed - mean) <= 4 * mean ** 0.5
+
     def test_rates_are_heavy_tailed(self):
         trace = SyntheticTrace(duration_s=0.5,
                                flows_per_minute=120_000, seed=1)
@@ -222,10 +258,9 @@ class TestSyntheticTrace:
         assert top_share > 0.1  # Top 1% of flows carry >10% of load.
 
     def test_packet_sizes_bounded(self):
-        trace = SyntheticTrace(duration_s=0.01,
-                               flows_per_minute=60_000, seed=2)
-        for packet in trace.packets():
-            assert 64 <= packet.size_bytes <= 1500
+        _, _, sizes = self.arrays(seed=2, flows_per_minute=60_000)
+        assert sizes.size > 0
+        assert sizes.min() >= 64 and sizes.max() <= 1500
 
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
@@ -260,3 +295,11 @@ class TestDetectionEvaluation:
         assert 0.0 <= result.false_positive_rate <= 1.0
         assert 0.0 <= result.false_negative_rate <= 1.0
         assert result.intervals > 0
+
+    def test_trace_revision_reaches_the_fingerprint(self):
+        """A cached DetectionResult names the trace that produced it:
+        the fingerprint of a config differs from the one it had when
+        the trace was a per-packet heap merge."""
+        task, = _detection_tasks([(1, 512, 10)],
+                                 {"trials": 1, "trace_duration_s": 0.15})
+        assert task.fingerprint != "65049401e7a87f3a6a83ffdd"

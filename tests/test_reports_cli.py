@@ -1,6 +1,8 @@
 """Tests for report formatting, the CLI, and the scalability and
 fault-recovery reports."""
 
+import itertools
+
 import pytest
 
 from repro.experiments import cli, parallel
@@ -162,11 +164,27 @@ class TestCli:
         with pytest.raises(ValueError):
             cli.run_experiment("not_a_thing")
 
-    def test_quick_figure13(self, capsys):
-        # The fastest simulation-backed experiment; exercises the full
-        # CLI path.
-        text = cli.run_experiment("figure13", quick=True)
-        assert "FPR" in text and "FNR" in text
+    def test_quick_figure13(self, capsys, tmp_path):
+        """The report's numbers have the paper's shape: negligible FPR
+        everywhere, and an FNR that is positive at the smallest cache
+        and never rises with more slots or more stages.  The cache, as
+        in a CLI run, replays 13b's 512-slot cells from 13a."""
+        text = cli.run_experiment("figure13", quick=True,
+                                  cache_dir=str(tmp_path))
+        assert capsys.readouterr().err.count("[parallel] cached") == 3
+        fpr, fnr = {}, {}
+        for line in text.splitlines()[3:]:  # Below the table's header.
+            stages, slots, interval, fp_rate, fn_rate = line.split()
+            key = int(stages), int(slots), int(interval)
+            fpr[key], fnr[key] = float(fp_rate), float(fn_rate)
+        assert len(fnr) == 15 and max(fpr.values()) < 1e-3
+        assert fnr[1, 128, 10] > 0  # The smallest cache misses some.
+        # At one interval, a cache with at least as many stages and
+        # slots per stage never misses more ⊤ flows.
+        for small, large in itertools.product(fnr, repeat=2):
+            if small[2] == large[2] and small[0] <= large[0] \
+                    and small[1] <= large[1]:
+                assert fnr[large] <= fnr[small], (small, large)
 
     def test_table2_row_selection(self, capsys):
         from repro.experiments.cli import EXPERIMENTS
