@@ -91,11 +91,8 @@ class PerFlowCebinaeQueueDisc(CebinaeQueueDisc):
                 if self.params.ecn_marking and packet.mark_ce():
                     self.ecn_marks += 1
             queue_index = self.lbf.queue_for(decision)
-            was_empty = self._empty()
             self._queues[queue_index].append(packet)
             self._queue_bytes[queue_index] += packet.size_bytes
-            if was_empty:
-                self._waker()
             return True
         return super().enqueue(packet)
 

@@ -120,12 +120,8 @@ class CebinaeQueueDisc(QueueDisc):
                     kind="failopen_enqueue", flow=str(packet.flow),
                     group="aggregate", size_bytes=packet.size_bytes,
                     queue_index=queue_index))
-            queues = self._queues
-            was_empty = not (queues[0] or queues[1])
-            queues[queue_index].append(packet)
+            self._queues[queue_index].append(packet)
             queue_bytes[queue_index] += packet.size_bytes
-            if was_empty:
-                self._waker()
             return True
         now = self.sim.now_ns
         group_name = "aggregate"
@@ -160,16 +156,9 @@ class CebinaeQueueDisc(QueueDisc):
                     size_bytes=packet.size_bytes,
                     queue_index=1 - self.lbf.headq))
         queue_index = self.lbf.queue_for(decision)
-        queues = self._queues
-        was_empty = not (queues[0] or queues[1])
-        queues[queue_index].append(packet)
+        self._queues[queue_index].append(packet)
         queue_bytes[queue_index] += packet.size_bytes
-        if was_empty:
-            self._waker()
         return True
-
-    def _empty(self) -> bool:
-        return not (self._queues[0] or self._queues[1])
 
     def dequeue(self) -> Optional[Packet]:
         """Strict priority: headq first, then the next-round queue.

@@ -79,12 +79,9 @@ class AfqQueue(QueueDisc):
             self.horizon_drops += 1
             self.record_drop(packet, reason="horizon")
             return False
-        was_empty = self._packets == 0
         self._queues[bid_round % self.num_queues].append(packet)
         self._bytes += packet.size_bytes
         self._packets += 1
-        if was_empty:
-            self._waker()
         return True
 
     def dequeue(self) -> Optional[Packet]:

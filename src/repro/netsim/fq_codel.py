@@ -124,7 +124,6 @@ class FqCoDelQueue(QueueDisc):
         packet.enqueue_time_ns = self.sim.now_ns
         key = self._bucket(packet.flow)
         queue = self._get_queue(key)
-        was_empty = self._packets == 0
         queue.packets.append(packet)
         queue.bytes += packet.size_bytes
         self._packets += 1
@@ -136,10 +135,6 @@ class FqCoDelQueue(QueueDisc):
             self._new_flows.append(key)
         if self._packets > self.limit_packets:
             self._drop_from_fattest()
-        # The link only sleeps when the disc is drained, so a waker
-        # call is only needed on the empty->non-empty edge.
-        if was_empty and self._packets > 0:
-            self._waker()
         return True
 
     def _drop_from_fattest(self) -> None:

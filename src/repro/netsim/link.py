@@ -5,7 +5,11 @@ A :class:`Link` is unidirectional: it models the transmitter of one port
 Bidirectional cables are simply two links.  The link owns the egress
 queue disc of its port and pulls from it whenever the transmitter is
 idle, which is the same service model as ns-3's
-``PointToPointNetDevice`` + traffic-control-layer queue.
+``PointToPointNetDevice`` + traffic-control-layer queue.  The link alone
+decides when its transmitter starts: after an accepted enqueue finds it
+idle, and when the wire comes back up.  The queue disc is a plain
+container and holds no reference back to the link.  A link's queue and
+rate are fixed when it is built.
 
 A link schedules two events per packet (end of serialization, arrival
 at ``dst``) and pushes both straight onto the simulator's heap: the
@@ -42,24 +46,31 @@ class Link:
                  name: str = "") -> None:
         if delay_ns < 0:
             raise ValueError("propagation delay cannot be negative")
+        if rate_bps <= 0:
+            raise ValueError("link rate must be positive")
         self.sim = sim
         self.src = src
         self.dst = dst
         self.delay_ns = int(delay_ns)
         self.name = name or f"{src.name}->{dst.name}"
         self._busy = False
+        #: Link rate in bits per second, fixed for the link's life.
+        self.rate_bps = float(rate_bps)
+        #: The egress queue disc this link drains.  Drops it records
+        #: are attributed to this port.
+        self.queue = queue
+        queue.obs_name = self.name
         # Transmit-side counters (Cebinae's "egress pipeline" also hooks
         # transmission; see CebinaeQueueDisc.on_transmit).  The hook is
-        # a property of the queue's type, so it is resolved once in the
-        # queue setter rather than with a getattr per transmitted
-        # packet.
+        # a property of the queue's type, so it is resolved once here
+        # rather than with a getattr per transmitted packet.
         self.tx_packets = 0
         self.tx_bytes = 0
-        self._on_transmit: Optional[Callable[[Packet], None]] = None
+        self._on_transmit: Optional[Callable[[Packet], None]] = getattr(
+            queue, "on_transmit", None)
         # Serialization delay depends only on packet size, and traffic
         # is dominated by a handful of sizes (MTU, MSS boundaries, pure
-        # ACKs), so the round() per packet memoises
-        # into a tiny dict.  Invalidated by the rate_bps setter.
+        # ACKs), so the round() per packet memoises into a tiny dict.
         self._ser_delay_cache: Dict[int, int] = {}
         # Fault-injection state (repro.faults).  The hot path pays one
         # boolean test per transmitted packet (``_impaired``), folded
@@ -72,42 +83,6 @@ class Link:
         # (None when tracing is off), so the per-packet cost of the
         # disabled path is one attribute test in _finish_transmission.
         self._trace_pkt = obs_bus.emitter_for("packet")
-        self.rate_bps = rate_bps
-        self.queue = queue
-
-    @property
-    def queue(self) -> QueueDisc:
-        """The egress queue disc this link drains."""
-        return self._queue
-
-    @queue.setter
-    def queue(self, queue: QueueDisc) -> None:
-        # Re-resolve the memoized transmit hook and re-register the
-        # waker so a mid-run queue swap cannot leave a stale hook
-        # silently feeding the old queue disc.
-        self._queue = queue
-        self._on_transmit = getattr(queue, "on_transmit", None)
-        # Drops recorded by the queue disc are attributed to this port.
-        queue.obs_name = self.name
-        queue.set_waker(self._on_queue_ready)
-
-    @property
-    def rate_bps(self) -> BitsPerSec:
-        """Link rate in bits per second."""
-        return self._rate_bps
-
-    @rate_bps.setter
-    def rate_bps(self, rate_bps: BitsPerSec) -> None:
-        if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
-        self._rate_bps = float(rate_bps)
-        # Memoized serialization delays embed the old rate.
-        self._ser_delay_cache.clear()
-
-    @property
-    def capacity_bytes_per_sec(self) -> float:
-        """Link capacity in bytes per second."""
-        return self.rate_bps / 8.0
 
     def serialization_delay_ns(self, size_bytes: Bytes) -> TimeNs:
         """Time to clock ``size_bytes`` onto the wire."""
@@ -118,11 +93,6 @@ class Link:
         return cached
 
     # -- fault injection (repro.faults) -----------------------------------
-    @property
-    def up(self) -> bool:
-        """Whether the wire is currently passing packets."""
-        return self._up
-
     def set_up(self, up: bool) -> None:
         """Cut or restore the wire.
 
@@ -137,8 +107,8 @@ class Link:
             return
         self._up = up
         self._impaired = (self._fault_state is not None) or not up
-        if up:
-            self._on_queue_ready()
+        if up and not self._busy:
+            self._start()
 
     @property
     def fault_state(self) -> Optional["LinkFaultState"]:
@@ -153,20 +123,25 @@ class Link:
     def send(self, packet: Packet) -> bool:
         """Offer a packet to this port.  Returns False if dropped.
 
+        An accepted packet that finds the transmitter idle starts it.
         ``Router.receive`` and ``Node.forward`` make this call inline,
         one frame less per hop; it stays for every other sender.
         """
-        return self._queue.enqueue(packet)
+        accepted = self.queue.enqueue(packet)
+        if accepted and not self._busy:
+            self._start()
+        return accepted
 
-    def _on_queue_ready(self) -> None:
-        """The queue's waker: an idle transmitter starts on its packet.
+    def _start(self) -> None:
+        """An idle transmitter starts on the queue's head packet.
 
-        The transmitter stays paused while the link is down;
-        ``set_up(True)`` kicks it through here again.
+        Called on an idle link only: after an accepted enqueue, and by
+        ``set_up(True)``.  The transmitter stays paused while the link
+        is down.
         """
-        if self._busy or not self._up:
+        if not self._up:
             return
-        packet = self._queue.dequeue()
+        packet = self.queue.dequeue()
         if packet is None:
             return
         self._busy = True
@@ -207,9 +182,9 @@ class Link:
                                  sim._next_seq(), self.dst.receive,
                                  (packet, self)))
         # The next packet, if any, goes straight onto the wire: the
-        # waker's work, inline, since this runs once per transmission.
+        # start's work, inline, since this runs once per transmission.
         if self._up:
-            packet = self._queue.dequeue()
+            packet = self.queue.dequeue()
             if packet is not None:
                 try:
                     tx_time = self._ser_delay_cache[packet.size_bytes]

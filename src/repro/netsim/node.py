@@ -65,7 +65,10 @@ class Node:
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
         # link.send(packet), inline: straight onto the egress port.
-        return link._queue.enqueue(packet)
+        accepted = link.queue.enqueue(packet)
+        if accepted and not link._busy:
+            link._start()
+        return accepted
 
     def receive(self, packet: Packet, from_link: Link) -> None:
         raise NotImplementedError
@@ -87,11 +90,13 @@ class Router(Node):
             return
         self.forwarded_packets += 1
         # forward() and link.send() inlined: the hop's next frame is
-        # the egress queue disc's enqueue, looked up per packet.
+        # the egress queue disc's enqueue, looked up per packet, and an
+        # idle port starts on what it accepted.
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
-        link._queue.enqueue(packet)
+        if link.queue.enqueue(packet) and not link._busy:
+            link._start()
 
 
 class Host(Node):

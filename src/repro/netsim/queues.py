@@ -2,8 +2,8 @@
 
 Every egress port of every node owns a :class:`QueueDisc`.  The attached
 :class:`~repro.netsim.link.Link` pulls packets from it whenever the wire
-is idle; the queue calls its *waker* when a packet becomes available so
-an idle link can restart.
+is idle, and starts itself when an accepted packet finds it idle; the
+queue disc is a plain container with no reference back to the link.
 
 The FIFO drop-tail queue here is the paper's baseline (the "FIFO" column
 of Table 2), with the buffer configured in MTUs exactly as the paper's
@@ -28,34 +28,28 @@ def _no_clock() -> int:
     return 0
 
 
-def _no_waker() -> None:
-    """Waker of a queue disc no link drains (unit tests)."""
-
-
 class QueueDisc:
     """Base class for queue disciplines.
 
     Subclasses implement :meth:`enqueue` and :meth:`dequeue`.  ``enqueue``
     returns False when the packet is dropped; ``dequeue`` returns None
-    when no packet is ready.  Implementations must call
-    ``self._waker()`` when a packet becomes available after the queue
-    was empty, so that an idle link resumes transmission.
+    only when the queue is empty.  The link relies on that: it goes
+    idle only on a None, so an up, idle link always holds an empty
+    queue, and an accepted enqueue is all it needs to restart.
 
     The base class uses ``__slots__`` (as do the built-in disciplines on
     the per-packet path); subclasses are free to declare their own slots
     or fall back to a ``__dict__``.
     """
 
-    __slots__ = ("_waker", "dropped_packets", "dropped_bytes",
-                 "__dict__")
+    __slots__ = ("dropped_packets", "dropped_bytes", "__dict__")
 
     def __init__(self) -> None:
-        self._waker: Callable[[], None] = _no_waker
         self.dropped_packets = 0
         self.dropped_bytes = 0
         # Observability: bound once at construction (trace bus must be
         # installed before the topology is built).  ``obs_name`` is
-        # overwritten by Link's queue setter with the port name; the
+        # overwritten by the Link that drains it with the port name; the
         # bus clock substitutes for a ``sim`` reference, which queue
         # discs deliberately do not hold.
         self.obs_name = type(self).__name__
@@ -64,10 +58,6 @@ class QueueDisc:
             else None
         self._obs_now: Callable[[], int] = bus.now_ns \
             if bus is not None else _no_clock
-
-    def set_waker(self, waker: Callable[[], None]) -> None:
-        """Register the link restart callback."""
-        self._waker = waker
 
     def enqueue(self, packet: Packet) -> bool:
         raise NotImplementedError
@@ -129,11 +119,8 @@ class DropTailQueue(QueueDisc):
                     and self._bytes + size > self.limit_bytes)):
             self.record_drop(packet)
             return False
-        was_empty = not queue
         queue.append(packet)
         self._bytes += size
-        if was_empty:
-            self._waker()
         return True
 
     def dequeue(self) -> Optional[Packet]:

@@ -22,7 +22,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List,
 from .engine import MILLISECOND, Simulator
 from .link import Link
 from .node import Host, Node, Router
-from .queues import DropTailQueue, QueueDisc, _no_waker
+from .queues import DropTailQueue, QueueDisc
 
 if TYPE_CHECKING:
     from ..core.units import BitsPerSec, TimeNs
@@ -131,17 +131,14 @@ class Network:
     def dismantle(self) -> None:
         """Cut the references that make a finished network a cycle.
 
-        Nodes list their links, links name their end nodes, and every
-        queue disc holds its link's restart callback, so a dropped
-        network is freed only by a full collector pass.  After this
-        call reference counting frees it; the network forwards nothing
-        any more.
+        Nodes list their links and links name their end nodes, so a
+        dropped network is freed only by a full collector pass.  After
+        this call reference counting frees it; the network forwards
+        nothing any more.
         """
         for node in self.nodes.values():
             node.links.clear()
             node.routes.clear()
-        for link in self.links:
-            link.queue.set_waker(_no_waker)
 
 
 @dataclass

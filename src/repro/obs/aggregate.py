@@ -215,8 +215,9 @@ def _worker_row(worker: str, document: Mapping[str, Any],
             document, "sweep_tasks_quarantined_total")),
         "busy_s": round(busy_s, 3),
         "tasks_per_min": tasks_per_min,
-        "inflight_shards": int(_gauge_value(
-            document, "sweep_inflight_shards") or 0),
+        # From the live locks, which die with their holder: a killed
+        # worker's last snapshot cannot leave a stale count here.
+        "inflight_shards": len(shards),
         "quarantine_depth": int(_gauge_value(
             document, "sweep_quarantine_depth") or 0),
         "last_task": last_task,

@@ -297,13 +297,12 @@ SWEEP_EVENTS = ("tasks_completed", "tasks_quarantined", "interrupts",
                 "resumes")
 
 #: Sweep-fabric *gauge* names accepted by :func:`record_sweep`:
-#: point-in-time state the watch view renders.  ``inflight_shards`` is
-#: 1 while the worker holds a shard lock, ``quarantine_depth`` its
-#: running quarantined count, ``last_task_index`` the manifest index of its
-#: most recently completed task (the watch view maps it back to the
-#: task's fingerprint and label).
-SWEEP_GAUGES = ("inflight_shards", "quarantine_depth",
-                "last_task_index")
+#: point-in-time state the watch view renders.  ``quarantine_depth`` is
+#: the worker's running quarantined count, ``last_task_index`` the
+#: manifest index of its most recently completed task (the watch view
+#: maps it back to the task's fingerprint and label).  The shards a
+#: worker holds are read from the live locks, not from a gauge.
+SWEEP_GAUGES = ("quarantine_depth", "last_task_index")
 
 
 def record_sweep(registry: MetricsRegistry, event: str,

@@ -176,7 +176,6 @@ class SweepWorker:
                 self.registry.gauge(
                     "sweep_worker_completed",
                     worker=self.config.worker_id).set(report.completed)
-                self._count("inflight_shards", 0)
                 self._update_quarantine_depth()
                 self._write_metrics()
         return report
@@ -228,24 +227,17 @@ class SweepWorker:
                    report: WorkerReport) -> None:
         self._emit(f"claimed {_shard_key(shard)} "
                    f"({len(tasks)} runnable task(s))")
-        self._count("inflight_shards", 1)
-        self._write_metrics()
-        try:
-            with obs_spans.span("shard", _shard_key(shard),
-                                sim_clock=False) as shard_span:
-                if shard_span is not None:
-                    shard_span.count = len(tasks)
-                for task in tasks:
-                    if self.sweep.is_done(task.fingerprint):
-                        continue  # The shard's last holder finished it.
-                    self._run_task(manifest, task, cache, report)
-                    if (self.config.max_tasks is not None
-                            and report.completed
-                            >= self.config.max_tasks):
-                        return
-        finally:
-            self._count("inflight_shards", 0)
-            self._write_metrics()
+        with obs_spans.span("shard", _shard_key(shard),
+                            sim_clock=False) as shard_span:
+            if shard_span is not None:
+                shard_span.count = len(tasks)
+            for task in tasks:
+                if self.sweep.is_done(task.fingerprint):
+                    continue  # The shard's last holder finished it.
+                self._run_task(manifest, task, cache, report)
+                if (self.config.max_tasks is not None
+                        and report.completed >= self.config.max_tasks):
+                    return
 
     def _run_task(self, manifest: SweepManifest, mtask: ManifestTask,
                   cache: Any, report: WorkerReport) -> None:

@@ -134,14 +134,6 @@ class TestAfqScheduling:
         with pytest.raises(ValueError):
             AfqQueue(bytes_per_round=0)
 
-    def test_waker_on_first_packet(self):
-        queue = AfqQueue()
-        calls = []
-        queue.set_waker(lambda: calls.append(1))
-        queue.enqueue(make_packet(1))
-        queue.enqueue(make_packet(1))
-        assert calls == [1]
-
 
 class TestAfqFairness:
     def test_aggressive_flow_capped_by_calendar(self):

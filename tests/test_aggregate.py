@@ -24,7 +24,7 @@ class TestMergeSnapshots:
         registry = MetricsRegistry()
         registry.counter("sweep_tasks_completed_total",
                          worker="w0").inc(3)
-        registry.gauge("sweep_inflight_shards", worker="w0").set(1)
+        registry.gauge("sweep_quarantine_depth", worker="w0").set(1)
         registry.histogram("sweep_task_wall_seconds",
                            bounds=[1.0, 2.0], worker="w0").observe(1.5)
         snapshot = registry.snapshot()
@@ -232,11 +232,11 @@ class TestFleetView:
 class TestRecordSweepGauges:
     def test_gauges_set_not_summed(self):
         registry = MetricsRegistry()
-        obs_metrics.record_sweep(registry, "inflight_shards",
+        obs_metrics.record_sweep(registry, "quarantine_depth",
                                  worker="w0", amount=1)
-        obs_metrics.record_sweep(registry, "inflight_shards",
+        obs_metrics.record_sweep(registry, "quarantine_depth",
                                  worker="w0", amount=0)
-        assert registry.gauge("sweep_inflight_shards",
+        assert registry.gauge("sweep_quarantine_depth",
                               worker="w0").value == 0
 
     def test_unknown_event_rejected(self):

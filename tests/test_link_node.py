@@ -1,9 +1,16 @@
 """Tests for links (timing, counters) and nodes (dispatch, routing)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import invariants
-from repro.netsim.engine import SECOND, Simulator
+from repro.core.params import CebinaeParams
+from repro.core.queue_disc import CebinaeQueueDisc
+from repro.faults.schedule import LinkFaultState
+from repro.faults.spec import FaultSpec
+from repro.netsim.afq import AfqQueue
+from repro.netsim.engine import MILLISECOND, SECOND, Simulator
+from repro.netsim.fq_codel import FqCoDelQueue
 from repro.netsim.link import Link
 from repro.netsim.node import Host, Router
 from repro.netsim.packet import FlowId, Packet
@@ -95,10 +102,33 @@ class TestLinkTiming:
         with pytest.raises(ValueError):
             Link(sim, src, dst, 1e6, -1, DropTailQueue())
 
-    def test_capacity_bytes_per_sec(self):
+    def test_refused_packet_does_not_start_an_idle_link(self):
         sim = Simulator()
-        _, _, link = wire(sim, rate_bps=80e6)
-        assert link.capacity_bytes_per_sec == pytest.approx(10e6)
+        src, dst, link = wire(sim, queue=DropTailQueue(limit_bytes=500))
+        arrivals = []
+        dst.set_default_handler(arrivals.append)
+        assert not link.send(make_packet(size=1000))
+        assert not src.forward(make_packet(size=1000))
+        assert not link._busy and len(sim.scheduler) == 0
+        sim.run()
+        assert arrivals == [] and link.tx_packets == 0
+        assert link.queue.dropped_packets == 2
+
+    def test_send_on_a_down_link_waits_for_set_up(self):
+        sim = Simulator()
+        src, dst, link = wire(sim, rate_bps=8e6, delay_ns=0)
+        arrivals = []
+        dst.set_default_handler(lambda p: arrivals.append(sim.now_ns))
+        link.set_up(False)
+        assert link.send(make_packet(size=1000))
+        assert src.forward(make_packet(size=1000))
+        assert not link._busy and len(sim.scheduler) == 0
+        sim.run()
+        assert arrivals == [] and len(link.queue) == 2
+        sim.schedule(5_000_000, link.set_up, True)
+        sim.run()
+        assert arrivals == [6_000_000, 7_000_000]
+        assert len(link.queue) == 0
 
 
 class TestOnTransmitHook:
@@ -120,42 +150,97 @@ class TestOnTransmitHook:
         assert queue.seen == [400, 600]
 
 
-class TestMutableAttributes:
-    """The queue/rate_bps setters invalidate the memoized fast paths."""
+def build_port(kind, sim):
+    """A small egress queue disc of ``kind`` that refuses or drops."""
+    if kind == "droptail":
+        return DropTailQueue(limit_packets=6)
+    if kind == "fq_codel":
+        # Tight CoDel so dequeue-time drops happen within a few ms.
+        return FqCoDelQueue(sim, target_ns=MILLISECOND,
+                            interval_ns=4 * MILLISECOND, limit_packets=6)
+    if kind == "afq":
+        return AfqQueue(num_queues=4, bytes_per_round=1500,
+                        limit_bytes=8000)
+    params = CebinaeParams(dt_ns=20 * MILLISECOND, vdt_ns=MILLISECOND,
+                           l_ns=MILLISECOND, use_exact_cache=True)
+    qdisc = CebinaeQueueDisc(sim, params, 8e6, 8000)
+    qdisc.set_saturated(True)
+    qdisc.set_membership({FlowId(0, 1, 0, 80)})
+    return qdisc
 
-    def test_queue_swap_rebinds_hook_and_waker(self):
-        class HookQueue(DropTailQueue):
-            def __init__(self):
-                super().__init__(limit_packets=10)
-                self.seen = []
 
-            def on_transmit(self, packet):
-                self.seen.append(packet.size_bytes)
+# One step: a burst of (flow, size) arrivals posted ``offset_us`` into
+# the step, an optional wire toggle, and how long the step runs.
+STEPS = st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(64, 1500)),
+             max_size=8),
+    st.integers(0, 3000),
+    st.sampled_from([None, False, True]),
+    st.integers(0, 6000)), min_size=1, max_size=12)
 
+
+class TestStartInvariant:
+    """An up, idle link holds an empty queue, whatever the disc.
+
+    The link starts its transmitter only after an accepted enqueue
+    finds it idle (or when the wire comes back up); that is enough
+    because every disc's ``dequeue`` returns None only when it is
+    empty.  Every offered packet is accounted for exactly once.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["droptail", "fq_codel", "afq",
+                                 "cebinae"]),
+           steps=STEPS)
+    def test_idle_up_link_has_empty_queue_and_packets_conserve(
+            self, kind, steps):
         sim = Simulator()
-        _, _, link = wire(sim)  # Plain queue: no on_transmit hook.
-        link.send(make_packet(size=400))
+        queue = build_port(kind, sim)
+        _, dst, link = wire(sim, rate_bps=8e6, delay_ns=100_000,
+                              queue=queue)
+        # Installed as FaultSchedule installs it, so cut packets count.
+        state = LinkFaultState(FaultSpec(), seed=1, name=link.name)
+        link.set_fault_state(state)
+        delivered, dropped, refused, offered = [], [], [], []
+        accepted = []  # In arrival order at the port.
+        dst.set_default_handler(lambda p: delivered.append(p.seq))
+        record_drop = queue.record_drop
+
+        def counted_drop(packet, reason="tail"):
+            dropped.append(packet.seq)
+            record_drop(packet, reason)
+        queue.record_drop = counted_drop
+
+        def offer(packet):
+            (accepted if link.send(packet) else refused).append(
+                packet.seq)
+
+        for burst, offset_us, toggle, length_us in steps:
+            start = sim.now_ns
+            for flow, size in burst:
+                packet = Packet(flow=FlowId(0, 1, flow, 80),
+                                size_bytes=size, seq=len(offered))
+                offered.append(packet.seq)
+                sim.post_at(start + offset_us * 1000, offer, packet)
+            if toggle is not None:
+                sim.post_at(start + offset_us * 1000 // 2, link.set_up,
+                            toggle)
+            sim.run(until_ns=start + length_us * 1000)
+            if link._up and not link._busy:
+                assert len(queue) == 0
         sim.run()
-        replacement = HookQueue()
-        link.queue = replacement
-        assert link.queue is replacement
-        link.send(make_packet(size=600))
-        sim.run()  # The new queue's waker must restart the link.
-        assert replacement.seen == [600]
-
-    def test_rate_change_invalidates_serialization_cache(self):
-        sim = Simulator()
-        _, _, link = wire(sim, rate_bps=8e6)
-        assert link.serialization_delay_ns(1000) == 1_000_000
-        link.rate_bps = 16e6
-        assert link.rate_bps == 16e6
-        assert link.serialization_delay_ns(1000) == 500_000
-
-    def test_rate_setter_rejects_nonpositive(self):
-        sim = Simulator()
-        _, _, link = wire(sim)
-        with pytest.raises(ValueError):
-            link.rate_bps = 0
+        queued = []
+        packet = queue.dequeue()
+        while packet is not None:
+            queued.append(packet.seq)
+            packet = queue.dequeue()
+        counted = delivered + dropped + queued
+        assert len(set(counted)) == len(counted)
+        assert set(refused) <= set(dropped)
+        assert len(counted) + state.down_drops == len(offered)
+        if kind == "droptail":
+            served = set(delivered)
+            assert delivered == [seq for seq in accepted if seq in served]
 
 
 class TestHostDispatch:

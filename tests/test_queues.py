@@ -65,33 +65,6 @@ class TestLimits:
         assert queue.limit_packets == 100
 
 
-class TestWaker:
-    def test_waker_called_on_first_enqueue(self):
-        queue = DropTailQueue(limit_packets=10)
-        calls = []
-        queue.set_waker(lambda: calls.append(len(queue)))
-        queue.enqueue(make_packet())
-        queue.enqueue(make_packet())
-        assert calls == [1]  # Only the empty->nonempty transition.
-
-    def test_waker_after_drain(self):
-        queue = DropTailQueue(limit_packets=10)
-        calls = []
-        queue.set_waker(lambda: calls.append("wake"))
-        queue.enqueue(make_packet())
-        queue.dequeue()
-        queue.enqueue(make_packet())
-        assert calls == ["wake", "wake"]
-
-    def test_dropped_packet_does_not_wake(self):
-        queue = DropTailQueue(limit_packets=1)
-        queue.enqueue(make_packet())
-        calls = []
-        queue.set_waker(lambda: calls.append("wake"))
-        queue.enqueue(make_packet())
-        assert calls == []
-
-
 class TestConservationProperty:
     @given(st.lists(st.integers(min_value=64, max_value=9000),
                     min_size=1, max_size=100))

@@ -404,7 +404,7 @@ def test_seeded_fault_table_applies_and_grades_the_lint_layer():
         path, text = seeded_faults.mutated(fault)  # Raises if rotten.
         flagged[fault[0]] = {
             f.rule_id for f in lint_source(text, str(path))}
-    assert len(flagged) == 24
+    assert len(flagged) == 23
     assert flagged["D-a"] == {"D104"}
     # D104 cannot see that select_bottlenecked returns a set; the
     # perflow test of the rate table's key order holds this one.

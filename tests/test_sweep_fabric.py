@@ -25,6 +25,7 @@ import repro.experiments.parallel as parallel
 from repro.experiments.parallel import (FailedRun, ResultCache, Task,
                                         TerminateSweep, run_tasks)
 from repro.faults.watchdog import RunAborted
+from repro.obs.aggregate import fleet_view
 from repro.suite import SuiteRegistry, SuiteSpec
 from repro.sweep import tasks as sweep_tasks
 from repro.sweep.lease import LeaseStore
@@ -513,6 +514,42 @@ class TestWorker:
             peer.wait()
         assert len(delays) == 4
         assert report.completed == 1
+
+    def test_sigkilled_worker_holds_no_shard_in_the_fleet_view(
+            self, tmp_path):
+        # One shard: a quick task, then one the kill lands in.
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(manifest_from_callables("kill", [
+            {"label": "quick", "fn": "repro.sweep.tasks:checksum",
+             "kwargs": {"label": "quick", "seed": 0, "rounds": 5}},
+            {"label": "stuck", "fn": "repro.sweep.tasks:slow_checksum",
+             "kwargs": {"label": "stuck", "seed": 1, "rounds": 5,
+                        "wall_s": 60.0}}], shard_size=2))
+        victim = subprocess.Popen(
+            [sys.executable, "-m", "repro.sweep.cli", "work",
+             str(sweep.root), "--worker-id", "victim"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [SRC_DIR] + os.environ.get("PYTHONPATH", "")
+                .split(os.pathsep))),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60  # simlint: allow[D103] subprocess watchdog
+            rows = []
+            while time.monotonic() < deadline:  # simlint: allow[D103] subprocess watchdog
+                rows = fleet_view(sweep)["workers"]
+                if rows and rows[0]["completed"] == 1:
+                    break
+                time.sleep(0.02)  # simlint: allow[D103] subprocess poll pacing
+            assert [row["shards"] for row in rows] == [["shard-00000"]]
+            assert rows[0]["inflight_shards"] == 1
+        finally:
+            victim.kill()
+            victim.wait()
+        # The kernel dropped the lock; the last snapshot still says
+        # one task done, and no shard is in flight.
+        row, = fleet_view(sweep)["workers"]
+        assert (row["worker"], row["completed"]) == ("victim", 1)
+        assert row["shards"] == [] and row["inflight_shards"] == 0
 
 
 def _self_term(marker):

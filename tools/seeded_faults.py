@@ -58,8 +58,6 @@ FAULTS = (
      "max(4 * self.rttvar_ns, 1)"),
     ("U-o", "experiments/runner.py", "seconds(policy.measure_s) // 2",
      "policy.measure_s // 2"),
-    ("U-p", "netsim/link.py", "return self.rate_bps / 8.0",
-     "return self.rate_bps"),
     ("U-q", "core/control_plane.py", "= qdisc.rate_bps / 8.0",
      "= qdisc.rate_bps"),
     ("D-a", "core/perflow.py", "in sorted(removed):", "in removed:"),
