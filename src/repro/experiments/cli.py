@@ -21,7 +21,7 @@ from ..heavyhitter.evaluation import sweep_round_interval, \
     sweep_slot_count
 from ..suite.registry import paper_spec
 from . import report
-from .parallel import RunFailed, run_grid
+from .parallel import RunFailed, positive_seconds, run_grid
 from .table2 import PAPER_TABLE2
 
 #: Every experiment the CLI runs, in the order ``all`` runs them.
@@ -173,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "trace":
         # ``cebinae-repro trace <scenario> --events <topics> --out
         # <dir>``: run one scenario with the repro.obs trace bus on and
-        # write deterministic JSONL/packet-log/metrics artifacts.
+        # write deterministic JSONL/metrics artifacts.
         from ..obs.cli import main as trace_main
         return trace_main(argv[1:])
     if argv and argv[0] == "suite":
@@ -220,7 +220,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore cached results and re-simulate "
                              "every point")
-    parser.add_argument("--wall-limit", type=float, metavar="SECONDS",
+    parser.add_argument("--wall-limit", type=positive_seconds,
+                        metavar="SECONDS",
                         help="per-point wall-clock watchdog for the "
                              "scenario experiments; a wedged point "
                              "ends the run with an error instead of "

@@ -32,9 +32,11 @@ Typical use::
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -355,6 +357,20 @@ def _emit(progress: Optional[Callable[[str], None]],
 def print_progress(message: str) -> None:
     """The default narration sink: one line on stderr, unbuffered."""
     print(message, file=sys.stderr, flush=True)
+
+
+def positive_seconds(text: str) -> float:
+    """argparse ``type=`` for a span of seconds: positive and finite,
+    so a bad value is a usage error before anything runs."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, not {text!r}")
+    return value
 
 
 #: Indirection so tests can observe retry pacing without sleeping.

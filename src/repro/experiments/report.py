@@ -286,11 +286,12 @@ def control_timeline_report(rounds: Sequence[ControlRound],
                             ) -> str:
     """The per-``dT`` control-plane timeline, one row per round.
 
-    ``rounds`` is what a
-    :class:`~repro.obs.sinks.ControlTimelineSink` collected; with a
-    per-second ``jfi_series`` (``ScenarioResult.jfi_series()``) each
-    round also shows the fairness index of the second it landed in, so
-    rate decisions read directly against their fairness effect.
+    ``rounds`` are a run's ``control``-topic records (a
+    :class:`~repro.obs.sinks.MemorySink` subscribed to ``control``
+    collects them); with a per-second ``jfi_series``
+    (``ScenarioResult.jfi_series()``) each round also shows the
+    fairness index of the second it landed in, so rate decisions read
+    directly against their fairness effect.
     """
     headers = ["t s", "port", "round", "kind", "sat", "util",
                "top MB/s", "bottom MB/s", "|top|", "recomp"]

@@ -37,7 +37,6 @@ from ..netsim.topology import (Network, QueueFactory, build_dumbbell,
                                build_parking_lot)
 from ..netsim.tracing import FlowMonitor
 from ..obs import bus as obs_bus
-from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..tcp.flows import TcpFlow, connect_flow
 from .scenarios import (FlowPlan, ParkingLotSpec, ScaledScenario,
@@ -445,9 +444,6 @@ def _collect_result(harness: _Harness, scaled: ScaledScenario,
                 for queue in queues)
             summary["control_plane"] = cp
         result.fault_summary = summary
-    registry = obs_metrics.current()
-    if registry is not None:
-        obs_metrics.record_scenario(registry, result)
     return result
 
 
@@ -560,11 +556,6 @@ def _run_hybrid(harness: _Harness, scaled: ScaledScenario,
                                  collect_series, record_history,
                                  extra_wire_bytes=extra_wire_bytes)
         result.hybrid_summary = report.to_dict()
-        registry = obs_metrics.current()
-        if registry is not None:
-            obs_metrics.record_hybrid(registry, report,
-                                      scenario=spec.name,
-                                      discipline=discipline.value)
         return result
 
     if faults is not None and faults.enabled:

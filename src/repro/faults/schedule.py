@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..netsim.engine import Simulator
 from ..netsim.link import Link
 from ..netsim.node import Node
-from ..netsim.tracing import FaultEvent
 from ..obs import bus as obs_bus
 from ..obs.events import FaultTraceEvent
 from .spec import FaultSpec, Window, merge_windows
@@ -191,20 +190,21 @@ class FaultSchedule:
     def __init__(self, spec: FaultSpec, sim: Simulator) -> None:
         self.spec = spec
         self.sim = sim
-        self.timeline: List[FaultEvent] = []
+        self.timeline: List[FaultTraceEvent] = []
         self._links: List[Link] = []
         self._nodes: List[Node] = []
         self._cp: Optional[ControlPlaneFaults] = None
-        # Observability: structural faults are folded onto the trace
-        # bus (topic "fault") as they land, mirroring the timeline.
+        # Observability: each structural fault is also emitted on the
+        # trace bus (topic "fault") as it lands.
         self._trace_fault = obs_bus.emitter_for("fault")
 
-    def _timeline_append(self, event: FaultEvent) -> None:
+    def _record(self, kind: str, target: str) -> None:
+        event = FaultTraceEvent(time_ns=self.sim.now_ns, kind=kind,
+                                target=target)
         self.timeline.append(event)
         trace = self._trace_fault
         if trace is not None:
-            trace(FaultTraceEvent(time_ns=event.time_ns, kind=event.kind,
-                                  target=event.target))
+            trace(event)
 
     # -- wiring ------------------------------------------------------------
     def control_plane_faults(self) -> Optional[ControlPlaneFaults]:
@@ -264,24 +264,20 @@ class FaultSchedule:
 
     # -- the scheduled fault events (profiled under FaultSchedule) ---------
     def _cut_link(self, link: Link) -> None:
-        self._timeline_append(FaultEvent(self.sim.now_ns, "link_down",
-                                         link.name))
+        self._record("link_down", link.name)
         link.set_up(False)
 
     def _restore_link(self, link: Link) -> None:
-        self._timeline_append(FaultEvent(self.sim.now_ns, "link_up",
-                                         link.name))
+        self._record("link_up", link.name)
         link.set_up(True)
 
     def _freeze_node(self, node: Node) -> None:
-        self._timeline_append(FaultEvent(self.sim.now_ns, "node_freeze",
-                                         node.name))
+        self._record("node_freeze", node.name)
         node.set_frozen(True)
         self._nodes.append(node)
 
     def _restart_node(self, node: Node) -> None:
-        self._timeline_append(FaultEvent(self.sim.now_ns, "node_restart",
-                                         node.name))
+        self._record("node_restart", node.name)
         node.set_frozen(False)
 
     # -- reporting ---------------------------------------------------------
@@ -304,7 +300,9 @@ class FaultSchedule:
             "spec": self.spec.to_dict(),
             "links": links,
             "nodes": nodes,
-            "timeline": [event.to_dict() for event in self.timeline],
+            "timeline": [{"time_ns": event.time_ns, "kind": event.kind,
+                          "target": event.target}
+                         for event in self.timeline],
         }
         cp = self._cp
         if cp is not None:

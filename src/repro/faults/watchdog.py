@@ -23,6 +23,7 @@ nothing.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable, Dict, Optional
 
@@ -60,8 +61,10 @@ class WallClockWatchdog:
     def __init__(self, limit_s: float,
                  partial: Optional[Callable[[], Dict[str, Any]]] = None,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        if limit_s <= 0:
-            raise ValueError("watchdog limit must be positive")
+        # A NaN limit would never reach its deadline: no watchdog.
+        if not (limit_s > 0 and math.isfinite(limit_s)):
+            raise ValueError("watchdog limit must be positive and "
+                             f"finite, got {limit_s!r}")
         if clock is None:
             # The host clock by design: the watchdog measures the
             # runner, never the simulation.

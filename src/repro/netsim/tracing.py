@@ -11,30 +11,10 @@ over per-flow goodputs, optionally as a per-second time series
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .engine import SECOND, Simulator
 from .packet import FlowId
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One structural fault applied to the topology.
-
-    The fault scheduler (:mod:`repro.faults.schedule`) records every
-    link up/down and node freeze/restart it performs, giving each run a
-    deterministic fault timeline that reports can print next to the
-    fairness series.  ``kind`` is one of ``link_down``/``link_up``/
-    ``node_freeze``/``node_restart``.
-    """
-
-    time_ns: int
-    kind: str
-    target: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"time_ns": self.time_ns, "kind": self.kind,
-                "target": self.target}
 
 
 class TimeSeries:

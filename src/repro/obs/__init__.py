@@ -1,16 +1,16 @@
 """repro.obs: stack-wide observability (trace bus, metrics, sinks).
 
-Three pieces:
+Six modules:
 
 * :mod:`repro.obs.bus` — the :class:`~repro.obs.bus.TraceBus`, a
   topic-routed delivery path for typed, frozen trace records that is a
   no-op when no bus is installed (the default);
 * :mod:`repro.obs.events` — the record taxonomy and JSONL schema;
-* :mod:`repro.obs.metrics` — labelled counters/gauges/histograms with
-  versioned JSON snapshots, absorbing the PR 3 hot-path profiler;
-* :mod:`repro.obs.sinks` — deterministic JSONL traces, pcap-style
-  per-port packet logs, span JSONL files, and the control-plane
-  timeline the report layer prints next to JFI series;
+* :mod:`repro.obs.metrics` — labelled counters and gauges with
+  versioned JSON snapshots: the engine's per-component event counts
+  and the sweep fabric's progress counters;
+* :mod:`repro.obs.sinks` — the deterministic JSONL file sink (trace
+  and span files) and the in-memory sink;
 * :mod:`repro.obs.spans` — hierarchical lifecycle spans (sweep →
   shard → task → run → phase / engine / round) with deterministic
   tree-position ids, carried on the bus's ``span`` topic;
@@ -30,15 +30,13 @@ from .events import (TRACE_SCHEMA_VERSION, TOPICS, SchemaError,
                      SpanEvent, TraceRecord, canonical_dict,
                      validate_record)
 from .metrics import METRICS_SCHEMA_VERSION, MetricsRegistry, collected
-from .sinks import (ControlTimelineSink, JsonlTraceSink, MemorySink,
-                    PacketLogSink)
+from .sinks import JsonlTraceSink, MemorySink
 from .spans import span, span_tree
 
 __all__ = [
     "AGGREGATE_SCHEMA_VERSION", "METRICS_SCHEMA_VERSION", "TOPICS",
-    "TRACE_SCHEMA_VERSION", "ControlTimelineSink", "JsonlTraceSink",
-    "MemorySink", "MetricsRegistry", "PacketLogSink",
-    "SchemaError", "SpanEvent", "TraceBus", "TraceRecord", "aggregate",
+    "TRACE_SCHEMA_VERSION", "JsonlTraceSink", "MemorySink",
+    "MetricsRegistry", "SchemaError", "SpanEvent", "TraceBus", "TraceRecord", "aggregate",
     "bus", "canonical_dict", "collected", "events", "fleet_view",
     "merge_snapshots", "metrics", "sinks", "span", "span_tree",
     "spans", "tracing", "validate_record",

@@ -12,11 +12,7 @@ Two layers:
 * :func:`merge_snapshots` — the registry-level merge: counters sum,
   gauges take the maximum (a deterministic resolution that is
   independent of input order; in practice per-worker labels keep gauge
-  rows disjoint anyway), histograms merge over the *union* of their
-  bucket bounds so snapshots with different bucket layouts still
-  combine with exact ``sum``/``count`` (each source bucket's count
-  lands at its own upper bound's position in the union — cumulative
-  counts at shared bounds are preserved exactly).
+  rows disjoint anyway).
 * :func:`fleet_view` — the sweep-level document: progress counts,
   per-worker throughput rows, cache hit ratio, an ETA derived from
   manifest size minus cached results, and the lost/duplicated-result
@@ -44,7 +40,8 @@ from .metrics import (METRICS_SCHEMA_VERSION, SWEEP_EVENTS, LabelKey,
                       MetricsRegistry, _label_key)
 
 #: Version of the aggregate document layout.  Bump on rename/removal.
-AGGREGATE_SCHEMA_VERSION = 1
+#: Version 2 removed the worker rows' ``quarantine_depth``.
+AGGREGATE_SCHEMA_VERSION = 2
 
 
 def merge_snapshots(
@@ -57,8 +54,6 @@ def merge_snapshots(
     """
     merged = MetricsRegistry()
     gauges: Dict[Tuple[str, LabelKey], float] = {}
-    histograms: Dict[Tuple[str, LabelKey],
-                     List[Mapping[str, Any]]] = {}
     for document in documents:
         version = document.get("schema_version")
         if version != METRICS_SCHEMA_VERSION:
@@ -74,27 +69,8 @@ def merge_snapshots(
             previous = gauges.get(key)
             gauges[key] = value if previous is None \
                 else max(previous, value)
-        for row in document.get("histograms", ()):
-            key = (str(row["name"]), _label_key(row["labels"]))
-            histograms.setdefault(key, []).append(row)
     for (name, labels), value in gauges.items():
         merged.gauge(name, **dict(labels)).set(value)
-    for (name, labels), rows in histograms.items():
-        bounds = sorted({float(bound)
-                         for row in rows for bound in row["bounds"]})
-        position = {bound: index
-                    for index, bound in enumerate(bounds)}
-        histogram = merged.histogram(name, bounds=bounds,
-                                     **dict(labels))
-        for row in rows:
-            # Each source bucket "≤ b" lands at b's position in the
-            # union (an upper bound, since the union refines below b);
-            # overflow stays overflow.  sum/count merge exactly.
-            for bound, count in zip(row["bounds"], row["counts"]):
-                histogram.counts[position[float(bound)]] += count
-            histogram.counts[-1] += row["counts"][-1]
-            histogram.total += row["sum"]
-            histogram.count += row["count"]
     return merged
 
 
@@ -104,10 +80,9 @@ def read_worker_snapshots(
     """Worker name → snapshot document from a sweep's metrics dir.
 
     Unreadable, torn, foreign-schema or malformed files (a row
-    without a string name, string labels and a numeric value, or a
-    histogram without matching numeric bounds and counts) are skipped
-    and returned by name in the second element — the watch view must
-    degrade, not crash.
+    without a string name, string labels and a numeric value) are
+    skipped and returned by name in the second element — the watch
+    view must degrade, not crash.
     """
     snapshots: Dict[str, Dict[str, Any]] = {}
     errors: List[str] = []
@@ -135,29 +110,20 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _row_well_formed(row: Any, histogram: bool) -> bool:
-    if not (isinstance(row, dict) and isinstance(row.get("name"), str)
+def _row_well_formed(row: Any) -> bool:
+    return (isinstance(row, dict) and isinstance(row.get("name"), str)
             and isinstance(row.get("labels"), dict)
             and all(isinstance(value, str)
-                    for value in row["labels"].values())):
-        return False
-    if not histogram:
-        return _is_number(row.get("value"))
-    bounds, counts = row.get("bounds"), row.get("counts")
-    return (isinstance(bounds, list) and isinstance(counts, list)
-            and len(counts) == len(bounds) + 1
-            and all(map(_is_number, bounds + counts))
-            and _is_number(row.get("sum"))
-            and _is_number(row.get("count")))
+                    for value in row["labels"].values())
+            and _is_number(row.get("value")))
 
 
 def _well_formed(document: Mapping[str, Any]) -> bool:
     """Whether every row has the shape :func:`merge_snapshots` reads."""
-    for table in ("counters", "gauges", "histograms"):
+    for table in ("counters", "gauges"):
         rows = document.get(table, [])
         if not isinstance(rows, list) or not all(
-                _row_well_formed(row, table == "histograms")
-                for row in rows):
+                map(_row_well_formed, rows)):
             return False
     return True
 
@@ -181,24 +147,14 @@ def _gauge_value(document: Mapping[str, Any],
     return float(rows[0]["value"]) if rows else None
 
 
-def _histogram_totals(document: Mapping[str, Any],
-                      name: str) -> Tuple[float, int]:
-    total, count = 0.0, 0
-    for row in _rows(document, "histograms", name):
-        total += float(row["sum"])
-        count += int(row["count"])
-    return total, count
-
-
 def _worker_row(worker: str, document: Mapping[str, Any],
                 manifest_tasks: List[Any],
                 shards: List[str]) -> Dict[str, Any]:
     completed = _counter_total(document, "sweep_tasks_completed_total")
-    busy_s, observed = _histogram_totals(document,
-                                         "sweep_task_wall_seconds")
+    busy_s = _counter_total(document, "sweep_task_wall_seconds_total")
     # Throughput over *busy* time (clock-free, hence byte-stable on a
     # finished sweep), not over an uptime the snapshot doesn't record.
-    tasks_per_min = round(observed / (busy_s / 60.0), 3) \
+    tasks_per_min = round(completed / (busy_s / 60.0), 3) \
         if busy_s > 0 else None
     last_task: Optional[Dict[str, Any]] = None
     last_index = _gauge_value(document, "sweep_last_task_index")
@@ -218,8 +174,6 @@ def _worker_row(worker: str, document: Mapping[str, Any],
         # From the live locks, which die with their holder: a killed
         # worker's last snapshot cannot leave a stale count here.
         "inflight_shards": len(shards),
-        "quarantine_depth": int(_gauge_value(
-            document, "sweep_quarantine_depth") or 0),
         "last_task": last_task,
         "captured_at": document.get("captured_at"),
         "shards": shards,
@@ -260,9 +214,7 @@ def fleet_view(sweep: Any) -> Dict[str, Any]:
         if done else None
 
     remaining = counts["pending"] + counts["leased"]
-    busy_total = sum(
-        _histogram_totals(document, "sweep_task_wall_seconds")[0]
-        for document in snapshots.values())
+    busy_total = _counter_total(merged, "sweep_task_wall_seconds_total")
     active_workers = len(held)
     if remaining == 0:
         eta_s: Optional[float] = 0.0

@@ -8,16 +8,17 @@ document's fault schedule and seed, installs a
 is constructed (the binding contract of the bus), runs the scenario,
 and writes a deterministic artifact directory::
 
-    <out>/result.json             the ScenarioResult payload
-    <out>/trace.jsonl             one record per line, event order
-    <out>/control_timeline.jsonl  the per-dT control rounds alone
-    <out>/pkts_<port>.log         per-port packet logs (packet topic)
-    <out>/spans.jsonl             lifecycle spans alone (span topic)
-    <out>/metrics.json            registry snapshot (--metrics-json)
+    <out>/result.json    the ScenarioResult payload
+    <out>/trace.jsonl    one record per line, event order (every
+                         selected topic but span)
+    <out>/spans.jsonl    lifecycle spans alone (span topic)
+    <out>/metrics.json   registry snapshot (--metrics-json)
 
-Every file is byte-identical across repeated runs with the same
-arguments — that is what the CI ``obs-smoke`` job replays.  Spans
-live in their own file because each
+Each record is written once: the control rounds are the ``control``
+lines of ``trace.jsonl``, and the timeline printed at the end reads
+them from memory.  Every file is byte-identical across repeated runs
+with the same arguments — that is what the CI ``obs-smoke`` job
+replays.  Spans live in their own file because each
 :class:`~repro.obs.events.SpanEvent` carries the schema's one
 wall-clock field (``wall_s``): ``trace.jsonl`` keeps the raw
 byte-identity guarantee, and ``spans.jsonl`` is byte-identical after
@@ -33,13 +34,13 @@ import sys
 from contextlib import nullcontext
 from typing import ContextManager, List, Optional
 
+from ..experiments.parallel import positive_seconds
 from ..experiments.runner import Discipline, run_scenario
 from ..suite.registry import paper_names, paper_spec
 from . import bus as obs_bus
 from . import metrics as obs_metrics
-from .events import TOPICS
-from .sinks import (ControlTimelineSink, JsonlTraceSink, PacketLogSink,
-                    _JSON_KWARGS)
+from .events import TOPICS, ControlRound
+from .sinks import _JSON_KWARGS, JsonlTraceSink, MemorySink
 
 
 def parse_topics(spec: str) -> List[str]:
@@ -77,8 +78,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--metrics-json", action="store_true",
                         help="also snapshot the metrics registry to "
                              "<out>/metrics.json")
-    parser.add_argument("--duration", type=float, default=10.0,
-                        metavar="SECONDS")
+    parser.add_argument("--duration", type=positive_seconds,
+                        default=10.0, metavar="SECONDS")
     parser.add_argument("--seed", type=int,
                         help="override the document's base_seed")
     args = parser.parse_args(argv)
@@ -99,11 +100,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "span" in topics:
         bus.subscribe("span", JsonlTraceSink(
             os.path.join(args.out, "spans.jsonl")))
-    if "packet" in topics:
-        bus.subscribe("packet", PacketLogSink(args.out))
-    timeline: Optional[ControlTimelineSink] = None
+    timeline = MemorySink()
     if "control" in topics:
-        timeline = ControlTimelineSink()
         bus.subscribe("control", timeline)
 
     # A registry counts every executed event, so it is installed only
@@ -124,9 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               encoding="utf-8") as handle:
         json.dump(result.to_dict(), handle, **_JSON_KWARGS)
         handle.write("\n")
-    if timeline is not None:
-        timeline.write_jsonl(
-            os.path.join(args.out, "control_timeline.jsonl"))
     if registry is not None:
         registry.write_json(os.path.join(args.out, "metrics.json"))
 
@@ -137,9 +132,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     delivered = ", ".join(f"{topic}={bus.counts[topic]}"
                           for topic in TOPICS if topic in bus.counts)
     print(f"trace records: {delivered or 'none'}")
-    if timeline is not None and timeline.rounds:
+    rounds = [record for record in timeline.records
+              if isinstance(record, ControlRound)]
+    if rounds:
         from ..experiments.report import control_timeline_report
-        print(control_timeline_report(timeline.rounds,
+        print(control_timeline_report(rounds,
                                       jfi_series=result.jfi_series()))
     print(f"[artifacts in {args.out}]")
     return 0

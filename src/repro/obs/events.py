@@ -23,8 +23,8 @@ control    :class:`~repro.core.control_plane.CebinaeControlPlane`
 tcp        :class:`~repro.tcp.socket.TcpSender` cwnd samples and
            state transitions
 fault      :class:`~repro.faults.schedule.FaultSchedule` structural
-           events (folded from ``repro.netsim.tracing.FaultEvent``)
-           and each impaired packet's loss / corrupt / reorder fate
+           events (the records of its ``timeline``) and each impaired
+           packet's loss / corrupt / reorder fate
 span       :mod:`repro.obs.spans` lifecycle spans (sweep → shard →
            task → run → phase / engine / control round), one record
            per *closed* span
@@ -180,8 +180,8 @@ class TcpStateEvent(TraceRecord):
 
 @dataclass(frozen=True)
 class FaultTraceEvent(TraceRecord):
-    """A fault as it lands: a structural one mirrored from
-    ``FaultSchedule``'s timeline (``link_down``, ``node_freeze``, ...),
+    """A fault as it lands: a structural one, as kept in
+    ``FaultSchedule.timeline`` (``link_down``, ``node_freeze``, ...),
     or one packet's stochastic fate on an impaired link (``loss``,
     ``corrupt``, ``reorder``), ``target`` naming the link or node."""
 

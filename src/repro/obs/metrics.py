@@ -1,15 +1,16 @@
-"""Labelled metrics: counters, gauges, and histograms with JSON snapshots.
+"""Labelled metrics: counters and gauges with JSON snapshots.
 
 Complements the trace bus: where a trace answers *what happened, in
 order*, metrics answer *how much, in total*.  A
 :class:`MetricsRegistry` holds named instruments, each instantiated per
-label set (``registry.counter("queue_drops", port="cebinae0",
-reason="lbf")``), and snapshots to a versioned, deterministic JSON
+label set (``registry.counter("sim_component_events_total",
+component="Link")``), and snapshots to a versioned, deterministic JSON
 document that round-trips through :func:`load_snapshot`.
 
-The experiment runner folds every finished
-:class:`~repro.experiments.runner.ScenarioResult` into the active
-registry (:func:`record_scenario`).
+Two producers write here: the engine (``sim_*`` counters, below) and
+the sweep fabric (``sweep_*`` counters and gauges,
+:func:`record_sweep`).  A run's results stay in its ``ScenarioResult``;
+they are not copied into the registry.
 
 Like the bus, activation is module-level and the disabled path is
 free: the engine looks the registry up once per ``Simulator.run``,
@@ -21,23 +22,18 @@ installed, and folds the run in with one :meth:`MetricsRegistry
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from contextlib import contextmanager
-from typing import (Any, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Version of the metrics snapshot layout.  Bump on rename/retype/removal.
-METRICS_SCHEMA_VERSION = 1
+#: Version 2 removed the ``histograms`` table.
+METRICS_SCHEMA_VERSION = 2
 
 #: Nanoseconds per second (local to avoid importing the engine).
 _NS_PER_SEC = 1_000_000_000
 
 #: Canonical label encoding: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
-
-#: Default histogram buckets: powers of four from 1 — wide enough for
-#: byte counts and event counts alike without per-metric tuning.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(4.0 ** i for i in range(16))
 
 
 def _label_key(labels: Mapping[str, str]) -> LabelKey:
@@ -70,38 +66,12 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Observations bucketed by fixed upper bounds (plus +inf overflow)."""
-
-    __slots__ = ("bounds", "counts", "total", "count")
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        ordered = tuple(float(b) for b in bounds)
-        if list(ordered) != sorted(set(ordered)):
-            raise ValueError("histogram bounds must be strictly increasing")
-        self.bounds = ordered
-        #: counts[i] observes value <= bounds[i]; counts[-1] is overflow.
-        self.counts: List[int] = [0] * (len(ordered) + 1)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"bounds": list(self.bounds), "counts": list(self.counts),
-                "sum": self.total, "count": self.count}
-
-
 class MetricsRegistry:
     """Named, labelled instruments with a deterministic JSON snapshot."""
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
         #: When the snapshot this registry was loaded from was taken
         #: (host-monotonic seconds), or None for a live registry.
         self.captured_at: Optional[float] = None
@@ -122,15 +92,6 @@ class MetricsRegistry:
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge()
-        return instrument
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels: str) -> Histogram:
-        key = (name, _label_key(labels))
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = self._histograms[key] = Histogram(bounds)
         return instrument
 
     # -- ingestion ---------------------------------------------------------
@@ -186,8 +147,6 @@ class MetricsRegistry:
             "counters": rows(self._counters,
                              lambda c: {"value": c.value}),
             "gauges": rows(self._gauges, lambda g: {"value": g.value}),
-            "histograms": rows(self._histograms,
-                               lambda h: h.to_dict()),
         }
         if captured_at is not None:
             document["captured_at"] = float(captured_at)
@@ -221,88 +180,23 @@ def load_snapshot(data: Mapping[str, Any]) -> MetricsRegistry:
         registry.counter(row["name"], **row["labels"]).inc(row["value"])
     for row in data.get("gauges", ()):
         registry.gauge(row["name"], **row["labels"]).set(row["value"])
-    for row in data.get("histograms", ()):
-        histogram = registry.histogram(row["name"], bounds=row["bounds"],
-                                       **row["labels"])
-        histogram.counts = list(row["counts"])
-        histogram.total = row["sum"]
-        histogram.count = row["count"]
     return registry
-
-
-def record_scenario(registry: MetricsRegistry, result: Any) -> None:
-    """Fold a finished ``ScenarioResult`` into ``registry``.
-
-    Duck-typed over the runner's result object (``name``,
-    ``discipline``, ``jfi``, ``throughput_bps``, ``goodputs_bps``, the
-    LBF drop counters) so obs never imports the experiments layer.
-    """
-    discipline = getattr(result, "discipline", None)
-    labels = {"scenario": str(getattr(result, "name", "scenario")),
-              "discipline": str(getattr(discipline, "value", discipline))}
-    registry.counter("scenarios_total").inc()
-    registry.gauge("scenario_jain_index", **labels).set(result.jfi)
-    registry.gauge("scenario_throughput_bps", **labels).set(
-        result.throughput_bps)
-    registry.counter("scenario_lbf_drops_total", **labels).inc(
-        result.lbf_drops)
-    registry.counter("scenario_lbf_delays_total", **labels).inc(
-        result.lbf_delays)
-    registry.counter("scenario_buffer_drops_total", **labels).inc(
-        result.buffer_drops)
-    goodput_hist = registry.histogram(
-        "scenario_flow_goodput_bps",
-        bounds=tuple(10.0 ** i for i in range(3, 13)), **labels)
-    for index, goodput in enumerate(result.goodputs_bps):
-        registry.gauge("scenario_goodput_bps", flow=str(index),
-                       **labels).set(goodput)
-        goodput_hist.observe(goodput)
-
-
-def record_hybrid(registry: MetricsRegistry, report: Any,
-                  scenario: str = "", discipline: str = "") -> None:
-    """Fold a hybrid-backend ``FluidPhaseReport`` into ``registry``.
-
-    Duck-typed over the fluid module's report object (``mode``,
-    ``reason``, ``epochs``, ``extensions``, ``fluid_s``,
-    ``divergence``) so obs never imports the netsim layer.  A
-    ``mode="fluid"`` report counts a demotion (handoff to fluid
-    granularity); a ``mode="packet"`` report with reason
-    ``"unstable"`` counts a promotion (the warmup never went steady).
-    """
-    labels = {"scenario": scenario, "discipline": discipline}
-    registry.counter("hybrid_runs_total", mode=str(report.mode),
-                     **labels).inc()
-    if report.mode == "fluid":
-        registry.counter("hybrid_demotions_total", **labels).inc()
-        registry.counter("hybrid_fluid_epochs_total",
-                         **labels).inc(report.epochs)
-        registry.gauge("hybrid_fluid_seconds", **labels).set(
-            report.fluid_s)
-    elif report.reason:
-        registry.counter("hybrid_promotions_total",
-                         reason=str(report.reason), **labels).inc()
-    if report.extensions:
-        registry.counter("hybrid_warmup_extensions_total",
-                         **labels).inc(report.extensions)
-    if report.divergence is not None:
-        registry.gauge("hybrid_divergence", **labels).set(
-            report.divergence)
 
 
 #: Sweep-fabric event names accepted by :func:`record_sweep`.  One
 #: counter per event, labelled by worker: tasks completed/quarantined,
-#: graceful interrupts, and resume invocations.
+#: graceful interrupts, and resume invocations.  The worker's busy
+#: time, ``sweep_task_wall_seconds_total``, is a counter it adds each
+#: completed task's wall seconds to.
 SWEEP_EVENTS = ("tasks_completed", "tasks_quarantined", "interrupts",
                 "resumes")
 
 #: Sweep-fabric *gauge* names accepted by :func:`record_sweep`:
-#: point-in-time state the watch view renders.  ``quarantine_depth`` is
-#: the worker's running quarantined count, ``last_task_index`` the
-#: manifest index of its most recently completed task (the watch view
-#: maps it back to the task's fingerprint and label).  The shards a
-#: worker holds are read from the live locks, not from a gauge.
-SWEEP_GAUGES = ("quarantine_depth", "last_task_index")
+#: point-in-time state the watch view renders.  ``last_task_index`` is
+#: the manifest index of the worker's most recently completed task (the
+#: watch view maps it back to the task's fingerprint and label).  The
+#: shards a worker holds are read from the live locks, not from a gauge.
+SWEEP_GAUGES = ("last_task_index",)
 
 
 def record_sweep(registry: MetricsRegistry, event: str,
@@ -361,8 +255,7 @@ def collected() -> Iterator[MetricsRegistry]:
 
 
 __all__ = [
-    "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
-    "METRICS_SCHEMA_VERSION", "MetricsRegistry", "collected", "current",
-    "SWEEP_EVENTS", "SWEEP_GAUGES", "disable", "enable",
-    "load_snapshot", "record_hybrid", "record_scenario", "record_sweep",
+    "Counter", "Gauge", "METRICS_SCHEMA_VERSION", "MetricsRegistry",
+    "collected", "current", "SWEEP_EVENTS", "SWEEP_GAUGES", "disable",
+    "enable", "load_snapshot", "record_sweep",
 ]

@@ -44,7 +44,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from ..experiments.parallel import (print_progress as _print,
+from ..experiments.parallel import (positive_seconds,
+                                    print_progress as _print,
                                     sigterm_as_interrupt)
 from ..experiments.runner import BACKENDS
 from ..obs.metrics import record_sweep
@@ -407,7 +408,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "watch", help="refresh-loop fleet view: per-worker progress, "
                       "held shards, throughput, ETA")
     p_watch.add_argument("directory")
-    p_watch.add_argument("--interval", type=float, default=2.0,
+    p_watch.add_argument("--interval", type=positive_seconds,
+                         default=2.0,
                          help="seconds between refreshes (default 2)")
     p_watch.add_argument("--once", action="store_true",
                          help="print one view and exit")

@@ -122,12 +122,6 @@ class SweepWorker:
         record_sweep(self.registry, event,
                      worker=self.config.worker_id, amount=amount)
 
-    def _update_quarantine_depth(self) -> None:
-        """Gauge this worker id's quarantined count over all its runs."""
-        self._count("quarantine_depth", self.registry.counter(
-            "sweep_tasks_quarantined_total",
-            worker=self.config.worker_id).value)
-
     def _write_metrics(self) -> None:
         """Atomically publish this worker's live metrics snapshot.
 
@@ -176,7 +170,6 @@ class SweepWorker:
                 self.registry.gauge(
                     "sweep_worker_completed",
                     worker=self.config.worker_id).set(report.completed)
-                self._update_quarantine_depth()
                 self._write_metrics()
         return report
 
@@ -262,7 +255,6 @@ class SweepWorker:
                                       self.config.worker_id)
                 report.quarantined += 1
                 self._count("tasks_quarantined")
-                self._update_quarantine_depth()
                 self._write_metrics()
                 self._emit(f"QUARANTINED {mtask.label} after "
                            f"{outcome.attempts} attempt(s): "
@@ -273,10 +265,9 @@ class SweepWorker:
                 task_span.count = 1
             self._count("tasks_completed")
             self._count("last_task_index", mtask.index)
-            self.registry.histogram(
-                "sweep_task_wall_seconds",
-                worker=self.config.worker_id).observe(
-                    outcome["elapsed_s"])
+            self.registry.counter(
+                "sweep_task_wall_seconds_total",
+                worker=self.config.worker_id).inc(outcome["elapsed_s"])
             self._write_metrics()
             self._emit(f"done   {mtask.label}  "
                        f"wall {outcome['elapsed_s']:.2f}s")

@@ -9,6 +9,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.aggregate import (AGGREGATE_SCHEMA_VERSION, fleet_view,
                                  merge_snapshots, read_worker_snapshots)
 from repro.obs.metrics import MetricsRegistry
+from repro.sweep.worker import worker_metrics
 
 
 class TestMergeSnapshots:
@@ -24,9 +25,9 @@ class TestMergeSnapshots:
         registry = MetricsRegistry()
         registry.counter("sweep_tasks_completed_total",
                          worker="w0").inc(3)
-        registry.gauge("sweep_quarantine_depth", worker="w0").set(1)
-        registry.histogram("sweep_task_wall_seconds",
-                           bounds=[1.0, 2.0], worker="w0").observe(1.5)
+        registry.counter("sweep_task_wall_seconds_total",
+                         worker="w0").inc(1.5)
+        registry.gauge("sweep_last_task_index", worker="w0").set(1)
         snapshot = registry.snapshot()
         assert merge_snapshots([snapshot]).snapshot() == snapshot
 
@@ -45,33 +46,12 @@ class TestMergeSnapshots:
 
     def test_gauges_merge_by_max_order_independent(self):
         one, two = MetricsRegistry(), MetricsRegistry()
-        one.gauge("sweep_quarantine_depth").set(4)
-        two.gauge("sweep_quarantine_depth").set(1)
+        one.gauge("sweep_last_task_index").set(4)
+        two.gauge("sweep_last_task_index").set(1)
         forward = merge_snapshots([one.snapshot(), two.snapshot()])
         backward = merge_snapshots([two.snapshot(), one.snapshot()])
-        assert forward.gauge("sweep_quarantine_depth").value == 4
+        assert forward.gauge("sweep_last_task_index").value == 4
         assert forward.snapshot() == backward.snapshot()
-
-    def test_histograms_merge_over_union_of_bounds(self):
-        one, two = MetricsRegistry(), MetricsRegistry()
-        coarse = one.histogram("sweep_task_wall_seconds",
-                               bounds=[1.0, 2.0])
-        coarse.observe(0.5)
-        coarse.observe(1.5)
-        fine = two.histogram("sweep_task_wall_seconds",
-                             bounds=[2.0, 4.0])
-        fine.observe(3.0)
-        fine.observe(10.0)    # overflow
-        merged = merge_snapshots([one.snapshot(), two.snapshot()])
-        rows = merged.snapshot()["histograms"]
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["bounds"] == [1.0, 2.0, 4.0]
-        # Each source bucket lands at its own bound's union position;
-        # overflow stays overflow; sum/count are exact.
-        assert row["counts"] == [1, 1, 1, 1]
-        assert row["sum"] == pytest.approx(15.0)
-        assert row["count"] == 4
 
     def test_foreign_schema_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):
@@ -96,18 +76,27 @@ class TestReadWorkerSnapshots:
         assert list(snapshots) == ["w0"]
         assert sorted(errors) == ["foreign.json", "torn.json"]
 
+    def test_version_1_snapshot_is_foreign(self, tmp_path):
+        # Version 1 carried the busy time as a histogram; a worker id
+        # that runs again starts afresh from such a snapshot.
+        old = {"schema_version": 1, "counters": [], "gauges": [],
+               "histograms": [{"name": "sweep_task_wall_seconds",
+                               "labels": {"worker": "w0"},
+                               "bounds": [1.0], "counts": [1, 0],
+                               "sum": 0.5, "count": 1}]}
+        (tmp_path / "w0.json").write_text(json.dumps(old))
+        assert read_worker_snapshots(tmp_path) == ({}, ["w0.json"])
+        sweep = SimpleNamespace(
+            metrics_path=lambda worker: tmp_path / f"{worker}.json")
+        assert worker_metrics(sweep, "w0").snapshot() == \
+            MetricsRegistry().snapshot()
+
     @pytest.mark.parametrize("table, row", [
         ("counters", {"name": "c", "value": 1}),
         ("counters", {"name": "c", "labels": {"w": 1}, "value": 1}),
         ("counters", {"name": 3, "labels": {}, "value": 1}),
         ("gauges", {"name": "g", "labels": {}, "value": "high"}),
         ("gauges", ["g", {}, 1]),
-        ("histograms", {"name": "h", "labels": {}, "bounds": [1.0],
-                        "counts": [1], "sum": 1.0, "count": 1}),
-        ("histograms", {"name": "h", "labels": {}, "bounds": "1",
-                        "counts": [1, 0], "sum": 1.0, "count": 1}),
-        ("histograms", {"name": "h", "labels": {}, "bounds": [1.0],
-                        "counts": [1, 0], "count": 1}),
         ("counters", None),
     ])
     def test_malformed_rows_are_snapshot_errors(self, tmp_path, table,
@@ -152,10 +141,8 @@ class TestFleetView:
         registry = MetricsRegistry()
         registry.counter("sweep_tasks_completed_total",
                          worker="w0").inc(2)
-        histogram = registry.histogram("sweep_task_wall_seconds",
-                                       worker="w0")
-        histogram.observe(2.0)
-        histogram.observe(4.0)
+        registry.counter("sweep_task_wall_seconds_total",
+                         worker="w0").inc(6.0)
         registry.gauge("sweep_last_task_index", worker="w0").set(1)
         registry.write_json(str(tmp_path / "metrics" / "w0.json"),
                             captured_at=12.5)
@@ -180,6 +167,10 @@ class TestFleetView:
                                     "fingerprint": "f1"}
         assert row["captured_at"] == 12.5
         assert row["shards"] == ["shard-00002"]
+        assert sorted(row) == ["busy_s", "captured_at", "completed",
+                               "inflight_shards", "last_task",
+                               "quarantined", "shards",
+                               "tasks_per_min", "worker"]
 
     def test_finished_sweep_is_byte_stable(self, tmp_path):
         sweep = fake_sweep(
@@ -232,11 +223,11 @@ class TestFleetView:
 class TestRecordSweepGauges:
     def test_gauges_set_not_summed(self):
         registry = MetricsRegistry()
-        obs_metrics.record_sweep(registry, "quarantine_depth",
-                                 worker="w0", amount=1)
-        obs_metrics.record_sweep(registry, "quarantine_depth",
+        obs_metrics.record_sweep(registry, "last_task_index",
+                                 worker="w0", amount=3)
+        obs_metrics.record_sweep(registry, "last_task_index",
                                  worker="w0", amount=0)
-        assert registry.gauge("sweep_quarantine_depth",
+        assert registry.gauge("sweep_last_task_index",
                               worker="w0").value == 0
 
     def test_unknown_event_rejected(self):

@@ -36,6 +36,7 @@ from repro.netsim.node import Host, Router
 from repro.netsim.queues import DropTailQueue
 from repro.obs import bus as obs_bus
 from repro.obs.sinks import MemorySink
+from repro.suite.registry import paper_spec
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -319,6 +320,33 @@ class TestScenarioDeterminism:
             json.loads(result_json(result)))
         assert result_json(rebuilt) == result_json(result)
         assert rebuilt.fault_summary == result.fault_summary
+
+    def test_fault_timeline_bytes_are_pinned(self):
+        # faults_i1's base point with a link-down window, two seeded
+        # flaps and a node freeze, so the timeline has every kind; the
+        # literal pins the bytes of fault_summary's timeline.
+        point = paper_spec("faults_i1").base_point(2.0, Discipline.CEBINAE)
+        faults = dataclasses.replace(
+            point.faults, start_ns=0, end_ns=2_000_000_000,
+            link_down_windows=((500_000_000, 700_000_000),),
+            flap_count=2,
+            node_freeze_windows=(("R", 1_000_000_000, 1_200_000_000),))
+        result = run_scenario(point.scaled, point.discipline,
+                              seed=point.seed, faults=faults)
+        assert json.dumps(result.fault_summary["timeline"],
+                          sort_keys=True) == (
+            '[{"kind": "link_down", "target": "L->R", '
+            '"time_ns": 500000000}, '
+            '{"kind": "link_up", "target": "L->R", '
+            '"time_ns": 700000000}, '
+            '{"kind": "link_down", "target": "L->R", '
+            '"time_ns": 880674225}, '
+            '{"kind": "link_up", "target": "L->R", '
+            '"time_ns": 930674225}, '
+            '{"kind": "node_freeze", "target": "R", '
+            '"time_ns": 1000000000}, '
+            '{"kind": "node_restart", "target": "R", '
+            '"time_ns": 1200000000}]')
 
 
 # -- graceful degradation ----------------------------------------------------

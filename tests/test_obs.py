@@ -26,8 +26,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.events import (TOPICS, ControlRound, PacketTx, QueueDrop,
                               SchemaError, TcpStateEvent, canonical_dict,
                               sorted_flow_strings, validate_record)
-from repro.obs.sinks import (ControlTimelineSink, JsonlTraceSink,
-                             MemorySink, PacketLogSink, encode_record)
+from repro.obs.sinks import JsonlTraceSink, MemorySink, encode_record
 from repro.suite.registry import paper_spec
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
@@ -155,35 +154,26 @@ class TestRecords:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
+    def test_counter_and_gauge(self):
         registry = obs_metrics.MetricsRegistry()
         registry.counter("drops", port="p0").inc(3)
         registry.counter("drops", port="p0").inc()
         registry.gauge("util").set(0.5)
-        hist = registry.histogram("sizes", bounds=(10.0, 100.0))
-        hist.observe(10.0)   # boundary lands in its own bucket
-        hist.observe(11.0)
-        hist.observe(1000.0)  # overflow
+        registry.gauge("util").set(0.25)
         assert registry.counter("drops", port="p0").value == 4
-        assert registry.gauge("util").value == 0.5
-        assert hist.counts == [1, 1, 1]
-        assert hist.count == 3
+        assert registry.counter("drops", port="p1").value == 0
+        assert registry.gauge("util").value == 0.25
+        assert set(registry.snapshot()) == {"schema_version",
+                                            "counters", "gauges"}
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             obs_metrics.Counter().inc(-1)
 
-    def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            obs_metrics.Histogram(bounds=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            obs_metrics.Histogram(bounds=(1.0, 1.0))
-
     def test_snapshot_round_trip(self, tmp_path):
         registry = obs_metrics.MetricsRegistry()
         registry.counter("runs").inc(2)
         registry.gauge("jfi", scenario="s").set(0.9)
-        registry.histogram("sizes", bounds=(1.0, 2.0)).observe(1.5)
         snapshot = registry.snapshot()
         assert snapshot["schema_version"] == \
             obs_metrics.METRICS_SCHEMA_VERSION
@@ -251,8 +241,13 @@ class TestScenarioByteIdentity:
         assert registry.counter("sim_events_total").value == \
             result.events
         assert sum(registry.component_events.values()) == result.events
-        rows = registry.snapshot()["gauges"]
-        assert any(row["name"] == "scenario_jain_index" for row in rows)
+        # The run's results stay in its ScenarioResult: the registry
+        # holds only the engine's counters.
+        snapshot = registry.snapshot()
+        assert snapshot["gauges"] == []
+        assert {row["name"] for row in snapshot["counters"]} == {
+            "sim_runs_total", "sim_events_total",
+            "sim_time_seconds_total", "sim_component_events_total"}
 
 
 class TestTraceCli:
@@ -266,10 +261,15 @@ class TestTraceCli:
     def test_artifacts_byte_identical_across_reruns(self, tmp_path):
         first = self.trace(tmp_path / "a", "--metrics-json")
         second = self.trace(tmp_path / "b", "--metrics-json")
-        for name in ("result.json", "trace.jsonl",
-                     "control_timeline.jsonl", "metrics.json"):
+        # Each record is written once: no second rendering of the
+        # packet or control lines beside trace.jsonl.
+        assert sorted(path.name for path in first.iterdir()) == [
+            "metrics.json", "result.json", "spans.jsonl", "trace.jsonl"]
+        for name in ("metrics.json", "result.json", "trace.jsonl"):
             assert (first / name).read_bytes() == \
                 (second / name).read_bytes(), name
+        assert "histograms" not in json.loads(
+            (first / "metrics.json").read_text())
 
         def spans(directory):
             lines = (directory / "spans.jsonl").read_text().splitlines()
@@ -281,6 +281,18 @@ class TestTraceCli:
                          row["name"] == "sim_component_events_total"]
         events = json.loads((first / "result.json").read_text())["events"]
         assert per_component and sum(per_component) == events
+
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+    def test_bad_duration_is_a_usage_error(self, tmp_path, capsys,
+                                           duration):
+        out = tmp_path / "t"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["trace", "figure1", "--duration", duration,
+                      "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --duration" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_the_document_faults_and_seed_reach_the_run(self, tmp_path,
                                                          monkeypatch):
@@ -322,16 +334,15 @@ class TestControlTimeline:
     def run_traced(self, duration_s=1.5):
         scaled = tiny_scaled(duration_s=duration_s)
         bus = obs_bus.TraceBus()
-        timeline = ControlTimelineSink()
+        timeline = MemorySink()
         bus.subscribe("control", timeline)
         with obs_bus.tracing(bus):
             result = run_scenario(scaled, Discipline.CEBINAE,
                                   collect_series=True)
-        return scaled, result, timeline
+        return scaled, result, timeline.records
 
     def test_every_round_recorded(self):
-        scaled, result, timeline = self.run_traced()
-        rounds = timeline.rounds
+        scaled, result, rounds = self.run_traced()
         assert rounds, "no control rounds traced"
         # One record per dT rotation, contiguously indexed from 1; the
         # final rotation may land exactly at the horizon, so allow the
@@ -341,22 +352,20 @@ class TestControlTimeline:
         assert len(rounds) in (expected - 1, expected)
         assert [r.round_index for r in rounds] == \
             list(range(1, len(rounds) + 1))
+        assert all(isinstance(r, ControlRound) for r in rounds)
         assert all(r.kind in ("config", "fail_open", "missed")
                    for r in rounds)
 
-    def test_report_renders_next_to_jfi(self, tmp_path):
-        _, result, timeline = self.run_traced()
-        text = control_timeline_report(timeline.rounds,
+    def test_report_renders_next_to_jfi(self):
+        _, result, rounds = self.run_traced()
+        text = control_timeline_report(rounds,
                                        jfi_series=result.jfi_series())
         assert "Control-plane timeline" in text
         assert "JFI" in text
-        assert len(text.splitlines()) == len(timeline.rounds) + 3
-        path = tmp_path / "timeline.jsonl"
-        timeline.write_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(timeline.rounds)
-        for line in lines:
-            assert validate_record(json.loads(line)) is ControlRound
+        assert len(text.splitlines()) == len(rounds) + 3
+        for record in rounds:
+            assert validate_record(json.loads(
+                encode_record(record))) is ControlRound
 
 
 class TestSinks:
@@ -370,20 +379,6 @@ class TestSinks:
             sink.accept(PacketTx(time_ns=2, port="p", flow="f"))
         [line] = path.read_text().splitlines()
         assert validate_record(json.loads(line)) is PacketTx
-
-    def test_packet_log_sink_per_port(self, tmp_path):
-        sink = PacketLogSink(str(tmp_path))
-        sink.accept(PacketTx(time_ns=1_500_000_000, port="a->b",
-                             flow="f0", ptype="data", size_bytes=1500,
-                             seq=7, ack=0, ecn="NOT_ECT"))
-        sink.accept(PacketTx(time_ns=2, port="b->a", flow="f1",
-                             ptype="ack", size_bytes=64))
-        sink.accept(QueueDrop(time_ns=3, port="a->b"))  # ignored
-        sink.close()
-        log_a = (tmp_path / "pkts_a-_b.log").read_text()
-        assert log_a == ("1.500000000 f0 data seq=7 ack=0 "
-                         "len=1500 ecn=NOT_ECT\n")
-        assert (tmp_path / "pkts_b-_a.log").exists()
 
 
 class TestHashPipeTraceHook:

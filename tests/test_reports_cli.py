@@ -206,6 +206,10 @@ class TestCli:
         (["figure1", "--rows", "3"], "--rows"),
         (["table3", "--wall-limit", "5"], "--wall-limit"),
         (["bench", "report", "x.json"], "bench"),
+        (["figure1", "--quick", "--wall-limit", "-1"], "--wall-limit"),
+        (["figure1", "--quick", "--wall-limit", "0"], "--wall-limit"),
+        (["figure1", "--quick", "--wall-limit", "nan"], "--wall-limit"),
+        (["figure1", "--quick", "--wall-limit", "inf"], "--wall-limit"),
     ])
     def test_usage_errors_exit_2_in_one_line(self, argv, names,
                                              monkeypatch, capsys):

@@ -1054,6 +1054,20 @@ class TestSweepCli:
         assert main(["watch", sweep_dir, "--json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
+    def test_watch_bad_interval_is_a_usage_error(self, tmp_path,
+                                                 capsys, interval):
+        from repro.sweep.cli import main
+        # No sweep directory at all: the value is refused before the
+        # manifest would be read.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", str(tmp_path / "nowhere"), "--interval",
+                  interval])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --interval" in err
+        assert "Traceback" not in err
+
     def test_watch_text_renders_fleet(self, tmp_path, suite_dir,
                                       capsys):
         from repro.sweep.cli import main

@@ -87,6 +87,12 @@ class TestWallClockWatchdog:
         with pytest.raises(ValueError):
             WallClockWatchdog(limit_s=0)
 
+    @pytest.mark.parametrize("limit_s", [float("nan"), float("inf")])
+    def test_nonfinite_limit_rejected(self, limit_s):
+        # NaN never compares at or past a deadline: no watchdog at all.
+        with pytest.raises(ValueError, match="finite"):
+            WallClockWatchdog(limit_s=limit_s, clock=FakeClock())
+
 
 class TestRunAborted:
     def test_pickle_preserves_the_partial_payload(self):
