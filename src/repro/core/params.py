@@ -154,8 +154,11 @@ class CebinaeParams:
 
         Section 3.2, example (2): a flow holding ``excess_ratio`` times
         its fair share converges in ``ln(1/excess) / ln(1-τ)`` steps
-        (the paper's ``ln(2/3)/ln(1-τ)`` instance has excess 3/2).
+        (the paper's ``ln(2/3)/ln(1-τ)`` instance has excess 3/2).  A
+        flow at or below its share needs none.
         """
+        if excess_ratio <= 1.0:
+            return 0.0
         if self.tau <= 0:
             return math.inf
         if self.tau >= 1:

@@ -67,6 +67,10 @@ def _table2_documents(rows: Optional[List[int]]) -> Tuple[str, ...]:
     if bad:
         raise ValueError(f"table2 rows are 1..{len(documents)}, "
                          f"got {bad}")
+    repeated = sorted({row for row in rows if rows.count(row) > 1})
+    if repeated:
+        raise ValueError(f"table2 rows are each selected once, "
+                         f"got {repeated} more than once")
     return tuple(documents[row - 1] for row in rows)
 
 

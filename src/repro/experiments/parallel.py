@@ -704,10 +704,20 @@ THREE_WAY = (Discipline.FIFO, Discipline.FQ, Discipline.CEBINAE)
 
 @dataclass
 class Comparison:
-    """One scaled scenario and its result under each discipline run."""
+    """One scaled scenario and its runs under each discipline.
+
+    ``runs`` holds each discipline's results in repeat order, one per
+    seed of the point (a suite document's ``repeats``); ``results`` is
+    the repeat-0 view every one-repeat report reads.
+    """
 
     scaled: ScaledScenario
-    results: Dict[Discipline, ScenarioResult]
+    runs: Dict[Discipline, List[ScenarioResult]]
+
+    @property
+    def results(self) -> Dict[Discipline, ScenarioResult]:
+        return {discipline: runs[0]
+                for discipline, runs in self.runs.items()}
 
 
 def run_grid(specs: Sequence[RunSpec], **pool: Any) -> List[Comparison]:
@@ -717,21 +727,23 @@ def run_grid(specs: Sequence[RunSpec], **pool: Any) -> List[Comparison]:
     (:func:`require`).  One :class:`Comparison` per distinct
     :class:`ScaledScenario`, in declaration order; scenarios that
     differ only in Cebinae parameters (Figure 12's axis) are distinct.
-    A comparison holds one result per discipline, so two points that
-    share a scenario and a discipline (repeats) raise ``ValueError``
-    before anything runs.
+    Points that share a scenario and a discipline but not a seed are
+    repeats of one point, kept in declaration order; two points that
+    share all three raise ``ValueError`` before anything runs.
     """
-    seen: Dict[Tuple[ScaledScenario, Discipline], RunSpec] = {}
+    seen: Dict[Tuple[ScaledScenario, Discipline, int], RunSpec] = {}
     for spec in specs:
-        earlier = seen.setdefault((spec.scaled, spec.discipline), spec)
+        earlier = seen.setdefault(
+            (spec.scaled, spec.discipline, spec.seed), spec)
         if earlier is not spec:
             raise ValueError(
-                f"run_grid keeps one result per scenario and "
-                f"discipline; {earlier.label!r} and {spec.label!r} "
-                f"share both")
+                f"run_grid keeps one result per scenario, discipline "
+                f"and seed; {earlier.label!r} and {spec.label!r} "
+                f"share all three")
     comparisons: Dict[ScaledScenario, Comparison] = {}
     for spec, result in zip(specs, run_many(specs, **pool)):
         comparison = comparisons.setdefault(
             spec.scaled, Comparison(spec.scaled, {}))
-        comparison.results[spec.discipline] = require(result)
+        comparison.runs.setdefault(spec.discipline, []).append(
+            require(result))
     return list(comparisons.values())

@@ -7,6 +7,8 @@ straight into EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
+import statistics
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..fairness.metrics import normalized_jfi
@@ -44,15 +46,46 @@ def mbps(value_bps: float) -> str:
     return f"{value_bps / 1e6:.2f}"
 
 
+#: Two-sided 95 % critical values of Student's t for 1-30 degrees of
+#: freedom (any statistics text's table); 1.960 beyond.
+T_95 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+        2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101,
+        2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052,
+        2.048, 2.045, 2.042)
+
+
+def mean_half_width(samples: Sequence[float]) -> Tuple[float, float]:
+    """The mean of ``samples`` and its 95 % Student-t half-width (0.0
+    for one sample): how a repeated point's metric is quoted."""
+    mean = statistics.fmean(samples)
+    if len(samples) < 2:
+        return mean, 0.0
+    dof = len(samples) - 1
+    quantile = T_95[dof - 1] if dof <= len(T_95) else 1.960
+    return mean, (quantile * statistics.stdev(samples)
+                  / math.sqrt(len(samples)))
+
+
+def jfi_cell(comparison: Comparison, discipline: Discipline) -> str:
+    """A discipline's JFI: the one run's, or ``mean ± half-width`` when
+    the comparison holds more than one repeat."""
+    jfis = [run.jfi for run in comparison.runs[discipline]]
+    if len(jfis) == 1:
+        return f"{jfis[0]:.3f}"
+    mean, half_width = mean_half_width(jfis)
+    return f"{mean:.3f} ± {half_width:.3f}"
+
+
 def table2_summary_line(comparison: Comparison,
                         discipline: Discipline) -> str:
     """One measured-vs-paper line; ``tools/make_table2_md.py`` parses
-    these out of ``results_table2.log``."""
+    these out of ``results_table2.log``.  The goodput is repeat 0's."""
     spec = comparison.scaled.paper_spec
     measured = comparison.results[discipline]
     paper = TABLE2_BY_NAME[spec.name].paper(discipline)
     return (f"{spec.name} {discipline.value:>7}: "
-            f"JFI {measured.jfi:.3f} (paper {paper.jfi:.3f})  "
+            f"JFI {jfi_cell(comparison, discipline)} "
+            f"(paper {paper.jfi:.3f})  "
             f"goodput {measured.total_goodput_bps / 1e6:.1f} Mbps "
             f"of {measured.sim_rate_bps / 1e6:.0f} "
             f"(paper {paper.goodput_mbps:.0f} of "
@@ -60,7 +93,8 @@ def table2_summary_line(comparison: Comparison,
 
 
 def table2_report(comparisons: Sequence[Comparison]) -> str:
-    """The per-point summary lines, then the table."""
+    """The per-point summary lines, then the table (goodputs are
+    repeat 0's)."""
     lines = [table2_summary_line(comparison, discipline)
              for comparison in comparisons
              for discipline in comparison.results]
@@ -78,7 +112,7 @@ def table2_report(comparisons: Sequence[Comparison]) -> str:
             [spec.name.replace("table2_", ""),
              f"{spec.rate_bps / 1e6:.0f}M {mix}",
              f"{fifo.rate_scale:.0f}x/{fifo.flow_scale:.0f}x"]
-            + [f"{comparison.results[discipline].jfi:.3f} "
+            + [f"{jfi_cell(comparison, discipline)} "
                f"({paper(discipline).jfi:.3f})"
                for discipline in THREE_WAY]
             + [f"{ceb.total_goodput_bps / fifo.total_goodput_bps:.3f}"
@@ -123,6 +157,7 @@ def bar_figure_report(comparisons: Sequence[Comparison]) -> str:
 
 
 def figure9_report(comparisons: Sequence[Comparison]) -> str:
+    """One row per RTT; goodputs are repeat 0's."""
     headers = ["RTT ms", "JFI fifo", "JFI fq", "JFI ceb",
                "goodput fifo", "goodput fq", "goodput ceb"]
     rows = []
@@ -131,7 +166,8 @@ def figure9_report(comparisons: Sequence[Comparison]) -> str:
                 for discipline in THREE_WAY]
         # The swept RTT is the second group's (the first stays 256 ms).
         rows.append([f"{comparison.scaled.paper_spec.rtts_ms[1]:.0f}"]
-                    + [f"{run.jfi:.3f}" for run in runs]
+                    + [jfi_cell(comparison, discipline)
+                       for discipline in THREE_WAY]
                     + [mbps(run.total_goodput_bps) for run in runs])
     return "Figure 9: RTT asymmetry sweep\n" + format_table(headers,
                                                             rows)

@@ -3,7 +3,8 @@
 The paper models convergence informally: an aggressive flow holding
 ``excess``× its fair share is taxed by τ once per recomputation window,
 so it reaches the fair share in ``ln(1/excess)/ln(1-τ)`` windows
-(example 2 instantiates this as ``ln(2/3)/ln(1-τ)``).  Formalising the
+(:meth:`~repro.core.params.CebinaeParams.convergence_steps`; example 2
+instantiates this as ``ln(2/3)/ln(1-τ)``).  Formalising the
 convergence behaviour is explicitly left to future work; this module
 provides the difference-equation model used by this repository's
 analyses and the tax-ablation benchmark:
@@ -133,16 +134,3 @@ def taxation_trajectory(initial_rates: Sequence[float],
         rates = new_rates
         trace.append(list(rates))
     return ConvergenceTrace(rates_per_step=trace)
-
-
-def geometric_convergence_steps(excess_ratio: float,
-                                tau: Ratio) -> float:
-    """The paper's closed form: windows to shrink by ``excess``×."""
-    import math
-    if excess_ratio <= 1.0:
-        return 0.0
-    if tau <= 0.0:
-        return math.inf
-    if tau >= 1.0:
-        return 1.0
-    return math.log(1.0 / excess_ratio) / math.log(1.0 - tau)

@@ -84,7 +84,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 def _worker_config(args: argparse.Namespace) -> WorkerConfig:
     worker_id = args.worker_id or f"w{os.getpid()}"
     return WorkerConfig(worker_id=worker_id, retries=args.retries,
-                        poll_s=args.poll_s, max_tasks=args.max_tasks)
+                        max_tasks=args.max_tasks)
 
 
 def run_worker(sweep: SweepDir, config: WorkerConfig,
@@ -294,8 +294,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         return 2
     # The resume is counted in the snapshot of resume-w0, the worker
     # every resume runs, which carries it on (see repro.sweep.worker).
-    config = WorkerConfig(worker_id="resume-w0", retries=args.retries,
-                          poll_s=args.poll_s)
+    config = WorkerConfig(worker_id="resume-w0", retries=args.retries)
     registry = worker_metrics(sweep, config.worker_id)
     record_sweep(registry, "resumes", worker=config.worker_id)
     sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
@@ -355,12 +354,6 @@ def _add_worker_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=defaults.retries,
                         help="per-task retry budget before a "
                              "deterministic failure is quarantined")
-    parser.add_argument("--poll-s", type=float, default=defaults.poll_s,
-                        help="longest idle between scans when every "
-                             "runnable shard is locked by a live "
-                             "worker; "
-                             "idling backs off from a few ms up to "
-                             f"this cap (default {defaults.poll_s:g})")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

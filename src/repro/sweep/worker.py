@@ -167,9 +167,6 @@ class SweepWorker:
                     obs_spans.close_span(
                         sweep_span,
                         status="error" if report.interrupted else "ok")
-                self.registry.gauge(
-                    "sweep_worker_completed",
-                    worker=self.config.worker_id).set(report.completed)
                 self._write_metrics()
         return report
 

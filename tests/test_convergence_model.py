@@ -5,33 +5,39 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fairness.convergence import (ConvergenceTrace,
-                                        geometric_convergence_steps,
-                                        taxation_trajectory)
+from repro.core.params import CebinaeParams
+from repro.fairness.convergence import taxation_trajectory
 from repro.fairness.metrics import jain_fairness_index
 
 
+def steps(excess_ratio, tau):
+    return CebinaeParams(tau=tau).convergence_steps(excess_ratio)
+
+
 class TestGeometricModel:
+    """Section 3.2's law, ``CebinaeParams.convergence_steps``."""
+
     def test_paper_example_two(self):
         """ln(2/3)/ln(0.99) ~ 40 steps for excess 3/2 at tau 1%."""
-        steps = geometric_convergence_steps(1.5, 0.01)
-        assert steps == pytest.approx(
+        assert steps(1.5, 0.01) == pytest.approx(
             math.log(2 / 3) / math.log(0.99))
-        assert 40 < steps < 41
+        assert 40 < steps(1.5, 0.01) < 41
 
     def test_no_excess_is_instant(self):
-        assert geometric_convergence_steps(1.0, 0.01) == 0.0
+        # ln(1/excess) <= 0 here: a step count, never negative.
+        assert steps(1.0, 0.01) == 0.0
+        assert steps(0.5, 0.01) == 0.0
 
     def test_zero_tax_never(self):
-        assert geometric_convergence_steps(2.0, 0.0) == math.inf
+        assert steps(2.0, 0.0) == math.inf
 
     def test_full_tax_one_step(self):
-        assert geometric_convergence_steps(2.0, 1.0) == 1.0
+        assert steps(2.0, 1.0) == 1.0
 
     def test_monotone_in_tau(self):
         taus = [0.01, 0.02, 0.05, 0.1]
-        steps = [geometric_convergence_steps(2.0, tau) for tau in taus]
-        assert steps == sorted(steps, reverse=True)
+        counts = [steps(2.0, tau) for tau in taus]
+        assert counts == sorted(counts, reverse=True)
 
 
 class TestTrajectory:
@@ -63,7 +69,7 @@ class TestTrajectory:
         trace = taxation_trajectory([3, 1], capacity=4, tau=tau,
                                     steps=2000)
         measured = trace.convergence_step(tolerance=0.02)
-        model = geometric_convergence_steps(1.5, tau)
+        model = steps(1.5, tau)
         assert 0.3 * model < measured < 6 * model
 
     def test_slow_growth_slows_convergence(self):

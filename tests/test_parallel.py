@@ -13,9 +13,10 @@ import pytest
 from repro.experiments import cli, parallel
 from repro.experiments.parallel import (FailedRun, RunSpec, Task,
                                         fingerprint, require, run_grid,
-                                        run_tasks)
+                                        run_many, run_tasks)
 from repro.experiments.runner import Discipline
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
+from repro.suite import SuiteSpec
 
 TINY_POLICY = ScalePolicy(target_rate_bps=5e6, max_rate_bps=5e6)
 
@@ -28,6 +29,19 @@ def tiny_scaled(name="fp", duration_s=2.0, tau=0.01):
     scaled = TINY_POLICY.apply(spec)
     return dataclasses.replace(
         scaled, cebinae=dataclasses.replace(scaled.cebinae, tau=tau))
+
+
+def repeated_document():
+    """Two grid points, two disciplines, three seeds each."""
+    return SuiteSpec.from_dict({
+        "name": "grid_rep",
+        "scenario": {"rate_bps": 5e6, "rtts_ms": [20.0, 30.0],
+                     "buffer_mtus": 60,
+                     "cca_mix": [["newreno", 1], ["newreno", 1]],
+                     "duration_s": 1.0},
+        "grid": {"buffer_mtus": [40, 60]},
+        "disciplines": ["fifo", "cebinae"],
+        "repeats": 3, "base_seed": 5})
 
 
 class TestFingerprints:
@@ -165,17 +179,65 @@ class TestRunGrid:
         with pytest.raises(RuntimeError, match="grid_fail/fifo"):
             run_grid(specs, workers=1, progress=None)
 
-    def test_repeats_of_one_point_are_refused_before_running(
+    def test_repeats_of_a_point_share_its_comparison(self):
+        # A document's repeats reach run_grid as one point per seed;
+        # each discipline keeps every seed's run, repeat 0 first.
+        document = repeated_document()
+        runs = document.compile()
+        comparisons = run_grid([run.runspec for run in runs], workers=1,
+                               progress=None)
+        names = list(dict.fromkeys(run.label.split("/")[0]
+                                   for run in runs))
+        assert len(comparisons) == len(names) == 2
+        for name, comparison in zip(names, comparisons):
+            seeds = document.seeds(name)
+            assert len(seeds) == 3 and seeds[0] == document.base_seed
+            for discipline, results in comparison.runs.items():
+                assert results == run_many(
+                    [RunSpec(comparison.scaled, discipline, seed=seed)
+                     for seed in seeds], workers=1, progress=None)
+        fifo = comparisons[0].runs[Discipline.FIFO]
+        assert fifo[0].goodputs_bps != fifo[1].goodputs_bps
+
+    def test_a_repeated_comparison_keys_every_discipline(self):
+        # Each point's Comparison holds the document's disciplines in
+        # order, three runs apiece, and results is the repeat-0 view.
+        comparisons = run_grid(
+            [run.runspec for run in repeated_document().compile()],
+            workers=1, progress=None)
+        for comparison in comparisons:
+            assert list(comparison.runs) == [Discipline.FIFO,
+                                             Discipline.CEBINAE]
+            assert list(comparison.results) == list(comparison.runs)
+            for discipline, results in comparison.runs.items():
+                assert len(results) == 3
+                assert comparison.results[discipline] is results[0]
+
+    def test_a_warm_cache_replays_every_repeat(self, tmp_path,
+                                               monkeypatch):
+        specs = [run.runspec for run in repeated_document().compile()]
+        first = run_grid(specs, workers=1, progress=None,
+                         cache_dir=tmp_path)
+
+        def simulated(**kwargs):
+            raise AssertionError("a warm cache must not simulate")
+
+        monkeypatch.setattr(parallel, "run_scenario", simulated)
+        assert run_grid(specs, workers=1, progress=None,
+                        cache_dir=tmp_path) == first
+
+    def test_a_point_repeated_with_its_seed_is_refused_before_running(
             self, monkeypatch):
-        # A Comparison keeps one result per discipline: a second seed of
-        # the same scenario must not silently replace the first.
+        # A second run of one seed would be counted as an independent
+        # repeat, narrowing the interval for nothing.
         def ran(*args, **kwargs):
             raise AssertionError("nothing may run")
 
         monkeypatch.setattr(parallel, "run_many", ran)
         scaled = tiny_scaled("grid_rep", duration_s=1.0)
         specs = [RunSpec(scaled, Discipline.CEBINAE, seed=seed)
-                 for seed in (0, 7)]
-        with pytest.raises(ValueError, match=r"'grid_rep/cebinae' and "
-                                             r"'grid_rep/cebinae@seed7'"):
+                 for seed in (0, 7, 7)]
+        with pytest.raises(ValueError,
+                           match=r"'grid_rep/cebinae@seed7' and "
+                                 r"'grid_rep/cebinae@seed7'"):
             run_grid(specs, workers=1, progress=None)

@@ -2,16 +2,20 @@
 fault-recovery reports."""
 
 import itertools
+import math
+import re
+import statistics
 
 import pytest
 
 from repro.experiments import cli, parallel
 from repro.experiments.figures import parking_lot_ideal
-from repro.experiments.parallel import Comparison, run_grid
-from repro.experiments.report import (faults_report, format_table,
+from repro.experiments.parallel import THREE_WAY, Comparison, run_grid
+from repro.experiments.report import (T_95, faults_report,
+                                      figure9_report, format_table,
                                       jfi_recovery_time_s, mbps,
-                                      parking_lot_jfi,
-                                      scalability_report)
+                                      mean_half_width, parking_lot_jfi,
+                                      scalability_report, table2_report)
 from repro.experiments.runner import Discipline, ScenarioResult
 from repro.heavyhitter.evaluation import DetectionResult
 from repro.experiments.report import figure13_report
@@ -65,9 +69,101 @@ class TestScalabilityHelper:
             goodputs_bps=[2e6, 2e6, 2e6, 4e6], throughput_bps=1.1e7,
             events=1, horizon_drops=3)
         text = scalability_report(
-            [Comparison(scaled, {Discipline.AFQ: run})])
+            [Comparison(scaled, {Discipline.AFQ: [run]})])
         assert text.splitlines()[-1] == (
             "     afq     4   20ms  0.893   10.00 M             3")
+
+
+class TestMeanHalfWidth:
+    def test_mean_and_sample_std(self):
+        mean, half_width = mean_half_width([1.0, 2.0, 3.0])
+        assert mean == pytest.approx(2.0)
+        # Sample (n - 1) standard deviation 1, two degrees of freedom.
+        assert half_width == pytest.approx(4.303 * 1.0 / math.sqrt(3))
+
+    def test_one_sample_has_zero_half_width(self):
+        assert mean_half_width([0.9]) == (0.9, 0.0)
+
+    def test_spread_samples_give_an_interval_around_the_mean(self):
+        samples = [0.8, 0.9, 0.85, 0.95]
+        mean, half_width = mean_half_width(samples)
+        assert mean == pytest.approx(0.875)
+        assert half_width > 0
+        assert mean - half_width < min(samples)
+        assert max(samples) < mean + half_width
+
+    def test_three_samples_use_students_t_not_the_normal(self):
+        # Two degrees of freedom: 4.303, not 1.96.  Needs no scipy.
+        mean, half_width = mean_half_width([0.8, 0.9, 1.0])
+        assert mean == pytest.approx(0.9)
+        assert half_width == pytest.approx(4.303 * 0.1 / math.sqrt(3))
+
+    def test_t_table_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert len(T_95) == 30
+        for dof, value in enumerate(T_95, start=1):
+            assert value == pytest.approx(stats.t.ppf(0.975, dof),
+                                          abs=5e-4)
+        wide = [float(i % 7) for i in range(40)]
+        assert mean_half_width(wide)[1] == pytest.approx(
+            1.960 * statistics.stdev(wide) / math.sqrt(40))
+
+
+def three_way(document, repeats):
+    """A hand-built comparison of ``document``'s base point: repeat
+    ``i`` of the ``k``-th discipline gives its two flows 4 and
+    ``4 + 2k + 3i`` Mbps, so every repeat's JFI differs."""
+    scaled = paper_spec(document).base_point(10.0, Discipline.FIFO).scaled
+    runs = {discipline: [ScenarioResult(
+        name=scaled.spec.name, discipline=discipline, duration_s=10.0,
+        sim_rate_bps=25e6, rate_scale=4.0, flow_scale=1.0,
+        cca_names=["newreno"] * 2,
+        goodputs_bps=[4e6, (4 + 2 * k + 3 * repeat) * 1e6],
+        throughput_bps=2e7, events=1) for repeat in range(repeats)]
+        for k, discipline in enumerate(THREE_WAY)}
+    return Comparison(scaled, runs)
+
+
+class TestRepeatedReports:
+    """Table 2 and Figure 9 quote a JFI interval over repeats."""
+
+    def test_one_repeat_prints_one_jfi_per_cell(self):
+        table2 = table2_report([three_way("table2_row01", 1)])
+        assert table2.splitlines() == [
+            "table2_row01    fifo: JFI 1.000 (paper 0.740)  goodput 8.0 "
+            "Mbps of 25 (paper 95 of 100)",
+            "table2_row01      fq: JFI 0.962 (paper 0.982)  goodput 10.0 "
+            "Mbps of 25 (paper 92 of 100)",
+            "table2_row01 cebinae: JFI 0.900 (paper 0.999)  goodput 12.0 "
+            "Mbps of 25 (paper 92 of 100)",
+            "row    config                    scale  JFI fifo (paper)  "
+            "JFI fq (paper)  JFI ceb (paper)  goodput ceb/fifo",
+            "-----  ------------------------  -----  ----------------  "
+            "--------------  ---------------  ----------------",
+            "row01  100M newreno:2,newreno:8  4x/1x  1.000 (0.740)     "
+            "0.962 (0.982)   0.900 (0.999)    1.500"]
+        figure9 = figure9_report([three_way("figure9", 1)])
+        assert figure9.splitlines()[-1].split() == [
+            "64", "1.000", "0.962", "0.900", "8.00", "10.00", "12.00"]
+
+    def test_three_repeats_print_mean_and_students_t_half_width(self):
+        comparison = three_way("table2_row01", 3)
+        cells = []
+        for discipline in THREE_WAY:
+            jfis = [run.jfi for run in comparison.runs[discipline]]
+            half_width = 4.303 * statistics.stdev(jfis) / math.sqrt(3)
+            cells.append(f"{statistics.fmean(jfis):.3f} ± "
+                         f"{half_width:.3f}")
+        assert cells == ["0.925 ± 0.193", "0.878 ± 0.201",
+                         "0.828 ± 0.169"]
+        lines = table2_report([comparison]).splitlines()
+        for line, discipline, cell in zip(lines, THREE_WAY, cells):
+            assert f"{discipline.value}: JFI {cell} (paper" in line
+        assert re.split(r"\s{2,}", lines[-1])[3:6] == [
+            f"{cell} ({paper})"
+            for cell, paper in zip(cells, ("0.740", "0.982", "0.999"))]
+        row = figure9_report([three_way("figure9", 3)]).splitlines()[-1]
+        assert re.split(r"\s{2,}", row)[1:4] == cells
 
 
 class TestJfiRecoveryTime:
@@ -117,7 +213,7 @@ class TestFaultsReport:
                 goodput_series_bps=goodput_series,
                 fault_summary=fault_summary)
             comparisons.append(
-                Comparison(scaled, {Discipline.CEBINAE: run}))
+                Comparison(scaled, {Discipline.CEBINAE: [run]}))
         rows = faults_report(comparisons).splitlines()[-2:]
         assert [row.split() for row in rows] == [
             ["0", "1.000", "4", "0", "0", "0", "ok"],
@@ -210,6 +306,7 @@ class TestCli:
         (["figure1", "--quick", "--wall-limit", "0"], "--wall-limit"),
         (["figure1", "--quick", "--wall-limit", "nan"], "--wall-limit"),
         (["figure1", "--quick", "--wall-limit", "inf"], "--wall-limit"),
+        (["table2", "--rows", "2", "2", "--no-cache"], "selected once"),
     ])
     def test_usage_errors_exit_2_in_one_line(self, argv, names,
                                              monkeypatch, capsys):

@@ -5,7 +5,8 @@ Usage: python tools/make_table2_md.py [results_table2.log]
 
 Parses the CLI harness's per-row summary lines and emits the markdown
 table body with measured (paper) JFI triplets, so the document never
-contains hand-copied numbers.
+contains hand-copied numbers.  A replicated row's ``mean ± half-width``
+JFI is carried over as printed.
 """
 
 import re
@@ -15,7 +16,8 @@ from repro.experiments.table2 import TABLE2_ROWS
 from repro.experiments.runner import Discipline
 
 LINE = re.compile(
-    r"table2_row(\d+)\s+(fifo|fq|cebinae): JFI ([0-9.]+) "
+    r"table2_row(\d+)\s+(fifo|fq|cebinae): "
+    r"JFI ([0-9.]+)(?: ± ([0-9.]+))? "
     r"\(paper ([0-9.]+)\)\s+goodput ([0-9.]+) Mbps of ([0-9.]+)")
 
 NOTES = {
@@ -39,8 +41,9 @@ def main(path="results_table2.log"):
         match = LINE.search(line)
         if not match:
             continue
-        row, disc, jfi, paper, goodput, rate = match.groups()
-        measured[(int(row), disc)] = (float(jfi), float(paper))
+        row, disc, jfi, half_width, paper, goodput, rate = match.groups()
+        spread = f" ± {half_width}" if half_width else ""
+        measured[(int(row), disc)] = (float(jfi), spread, float(paper))
         goodputs[(int(row), disc)] = (float(goodput), float(rate))
     print("| row | config (paper) | JFI FIFO | JFI FQ | JFI Cebinae "
           "| goodput ceb/fifo | notes |")
@@ -55,8 +58,8 @@ def main(path="results_table2.log"):
         cells = []
         for disc in ("fifo", "fq", "cebinae"):
             if (index, disc) in measured:
-                jfi, paper = measured[(index, disc)]
-                cells.append(f"{jfi:.3f} ({paper:.3f})")
+                jfi, spread, paper = measured[(index, disc)]
+                cells.append(f"{jfi:.3f}{spread} ({paper:.3f})")
             else:
                 cells.append("—")
         ratio = "—"
