@@ -1,89 +1,17 @@
-"""The section 5.5 scalability contrast: Cebinae vs AFQ.
-
-AFQ's per-packet fair-queuing emulation needs its calendar
-(``BpR x nQ``) to cover every flow's buffer requirement (Equation 1);
-long-RTT traffic blows through a fixed calendar and gets horizon-
-dropped.  Cebinae's two-queue, eventual enforcement is insensitive to
-RTT.  The benchmark sweeps RTT at a fixed 32-queue budget and also
-contrasts the resource model's queue counts."""
+"""The hybrid backend at the scale of the section 5.5 argument: packet
+vs hybrid wall clock and event count on a >=10^4-flow heavy-tailed
+dumbbell.  The section 5.5 contrast itself (Cebinae vs AFQ as RTT grows)
+is ``cebinae-repro fidelity``'s ``scalability`` targets."""
 
 import time
 
 import pytest
 
-from repro.core.resource_model import queues_required
-from repro.experiments.report import scalability_report
 from repro.experiments.runner import Discipline, run_scenario
 from repro.experiments.scenarios import ScalePolicy, ScenarioSpec
 from repro.netsim.fluid import HybridPolicy
 
-from conftest import (bench_duration_s, bench_flows, paper_points,
-                      run_declared, run_once)
-
-
-@pytest.mark.benchmark(group="scalability")
-def test_growing_rtt_afq_vs_cebinae(benchmark):
-    rtts_ms = (20, 80, 320)     # The document's grid.
-    comparisons = run_declared(
-        benchmark,
-        paper_points("scalability", duration_s=bench_duration_s(15.0)))
-    print()
-    print(scalability_report(comparisons))
-    by_key = {(discipline, rtt): run
-              for rtt, comparison in zip(rtts_ms, comparisons)
-              for discipline, run in comparison.results.items()}
-    for (discipline, rtt), run in by_key.items():
-        benchmark.extra_info[f"{discipline.value}_jfi_rtt{rtt}"] = \
-            round(run.jfi, 3)
-
-    # Shape 1: AFQ horizon drops grow with RTT; Cebinae has none.
-    # A tracked miss for the fidelity ledger: measured at the
-    # experiment's 20 s default the AFQ drops are 0, 24, 0 at 20, 80,
-    # 320 ms, so this holds as 0 >= 0.  The shared 120 KB buffer is
-    # smaller than the 4 x 96 KB the four flows' calendars span, so the
-    # buffer limit usually drops first and the horizon rarely binds
-    # (EXPERIMENTS.md, section 5.5).
-    assert by_key[(Discipline.AFQ, 320)].horizon_drops >= \
-        by_key[(Discipline.AFQ, 20)].horizon_drops
-    assert all(run.horizon_drops == 0
-               for (discipline, _), run in by_key.items()
-               if discipline is Discipline.CEBINAE)
-
-    # Shape 2: at the longest RTT, Cebinae's efficiency holds up at
-    # least as well as AFQ's.
-    afq_long = by_key[(Discipline.AFQ, 320)]
-    ceb_long = by_key[(Discipline.CEBINAE, 320)]
-    assert ceb_long.total_goodput_bps > 0.5 * afq_long.total_goodput_bps
-
-    # Both remain fair for homogeneous flows everywhere.
-    for run in by_key.values():
-        assert run.jfi > 0.6
-
-
-@pytest.mark.benchmark(group="scalability")
-def test_afq_fairness_at_short_rtt(benchmark):
-    """Where Equation (1) is satisfied, AFQ is (near-)perfectly fair —
-    the baseline works, which is what makes the long-RTT contrast
-    meaningful."""
-    afq_only = [spec for spec
-                in paper_points("scalability",
-                                duration_s=bench_duration_s(15.0))
-                if spec.discipline is Discipline.AFQ
-                and spec.scaled.spec.rtts_ms == (20.0,)]
-    comparison, = run_declared(benchmark, afq_only)
-    jfi = comparison.results[Discipline.AFQ].jfi
-    benchmark.extra_info["afq_jfi"] = round(jfi, 3)
-    assert jfi > 0.85
-
-
-@pytest.mark.benchmark(group="scalability")
-def test_queue_budget_model(benchmark):
-    table = run_once(
-        benchmark,
-        lambda: {flows: queues_required(flows, "fq")
-                 for flows in (100, 10_000, 400_000)})
-    assert table[400_000] == 400_000
-    assert queues_required(400_000, "cebinae") == 2
+from conftest import bench_duration_s, bench_flows, run_once
 
 
 def _heavy_tailed_scenario(flows, duration_s):

@@ -4,7 +4,9 @@ Runs any of the paper's experiments and prints the report that feeds
 EXPERIMENTS.md.  A scenario experiment is its suite documents under
 ``repro/experiments/paper/``, compiled and run by ``run_grid``.
 ``--quick`` caps every point's duration for smoke runs, and
-``--wall-limit`` bounds every point's wall clock.
+``--wall-limit`` bounds every point's wall clock.  ``fidelity`` judges
+the paper's claims over five seeds (:mod:`repro.experiments.fidelity`)
+and ``--out`` writes its document.
 """
 
 from __future__ import annotations
@@ -17,20 +19,21 @@ from contextlib import nullcontext
 from typing import Any, ContextManager, List, Optional, Tuple
 
 from ..core.resource_model import estimate_resources
-from ..heavyhitter.evaluation import sweep_round_interval, \
-    sweep_slot_count
+from ..heavyhitter.evaluation import DetectionResult, \
+    sweep_round_interval, sweep_slot_count
 from ..suite.registry import paper_spec
 from . import report
-from .parallel import RunFailed, positive_seconds, run_grid
+from .parallel import RunFailed, positive_count, positive_seconds, \
+    run_grid
 from .table2 import PAPER_TABLE2
 
 #: Every experiment the CLI runs, in the order ``all`` runs them.
 CHOICES = ("table2", "figure1", "figure7", "figure8", "figure9",
            "figure10", "figure11", "figure12", "figure13",
-           "table3", "scalability", "faults", "all")
+           "table3", "scalability", "faults", "fidelity", "all")
 
 #: Experiments excluded from ``all`` (opt-in extras, not paper tables).
-NOT_IN_ALL = ("all", "faults")
+NOT_IN_ALL = ("all", "faults", "fidelity")
 
 #: ``--quick``'s cap on every point's simulated seconds.
 QUICK_DURATION_S = 15.0
@@ -56,6 +59,21 @@ EXPERIMENTS = {
 #: reach the small caches that miss heavy hitters.
 FIGURE13_GRIDS = {True: ((10, 50, 100), (128, 512, 2048)),
                   False: ((10, 20, 50, 100), (128, 256, 512, 1024, 2048))}
+
+
+def figure13_results(quick: bool, **pool: Any) -> List[DetectionResult]:
+    """Figure 13's detection grids, 13a then 13b, over ``pool``."""
+    trials = 1 if quick else 10
+    duration = 0.15 if quick else 0.5
+    intervals_ms, slot_options = FIGURE13_GRIDS[quick]
+    results = sweep_round_interval(
+        intervals_ms=intervals_ms, slots_per_stage=512,
+        trials=trials, trace_duration_s=duration, **pool)
+    # 10, not 10.0: the same fingerprint as 13a's 10 ms cells, so
+    # 13b's 512-slot cells replay from the cache.
+    return results + sweep_slot_count(
+        slot_options=slot_options, round_interval_ms=10,
+        trials=trials, trace_duration_s=duration, **pool)
 
 
 def _table2_documents(rows: Optional[List[int]]) -> Tuple[str, ...]:
@@ -107,18 +125,7 @@ def run_experiment(name: str, quick: bool = False,
         return print_report(run_grid(points, timeout_s=wall_limit_s,
                                      **pool))
     if name == "figure13":
-        trials = 1 if quick else 10
-        duration = 0.15 if quick else 0.5
-        intervals_ms, slot_options = FIGURE13_GRIDS[quick]
-        results = sweep_round_interval(
-            intervals_ms=intervals_ms, slots_per_stage=512,
-            trials=trials, trace_duration_s=duration, **pool)
-        # 10, not 10.0: the same fingerprint as 13a's 10 ms cells, so
-        # 13b's 512-slot cells replay from the cache.
-        results += sweep_slot_count(
-            slot_options=slot_options, round_interval_ms=10,
-            trials=trials, trace_duration_s=duration, **pool)
-        return report.figure13_report(results)
+        return report.figure13_report(figure13_results(quick, **pool))
     if name == "table3":
         lines = ["Table 3: Cebinae data plane resource usage"]
         for stages in (1, 2):
@@ -162,6 +169,22 @@ def _cache_main(argv: List[str]) -> int:
     for name in summary["removed"]:
         print(f"  removed {name}")
     return 0
+
+
+def _fidelity(args: argparse.Namespace, start: float) -> str:
+    """Judge every target, write ``--out`` (with the wall clock since
+    ``start``) and return the report."""
+    from .fidelity import dump, fidelity, fidelity_report
+    document = fidelity(workers=args.workers, cache_dir=args.cache_dir,
+                        use_cache=not args.no_cache,
+                        wall_limit_s=args.wall_limit)
+    # Host-side wall clock, recorded beside the judged samples.
+    document["wall_s"] = round(
+        time.monotonic() - start, 1)  # simlint: allow[D103] CLI timer
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(dump(document))
+    return fidelity_report(document)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -216,7 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{QUICK_DURATION_S:g} s for smoke runs")
     parser.add_argument("--rows", type=int, nargs="*",
                         help="table2 only: 1-based row numbers")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=positive_count, default=1,
                         help="process-pool size for independent "
                              "simulation points (default 1: serial)")
     parser.add_argument("--cache-dir", default=".cebinae-cache",
@@ -235,6 +258,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "per-component event counts, events/sec "
                              "and the sim/wall ratio (in-process "
                              "runs only; use --workers 1 --no-cache)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="fidelity only: write the judged document "
+                             "(per-seed samples, verdicts) as JSON")
     args = parser.parse_args(argv)
     # Usage errors end here, in one line and exit 2, before anything
     # runs; run_experiment raises the same for bad rows.
@@ -242,6 +268,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                            "table3"):
         parser.error("--wall-limit applies to the scenario experiments, "
                      f"not {args.experiment!r}")
+    if args.experiment == "fidelity" and args.quick:
+        parser.error("--quick does not apply to 'fidelity': its targets "
+                     "are defined at the documents' durations")
+    if args.out is not None and args.experiment != "fidelity":
+        parser.error(f"--out applies to 'fidelity', not "
+                     f"{args.experiment!r}")
     if args.rows is not None and args.experiment not in ("table2", "all"):
         parser.error("--rows applies to 'table2' (or 'all'), not "
                      f"{args.experiment!r}")
@@ -268,11 +300,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             start = time.monotonic()  # simlint: allow[D103] CLI timer
             print(f"=== {name} ===")
             try:
-                text = run_experiment(name, quick=args.quick,
-                                      rows=args.rows, workers=args.workers,
-                                      cache_dir=args.cache_dir,
-                                      use_cache=not args.no_cache,
-                                      wall_limit_s=args.wall_limit)
+                if name == "fidelity":
+                    text = _fidelity(args, start)
+                else:
+                    text = run_experiment(
+                        name, quick=args.quick, rows=args.rows,
+                        workers=args.workers, cache_dir=args.cache_dir,
+                        use_cache=not args.no_cache,
+                        wall_limit_s=args.wall_limit)
             except RunFailed as exc:
                 # A point that failed for good (a watchdog abort, or a
                 # crash after its retries): one line, exit 1.

@@ -373,6 +373,15 @@ def positive_seconds(text: str) -> float:
     return value
 
 
+def positive_count(text: str) -> int:
+    """argparse ``type=`` for a worker count: an integer of at least 1,
+    so a bad value is a usage error before anything runs."""
+    if not text.lstrip("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 #: Indirection so tests can observe retry pacing without sleeping.
 _sleep = time.sleep
 

@@ -184,11 +184,13 @@ def figure10_report(comparisons: Sequence[Comparison]) -> str:
     return "\n".join(lines)
 
 
-def parking_lot_jfi(comparison: Comparison,
-                    discipline: Discipline) -> float:
-    """A parking-lot run's JFI normalised to the max-min ideal."""
+def parking_lot_jfi(comparison: Comparison, discipline: Discipline,
+                    repeat: int = 0) -> float:
+    """A parking-lot run's JFI normalised to the max-min ideal (the
+    ``repeat``-th seed's)."""
     ideal = parking_lot_ideal(comparison.scaled.spec)
-    rates = dict(zip(ideal, comparison.results[discipline].goodputs_bps))
+    rates = dict(zip(ideal,
+                     comparison.runs[discipline][repeat].goodputs_bps))
     return normalized_jfi(rates, ideal)
 
 
@@ -388,8 +390,7 @@ def profile_report(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def figure13_report(results: Sequence[DetectionResult],
-                    variable: str = "round_interval_ms") -> str:
+def figure13_report(results: Sequence[DetectionResult]) -> str:
     headers = ["stages", "slots", "interval ms", "FPR", "FNR"]
     rows = [[result.stages, result.slots_per_stage,
              f"{result.round_interval_ms:.0f}",

@@ -24,6 +24,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..experiments.parallel import positive_count
 from ..experiments.runner import BACKENDS
 from .golden import (check_golden, conformance_digests, result_digest,
                      run_compiled, write_golden)
@@ -67,7 +68,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list the specs and their compiled runs "
                              "without simulating")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=positive_count, default=1,
                         help="process-pool size (default 1: serial)")
     parser.add_argument("--cache-dir", default=".cebinae-cache",
                         help="directory for the on-disk result cache")

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from ..experiments.parallel import (positive_seconds,
+from ..experiments.parallel import (positive_count, positive_seconds,
                                     print_progress as _print,
                                     sigterm_as_interrupt)
 from ..experiments.runner import BACKENDS
@@ -235,12 +235,14 @@ def _worker_process(directory: str, config: WorkerConfig,
 
 def start_workers(directory: str, count: int, template: WorkerConfig,
                   quiet: bool = False) -> int:
-    """Run ``count`` workers over the sweep and wait for them all.
+    """Run up to ``count`` workers over the sweep and wait for them all.
 
-    Returns 0, or the exit code of a worker that failed.  One worker
-    is ``template`` itself, run in this process.  More are processes
-    ``resume-w0`` .. ``resume-w<count-1>``, copies of ``template``
-    under those ids.  They are started with
+    Returns 0, or the exit code of a worker that failed.  No more
+    workers run than the sweep has unfinished (pending or leased)
+    tasks, and never fewer than one.  One worker is ``template``
+    itself, run in this process.  More are processes ``resume-w0`` ..
+    ``resume-w<count-1>``, copies of ``template`` under those ids.
+    They are started with
     ``multiprocessing.get_context()`` -- the start policy of
     ``experiments.parallel.run_tasks`` -- so where that forks they
     begin from this already-imported process instead of a cold
@@ -253,8 +255,11 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
     joins every worker (each releases its lock on the way out), then
     re-raises.
     """
-    if count <= 1:
-        return run_worker(SweepDir(directory), template, quiet=quiet)
+    sweep = SweepDir(directory)
+    unfinished = sweep.status()["counts"]
+    count = max(1, min(count, unfinished["pending"] + unfinished["leased"]))
+    if count == 1:
+        return run_worker(sweep, template, quiet=quiet)
     context = multiprocessing.get_context()
     procs = [context.Process(
         target=_worker_process, name=f"resume-w{index}",
@@ -414,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_resume = sub.add_parser(
         "resume", help="finish the sweep's remaining tasks")
     p_resume.add_argument("directory")
-    p_resume.add_argument("--workers", type=int, default=1)
+    p_resume.add_argument("--workers", type=positive_count, default=1)
     p_resume.add_argument("--quiet", action="store_true")
     _add_worker_options(p_resume)
     p_resume.set_defaults(handler=_cmd_resume)
@@ -432,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--backend", choices=list(BACKENDS))
     p_run.add_argument("--shard-size", type=int, default=1)
     p_run.add_argument("--force", action="store_true")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=positive_count, default=1)
     p_run.add_argument("--quiet", action="store_true")
     _add_worker_options(p_run)
     p_run.set_defaults(handler=_cmd_run)

@@ -1,14 +1,13 @@
 """Tests for report formatting, the CLI, and the scalability and
 fault-recovery reports."""
 
-import itertools
 import math
 import re
 import statistics
 
 import pytest
 
-from repro.experiments import cli, parallel
+from repro.experiments import cli, fidelity, parallel
 from repro.experiments.figures import parking_lot_ideal
 from repro.experiments.parallel import THREE_WAY, Comparison, run_grid
 from repro.experiments.report import (T_95, faults_report,
@@ -261,26 +260,18 @@ class TestCli:
             cli.run_experiment("not_a_thing")
 
     def test_quick_figure13(self, capsys, tmp_path):
-        """The report's numbers have the paper's shape: negligible FPR
-        everywhere, and an FNR that is positive at the smallest cache
-        and never rises with more slots or more stages.  The cache, as
-        in a CLI run, replays 13b's 512-slot cells from 13a."""
-        text = cli.run_experiment("figure13", quick=True,
-                                  cache_dir=str(tmp_path))
+        """The quick grid has the paper's shape: every Figure 13
+        fidelity target (negligible FPR; FNR positive at the smallest
+        cache, never higher with more slots or stages) holds.  The
+        cache, as in a CLI run, replays 13b's 512-slot cells from 13a."""
+        results = cli.figure13_results(quick=True, cache_dir=str(tmp_path))
         assert capsys.readouterr().err.count("[parallel] cached") == 3
-        fpr, fnr = {}, {}
-        for line in text.splitlines()[3:]:  # Below the table's header.
-            stages, slots, interval, fp_rate, fn_rate = line.split()
-            key = int(stages), int(slots), int(interval)
-            fpr[key], fnr[key] = float(fp_rate), float(fn_rate)
-        assert len(fnr) == 15 and max(fpr.values()) < 1e-3
-        assert fnr[1, 128, 10] > 0  # The smallest cache misses some.
-        # At one interval, a cache with at least as many stages and
-        # slots per stage never misses more ⊤ flows.
-        for small, large in itertools.product(fnr, repeat=2):
-            if small[2] == large[2] and small[0] <= large[0] \
-                    and small[1] <= large[1]:
-                assert fnr[large] <= fnr[small], (small, large)
+        assert len({(r.stages, r.slots_per_stage, r.round_interval_ms)
+                    for r in results}) == 15
+        for target in fidelity.TARGETS:
+            if not target.points:
+                assert fidelity.judge(target, {}, results)["verdict"] \
+                    == "hit", target.name
 
     def test_table2_row_selection(self, capsys):
         from repro.experiments.cli import EXPERIMENTS
@@ -307,6 +298,12 @@ class TestCli:
         (["figure1", "--quick", "--wall-limit", "nan"], "--wall-limit"),
         (["figure1", "--quick", "--wall-limit", "inf"], "--wall-limit"),
         (["table2", "--rows", "2", "2", "--no-cache"], "selected once"),
+        (["figure9", "--workers", "-3"], "--workers"),
+        (["table2", "--workers", "0"], "--workers"),
+        (["fidelity", "--workers", "0"], "--workers"),
+        (["fidelity", "--quick"], "--quick"),
+        (["fidelity", "--rows", "2"], "--rows"),
+        (["figure1", "--out", "x.json"], "--out"),
     ])
     def test_usage_errors_exit_2_in_one_line(self, argv, names,
                                              monkeypatch, capsys):

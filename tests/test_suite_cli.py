@@ -108,6 +108,14 @@ class TestSuiteCli:
         assert "tiny: dumbbell, 1 run(s)" in out
         assert "tiny/fifo" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two", "²"])
+    def test_bad_workers_is_a_usage_error(self, suite_dir, capsys,
+                                          workers):
+        with pytest.raises(SystemExit, match="2"):
+            suite_main([str(suite_dir), "--workers", workers])
+        assert "argument --workers: must be an integer of at least 1" \
+            in capsys.readouterr().err.strip().splitlines()[-1]
+
     def test_bad_spec_exits_2(self, suite_dir, capsys):
         (suite_dir / "bad.json").write_text(
             json.dumps({"name": "bad"}), encoding="utf-8")

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.sweep.lease import LeaseStore
 from repro.sweep.manifest import (ManifestError, SweepDir, SweepManifest,
                                   manifest_from_callables,
                                   manifest_from_specs)
+import repro.sweep.cli as sweep_cli
 from repro.sweep.cli import EXIT_INTERRUPTED
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.worker import IDLE_FLOOR_S, SweepWorker, WorkerConfig
@@ -781,6 +783,22 @@ class TestResumeWorkers:
         assert "[resume-w" not in capfd.readouterr().err
         assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
+    def test_starts_no_more_workers_than_unfinished_tasks(
+            self, tmp_path, monkeypatch):
+        # Process constructions are counted; nothing is started.
+        sweep = SweepDir(tmp_path / "s")
+        sweep.initialise(callable_manifest(count=2))
+        started = []
+        idle = types.SimpleNamespace(start=lambda: None, join=lambda: None,
+                                     pid=None, exitcode=0)
+        monkeypatch.setattr(
+            sweep_cli.multiprocessing, "get_context",
+            lambda: types.SimpleNamespace(Process=lambda name, **kwargs:
+                                          started.append(name) or idle))
+        assert sweep_cli.start_workers(str(sweep.root), 8, WorkerConfig(
+            worker_id="resume-w0"), quiet=True) == 0
+        assert started == ["resume-w0", "resume-w1"]
+
     def test_without_quiet_workers_narrate(self, tmp_path, capfd):
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(callable_manifest(count=2))
@@ -822,10 +840,11 @@ class TestResumeWorkers:
         assert store.holders() == {}
 
     def test_propagates_a_workers_exit_code(self, tmp_path):
+        # Two tasks: one would run in this process, and take it down.
         manifest = manifest_from_callables("dies", [
-            {"label": "dies",
+            {"label": f"dies-{i}",
              "fn": "tests.test_sweep_fabric:_exit_worker",
-             "kwargs": {"code": 7}}])
+             "kwargs": {"code": 7}} for i in range(2)])
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest)
         assert sweep_main(["resume", str(sweep.root), "--workers", "2",
@@ -1017,6 +1036,18 @@ class TestSweepCli:
         assert message in captured.err
         assert "error:" in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("command, workers",
+                             [("resume", "0"), ("run", "-3")])
+    def test_workers_below_one_is_a_usage_error(
+            self, tmp_path, suite_dir, capsys, command, workers):
+        suite = ["--suite", str(suite_dir)] if command == "run" else []
+        with pytest.raises(SystemExit, match="2"):
+            sweep_main([command, str(tmp_path / "sweep"), "--workers",
+                        workers] + suite)
+        assert "argument --workers: must be an integer of at least 1" \
+            in capsys.readouterr().err.strip().splitlines()[-1]
         assert not (tmp_path / "sweep").exists()
 
     def test_watch_once_json_byte_stable(self, tmp_path, suite_dir,
