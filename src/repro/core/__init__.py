@@ -5,14 +5,9 @@ the per-port queue disc (Figure 3), the control-plane agent (Figures 4
 and 6), and the Tofino resource model (Table 3).
 """
 
-from .adaptive import (AdaptiveTauConfig, AdaptiveTauController,
-                       adaptive_cebinae_factory)
 from .units import Bits, BitsPerSec, Bytes, Ratio, Seconds, TimeNs
 from .control_plane import (CebinaeControlPlane, ControlPlaneSample,
                             cebinae_factory)
-from .perflow import (PerFlowCebinaeControlPlane,
-                      PerFlowCebinaeQueueDisc,
-                      perflow_cebinae_factory)
 from .lbf import FlowGroup, LbfDecision, LeakyBucketFilter
 from .params import CebinaeParams
 from .queue_disc import CebinaeQueueDisc
@@ -26,10 +21,6 @@ __all__ = [
     "FlowGroup", "LbfDecision", "LeakyBucketFilter",
     "CebinaeQueueDisc",
     "CebinaeControlPlane", "ControlPlaneSample", "cebinae_factory",
-    "PerFlowCebinaeQueueDisc", "PerFlowCebinaeControlPlane",
-    "perflow_cebinae_factory",
-    "AdaptiveTauController", "AdaptiveTauConfig",
-    "adaptive_cebinae_factory",
     "ResourceUsage", "estimate_resources", "queues_required",
     "TOFINO_PORTS", "CACHE_ENTRY_BYTES",
 ]

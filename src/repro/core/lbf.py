@@ -99,8 +99,7 @@ class LeakyBucketFilter:
                now_ns: TimeNs) -> float:
         """Figure 5 lines 14-22: advance the virtual round to ``now_ns``
         and return the credit line, the bytes a bucket at these rates
-        may have used by now.  Also used by the per-flow extension for
-        buckets the filter does not hold.
+        may have used by now.
         """
         self._advance_virtual_round(now_ns)
         vdt = self._vdt_ns

@@ -10,6 +10,7 @@ signal, and a sink that measures what actually arrives.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..netsim.engine import SECOND, Event, Simulator
@@ -24,16 +25,23 @@ class UdpSender:
 
     def __init__(self, host: Host, flow: FlowId, rate_bps: float,
                  packet_bytes: int = MSS_BYTES + HEADER_BYTES) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            raise ValueError(f"rate must be positive and finite, got "
+                             f"{rate_bps!r} bps")
         if packet_bytes <= HEADER_BYTES:
             raise ValueError("packet must carry payload")
+        # A zero interval schedules every packet at one instant, so
+        # simulated time would never advance.
+        interval_ns = int(packet_bytes * 8 * SECOND / rate_bps)
+        if interval_ns < 1:
+            raise ValueError(f"rate {rate_bps!r} bps sends a packet in "
+                             f"under 1 ns")
         self.host = host
         self.sim: Simulator = host.sim
         self.flow = flow
         self.rate_bps = rate_bps
         self.packet_bytes = packet_bytes
-        self.interval_ns = int(packet_bytes * 8 * SECOND / rate_bps)
+        self.interval_ns = interval_ns
         self.sent_packets = 0
         self.sent_bytes = 0
         self._seq = 0

@@ -61,9 +61,3 @@ class TestExamples:
              "flows_per_minute=400_000": "flows_per_minute=100_000"},
             monkeypatch, capsys)
         assert "FPR" in out and "FNR" in out
-
-    def test_extensions_demo(self, monkeypatch, capsys):
-        out = run_example("extensions_demo.py",
-                          {"DURATION_S = 40.0": "DURATION_S = 4.0"},
-                          monkeypatch, capsys)
-        assert "per-flow" in out and "adaptive" in out

@@ -406,8 +406,8 @@ def test_seeded_fault_table_applies_and_grades_the_lint_layer():
             f.rule_id for f in lint_source(text, str(path))}
     assert len(flagged) == 23
     assert flagged["D-a"] == {"D104"}
-    # D104 cannot see that select_bottlenecked returns a set; the
-    # perflow test of the rate table's key order holds this one.
+    # D104 cannot see that sorted_flow_strings is handed a set;
+    # test_obs's sorted_flow_strings test holds this one.
     assert flagged["D-b"] == set()
 
 

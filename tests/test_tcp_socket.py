@@ -9,7 +9,8 @@ import pytest
 from repro.netsim.engine import MILLISECOND, SECOND, Simulator, seconds
 from repro.netsim.link import Link
 from repro.netsim.node import Host
-from repro.netsim.packet import HEADER_BYTES, MSS_BYTES, FlowId
+from repro.netsim.packet import (HEADER_BYTES, MSS_BYTES, EcnCodepoint,
+                                 FlowId)
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.tracing import FlowMonitor
 from repro.tcp.cca import INITIAL_CWND_SEGMENTS, CongestionControl
@@ -345,3 +346,73 @@ class TestCloseAndHygiene:
         sent = sender.sent_segments
         sim.run(until_ns=seconds(4))
         assert sender.sent_segments == sent
+
+
+class TestEcnRoundTrip:
+    """RFC 3168 end to end: how a CE mark (the LBF's, paper section 4.3)
+    reaches the sender's CCA and is acknowledged with CWR."""
+
+    def transfer(self, ce_at, drop_at=None):
+        """100 segments over an ECN connection; the ``ce_at``-th data
+        packet sent is marked CE, the ``drop_at``-th is lost."""
+        sim = Simulator()
+        a, b, _, _ = make_pair(sim, rate_bps=10e6)
+        flow = FlowId(0, 1, 100, 80)
+        TcpReceiver(b, flow)
+        sender = TcpSender(a, flow, NewReno(), max_bytes=100 * MSS_BYTES,
+                           ecn_enabled=True)
+        data, ece_acks, echoes, reactions = [], [], [], []
+        send_data, send_ack = a.send, b.send
+
+        def on_data(packet):
+            data.append((packet.ecn, packet.cwr))
+            if len(data) - 1 == ce_at:
+                packet.mark_ce()
+            if len(data) - 1 == drop_at:
+                return False
+            return send_data(packet)
+
+        def on_ack(packet):
+            ece_acks.append(packet.ece)
+            return send_ack(packet)
+
+        handle_echo = sender._handle_ecn_echo
+
+        def on_echo():
+            echoes.append(sender.in_recovery)
+            handle_echo()
+
+        on_ecn = sender.cca.on_ecn
+
+        def on_reaction(now_ns):
+            reactions.append(sender.in_recovery)
+            on_ecn(now_ns)
+
+        a.send, b.send = on_data, on_ack
+        sender._handle_ecn_echo = on_echo
+        sender.cca.on_ecn = on_reaction
+        sender.start()
+        sim.run(until_ns=seconds(2))
+        assert sender.completed
+        return data, ece_acks, echoes, reactions
+
+    def test_ce_is_echoed_until_cwr_and_answered_once(self):
+        data, ece_acks, echoes, reactions = self.transfer(ce_at=3)
+        assert {ecn for ecn, _ in data} == {EcnCodepoint.ECT0}
+        # One ACK per data packet, in order: ECE from the CE segment
+        # up to, not including, the first segment carrying CWR.
+        cwr_at = [cwr for _, cwr in data].index(True)
+        assert sum(cwr for _, cwr in data) == 1
+        assert ece_acks == ([False] * 3 + [True] * (cwr_at - 3)
+                            + [False] * (len(data) - cwr_at))
+        # Several ECE ACKs in that window, one reaction.
+        assert len(echoes) == cwr_at - 3 >= 2
+        assert reactions == [False]
+
+    def test_no_reaction_during_loss_recovery(self):
+        # Segment 2 is lost, so segment 8's CE echo reaches the sender
+        # on a duplicate ACK after fast retransmit has begun.
+        data, _, echoes, reactions = self.transfer(ce_at=8, drop_at=2)
+        assert True in echoes
+        assert reactions == [False]
+        assert sum(cwr for _, cwr in data) == 1

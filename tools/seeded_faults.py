@@ -22,6 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tools", "benchmarks", "examples", "tests")
+#: Files tier-1 reads outside TREES and the root (test_docs checks them).
+DOCS = (".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
 _SER = "size_bytes * 8 * SECOND / self.rate_bps"
 _GAP = "(MSS_BYTES + HEADER_BYTES) * 8 * SECOND / rate_bps"
 _DURATION = "duration_ns = seconds(spec.duration_s)"
@@ -60,8 +62,10 @@ FAULTS = (
      "policy.measure_s // 2"),
     ("U-q", "core/control_plane.py", "= qdisc.rate_bps / 8.0",
      "= qdisc.rate_bps"),
-    ("D-a", "core/perflow.py", "in sorted(removed):", "in removed:"),
-    ("D-b", "core/perflow.py", "in sorted(top)}", "in top}"),
+    ("D-a", "core/control_plane.py",
+     "sorted(list(flow) for flow in self.top_flows)",
+     "[list(flow) for flow in self.top_flows]"),
+    ("D-b", "obs/events.py", "    rendered.sort()\n", ""),
     ("D-c", "fairness/maxmin.py", "in sorted(finished, key=repr):",
      "in finished:"),
     ("D-d", "netsim/fq_codel.py", "return flow.stable_hash() %",
@@ -136,6 +140,11 @@ def main(argv=None):
         with tempfile.TemporaryDirectory(prefix="seeded-fault-") as tmp:
             for tree in TREES:
                 shutil.copytree(ROOT / tree, Path(tmp, tree), ignore=skip)
+            files = [p for p in ROOT.iterdir() if p.is_file()]
+            for doc in files + [ROOT / doc for doc in DOCS]:
+                copy = Path(tmp, doc.relative_to(ROOT))
+                copy.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(doc, copy)
             Path(tmp, path).write_text(text, encoding="utf-8")
             lint, golden = simlint(tmp), goldens(tmp)
             run_rest = args.tier1 and golden == "pass"
