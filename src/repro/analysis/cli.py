@@ -2,8 +2,8 @@
 
 Exposed two ways: ``python tools/simlint.py <paths>`` and
 ``cebinae-repro lint <paths>``.  Exit codes: 0 clean, 1 findings,
-2 usage error (an unknown rule ID, a path that does not exist, or
-paths that hold no Python file) — so CI can gate on it directly.
+2 usage error (a path that does not exist, or paths that hold no
+Python file) — so CI can gate on it directly.
 Output is text, or the finding list as JSON with ``--json``.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from .findings import Finding
 from .linter import iter_python_files, lint_paths
@@ -20,12 +20,11 @@ from .rules import RULES
 
 
 def _render_text(findings: List[Finding], file_count: int,
-                 checked_paths: List[str], show_hints: bool) -> str:
+                 checked_paths: List[str]) -> str:
     lines = []
     for finding in findings:
         lines.append(finding.render())
-        if show_hints:
-            lines.append(f"    hint: {finding.hint}")
+        lines.append(f"    hint: {finding.hint}")
     noun = "finding" if len(findings) == 1 else "findings"
     files = "file" if file_count == 1 else "files"
     lines.append(f"simlint: {len(findings)} {noun} in {file_count} "
@@ -58,11 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="files or directories to analyze")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as a JSON array (for CI)")
-    parser.add_argument("--select", metavar="IDS",
-                        help="comma-separated rule IDs to run "
-                             "(e.g. D101,H301); disables S9xx checks")
-    parser.add_argument("--no-hints", action="store_true",
-                        help="omit fix-it hints from text output")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
@@ -74,14 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return _usage_error("no paths given")
 
-    select: Optional[Set[str]] = None
-    if args.select:
-        select = {part.strip() for part in args.select.split(",")
-                  if part.strip()}
-        unknown = select - set(RULES)
-        if unknown:
-            return _usage_error(f"unknown rule IDs {sorted(unknown)}")
-
     try:
         files = list(iter_python_files(args.paths))
     except FileNotFoundError as exc:
@@ -90,12 +76,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _usage_error("no Python files under "
                             + ", ".join(args.paths))
 
-    findings = lint_paths(files, select=select)
+    findings = lint_paths(files)
     if args.json:
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     else:
-        print(_render_text(findings, len(files), args.paths,
-                           show_hints=not args.no_hints))
+        print(_render_text(findings, len(files), args.paths))
     return 1 if findings else 0
 
 

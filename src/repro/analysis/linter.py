@@ -480,15 +480,8 @@ def _sort_key(finding: Finding) -> Tuple[int, int, str]:
     return (finding.line, finding.col, finding.rule_id)
 
 
-def lint_source(source: str, path: str = "<string>",
-                select: Optional[Set[str]] = None) -> List[Finding]:
-    """Analyze one module's source text and return its findings.
-
-    ``select`` restricts output to the given rule IDs (a syntax error,
-    E901, is reported regardless); suppression hygiene (S9xx) is only
-    checked on unrestricted runs, so a filtered run never reports
-    allow-comments for deselected rules as stale.
-    """
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Analyze one module's source text and return its findings."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -499,10 +492,7 @@ def lint_source(source: str, path: str = "<string>",
     checker.visit(tree)
     suppressions = collect_suppressions(source)
     kept = apply_suppressions(checker.findings, suppressions)
-    if select is not None:
-        kept = [f for f in kept if f.rule_id in select]
-    else:
-        kept = kept + audit(suppressions, path)
+    kept += audit(suppressions, path)
     kept.sort(key=_sort_key)
     return kept
 
@@ -529,13 +519,11 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
             yield path
 
 
-def lint_paths(paths: Sequence[Union[str, Path]],
-               select: Optional[Set[str]] = None) -> List[Finding]:
+def lint_paths(paths: Sequence[Union[str, Path]]) -> List[Finding]:
     """Lint every Python file under ``paths``: files in traversal
     order, each file's findings sorted by (line, col, rule)."""
     findings: List[Finding] = []
     for file_path in iter_python_files(paths):
         findings.extend(lint_source(
-            file_path.read_text(encoding="utf-8"), str(file_path),
-            select=select))
+            file_path.read_text(encoding="utf-8"), str(file_path)))
     return findings

@@ -12,7 +12,7 @@ Six modules:
 * :mod:`repro.obs.sinks` — the deterministic JSONL file sink (trace
   and span files) and the in-memory sink;
 * :mod:`repro.obs.spans` — hierarchical lifecycle spans (sweep →
-  shard → task → run → phase / engine / round) with deterministic
+  task → run → phase / engine / round) with deterministic
   tree-position ids, carried on the bus's ``span`` topic;
 * :mod:`repro.obs.aggregate` — cross-worker snapshot merging and the
   fleet view ``cebinae-repro sweep watch`` renders.

@@ -1,9 +1,9 @@
 """Cross-worker aggregation: one fleet view over a sweep directory.
 
-The PR 9 sweep fabric leaves N per-worker
+The sweep fabric leaves N per-worker
 :class:`~repro.obs.metrics.MetricsRegistry` snapshots under
 ``<sweep>/metrics/``; this module folds them — plus the sweep's
-on-disk status and held shard locks — into a single canonical
+on-disk status, held task locks and quarantine — into a single canonical
 *aggregate document* that ``cebinae-repro sweep watch`` renders and
 tests/CI consume via ``watch --once --json``.
 
@@ -14,20 +14,21 @@ Two layers:
   independent of input order; in practice per-worker labels keep gauge
   rows disjoint anyway).
 * :func:`fleet_view` — the sweep-level document: progress counts,
-  per-worker throughput rows, cache hit ratio, an ETA derived from
-  manifest size minus cached results, and the lost/duplicated-result
-  integrity check the chaos drill asserts on.
+  per-worker throughput rows with each worker's running task, the
+  quarantined tasks with their errors, cache hit ratio, an ETA derived
+  from manifest size minus cached results, and the
+  lost/duplicated-result integrity check the chaos drill asserts on.
 
 Everything is computed from the directory alone (the fabric's design
 invariant), so the document is byte-stable on a finished sweep: no
-held shards, remaining work 0 ⇒ ETA 0.0, and every other field comes
+held locks, remaining work 0 ⇒ ETA 0.0, and every other field comes
 from immutable or atomically written files.
 
 ``sweep`` arguments are duck-typed over
 :class:`~repro.sweep.manifest.SweepDir` (``status()``,
-``load_manifest()``, ``metrics_dir``, ``cache_dir``) — this package
-never imports the sweep layer (see the package docstring), the sweep
-CLI imports us.
+``load_manifest()``, ``quarantined()``, ``metrics_dir``,
+``cache_dir``) — this package never imports the sweep layer (see the
+package docstring), the sweep CLI imports us.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .metrics import (METRICS_SCHEMA_VERSION, SWEEP_EVENTS, LabelKey,
                       MetricsRegistry, _label_key)
 
 #: Version of the aggregate document layout.  Bump on rename/removal.
-#: Version 2 removed the worker rows' ``quarantine_depth``.
-AGGREGATE_SCHEMA_VERSION = 2
+#: Version 2 removed the worker rows' ``quarantine_depth``; version 3
+#: replaced their list and count of held locks with ``running`` and
+#: added the top-level ``quarantined`` list.
+AGGREGATE_SCHEMA_VERSION = 3
 
 
 def merge_snapshots(
@@ -149,7 +152,7 @@ def _gauge_value(document: Mapping[str, Any],
 
 def _worker_row(worker: str, document: Mapping[str, Any],
                 manifest_tasks: List[Any],
-                shards: List[str]) -> Dict[str, Any]:
+                running: Optional[str]) -> Dict[str, Any]:
     completed = _counter_total(document, "sweep_tasks_completed_total")
     busy_s = _counter_total(document, "sweep_task_wall_seconds_total")
     # Throughput over *busy* time (clock-free, hence byte-stable on a
@@ -172,32 +175,32 @@ def _worker_row(worker: str, document: Mapping[str, Any],
         "busy_s": round(busy_s, 3),
         "tasks_per_min": tasks_per_min,
         # From the live locks, which die with their holder: a killed
-        # worker's last snapshot cannot leave a stale count here.
-        "inflight_shards": len(shards),
+        # worker's last snapshot cannot leave a stale task here.
+        "running": running,
         "last_task": last_task,
         "captured_at": document.get("captured_at"),
-        "shards": shards,
     }
 
 
 def fleet_view(sweep: Any) -> Dict[str, Any]:
     """The canonical aggregate document for one sweep directory.
 
-    Each worker's ``shards`` are the shard locks it holds now, from
-    ``status()["lease_info"]``.  Raises
+    A worker holds at most one task lock at a time; its row's
+    ``running`` is the label of the task whose lock it holds now (from
+    ``status()["lease_info"]``), or None.  Raises
     :class:`~repro.sweep.manifest.ManifestError` via ``sweep.status()``
     when the directory holds no readable manifest.
     """
     status = sweep.status()
     manifest = sweep.load_manifest()
-    held: Dict[str, List[str]] = {}
-    for info in status["lease_info"]:
-        held.setdefault(info["worker"], []).append(info["key"])
+    labels = {task.lease_key: task.label for task in manifest.tasks}
+    running = {info["worker"]: labels.get(info["key"])
+               for info in status["lease_info"]}
     snapshots, errors = read_worker_snapshots(sweep.metrics_dir)
     merged = merge_snapshots(snapshots.values()).snapshot()
 
     workers = [_worker_row(worker, document, manifest.tasks,
-                           sorted(held.get(worker, [])))
+                           running.get(worker))
                for worker, document in sorted(snapshots.items())]
     totals = {event: int(_counter_total(merged,
                                         f"sweep_{event}_total"))
@@ -215,7 +218,7 @@ def fleet_view(sweep: Any) -> Dict[str, Any]:
 
     remaining = counts["pending"] + counts["leased"]
     busy_total = _counter_total(merged, "sweep_task_wall_seconds_total")
-    active_workers = len(held)
+    active_workers = len(running)
     if remaining == 0:
         eta_s: Optional[float] = 0.0
     elif completed_by_workers > 0 and busy_total > 0:
@@ -228,6 +231,16 @@ def fleet_view(sweep: Any) -> Dict[str, Any]:
     fingerprints = {task.fingerprint for task in manifest.tasks}
     cache_entries = {path.stem
                      for path in Path(sweep.cache_dir).glob("*.json")}
+    # The tasks counted quarantined (parked, not done), in manifest
+    # order; an unreadable record is listed with its read error.
+    parked = sweep.quarantined()
+    quarantined = [
+        {"label": task.label,
+         "error": str(parked[task.fingerprint]["failed"].get("error",
+                                                             "?"))}
+        for task in manifest.tasks
+        if task.fingerprint in parked
+        and task.fingerprint not in cache_entries]
     integrity = {
         # Manifest tasks with no result anywhere (cache or
         # quarantine).  0 on a finished sweep — the chaos drill's
@@ -247,6 +260,7 @@ def fleet_view(sweep: Any) -> Dict[str, Any]:
         "eta_s": eta_s,
         "integrity": integrity,
         "workers": workers,
+        "quarantined": quarantined,
         "snapshot_errors": errors,
     }
 

@@ -25,8 +25,8 @@ tcp        :class:`~repro.tcp.socket.TcpSender` cwnd samples and
 fault      :class:`~repro.faults.schedule.FaultSchedule` structural
            events (the records of its ``timeline``) and each impaired
            packet's loss / corrupt / reorder fate
-span       :mod:`repro.obs.spans` lifecycle spans (sweep → shard →
-           task → run → phase / engine / control round), one record
+span       :mod:`repro.obs.spans` lifecycle spans (sweep → task →
+           run → phase / engine / control round), one record
            per *closed* span
 ========== ==========================================================
 
@@ -196,7 +196,7 @@ class SpanEvent(TraceRecord):
 
     Emitted exactly once, when the span *closes*: ``start_ns`` is the
     simulation clock at open and the inherited ``time_ns`` the clock
-    at close (both 0 for host-level spans — sweep/shard/task — that
+    at close (both 0 for host-level spans — sweep/task — that
     run outside any one simulation).  ``span_id`` and ``parent_id``
     are deterministic tree-position digests
     (:func:`repro.obs.spans.derive_span_id`), so identical runs yield
@@ -210,8 +210,8 @@ class SpanEvent(TraceRecord):
     topic: ClassVar[str] = "span"
     span_id: str = ""
     parent_id: str = ""
-    kind: str = "phase"  # sweep | shard | task | run | phase
-                         # | engine | round
+    kind: str = "phase"  # sweep | task | run | phase | engine
+                         # | round
     name: str = ""
     start_ns: int = 0
     wall_s: float = 0.0

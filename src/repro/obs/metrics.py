@@ -195,7 +195,7 @@ SWEEP_EVENTS = ("tasks_completed", "tasks_quarantined", "interrupts",
 #: point-in-time state the watch view renders.  ``last_task_index`` is
 #: the manifest index of the worker's most recently completed task (the
 #: watch view maps it back to the task's fingerprint and label).  The
-#: shards a worker holds are read from the live locks, not from a gauge.
+#: task a worker is running is read from the live locks, not a gauge.
 SWEEP_GAUGES = ("last_task_index",)
 
 

@@ -1,8 +1,8 @@
 """Hierarchical lifecycle spans: where wall-clock goes inside a run.
 
 A span covers one phase of the fleet's lifecycle — outermost to
-innermost: ``sweep`` (one worker process) → ``shard`` (one lease) →
-``task`` (one manifest entry) → ``run`` (one scenario execution) →
+innermost: ``sweep`` (one worker process) → ``task`` (one manifest
+entry, under its lock) → ``run`` (one scenario execution) →
 ``phase`` (warmup / stability-probe / fluid-epoch / drain), with
 ``engine`` spans for each ``Simulator.run`` and ``round`` leaf spans
 for individual control-plane rounds nested below.  Every span records
@@ -44,8 +44,7 @@ from . import bus as obs_bus
 from .events import SpanEvent
 
 #: The span kinds, outermost to innermost.
-SPAN_KINDS = ("sweep", "shard", "task", "run", "phase", "engine",
-              "round")
+SPAN_KINDS = ("sweep", "task", "run", "phase", "engine", "round")
 
 #: The run phases the runner partitions execution into.  Packet-backend
 #: runs are a single ``drain``; hybrid runs go ``warmup`` →
@@ -121,7 +120,7 @@ def open_span(kind: str, name: str,
               sim_clock: bool = True) -> Optional[SpanHandle]:
     """Open a span; None when the span topic is off (zero-cost path).
 
-    ``sim_clock=False`` marks a host-level span (sweep/shard/task)
+    ``sim_clock=False`` marks a host-level span (sweep/task)
     whose sim times stay 0 — there is no single simulation clock to
     read at that level.
     """

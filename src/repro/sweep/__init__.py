@@ -9,7 +9,7 @@ study and its progress — no Python state survives anywhere else:
 * ``cache/`` — the standard fingerprint-keyed
   :class:`~repro.experiments.parallel.ResultCache` that results stream
   into as they finish (a task is *done* iff its entry exists);
-* ``leases/`` — one lock file per shard, held under ``flock`` by the
+* ``leases/`` — one lock file per task, held under ``flock`` by the
   worker running it (:mod:`repro.sweep.lease`), so N independent worker
   processes on one host share the manifest without a coordinator;
 * ``quarantine/`` — deterministic failures, parked after the retry
@@ -17,8 +17,8 @@ study and its progress — no Python state survives anywhere else:
 * ``metrics/`` — one labelled metrics snapshot per worker.
 
 Workers (:mod:`repro.sweep.worker`, CLI ``cebinae-repro sweep work``)
-are crash-isolated: the kernel drops a SIGKILLed worker's shard lock,
-so any survivor or a later ``sweep resume`` re-claims the shard;
+are crash-isolated: the kernel drops a SIGKILLed worker's task lock,
+so any survivor or a later ``sweep resume`` re-claims the task;
 because results are keyed by the same fingerprints the single-pool
 executor uses, re-execution after a crash is idempotent and the merged
 result set is byte-identical to an uninterrupted run.

@@ -5,19 +5,18 @@ Typical lifecycle::
     cebinae-repro sweep init  SWEEP --suite examples/suites/tier1
     cebinae-repro sweep work  SWEEP &         # repeat for N workers
     cebinae-repro sweep watch SWEEP           # live fleet view
-    cebinae-repro sweep status SWEEP
     # ... a worker dies, the host reboots, CI cancels the job ...
     cebinae-repro sweep resume SWEEP --workers 4
     cebinae-repro sweep merge SWEEP --out results.json
 
 ``init`` compiles a directory of declarative suite specs into the
 fsynced manifest; ``work`` runs one worker process against it;
-``status`` reports per-shard progress computed from the sweep
-directory alone; ``watch`` renders the cross-worker fleet view
-(:func:`repro.obs.aggregate.fleet_view`) on a refresh loop, or — with
-``--once --json`` — prints the one canonical aggregate document CI and
-tests parse; ``resume`` counts the resume in the metrics and finishes
-the remaining tasks with N fresh workers
+``watch``, the one progress view, renders the cross-worker fleet view
+(:func:`repro.obs.aggregate.fleet_view`), computed from the sweep
+directory alone, on a refresh loop, or — with ``--once --json`` —
+prints the one canonical aggregate document CI and tests parse;
+``resume`` counts the resume in the metrics and finishes the
+remaining tasks with N fresh workers
 (:func:`start_workers`: in-process when N=1, otherwise N
 ``multiprocessing`` processes started from this already-imported one,
 each running the body of ``work``); ``merge`` writes the ordered,
@@ -28,7 +27,7 @@ from the fingerprint-keyed cache.
 Exit codes: 0 success; 1 incomplete (pending tasks remain after
 resume, or merge found a missing or quarantined task); 2 usage/spec
 errors; 3 interrupted (SIGTERM/SIGINT reached a worker, which released
-its shard lock first; its completed results were stored as each
+its task lock first; its completed results were stored as each
 finished).
 """
 
@@ -57,27 +56,25 @@ from .worker import SweepWorker, WorkerConfig, worker_metrics
 EXIT_INTERRUPTED = 3
 
 
-def _compile_suite(directory: str, backend: Optional[str],
-                   shard_size: int) -> SweepManifest:
+def _compile_suite(directory: str,
+                   backend: Optional[str]) -> SweepManifest:
     """Compile every suite spec in ``directory`` into one manifest."""
     from ..suite.registry import SuiteRegistry
     specs = [spec.with_backend(backend)
              for spec in SuiteRegistry.from_directory(directory)]
-    return manifest_from_specs(Path(directory).name, specs, shard_size)
+    return manifest_from_specs(Path(directory).name, specs)
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
     from ..suite.spec import SpecError
     try:
-        manifest = _compile_suite(args.suite, args.backend,
-                                  args.shard_size)
-        SweepDir(args.directory).initialise(manifest, force=args.force)
+        manifest = _compile_suite(args.suite, args.backend)
+        SweepDir(args.directory).initialise(manifest)
     except (SpecError, ManifestError) as exc:
         _print(f"error: {exc}")
         return 2
-    shards = len(manifest.shards())
     _print(f"[sweep] initialised {args.directory}: "
-           f"{len(manifest.tasks)} task(s) in {shards} shard(s)")
+           f"{len(manifest.tasks)} task(s)")
     return 0
 
 
@@ -98,7 +95,7 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
     worker = SweepWorker(sweep, config, progress=progress)
     bus = sink = None
     if spans:
-        # Lifecycle spans for this worker: sweep → shard → task (and,
+        # Lifecycle spans for this worker: sweep → task (and,
         # below the tasks, run/phase/engine spans from the runner).
         from ..obs import bus as obs_bus
         from ..obs.sinks import JsonlTraceSink
@@ -129,33 +126,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
                       spans=args.spans)
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    sweep = SweepDir(args.directory)
-    try:
-        status = sweep.status()
-    except ManifestError as exc:
-        _print(f"error: {exc}")
-        return 2
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    counts = status["counts"]
-    print(f"sweep {status['name']}: {status['total']} task(s)  "
-          f"done={counts['done']} quarantined={counts['quarantined']} "
-          f"leased={counts['leased']} pending={counts['pending']}")
-    for shard, info in status["shards"].items():
-        print(f"  shard {shard}: {info['done']}/{info['total']} done"
-              + (f"  quarantined={info['quarantined']}"
-                 if info["quarantined"] else "")
-              + (f"  worker={info['worker']}" if info["worker"] else ""))
-    for fingerprint, record in sorted(sweep.quarantined().items()):
-        failed = record["failed"]
-        print(f"  quarantined {record.get('label', fingerprint)}: "
-              f"{failed.get('error', '?')} "
-              f"(attempts={failed.get('attempts', '?')})")
-    return 0
-
-
 def _render_watch(doc: Dict[str, Any]) -> str:
     """The terminal rendering of one aggregate document."""
     counts = doc["counts"]
@@ -171,18 +141,19 @@ def _render_watch(doc: Dict[str, Any]) -> str:
     if summary:
         lines.append("  " + "  ".join(summary))
     if doc["workers"]:
-        lines.append(f"  {'worker':<14} {'shards':<18} "
-                     f"{'done':>5} {'quar':>5} {'t/min':>6}  last task")
+        lines.append(f"  {'worker':<14} {'done':>5} {'quar':>5} "
+                     f"{'t/min':>6}  {'running':<24} last task")
         for row in doc["workers"]:
-            shards = ",".join(key.replace("shard-", "")
-                              for key in row["shards"]) or "-"
             rate = (f"{row['tasks_per_min']:.1f}"
                     if row["tasks_per_min"] is not None else "-")
             last = (row["last_task"]["label"]
                     if row["last_task"] is not None else "-")
-            lines.append(f"  {row['worker']:<14} {shards:<18} "
-                         f"{row['completed']:>5} "
-                         f"{row['quarantined']:>5} {rate:>6}  {last}")
+            lines.append(f"  {row['worker']:<14} {row['completed']:>5} "
+                         f"{row['quarantined']:>5} {rate:>6}  "
+                         f"{row['running'] or '-':<24} {last}")
+    for parked in doc["quarantined"]:
+        lines.append(f"  quarantined {parked['label']}: "
+                     f"{parked['error']}")
     if doc["snapshot_errors"]:
         lines.append("  unreadable snapshot(s): "
                      + ", ".join(doc["snapshot_errors"]))
@@ -246,7 +217,7 @@ def start_workers(directory: str, count: int, template: WorkerConfig,
     ``multiprocessing.get_context()`` -- the start policy of
     ``experiments.parallel.run_tasks`` -- so where that forks they
     begin from this already-imported process instead of a cold
-    interpreter.  This process starts no thread and opens no shard
+    interpreter.  This process starts no thread and opens no task
     lock first (each worker opens its own), which is what makes
     forking it safe.  A worker that exits ``EXIT_INTERRUPTED`` released
     its lock on a signal of its own and is tolerated; any other
@@ -365,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cebinae-repro sweep",
         description="Crash-resumable sweeps: manifest of "
-                    "fingerprinted tasks, shard-locking workers, "
+                    "fingerprinted tasks, task-locking workers, "
                     "quarantine for poison tasks, kill -9-safe resume.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -377,10 +348,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_init.add_argument("--backend", choices=list(BACKENDS),
                         help="override the simulation backend for "
                              "dumbbell specs")
-    p_init.add_argument("--shard-size", type=int, default=1,
-                        help="tasks per lease shard (default 1)")
-    p_init.add_argument("--force", action="store_true",
-                        help="overwrite a differing existing manifest")
     p_init.set_defaults(handler=_cmd_init)
 
     p_work = sub.add_parser(
@@ -396,15 +363,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_worker_options(p_work)
     p_work.set_defaults(handler=_cmd_work)
 
-    p_status = sub.add_parser(
-        "status", help="per-shard progress from the sweep dir alone")
-    p_status.add_argument("directory")
-    p_status.add_argument("--json", action="store_true")
-    p_status.set_defaults(handler=_cmd_status)
-
     p_watch = sub.add_parser(
-        "watch", help="refresh-loop fleet view: per-worker progress, "
-                      "held shards, throughput, ETA")
+        "watch", help="refresh-loop fleet view: per-worker progress "
+                      "and running task, throughput, ETA, "
+                      "quarantined tasks")
     p_watch.add_argument("directory")
     p_watch.add_argument("--interval", type=positive_seconds,
                          default=2.0,
@@ -435,8 +397,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("directory")
     p_run.add_argument("--suite", required=True)
     p_run.add_argument("--backend", choices=list(BACKENDS))
-    p_run.add_argument("--shard-size", type=int, default=1)
-    p_run.add_argument("--force", action="store_true")
     p_run.add_argument("--workers", type=positive_count, default=1)
     p_run.add_argument("--quiet", action="store_true")
     _add_worker_options(p_run)

@@ -1,9 +1,9 @@
-"""Shard leases: one ``flock`` per shard, held while a worker runs it.
+"""Task leases: one ``flock`` per task, held while a worker runs it.
 
-A worker owns shard ``key`` while it holds an exclusive, non-blocking
+A worker owns task ``key`` while it holds an exclusive, non-blocking
 ``fcntl.flock`` on ``leases/<key>.lock``.  Closing the descriptor drops
 the lock, and so does the holder's death, ``kill -9`` included, so a
-dead worker's shard is free at once: no clock, renewal or timeout.
+dead worker's task is free at once: no clock, renewal or timeout.
 
 * **Claim** opens the file and tries the lock; a live holder makes it
   fail.  The winner writes ``{"worker": id, "pid": pid}`` into the
@@ -13,7 +13,7 @@ dead worker's shard is free at once: no clock, renewal or timeout.
   descriptor: taking it means free (unlock at once), failing means
   held.  ``flock`` locks belong to the open file description, so this
   is right inside the holder's own process too.  A probe may make a
-  claimer skip that shard for one scan; the idle back-off retries it.
+  claimer skip that task for one scan; the idle back-off retries it.
 
 Lock files are never unlinked: unlinking a locked path races a
 concurrent ``open``, which could then lock a second inode under the
@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional, Union
 
 @dataclass
 class Lease:
-    """One claimed shard: the descriptor holding its lock."""
+    """One claimed task: the descriptor holding its lock."""
 
     key: str
     fd: Optional[int]
@@ -53,14 +53,14 @@ def _try_lock(path: Path) -> Optional[int]:
 
 
 class LeaseStore:
-    """Claim, release and probe the shard locks under one directory."""
+    """Claim, release and probe the task locks under one directory."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def claim(self, key: str, worker_id: str) -> Optional[Lease]:
-        """Lock shard ``key``; None means a live holder has it."""
+        """Lock task ``key``; None means a live holder has it."""
         fd = _try_lock(self.directory / f"{key}.lock")
         if fd is None:
             return None
@@ -80,7 +80,7 @@ class LeaseStore:
             lease.fd = None
 
     def holders(self) -> Dict[str, Dict[str, Any]]:
-        """Held shard key → its record (worker ``?`` if unreadable)."""
+        """Held task key → its record (worker ``?`` if unreadable)."""
         held: Dict[str, Dict[str, Any]] = {}
         for path in sorted(self.directory.glob("*.lock")):
             fd = _try_lock(path)

@@ -5,14 +5,14 @@ The manifest is the fabric's source of truth.  It is written once at
 :meth:`~repro.experiments.parallel.ResultCache.store` (write-to-temp,
 fsync, atomic rename) and never mutated afterwards: *progress* lives
 in the result cache (done), the quarantine directory (parked), and the
-shard locks under ``leases/`` (in flight while held), so any process
+task locks under ``leases/`` (in flight while held), so any process
 can compute the sweep's exact state from the directory alone — which
-is what ``sweep status`` and ``sweep resume`` do after a ``kill -9``.
+is what ``sweep watch`` and ``sweep resume`` do after a ``kill -9``.
 
-Each task entry records its label, its cache ``fingerprint`` (shared
-with the single-pool executor, so warm figure-sweep caches satisfy
-sweep tasks and vice versa), its shard assignment, and a ``source``
-from which :meth:`SweepManifest.task` rebuilds the executable
+Each task entry records its index, its label, its cache
+``fingerprint`` (shared with the single-pool executor, so warm
+figure-sweep caches satisfy sweep tasks and vice versa), and a
+``source`` from which :meth:`SweepManifest.task` rebuilds the executable
 :class:`~repro.experiments.parallel.Task`:
 
 ``{"type": "suite", "spec": name, "run": label}``
@@ -24,8 +24,9 @@ from which :meth:`SweepManifest.task` rebuilds the executable
     the one recorded here.
 ``{"type": "callable", "fn": "pkg.mod:name", "kwargs": {...}}``
     A generic deterministic function of JSON-able kwargs returning a
-    JSON-able value — the escape hatch the chaos tests and non-scenario
-    sweeps (e.g. heavy-hitter trials) use.
+    JSON-able value.  It exists so the fabric's tests can run poison,
+    flaky and slow tasks (:mod:`repro.sweep.tasks`) in worker
+    subprocesses; every paper sweep is a suite sweep.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ if TYPE_CHECKING:
     from ..suite.spec import CompiledRun, SuiteSpec
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Source documents a manifest task may carry.
 SOURCE_TYPES = ("suite", "callable")
@@ -103,14 +104,18 @@ class ManifestTask:
     index: int
     label: str
     fingerprint: str
-    shard: int
     kind: str
     source: Dict[str, Any]
 
+    @property
+    def lease_key(self) -> str:
+        """The name of this task's lock under ``leases/``."""
+        return f"task-{self.index:05d}"
+
     def to_dict(self) -> Dict[str, Any]:
         return {"index": self.index, "label": self.label,
-                "fingerprint": self.fingerprint, "shard": self.shard,
-                "kind": self.kind, "source": self.source}
+                "fingerprint": self.fingerprint, "kind": self.kind,
+                "source": self.source}
 
     @classmethod
     def from_dict(cls, data: Any, position: int) -> "ManifestTask":
@@ -129,8 +134,7 @@ class ManifestTask:
             return cls(index=int(data["index"]),
                        label=str(data["label"]),
                        fingerprint=str(data["fingerprint"]),
-                       shard=int(data["shard"]), kind=str(data["kind"]),
-                       source=dict(source))
+                       kind=str(data["kind"]), source=dict(source))
         except KeyError as exc:
             raise ManifestError(f"{where} has no {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -185,13 +189,6 @@ class SweepManifest:
         return cls(name=str(data.get("name", "sweep")), tasks=tasks,
                    specs=dict(specs))
 
-    def shards(self) -> Dict[int, List[ManifestTask]]:
-        """Shard id → its tasks, in manifest order."""
-        out: Dict[int, List[ManifestTask]] = {}
-        for task in self.tasks:
-            out.setdefault(task.shard, []).append(task)
-        return out
-
     def _compiled(self, spec_name: str) -> Dict[str, CompiledRun]:
         """One stored spec document, parsed and compiled once."""
         runs = self._runs.get(spec_name)
@@ -237,20 +234,16 @@ class SweepManifest:
         return dataclasses.replace(run.task(), label=entry.label)
 
 
-def manifest_from_specs(name: str, specs: Iterable[SuiteSpec],
-                        shard_size: int = 1) -> SweepManifest:
+def manifest_from_specs(name: str,
+                        specs: Iterable[SuiteSpec]) -> SweepManifest:
     """Compile :class:`~repro.suite.spec.SuiteSpec`s into one manifest.
 
     Each spec's document is stored once, and each task's fingerprint
     is the one that stored document compiles to, the one a worker
     checks.  Tasks go spec by spec, each spec's runs in compile order,
     and each label is prefixed with its owning spec's name so runs of
-    different specs cannot collide.  ``shard_size`` groups consecutive
-    tasks under one lease: larger shards amortise claim traffic for
-    huge sweeps, smaller shards give finer crash granularity.
+    different specs cannot collide.
     """
-    if shard_size < 1:
-        raise ManifestError(f"shard_size must be >= 1, got {shard_size}")
     documents = [(spec.name, spec.to_dict()) for spec in specs]
     manifest = SweepManifest(name=name, specs=dict(documents))
     if len(manifest.specs) != len(documents):
@@ -260,7 +253,7 @@ def manifest_from_specs(name: str, specs: Iterable[SuiteSpec],
     manifest.tasks = [
         ManifestTask(index=index, label=f"{spec_name}:{run.label}",
                      fingerprint=run.fingerprint(),
-                     shard=index // shard_size, kind="ScenarioResult",
+                     kind="ScenarioResult",
                      source={"type": "suite", "spec": spec_name,
                              "run": run.label})
         for index, (spec_name, run) in enumerate(runs)]
@@ -268,8 +261,8 @@ def manifest_from_specs(name: str, specs: Iterable[SuiteSpec],
 
 
 def manifest_from_callables(name: str,
-                            entries: Iterable[Dict[str, Any]],
-                            shard_size: int = 1) -> SweepManifest:
+                            entries: Iterable[Dict[str, Any]]
+                            ) -> SweepManifest:
     """A manifest of generic ``pkg.mod:fn`` tasks.
 
     Each entry needs ``label``, ``fn``, and ``kwargs``; the fingerprint
@@ -277,8 +270,6 @@ def manifest_from_callables(name: str,
     entries dedup across sweeps exactly like scenario points do.
     """
     from ..experiments.parallel import fingerprint as _fingerprint
-    if shard_size < 1:
-        raise ManifestError(f"shard_size must be >= 1, got {shard_size}")
     tasks: List[ManifestTask] = []
     for index, entry in enumerate(entries):
         kwargs = dict(entry.get("kwargs", {}))
@@ -286,7 +277,7 @@ def manifest_from_callables(name: str,
             index=index, label=str(entry["label"]),
             fingerprint=_fingerprint(
                 "callable", {"fn": entry["fn"], "kwargs": kwargs}),
-            shard=index // shard_size, kind="callable",
+            kind="callable",
             source={"type": "callable", "fn": str(entry["fn"]),
                     "kwargs": kwargs}))
     return SweepManifest(name=name, tasks=tasks)
@@ -328,24 +319,22 @@ class SweepDir:
         return self.metrics_dir / f"{worker_id}.json"
 
     # -- lifecycle ---------------------------------------------------------
-    def initialise(self, manifest: SweepManifest,
-                   force: bool = False) -> None:
+    def initialise(self, manifest: SweepManifest) -> None:
         """Create the directory tree and persist the manifest.
 
         Re-initialising over an existing manifest is refused unless the
         task lists agree (same labels and fingerprints) — progress made
         under the old manifest would otherwise be silently misread.
-        ``force`` overwrites regardless.
         """
-        if self.manifest_path.exists() and not force:
+        if self.manifest_path.exists():
             existing = self.load_manifest()
             ours = [(t.label, t.fingerprint) for t in manifest.tasks]
             theirs = [(t.label, t.fingerprint) for t in existing.tasks]
             if ours != theirs:
                 raise ManifestError(
                     f"{self.manifest_path} already holds a different "
-                    f"manifest ({len(theirs)} task(s)); pass --force "
-                    f"to overwrite or point at a fresh directory")
+                    f"manifest ({len(theirs)} task(s)); point at a "
+                    f"fresh directory")
         for directory in (self.root, self.cache_dir, self.lease_dir,
                           self.quarantine_dir, self.metrics_dir):
             directory.mkdir(parents=True, exist_ok=True)
@@ -397,7 +386,7 @@ class SweepDir:
         A record that cannot be read, is not an object or has no object
         ``failed`` still parks its task, as its file's existence does
         for :meth:`is_quarantined`: its ``failed`` becomes ``{"error":
-        "unreadable quarantine record: ..."}``, so ``status``, ``merge``
+        "unreadable quarantine record: ..."}``, so ``watch``, ``merge``
         and ``resume`` agree on it.
         """
         out: Dict[str, Dict[str, Any]] = {}
@@ -444,45 +433,31 @@ class SweepDir:
         return entries
 
     def status(self) -> Dict[str, Any]:
-        """The sweep's full progress, computed from the directory alone.
+        """The sweep's progress, computed from the directory alone.
 
-        A shard is ``leased`` while a live worker holds its lock;
-        ``lease_info`` lists each held shard's ``key`` and the
-        ``worker`` its lock file names.
+        A task is ``leased`` while a live worker holds its lock;
+        ``lease_info`` lists each held lock's ``key`` (a task's
+        :attr:`~ManifestTask.lease_key`) and the ``worker`` its lock
+        file names.
         """
         from .lease import LeaseStore
         manifest = self.load_manifest()
         leased = {key: str(record["worker"]) for key, record
                   in LeaseStore(self.lease_dir).holders().items()}
-        shards: Dict[int, Dict[str, Any]] = {}
         counts = {"done": 0, "quarantined": 0, "leased": 0,
                   "pending": 0}
         for task in manifest.tasks:
-            key = _shard_key(task.shard)
             if self.is_done(task.fingerprint):
                 state = "done"
             elif self.is_quarantined(task.fingerprint):
                 state = "quarantined"
-            elif key in leased:
+            elif task.lease_key in leased:
                 state = "leased"
             else:
                 state = "pending"
             counts[state] += 1
-            shard = shards.setdefault(task.shard, {
-                "total": 0, "done": 0, "quarantined": 0,
-                "worker": leased.get(key)})
-            shard["total"] += 1
-            if state in ("done", "quarantined"):
-                shard[state] += 1
         return {"name": manifest.name,
                 "total": len(manifest.tasks),
                 "counts": counts,
-                "shards": {str(k): v for k, v in sorted(shards.items())},
-                "leases": sorted(leased),
                 "lease_info": [{"key": key, "worker": worker}
                                for key, worker in sorted(leased.items())]}
-
-
-def _shard_key(shard: int) -> str:
-    """The lease key for one shard."""
-    return f"shard-{shard:05d}"

@@ -1,11 +1,12 @@
-"""Deterministic demo tasks for sweep tests and chaos drills.
+"""Deterministic demo tasks for the sweep fabric's tests.
 
 The fabric's ``callable`` manifest source rebuilds tasks from
 ``"pkg.mod:name"`` strings, so worker *subprocesses* need an importable
-module holding the functions the chaos tests sweep over.  Everything
-here is a pure function of its JSON-able kwargs — equal kwargs produce
-byte-identical results, which is what lets a killed-and-resumed sweep
-merge to the same document as an uninterrupted one.
+module holding the poison, flaky and slow functions the fabric's tests
+sweep over.  Everything here is a pure function of its JSON-able
+kwargs — equal kwargs produce byte-identical results, which is what
+lets a killed-and-resumed sweep merge to the same document as an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Any, Dict
 def checksum(label: str, seed: int, rounds: int = 1000) -> Dict[str, Any]:
     """Deterministic busywork: iterated SHA-256 over the kwargs.
 
-    ``rounds`` tunes wall time (about 1ms per 1000 rounds), so chaos
-    drills can widen the window in which a kill lands mid-task without
+    ``rounds`` tunes wall time (about 1ms per 1000 rounds), so kill
+    tests can widen the window in which a kill lands mid-task without
     touching the result, which depends only on ``label``/``seed``/
     ``rounds``.
     """
@@ -35,7 +36,7 @@ def slow_checksum(label: str, seed: int, rounds: int = 1000,
     """:func:`checksum` padded to at least ``wall_s`` wall seconds.
 
     The sleep is host-side pacing only — it widens the kill window for
-    chaos drills and never reaches the result payload, so resumed
+    kill tests and never reaches the result payload, so resumed
     sweeps still merge byte-identically.
     """
     started = time.monotonic()  # simlint: allow[D103] chaos-drill pacing
@@ -51,7 +52,7 @@ def always_fails(label: str, message: str = "synthetic failure"
     """Deterministic casualty: raises on every attempt.
 
     Exercises the retry-then-quarantine path; the sweep should park it
-    and keep going rather than wedge the shard.
+    and keep going rather than wedge the sweep.
     """
     raise ValueError(f"{label}: {message}")
 

@@ -1,24 +1,24 @@
-"""The sweep worker: claim shards, run tasks, stream results, survive.
+"""The sweep worker: claim tasks, run them, stream results, survive.
 
 A worker is one independent process (``cebinae-repro sweep work
-<dir>``) holding no sweep state beyond the shard lock it holds.  Its
-loop:
+<dir>``) holding no sweep state beyond the one task lock it holds.
+Its loop:
 
-1. scan the manifest for a shard that still has runnable tasks
-   (not done, not quarantined) and try to lock it
+1. walk the manifest in order for a runnable task (not done, not
+   quarantined) and try to lock it
    (:class:`~repro.sweep.lease.LeaseStore`);
-2. run the shard's tasks serially in-process, storing each result into
-   the sweep's :class:`~repro.experiments.parallel.ResultCache` the
-   moment it finishes (streaming: a crash loses at most the in-flight
-   task);
-3. each task goes through the executor's one lifecycle,
+2. having won the lock, run the task in-process unless a peer
+   finished it meanwhile, storing its result into the sweep's
+   :class:`~repro.experiments.parallel.ResultCache` the moment it
+   finishes (streaming: a crash loses at most the in-flight task);
+3. the task goes through the executor's one lifecycle,
    :func:`~repro.experiments.parallel.settle` (attempt, seeded
    backoff, retry, store); a task it gives up on — retry budget
    spent, or a deterministic casualty — is **quarantined** instead of
-   wedging the shard;
+   wedging the sweep;
 4. release the lock and move on; exit when a full scan finds no
    runnable task anywhere.  A scan that claims nothing (every runnable
-   shard is locked by a live peer) idles before the next one, backing
+   task is locked by a live peer) idles before the next one, backing
    off geometrically from :data:`IDLE_FLOOR_S` up to ``poll_s``; any
    successful claim resets the back-off.
 
@@ -28,7 +28,7 @@ raise ``KeyboardInterrupt`` at the next bytecode boundary: the worker
 releases its lock, writes its metrics snapshot, and exits — every
 completed result is on disk already.  SIGKILL skips all of that, and
 needs none of it: the kernel drops a dead process's locks, so its
-shard is free to the next scan.
+task is free to the next scan.
 
 A worker id can run more than once over a sweep (every ``sweep
 resume`` starts ``resume-w0`` ..): each run continues the id's previous
@@ -42,18 +42,17 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..experiments.parallel import FailedRun, settle, sigterm_as_interrupt
 from ..obs import spans as obs_spans
 from ..obs.metrics import MetricsRegistry, load_snapshot, record_sweep
 from .lease import LeaseStore
-from .manifest import (ManifestError, ManifestTask, SweepDir,
-                       SweepManifest, _shard_key)
+from .manifest import ManifestError, ManifestTask, SweepDir, SweepManifest
 
 #: First idle delay after a scan that claimed nothing; each further
 #: empty scan doubles it, up to ``WorkerConfig.poll_s``.  A few ms, so
-#: the worker that runs out of claimable shards first notices the end
+#: the worker that runs out of claimable tasks first notices the end
 #: of the sweep within about a task length of its peers finishing.
 IDLE_FLOOR_S = 0.004
 
@@ -79,7 +78,7 @@ class WorkerConfig:
     worker_id: str
     retries: int = 1
     backoff_base_s: float = 0.05
-    #: Longest idle between scans when every runnable shard is locked
+    #: Longest idle between scans when every runnable task is locked
     #: by a live peer (the cap of the geometric back-off).
     poll_s: float = 0.5
     #: Stop after completing this many tasks (None = run to the end);
@@ -170,31 +169,26 @@ class SweepWorker:
                 self._write_metrics()
         return report
 
-    def _runnable(self, tasks: List[ManifestTask]) -> List[ManifestTask]:
-        return [task for task in tasks
-                if not self.sweep.is_done(task.fingerprint)
-                and not self.sweep.is_quarantined(task.fingerprint)]
-
     def _loop(self, manifest: SweepManifest, store: LeaseStore,
               cache: Any, report: WorkerReport) -> None:
-        shards = manifest.shards()
         idle_s = IDLE_FLOOR_S
         while True:
             claimed_any = False
             remaining = 0
-            for shard, tasks in sorted(shards.items()):
-                runnable = self._runnable(tasks)
-                if not runnable:
+            for task in manifest.tasks:
+                if (self.sweep.is_done(task.fingerprint)
+                        or self.sweep.is_quarantined(task.fingerprint)):
                     continue
-                remaining += len(runnable)
-                lease = store.claim(_shard_key(shard),
+                remaining += 1
+                lease = store.claim(task.lease_key,
                                     self.config.worker_id)
                 if lease is None:
                     continue
                 claimed_any = True
                 try:
-                    self._run_shard(manifest, shard, runnable, cache,
-                                    report)
+                    # The lock's last holder may have finished it.
+                    if not self.sweep.is_done(task.fingerprint):
+                        self._run_task(manifest, task, cache, report)
                 finally:
                     store.release(lease)
                 if (self.config.max_tasks is not None
@@ -211,23 +205,6 @@ class SweepWorker:
                 # then rescan (the sweep may finish, or a peer let go).
                 self._idle_sleep(min(idle_s, self.config.poll_s))
                 idle_s *= 2.0
-
-    def _run_shard(self, manifest: SweepManifest, shard: int,
-                   tasks: List[ManifestTask], cache: Any,
-                   report: WorkerReport) -> None:
-        self._emit(f"claimed {_shard_key(shard)} "
-                   f"({len(tasks)} runnable task(s))")
-        with obs_spans.span("shard", _shard_key(shard),
-                            sim_clock=False) as shard_span:
-            if shard_span is not None:
-                shard_span.count = len(tasks)
-            for task in tasks:
-                if self.sweep.is_done(task.fingerprint):
-                    continue  # The shard's last holder finished it.
-                self._run_task(manifest, task, cache, report)
-                if (self.config.max_tasks is not None
-                        and report.completed >= self.config.max_tasks):
-                    return
 
     def _run_task(self, manifest: SweepManifest, mtask: ManifestTask,
                   cache: Any, report: WorkerReport) -> None:

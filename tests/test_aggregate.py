@@ -113,10 +113,12 @@ class TestReadWorkerSnapshots:
         merge_snapshots(snapshots.values())
 
 
-def fake_sweep(tmp_path, counts, lease_info, fingerprints):
+def fake_sweep(tmp_path, counts, lease_info, fingerprints,
+               quarantined=None):
     (tmp_path / "metrics").mkdir(exist_ok=True)
     (tmp_path / "cache").mkdir(exist_ok=True)
-    tasks = [SimpleNamespace(index=i, label=f"t{i}", fingerprint=f)
+    tasks = [SimpleNamespace(index=i, label=f"t{i}", fingerprint=f,
+                             lease_key=f"task-{i:05d}")
              for i, f in enumerate(fingerprints)]
     status = {"name": "fake", "total": len(tasks),
               "counts": counts, "lease_info": lease_info}
@@ -124,6 +126,7 @@ def fake_sweep(tmp_path, counts, lease_info, fingerprints):
         metrics_dir=tmp_path / "metrics",
         cache_dir=tmp_path / "cache",
         status=lambda: dict(status),
+        quarantined=lambda: dict(quarantined or {}),
         load_manifest=lambda: SimpleNamespace(tasks=tasks))
 
 
@@ -133,8 +136,8 @@ class TestFleetView:
             tmp_path,
             counts={"done": 2, "pending": 0, "leased": 2,
                     "quarantined": 0},
-            lease_info=[{"key": "shard-00002", "worker": "w0"},
-                        {"key": "shard-00003", "worker": "w1"}],
+            lease_info=[{"key": "task-00002", "worker": "w0"},
+                        {"key": "task-00003", "worker": "w1"}],
             fingerprints=["f0", "f1", "f2", "f3"])
         for name in ("f0", "f1", "orphan"):
             (tmp_path / "cache" / f"{name}.json").write_text("{}")
@@ -166,11 +169,11 @@ class TestFleetView:
         assert row["last_task"] == {"index": 1, "label": "t1",
                                     "fingerprint": "f1"}
         assert row["captured_at"] == 12.5
-        assert row["shards"] == ["shard-00002"]
+        assert row["running"] == "t2"
         assert sorted(row) == ["busy_s", "captured_at", "completed",
-                               "inflight_shards", "last_task",
-                               "quarantined", "shards",
+                               "last_task", "quarantined", "running",
                                "tasks_per_min", "worker"]
+        assert doc["quarantined"] == []
 
     def test_finished_sweep_is_byte_stable(self, tmp_path):
         sweep = fake_sweep(
@@ -202,6 +205,24 @@ class TestFleetView:
         assert doc["cache_hit_ratio"] is None
         assert doc["eta_s"] is None    # no throughput sample yet
         assert doc["totals"]["tasks_completed"] == 0
+
+    def test_lists_parked_tasks_with_their_errors(self, tmp_path):
+        # What the sweep counts as quarantined: parked and not done,
+        # in manifest order; a record no task owns is not listed.
+        sweep = fake_sweep(
+            tmp_path,
+            counts={"done": 1, "pending": 1, "leased": 0,
+                    "quarantined": 2},
+            lease_info=[], fingerprints=["f0", "f1", "f2", "f3"],
+            quarantined={
+                "f3": {"failed": {"error": "boom"}},
+                "f1": {"failed": {}},
+                "f2": {"failed": {"error": "healed"}},
+                "stray": {"failed": {"error": "foreign"}}})
+        (tmp_path / "cache" / "f2.json").write_text("{}")
+        assert fleet_view(sweep)["quarantined"] == [
+            {"label": "t1", "error": "?"},
+            {"label": "t3", "error": "boom"}]
 
     def test_cache_hits_counted(self, tmp_path):
         # 3 done, only 1 computed by a live worker: 2 warm-start hits.

@@ -222,13 +222,6 @@ def test_s903_flags_unknown_rule_id():
     assert "S902" in ids
 
 
-def test_select_skips_suppression_hygiene():
-    found = lint_source(
-        "x = 1  # simlint: allow[D101] nothing here\n",
-        path="fixture.py", select={"D103"})
-    assert found == []
-
-
 # -- E901 ----------------------------------------------------------------------
 
 def test_e901_on_syntax_error():
@@ -304,11 +297,6 @@ def test_cli_json_mode(tmp_path):
     assert payload[0]["hint"]
 
 
-def test_cli_rejects_unknown_select():
-    result = run_cli(["--select", "D999", "src"])
-    assert result.returncode == 2
-
-
 def test_cli_list_rules():
     result = run_cli(["--list-rules"])
     assert result.returncode == 0
@@ -317,12 +305,11 @@ def test_cli_list_rules():
     assert len(re.findall(r"^  [A-Z]\d{3} ", result.stdout, re.M)) == 10
 
 
-def test_cli_flags_are_exactly_the_four(capsys):
+def test_cli_flags_are_exactly_the_two(capsys):
     with pytest.raises(SystemExit):
         lint_main(["--help"])
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-    assert flags == {"--help", "--json", "--select", "--no-hints",
-                     "--list-rules"}
+    assert flags == {"--help", "--json", "--list-rules"}
     # Known findings are silenced inline; argparse rejects the rest.
     with pytest.raises(SystemExit) as rejected:
         lint_main(["--baseline", "known.json", "src"])
@@ -416,4 +403,3 @@ def test_cebinae_repro_lint_subcommand(tmp_path):
     dirty.write_text("def f(flow):\n    return hash(flow)\n")
     from repro.experiments.cli import main
     assert main(["lint", str(dirty)]) == 1
-    assert main(["lint", "--select", "D102", str(dirty)]) == 0

@@ -2,7 +2,7 @@
 
 Covers the fabric contract piece by piece: a manifest rebuilds the
 pool's own tasks (and fingerprints) from its JSON alone, the lease
-protocol hands each shard to exactly one live worker and frees it
+protocol hands each task to exactly one live worker and frees it
 the moment that worker lets go or dies, the worker streams results /
 retries transients / quarantines poison tasks, and the ``sweep`` and
 ``cache gc`` CLIs report state computed from the directory alone.
@@ -27,6 +27,7 @@ from repro.experiments.parallel import (FailedRun, ResultCache, Task,
                                         TerminateSweep, run_tasks)
 from repro.faults.watchdog import RunAborted
 from repro.obs.aggregate import fleet_view
+from repro.obs.metrics import MetricsRegistry
 from repro.suite import SuiteRegistry, SuiteSpec
 from repro.sweep import tasks as sweep_tasks
 from repro.sweep.lease import LeaseStore
@@ -69,24 +70,21 @@ def write_suite(directory, *docs):
     return directory
 
 
-def callable_manifest(name="demo", count=4, shard_size=1, rounds=5):
+def callable_manifest(name="demo", count=4, rounds=5):
     return manifest_from_callables(name, [
         {"label": f"task-{i}",
          "fn": "repro.sweep.tasks:checksum",
          "kwargs": {"label": f"task-{i}", "seed": i, "rounds": rounds}}
-        for i in range(count)], shard_size=shard_size)
+        for i in range(count)])
 
 
 class TestManifest:
     def test_round_trip_and_shards(self):
-        manifest = callable_manifest(count=5, shard_size=2)
+        manifest = callable_manifest(count=5)
         rebuilt = SweepManifest.from_dict(
             json.loads(json.dumps(manifest.to_dict())))
         assert [t.to_dict() for t in rebuilt.tasks] == \
             [t.to_dict() for t in manifest.tasks]
-        shards = rebuilt.shards()
-        assert sorted(shards) == [0, 1, 2]
-        assert [len(v) for _, v in sorted(shards.items())] == [2, 2, 1]
 
     def test_callable_task_rebuilds_and_runs(self):
         manifest = callable_manifest(count=1)
@@ -101,6 +99,9 @@ class TestManifest:
         manifest = manifest_from_specs("fp", [spec])
         runs = spec.compile()
         assert len(manifest.tasks) == len(runs) == 2
+        # Each task is leased under its own lock.
+        assert [entry.lease_key for entry in manifest.tasks] == \
+            ["task-00000", "task-00001"]
         for entry, run in zip(manifest.tasks, runs):
             assert entry.fingerprint == run.fingerprint()
             assert manifest.task(entry).fingerprint == run.fingerprint()
@@ -156,7 +157,7 @@ class TestManifest:
             sweep = SweepDir(tmp_path / retired)
             sweep.root.mkdir()
             sweep.manifest_path.write_text(json.dumps(data))
-            assert sweep_main(["status", str(sweep.root)]) == 2
+            assert sweep_main(["watch", str(sweep.root), "--once"]) == 2
             assert f"'{retired}'" in capsys.readouterr().err
 
     def test_label_collision_refused(self):
@@ -169,10 +170,9 @@ class TestManifest:
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(callable_manifest(count=2))
         sweep.initialise(callable_manifest(count=2))   # Same: fine.
-        with pytest.raises(ManifestError, match="--force"):
+        with pytest.raises(ManifestError, match="fresh directory"):
             sweep.initialise(callable_manifest(count=3))
-        sweep.initialise(callable_manifest(count=3), force=True)
-        assert len(sweep.load_manifest().tasks) == 3
+        assert len(sweep.load_manifest().tasks) == 2
 
 
 def hold_in_child(lease_dir, key):
@@ -196,46 +196,46 @@ def hold_in_child(lease_dir, key):
 class TestLeaseStore:
     def test_claim_conflict_release(self, tmp_path):
         store = LeaseStore(tmp_path)
-        lease = store.claim("shard-00000", "alice")
+        lease = store.claim("task-00000", "alice")
         assert lease is not None
-        assert store.claim("shard-00000", "bob") is None
-        assert store.claim("shard-00001", "bob") is not None
+        assert store.claim("task-00000", "bob") is None
+        assert store.claim("task-00001", "bob") is not None
         store.release(lease)
         store.release(lease)        # Idempotent.
-        assert store.claim("shard-00000", "bob") is not None
+        assert store.claim("task-00000", "bob") is not None
 
     def test_holders_probes_locks_not_files(self, tmp_path):
         store = LeaseStore(tmp_path)
-        lease = store.claim("shard-00000", "alice")
+        lease = store.claim("task-00000", "alice")
         # The probe is right inside the holder's own process.
         assert store.holders() == {
-            "shard-00000": {"worker": "alice", "pid": os.getpid()}}
+            "task-00000": {"worker": "alice", "pid": os.getpid()}}
         # The record is for display only: damage shows worker "?".
-        (tmp_path / "shard-00000.lock").write_text("{garbage")
-        assert store.holders() == {"shard-00000": {"worker": "?"}}
+        (tmp_path / "task-00000.lock").write_text("{garbage")
+        assert store.holders() == {"task-00000": {"worker": "?"}}
         # Released, the lock file stays behind and counts as free, as
         # do an unlocked file's stale record and older lease files.
         store.release(lease)
-        (tmp_path / "shard-00001.lock").write_text(
+        (tmp_path / "task-00001.lock").write_text(
             json.dumps({"worker": "crashed", "pid": 1}))
-        (tmp_path / "shard-00002.lease").write_text("{}")
+        (tmp_path / "task-00002.lease").write_text("{}")
         assert store.holders() == {}
-        assert (tmp_path / "shard-00000.lock").exists()
-        assert store.claim("shard-00001", "bob") is not None
+        assert (tmp_path / "task-00000.lock").exists()
+        assert store.claim("task-00001", "bob") is not None
 
     def test_lock_dies_with_its_holder(self, tmp_path):
         store = LeaseStore(tmp_path)
-        child = hold_in_child(tmp_path, "shard-00000")
+        child = hold_in_child(tmp_path, "task-00000")
         try:
             assert store.holders() == {
-                "shard-00000": {"worker": "peer", "pid": child.pid}}
-            assert store.claim("shard-00000", "bob") is None
+                "task-00000": {"worker": "peer", "pid": child.pid}}
+            assert store.claim("task-00000", "bob") is None
         finally:
             child.kill()
             child.wait()
         # SIGKILL ran no cleanup; the kernel dropped the lock anyway.
         assert store.holders() == {}
-        assert store.claim("shard-00000", "bob") is not None
+        assert store.claim("task-00000", "bob") is not None
 
 
 class TestWorker:
@@ -246,7 +246,7 @@ class TestWorker:
 
     def test_completes_manifest_and_streams_results(self, tmp_path):
         sweep = SweepDir(tmp_path / "s")
-        sweep.initialise(callable_manifest(count=4, shard_size=2))
+        sweep.initialise(callable_manifest(count=4))
         report = self.run_worker(sweep)
         assert report.completed == 4
         assert report.quarantined == 0
@@ -254,7 +254,7 @@ class TestWorker:
         for task in sweep.load_manifest().tasks:
             payload = cache.load(task.fingerprint)
             assert payload["label"] == task.label
-        # Every shard released; metrics snapshot written.
+        # Every lock released; metrics snapshot written.
         assert LeaseStore(sweep.lease_dir).holders() == {}
         assert (sweep.metrics_dir / "test-w0.json").exists()
 
@@ -338,10 +338,10 @@ class TestWorker:
         assert damaged["failed"]["attempts"] == 0
         assert reason in damaged["failed"]["error"]
         assert damaged["label"] in damaged["failed"]["error"]
-        # A later worker skips it; status lists it with its reason.
+        # A later worker skips it; watch lists it with its reason.
         assert self.run_worker(sweep, worker_id="w2").quarantined == 0
         capsys.readouterr()
-        assert sweep_main(["status", str(sweep.root)]) == 0
+        assert sweep_main(["watch", str(sweep.root), "--once"]) == 0
         out = capsys.readouterr().out
         assert f"quarantined {damaged['label']}" in out
         assert reason in out
@@ -470,17 +470,17 @@ class TestWorker:
         sweep.initialise(callable_manifest(count=3))
         peer = LeaseStore(sweep.lease_dir)
         held = {key: peer.claim(key, "peer")
-                for key in ("shard-00001", "shard-00002")}
+                for key in ("task-00001", "task-00002")}
         delays = []
 
         def idle_sleep(delay):
-            # The live peer lets go of one shard after six idle scans
+            # The live peer lets go of one task after six idle scans
             # and of the other after three more.
             delays.append(delay)
             if len(delays) == 6:
-                peer.release(held["shard-00001"])
+                peer.release(held["task-00001"])
             elif len(delays) == 9:
-                peer.release(held["shard-00002"])
+                peer.release(held["task-00002"])
 
         worker = SweepWorker(
             sweep, WorkerConfig(worker_id="idle-w0", poll_s=0.02),
@@ -490,14 +490,14 @@ class TestWorker:
         floor = IDLE_FLOOR_S
         assert delays[:6] == [floor, 2 * floor, 4 * floor,
                               0.02, 0.02, 0.02]
-        # Claiming shard 1 reset the back-off for the wait on shard 2.
+        # Claiming task 1 reset the back-off for the wait on task 2.
         assert delays[6:] == [floor, 2 * floor, 4 * floor]
         assert max(delays) <= 0.02
 
     def test_idle_worker_claims_a_dead_holders_shard(self, tmp_path):
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(callable_manifest(count=1))
-        peer = hold_in_child(sweep.lease_dir, "shard-00000")
+        peer = hold_in_child(sweep.lease_dir, "task-00000")
         delays = []
 
         def idle_sleep(delay):
@@ -519,14 +519,14 @@ class TestWorker:
 
     def test_sigkilled_worker_holds_no_shard_in_the_fleet_view(
             self, tmp_path):
-        # One shard: a quick task, then one the kill lands in.
+        # A quick task, then one the kill lands in.
         sweep = SweepDir(tmp_path / "s")
         sweep.initialise(manifest_from_callables("kill", [
             {"label": "quick", "fn": "repro.sweep.tasks:checksum",
              "kwargs": {"label": "quick", "seed": 0, "rounds": 5}},
             {"label": "stuck", "fn": "repro.sweep.tasks:slow_checksum",
              "kwargs": {"label": "stuck", "seed": 1, "rounds": 5,
-                        "wall_s": 60.0}}], shard_size=2))
+                        "wall_s": 60.0}}]))
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro.sweep.cli", "work",
              str(sweep.root), "--worker-id", "victim"],
@@ -539,19 +539,19 @@ class TestWorker:
             rows = []
             while time.monotonic() < deadline:  # simlint: allow[D103] subprocess watchdog
                 rows = fleet_view(sweep)["workers"]
-                if rows and rows[0]["completed"] == 1:
+                if rows and rows[0]["running"] == "stuck":
                     break
                 time.sleep(0.02)  # simlint: allow[D103] subprocess poll pacing
-            assert [row["shards"] for row in rows] == [["shard-00000"]]
-            assert rows[0]["inflight_shards"] == 1
+            assert [(row["worker"], row["completed"], row["running"])
+                    for row in rows] == [("victim", 1, "stuck")]
         finally:
             victim.kill()
             victim.wait()
         # The kernel dropped the lock; the last snapshot still says
-        # one task done, and no shard is in flight.
+        # one task done, and no task is running.
         row, = fleet_view(sweep)["workers"]
         assert (row["worker"], row["completed"]) == ("victim", 1)
-        assert row["shards"] == [] and row["inflight_shards"] == 0
+        assert row["running"] is None
 
 
 def _self_term(marker):
@@ -808,8 +808,8 @@ class TestResumeWorkers:
         assert "done   task-0" in err and "done   task-1" in err
 
     def test_more_workers_than_cores_run_each_task_once(self, tmp_path):
-        # Four workers race for 40 one-task shards while this process
-        # keeps probing the locks: exactly one execution per task.
+        # Four workers race for 40 task locks while this process
+        # keeps probing them: exactly one execution per task.
         log = tmp_path / "runs.log"
         labels = [f"t{i}" for i in range(40)]
         sweep = SweepDir(tmp_path / "s")
@@ -838,6 +838,10 @@ class TestResumeWorkers:
         assert code == 0
         assert sorted(log.read_text().split()) == sorted(labels)
         assert store.holders() == {}
+        # Each task was claimed under its own lock.
+        assert sorted(path.stem for path
+                      in sweep.lease_dir.glob("*.lock")) == \
+            [f"task-{i:05d}" for i in range(40)]
 
     def test_propagates_a_workers_exit_code(self, tmp_path):
         # Two tasks: one would run in this process, and take it down.
@@ -969,19 +973,21 @@ class TestSweepCli:
         sweep_dir = str(tmp_path / "sweep")
         assert main(["init", sweep_dir, "--suite",
                      str(suite_dir)]) == 0
-        assert main(["status", sweep_dir, "--json"]) == 0
-        status = json.loads(capsys.readouterr().out)
-        assert status["counts"] == {"done": 0, "quarantined": 0,
-                                    "leased": 0, "pending": 1}
+        capsys.readouterr()
+        assert main(["watch", sweep_dir, "--once", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["counts"] == {"done": 0, "quarantined": 0,
+                                 "leased": 0, "pending": 1}
         # merge before completion: exit 1, the hole is reported.
         out = tmp_path / "merged.json"
         assert main(["merge", sweep_dir, "--out", str(out)]) == 1
         document = json.loads(out.read_text())
         assert document["results"][0]["status"] == "missing"
         assert main(["work", sweep_dir, "--worker-id", "cli-w0"]) == 0
-        assert main(["status", sweep_dir, "--json"]) == 0
-        status = json.loads(capsys.readouterr().out)
-        assert status["counts"]["done"] == 1
+        capsys.readouterr()
+        assert main(["watch", sweep_dir, "--once", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["counts"]["done"] == 1
         assert main(["merge", sweep_dir, "--out", str(out)]) == 0
         document = json.loads(out.read_text())
         assert document["results"][0]["status"] == "done"
@@ -1020,15 +1026,17 @@ class TestSweepCli:
 
     @pytest.mark.parametrize("command", ["init", "run"])
     @pytest.mark.parametrize("flag, value, message", [
-        ("--shard-size", "0", "shard_size must be >= 1"),
-        ("--backend", "bogus", "invalid choice: 'bogus'")])
+        ("--backend", "bogus", "invalid choice: 'bogus'"),
+        # One lock per task; a differing manifest is never overwritten.
+        ("--shard-size", "2", "unrecognized arguments: --shard-size 2"),
+        ("--force", None, "unrecognized arguments: --force")])
     def test_usage_errors_exit_2_without_a_traceback(
             self, tmp_path, suite_dir, capsys, command, flag, value,
             message):
         from repro.sweep.cli import main
         try:
             code = main([command, str(tmp_path / "sweep"), "--suite",
-                         str(suite_dir), flag, value])
+                         str(suite_dir), flag] + ([value] if value else []))
         except SystemExit as exc:    # argparse's own usage errors
             code = exc.code
         assert code == 2
@@ -1037,6 +1045,12 @@ class TestSweepCli:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "sweep").exists()
+
+    def test_status_is_not_a_command(self, tmp_path, capsys):
+        # watch --once is the one progress view.
+        with pytest.raises(SystemExit, match="2"):
+            sweep_main(["status", str(tmp_path)])
+        assert "invalid choice: 'status'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, workers",
                              [("resume", "0"), ("run", "-3")])
@@ -1119,22 +1133,27 @@ class TestSweepCli:
         assert main(["init", str(sweep_dir), "--suite",
                      str(suite_dir)]) == 0
         store = LeaseStore(sweep_dir / "leases")
-        lease = store.claim("shard-00000", "lock-w0")
+        # A worker with a published snapshot holds the task's lock.
+        MetricsRegistry().write_json(
+            str(SweepDir(sweep_dir).metrics_path("lock-w0")))
+        lease = store.claim("task-00000", "lock-w0")
         status = SweepDir(sweep_dir).status()
-        assert status["lease_info"] == [{"key": "shard-00000",
+        assert status["lease_info"] == [{"key": "task-00000",
                                          "worker": "lock-w0"}]
         assert status["counts"]["leased"] == 1
-        assert status["shards"]["0"]["worker"] == "lock-w0"
         capsys.readouterr()
-        assert main(["status", str(sweep_dir)]) == 0
-        assert "worker=lock-w0" in capsys.readouterr().out
-        # Released: the shard is pending again, with no holder.
+        assert main(["watch", str(sweep_dir), "--once"]) == 0
+        row, = [line.split() for line in
+                capsys.readouterr().out.splitlines()
+                if line.startswith("  lock-w0")]
+        assert row[4] == "tiny:tiny/fifo"
+        # Released: the task is pending again, with no holder.
         store.release(lease)
         status = SweepDir(sweep_dir).status()
         assert status["lease_info"] == []
         assert status["counts"]["pending"] == 1
-        assert main(["status", str(sweep_dir)]) == 0
-        assert "worker=" not in capsys.readouterr().out
+        assert main(["watch", str(sweep_dir), "--once"]) == 0
+        assert "tiny:tiny/fifo" not in capsys.readouterr().out
 
     def test_merge_exits_1_on_a_quarantined_task(self, tmp_path,
                                                  capsys):
@@ -1156,7 +1175,7 @@ class TestSweepCli:
                     in json.loads(out.read_text())["results"]]
         assert statuses == ["quarantined", "done"]
 
-    @pytest.mark.parametrize("command", ["status", "work", "resume",
+    @pytest.mark.parametrize("command", ["watch", "work", "resume",
                                          "merge"])
     @pytest.mark.parametrize("damage, message", [
         ("no_source", "entry 1 has no object 'source'"),
@@ -1179,7 +1198,8 @@ class TestSweepCli:
             document = document["tasks"]
         sweep.manifest_path.write_text(json.dumps(document))
         capsys.readouterr()
-        assert sweep_main([command, str(sweep.root)]) == 2
+        once = ["--once"] if command == "watch" else []
+        assert sweep_main([command, str(sweep.root)] + once) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines()
                   if "error:" in line]
@@ -1197,8 +1217,9 @@ class TestSweepCli:
         assert sweep.status()["counts"]["quarantined"] == 1
         assert sweep_main(["resume", str(sweep.root)]) == 0
         assert "unreadable quarantine record" in capsys.readouterr().err
-        assert sweep_main(["status", str(sweep.root)]) == 0
-        assert "unreadable quarantine record" in capsys.readouterr().out
+        assert sweep_main(["watch", str(sweep.root), "--once"]) == 0
+        assert f"quarantined {parked.label}: unreadable quarantine " \
+            "record" in capsys.readouterr().out
         out = tmp_path / "merged.json"
         assert sweep_main(["merge", str(sweep.root),
                            "--out", str(out)]) == 1

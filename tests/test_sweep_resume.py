@@ -1,7 +1,7 @@
 """Kill-resume property: a murdered sweep resumes byte-identically.
 
 The fabric's headline guarantee is that SIGKILLing a worker at *any*
-point — between tasks, mid-task, holding a shard lock — loses nothing:
+point — between tasks, mid-task, holding a task lock — loses nothing:
 the kernel drops the dead worker's lock, ``sweep resume`` re-runs
 whatever lacks a cache entry, and the merged result document is
 byte-identical to an uninterrupted run, because results are keyed by
@@ -62,7 +62,7 @@ def run_victim(sweep_dir, max_tasks):
 
     ``--max-tasks`` parks the worker at an exact progress point (it
     idles afterwards only because it exits); killing it right after
-    makes dying with a shard locked plausible but not required — the
+    makes dying with a task locked plausible but not required — the
     property must hold either way.
     """
     proc = subprocess.Popen(
@@ -154,9 +154,9 @@ class TestScenarioKillResume:
         assert sweep_main(["work", str(partial_dir), "--worker-id",
                            "crashed", "--max-tasks", "1"]) == 0
         store_dir = partial_dir / "leases"
-        (store_dir / "shard-00001.lock").write_text('{"worker": "cra')
-        (store_dir / "shard-00001.lease").write_text(json.dumps({
-            "key": "shard-00001", "worker_id": "ghost",
+        (store_dir / "task-00001.lock").write_text('{"worker": "cra')
+        (store_dir / "task-00001.lease").write_text(json.dumps({
+            "key": "task-00001", "worker_id": "ghost",
             "renewed_unix": 4e9}))
         # Neither is held, so resume finishes at once.
         done = subprocess.run(

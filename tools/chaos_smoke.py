@@ -8,11 +8,11 @@ Proves the fabric's end-to-end recovery guarantee on real simulations:
 2. ``sweep init`` a second sweep over the same suite and launch three
    worker subprocesses against it.
 3. Murder the fleet mid-flight: SIGKILL worker 0 (no flush; the
-   kernel must drop its shard lock at once, checked before any
+   kernel must drop its task lock at once, checked before any
    resume), SIGTERM worker 1 (graceful: lock released, completed
    results flushed), and SIGTERM worker 2 a little later.
 4. ``sweep resume --workers 2`` and assert: zero pending, zero
-   quarantined, no shard held, no duplicate or missing fingerprints,
+   quarantined, no lock held, no duplicate or missing fingerprints,
    and a merged result document **byte-identical** to the
    uninterrupted reference.
 
@@ -188,7 +188,7 @@ def run_drill(root: Path, out_dir: Path, duration_s: float) -> None:
 
     # Post-resume fleet view: nothing lost, nothing duplicated, and
     # the canonical --once --json document is byte-stable on a
-    # quiescent sweep (no shard held, wall clock out of the picture).
+    # quiescent sweep (no lock held, wall clock out of the picture).
     watch_final, watch_final_text = watch_json(victim_dir)
     assert watch_final["counts"] == final["counts"], \
         (watch_final["counts"], final["counts"])

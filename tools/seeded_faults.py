@@ -6,8 +6,11 @@ determinism guard, D-*) and is applied alone to a temp copy of the tree,
 where CI's lint command and its two ``suite --golden`` commands then run
 (about 100 s in all).  ``--tier1`` also runs ``pytest -x -q`` (less
 test_simlint.py, which repeats the lint column) where the goldens pass,
-up to 4 min a fault.  Prints DESIGN.md section 8's table; exits 1 only
-if some ``old`` no longer occurs exactly once (the table has rotted).
+up to 4 min a fault.  Every command runs under one fixed
+``PYTHONHASHSEED`` (:data:`HASH_SEED`), so a fault whose effect follows
+the hash order (D-a) grades the same on every run.  Prints DESIGN.md
+section 8's table; exits 1 only if some ``old`` no longer occurs
+exactly once (the table has rotted).
 """
 
 import argparse
@@ -21,6 +24,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The hash seed every command runs under: 1, the first seed with hash
+#: randomisation on (0 turns it off, a mode no CI job runs in).
+HASH_SEED = "1"
 TREES = ("src", "tools", "benchmarks", "examples", "tests")
 #: Files tier-1 reads outside TREES and the root (test_docs checks them).
 DOCS = (".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
@@ -93,7 +99,8 @@ def mutated(fault):
 
 
 def _python(work, *argv, **env):
-    env = dict(os.environ, PYTHONPATH="src", **env)
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=HASH_SEED,
+               **env)
     return subprocess.run([sys.executable, *argv], cwd=work, env=env,
                           capture_output=True, text=True)
 
@@ -134,6 +141,7 @@ def main(argv=None):
         print(f"seeded_faults: {exc}", file=sys.stderr)
         return 1
     layout = "{:<4} {:<22} {:<8} {:<8} {}"
+    print(f"seeded faults under PYTHONHASHSEED={HASH_SEED}")
     print(layout.format("id", "file", "simlint", "goldens", "rest of tier-1"))
     skip = shutil.ignore_patterns("__pycache__", ".*")
     for (fault_id, rel, _, _), (path, text) in zip(FAULTS, edits):
