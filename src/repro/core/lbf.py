@@ -56,6 +56,16 @@ class LbfDecision(enum.Enum):
     DROP = "drop"    # Past both rounds' allocations.
 
 
+# Members read per packet, as module constants: an Enum class
+# attribute costs an order of magnitude more than a global (the
+# measurement is in netsim/packet.py).  Same objects, same ``is`` tests.
+GROUP_TOP = FlowGroup.TOP
+GROUP_BOTTOM = FlowGroup.BOTTOM
+DECISION_HEAD = LbfDecision.HEAD
+DECISION_TAIL = LbfDecision.TAIL
+DECISION_DROP = LbfDecision.DROP
+
+
 class LeakyBucketFilter:
     """The per-port LBF state machine."""
 
@@ -118,9 +128,9 @@ class LeakyBucketFilter:
 
     def queue_for(self, decision: LbfDecision) -> int:
         """Physical queue index for an admission decision."""
-        if decision is LbfDecision.HEAD:
+        if decision is DECISION_HEAD:
             return self.headq
-        if decision is LbfDecision.TAIL:
+        if decision is DECISION_TAIL:
             return 1 - self.headq
         raise ValueError("dropped packets have no queue")
 
@@ -137,10 +147,10 @@ class LeakyBucketFilter:
         past_head = level - rate_head * dt_sec
         past_tail = past_head - rate_tail * dt_sec
         if past_head <= 0:
-            return LbfDecision.HEAD
+            return DECISION_HEAD
         if past_tail <= 0:
-            return LbfDecision.TAIL
-        return LbfDecision.DROP
+            return DECISION_TAIL
+        return DECISION_DROP
 
     def admit_aggregate(self, size_bytes: Bytes,
                         now_ns: TimeNs) -> LbfDecision:
@@ -153,10 +163,10 @@ class LeakyBucketFilter:
         self.total_bytes = level
         dt_bytes = self._capacity_dt_bytes
         if level - dt_bytes <= 0:
-            return LbfDecision.HEAD
+            return DECISION_HEAD
         if level - 2 * dt_bytes <= 0:
-            return LbfDecision.TAIL
-        return LbfDecision.DROP
+            return DECISION_TAIL
+        return DECISION_DROP
 
     def track_total(self, size_bytes: Bytes) -> None:
         """Track the aggregate counter while the per-group filter runs."""

@@ -28,7 +28,8 @@ from ..netsim.packet import FlowId, Packet
 from ..netsim.queues import QueueDisc
 from ..obs import bus as obs_bus
 from ..obs.events import CacheUpdate, LbfDecisionEvent, LbfRotation
-from .lbf import FlowGroup, LbfDecision, LeakyBucketFilter
+from .lbf import (DECISION_DROP, DECISION_TAIL, GROUP_BOTTOM, GROUP_TOP,
+                  FlowGroup, LeakyBucketFilter)
 from .params import CebinaeParams
 
 if TYPE_CHECKING:
@@ -97,8 +98,7 @@ class CebinaeQueueDisc(QueueDisc):
 
     # -- classification --------------------------------------------------------
     def group_of(self, flow: FlowId) -> FlowGroup:
-        return FlowGroup.TOP if flow in self.top_flows else \
-            FlowGroup.BOTTOM
+        return GROUP_TOP if flow in self.top_flows else GROUP_BOTTOM
 
     # -- ingress path ------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
@@ -134,7 +134,7 @@ class CebinaeQueueDisc(QueueDisc):
                 group_name = group.name.lower()
         else:
             decision = self.lbf.admit_aggregate(packet.size_bytes, now)
-        if decision is LbfDecision.DROP:
+        if decision is DECISION_DROP:
             self.lbf_drops += 1
             if trace is not None:
                 trace(LbfDecisionEvent(
@@ -143,7 +143,7 @@ class CebinaeQueueDisc(QueueDisc):
                     size_bytes=packet.size_bytes, queue_index=-1))
             self.record_drop(packet, reason="lbf")
             return False
-        if decision is LbfDecision.TAIL:
+        if decision is DECISION_TAIL:
             self.lbf_delays += 1
             marked = self.params.ecn_marking and packet.mark_ce()
             if marked:

@@ -18,7 +18,9 @@ flow's fate is settled by its first packet: it claims the first free
 entry on its stage walk, or finds every entry taken and stays uncounted
 until the reset.  A cache therefore walks the stages once per flow per
 interval and keeps the bytes of the flows holding an entry in one
-per-flow dict, which the poll hands over whole.
+per-flow dict, which the poll hands over whole.  The salts are fixed
+for the cache's lifetime, so each flow's walk (its slot in every
+stage) is hashed once and kept across polls.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ class CebinaeFlowCache(Generic[K]):
         # that found every entry of its walk taken (uncounted until the
         # reset, whatever it sends).
         self._stage_of: Dict[K, int] = {}
+        # Each flow ever seen: its slot in every stage, in stage order.
+        # Survives poll_and_reset (one tuple per distinct flow).
+        self._walks: Dict[K, Tuple[int, ...]] = {}
         self.uncounted_packets = 0
         self.uncounted_bytes = 0
         #: Observability hook (installed by the queue disc; None = off).
@@ -86,10 +91,14 @@ class CebinaeFlowCache(Generic[K]):
         stage_of = self._stage_of
         if key not in stage_of:
             # The flow's first packet this interval walks the stages.
+            walk = self._walks.get(key)
+            if walk is None:
+                slots = self.slots_per_stage
+                walk = tuple(stage * slots + stage_hash(key, salt) % slots
+                             for stage, salt in enumerate(self._salts))
+                self._walks[key] = walk
             held = self._held
-            slots = self.slots_per_stage
-            for stage, salt in enumerate(self._salts):
-                slot = stage * slots + stage_hash(key, salt) % slots
+            for stage, slot in enumerate(walk):
                 if slot not in held:
                     held.add(slot)
                     stage_of[key] = stage

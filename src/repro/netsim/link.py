@@ -16,12 +16,19 @@ at ``dst``) and pushes both straight onto the simulator's heap: the
 ``(time_ns, seq, callback, args)`` entry and DEBUG check that
 :meth:`Simulator.post <repro.netsim.engine.Simulator.post>` would make,
 without its frame.
+
+A port whose queue is exactly a :class:`DropTailQueue` exposes that
+queue's FIFO as ``_fifo``: ``Router.receive`` and ``Node.forward`` put
+a packet that finds the port up, idle and empty straight onto the wire
+(the finish entry ``_start`` would push after an enqueue and dequeue
+of the same packet), and the link goes idle without a ``dequeue()``
+call when that FIFO is empty.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from ..analysis import invariants
 from ..analysis.invariants import require_int_ns, unwrap
@@ -29,12 +36,16 @@ from ..obs import bus as obs_bus
 from ..obs.events import PacketTx
 from .engine import SECOND, Simulator
 from .packet import Packet
-from .queues import QueueDisc
+from .queues import DropTailQueue, QueueDisc
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.units import BitsPerSec, Bytes, TimeNs
     from ..faults.schedule import LinkFaultState
     from .node import Node
+
+
+#: The byte limit of a drop-tail queue built without one.
+_NO_BYTE_LIMIT = 1 << 62
 
 
 class Link:
@@ -60,6 +71,19 @@ class Link:
         #: are attributed to this port.
         self.queue = queue
         queue.obs_name = self.name
+        # The cut-through (module docstring) is for an exact
+        # DropTailQueue only: a subclass may override enqueue, and so
+        # takes the general path.  An empty drop-tail queue accepts a
+        # packet iff it fits the byte limit (limit_packets None or at
+        # least 1); the limits are fixed at construction.
+        self._fifo: Optional[Deque[Packet]] = None
+        self._fifo_max_bytes = 0
+        if type(queue) is DropTailQueue and (
+                queue.limit_packets is None or queue.limit_packets >= 1):
+            self._fifo = queue._queue
+            self._fifo_max_bytes = (queue.limit_bytes
+                                    if queue.limit_bytes is not None
+                                    else _NO_BYTE_LIMIT)
         # Transmit-side counters (Cebinae's "egress pipeline" also hooks
         # transmission; see CebinaeQueueDisc.on_transmit).  The hook is
         # a property of the queue's type, so it is resolved once here
@@ -183,7 +207,9 @@ class Link:
                                  (packet, self)))
         # The next packet, if any, goes straight onto the wire: the
         # start's work, inline, since this runs once per transmission.
-        if self._up:
+        # An empty drop-tail FIFO goes idle without the dequeue() call.
+        fifo = self._fifo
+        if self._up and (fifo is None or fifo):
             packet = self.queue.dequeue()
             if packet is not None:
                 try:

@@ -64,6 +64,22 @@ class Node:
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
+        # An idle, empty drop-tail port cuts through: the finish entry
+        # _start would push after enqueue and dequeue (link.py).
+        fifo = link._fifo
+        if (fifo is not None and not link._busy and link._up and not fifo
+                and packet.size_bytes <= link._fifo_max_bytes):
+            link._busy = True
+            try:
+                tx_time = link._ser_delay_cache[packet.size_bytes]
+            except KeyError:
+                tx_time = link.serialization_delay_ns(packet.size_bytes)
+            if invariants.DEBUG:
+                require_int_ns(tx_time, "post() delay_ns")
+            sim = link.sim
+            heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
+                                 link._finish_transmission, (packet,)))
+            return True
         # link.send(packet), inline: straight onto the egress port.
         accepted = link.queue.enqueue(packet)
         if accepted and not link._busy:
@@ -89,13 +105,27 @@ class Router(Node):
             self.frozen_drops += 1
             return
         self.forwarded_packets += 1
-        # forward() and link.send() inlined: the hop's next frame is
-        # the egress queue disc's enqueue, looked up per packet, and an
-        # idle port starts on what it accepted.
+        # forward() and link.send() inlined: an idle, empty drop-tail
+        # port cuts through as in forward(); otherwise the hop's next
+        # frame is the egress queue disc's enqueue, looked up per
+        # packet, and an idle port starts on what it accepted.
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
-        if link.queue.enqueue(packet) and not link._busy:
+        fifo = link._fifo
+        if (fifo is not None and not link._busy and link._up and not fifo
+                and packet.size_bytes <= link._fifo_max_bytes):
+            link._busy = True
+            try:
+                tx_time = link._ser_delay_cache[packet.size_bytes]
+            except KeyError:
+                tx_time = link.serialization_delay_ns(packet.size_bytes)
+            if invariants.DEBUG:
+                require_int_ns(tx_time, "post() delay_ns")
+            sim = link.sim
+            heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
+                                 link._finish_transmission, (packet,)))
+        elif link.queue.enqueue(packet) and not link._busy:
             link._start()
 
 

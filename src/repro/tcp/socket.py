@@ -27,7 +27,6 @@ the "application goodput" metric of the paper's tables.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
@@ -35,8 +34,9 @@ from ..analysis import invariants
 from ..analysis.invariants import require_int_ns
 from ..netsim.engine import MILLISECOND, SECOND, Event, Simulator
 from ..netsim.node import Host
-from ..netsim.packet import (ACK_BYTES, HEADER_BYTES, MSS_BYTES,
-                             EcnCodepoint, FlowId, Packet, PacketType)
+from ..netsim.packet import (ACK_BYTES, ECN_CE, ECN_ECT0, HEADER_BYTES,
+                             MSS_BYTES, PACKET_ACK, PACKET_DATA, FlowId,
+                             Packet)
 from ..netsim.tracing import FlowMonitor
 from ..obs import bus as obs_bus
 from ..obs.events import TcpStateEvent
@@ -60,15 +60,6 @@ DUPACK_THRESHOLD = 3
 SACK_BLOCK_LIMIT = 16
 
 
-@dataclass
-class _SegmentInfo:
-    """Bookkeeping for one transmitted data segment."""
-
-    end_seq: int
-    sent_time_ns: TimeNs
-    delivered_at_send: int
-
-
 class RttEstimator:
     """RFC 6298 smoothed RTT and retransmission timeout."""
 
@@ -78,15 +69,29 @@ class RttEstimator:
         self.rto_ns: TimeNs = INITIAL_RTO_NS
 
     def observe(self, rtt_ns: TimeNs) -> None:
-        if self.srtt_ns is None:
-            self.srtt_ns = rtt_ns
-            self.rttvar_ns = rtt_ns // 2
+        # abs(), max() and min() as comparisons over the same ints:
+        # this runs once per ACK that yields a sample.
+        srtt = self.srtt_ns
+        if srtt is None:
+            srtt = rtt_ns
+            rttvar = rtt_ns // 2
         else:
-            delta = abs(self.srtt_ns - rtt_ns)
-            self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
-            self.srtt_ns = (7 * self.srtt_ns + rtt_ns) // 8
-        raw = self.srtt_ns + max(4 * self.rttvar_ns, MILLISECOND)
-        self.rto_ns = min(max(raw, MIN_RTO_NS), MAX_RTO_NS)
+            delta = srtt - rtt_ns
+            if delta < 0:
+                delta = -delta
+            rttvar = (3 * self.rttvar_ns + delta) // 4
+            srtt = (7 * srtt + rtt_ns) // 8
+        self.srtt_ns = srtt
+        self.rttvar_ns = rttvar
+        spread = 4 * rttvar
+        if spread < MILLISECOND:
+            spread = MILLISECOND
+        rto = srtt + spread
+        if rto < MIN_RTO_NS:
+            rto = MIN_RTO_NS
+        elif rto > MAX_RTO_NS:
+            rto = MAX_RTO_NS
+        self.rto_ns = rto
 
     def backoff(self) -> None:
         self.rto_ns = min(self.rto_ns * 2, MAX_RTO_NS)
@@ -133,7 +138,10 @@ class TcpSender:
         self._ambiguous_below = 0
         # Delivery-rate accounting (BBR).
         self._delivered_bytes = 0
-        self._segments: Deque[_SegmentInfo] = collections.deque()
+        # One (end_seq, sent_time_ns, delivered_at_send) tuple per new
+        # segment in flight.
+        self._segments: Deque[Tuple[int, TimeNs, int]] = \
+            collections.deque()
         # Counters for diagnostics and tests.
         self.retransmits = 0
         self.timeouts = 0
@@ -269,10 +277,10 @@ class TcpSender:
     def _transmit(self, seq: int, payload: int, retransmit: bool) -> None:
         now = self.sim.now_ns
         packet = Packet(flow=self.flow, size_bytes=payload + HEADER_BYTES,
-                        ptype=PacketType.DATA, seq=seq,
+                        ptype=PACKET_DATA, seq=seq,
                         payload_bytes=payload)
         if self.ecn_enabled:
-            packet.ecn = EcnCodepoint.ECT0
+            packet.ecn = ECN_ECT0
         if self._cwr_pending:
             packet.cwr = True
             self._cwr_pending = False
@@ -282,9 +290,8 @@ class TcpSender:
             self._ambiguous_below = max(self._ambiguous_below,
                                         seq + payload)
         else:
-            self._segments.append(_SegmentInfo(
-                end_seq=seq + payload, sent_time_ns=now,
-                delivered_at_send=self._delivered_bytes))
+            self._segments.append((seq + payload, now,
+                                   self._delivered_bytes))
         self.sent_segments += 1
         self.host.send(packet)
         # RFC 6298: arm the timer if idle, but never push back a running
@@ -354,7 +361,7 @@ class TcpSender:
 
     # -- ACK processing ----------------------------------------------------------
     def _on_ack_packet(self, packet: Packet) -> None:
-        if packet.ptype is not PacketType.ACK:
+        if packet.ptype is not PACKET_ACK:
             return
         if packet.ece:
             self._handle_ecn_echo()
@@ -405,13 +412,14 @@ class TcpSender:
         rtt_sample: Optional[int] = None
         rate_sample: Optional[float] = None
         now = self.sim.now_ns
-        while self._segments and self._segments[0].end_seq <= ack:
-            info = self._segments.popleft()
-            if info.end_seq <= self._ambiguous_below:
+        while self._segments and self._segments[0][0] <= ack:
+            end_seq, sent_time_ns, delivered_at_send = \
+                self._segments.popleft()
+            if end_seq <= self._ambiguous_below:
                 continue  # Karn: retransmitted range, timing ambiguous.
-            rtt_sample = now - info.sent_time_ns
-            interval_ns = now - info.sent_time_ns
-            delivered = self._delivered_bytes - info.delivered_at_send
+            rtt_sample = now - sent_time_ns
+            interval_ns = now - sent_time_ns
+            delivered = self._delivered_bytes - delivered_at_send
             if interval_ns > 0 and delivered > 0:
                 rate_sample = delivered * 8 * SECOND / interval_ns
         return rtt_sample, rate_sample
@@ -546,12 +554,12 @@ class TcpReceiver:
         return self._ranges.total_bytes
 
     def _on_data_packet(self, packet: Packet) -> None:
-        if packet.ptype is not PacketType.DATA:
+        if packet.ptype is not PACKET_DATA:
             return
         self.received_segments += 1
         if packet.cwr:
             self._ece = False
-        if packet.ecn is EcnCodepoint.CE:
+        if packet.ecn is ECN_CE:
             self._ece = True
         end = packet.seq + packet.payload_bytes
         rcv_nxt = self.rcv_nxt
@@ -589,7 +597,7 @@ class TcpReceiver:
         if self._ranges.total_bytes:
             sack = tuple(self._ranges.first_blocks(SACK_BLOCK_LIMIT))
         ack = Packet(flow=self._ack_flow, size_bytes=ACK_BYTES,
-                     ptype=PacketType.ACK, ack=self.rcv_nxt,
+                     ptype=PACKET_ACK, ack=self.rcv_nxt,
                      sack=sack, ece=self._ece)
         self.host.send(ack)
 

@@ -154,6 +154,9 @@ def build_port(kind, sim):
     """A small egress queue disc of ``kind`` that refuses or drops."""
     if kind == "droptail":
         return DropTailQueue(limit_packets=6)
+    if kind == "droptail_bytes":
+        # Below the largest packet: an empty port refuses some.
+        return DropTailQueue(limit_packets=None, limit_bytes=1000)
     if kind == "fq_codel":
         # Tight CoDel so dequeue-time drops happen within a few ms.
         return FqCoDelQueue(sim, target_ns=MILLISECOND,
@@ -179,25 +182,33 @@ STEPS = st.lists(st.tuples(
     st.integers(0, 6000)), min_size=1, max_size=12)
 
 
+class _PlainDropTail(DropTailQueue):
+    """A trivial subclass: its port takes the general enqueue path."""
+
+
 class TestStartInvariant:
     """An up, idle link holds an empty queue, whatever the disc.
 
     The link starts its transmitter only after an accepted enqueue
     finds it idle (or when the wire comes back up); that is enough
     because every disc's ``dequeue`` returns None only when it is
-    empty.  Every offered packet is accounted for exactly once.
+    empty.  Every offered packet is accounted for exactly once,
+    whether it enters through ``Link.send``, ``Node.forward`` or a
+    ``Router.receive`` hop; the last two let an exact drop-tail port
+    cut through, which must leave what a general port leaves.
     """
 
-    @settings(deadline=None, max_examples=40)
-    @given(kind=st.sampled_from(["droptail", "fq_codel", "afq",
-                                 "cebinae"]),
-           steps=STEPS)
-    def test_idle_up_link_has_empty_queue_and_packets_conserve(
-            self, kind, steps):
+    @staticmethod
+    def drive(kind, steps, entry, queue=None):
+        """Run ``steps`` into one port; per-chunk snapshots."""
         sim = Simulator()
-        queue = build_port(kind, sim)
-        _, dst, link = wire(sim, rate_bps=8e6, delay_ns=100_000,
-                              queue=queue)
+        if queue is None:
+            queue = build_port(kind, sim)
+        src = Router(sim, 0, "src")
+        dst = Host(sim, 1, "dst")
+        link = Link(sim, src, dst, 8e6, 100_000, queue)
+        src.attach_link(link)
+        src.routes[1] = link
         # Installed as FaultSchedule installs it, so cut packets count.
         state = LinkFaultState(FaultSpec(), seed=1, name=link.name)
         link.set_fault_state(state)
@@ -212,9 +223,22 @@ class TestStartInvariant:
         queue.record_drop = counted_drop
 
         def offer(packet):
-            (accepted if link.send(packet) else refused).append(
-                packet.seq)
+            if entry == "send":
+                ok = link.send(packet)
+            elif entry == "forward":
+                ok = src.forward(packet)
+            else:
+                before = len(dropped)
+                src.receive(packet, link)
+                ok = packet.seq not in dropped[before:]
+            (accepted if ok else refused).append(packet.seq)
 
+        def args_key(args):
+            return tuple(arg.seq if isinstance(arg, Packet) else
+                         arg if isinstance(arg, bool) else type(arg)
+                         for arg in args)
+
+        snapshots = []
         for burst, offset_us, toggle, length_us in steps:
             start = sim.now_ns
             for flow, size in burst:
@@ -228,6 +252,13 @@ class TestStartInvariant:
             sim.run(until_ns=start + length_us * 1000)
             if link._up and not link._busy:
                 assert len(queue) == 0
+            heap = sorted(
+                (time_ns, seq, getattr(callback, "__name__", None),
+                 args_key(args) if callback is not None else None)
+                for time_ns, seq, callback, args in sim._heap)
+            snapshots.append((heap, link.tx_packets, link.tx_bytes,
+                              queue.dropped_packets, queue.dropped_bytes,
+                              list(delivered)))
         sim.run()
         queued = []
         packet = queue.dequeue()
@@ -238,9 +269,73 @@ class TestStartInvariant:
         assert len(set(counted)) == len(counted)
         assert set(refused) <= set(dropped)
         assert len(counted) + state.down_drops == len(offered)
-        if kind == "droptail":
+        if isinstance(queue, DropTailQueue):
             served = set(delivered)
             assert delivered == [seq for seq in accepted if seq in served]
+        return snapshots
+
+    @settings(deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(["droptail", "droptail_bytes",
+                                 "fq_codel", "afq", "cebinae"]),
+           steps=STEPS,
+           entry=st.sampled_from(["send", "forward", "receive"]))
+    def test_idle_up_link_has_empty_queue_and_packets_conserve(
+            self, kind, steps, entry):
+        self.drive(kind, steps, entry)
+
+    # Parametrised rather than drawn: hypothesis reuses its examples,
+    # and a drawn (kind, entry) pair can go unvisited for a whole run.
+    @pytest.mark.parametrize("kind", ["droptail", "droptail_bytes"])
+    @pytest.mark.parametrize("entry", ["forward", "receive"])
+    @settings(deadline=None, max_examples=25)
+    @given(steps=STEPS)
+    def test_cut_through_leaves_what_a_general_port_leaves(
+            self, kind, entry, steps):
+        """The heap, counters, drops and deliveries of an exact
+        drop-tail port equal, chunk by chunk, those of a twin whose
+        queue is a trivial subclass (it enqueues and dequeues every
+        packet)."""
+        exact = build_port(kind, Simulator())
+        twin = _PlainDropTail(limit_packets=exact.limit_packets,
+                              limit_bytes=exact.limit_bytes)
+        assert self.drive(kind, steps, entry) == \
+            self.drive(kind, steps, entry, queue=twin)
+
+    @pytest.mark.parametrize("entry", ["forward", "receive"])
+    def test_an_idle_drop_tail_port_cuts_through(self, entry):
+        sim = Simulator()
+        src = Router(sim, 0, "src")
+        dst = Host(sim, 1, "dst")
+        queue = DropTailQueue(limit_bytes=1000)
+        link = Link(sim, src, dst, 8e6, 0, queue)
+        src.routes[1] = link
+        calls = []
+        queue.enqueue = lambda packet: calls.append(packet) or False
+
+        def offer(size):
+            packet = make_packet(size=size)
+            if entry == "forward":
+                src.forward(packet)
+            else:
+                src.receive(packet, link)
+            return packet
+
+        packet = offer(1000)
+        assert calls == [] and link._busy
+        (time_ns, _, callback, args), = sim.scheduler
+        assert (time_ns, callback, args) == \
+            (1_000_000, link._finish_transmission, (packet,))
+        # Busy, past the byte limit, or down: the general path.
+        offer(100)
+        link._busy = False
+        offer(1001)
+        link.set_up(False)
+        offer(200)
+        assert [p.size_bytes for p in calls] == [100, 1001, 200]
+        assert len(sim.scheduler) == 1
+        # A subclass never cuts through.
+        plain = _PlainDropTail(limit_bytes=1000)
+        assert Link(sim, src, dst, 8e6, 0, plain)._fifo is None
 
 
 class TestHostDispatch:

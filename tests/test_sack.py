@@ -129,28 +129,28 @@ class TestReceiverAgainstByteSetModel:
 class TestSenderSackRecovery:
     def lossy_connection(self, sim, drop_seqs):
         """A connection whose forward path drops chosen sequence
-        numbers once."""
-        a, b, fwd, rev = make_pair(sim, rate_bps=40e6)
+        numbers once.  The returned set holds those not yet dropped."""
+        pending = set(drop_seqs)
+
+        def lose(packet):
+            if packet.seq in pending:
+                pending.discard(packet.seq)
+                return True
+            return False
+
+        a, b, fwd, rev = make_pair(sim, rate_bps=40e6, lose=lose)
         flow = FlowId(0, 1, 100, 80)
         receiver = TcpReceiver(b, flow)
         sender = TcpSender(a, flow, NewReno())
-        pending = set(drop_seqs)
-        original = fwd.queue.enqueue
-
-        def filtered(packet):
-            if packet.seq in pending:
-                pending.discard(packet.seq)
-                return False
-            return original(packet)
-
-        fwd.queue.enqueue = filtered
-        return sender, receiver
+        return sender, receiver, pending
 
     def test_single_loss_repaired_without_rto(self):
         sim = Simulator()
-        sender, receiver = self.lossy_connection(sim, {3 * MSS_BYTES})
+        sender, receiver, pending = self.lossy_connection(
+            sim, {3 * MSS_BYTES})
         sender.start()
         sim.run(until_ns=seconds(2))
+        assert not pending
         assert sender.timeouts == 0
         assert sender.retransmits >= 1
         assert receiver.delivered_bytes > 20 * MSS_BYTES
@@ -160,9 +160,10 @@ class TestSenderSackRecovery:
         plain NewReno would need one RTT per hole."""
         sim = Simulator()
         drops = {3 * MSS_BYTES, 5 * MSS_BYTES, 7 * MSS_BYTES}
-        sender, receiver = self.lossy_connection(sim, set(drops))
+        sender, receiver, pending = self.lossy_connection(sim, drops)
         sender.start()
         sim.run(until_ns=seconds(2))
+        assert not pending
         assert sender.timeouts == 0
         assert sender.retransmits >= 3
         # All holes repaired: the receiver's contiguous prefix has
@@ -173,9 +174,11 @@ class TestSenderSackRecovery:
 
     def test_recovery_exits_cleanly(self):
         sim = Simulator()
-        sender, receiver = self.lossy_connection(sim, {3 * MSS_BYTES})
+        sender, receiver, pending = self.lossy_connection(
+            sim, {3 * MSS_BYTES})
         sender.start()
         sim.run(until_ns=seconds(2))
+        assert not pending
         assert not sender.in_recovery
         assert sender._scoreboard.total_bytes == 0 or \
             sender._scoreboard.max_end > sender.snd_una
@@ -199,9 +202,10 @@ class TestSenderSackRecovery:
     def test_dupack_with_new_sack_info_counts(self):
         sim = Simulator()
         drops = {3 * MSS_BYTES}
-        sender, receiver = self.lossy_connection(sim, set(drops))
+        sender, receiver, pending = self.lossy_connection(sim, drops)
         sender.start()
         sim.run(until_ns=seconds(1))
+        assert not pending
         # Recovery was triggered by duplicate ACKs carrying SACK.
         assert sender.retransmits >= 1
         assert sender.timeouts == 0

@@ -19,13 +19,40 @@ from repro.tcp.socket import (MIN_RTO_NS, RttEstimator, TcpReceiver,
                               TcpSender)
 
 
+class LossyQueue(DropTailQueue):
+    """A drop-tail queue that silently drops the packets ``lose``
+    selects, and keeps them in ``lost``.
+
+    Loss is installed when the link is built: a subclass takes the
+    link's general enqueue path, so every packet offered to the port
+    reaches the filter.  (An exact ``DropTailQueue`` lets a packet that
+    finds its port idle cut through, past a patched ``enqueue``.)
+    """
+
+    def __init__(self, lose, limit_packets):
+        super().__init__(limit_packets=limit_packets)
+        self.lose = lose
+        self.lost = []
+
+    def enqueue(self, packet):
+        if self.lose(packet):
+            self.lost.append(packet)
+            return False
+        return super().enqueue(packet)
+
+
 def make_pair(sim, rate_bps=80e6, delay_ns=MILLISECOND,
-              queue_packets=1000):
-    """A two-host network with symmetric links."""
+              queue_packets=1000, lose=None):
+    """A two-host network with symmetric links.
+
+    ``lose``, if given, selects the packets the forward port drops
+    (its queue is then a :class:`LossyQueue`).
+    """
     a = Host(sim, 0, "a")
     b = Host(sim, 1, "b")
     fwd = Link(sim, a, b, rate_bps, delay_ns,
-               DropTailQueue(limit_packets=queue_packets))
+               DropTailQueue(limit_packets=queue_packets)
+               if lose is None else LossyQueue(lose, queue_packets))
     rev = Link(sim, b, a, rate_bps, delay_ns,
                DropTailQueue(limit_packets=queue_packets))
     a.attach_link(fwd)
@@ -196,30 +223,38 @@ class TestLossRecovery:
 
     def test_rto_fires_when_all_acks_lost(self):
         sim = Simulator()
-        a, b, fwd, rev = make_pair(sim, rate_bps=10e6)
+        blackout = [False]
+        a, b, fwd, rev = make_pair(sim, rate_bps=10e6,
+                                   lose=lambda packet: blackout[0])
         flow = FlowId(0, 1, 100, 80)
         TcpReceiver(b, flow)
         sender = TcpSender(a, flow, NewReno())
         # Break the forward path after the initial burst: every packet
         # sent is silently dropped.
         sender.start()
-        fwd.queue.enqueue = lambda packet: False
+        burst = sender.sent_segments
+        blackout[0] = True
         sim.run(until_ns=seconds(3))
+        assert len(fwd.queue.lost) == sender.sent_segments - burst > 0
         assert sender.timeouts >= 1
         # Exponential backoff: later timeouts are spaced further apart.
         assert sender.rtt.rto_ns > MIN_RTO_NS
 
     def test_sender_recovers_after_blackout(self):
         sim = Simulator()
-        a, b, fwd, rev = make_pair(sim, rate_bps=10e6)
+        blackout = [False]
+        a, b, fwd, rev = make_pair(sim, rate_bps=10e6,
+                                   lose=lambda packet: blackout[0])
         flow = FlowId(0, 1, 100, 80)
         receiver = TcpReceiver(b, flow)
         sender = TcpSender(a, flow, NewReno())
         sender.start()
-        real_enqueue = fwd.queue.enqueue
-        fwd.queue.enqueue = lambda packet: False
+        burst = sender.sent_segments
+        blackout[0] = True
         sim.run(until_ns=seconds(1))
-        fwd.queue.enqueue = real_enqueue
+        # Every packet sent during the blackout reached the filter.
+        assert len(fwd.queue.lost) == sender.sent_segments - burst > 0
+        blackout[0] = False
         sim.run(until_ns=seconds(8))
         assert receiver.delivered_bytes > 100 * MSS_BYTES
 

@@ -62,8 +62,9 @@ FAULTS = (
      "start_time_ns=plan.start_time_s"),
     ("U-m", "tcp/socket.py", "delivered * 8 * SECOND / interval_ns",
      "delivered * SECOND / interval_ns"),
-    ("U-n", "tcp/socket.py", "max(4 * self.rttvar_ns, MILLISECOND)",
-     "max(4 * self.rttvar_ns, 1)"),
+    ("U-n", "tcp/socket.py",
+     "if spread < MILLISECOND:\n            spread = MILLISECOND",
+     "if spread < 1:\n            spread = 1"),
     ("U-o", "experiments/runner.py", "seconds(policy.measure_s) // 2",
      "policy.measure_s // 2"),
     ("U-q", "core/control_plane.py", "= qdisc.rate_bps / 8.0",
