@@ -198,6 +198,31 @@ def require(result: Union[Any, FailedRun]) -> Any:
 # The on-disk result cache.
 # --------------------------------------------------------------------------
 
+def write_durably(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so that a reader, possibly in
+    another process, sees either the old file or the whole new one,
+    never a torn write, even across a crash.
+
+    Write-to-temp beside ``path`` + fsync + ``os.replace``; the temp
+    file is unlinked if any step fails.
+    """
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=path.parent, suffix=".tmp", delete=False,
+        encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """A directory of ``<fingerprint>.json`` result payloads."""
 
@@ -238,32 +263,14 @@ class ResultCache:
 
     def store(self, fp: str, kind: str, label: str,
               payload: Dict[str, Any]) -> None:
-        """Atomically persist one result payload.
-
-        Write-to-temp + fsync + ``os.replace`` so a reader (possibly in
-        another process) only ever sees either no entry or a complete
-        one — never a torn write, even across a crash.
-        """
+        """Atomically persist one result payload (:func:`write_durably`:
+        a reader sees no entry or a complete one)."""
         entry = {"cache_version": CACHE_VERSION, "kind": kind,
                  "label": label, "payload": payload}
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, suffix=".tmp", delete=False,
-            encoding="utf-8")
-        try:
-            with handle:
-                # dumps, not dump: dump always takes json's pure-Python
-                # encoder, slower and leaving its closures in a cycle
-                # per call; the bytes are the same.
-                handle.write(json.dumps(entry))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, self._path(fp))
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        # dumps, not dump: dump always takes json's pure-Python encoder,
+        # slower and leaving its closures in a cycle per call; the bytes
+        # are the same.
+        write_durably(self._path(fp), json.dumps(entry))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

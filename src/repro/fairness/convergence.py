@@ -7,7 +7,7 @@ so it reaches the fair share in ``ln(1/excess)/ln(1-τ)`` windows
 instantiates this as ``ln(2/3)/ln(1-τ)``).  Formalising the
 convergence behaviour is explicitly left to future work; this module
 provides the difference-equation model used by this repository's
-analyses and the tax-ablation benchmark:
+analyses:
 
 * per window, every flow within ``δf`` of the maximum is taxed by τ;
 * un-taxed flows grow toward the released capacity at a configurable
@@ -15,8 +15,7 @@ analyses and the tax-ablation benchmark:
 * rates renormalise to the link capacity when over-subscribed.
 
 The model is deliberately simple — it captures who is taxed and how the
-gap closes geometrically, which is what the benchmark checks against
-packet-level simulation.
+gap closes geometrically.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ def _worker_config(args: argparse.Namespace) -> WorkerConfig:
 
 
 def run_worker(sweep: SweepDir, config: WorkerConfig,
-               quiet: bool = False, spans: bool = False) -> int:
+               quiet: bool = False) -> int:
     """Run one worker to completion in this process; its exit code.
 
     The body of ``sweep work``, and what :func:`start_workers` runs,
@@ -93,27 +93,11 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
     """
     progress = None if quiet else _print
     worker = SweepWorker(sweep, config, progress=progress)
-    bus = sink = None
-    if spans:
-        # Lifecycle spans for this worker: sweep → task (and,
-        # below the tasks, run/phase/engine spans from the runner).
-        from ..obs import bus as obs_bus
-        from ..obs.sinks import JsonlTraceSink
-        sweep.metrics_dir.mkdir(parents=True, exist_ok=True)
-        sink = JsonlTraceSink(str(
-            sweep.metrics_dir / f"{config.worker_id}.spans.jsonl"))
-        bus = obs_bus.install(obs_bus.TraceBus())
-        bus.subscribe("span", sink)
     try:
         report = worker.run()
     except ManifestError as exc:
         _print(f"error: {exc}")
         return 2
-    finally:
-        if bus is not None:
-            from ..obs import bus as obs_bus
-            obs_bus.uninstall()
-            sink.close()
     if progress is not None:
         progress(f"[sweep] worker {report.worker_id}: "
                  f"{report.completed} completed, "
@@ -122,8 +106,7 @@ def run_worker(sweep: SweepDir, config: WorkerConfig,
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    return run_worker(SweepDir(args.directory), _worker_config(args),
-                      spans=args.spans)
+    return run_worker(SweepDir(args.directory), _worker_config(args))
 
 
 def _render_watch(doc: Dict[str, Any]) -> str:
@@ -357,9 +340,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="stable worker name (default: w<pid>)")
     p_work.add_argument("--max-tasks", type=int,
                         help="stop after completing this many tasks")
-    p_work.add_argument("--spans", action="store_true",
-                        help="record lifecycle spans to "
-                             "metrics/<worker>.spans.jsonl")
     _add_worker_options(p_work)
     p_work.set_defaults(handler=_cmd_work)
 

@@ -1,11 +1,11 @@
 """Sweep manifests: the on-disk task list a sweep is resumed from.
 
 The manifest is the fabric's source of truth.  It is written once at
-``sweep init`` with the same hygiene as
-:meth:`~repro.experiments.parallel.ResultCache.store` (write-to-temp,
-fsync, atomic rename) and never mutated afterwards: *progress* lives
-in the result cache (done), the quarantine directory (parked), and the
-task locks under ``leases/`` (in flight while held), so any process
+``sweep init`` by :func:`~repro.experiments.parallel.write_durably`
+(write-to-temp, fsync, atomic rename), as cache entries are, and never
+mutated afterwards: *progress* lives in the result cache (done), the
+quarantine directory (parked), and the task locks under ``leases/``
+(in flight while held), so any process
 can compute the sweep's exact state from the directory alone — which
 is what ``sweep watch`` and ``sweep resume`` do after a ``kill -9``.
 
@@ -34,15 +34,13 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Union)
 
 from ..experiments.parallel import (CACHE_VERSION, FailedRun, ResultCache,
-                                    Task)
+                                    Task, write_durably)
 
 if TYPE_CHECKING:
     from ..suite.spec import CompiledRun, SuiteSpec
@@ -59,24 +57,9 @@ class ManifestError(ValueError):
 
 
 def _atomic_write_json(path: Path, document: Dict[str, Any]) -> None:
-    """Write-to-temp + fsync + rename, the repo's torn-write hygiene."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, suffix=".tmp", delete=False,
-        encoding="utf-8")
-    try:
-        with handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    """Durably write ``document`` indented, sorted, newline-terminated."""
+    write_durably(path, json.dumps(document, indent=2, sort_keys=True)
+                  + "\n")
 
 
 def resolve_callable(spec: str) -> Callable[..., Any]:

@@ -1,10 +1,14 @@
 """End-to-end properties of the full Cebinae system (paper section 4's
 design principles, validated on live traffic)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.control_plane import cebinae_factory
 from repro.core.params import CebinaeParams
+from repro.experiments.runner import Discipline, run_scenario
+from repro.experiments.scenarios import DEFAULT_POLICY, ScenarioSpec
 from repro.fairness.metrics import jain_fairness_index
 from repro.netsim.engine import MILLISECOND, Simulator, seconds
 from repro.netsim.queues import DropTailQueue
@@ -133,3 +137,64 @@ class TestAgainstFifoBaseline:
 
         assert jain_fairness_index(goodputs_ceb) > \
             jain_fairness_index(goodputs_fifo)
+
+
+def ablation_scenario(duration_s):
+    """Section 4.3's LBF knobs and section 3.2's tax rate are varied on
+    one scenario: two NewReno flows at 20.4 and 40 ms on the paper's
+    100 Mbps, scaled by ``DEFAULT_POLICY``."""
+    return DEFAULT_POLICY.apply(ScenarioSpec(
+        name="ablation", rate_bps=100e6, rtts_ms=(20.4, 40.0),
+        buffer_mtus=350, cca_mix=(("newreno", 1), ("newreno", 1)),
+        duration_s=duration_s))
+
+
+def run_with(scaled, collect_series=False, **params):
+    """Run ``scaled`` under Cebinae with ``params`` overridden."""
+    return run_scenario(
+        replace(scaled, cebinae=replace(scaled.cebinae, **params)),
+        Discipline.CEBINAE, collect_series=collect_series)
+
+
+def first_fair_second(result):
+    """First second in which every flow is within 50% of fair share."""
+    series = result.goodput_series_bps
+    fair = result.sim_rate_bps / len(series)
+    for second in range(len(series[0])):
+        if all(abs(flow[second] - fair) <= 0.5 * fair for flow in series):
+            return second
+    return float("inf")
+
+
+class TestAblations:
+    def test_ecn_marking_changes_nothing_for_non_ect_flows(self):
+        """ECN marking is opt-in by the transport: NewReno here is not
+        ECN-capable, so the whole result is the same with it off."""
+        scaled = ablation_scenario(5.0)
+        assert run_with(scaled, ecn_marking=True).to_dict() == \
+            run_with(scaled, ecn_marking=False).to_dict()
+
+    @pytest.mark.parametrize("divisor", [256, 16, 4])
+    def test_vdt_granularity_keeps_the_link_busy(self, divisor):
+        """Coarser virtual rounds shift delays and drops; they must not
+        collapse goodput.  dT grows by 2·vdT so Equation (2)'s
+        drain-time bound still holds."""
+        scaled = ablation_scenario(5.0)
+        dt = scaled.cebinae.dt_ns
+        vdt = max(dt // divisor, 1_000)
+        result = run_with(scaled, vdt_ns=vdt, l_ns=vdt, dt_ns=dt + 2 * vdt)
+        assert result.total_goodput_bps > 0.5 * result.sim_rate_bps
+
+    def test_higher_tax_rate_converges_no_later_and_no_less_fair(self):
+        """Section 3.2, example (2): the aggressor is squeezed
+        geometrically at rate τ, so a higher τ converges no later, and
+        the JFI does not fall as τ rises (0.741, 0.861, 0.925 at
+        seed 0)."""
+        scaled = ablation_scenario(10.0)
+        results = [run_with(scaled, collect_series=True, tau=tau,
+                            delta_port=min(2 * tau, 0.16))
+                   for tau in (0.01, 0.04, 0.08)]
+        assert first_fair_second(results[-1]) <= \
+            first_fair_second(results[0])
+        jfis = [result.jfi for result in results]
+        assert jfis == sorted(jfis)

@@ -282,6 +282,16 @@ class TestTraceCli:
         events = json.loads((first / "result.json").read_text())["events"]
         assert per_component and sum(per_component) == events
 
+    def test_discipline_reaches_the_run(self, tmp_path):
+        out = self.trace(tmp_path / "fifo", "--discipline", "fifo")
+        result = json.loads((out / "result.json").read_text())
+        assert result["discipline"] == "fifo"
+        with open(out / "trace.jsonl", encoding="utf-8") as lines:
+            topics = {json.loads(line)["topic"] for line in lines}
+        # A FIFO port has no LBF, no flow cache and no control plane.
+        assert "packet" in topics
+        assert not topics & {"lbf", "hashpipe", "control"}
+
     @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
     def test_bad_duration_is_a_usage_error(self, tmp_path, capsys,
                                            duration):

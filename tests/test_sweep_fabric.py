@@ -93,6 +93,29 @@ class TestManifest:
         assert value["label"] == "task-0"
         assert len(value["digest"]) == 64
 
+    def test_manifest_and_cache_entry_bytes_are_pinned(self, tmp_path):
+        """One durable writer, two layouts: the manifest indented,
+        sorted and newline-terminated; a cache entry compact, in
+        insertion order.  No temp file survives."""
+        sweep = SweepDir(tmp_path)
+        sweep.initialise(callable_manifest(count=1))
+        sweep.cache().store("fp", "value", "task-0",
+                            {"b": [1, 2.5], "a": None, "é": True})
+        assert sweep.manifest_path.read_text(encoding="utf-8") == (
+            '{\n  "cache_version": 1,\n  "manifest_version": 3,\n'
+            '  "name": "demo",\n  "specs": {},\n  "tasks": [\n    {\n'
+            '      "fingerprint": "652b4b44428acf97ab104617",\n'
+            '      "index": 0,\n      "kind": "callable",\n'
+            '      "label": "task-0",\n      "source": {\n'
+            '        "fn": "repro.sweep.tasks:checksum",\n'
+            '        "kwargs": {\n          "label": "task-0",\n'
+            '          "rounds": 5,\n          "seed": 0\n        },\n'
+            '        "type": "callable"\n      }\n    }\n  ]\n}\n')
+        assert (sweep.cache_dir / "fp.json").read_bytes() == (
+            b'{"cache_version": 1, "kind": "value", "label": "task-0", '
+            b'"payload": {"b": [1, 2.5], "a": null, "\\u00e9": true}}')
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_runspec_manifest_preserves_fingerprints(self):
         spec = SuiteSpec.from_dict(
             tiny_doc("fp", disciplines=["fifo", "cebinae"]))
@@ -1051,6 +1074,13 @@ class TestSweepCli:
         with pytest.raises(SystemExit, match="2"):
             sweep_main(["status", str(tmp_path)])
         assert "invalid choice: 'status'" in capsys.readouterr().err
+
+    def test_work_has_no_spans_flag(self, tmp_path, capsys):
+        # Worker spans reach whatever sink is installed in-process.
+        with pytest.raises(SystemExit, match="2"):
+            sweep_main(["work", str(tmp_path), "--spans"])
+        assert "unrecognized arguments: --spans" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command, workers",
                              [("resume", "0"), ("run", "-3")])

@@ -20,7 +20,7 @@ Replays the observability contract on the base point of the paper's
    within 5%.
 5. **Overhead accounting** — wall-clock for the plain, bus-installed
    (all topics), and metrics-enabled runs lands in
-   ``BENCH_obs_overhead.json`` (pytest-benchmark envelope) so the
+   ``BENCH_obs_overhead.json`` (timings in ``extra_info``) so the
    disabled-path ≤2% budget is reviewable per PR.
 6. **A fault run** — the base point of ``faults_i1`` at 14 s, whose
    control-plane outage opens at 12 s: tracing every topic but
