@@ -124,16 +124,21 @@ class CebinaeQueueDisc(QueueDisc):
             queue_bytes[queue_index] += packet.size_bytes
             return True
         now = self.sim.now_ns
+        lbf = self.lbf
         group_name = "aggregate"
         if self.saturated:
-            group = self.group_of(packet.flow)
-            decision = self.lbf.admit(group, packet.size_bytes, now)
-            self.lbf.track_total(packet.size_bytes)
+            # self.group_of(packet.flow), inline.
+            group = (GROUP_TOP if packet.flow in self.top_flows
+                     else GROUP_BOTTOM)
+            decision = lbf.admit(group, packet.size_bytes, now)
+            # The aggregate counter runs beside the groups' for the
+            # next phase change.
+            lbf.total_bytes += packet.size_bytes
             if trace is not None:
                 # Enum.name is a Python-level descriptor: traced only.
                 group_name = group.name.lower()
         else:
-            decision = self.lbf.admit_aggregate(packet.size_bytes, now)
+            decision = lbf.admit_aggregate(packet.size_bytes, now)
         if decision is DECISION_DROP:
             self.lbf_drops += 1
             if trace is not None:
@@ -144,6 +149,9 @@ class CebinaeQueueDisc(QueueDisc):
             self.record_drop(packet, reason="lbf")
             return False
         if decision is DECISION_TAIL:
+            # lbf.queue_for(decision), inline: a delayed packet waits in
+            # the next round's queue, an admitted one in headq.
+            queue_index = 1 - lbf.headq
             self.lbf_delays += 1
             marked = self.params.ecn_marking and packet.mark_ce()
             if marked:
@@ -154,8 +162,9 @@ class CebinaeQueueDisc(QueueDisc):
                     kind="mark" if marked else "delay",
                     flow=str(packet.flow), group=group_name,
                     size_bytes=packet.size_bytes,
-                    queue_index=1 - self.lbf.headq))
-        queue_index = self.lbf.queue_for(decision)
+                    queue_index=queue_index))
+        else:
+            queue_index = lbf.headq
         self._queues[queue_index].append(packet)
         queue_bytes[queue_index] += packet.size_bytes
         return True

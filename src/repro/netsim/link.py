@@ -15,7 +15,8 @@ A link schedules two events per packet (end of serialization, arrival
 at ``dst``) and pushes both straight onto the simulator's heap: the
 ``(time_ns, seq, callback, args)`` entry and DEBUG check that
 :meth:`Simulator.post <repro.netsim.engine.Simulator.post>` would make,
-without its frame.
+without its frame.  The two callbacks, ``_finish`` and ``_deliver``,
+are bound once when the link is built.
 
 A port whose queue is exactly a :class:`DropTailQueue` exposes that
 queue's FIFO as ``_fifo``: ``Router.receive`` and ``Node.forward`` put
@@ -107,6 +108,13 @@ class Link:
         # (None when tracing is off), so the per-packet cost of the
         # disabled path is one attribute test in _finish_transmission.
         self._trace_pkt = obs_bus.emitter_for("packet")
+        # The callables of the two per-packet heap entries, bound once
+        # here instead of once per push.  Each is a cycle back to a
+        # node or this link, which Network.dismantle cuts.
+        self._finish: Optional[Callable[[Packet], None]] = \
+            self._finish_transmission
+        self._deliver: Optional[Callable[[Packet, Link], None]] = \
+            dst.receive
 
     def serialization_delay_ns(self, size_bytes: Bytes) -> TimeNs:
         """Time to clock ``size_bytes`` onto the wire."""
@@ -178,7 +186,7 @@ class Link:
             require_int_ns(tx_time, "post() delay_ns")
         sim = self.sim
         heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
-                             self._finish_transmission, (packet,)))
+                             self._finish, (packet,)))
 
     def _finish_transmission(self, packet: Packet) -> None:
         self.tx_packets += 1
@@ -203,7 +211,7 @@ class Link:
             if debug:
                 require_int_ns(self.delay_ns, "post() delay_ns")
             heappush(sim._heap, (sim.now_ns + self.delay_ns,
-                                 sim._next_seq(), self.dst.receive,
+                                 sim._next_seq(), self._deliver,
                                  (packet, self)))
         # The next packet, if any, goes straight onto the wire: the
         # start's work, inline, since this runs once per transmission.
@@ -220,8 +228,8 @@ class Link:
                 if debug:
                     require_int_ns(tx_time, "post() delay_ns")
                 heappush(sim._heap, (sim.now_ns + tx_time,
-                                     sim._next_seq(),
-                                     self._finish_transmission, (packet,)))
+                                     sim._next_seq(), self._finish,
+                                     (packet,)))
                 return
         self._busy = False
 

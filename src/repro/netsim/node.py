@@ -78,7 +78,7 @@ class Node:
                 require_int_ns(tx_time, "post() delay_ns")
             sim = link.sim
             heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
-                                 link._finish_transmission, (packet,)))
+                                 link._finish, (packet,)))
             return True
         # link.send(packet), inline: straight onto the egress port.
         accepted = link.queue.enqueue(packet)
@@ -124,7 +124,7 @@ class Router(Node):
                 require_int_ns(tx_time, "post() delay_ns")
             sim = link.sim
             heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
-                                 link._finish_transmission, (packet,)))
+                                 link._finish, (packet,)))
         elif link.queue.enqueue(packet) and not link._busy:
             link._start()
 
@@ -141,6 +141,9 @@ class Host(Node):
         self._jitter_bits = 0
         self._jitter_rng: Optional[random.Random] = None
         self._last_release_ns = 0
+        # The jittered release's callable, bound once (not per send);
+        # Network.dismantle cuts the cycle it makes.
+        self._release: Optional[Callable[[Packet], bool]] = self.forward
 
     def register_handler(self, flow: FlowId, handler: PacketHandler) -> None:
         """Deliver packets whose flow id equals ``flow`` to ``handler``."""
@@ -214,6 +217,6 @@ class Host(Node):
         # check remains.
         if invariants.DEBUG:
             require_int_ns(release_ns, "post_at() time_ns")
-        heappush(sim._heap, (release_ns, sim._next_seq(), self.forward,
+        heappush(sim._heap, (release_ns, sim._next_seq(), self._release,
                              (packet,)))
         return True

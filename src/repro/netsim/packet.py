@@ -15,6 +15,8 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
+from .profiling import name_init
+
 if TYPE_CHECKING:
     from ..core.units import Bytes
 
@@ -50,6 +52,7 @@ class EcnCodepoint(enum.Enum):
 # the same objects, so every ``is`` test reads as before.
 PACKET_DATA = PacketType.DATA
 PACKET_ACK = PacketType.ACK
+ECN_NOT_ECT = EcnCodepoint.NOT_ECT
 ECN_ECT0 = EcnCodepoint.ECT0
 ECN_CE = EcnCodepoint.CE
 
@@ -88,6 +91,7 @@ class FlowId(NamedTuple):
                 f"{self.dst}:{self.dst_port}")
 
 
+@name_init
 @dataclass
 class Packet:
     """A simulated packet.
@@ -105,6 +109,10 @@ class Packet:
         ece: TCP ECN-Echo flag (receiver -> sender).
         cwr: TCP Congestion Window Reduced flag (sender -> receiver).
         enqueue_time_ns: stamped by queues for delay measurement (CoDel).
+
+    The TCP endpoints build their segments and ACKs by position (a
+    keyword call costs about twice as much), so the field order is an
+    interface.
     """
 
     flow: FlowId
@@ -132,15 +140,3 @@ class Packet:
     def __repr__(self) -> str:
         return (f"Packet({self.ptype.value}, {self.flow}, "
                 f"seq={self.seq}, ack={self.ack}, {self.size_bytes}B)")
-
-
-# pstats keeps one row per (file, line, name), and every dataclass's
-# generated ``__init__`` is ("<string>", 2, "__init__"): in a profile
-# they collapse into whichever code object sits highest in memory and
-# the others' time and calls vanish from the table.  The per-packet
-# constructor is the one such row that matters (about 2 % of a run), so
-# its code object gets a name of its own; the bytecode is untouched.
-_packet_init = Packet.__dict__["__init__"]
-_packet_init.__code__ = _packet_init.__code__.replace(
-    co_name="Packet.__init__")
-

@@ -131,14 +131,20 @@ class Network:
     def dismantle(self) -> None:
         """Cut the references that make a finished network a cycle.
 
-        Nodes list their links and links name their end nodes, so a
-        dropped network is freed only by a full collector pass.  After
-        this call reference counting frees it; the network forwards
-        nothing any more.
+        Nodes list their links and links name their end nodes, and the
+        callables a link and a host bind once for their heap entries
+        point back at their owners, so a dropped network is freed only
+        by a full collector pass.  After this call reference counting
+        frees it; the network forwards nothing any more.
         """
         for node in self.nodes.values():
             node.links.clear()
             node.routes.clear()
+            if isinstance(node, Host):
+                node._release = None
+        for link in self.links:
+            link._finish = None
+            link._deliver = None
 
 
 @dataclass

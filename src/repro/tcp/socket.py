@@ -34,9 +34,9 @@ from ..analysis import invariants
 from ..analysis.invariants import require_int_ns
 from ..netsim.engine import MILLISECOND, SECOND, Event, Simulator
 from ..netsim.node import Host
-from ..netsim.packet import (ACK_BYTES, ECN_CE, ECN_ECT0, HEADER_BYTES,
-                             MSS_BYTES, PACKET_ACK, PACKET_DATA, FlowId,
-                             Packet)
+from ..netsim.packet import (ACK_BYTES, ECN_CE, ECN_ECT0, ECN_NOT_ECT,
+                             HEADER_BYTES, MSS_BYTES, PACKET_ACK,
+                             PACKET_DATA, FlowId, Packet)
 from ..netsim.tracing import FlowMonitor
 from ..obs import bus as obs_bus
 from ..obs.events import TcpStateEvent
@@ -276,9 +276,10 @@ class TcpSender:
 
     def _transmit(self, seq: int, payload: int, retransmit: bool) -> None:
         now = self.sim.now_ns
-        packet = Packet(flow=self.flow, size_bytes=payload + HEADER_BYTES,
-                        ptype=PACKET_DATA, seq=seq,
-                        payload_bytes=payload)
+        # Packet(flow, size_bytes, ptype, seq, payload_bytes), by
+        # position: a keyword call costs about twice as much.
+        packet = Packet(self.flow, payload + HEADER_BYTES, PACKET_DATA, seq,
+                        payload)
         if self.ecn_enabled:
             packet.ecn = ECN_ECT0
         if self._cwr_pending:
@@ -406,24 +407,6 @@ class TcpSender:
         if self._trace_tcp is not None:
             self._trace_state("ecn_backoff")
 
-    def _collect_samples(
-            self, ack: int) -> Tuple[Optional[int], Optional[float]]:
-        """RTT and delivery-rate samples from newly acked segments."""
-        rtt_sample: Optional[int] = None
-        rate_sample: Optional[float] = None
-        now = self.sim.now_ns
-        while self._segments and self._segments[0][0] <= ack:
-            end_seq, sent_time_ns, delivered_at_send = \
-                self._segments.popleft()
-            if end_seq <= self._ambiguous_below:
-                continue  # Karn: retransmitted range, timing ambiguous.
-            rtt_sample = now - sent_time_ns
-            interval_ns = now - sent_time_ns
-            delivered = self._delivered_bytes - delivered_at_send
-            if interval_ns > 0 and delivered > 0:
-                rate_sample = delivered * 8 * SECOND / interval_ns
-        return rtt_sample, rate_sample
-
     def _handle_new_ack(self, ack: int) -> None:
         acked = ack - self.snd_una
         # If the ACKed range begins below the retransmission high-water
@@ -434,19 +417,35 @@ class TcpSender:
         # applied to the whole ambiguous range).
         ambiguous_ack = self.snd_una < self._ambiguous_below
         # Bytes in the ACKed range that were already counted when they
-        # were SACKed (or before an RTO) must not count twice.
+        # were SACKed (or before an RTO) must not count twice.  The
+        # max(..., 0) floors below are compares: this runs per ACK.
         scoreboard = self._scoreboard
         if scoreboard.total_bytes:  # Non-empty, without a __bool__ frame.
             sacked_before = scoreboard.total_bytes
             scoreboard.prune_below(ack)
-            already_counted = sacked_before - scoreboard.total_bytes
-            self._delivered_bytes += max(acked - already_counted, 0)
+            newly_counted = acked - (sacked_before - scoreboard.total_bytes)
+            if newly_counted > 0:
+                self._delivered_bytes += newly_counted
         else:
             self._delivered_bytes += acked
-        self._retx_out_bytes = max(self._retx_out_bytes - acked, 0)
+        retx_out = self._retx_out_bytes - acked
+        self._retx_out_bytes = retx_out if retx_out > 0 else 0
         self.snd_una = ack
         self.dupack_count = 0
-        rtt_sample, rate_sample = self._collect_samples(ack)
+        # RTT and delivery-rate samples from the newly acked segments.
+        rtt_sample: Optional[int] = None
+        rate_sample: Optional[float] = None
+        now = self.sim.now_ns
+        segments = self._segments
+        while segments and segments[0][0] <= ack:
+            end_seq, sent_time_ns, delivered_at_send = segments.popleft()
+            if end_seq <= self._ambiguous_below:
+                continue  # Karn: retransmitted range, timing ambiguous.
+            rtt_sample = now - sent_time_ns
+            interval_ns = now - sent_time_ns
+            delivered = self._delivered_bytes - delivered_at_send
+            if interval_ns > 0 and delivered > 0:
+                rate_sample = delivered * 8 * SECOND / interval_ns
         if ambiguous_ack:
             rtt_sample, rate_sample = None, None
         if rtt_sample is not None:
@@ -462,7 +461,7 @@ class TcpSender:
                 # ordinary slow start: the window grew with the ACK
                 # clock and must not jump (the jump would burst a full
                 # ssthresh of packets into the queue).
-                self.cca.on_exit_recovery(self.sim.now_ns)
+                self.cca.on_exit_recovery(now)
             if self._trace_tcp is not None:
                 self._trace_state("exit_recovery")
         # The CCA sees :attr:`pipe_bytes`, inline (once per ACK).
@@ -476,20 +475,18 @@ class TcpSender:
         if horizon < snd_nxt:
             pipe += snd_nxt - horizon
         max_bytes = self.max_bytes
-        ctx = AckContext(acked_bytes=acked, ack_seq=ack,
-                         rtt_ns=rtt_sample, now_ns=self.sim.now_ns,
-                         in_flight_bytes=pipe, snd_nxt=snd_nxt,
-                         delivery_rate_bps=rate_sample,
-                         is_app_limited=max_bytes is not None
-                         and snd_nxt >= max_bytes,
-                         # RTO recovery is slow start for the CCA: the
-                         # window must rebuild with the ACK clock.
-                         in_recovery=self.in_recovery
-                         and not self._rto_recovery)
-        self.cca.on_ack(ctx)
+        # AckContext's fields in declaration order (see its docstring):
+        # acked_bytes, ack_seq, rtt_ns, now_ns, in_flight_bytes,
+        # snd_nxt, delivery_rate_bps, is_app_limited, in_recovery.  RTO
+        # recovery is slow start for the CCA: the window must rebuild
+        # with the ACK clock.
+        self.cca.on_ack(AckContext(
+            acked, ack, rtt_sample, now, pipe, snd_nxt, rate_sample,
+            max_bytes is not None and snd_nxt >= max_bytes,
+            self.in_recovery and not self._rto_recovery))
         if self._trace_tcp is not None:
             self._trace_state("cwnd")
-        if self.snd_nxt > ack:
+        if snd_nxt > ack:
             self._arm_rto()
         else:
             self._disarm_rto()
@@ -575,7 +572,16 @@ class TcpReceiver:
                     self.monitor.on_delivered(self.flow, payload_bytes)
             else:
                 self._reassemble(max(packet.seq, rcv_nxt), end)
-        self._send_ack()
+        # One immediate ACK per data packet, with SACK blocks for what
+        # is buffered above rcv_nxt.
+        ranges = self._ranges
+        sack: Tuple[Tuple[int, int], ...] = ()
+        if ranges.total_bytes:
+            sack = tuple(ranges.first_blocks(SACK_BLOCK_LIMIT))
+        # Packet(flow, size_bytes, ptype, seq, payload_bytes, ack, sack,
+        # ecn, ece), by position as in TcpSender._transmit.
+        self.host.send(Packet(self._ack_flow, ACK_BYTES, PACKET_ACK, 0, 0,
+                              self.rcv_nxt, sack, ECN_NOT_ECT, self._ece))
 
     def _reassemble(self, start: int, end: int) -> None:
         """Buffer ``[start, end)``; deliver whatever it completes."""
@@ -591,15 +597,6 @@ class TcpReceiver:
         self.delivered_bytes += payload_bytes
         if self.monitor is not None:
             self.monitor.on_delivered(self.flow, payload_bytes)
-
-    def _send_ack(self) -> None:
-        sack: Tuple[Tuple[int, int], ...] = ()
-        if self._ranges.total_bytes:
-            sack = tuple(self._ranges.first_blocks(SACK_BLOCK_LIMIT))
-        ack = Packet(flow=self._ack_flow, size_bytes=ACK_BYTES,
-                     ptype=PACKET_ACK, ack=self.rcv_nxt,
-                     sack=sack, ece=self._ece)
-        self.host.send(ack)
 
     def close(self) -> None:
         self.host.unregister_handler(self.flow)

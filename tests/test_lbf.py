@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.lbf import FlowGroup, LbfDecision, LeakyBucketFilter
 from repro.core.params import CebinaeParams
-from repro.netsim.engine import MILLISECOND, SECOND
+from repro.core.queue_disc import CebinaeQueueDisc
+from repro.netsim.engine import MILLISECOND, SECOND, Simulator
+from repro.netsim.packet import FlowId, Packet
 
 
 def make_lbf(capacity_bps=8e6, dt_ms=100, vdt_ms=1):
@@ -195,10 +197,15 @@ class TestPhaseChanges:
         assert lbf.bytes[FlowGroup.BOTTOM] == 0.0
 
     def test_total_tracks_alongside_groups(self):
-        lbf = make_lbf()
-        lbf.admit(FlowGroup.TOP, 1500, 0)
-        lbf.track_total(1500)
-        assert lbf.total_bytes == pytest.approx(1500)
+        """A saturated port's enqueue bills the packet's group and keeps
+        the aggregate counter running beside it."""
+        qdisc = CebinaeQueueDisc(Simulator(), make_lbf().params, 8e6,
+                                 90_000)
+        qdisc.set_saturated(True)
+        assert qdisc.enqueue(Packet(flow=FlowId(1, 2, 3, 4),
+                                    size_bytes=1500))
+        assert qdisc.lbf.bytes[FlowGroup.BOTTOM] == pytest.approx(1500)
+        assert qdisc.lbf.total_bytes == pytest.approx(1500)
 
 
 class TestLongRunRateCap:

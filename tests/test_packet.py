@@ -118,14 +118,13 @@ FAST_PATH_FUNCTIONS = {
     "netsim/packet.py": ["Packet.mark_ce"],
     "tcp/socket.py": ["RttEstimator.observe", "TcpSender._transmit",
                       "TcpSender._on_ack_packet",
-                      "TcpSender._collect_samples",
-                      "TcpReceiver._on_data_packet",
-                      "TcpReceiver._send_ack"],
-    "core/lbf.py": ["LeakyBucketFilter.queue_for",
+                      "TcpSender._handle_new_ack",
+                      "TcpReceiver._on_data_packet"],
+    "netsim/tracing.py": ["FlowMonitor.on_delivered"],
+    "core/lbf.py": ["LeakyBucketFilter.credit",
                     "LeakyBucketFilter.admit",
                     "LeakyBucketFilter.admit_aggregate"],
-    "core/queue_disc.py": ["CebinaeQueueDisc.group_of",
-                           "CebinaeQueueDisc.enqueue"],
+    "core/queue_disc.py": ["CebinaeQueueDisc.enqueue"],
     "heavyhitter/hashpipe.py": ["CebinaeFlowCache.update"],
 }
 
@@ -191,6 +190,7 @@ class TestEnumMembersOffTheFastPath:
         from repro.netsim import packet
         assert packet.PACKET_DATA is PacketType.DATA
         assert packet.PACKET_ACK is PacketType.ACK
+        assert packet.ECN_NOT_ECT is EcnCodepoint.NOT_ECT
         assert packet.ECN_ECT0 is EcnCodepoint.ECT0
         assert packet.ECN_CE is EcnCodepoint.CE
         assert lbf.GROUP_TOP is lbf.FlowGroup.TOP

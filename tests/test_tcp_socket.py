@@ -451,3 +451,106 @@ class TestEcnRoundTrip:
         assert True in echoes
         assert reactions == [False]
         assert sum(cwr for _, cwr in data) == 1
+
+
+class _RecordingNewReno(NewReno):
+    """NewReno that keeps every AckContext it is handed, each with the
+    clock it was handed at, and the recovery callbacks in between."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.log = []
+
+    def on_ack(self, ctx):
+        self.log.append(("ack", ctx, self.sim.now_ns))
+        super().on_ack(ctx)
+
+    def on_enter_recovery(self, in_flight_bytes, now_ns):
+        self.log.append(("enter", None, now_ns))
+        super().on_enter_recovery(in_flight_bytes, now_ns)
+
+    def on_exit_recovery(self, now_ns):
+        self.log.append(("exit", None, now_ns))
+        super().on_exit_recovery(now_ns)
+
+    def on_retransmit_timeout(self, in_flight_bytes, now_ns):
+        self.log.append(("rto", None, now_ns))
+        super().on_retransmit_timeout(in_flight_bytes, now_ns)
+
+
+class TestAckContext:
+    """``TcpSender`` builds the per-ACK :class:`AckContext`
+    positionally, so a field out of place reads another's value."""
+
+    MAX_BYTES = 120 * MSS_BYTES
+
+    def lossy_transfer(self):
+        sim = Simulator()
+        pending = {20 * MSS_BYTES, 23 * MSS_BYTES, 26 * MSS_BYTES}
+
+        def lose(packet):
+            if packet.seq in pending:
+                pending.discard(packet.seq)
+                return True
+            return False
+
+        a, b, _, _ = make_pair(sim, rate_bps=40e6, lose=lose)
+        flow = FlowId(0, 1, 100, 80)
+        TcpReceiver(b, flow)
+        cca = _RecordingNewReno(sim)
+        sender = TcpSender(a, flow, cca, max_bytes=self.MAX_BYTES)
+        sender.start()
+        sim.run(until_ns=seconds(2))
+        assert not pending and sender.completed
+        return cca.log
+
+    def test_fields_in_declaration_order(self):
+        log = self.lossy_transfer()
+        acked_seq = 0
+        recovering = False
+        seen = set()
+        for kind, ctx, now_ns in log:
+            if kind == "enter":
+                recovering = True
+                continue
+            if kind in ("exit", "rto"):
+                # RTO recovery is slow start for the CCA.
+                recovering = False
+                continue
+            assert ctx.acked_bytes == ctx.ack_seq - acked_seq > 0
+            acked_seq = ctx.ack_seq
+            assert ctx.snd_nxt >= ctx.ack_seq
+            assert ctx.now_ns == now_ns
+            assert ctx.in_recovery is recovering
+            assert ctx.is_app_limited is \
+                (ctx.snd_nxt >= self.MAX_BYTES)
+            assert ctx.rtt_ns is None or \
+                (isinstance(ctx.rtt_ns, int) and ctx.rtt_ns > 0)
+            assert ctx.delivery_rate_bps is None or \
+                isinstance(ctx.delivery_rate_bps, float)
+            assert ctx.in_flight_bytes >= 0
+            seen.add((ctx.in_recovery, ctx.is_app_limited))
+        assert acked_seq == self.MAX_BYTES
+        # Every flag was seen both ways, and apart from each other.
+        assert (True, False) in seen and (False, True) in seen
+        assert (False, False) in seen
+
+    def test_profile_rows_of_the_per_ack_constructors(self):
+        """Each per-packet dataclass constructor has a cProfile row of
+        its own (``netsim.profiling.name_init``); unnamed, they share
+        the one ``<string>:2(__init__)`` row."""
+        import cProfile
+        import pstats
+        sim = Simulator()
+        sender, _, _, _ = make_connection(sim, max_bytes=40 * MSS_BYTES)
+        profile = cProfile.Profile()
+        profile.enable()
+        sender.start()
+        sim.run(until_ns=seconds(1))
+        profile.disable()
+        calls = {name: ncalls for (_, _, name), (_, ncalls, *_) in
+                 pstats.Stats(profile).stats.items()}
+        assert sender.completed
+        assert calls.get("AckContext.__init__", 0) > 0
+        assert calls.get("Packet.__init__", 0) > 0
