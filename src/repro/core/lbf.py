@@ -100,22 +100,23 @@ class LeakyBucketFilter:
         self.rotations = 0
 
     # -- helpers -----------------------------------------------------------
+    def _advance_virtual_round(self, now_ns: TimeNs) -> None:
+        vdt = self._vdt_ns
+        if now_ns >= self.round_time_ns + vdt:
+            self.round_time_ns = now_ns - (now_ns % vdt)
+
     def credit(self, rate_head: float, rate_tail: float,
                now_ns: TimeNs) -> float:
         """Figure 5 lines 14-22: advance the virtual round to ``now_ns``
         and return the credit line, the bytes a bucket at these rates
         may have used by now.
         """
-        # The virtual round advances to the vdT boundary at or below
-        # now_ns (admit_aggregate has the same three lines).
+        self._advance_virtual_round(now_ns)
         vdt = self._vdt_ns
-        round_time_ns = self.round_time_ns
-        if now_ns >= round_time_ns + vdt:
-            round_time_ns = now_ns - (now_ns % vdt)
-            self.round_time_ns = round_time_ns
         dt = self._dt_ns
         rounds_per_dt = self._rounds_per_dt
-        relative_round = (round_time_ns - self.base_round_time_ns) // vdt
+        relative_round = (self.round_time_ns
+                          - self.base_round_time_ns) // vdt
         if relative_round < rounds_per_dt:
             return rate_head * relative_round * vdt / SECOND
         # Past the current physical round but ROTATE not yet processed:
@@ -124,14 +125,6 @@ class LeakyBucketFilter:
         return (rate_head * dt / SECOND
                 + (relative_round - rounds_per_dt) * rate_tail
                 * vdt / SECOND)
-
-    def queue_for(self, decision: LbfDecision) -> int:
-        """Physical queue index for an admission decision."""
-        if decision is DECISION_HEAD:
-            return self.headq
-        if decision is DECISION_TAIL:
-            return 1 - self.headq
-        raise ValueError("dropped packets have no queue")
 
     # -- data plane operations ------------------------------------------------
     def admit(self, group: FlowGroup, size_bytes: Bytes,
@@ -154,14 +147,9 @@ class LeakyBucketFilter:
     def admit_aggregate(self, size_bytes: Bytes,
                         now_ns: TimeNs) -> LbfDecision:
         """The unsaturated-phase filter over all traffic at capacity."""
-        # The virtual round advances as in credit().
-        vdt = self._vdt_ns
-        round_time_ns = self.round_time_ns
-        if now_ns >= round_time_ns + vdt:
-            round_time_ns = now_ns - (now_ns % vdt)
-            self.round_time_ns = round_time_ns
+        self._advance_virtual_round(now_ns)
         capacity = self.capacity_bytes_per_sec
-        relative_ns = round_time_ns - self.base_round_time_ns
+        relative_ns = self.round_time_ns - self.base_round_time_ns
         aggregate = capacity * min(relative_ns, self._two_dt_ns) / SECOND
         level = max(self.total_bytes, aggregate) + size_bytes
         self.total_bytes = level

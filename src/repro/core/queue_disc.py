@@ -29,7 +29,7 @@ from ..netsim.queues import QueueDisc
 from ..obs import bus as obs_bus
 from ..obs.events import CacheUpdate, LbfDecisionEvent, LbfRotation
 from .lbf import (DECISION_DROP, DECISION_TAIL, GROUP_BOTTOM, GROUP_TOP,
-                  FlowGroup, LeakyBucketFilter)
+                  LeakyBucketFilter)
 from .params import CebinaeParams
 
 if TYPE_CHECKING:
@@ -96,10 +96,6 @@ class CebinaeQueueDisc(QueueDisc):
                                   stage=stage, nbytes=nbytes))
             self.cache.trace = cache_trace
 
-    # -- classification --------------------------------------------------------
-    def group_of(self, flow: FlowId) -> FlowGroup:
-        return GROUP_TOP if flow in self.top_flows else GROUP_BOTTOM
-
     # -- ingress path ------------------------------------------------------------
     def enqueue(self, packet: Packet) -> bool:
         queue_bytes = self._queue_bytes  # byte_length, without its frame.
@@ -127,7 +123,6 @@ class CebinaeQueueDisc(QueueDisc):
         lbf = self.lbf
         group_name = "aggregate"
         if self.saturated:
-            # self.group_of(packet.flow), inline.
             group = (GROUP_TOP if packet.flow in self.top_flows
                      else GROUP_BOTTOM)
             decision = lbf.admit(group, packet.size_bytes, now)
@@ -149,8 +144,8 @@ class CebinaeQueueDisc(QueueDisc):
             self.record_drop(packet, reason="lbf")
             return False
         if decision is DECISION_TAIL:
-            # lbf.queue_for(decision), inline: a delayed packet waits in
-            # the next round's queue, an admitted one in headq.
+            # A delayed packet waits in the next round's queue, an
+            # admitted one in headq.
             queue_index = 1 - lbf.headq
             self.lbf_delays += 1
             marked = self.params.ecn_marking and packet.mark_ce()

@@ -88,12 +88,7 @@ class FlowMonitor:
         if record.first_delivery_ns is None:
             record.first_delivery_ns = now
         record.last_delivery_ns = now
-        # self.series[flow].add(now, payload_bytes), inline: this runs
-        # once per delivered segment.
-        series = self.series[flow]
-        index = now // series.bin_width_ns
-        bins = series._bins
-        bins[index] = bins.get(index, 0.0) + payload_bytes
+        self.series[flow].add(now, payload_bytes)
 
     def goodputs_bps(self, duration_ns: int) -> Dict[FlowId, float]:
         return {flow: record.goodput_bps(duration_ns)

@@ -75,9 +75,19 @@ class TestSaturatedPhase:
         return sim, qdisc
 
     def test_classification(self):
+        """A top-set flow's packet bills the top group, any other flow's
+        the bottom group; within allocation both land in headq."""
         _, qdisc = self.saturated_qdisc()
-        assert qdisc.group_of(FlowId(1, 2, 1, 80)) is FlowGroup.TOP
-        assert qdisc.group_of(FlowId(1, 2, 9, 80)) is FlowGroup.BOTTOM
+        lbf = qdisc.lbf
+        top, bottom = make_packet(port=1), make_packet(port=9)
+        assert qdisc.enqueue(top)
+        assert lbf.bytes[FlowGroup.TOP] == pytest.approx(1500)
+        assert lbf.bytes[FlowGroup.BOTTOM] == 0
+        assert qdisc.enqueue(bottom)
+        assert lbf.bytes[FlowGroup.TOP] == pytest.approx(1500)
+        assert lbf.bytes[FlowGroup.BOTTOM] == pytest.approx(1500)
+        assert list(qdisc._queues[lbf.headq]) == [top, bottom]
+        assert not qdisc._queues[1 - lbf.headq]
 
     def test_top_flow_limited_bottom_flow_not(self):
         _, qdisc = self.saturated_qdisc()

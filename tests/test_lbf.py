@@ -55,12 +55,33 @@ class TestAdmission:
             lbf.admit(FlowGroup.TOP, 1500, 0)
         assert lbf.admit(FlowGroup.BOTTOM, 1500, 0) is LbfDecision.HEAD
 
-    def test_queue_for_maps_decisions(self):
-        lbf = make_lbf()
-        assert lbf.queue_for(LbfDecision.HEAD) == lbf.headq
-        assert lbf.queue_for(LbfDecision.TAIL) == 1 - lbf.headq
-        with pytest.raises(ValueError):
-            lbf.queue_for(LbfDecision.DROP)
+    @pytest.mark.parametrize("rotations", [0, 1])
+    def test_enqueue_maps_decisions_to_queues(self, rotations):
+        """Through the queue disc: a HEAD packet lands in headq, a TAIL
+        packet in the other queue, a DROP packet in neither."""
+        flow = FlowId(1, 2, 3, 4)
+        qdisc = CebinaeQueueDisc(Simulator(), make_lbf().params, 8e6,
+                                 90_000)
+        qdisc.set_membership({flow})
+        qdisc.set_saturated(True)
+        for _ in range(rotations):
+            qdisc.rotate()
+        lbf = qdisc.lbf
+        assert lbf.headq == rotations
+        set_rates(lbf, 100_000, 900_000)  # TOP: 10 kB per round.
+        head, tail, dropped = [], [], 0
+        for _ in range(20):
+            packet = Packet(flow=flow, size_bytes=1500)
+            if not qdisc.enqueue(packet):
+                dropped += 1
+            elif lbf.bytes[FlowGroup.TOP] <= 10_000:
+                head.append(packet)
+            else:
+                tail.append(packet)
+        assert head and tail and dropped
+        assert list(qdisc._queues[lbf.headq]) == head
+        assert list(qdisc._queues[1 - lbf.headq]) == tail
+        assert len(head) + len(tail) + dropped == 20
 
 
 class TestVirtualRounds:
