@@ -20,23 +20,27 @@ comparisons in C (int compares) instead of calling a Python ``__lt__``
 per sift, and the unique ``(time_ns, seq)`` prefix is the total order:
 nondecreasing time, FIFO among ties.  ``post``/``post_at`` push the
 callback itself and return nothing.  ``schedule``/``schedule_at`` are
-for the three timers that get cancelled (TCP RTO and pacing, the UDP
+for the timers that get cancelled (TCP RTO and pacing, the UDP
 sender): they return an :class:`Event` handle and push ``(time_ns,
 seq, None, event)``, so only those entries pay for an object and a
-cancelled check.  All kinds share the one heap and the one seq
-counter.  ``tests/test_engine_ordering.py`` checks that order against a
-stable sort.
+cancelled check.  ``post`` and ``schedule`` check their delay (under
+DEBUG, as a bool delay would make an int time) and call their
+absolute twin, so each kind has one past-time check.  All kinds share
+the one heap and the one seq counter, and :meth:`Simulator.run` is the
+one loop that pops it.  ``tests/test_engine_ordering.py`` checks that
+order against a stable sort.
 
-Three per-packet callers push onto ``_heap`` themselves, drawing
-``_next_seq()`` and running the DEBUG check of the method they stand
-in for: :class:`~repro.netsim.link.Link` (its two per-packet events,
-as ``post``), :meth:`Host.send <repro.netsim.node.Host.send>` (the
-jittered release, as ``post_at``) and the TCP sender's RTO re-arm (as
-``cancel()`` + ``schedule``, still one :class:`Event` per re-arm).
-Each builds exactly the entry the method would, so no event and no
-order changes.  The clock ``now_ns`` is a plain attribute that only
-this module writes (``tests/test_engine.py`` checks ``src/`` for other
-writers).
+Three per-packet modules push onto ``_heap`` themselves, drawing
+``_next_seq()`` and running the DEBUG check on the time they add:
+:mod:`~repro.netsim.link` (a link's finish and delivery entries),
+:mod:`~repro.netsim.node` (``Node.forward``'s cut-through finish
+entry and ``Host.send``'s jittered release) and
+:mod:`~repro.tcp.socket` (the RTO re-arm, still one :class:`Event`
+per re-arm).  Each builds exactly the entry ``post``/``post_at`` or
+``schedule`` would, so no event and no order changes;
+``tests/test_engine.py`` holds ``src/`` to that list.  The clock
+``now_ns`` is a plain attribute that only this module writes
+(``tests/test_engine.py`` checks ``src/`` for other writers).
 
 Per-event argument validation (:func:`repro.analysis.invariants
 .require_int_ns`) is debug-gated: it runs when
@@ -135,8 +139,8 @@ class Simulator:
     """An event-driven simulator with an integer-nanosecond clock."""
 
     def __init__(self) -> None:
-        # Link, Host.send and TcpSender._arm_rto push entries onto
-        # _heap themselves, as post()/post_at()/schedule() would.
+        # link.py, node.py and tcp/socket.py push entries onto _heap
+        # themselves, as post()/post_at()/schedule() would.
         self._heap = HeapScheduler()
         # post()/schedule() run once per event, so the seq counter's
         # __next__ is resolved here instead of per call.
@@ -172,12 +176,10 @@ class Simulator:
     def post(self, delay_ns: TimeNs, callback: Callable[..., None],
              *args: Any) -> None:
         """Run ``callback(*args)`` ``delay_ns`` from now; not cancellable."""
+        # A bool delay becomes an int time, so the delay is checked here.
         if invariants.DEBUG:
             require_int_ns(delay_ns, "post() delay_ns")
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        heappush(self._heap, (self.now_ns + delay_ns, self._next_seq(),
-                              callback, args))
+        self.post_at(self.now_ns + delay_ns, callback, *args)
 
     def post_at(self, time_ns: TimeNs, callback: Callable[..., None],
                 *args: Any) -> None:
@@ -185,8 +187,8 @@ class Simulator:
         if invariants.DEBUG:
             require_int_ns(time_ns, "post_at() time_ns")
         if time_ns < self.now_ns:
-            raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self.now_ns}ns")
+            raise SimulationError(f"cannot schedule at {time_ns}ns in the "
+                                  f"past: now is {self.now_ns}ns")
         heappush(self._heap, (time_ns, self._next_seq(), callback, args))
 
     def schedule(self, delay_ns: TimeNs, callback: Callable[..., None],
@@ -194,13 +196,7 @@ class Simulator:
         """Like :meth:`post`, returning a handle that can be cancelled."""
         if invariants.DEBUG:
             require_int_ns(delay_ns, "schedule() delay_ns")
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        time_ns = self.now_ns + delay_ns
-        seq = self._next_seq()
-        event = Event(time_ns, seq, callback, args)
-        heappush(self._heap, (time_ns, seq, None, event))
-        return event
+        return self.schedule_at(self.now_ns + delay_ns, callback, *args)
 
     def schedule_at(self, time_ns: TimeNs, callback: Callable[..., None],
                     *args: Any) -> Event:
@@ -208,37 +204,12 @@ class Simulator:
         if invariants.DEBUG:
             require_int_ns(time_ns, "schedule_at() time_ns")
         if time_ns < self.now_ns:
-            raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self.now_ns}ns")
+            raise SimulationError(f"cannot schedule at {time_ns}ns in the "
+                                  f"past: now is {self.now_ns}ns")
         seq = self._next_seq()
         event = Event(time_ns, seq, callback, args)
         heappush(self._heap, (time_ns, seq, None, event))
         return event
-
-    def peek_time_ns(self) -> Optional[TimeNs]:
-        """The time of the next pending event, or None if none remain."""
-        heap = self._heap
-        while heap:
-            time_ns, _, callback, args = heap[0]
-            if callback is not None or not args.cancelled:
-                return time_ns
-            heappop(heap)
-        return None
-
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            time_ns, _, callback, args = heappop(heap)
-            if callback is None:
-                if args.cancelled:
-                    continue
-                callback, args = args.callback, args.args
-            self.now_ns = time_ns
-            self._processed += 1
-            callback(*args)
-            return True
-        return False
 
     def run(self, until_ns: Optional[TimeNs] = None,
             max_events: Optional[int] = None,

@@ -11,19 +11,22 @@ idle, and when the wire comes back up.  The queue disc is a plain
 container and holds no reference back to the link.  A link's queue and
 rate are fixed when it is built.
 
-A link schedules two events per packet (end of serialization, arrival
-at ``dst``) and pushes both straight onto the simulator's heap: the
-``(time_ns, seq, callback, args)`` entry and DEBUG check that
-:meth:`Simulator.post <repro.netsim.engine.Simulator.post>` would make,
-without its frame.  The two callbacks, ``_finish`` and ``_deliver``,
-are bound once when the link is built.
+Packets enter a port only through :meth:`Node.forward
+<repro.netsim.node.Node.forward>`.  A link schedules two events per
+packet (end of serialization, arrival at ``dst``) and pushes both
+straight onto the simulator's heap: the ``(time_ns, seq, callback,
+args)`` entry and DEBUG check that :meth:`Simulator.post
+<repro.netsim.engine.Simulator.post>` would make, without its frame.
+The two callbacks, ``_finish`` and ``_deliver`` (``dst.receive``,
+which for a router is ``forward``), are bound once when the link is
+built, and a delivery entry carries ``(packet,)``.
 
 A port whose queue is exactly a :class:`DropTailQueue` exposes that
-queue's FIFO as ``_fifo``: ``Router.receive`` and ``Node.forward`` put
-a packet that finds the port up, idle and empty straight onto the wire
-(the finish entry ``_start`` would push after an enqueue and dequeue
-of the same packet), and the link goes idle without a ``dequeue()``
-call when that FIFO is empty.
+queue's FIFO as ``_fifo``: ``Node.forward`` puts a packet that finds
+the port up, idle and empty straight onto the wire (the finish entry
+``_start`` would push after an enqueue and dequeue of the same
+packet), and the link goes idle without a ``dequeue()`` call when that
+FIFO is empty.
 """
 
 from __future__ import annotations
@@ -113,8 +116,7 @@ class Link:
         # node or this link, which Network.dismantle cuts.
         self._finish: Optional[Callable[[Packet], None]] = \
             self._finish_transmission
-        self._deliver: Optional[Callable[[Packet, Link], None]] = \
-            dst.receive
+        self._deliver: Optional[Callable[[Packet], object]] = dst.receive
 
     def serialization_delay_ns(self, size_bytes: Bytes) -> TimeNs:
         """Time to clock ``size_bytes`` onto the wire."""
@@ -151,18 +153,6 @@ class Link:
         """Install (or clear) per-packet stochastic impairments."""
         self._fault_state = state
         self._impaired = (state is not None) or not self._up
-
-    def send(self, packet: Packet) -> bool:
-        """Offer a packet to this port.  Returns False if dropped.
-
-        An accepted packet that finds the transmitter idle starts it.
-        ``Router.receive`` and ``Node.forward`` make this call inline,
-        one frame less per hop; it stays for every other sender.
-        """
-        accepted = self.queue.enqueue(packet)
-        if accepted and not self._busy:
-            self._start()
-        return accepted
 
     def _start(self) -> None:
         """An idle transmitter starts on the queue's head packet.
@@ -207,12 +197,12 @@ class Link:
         if self._impaired:
             self._deliver_impaired(packet)
         else:
-            # sim.post(self.delay_ns, self.dst.receive, packet, self).
+            # sim.post(self.delay_ns, self.dst.receive, packet).
             if debug:
                 require_int_ns(self.delay_ns, "post() delay_ns")
             heappush(sim._heap, (sim.now_ns + self.delay_ns,
                                  sim._next_seq(), self._deliver,
-                                 (packet, self)))
+                                 (packet,)))
         # The next packet, if any, goes straight onto the wire: the
         # start's work, inline, since this runs once per transmission.
         # An empty drop-tail FIFO goes idle without the dequeue() call.
@@ -245,8 +235,7 @@ class Link:
         fate = state.draw(self.sim.now_ns)
         if fate < 0:
             return  # Lost (-1) or corrupted (-2); counters in draw().
-        self.sim.post(self.delay_ns + fate, self.dst.receive, packet,
-                      self)
+        self.sim.post(self.delay_ns + fate, self.dst.receive, packet)
 
     def __repr__(self) -> str:
         return (f"Link({self.name}, {self.rate_bps / 1e6:.1f} Mbps, "

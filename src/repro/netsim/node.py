@@ -4,6 +4,11 @@ Routers forward packets between links using a static routing table
 (installed by :func:`repro.netsim.topology.Network.install_routes`).
 Hosts terminate flows: transport endpoints register a per-flow handler
 and outgoing packets are routed onto the host's (usually single) uplink.
+
+:meth:`Node.forward` is the one way a packet enters a port, and holds
+the node's one freeze check.  A router's ``receive`` *is* ``forward``,
+so its inbound link delivers straight into it (one frame per hop); a
+host sends through it, directly or after its send-jitter stage.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class Node:
         # Fault injection (repro.faults): a frozen node is fail-stop
         # with state retained — it blackholes traffic until restarted,
         # like a crashed forwarding plane that reboots with its tables
-        # intact.  One boolean test per received packet.
+        # intact.  One boolean test per packet forwarded or received.
         self._frozen = False
         #: Packets discarded while frozen (diagnostics / fault summary).
         self.frozen_drops = 0
@@ -60,7 +65,11 @@ class Node:
                 f"{self.name} has no route to node {dst}") from None
 
     def forward(self, packet: Packet) -> bool:
-        """Send ``packet`` toward its destination.  False if dropped."""
+        """Send ``packet`` toward its destination.  False if dropped,
+        by the egress port or because this node is frozen."""
+        if self._frozen:
+            self.frozen_drops += 1
+            return False
         link = self.routes.get(packet.flow.dst)
         if link is None:
             link = self.route_for(packet.flow.dst)  # Raises, named.
@@ -80,53 +89,22 @@ class Node:
             heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
                                  link._finish, (packet,)))
             return True
-        # link.send(packet), inline: straight onto the egress port.
+        # Otherwise the hop's next frame is the egress queue disc's
+        # enqueue, and an idle port starts on what it accepted.
         accepted = link.queue.enqueue(packet)
         if accepted and not link._busy:
             link._start()
         return accepted
 
-    def receive(self, packet: Packet, from_link: Link) -> None:
-        raise NotImplementedError
+    #: What an inbound link delivers into; a host overrides it.
+    receive = forward
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
 
 class Router(Node):
-    """A store-and-forward router."""
-
-    def __init__(self, sim: Simulator, node_id: int, name: str = "") -> None:
-        super().__init__(sim, node_id, name)
-        self.forwarded_packets = 0
-
-    def receive(self, packet: Packet, from_link: Link) -> None:
-        if self._frozen:
-            self.frozen_drops += 1
-            return
-        self.forwarded_packets += 1
-        # forward() and link.send() inlined: an idle, empty drop-tail
-        # port cuts through as in forward(); otherwise the hop's next
-        # frame is the egress queue disc's enqueue, looked up per
-        # packet, and an idle port starts on what it accepted.
-        link = self.routes.get(packet.flow.dst)
-        if link is None:
-            link = self.route_for(packet.flow.dst)  # Raises, named.
-        fifo = link._fifo
-        if (fifo is not None and not link._busy and link._up and not fifo
-                and packet.size_bytes <= link._fifo_max_bytes):
-            link._busy = True
-            try:
-                tx_time = link._ser_delay_cache[packet.size_bytes]
-            except KeyError:
-                tx_time = link.serialization_delay_ns(packet.size_bytes)
-            if invariants.DEBUG:
-                require_int_ns(tx_time, "post() delay_ns")
-            sim = link.sim
-            heappush(sim._heap, (sim.now_ns + tx_time, sim._next_seq(),
-                                 link._finish, (packet,)))
-        elif link.queue.enqueue(packet) and not link._busy:
-            link._start()
+    """A store-and-forward router: it forwards what it receives."""
 
 
 class Host(Node):
@@ -158,7 +136,7 @@ class Host(Node):
         """Handler for packets with no registered flow (diagnostics)."""
         self._default_handler = handler
 
-    def receive(self, packet: Packet, from_link: Link) -> None:
+    def receive(self, packet: Packet) -> None:  # type: ignore[override]
         if self._frozen:
             self.frozen_drops += 1
             return
@@ -193,11 +171,10 @@ class Host(Node):
 
     def send(self, packet: Packet) -> bool:
         """Inject a locally generated packet into the network."""
-        if self._frozen:
-            self.frozen_drops += 1
-            return False
         rng = self._jitter_rng
-        if rng is None:
+        if rng is None or self._frozen:
+            # forward() drops (and counts) what a frozen host sends; a
+            # frozen host draws no jitter.
             return self.forward(packet)
         # rng.randint(0, span - 1), draw for draw: the stdlib's
         # getrandbits rejection loop without its three Python frames.

@@ -91,26 +91,7 @@ class TestConnectFlow:
         assert flow.goodput_bytes == 10 * MSS_BYTES
 
 
-class TestEngineStepping:
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, fired.append, "a")
-        sim.schedule(20, fired.append, "b")
-        assert sim.step()
-        assert fired == ["a"]
-        assert sim.step()
-        assert fired == ["a", "b"]
-        assert not sim.step()
-
-    def test_peek_returns_next_time(self):
-        sim = Simulator()
-        sim.schedule(42, lambda: None)
-        assert sim.peek_time_ns() == 42
-
-    def test_peek_empty(self):
-        assert Simulator().peek_time_ns() is None
-
+class TestEngineClock:
     def test_now_seconds(self):
         sim = Simulator()
         sim.run(until_ns=seconds(1.5))

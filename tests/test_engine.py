@@ -102,13 +102,6 @@ class TestCancellation:
         event.cancel()
         sim.run()
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        first.cancel()
-        assert sim.peek_time_ns() == 20
-
 
 class TestRunSemantics:
     def test_run_until_executes_events_at_boundary(self):
@@ -241,3 +234,59 @@ class TestClockOwnership:
     def test_reads_are_not_writes(self):
         source = "t = sim.now_ns\nctx = Ctx(now_ns=sim.now_ns)"
         assert _now_ns_writes(ast.parse(source)) == []
+
+
+def _touches_heap(tree):
+    """Whether ``tree`` reaches for an attribute named ``_heap``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_heap":
+            return True
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "_heap"):
+            return True
+    return False
+
+
+def _direct_pushers(root):
+    """Modules under ``root``, but the engine, that touch ``_heap``."""
+    return [path.relative_to(root).as_posix()
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).as_posix() != "netsim/engine.py"
+            and _touches_heap(ast.parse(path.read_text(), str(path)))]
+
+
+class TestHeapPushers:
+    """Outside the engine, only the per-packet modules its docstring
+    names push onto ``Simulator._heap`` themselves; everything else
+    goes through ``post``/``post_at``/``schedule``/``schedule_at``."""
+
+    SRC = Path(repro.__file__).resolve().parent
+    PUSHERS = ["netsim/link.py", "netsim/node.py", "tcp/socket.py"]
+
+    def test_the_direct_pushers_are_the_documented_three(self):
+        assert _direct_pushers(self.SRC) == self.PUSHERS
+        engine_doc = (self.SRC / "netsim/engine.py").read_text()
+        for name in self.PUSHERS:
+            module = name[:-len(".py")].replace("/", ".")
+            assert f":mod:`~repro.{module}`" in engine_doc
+
+    def test_a_new_pusher_is_caught(self, tmp_path):
+        for name, body in [
+                ("netsim/engine.py", "heappush(self._heap, entry)\n"),
+                ("netsim/link.py", "heappush(sim._heap, entry)\n"),
+                ("core/alias.py", "heap = self.sim._heap\n"
+                                  "heappush(heap, entry)\n"),
+                ("core/dotted.py",
+                 "heapq.heappush(self.sim._heap, entry)\n"),
+                ("core/named.py",
+                 "heappush(getattr(sim, '_heap'), entry)\n"),
+                ("core/polite.py", "self.sim.post(1, self.tick)\n"),
+                ("core/own_heap.py", "heappush(self.heap, entry)\n")]:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(body)
+        assert _direct_pushers(tmp_path) == [
+            "core/alias.py", "core/dotted.py", "core/named.py",
+            "netsim/link.py"]

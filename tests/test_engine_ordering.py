@@ -4,7 +4,7 @@ Deterministic replay — and with it the parallel executor's
 serial-equals-parallel guarantee — rests on the engine firing events
 in nondecreasing time order with FIFO tie-breaking by insertion
 sequence, under cancellations, events scheduled mid-run, zero-delay
-reschedules, and scheduling interleaved with peeks and bounded runs.
+reschedules, and scheduling interleaved with bounded runs.
 Hypothesis searches for programs that violate it, judged by an oracle
 that shares no code with the engine (a stable sort); scenario-level
 tests then pin down that the ``REPRO_DEBUG`` gate never changes a
@@ -67,20 +67,19 @@ def stable_order(live):
     return sorted(live, key=lambda pair: pair[0])
 
 
-def drain_by_step(sim):
-    while sim.step():
-        pass
-
-
-def drain_by_max_events(sim):
+def drain_by_max_events(sim, budget=3):
     # Every raise pushes the popped entry back; the next run must take
     # it up again in the same place.
     while True:
         try:
-            sim.run(max_events=3)
+            sim.run(max_events=budget)
             return
         except SimulationError:
             pass
+
+
+def drain_one_event_per_run(sim):
+    drain_by_max_events(sim, budget=1)
 
 
 @settings(deadline=None, max_examples=200)
@@ -100,11 +99,13 @@ def test_events_fire_in_time_then_fifo_order(batch):
     assert sim.processed_events == len(live)
 
 
-@pytest.mark.parametrize("drain", [drain_by_step, drain_by_max_events])
+@pytest.mark.parametrize("drain", [drain_one_event_per_run,
+                                   drain_by_max_events])
 @settings(deadline=None, max_examples=100)
 @given(batch=EVENT_BATCH)
 def test_other_ways_to_drain_keep_the_order(drain, batch):
-    """``step()`` and ``max_events`` push-backs see the same entries."""
+    """``max_events`` push-backs, one event a run or a few, see the
+    same entries."""
     sim = Simulator()
     fired = []
     live = submit_batch(
@@ -114,7 +115,7 @@ def test_other_ways_to_drain_keep_the_order(drain, batch):
 
     assert fired == stable_order(live)
     assert sim.processed_events == len(live)
-    assert sim.peek_time_ns() is None
+    assert len(sim.scheduler) == 0
 
 
 @settings(deadline=None, max_examples=100)
@@ -173,14 +174,12 @@ def test_cancellation_is_exact(times, rng):
 
 @settings(deadline=None, max_examples=100)
 @given(batch=EVENT_BATCH, chunk_ns=st.integers(min_value=1, max_value=60))
-def test_ordering_holds_under_chunked_runs_and_peeks(batch, chunk_ns):
-    """Scheduling interleaved with peeks and bounded runs stays ordered.
+def test_ordering_holds_under_chunked_runs(batch, chunk_ns):
+    """Scheduling interleaved with bounded runs stays ordered.
 
     The ``until_ns`` push-back in ``run`` pops the next entry and
     re-pushes it; a later schedule may then legally land *before* the
-    pushed-back entry and must still fire first.  ``peek_time_ns``
-    must look past cancelled heads to the first live entry of either
-    kind.
+    pushed-back entry and must still fire first.
     """
     sim = Simulator()
     trace = []
@@ -194,10 +193,6 @@ def test_ordering_holds_under_chunked_runs_and_peeks(batch, chunk_ns):
         scheduled += submit_batch(
             sim, batch[chunk_start:chunk_start + 5], fire,
             base_ns=base, first_tag=chunk_start)
-        fired = set(trace)
-        pending = [time_ns for time_ns, tag in scheduled
-                   if (time_ns, tag) not in fired]
-        assert sim.peek_time_ns() == (min(pending) if pending else None)
         sim.run(until_ns=base + chunk_ns)
         assert sim.now_ns == base + chunk_ns
     sim.run()
@@ -235,15 +230,15 @@ class TestPosting:
         with pytest.raises(SimulationError, match="now is 10ns"):
             sim.post_at(9, lambda: None)
 
-    def test_peek_skips_a_cancelled_head_to_a_posted_entry(self):
+    def test_run_skips_cancelled_heads_to_a_posted_entry(self):
         sim = Simulator()
-        sim.schedule_at(1, lambda: None).cancel()
-        sim.schedule_at(2, lambda: None).cancel()
-        sim.post_at(3, lambda: None)
-        assert sim.peek_time_ns() == 3
-        assert sim.step() is True
-        assert sim.now_ns == 3
-        assert sim.step() is False
+        fired = []
+        sim.schedule_at(1, fired.append, "a").cancel()
+        sim.schedule_at(2, fired.append, "b").cancel()
+        sim.post_at(3, fired.append, "c")
+        sim.run(max_events=1)
+        assert fired == ["c"] and sim.now_ns == 3
+        assert sim.processed_events == 1 and len(sim.scheduler) == 0
 
 
 class TestTies:
@@ -281,16 +276,6 @@ class TestTies:
 
 class TestScheduleAfterPushBack:
     """Scheduling ahead of an entry the engine popped and pushed back."""
-
-    def test_schedule_after_peek(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(640_000, fired.append, "late")
-        assert sim.peek_time_ns() == 640_000
-        sim.schedule_at(5_000, fired.append, "early")
-        sim.run()
-        assert fired == ["early", "late"]
-        assert sim.now_ns == 640_000
 
     def test_schedule_between_bounded_runs(self):
         sim = Simulator()

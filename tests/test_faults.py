@@ -240,6 +240,24 @@ class TestLinkFaults:
         assert a.send(_packet()) is False
         assert a.frozen_drops == 1
 
+    def test_host_frozen_in_its_jitter_stage_drops_at_release(self):
+        # Fail-stop covers a packet the host already accepted: frozen
+        # while it waits out its send jitter, it never reaches the wire.
+        sim, a, b, link = _two_hosts()
+        received = []
+        b.set_default_handler(received.append)
+        a.set_tx_jitter(1000, seed=1)
+        assert a.send(_packet()) is True
+        assert len(sim.scheduler) == 1 and link.tx_packets == 0
+        a.set_frozen(True)
+        sim.run()
+        assert link.tx_packets == 0 and received == []
+        assert a.frozen_drops == 1
+        a.set_frozen(False)
+        assert a.send(_packet()) is True
+        sim.run()
+        assert link.tx_packets == 1 and len(received) == 1
+
     def test_schedule_installs_by_pattern(self):
         sim, a, b, link = _two_hosts()
         schedule = FaultSchedule(

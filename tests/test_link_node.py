@@ -44,7 +44,7 @@ class TestLinkTiming:
         src, dst, link = wire(sim, rate_bps=8e6, delay_ns=500_000)
         arrivals = []
         dst.set_default_handler(lambda p: arrivals.append(sim.now_ns))
-        link.send(make_packet(size=1000))
+        src.forward(make_packet(size=1000))
         sim.run()
         # 1000 B at 8 Mbps = 1 ms serialization + 0.5 ms propagation.
         assert arrivals == [1_500_000]
@@ -54,8 +54,8 @@ class TestLinkTiming:
         src, dst, link = wire(sim, rate_bps=8e6, delay_ns=0)
         arrivals = []
         dst.set_default_handler(lambda p: arrivals.append(sim.now_ns))
-        link.send(make_packet(size=1000))
-        link.send(make_packet(size=1000))
+        src.forward(make_packet(size=1000))
+        src.forward(make_packet(size=1000))
         sim.run()
         assert arrivals == [1_000_000, 2_000_000]
 
@@ -64,9 +64,9 @@ class TestLinkTiming:
         src, dst, link = wire(sim, rate_bps=8e6, delay_ns=0)
         arrivals = []
         dst.set_default_handler(lambda p: arrivals.append(sim.now_ns))
-        link.send(make_packet(size=1000))
+        src.forward(make_packet(size=1000))
         sim.run()
-        sim.schedule(1_000_000, link.send, make_packet(size=1000))
+        sim.schedule(1_000_000, src.forward, make_packet(size=1000))
         sim.run()
         assert arrivals == [1_000_000, 3_000_000]
 
@@ -74,9 +74,9 @@ class TestLinkTiming:
         # The link pushes its heap entries itself: the entry post()
         # would make, checked as post() checks it.
         sim = Simulator()
-        _, _, link = wire(sim, rate_bps=8e6, delay_ns=500)
+        src, _, link = wire(sim, rate_bps=8e6, delay_ns=500)
         packet = make_packet(size=1000)
-        link.send(packet)
+        src.forward(packet)
         (time_ns, _, callback, args), = sim.scheduler
         assert (time_ns, callback, args) == \
             (1_000_000, link._finish_transmission, (packet,))
@@ -86,9 +86,9 @@ class TestLinkTiming:
 
     def test_counters(self):
         sim = Simulator()
-        _, _, link = wire(sim)
-        link.send(make_packet(size=700))
-        link.send(make_packet(size=300))
+        src, _, link = wire(sim)
+        src.forward(make_packet(size=700))
+        src.forward(make_packet(size=300))
         sim.run()
         assert link.tx_packets == 2
         assert link.tx_bytes == 1000
@@ -107,8 +107,8 @@ class TestLinkTiming:
         src, dst, link = wire(sim, queue=DropTailQueue(limit_bytes=500))
         arrivals = []
         dst.set_default_handler(arrivals.append)
-        assert not link.send(make_packet(size=1000))
-        assert not src.forward(make_packet(size=1000))
+        for _ in range(2):
+            assert not src.forward(make_packet(size=1000))
         assert not link._busy and len(sim.scheduler) == 0
         sim.run()
         assert arrivals == [] and link.tx_packets == 0
@@ -120,8 +120,8 @@ class TestLinkTiming:
         arrivals = []
         dst.set_default_handler(lambda p: arrivals.append(sim.now_ns))
         link.set_up(False)
-        assert link.send(make_packet(size=1000))
-        assert src.forward(make_packet(size=1000))
+        for _ in range(2):
+            assert src.forward(make_packet(size=1000))
         assert not link._busy and len(sim.scheduler) == 0
         sim.run()
         assert arrivals == [] and len(link.queue) == 2
@@ -143,9 +143,9 @@ class TestOnTransmitHook:
 
         sim = Simulator()
         queue = HookQueue()
-        _, _, link = wire(sim, queue=queue)
-        link.send(make_packet(size=400))
-        link.send(make_packet(size=600))
+        src, _, link = wire(sim, queue=queue)
+        src.forward(make_packet(size=400))
+        src.forward(make_packet(size=600))
         sim.run()
         assert queue.seen == [400, 600]
 
@@ -186,6 +186,11 @@ class _PlainDropTail(DropTailQueue):
     """A trivial subclass: its port takes the general enqueue path."""
 
 
+#: A packet enters a port as a host forwards it, or as a router's
+#: inbound link delivers it.
+ENTRIES = ["host_forward", "router_delivery"]
+
+
 class TestStartInvariant:
     """An up, idle link holds an empty queue, whatever the disc.
 
@@ -193,10 +198,20 @@ class TestStartInvariant:
     finds it idle (or when the wire comes back up); that is enough
     because every disc's ``dequeue`` returns None only when it is
     empty.  Every offered packet is accounted for exactly once,
-    whether it enters through ``Link.send``, ``Node.forward`` or a
-    ``Router.receive`` hop; the last two let an exact drop-tail port
-    cut through, which must leave what a general port leaves.
+    whether a host forwards it or a router takes it as its inbound
+    link delivers it; both go through ``Node.forward``, where an exact
+    drop-tail port cuts through, which must leave what a general port
+    leaves.
     """
+
+    @staticmethod
+    def entry_of(entry, sim, src):
+        """The callable a packet enters ``src``'s port through."""
+        if entry == "host_forward":
+            return src.forward
+        inbound = Link(sim, Host(sim, 2, "feed"), src, 8e6, 0,
+                       DropTailQueue())
+        return inbound._deliver
 
     @staticmethod
     def drive(kind, steps, entry, queue=None):
@@ -204,11 +219,12 @@ class TestStartInvariant:
         sim = Simulator()
         if queue is None:
             queue = build_port(kind, sim)
-        src = Router(sim, 0, "src")
+        src = (Host if entry == "host_forward" else Router)(sim, 0, "src")
         dst = Host(sim, 1, "dst")
         link = Link(sim, src, dst, 8e6, 100_000, queue)
         src.attach_link(link)
         src.routes[1] = link
+        enter = TestStartInvariant.entry_of(entry, sim, src)
         # Installed as FaultSchedule installs it, so cut packets count.
         state = LinkFaultState(FaultSpec(), seed=1, name=link.name)
         link.set_fault_state(state)
@@ -223,15 +239,7 @@ class TestStartInvariant:
         queue.record_drop = counted_drop
 
         def offer(packet):
-            if entry == "send":
-                ok = link.send(packet)
-            elif entry == "forward":
-                ok = src.forward(packet)
-            else:
-                before = len(dropped)
-                src.receive(packet, link)
-                ok = packet.seq not in dropped[before:]
-            (accepted if ok else refused).append(packet.seq)
+            (accepted if enter(packet) else refused).append(packet.seq)
 
         def args_key(args):
             return tuple(arg.seq if isinstance(arg, Packet) else
@@ -278,7 +286,7 @@ class TestStartInvariant:
     # and a drawn (kind, entry) pair can go unvisited for a whole run.
     @pytest.mark.parametrize("kind", ["droptail", "droptail_bytes",
                                       "fq_codel", "afq", "cebinae"])
-    @pytest.mark.parametrize("entry", ["send", "forward", "receive"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     @settings(deadline=None, max_examples=3)
     @given(steps=STEPS)
     def test_idle_up_link_has_empty_queue_and_packets_conserve(
@@ -286,7 +294,7 @@ class TestStartInvariant:
         self.drive(kind, steps, entry)
 
     @pytest.mark.parametrize("kind", ["droptail", "droptail_bytes"])
-    @pytest.mark.parametrize("entry", ["forward", "receive"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     @settings(deadline=None, max_examples=25)
     @given(steps=STEPS)
     def test_cut_through_leaves_what_a_general_port_leaves(
@@ -301,23 +309,21 @@ class TestStartInvariant:
         assert self.drive(kind, steps, entry) == \
             self.drive(kind, steps, entry, queue=twin)
 
-    @pytest.mark.parametrize("entry", ["forward", "receive"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_an_idle_drop_tail_port_cuts_through(self, entry):
         sim = Simulator()
-        src = Router(sim, 0, "src")
+        src = (Host if entry == "host_forward" else Router)(sim, 0, "src")
         dst = Host(sim, 1, "dst")
         queue = DropTailQueue(limit_bytes=1000)
         link = Link(sim, src, dst, 8e6, 0, queue)
         src.routes[1] = link
+        enter = self.entry_of(entry, sim, src)
         calls = []
         queue.enqueue = lambda packet: calls.append(packet) or False
 
         def offer(size):
             packet = make_packet(size=size)
-            if entry == "forward":
-                src.forward(packet)
-            else:
-                src.receive(packet, link)
+            enter(packet)
             return packet
 
         packet = offer(1000)
@@ -345,8 +351,8 @@ class TestHostDispatch:
         flow = FlowId(0, 1, 5, 80)
         got = []
         dst.register_handler(flow, got.append)
-        link.send(Packet(flow=flow, size_bytes=100))
-        link.send(Packet(flow=FlowId(0, 1, 6, 80), size_bytes=100))
+        src.forward(Packet(flow=flow, size_bytes=100))
+        src.forward(Packet(flow=FlowId(0, 1, 6, 80), size_bytes=100))
         sim.run()
         assert len(got) == 1 and got[0].flow == flow
 
@@ -366,7 +372,7 @@ class TestHostDispatch:
         dst.register_handler(flow, got.append)
         dst.unregister_handler(flow)
         dst.set_default_handler(fallback.append)
-        link.send(Packet(flow=flow, size_bytes=100))
+        src.forward(Packet(flow=flow, size_bytes=100))
         sim.run()
         assert got == [] and len(fallback) == 1
 
@@ -391,7 +397,9 @@ class TestRouterForwarding:
         router.routes[1] = link_out
         got = []
         b.set_default_handler(got.append)
+        # The inbound link delivers straight into forward().
+        assert link_in._deliver == router.forward
         a.send(make_packet())
         sim.run()
         assert len(got) == 1
-        assert router.forwarded_packets == 1
+        assert link_in.tx_packets == link_out.tx_packets == 1

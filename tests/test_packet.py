@@ -113,7 +113,7 @@ FAST_PATH_ENUMS = {"PacketType", "EcnCodepoint", "LbfDecision",
 
 #: The per-packet functions, by module under ``src/repro``.
 FAST_PATH_FUNCTIONS = {
-    "netsim/node.py": ["Node.forward", "Router.receive", "Host.send"],
+    "netsim/node.py": ["Node.forward", "Host.send"],
     "netsim/link.py": ["Link._start", "Link._finish_transmission"],
     "netsim/packet.py": ["Packet.mark_ce"],
     "tcp/socket.py": ["RttEstimator.observe", "TcpSender._transmit",

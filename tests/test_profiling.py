@@ -19,9 +19,10 @@ def drive_small_network(packets=5):
     src, dst = Host(sim, 0, "src"), Host(sim, 1, "dst")
     link = Link(sim, src, dst, rate_bps=1e9, delay_ns=1000,
                 queue=DropTailQueue(limit_packets=64))
+    src.routes[1] = link
     flow = FlowId(0, 1, 1, 80)
     for i in range(packets):
-        link.send(Packet(flow=flow, size_bytes=1500, seq=i))
+        src.forward(Packet(flow=flow, size_bytes=1500, seq=i))
     sim.run()
     return sim
 
