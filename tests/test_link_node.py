@@ -186,9 +186,9 @@ class _PlainDropTail(DropTailQueue):
     """A trivial subclass: its port takes the general enqueue path."""
 
 
-#: A packet enters a port as a host forwards it, or as a router's
-#: inbound link delivers it.
-ENTRIES = ["host_forward", "router_delivery"]
+#: A packet enters a port as a host forwards it, as a router's
+#: inbound link delivers it, or as a jittered host's send releases it.
+ENTRIES = ["host_forward", "router_delivery", "jittered_host_send"]
 
 
 class TestStartInvariant:
@@ -198,17 +198,31 @@ class TestStartInvariant:
     finds it idle (or when the wire comes back up); that is enough
     because every disc's ``dequeue`` returns None only when it is
     empty.  Every offered packet is accounted for exactly once,
-    whether a host forwards it or a router takes it as its inbound
-    link delivers it; both go through ``Node.forward``, where an exact
-    drop-tail port cuts through, which must leave what a general port
-    leaves.
+    whether a host forwards it, a router takes it as its inbound link
+    delivers it, or a jittered host's send stage releases it; all go
+    through ``Node.forward``, where an exact drop-tail port cuts
+    through, which must leave what a general port leaves.
     """
+
+    @staticmethod
+    def node_for(entry, sim):
+        """The node whose port ``entry`` offers into."""
+        if entry == "router_delivery":
+            return Router(sim, 0, "src")
+        src = Host(sim, 0, "src")
+        if entry == "jittered_host_send":
+            src.set_tx_jitter(50_000, seed=1)
+        return src
 
     @staticmethod
     def entry_of(entry, sim, src):
         """The callable a packet enters ``src``'s port through."""
         if entry == "host_forward":
             return src.forward
+        if entry == "jittered_host_send":
+            # The send stage accepts every packet; the port's verdict
+            # comes at the release, as for the others' drops.
+            return src.send
         inbound = Link(sim, Host(sim, 2, "feed"), src, 8e6, 0,
                        DropTailQueue())
         return inbound._deliver
@@ -219,7 +233,7 @@ class TestStartInvariant:
         sim = Simulator()
         if queue is None:
             queue = build_port(kind, sim)
-        src = (Host if entry == "host_forward" else Router)(sim, 0, "src")
+        src = TestStartInvariant.node_for(entry, sim)
         dst = Host(sim, 1, "dst")
         link = Link(sim, src, dst, 8e6, 100_000, queue)
         src.attach_link(link)
@@ -312,7 +326,7 @@ class TestStartInvariant:
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_an_idle_drop_tail_port_cuts_through(self, entry):
         sim = Simulator()
-        src = (Host if entry == "host_forward" else Router)(sim, 0, "src")
+        src = self.node_for(entry, sim)
         dst = Host(sim, 1, "dst")
         queue = DropTailQueue(limit_bytes=1000)
         link = Link(sim, src, dst, 8e6, 0, queue)
@@ -324,13 +338,16 @@ class TestStartInvariant:
         def offer(size):
             packet = make_packet(size=size)
             enter(packet)
+            if entry == "jittered_host_send":
+                # Run to the release, where the packet meets the port.
+                sim.run(until_ns=src._last_release_ns)
             return packet
 
         packet = offer(1000)
         assert calls == [] and link._busy
         (time_ns, _, callback, args), = sim.scheduler
         assert (time_ns, callback, args) == \
-            (1_000_000, link._finish_transmission, (packet,))
+            (sim.now_ns + 1_000_000, link._finish_transmission, (packet,))
         # Busy, past the byte limit, or down: the general path.
         offer(100)
         link._busy = False
